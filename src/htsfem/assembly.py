@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
 from .materials import MU0, Materials, de_dj, rho_power
 from .mesh import Interface, Mesh2D, Region
-from .spaces import DofSpace, trace_functions, interface_chain, whitney_transform
+from .spaces import DofSpace, trace_table, whitney_transform
 
 
 class AssemblyError(ValueError):
@@ -126,6 +126,16 @@ def _scatter(rows, cols, vals, shape):
                          shape=shape).tocsr()
 
 
+def _masked_scatter(rdofs, cdofs, loc, shape):
+    """Scatter local blocks ``loc`` (N, R, C) onto the DOFs ``rdofs``
+    (N, R) x ``cdofs`` (N, C); slots holding -1 carry no DOF and are
+    skipped, so padding stores no entries."""
+    m = (rdofs[:, :, None] >= 0) & (cdofs[:, None, :] >= 0)
+    rows = np.broadcast_to(rdofs[:, :, None], m.shape)[m]
+    cols = np.broadcast_to(cdofs[:, None, :], m.shape)[m]
+    return _scatter(rows, cols, loc[m], shape)
+
+
 def _whitney_local(mesh, tri_ids):
     """Whitney edge-function data on triangles: quadrature values
     (T, 6, 3, 2) in canonical edge orientation, constant curls (T, 3),
@@ -170,30 +180,26 @@ def _p1_stiffness(mesh, tri_ids, weights, node_dof, n_dofs):
     return _scatter(rows, cols, loc.reshape(len(tri_ids), 9), (n_dofs, n_dofs))
 
 
-def _enriched_tri_map(space):
-    """(tri, local_edge, bubble_dof) triples for interface bubbles."""
+def _edge_bubbles(space, tri_ids):
+    """Interface edge bubbles on the triangles of ``tri_ids`` that carry
+    at least one.  Returns (hit, dofs, grad_b, areas, grads): ``hit``
+    selects those triangles from ``tri_ids``; ``dofs`` (T, 3) holds the
+    bubble DOF of local edges (01, 12, 20), -1 where an edge has none;
+    ``grad_b`` (T, Q, 3, 2) is grad(lambda_i lambda_j) at TRI_QP;
+    ``areas`` and hat ``grads`` are as from tri_geometry."""
     mesh = space.mesh
-    out = []
-    if space.enrichment != 2:
-        return out
-    domain = set(int(t) for t in (space.meta["sc_tris"] if space.family == "H"
-                                  else space.meta["a_tris"]))
-    for kind, ent in space.entries:
-        if kind != "bubble":
-            continue
-        dof = space.dof("bubble", ent)
-        for t in mesh.edge_tris[ent]:
-            if t < 0 or int(t) not in domain:
-                continue
-            le = int(np.flatnonzero(mesh.tri_edges[t] == ent)[0])
-            out.append((int(t), le, dof))
-    return out
+    dofs = space.entity_dofs("bubble", len(mesh.edges))[mesh.tri_edges[tri_ids]]
+    hit = np.any(dofs >= 0, axis=1)
+    areas, grads = tri_geometry(mesh, tri_ids[hit])
+    i, j = [0, 1, 2], [1, 2, 0]
+    grad_b = (TRI_QP[None, :, i, None] * grads[:, None, j, :]
+              + TRI_QP[None, :, j, None] * grads[:, None, i, :])
+    return hit, dofs[hit], grad_b, areas, grads
 
 
-def _bubble_grad(grads, le, qp=TRI_QP):
-    """grad(lambda_i lambda_j) at the triangle quadrature points."""
-    i, j = ((0, 1), (1, 2), (2, 0))[le]
-    return qp[:, i, None] * grads[j] + qp[:, j, None] * grads[i]
+def _bubble_gram(grad_b, weights):
+    """Local bubble x bubble blocks (T, 3, 3), weighted per triangle."""
+    return np.einsum("q,tqed,tqfd->tef", TRI_QW, grad_b, grad_b) * weights[:, None, None]
 
 
 def _space_cache(space) -> dict:
@@ -218,35 +224,16 @@ def _h_mass(space, coeff):
     Mw = _whitney_mass(mesh, tri_ids, pos, len(sc_edges))
     K = C.T @ (coeff * Mw) @ C
 
-    enriched = _enriched_tri_map(space)
-    if enriched:
-        rows, cols, vals = [], [], []
-        brows, bcols, bvals = [], [], []
-        bydof = {}
-        for t, le, dof in enriched:
-            bydof.setdefault(t, []).append((le, dof))
-        for t, items in sorted(bydof.items()):
-            areas, grads = tri_geometry(mesh, np.array([t]))
-            A, g = areas[0], grads[0]
-            wvals, _, _ = _whitney_local(mesh, np.array([t]))
-            epos = pos[mesh.tri_edges[t]]
-            for le, dof in items:
-                gb = _bubble_grad(g, le)                  # (6, 2)
-                # bubble x whitney
-                m = np.einsum("q,qd,qed->e", TRI_QW, gb, wvals[0]) * A
-                rows.extend(epos)
-                cols.extend([dof] * 3)
-                vals.extend(coeff * m)
-                # bubble x bubble (same triangle)
-                for le2, dof2 in items:
-                    gb2 = _bubble_grad(g, le2)
-                    m2 = np.einsum("q,qd,qd->", TRI_QW, gb, gb2) * A
-                    brows.append(dof)
-                    bcols.append(dof2)
-                    bvals.append(coeff * m2)
-        Mwb = _scatter(rows, cols, vals, (len(sc_edges), space.n_dofs))
+    if space.enrichment == 2:
+        hit, dofs, grad_b, areas, _ = _edge_bubbles(space, tri_ids)
+        wvals, _, _ = _whitney_local(mesh, tri_ids[hit])
+        # Whitney edge f x bubble e
+        loc = np.einsum("q,tqfd,tqed->tfe", TRI_QW, wvals, grad_b) * areas[:, None, None]
+        Mwb = _masked_scatter(pos[mesh.tri_edges[tri_ids[hit]]], dofs, coeff * loc,
+                              (len(sc_edges), space.n_dofs))
         K = K + C.T @ Mwb + Mwb.T @ C
-        K = K + _scatter(brows, bcols, bvals, (space.n_dofs,) * 2)
+        K = K + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, coeff * areas),
+                                (space.n_dofs,) * 2)
     cache[key] = K.tocsr()
     return cache[key]
 
@@ -281,73 +268,33 @@ def _a_stiffness(space, nu_per_tri):
         return cache[key]
     mesh = space.mesh
     tri_ids = space.meta["a_tris"]
-    node_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    for k, (kind, ent) in enumerate(space.entries):
-        if kind == "node":
-            node_dof[ent] = k
-    K = _p1_stiffness(mesh, tri_ids, np.asarray(nu_per_tri, dtype=float),
-                      node_dof, space.n_dofs)
+    node_dof = space.entity_dofs("node", mesh.n_nodes)
+    nu = np.asarray(nu_per_tri, dtype=float)
+    K = _p1_stiffness(mesh, tri_ids, nu, node_dof, space.n_dofs)
 
-    enriched = _enriched_tri_map(space)
-    if enriched:
-        wmap = {int(t): w for t, w in zip(tri_ids, np.asarray(nu_per_tri, dtype=float))}
-        rows, cols, vals = [], [], []
-        bydof = {}
-        for t, le, dof in enriched:
-            bydof.setdefault(t, []).append((le, dof))
-        for t, items in sorted(bydof.items()):
-            areas, grads = tri_geometry(mesh, np.array([t]))
-            A, g = areas[0], grads[0]
-            nu = wmap[t]
-            tdofs = node_dof[mesh.triangles[t]]
-            for le, dof in items:
-                gb = _bubble_grad(g, le)
-                for i in range(3):
-                    m = np.einsum("q,qd,d->", TRI_QW, gb, g[i]) * A * nu
-                    rows += [dof, tdofs[i]]
-                    cols += [tdofs[i], dof]
-                    vals += [m, m]
-                for le2, dof2 in items:
-                    gb2 = _bubble_grad(g, le2)
-                    m2 = np.einsum("q,qd,qd->", TRI_QW, gb, gb2) * A * nu
-                    rows.append(dof)
-                    cols.append(dof2)
-                    vals.append(m2)
-        K = K + _scatter(rows, cols, vals, (space.n_dofs,) * 2)
+    if space.enrichment == 2:
+        hit, dofs, grad_b, areas, grads = _edge_bubbles(space, tri_ids)
+        w = areas * nu[hit]
+        hats = node_dof[mesh.triangles[tri_ids[hit]]]
+        # bubble e x hat f
+        loc = np.einsum("q,tqed,tfd->tef", TRI_QW, grad_b, grads) * w[:, None, None]
+        shape = (space.n_dofs,) * 2
+        K = (K + _masked_scatter(dofs, hats, loc, shape)
+             + _masked_scatter(hats, dofs, loc.transpose(0, 2, 1), shape)
+             + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, w), shape))
     cache[key] = K.tocsr()
     return cache[key]
 
 
-def _t_trace_table(space):
-    """Per-segment trace DOFs and Gauss-point values, cached."""
-    cache = _space_cache(space)
-    if "t_trace" not in cache:
-        segs, _, lens, _ = interface_chain(space)
-        table = []
-        for k in range(len(segs)):
-            fns = trace_functions(space, k)
-            dofs = np.array([d for d, _ in fns], dtype=np.int64)
-            vals = np.array([[f(u) for u in LINE_QP] for _, f in fns])
-            table.append((dofs, vals, lens[k]))
-        cache["t_trace"] = table
-    return cache["t_trace"]
-
-
 def _t_stiffness(space, qp_weights):
     """1D weighted curl-curl over the tape: entries
-    int w(s) (dpsi_i/ds)(dpsi_j/ds) ds with qp_weights of shape
-    (n_segments, 3) evaluated at the Gauss points of each segment."""
-    qp_weights = np.asarray(qp_weights, dtype=float)
-    if qp_weights.ndim == 1:
-        qp_weights = np.repeat(qp_weights[:, None], len(LINE_QP), axis=1)
-    rows, cols, vals = [], [], []
-    for k, (dofs, fv, L) in enumerate(_t_trace_table(space)):
-        loc = np.einsum("q,iq,jq->ij", LINE_QW * qp_weights[k], fv, fv) * L
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(loc.ravel())
-    return _scatter(np.concatenate(rows), np.concatenate(cols),
-                    np.concatenate(vals), (space.n_dofs,) * 2)
+    int w(s) (dpsi_i/ds)(dpsi_j/ds) ds with ``qp_weights`` broadcast to
+    (n_segments, 3), the weight at the Gauss points of each segment."""
+    tab = trace_table(space)
+    w = np.broadcast_to(np.asarray(qp_weights, dtype=float), (len(tab.lens), len(LINE_QP)))
+    fv = tab.values(LINE_QP)
+    loc = np.einsum("sq,siq,sjq->sij", LINE_QW * w, fv, fv) * tab.lens[:, None, None]
+    return _masked_scatter(tab.dofs, tab.dofs, loc, (space.n_dofs,) * 2)
 
 
 def tape_element_size(mesh: Mesh2D) -> float:
@@ -361,20 +308,9 @@ def tape_element_size(mesh: Mesh2D) -> float:
 def tape_current_density(space: DofSpace, coeffs, at_qp=False):
     """Surface current density dt/ds per tape segment (midpoint value)
     or at the Gauss points of each segment when ``at_qp``."""
-    table = _t_trace_table(space)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if at_qp:
-        out = np.empty((len(table), len(LINE_QP)))
-        for k, (dofs, fv, _) in enumerate(table):
-            out[k] = coeffs[dofs] @ fv
-        return out
-    segs, _, lens, _ = interface_chain(space)
-    out = np.empty(len(table))
-    for k in range(len(table)):
-        dofs, fv, L = table[k]
-        fns = trace_functions(space, k)
-        out[k] = sum(coeffs[d] * f(0.5) for d, f in fns)
-    return out
+    tab = trace_table(space)
+    j = np.einsum("sp,spq->sq", tab.gather(coeffs), tab.values(LINE_QP))
+    return j if at_qp else j[:, 1]          # LINE_QP[1] is the midpoint
 
 
 # -- coupling and norms ----------------------------------------------------------
@@ -388,21 +324,11 @@ def _coupling_full(v_space: DofSpace, q_space: DofSpace, interface_tag, w=None):
     key = ("coupling", id(v_space), int(tag), None if w is None else float(w))
     if key in cache:
         return cache[key]
-    segs, _, lens, _ = interface_chain(q_space, tag)
+    qt, vt = trace_table(q_space, tag), trace_table(v_space, tag)
     factor = 1.0 if tag == Interface.GAMMA_M else float(w)
-    rows, cols, vals = [], [], []
-    for k in range(len(segs)):
-        qf = trace_functions(q_space, k, tag)
-        vf = trace_functions(v_space, k, tag)
-        L = lens[k]
-        for dq, fq in qf:
-            vq = np.array([fq(u) for u in LINE_QP])
-            for dv, fv in vf:
-                vv = np.array([fv(u) for u in LINE_QP])
-                vals.append(factor * float(np.sum(LINE_QW * vq * vv) * L))
-                rows.append(dq)
-                cols.append(dv)
-    cache[key] = _scatter(rows, cols, vals, (q_space.n_dofs, v_space.n_dofs))
+    loc = np.einsum("q,saq,sbq->sab", LINE_QW, qt.values(LINE_QP), vt.values(LINE_QP)) \
+        * (factor * qt.lens)[:, None, None]
+    cache[key] = _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
     return cache[key]
 
 
@@ -431,10 +357,7 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
         N = _a_stiffness(space, nu)
     elif space.family == "T":
         delta = tape_element_size(space.mesh) if norms.mesh_dependent else 1.0
-        segs, _, lens, _ = interface_chain(space)
-        qp_w = np.full((len(segs), len(LINE_QP)),
-                       delta * space.mesh.w * norms.dt0 * norms.rho0)
-        N = _t_stiffness(space, qp_w)
+        N = _t_stiffness(space, delta * space.mesh.w * norms.dt0 * norms.rho0)
     else:
         raise AssemblyError(f"unknown family {space.family}")
     return N[space.free][:, space.free].tocsr()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time as _time
 from pathlib import Path
@@ -42,20 +41,8 @@ EXIT_SOLVER = 3
 
 
 def _emit_error(kind, message):
-    print(json.dumps({"error": kind, "message": str(message)}, sort_keys=True))
-
-
-def _worker_cap():
-    raw = os.environ.get("MFEM_STAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise cfgmod.ConfigError(f"MFEM_STAB_THREADS must be an integer: {err}")
-    if cap < 1:
-        raise cfgmod.ConfigError("MFEM_STAB_THREADS must be >= 1")
-    return cap
+    print(json.dumps({"error": kind, "message": str(message)}, sort_keys=True,
+                     allow_nan=False))
 
 
 def _build_mesh(cfg):
@@ -120,7 +107,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
                       outdir / "history_newton.csv")
     write_snapshots(hist, outdir / "snapshots.txt")
     with open(outdir / "oscillation_metrics.json", "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
+        json.dump(metrics, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
     summary = {
@@ -200,7 +187,7 @@ def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
 
 def _write_summary(outdir: Path, summary: dict):
     with open(outdir / "run.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -219,7 +206,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _worker_cap()
         cfg = cfgmod.load_config(args.config)
         pairings = None
         if args.pairing:

@@ -118,7 +118,6 @@ CONFIG_SCHEMA = {
             "default": {},
         },
         "output_dir": {"type": "string", "default": "out"},
-        "seed": {"type": "integer", "default": 0},
     },
 }
 
@@ -241,5 +240,5 @@ def make_norms(cfg) -> NormSpec:
 
 def dump_resolved(cfg, path):
     with open(path, "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
+        json.dump(cfg, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

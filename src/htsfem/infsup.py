@@ -58,12 +58,12 @@ class InfSupReport:
                          "normb": r.b_norm, "n_nonzero": r.n_nonzero}
                         for r in self.records],
             "slope": self.slope,
-            "slope_95_band": self.slope_band,
+            "slope_95_band": self.slope_band if np.isfinite(self.slope_band) else None,
             "verdict": self.verdict,
             "alpha_lower": self.alpha_lower,
             "gamma_lower": self.gamma_lower,
         }
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
         if path is not None:
             with open(path, "w") as f:
                 f.write(text + "\n")

@@ -255,24 +255,18 @@ class Mesh2D:
         return self
 
     def _check_gamma_m(self, segs):
-        ids = self.edge_ids(segs)
-        sc = set(self.region_tris(Region.OMEGA_H_SC))
-        for eid in ids:
-            tris = np.flatnonzero(np.any(self.tri_edges == eid, axis=1))
-            if len(tris) != 2:
-                raise MeshError("GAMMA_M segment not shared by two triangles")
-            sides = [t in sc for t in tris]
-            if sides[0] == sides[1]:
-                raise MeshError("GAMMA_M segment does not separate conductor from exterior")
+        tris = self.edge_tris[self.edge_ids(segs)]
+        if np.any(tris < 0):
+            raise MeshError("GAMMA_M segment not shared by two triangles")
+        sc = self.tri_region[tris] == int(Region.OMEGA_H_SC)
+        if np.any(sc[:, 0] == sc[:, 1]):
+            raise MeshError("GAMMA_M segment does not separate conductor from exterior")
 
     def _check_gamma_w(self, segs):
-        ids = self.edge_ids(segs)
-        air = set(np.concatenate([self.region_tris(Region.OMEGA_A_AIR),
-                                  self.region_tris(Region.OMEGA_A_FERRO)]))
-        for eid in ids:
-            tris = np.flatnonzero(np.any(self.tri_edges == eid, axis=1))
-            if len(tris) != 2 or not all(t in air for t in tris):
-                raise MeshError("GAMMA_W segment must lie inside the air region")
+        tris = self.edge_tris[self.edge_ids(segs)]
+        if np.any(tris < 0) or not np.all(np.isin(
+                self.tri_region[tris], [int(Region.OMEGA_A_AIR), int(Region.OMEGA_A_FERRO)])):
+            raise MeshError("GAMMA_W segment must lie inside the air region")
         lens = self.segment_lengths(segs)
         if lens.size and lens.max() / lens.min() > 1.01:
             raise MeshError("tape mesh is not uniform (max/min segment length > 1.01)")

@@ -99,6 +99,13 @@ class DofSpace:
     def dof(self, kind, entity) -> int:
         return self.index[(kind, int(entity))]
 
+    def entity_dofs(self, kind, n_entities) -> np.ndarray:
+        """DOF of each entity of ``kind`` by entity id, -1 where none."""
+        out = np.full(n_entities, -1, dtype=np.int64)
+        ks = [k for k, (knd, _) in enumerate(self.entries) if knd == kind]
+        out[[self.entries[k][1] for k in ks]] = ks
+        return out
+
     def essential_full(self) -> np.ndarray:
         """Full-length vector with build-time essential values."""
         x = np.zeros(self.n_dofs)
@@ -382,55 +389,76 @@ def interface_chain(space: DofSpace, interface_tag=None):
     return segs, normals, lens, cum
 
 
-def trace_functions(space: DofSpace, seg_idx: int, interface_tag=None):
-    """Local trace basis on one interface segment.
+@dataclass(frozen=True)
+class TraceTable:
+    """Coupling trace basis of one space on one interface.
 
-    Returns a list of (dof, f) where f(u) evaluates the coupling trace
-    at local coordinate u in [0, 1] along the oriented segment:
-    the z-component of n x h for H spaces, the potential value for A
-    spaces and the surface-current density curl t for T spaces.
+    Slot p of segment k carries DOF ``dofs[k, p]``; its trace at local
+    coordinate u in [0, 1] along the oriented segment is
+    ``coeffs[k, p] @ (1, u, u**2)``, exact because every trace is a
+    polynomial of degree two at most.  Padded slots hold DOF -1 and zero
+    coefficients.
     """
-    segs, _, lens, _ = interface_chain(space, interface_tag)
-    a, b = int(segs[seg_idx, 0]), int(segs[seg_idx, 1])
-    L = lens[seg_idx]
-    out = []
+
+    dofs: np.ndarray        # (S, P)
+    coeffs: np.ndarray      # (S, P, 3)
+    lens: np.ndarray        # (S,)
+    cum: np.ndarray         # (S + 1,) arclength at the segment starts
+
+    def values(self, u) -> np.ndarray:
+        """Basis values at local coordinates u of shape (Q,): (S, P, Q)."""
+        return self.coeffs @ _powers(u)
+
+    def gather(self, coeffs) -> np.ndarray:
+        """Slot coefficients (S, P) of a full-length vector, 0 when padded."""
+        return np.where(self.dofs >= 0, np.asarray(coeffs, dtype=float)[self.dofs], 0.0)
+
+
+def _powers(u):
+    u = np.asarray(u, dtype=float)
+    return np.stack([np.ones_like(u), u, u * u])
+
+
+def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
+    """Tabulated trace basis on an interface, cached on the space: the
+    z-component of n x h for H spaces, the potential value for A spaces
+    and the surface-current density dt/ds for T spaces."""
+    tag = Interface(int(interface_tag if interface_tag is not None
+                        else space.meta["interface_tag"]))
+    cache = space.__dict__.setdefault("_trace_tables", {})
+    if tag in cache:
+        return cache[tag]
+    mesh = space.mesh
+    segs, _, lens, cum = interface_chain(space, tag)
+    eids = mesh.edge_ids(segs)
+    node = space.entity_dofs("node", mesh.n_nodes)
+    zero, one, inv = np.zeros(len(segs)), np.ones(len(segs)), 1.0 / lens
+    if space.family == "A":
+        ends = ((one, -one, zero), (zero, one, zero))
+        bubble = (zero, one, -one)
+    else:
+        if space.family == "T":
+            for t in space.meta["tapes"]:
+                node[t.plus] = space.dof("global", t.id)
+        ends = ((-inv, zero, zero), (inv, zero, zero))
+        bubble = (inv, -2.0 * inv, zero)
+    slots = [(node[segs[:, 0]], ends[0]), (node[segs[:, 1]], ends[1])]
+    if space.enrichment == 2:
+        slots.append((space.entity_dofs("bubble", len(mesh.edges))[eids], bubble))
     if space.family == "H":
-        for node, f in ((a, lambda u: -1.0 / L), (b, lambda u: 1.0 / L)):
-            key = ("node", node)
-            if key in space.index:
-                out.append((space.index[key], f))
-        eid = int(space.mesh.edge_ids(segs[seg_idx:seg_idx + 1])[0])
-        if space.enrichment == 2:
-            out.append((space.dof("bubble", eid),
-                        lambda u: (1.0 - 2.0 * u) / L))
+        cut_dof = np.full(len(mesh.edges), -1, dtype=np.int64)
+        cut_val = np.zeros(len(mesh.edges))
         for c in space.meta["conductors"]:
-            coeff = c.cut.edge_coeffs.get(eid)
-            if coeff is not None:
-                sgn = 1.0 if a < b else -1.0
-                val = coeff * sgn / L
-                out.append((space.dof("global", c.id), lambda u, v=val: v))
-    elif space.family == "A":
-        for node, f in ((a, lambda u: 1.0 - u), (b, lambda u: u)):
-            key = ("node", node)
-            if key in space.index:
-                out.append((space.index[key], f))
-        if space.enrichment == 2:
-            eid = int(space.mesh.edge_ids(segs[seg_idx:seg_idx + 1])[0])
-            out.append((space.dof("bubble", eid), lambda u: u * (1.0 - u)))
-    elif space.family == "T":
-        for node, f in ((a, lambda u: -1.0 / L), (b, lambda u: 1.0 / L)):
-            key = ("node", node)
-            if key in space.index:
-                out.append((space.index[key], f))
-            else:
-                for t in space.meta["tapes"]:
-                    if node == t.plus:
-                        out.append((space.dof("global", t.id), f))
-        if space.enrichment == 2:
-            eid = int(space.mesh.edge_ids(segs[seg_idx:seg_idx + 1])[0])
-            out.append((space.dof("bubble", eid),
-                        lambda u: (1.0 - 2.0 * u) / L))
-    return out
+            e = np.fromiter(c.cut.edge_coeffs.keys(), dtype=np.int64)
+            cut_dof[e] = space.dof("global", c.id)
+            cut_val[e] = list(c.cut.edge_coeffs.values())
+        sgn = np.where(segs[:, 0] < segs[:, 1], 1.0, -1.0)
+        slots.append((cut_dof[eids], (cut_val[eids] * sgn / lens, zero, zero)))
+    dofs = np.stack([d for d, _ in slots], axis=1)
+    coeffs = np.stack([np.stack(c, axis=1) for _, c in slots], axis=1)
+    coeffs[dofs < 0] = 0.0
+    cache[tag] = TraceTable(dofs, coeffs, lens, cum)
+    return cache[tag]
 
 
 def eval_trace(space: DofSpace, coeffs, interface_tag, s):
@@ -439,16 +467,15 @@ def eval_trace(space: DofSpace, coeffs, interface_tag, s):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.n_dofs,):
         raise SpaceError("coefficient vector does not match the space")
-    segs, _, lens, cum = interface_chain(space, interface_tag)
+    tab = trace_table(space, interface_tag)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < -1e-12) or np.any(s_arr > cum[-1] + 1e-12):
+    if np.any(s_arr < -1e-12) or np.any(s_arr > tab.cum[-1] + 1e-12):
         raise SpaceError("arclength outside the interface")
-    s_arr = np.clip(s_arr, 0.0, cum[-1])
-    ks = np.minimum(np.searchsorted(cum, s_arr, side="right") - 1, len(segs) - 1)
-    out = np.zeros_like(s_arr)
-    for i, (k, sv) in enumerate(zip(ks, s_arr)):
-        u = (sv - cum[k]) / lens[k]
-        out[i] = sum(coeffs[dof] * f(u) for dof, f in trace_functions(space, int(k), interface_tag))
+    s_arr = np.clip(s_arr, 0.0, tab.cum[-1])
+    ks = np.minimum(np.searchsorted(tab.cum, s_arr, side="right") - 1, len(tab.lens) - 1)
+    u = (s_arr - tab.cum[ks]) / tab.lens[ks]
+    basis = np.einsum("npc,cn->np", tab.coeffs[ks], _powers(u))
+    out = np.sum(tab.gather(coeffs)[ks] * basis, axis=1)
     return out if np.ndim(s) else float(out[0])
 
 

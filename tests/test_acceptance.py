@@ -98,8 +98,8 @@ def test_criterion_3_ta_verdict_matrix():
         verdicts[pair] = rep.verdict
     assert verdicts[(1, 2)] == "STABLE"
     assert verdicts[(2, 1)] == "STABLE"
-    assert verdicts[(1, 1)] != "STABLE"
-    assert verdicts[(2, 2)] != "STABLE"
+    assert verdicts[(1, 1)] == "UNSTABLE"
+    assert verdicts[(2, 2)] == "UNSTABLE"
 
     # the (2,1) pairing passes the inf-sup test; its transient may still
     # fail to converge -- the outcome is recorded, not asserted

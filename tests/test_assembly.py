@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from htsfem._geom import LINE_QP, LINE_QW
+from htsfem._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW
 from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_coupling_matrix, assemble_ha_iteration,
                              assemble_norm_matrix, assemble_ta_iteration,
                              export_matrix_market, import_matrix_market,
                              tape_element_size, _coupling_full)
-from htsfem.mesh import Interface, refine
+from htsfem.mesh import Interface, Region, _structured_mesh, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           eval_trace, interface_chain)
+                           eval_a_curl, eval_h_field, eval_trace,
+                           interface_chain)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -290,3 +291,58 @@ def test_state_size_mismatch(bar_mesh, bar_spaces_11, bar_materials_linear):
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
         assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, bad, bad, 0.0125)
+
+
+def l_bar_mesh():
+    """L-shaped conductor in air: its reentrant corner puts two GAMMA_M
+    edges on one air triangle, its outer corners on conductor ones."""
+    def region(x, y):
+        if -0.004 < x < 0.004 and -0.004 < y < -0.002:
+            return Region.OMEGA_H_SC
+        if 0.002 < x < 0.004 and -0.004 < y < 0.004:
+            return Region.OMEGA_H_SC
+        return Region.OMEGA_A_AIR
+
+    breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
+    return _structured_mesh(breaks, breaks, 0.001, region)
+
+
+def test_bubble_rows_match_field_quadrature():
+    """Every bubble row of the A stiffness and the H mass against the
+    quadrature of weight * field(e_b) . field(e_j) on the triangles next
+    to the bubble edge, for the unit coefficient vectors e_j of every
+    DOF that lives there; all other entries of the row must vanish."""
+    from htsfem.assembly import _a_stiffness, _h_mass
+    mesh = l_bar_mesh()
+    nu = np.random.default_rng(3).uniform(1.0, 2.0, mesh.n_triangles)
+    a = build_a_space(mesh, 2, Interface.GAMMA_M)
+    h = build_h_space(mesh, 2, {0: ("current", 0.0)})
+    cases = [(a, _a_stiffness(a, nu[a.meta["a_tris"]]), a.meta["a_tris"], eval_a_curl, nu),
+             (h, _h_mass(h, 1.0), h.meta["sc_tris"], eval_h_field, np.ones(mesh.n_triangles))]
+    for space, K, domain, field, weight in cases:
+        unit = np.eye(space.n_dofs)
+        domain = set(int(t) for t in domain)
+        two_bubbles = 0
+        for kind, edge in space.entries:
+            if kind != "bubble":
+                continue
+            b = space.dof("bubble", edge)
+            oracle = np.zeros(space.n_dofs)
+            for t in (int(t) for t in mesh.edge_tris[edge] if t in domain):
+                local = [space.index.get(("node", int(n))) for n in mesh.triangles[t]]
+                for e in mesh.tri_edges[t]:
+                    local += [space.index.get(("edge", int(e))),
+                              space.index.get(("bubble", int(e)))]
+                two_bubbles += sum(("bubble", int(e)) in space.index
+                                   for e in mesh.tri_edges[t]) == 2
+                local += [k for k, (knd, _) in enumerate(space.entries) if knd == "global"]
+                fb = field(space, unit[b], t, TRI_QP)
+                for j in set(local) - {None}:
+                    fj = field(space, unit[j], t, TRI_QP)
+                    oracle[j] += weight[t] * mesh.signed_areas[t] \
+                        * np.sum(TRI_QW * np.sum(fb * fj, axis=1))
+            row = K[b].toarray().ravel()
+            assert np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max(), \
+                (space.family, edge)
+        assert two_bubbles > 0, space.family
+        assert sym_defect(K) < 1e-12     # the bubble columns mirror the rows

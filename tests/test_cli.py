@@ -21,6 +21,10 @@ SMALL_TAPE = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -51,6 +55,8 @@ def test_unknown_keys_rejected():
         load_config({"scenari": "stacked_bar"})
     with pytest.raises(ConfigError):
         load_config({"material": {"jc": 1.0}})
+    with pytest.raises(ConfigError):
+        load_config({"seed": 0})
 
 
 def test_negative_jc_rejected():
@@ -115,7 +121,9 @@ def test_cli_solve_bar_and_infsup(tmp_path):
     out2 = tmp_path / "infsup"
     assert main(["infsup", "--config", cfg2, "--out", str(out2),
                  "--pairing", "1,1", "--quiet"]) == 0
-    rep = json.loads((out2 / "infsup_11.json").read_text())
+    rep = json.loads((out2 / "infsup_11.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert rep["slope_95_band"] is None     # two points in the fit
     assert rep["verdict"] == "UNSTABLE"
     assert len(rep["records"]) == 4
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from htsfem.mesh import (Boundary, GeometryParams, Interface, Region,
-                         Scenario, UnderResolvedError, build_stacked_bar_mesh,
-                         read_msh22, read_native, refine, write_native)
+from htsfem.mesh import (Boundary, GeometryParams, Interface, Mesh2D, MeshError,
+                         Region, Scenario, UnderResolvedError,
+                         build_stacked_bar_mesh, read_msh22, read_native, refine,
+                         write_native)
 
 
 def test_stacked_bar_interface_perimeter(bar_mesh):
@@ -143,3 +144,25 @@ def test_geometry_validation():
         GeometryParams(delta=-1.0)
     with pytest.raises(ValueError):
         GeometryParams(delta=0.015)  # not below half the bar width
+
+
+def _with_regions(mesh, tri_region):
+    return Mesh2D(mesh.nodes, mesh.triangles, tri_region, mesh.boundary_segments,
+                  mesh.boundary_tags, mesh.interface_segments, mesh.interface_tags,
+                  mesh.interface_normals, mesh.delta, mesh.w, mesh.tape_endpoints)
+
+
+def test_gamma_m_must_separate_conductor(bar_mesh):
+    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    regions = bar_mesh.tri_region.copy()
+    regions[bar_mesh.edge_tris[bar_mesh.edge_ids(segs[5:6])[0]]] = int(Region.OMEGA_H_SC)
+    with pytest.raises(MeshError, match="does not separate conductor from exterior"):
+        _with_regions(bar_mesh, regions).validate()
+
+
+def test_gamma_w_must_lie_in_air(tape_mesh):
+    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    regions = tape_mesh.tri_region.copy()
+    regions[tape_mesh.edge_tris[tape_mesh.edge_ids(segs[3:4])[0]][0]] = int(Region.OMEGA_H_SC)
+    with pytest.raises(MeshError, match="GAMMA_W segment must lie inside the air region"):
+        _with_regions(tape_mesh, regions).validate()

@@ -5,8 +5,9 @@ from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.mesh import Interface, Region, _structured_mesh
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space,
                            build_cut_function, build_h_space, build_t_space,
-                           elementwise_curl_h, essential_vector, eval_trace,
-                           interface_chain)
+                           elementwise_curl_h, essential_vector, eval_h_field,
+                           eval_trace, interface_chain, trace_table,
+                           whitney_edge_coefficients)
 
 
 def loop_circulation(space, coeffs, tag):
@@ -331,3 +332,31 @@ def test_dof_table_dump(tmp_path, bar_spaces_11):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "entityKind,entityId,dofIndex,essentialValue"
     assert len(lines) == h.n_dofs + 1
+
+
+def test_h_trace_table_matches_tangential_field(bar_mesh):
+    # oracle: t-hat . h on the conductor triangle next to each GAMMA_M
+    # segment, for the unit coefficient vector of every DOF
+    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    tab = trace_table(h)
+    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    eids = bar_mesh.edge_ids(segs)
+    sc = set(int(t) for t in h.meta["sc_tris"])
+    sides = []
+    for k, (a, b) in enumerate(segs):
+        t = next(int(t) for t in bar_mesh.edge_tris[eids[k]] if t in sc)
+        tri = list(bar_mesh.triangles[t])
+        bary = np.zeros((len(LINE_QP), 3))
+        bary[:, tri.index(a)] = 1.0 - LINE_QP
+        bary[:, tri.index(b)] = LINE_QP
+        d = bar_mesh.nodes[b] - bar_mesh.nodes[a]
+        sides.append((t, bary, d / np.hypot(*d)))
+    vals = tab.values(LINE_QP)
+    for dof in range(h.n_dofs):
+        x = np.zeros(h.n_dofs)
+        x[dof] = 1.0
+        table = np.einsum("sp,spq->sq", tab.gather(x), vals)
+        expanded = whitney_edge_coefficients(h, x)
+        oracle = np.array([eval_h_field(h, x, t, bary, _expanded=expanded) @ tan
+                           for t, bary, tan in sides])
+        assert np.allclose(table, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()), dof
