@@ -4,16 +4,19 @@ and norm matrices.
 Conventions.  The unknown vector of a coupled system concatenates the
 field-side block V (h or t coefficients) and the potential block Q (a
 coefficients).  With B the interface coupling matrix (rows Q, columns
-V), one implicit-Euler iteration of the field/potential pair assembles
-to the symmetric block form
+V), one implicit-Euler iteration of either formulation assembles to
+the one symmetric block form
 
-    h-a:  [[ M + dt*K_rho,  B^T ],          t-a:  [[ -dt*K_rho,  -B^T ],
-           [ B,            -K_nu ]]                [ -B,          K_nu ]]
+    [[ A_v,  B^T  ],
+     [ B,   -K_nu ]]
 
-where M is the conductor mass, K_rho the (differential-)resistivity
-stiffness and K_nu the reluctivity stiffness.  Essential constraints
-are eliminated symmetrically: constrained rows and columns are dropped
-and their contributions moved to the right-hand side.
+where K_nu is the reluctivity stiffness of the linear a-side and A_v
+the field block: M + dt*K_rho for h-a (conductor mass plus
+differential-resistivity stiffness) and dt*D for t-a (the tape's
+differential-resistivity stiffness).  The t-a system is thus stored as
+the paper's form times -1, which has the same solution.  Essential
+constraints are eliminated symmetrically: constrained rows and columns
+are dropped and their contributions moved to the right-hand side.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class AssembledSystem:
     s: np.ndarray
     v_space: DofSpace
     q_space: DofSpace
-    dt: float
     K_full: sp.csr_matrix
     s_full: np.ndarray
     x_essential: np.ndarray
@@ -81,14 +83,6 @@ class AssembledSystem:
     @property
     def n_v_free(self) -> int:
         return self.v_space.n_free
-
-    @property
-    def v_slice(self) -> slice:
-        return slice(0, self.v_space.n_free)
-
-    @property
-    def q_slice(self) -> slice:
-        return slice(self.v_space.n_free, self.v_space.n_free + self.q_space.n_free)
 
     def free_indices(self) -> np.ndarray:
         nv = self.v_space.n_dofs
@@ -316,32 +310,28 @@ def tape_current_density(space: DofSpace, coeffs, at_qp=False):
 # -- coupling and norms ----------------------------------------------------------
 
 
-def _coupling_full(v_space: DofSpace, q_space: DofSpace, interface_tag, w=None):
+def _coupling_full(v_space: DofSpace, q_space: DofSpace):
     """Interface coupling on all DOFs: B[q, v] = int (trace_q)(trace_v),
-    times the tape thickness for the surface-current pairing."""
-    tag = Interface(int(interface_tag))
+    times the field space's current scale (the tape thickness for the
+    surface-current pairing)."""
+    tag = v_space.meta["interface_tag"]
+    if q_space.meta["interface_tag"] != tag:
+        raise AssemblyError("the field and potential spaces couple on different interfaces")
     cache = _space_cache(q_space)
-    key = ("coupling", id(v_space), int(tag), None if w is None else float(w))
+    key = ("coupling", id(v_space))
     if key in cache:
         return cache[key]
     qt, vt = trace_table(q_space, tag), trace_table(v_space, tag)
-    factor = 1.0 if tag == Interface.GAMMA_M else float(w)
     loc = np.einsum("q,saq,sbq->sab", LINE_QW, qt.values(LINE_QP), vt.values(LINE_QP)) \
-        * (factor * qt.lens)[:, None, None]
+        * (v_space.current_scale * qt.lens)[:, None, None]
     cache[key] = _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
     return cache[key]
 
 
-def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace,
-                             interface_tag=None, w=None) -> sp.csr_matrix:
+def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace) -> sp.csr_matrix:
     """Coupling matrix on free DOFs (rows: potential side, columns:
     field side), as used by the inf-sup pencil."""
-    tag = interface_tag if interface_tag is not None else q_space.meta["interface_tag"]
-    if v_space.family == "T" and w is None:
-        w = v_space.mesh.w
-    if v_space.family == "H" and int(tag) != int(Interface.GAMMA_M):
-        raise AssemblyError("h-side coupling lives on GAMMA_M")
-    B = _coupling_full(v_space, q_space, tag, w)
+    B = _coupling_full(v_space, q_space)
     return B[q_space.free][:, v_space.free].tocsr()
 
 
@@ -389,26 +379,45 @@ def _region_nu(mesh, a_space, materials: Materials) -> np.ndarray:
 
 
 def _circuit_rhs(space, dt, voltages=None):
-    """Voltage source terms on the global DOFs: the current functional
-    of a basis function is 1 for a cut and w for a plus-end hat.
-    ``voltages`` overrides the build-time values (weak-form sign
-    convention)."""
+    """Voltage source terms on the global DOFs.  ``voltages`` maps
+    circuit ids to per-unit-length voltages in the reported V = R I
+    convention and overrides the build-time values.  The weak form
+    carries -dt V times the current scale on the left-hand side; moved
+    to the right it enters with a plus sign."""
     voltages = voltages or {}
     v = np.zeros(space.n_dofs)
-    if space.family == "H":
-        for c in space.meta["conductors"]:
-            if c.mode == "voltage":
-                v[space.dof("global", c.id)] = -dt * voltages.get(c.id, c.value)
-    else:
-        for t in space.meta["tapes"]:
-            if t.mode == "voltage":
-                v[space.dof("global", t.id)] = dt * voltages.get(t.id, t.value) * space.mesh.w
+    for c in space.circuits:
+        if c.mode == "voltage":
+            v[space.dof("global", c.id)] = dt * voltages.get(c.id, c.value) * space.current_scale
     return v
+
+
+def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, A_v, field_rhs,
+                       dt, v_essential, a_essential, voltages) -> AssembledSystem:
+    """The coupled block system around the field block ``A_v``: the
+    linear a-side, the interface coupling, the right-hand side
+    B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)
+    and the symmetric elimination."""
+    K_nu = _a_stiffness(q_space, _region_nu(mesh, q_space, materials))
+    B = _coupling_full(v_space, q_space)
+    K_full = sp.bmat([[A_v, B.T], [B, -K_nu]], format="csr")
+
+    s_v = B.T @ a_prev
+    for term in field_rhs:
+        s_v = s_v + term
+    s_v = s_v + _circuit_rhs(v_space, dt, voltages)
+    s_full = np.concatenate([s_v, np.zeros(q_space.n_dofs)])   # linear magnetic laws
+
+    x_ess = np.concatenate([
+        v_essential if v_essential is not None else v_space.essential_full(),
+        a_essential if a_essential is not None else q_space.essential_full()])
+    K, s = _eliminate(K_full, s_full, v_space, q_space, x_ess)
+    return AssembledSystem(K, s, v_space, q_space, K_full, s_full, x_ess)
 
 
 def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
                           materials: Materials, state_prev, iterate, dt,
-                          a_essential=None, h_essential=None,
+                          a_essential=None, v_essential=None,
                           voltages=None) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler h-a system.
 
@@ -434,29 +443,17 @@ def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
 
     M = _h_mass(h_space, MU0)
     K_rho = _h_stiffness(h_space, dt * dedj)
-    K_nu = _a_stiffness(a_space, _region_nu(mesh, a_space, materials))
-    B = _coupling_full(h_space, a_space, Interface.GAMMA_M)
-
-    K_full = sp.bmat([[M + K_rho, B.T], [B, -K_nu]], format="csr")
-
-    s_h = B.T @ a_prev + M @ h_prev \
-        - _h_stiffness(h_space, dt * (rho - dedj)) @ h_it \
-        + _circuit_rhs(h_space, dt, voltages)
-    s_a = np.zeros(a_space.n_dofs)      # linear magnetic laws
-    s_full = np.concatenate([s_h, s_a])
-
-    x_ess = np.concatenate([
-        h_essential if h_essential is not None else h_space.essential_full(),
-        a_essential if a_essential is not None else a_space.essential_full()])
-    K, s = _eliminate(K_full, s_full, h_space, a_space, x_ess)
-    return AssembledSystem(K, s, h_space, a_space, dt, K_full, s_full, x_ess)
+    field_rhs = (M @ h_prev, -(_h_stiffness(h_space, dt * (rho - dedj)) @ h_it))
+    return _coupled_iteration(mesh, h_space, a_space, materials, a_prev, M + K_rho,
+                              field_rhs, dt, v_essential, a_essential, voltages)
 
 
 def assemble_ta_iteration(mesh: Mesh2D, t_space: DofSpace, a_space: DofSpace,
                           materials: Materials, state_prev, iterate, dt,
-                          a_essential=None, t_essential=None,
+                          a_essential=None, v_essential=None,
                           voltages=None) -> AssembledSystem:
-    """One Newton iteration of the implicit-Euler t-a system."""
+    """One Newton iteration of the implicit-Euler t-a system, stored as
+    the paper's form times -1 (see the module docstring)."""
     t_prev, a_prev = state_prev
     t_it, _ = iterate
     if len(t_prev) != t_space.n_dofs or len(a_prev) != a_space.n_dofs:
@@ -467,19 +464,7 @@ def assemble_ta_iteration(mesh: Mesh2D, t_space: DofSpace, a_space: DofSpace,
     dedj = de_dj(j_qp, materials.power)
     rho = rho_power(j_qp, materials.power)
 
-    K_nu = _a_stiffness(a_space, _region_nu(mesh, a_space, materials))
-    B = _coupling_full(t_space, a_space, Interface.GAMMA_W, w=w)
     D = _t_stiffness(t_space, dt * w * dedj)
-
-    K_full = sp.bmat([[-D, -B.T], [-B, K_nu]], format="csr")
-
-    s_t = -B.T @ a_prev \
-        + _t_stiffness(t_space, dt * w * (rho - dedj)) @ t_it \
-        + _circuit_rhs(t_space, dt, voltages)
-    s_full = np.concatenate([s_t, np.zeros(a_space.n_dofs)])
-
-    x_ess = np.concatenate([
-        t_essential if t_essential is not None else t_space.essential_full(),
-        a_essential if a_essential is not None else a_space.essential_full()])
-    K, s = _eliminate(K_full, s_full, t_space, a_space, x_ess)
-    return AssembledSystem(K, s, t_space, a_space, dt, K_full, s_full, x_ess)
+    field_rhs = (-(_t_stiffness(t_space, dt * w * (rho - dedj)) @ t_it),)
+    return _coupled_iteration(mesh, t_space, a_space, materials, a_prev, D,
+                              field_rhs, dt, v_essential, a_essential, voltages)

@@ -99,9 +99,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
         metrics["interior_sign_changes"] = sign_changes(prof.values[3:-3])
 
     times, vals = circuit_post(hist, (v_space, q_space), 0)
-    mode = (v_space.meta["conductors"][0].mode if v_space.family == "H"
-            else v_space.meta["tapes"][0].mode)
-    name = "voltage" if mode == "current" else "current"
+    name = "voltage" if v_space.circuits[0].mode == "current" else "current"
     write_history_csv(hist, name, vals, outdir / f"history_{name}.csv")
     write_history_csv(hist, "newton_iterations", hist.newton_iters,
                       outdir / "history_newton.csv")

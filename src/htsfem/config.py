@@ -206,10 +206,17 @@ def imposed_current(cfg) -> float:
     return rel * i_c
 
 
+def _nominal_dt(t) -> float:
+    """The configured step, else the ramp duration over its step count."""
+    if t["dt"] is not None:
+        return t["dt"]
+    return t["ramp_fraction"] * t["t_end"] / t["n_ramp_steps"]
+
+
 def make_time(cfg) -> TimeConfig:
     t, src = cfg["time"], cfg["source"]
     t_ramp = t["ramp_fraction"] * t["t_end"]
-    dt = t["dt"] if t["dt"] is not None else t_ramp / t["n_ramp_steps"]
+    dt = _nominal_dt(t)
     drives = {}
     b_ext = None
     if cfg["scenario"] == "stacked_bar":
@@ -230,10 +237,8 @@ def make_time(cfg) -> TimeConfig:
 
 
 def make_norms(cfg) -> NormSpec:
-    n, t = cfg["norms"], cfg["time"]
-    t_ramp = t["ramp_fraction"] * t["t_end"]
-    dt = t["dt"] if t["dt"] is not None else t_ramp / t["n_ramp_steps"]
-    dt0 = n["dt0"] if n["dt0"] is not None else dt
+    n = cfg["norms"]
+    dt0 = n["dt0"] if n["dt0"] is not None else _nominal_dt(cfg["time"])
     nu0 = n["nu0"] if n["nu0"] is not None else 1.0 / MU0
     return NormSpec(rho0=n["rho0"], dt0=dt0, nu0=nu0)
 

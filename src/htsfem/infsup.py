@@ -125,7 +125,7 @@ def _verdict(slope, betas):
     return "INCONCLUSIVE"
 
 
-def build_pairing(mesh, formulation: str, pairing, interface_tag=None):
+def build_pairing(mesh, formulation: str, pairing):
     """Field/potential space pair for an inf-sup evaluation (test-space
     constraints: zero imposed currents, zero outer trace)."""
     i, j = pairing

@@ -137,43 +137,38 @@ class Mesh2D:
         return self.triangles.shape[0]
 
     @cached_property
+    def _edge_table(self):
+        """(keys, edges, tri_edges) from one sort of the edge keys
+        a * n_nodes + b of the sorted node pairs (a < b) of every
+        triangle; ascending keys order the edges lexicographically."""
+        t = self.triangles
+        e = np.sort(np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1), axis=2)
+        keys, inv = np.unique((e[..., 0] * self.n_nodes + e[..., 1]).ravel(),
+                              return_inverse=True)
+        edges = np.column_stack([keys // self.n_nodes, keys % self.n_nodes])
+        return keys, edges, inv.reshape(-1, 3)
+
+    @property
     def edges(self):
         """Unique mesh edges as sorted (min, max) node pairs, ordered
         lexicographically.  Edge ids are positions in this array."""
-        e = np.vstack([self.triangles[:, [0, 1]],
-                       self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
+        return self._edge_table[1]
 
-    @cached_property
+    @property
     def tri_edges(self):
         """(T, 3) edge ids for local edges (01, 12, 20) of each triangle."""
-        e = np.vstack([self.triangles[:, [0, 1]],
-                       self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        ids = self._edge_lookup(np.sort(e, axis=1))
-        return ids.reshape(3, -1).T
-
-    @cached_property
-    def _edge_index(self):
-        key = self.edges[:, 0] * self.n_nodes + self.edges[:, 1]
-        order = np.argsort(key)
-        return key[order], order
-
-    def _edge_lookup(self, pairs):
-        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-        key = pairs[:, 0] * self.n_nodes + pairs[:, 1]
-        skey, order = self._edge_index
-        pos = np.searchsorted(skey, key)
-        bad = (pos >= len(skey)) | (skey[np.minimum(pos, len(skey) - 1)] != key)
-        if np.any(bad):
-            raise MeshError("node pair is not a mesh edge")
-        return order[pos]
+        return self._edge_table[2]
 
     def edge_ids(self, pairs):
         """Edge ids for an array of node pairs (orientation ignored)."""
-        return self._edge_lookup(pairs)
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        key = pairs[:, 0] * self.n_nodes + pairs[:, 1]
+        keys = self._edge_table[0]
+        pos = np.searchsorted(keys, key)
+        bad = (pos >= len(keys)) | (keys[np.minimum(pos, len(keys) - 1)] != key)
+        if np.any(bad):
+            raise MeshError("node pair is not a mesh edge")
+        return pos
 
     @cached_property
     def edge_tri_count(self):

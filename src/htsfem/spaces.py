@@ -12,6 +12,11 @@ Three families are built on a shared DOF bookkeeping:
   a per-tape global degree of freedom, plus (order 2) one bubble per
   tape segment.  The minus end is fixed to zero strongly.
 
+The H and T spaces expose their conductors or tapes as ``circuits``,
+each with one "global" degree of freedom, and the net current of a
+unit global coefficient as ``current_scale``; circuit sources and
+reactions are handled through these alone.
+
 Degrees of freedom are numbered nodes, then edges, then bubbles, then
 globals, so assembled matrices are reproducible.  Essential values are
 applied by symmetric elimination downstream; here each constrained
@@ -96,6 +101,18 @@ class DofSpace:
         self.full_to_free = np.full(self.n_dofs, -1, dtype=np.int64)
         self.full_to_free[self.free] = np.arange(self.n_free)
 
+    @property
+    def circuits(self) -> list:
+        """Conductors (H) or tapes (T), each owning one "global" DOF;
+        none for A spaces."""
+        return self.meta.get("circuits", [])
+
+    @property
+    def current_scale(self) -> float:
+        """Net current carried by a unit "global" coefficient: 1 for a
+        cut, the tape thickness w for a tape's plus-end hat."""
+        return self.meta.get("current_scale", 1.0)
+
     def dof(self, kind, entity) -> int:
         return self.index[(kind, int(entity))]
 
@@ -138,14 +155,11 @@ def _conductor_components(mesh: Mesh2D):
     sc = mesh.region_tris(Region.OMEGA_H_SC)
     if len(sc) == 0:
         return []
-    pos = {int(t): k for k, t in enumerate(sc)}
-    rows, cols = [], []
-    for eid in np.unique(mesh.tri_edges[sc].ravel()):
-        t0, t1 = mesh.edge_tris[eid]
-        if t0 in pos and t1 in pos:
-            rows.append(pos[t0])
-            cols.append(pos[t1])
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(sc),) * 2)
+    pos = np.full(mesh.n_triangles + 1, -1, dtype=np.int64)   # slot -1: no triangle
+    pos[sc] = np.arange(len(sc))
+    pairs = pos[mesh.edge_tris]
+    pairs = pairs[np.all(pairs >= 0, axis=1)]
+    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(sc),) * 2)
     n_comp, labels = connected_components(adj, directed=False)
     comps = [sc[labels == c] for c in range(n_comp)]
     comps.sort(key=lambda tris: int(tris.min()))
@@ -174,14 +188,17 @@ def build_cut_function(mesh: Mesh2D, conductor_id: int) -> CutBasis:
     if conductor_id >= len(comps):
         raise TopologyError(f"no conductor {conductor_id}")
     tris = comps[conductor_id]
+    return _cut_basis(mesh, conductor_id, tris, _loop_of_component(mesh, tris))
 
+
+def _cut_basis(mesh, conductor_id, tris, loop) -> CutBasis:
+    """Cut function of the component ``tris`` bounded by ``loop``."""
     # simple connectedness via Euler characteristic V - E + F = 1
     nodes = np.unique(mesh.triangles[tris])
     edges = np.unique(mesh.tri_edges[tris])
     if len(nodes) - len(edges) + len(tris) != 1:
         raise TopologyError("conductor is not simply connected")
 
-    loop = _loop_of_component(mesh, tris)
     eids = mesh.edge_ids(loop)
     signs = np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0)
     coeffs = {int(e): float(s) / len(loop) for e, s in zip(eids, signs)}
@@ -218,8 +235,8 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
     conductors = []
     ring_node_set, ring_edge_set = set(), set()
     for cid, tris in enumerate(comps):
-        cut = build_cut_function(mesh, cid)
         loop = _loop_of_component(mesh, tris)
+        cut = _cut_basis(mesh, cid, tris, loop)
         eids = mesh.edge_ids(loop)
         signs = np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0)
         mode, value = circuit.get(cid, ("current", 0.0))
@@ -244,7 +261,8 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
     entries += [("global", c.id) for c in conductors]
 
     space = DofSpace("H", enrichment, mesh, entries, {}, {
-        "conductors": conductors,
+        "circuits": conductors,
+        "current_scale": 1.0,
         "sc_tris": sc_tris,
         "interior_edges": interior_edges,
         "interface_tag": Interface.GAMMA_M,
@@ -344,7 +362,8 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
     entries += [("global", t.id) for t in tapes]
 
     space = DofSpace("T", enrichment, mesh, entries, {}, {
-        "tapes": tapes,
+        "circuits": tapes,
+        "current_scale": mesh.w,
         "interface_tag": Interface.GAMMA_W,
     })
     essential = {}
@@ -362,14 +381,10 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
     Topology (which DOFs are constrained) is fixed at build time.
     """
     x = space.essential_full()
-    if space.family == "H" and currents is not None:
-        for c in space.meta["conductors"]:
-            if c.mode == "current" and c.id in currents:
-                x[space.dof("global", c.id)] = currents[c.id]
-    if space.family == "T" and currents is not None:
-        for t in space.meta["tapes"]:
-            if t.mode == "current" and t.id in currents:
-                x[space.dof("global", t.id)] = currents[t.id] / space.mesh.w
+    currents = currents or {}
+    for c in space.circuits:
+        if c.mode == "current" and c.id in currents:
+            x[space.dof("global", c.id)] = currents[c.id] / space.current_scale
     if space.family == "A" and a_trace is not None:
         for n in space.meta["gamma_e_nodes"]:
             px, py = space.mesh.nodes[n]
@@ -438,7 +453,7 @@ def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
         bubble = (zero, one, -one)
     else:
         if space.family == "T":
-            for t in space.meta["tapes"]:
+            for t in space.circuits:
                 node[t.plus] = space.dof("global", t.id)
         ends = ((-inv, zero, zero), (inv, zero, zero))
         bubble = (inv, -2.0 * inv, zero)
@@ -448,7 +463,7 @@ def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
     if space.family == "H":
         cut_dof = np.full(len(mesh.edges), -1, dtype=np.int64)
         cut_val = np.zeros(len(mesh.edges))
-        for c in space.meta["conductors"]:
+        for c in space.circuits:
             e = np.fromiter(c.cut.edge_coeffs.keys(), dtype=np.int64)
             cut_dof[e] = space.dof("global", c.id)
             cut_val[e] = list(c.cut.edge_coeffs.values())
@@ -514,7 +529,7 @@ def whitney_transform(space: DofSpace):
             cols.append(dof)
             data.append(1.0)
     epos = {int(e): k for k, e in enumerate(sc_edges)}
-    for c in space.meta["conductors"]:
+    for c in space.circuits:
         dof = space.dof("global", c.id)
         for eid, cc in sorted(c.cut.edge_coeffs.items()):
             rows.append(epos[eid])

@@ -6,10 +6,11 @@ A step whose Newton loop fails is retried with a halved step size (at
 most four halvings); the step size re-doubles towards the nominal one
 after two consecutive easy steps.
 
-Voltage conventions: drive and reported voltages are per unit length
-and positive when driving a positive net current through a resistive
-state (V = R I at DC).  The weak-form voltage has the opposite sign
-and is handled internally.
+Voltage convention: voltages are per unit length and positive when
+driving a positive net current through a resistive state (V = R I at
+DC).  It holds alike for the value a space was built with, a drive
+ramp and the reported voltage; the sign of the weak form is applied in
+assembly only.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class TimeConfig:
     """Time grid, Newton controls and source ramps.
 
     ``drives`` maps conductor/tape ids to ("current"|"voltage", Ramp);
-    modes must match the ones the spaces were built with.
+    modes must match the ones the spaces were built with.  A conductor
+    or tape without an entry keeps its build-time value.
     """
 
     dt: float
@@ -94,27 +96,17 @@ class TimeHistory:
         return len(self.times)
 
 
-def _current_values(v_space, drives, t):
-    out = {}
-    items = v_space.meta["conductors"] if v_space.family == "H" else v_space.meta["tapes"]
-    for c in items:
+def _circuit_values(v_space, drives, t):
+    """Imposed (currents, voltages) at time t by circuit id: the drive
+    ramp where one is given, else the build-time value."""
+    currents, voltages = {}, {}
+    for c in v_space.circuits:
         mode, ramp = drives.get(c.id, (c.mode, None))
         if mode != c.mode:
             raise ValueError(f"drive mode for conductor {c.id} does not match the space")
-        if c.mode == "current":
-            out[c.id] = ramp(t) if ramp is not None else c.value
-    return out
-
-
-def _voltage_values(v_space, drives, t):
-    """Weak-form voltages (sign-flipped from the reported convention)."""
-    out = {}
-    items = v_space.meta["conductors"] if v_space.family == "H" else v_space.meta["tapes"]
-    for c in items:
-        if c.mode == "voltage":
-            mode, ramp = drives.get(c.id, (c.mode, None))
-            out[c.id] = -(ramp(t) if ramp is not None else -c.value)
-    return out
+        values = currents if c.mode == "current" else voltages
+        values[c.id] = ramp(t) if ramp is not None else c.value
+    return currents, voltages
 
 
 def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
@@ -132,8 +124,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     assemble = assemble_ha_iteration if formulation == "ha" else assemble_ta_iteration
 
     hist = TimeHistory(formulation)
-    ids = [c.id for c in (v_space.meta["conductors"] if v_space.family == "H"
-                          else v_space.meta["tapes"])]
+    ids = [c.id for c in v_space.circuits]
     for cid in ids:
         hist.reactions[cid] = []
         hist.drive_values[cid] = []
@@ -151,8 +142,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         halvings = 0
         while not accepted:
             t_new = t + dt_cur
-            currents = _current_values(v_space, time.drives, t_new)
-            voltages = _voltage_values(v_space, time.drives, t_new)
+            currents, voltages = _circuit_values(v_space, time.drives, t_new)
             v_ess = essential_vector(v_space, currents=currents)
             trace = None
             if time.b_ext is not None:
@@ -211,13 +201,10 @@ def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
     if len(ess_idx_q):
         q_it[ess_idx_q] = q_ess[ess_idx_q]
 
-    v_key = "h_essential" if v_space.family == "H" else "t_essential"
-
     def reassemble(iterate):
         return assemble(mesh, v_space, q_space, materials, (v_prev, q_prev),
-                        iterate, dt,
-                        **{"a_essential": q_ess, v_key: v_ess,
-                           "voltages": voltages})
+                        iterate, dt, a_essential=q_ess, v_essential=v_ess,
+                        voltages=voltages)
 
     sys = reassemble((v_it, q_it))
 
@@ -275,21 +262,12 @@ def circuit_post(history: TimeHistory, spaces, cid: int):
     """
     v_space, _ = spaces
     times = np.array(history.times)
-    items = v_space.meta["conductors"] if v_space.family == "H" else v_space.meta["tapes"]
-    item = next(c for c in items if c.id == cid)
+    item = next(c for c in v_space.circuits if c.id == cid)
     if item.mode == "current":
         reac = np.array(history.reactions[cid])
-        dts = np.array(history.dts)
-        if v_space.family == "H":
-            vals = reac / dts
-        else:
-            vals = -reac / (dts * v_space.mesh.w)
-        return times, vals
+        return times, reac / (np.array(history.dts) * v_space.current_scale)
     dof = v_space.dof("global", cid)
-    vals = np.array([v[dof] for v in history.v])
-    if v_space.family == "T":
-        vals = vals * v_space.mesh.w
-    return times, vals
+    return times, np.array([v[dof] for v in history.v]) * v_space.current_scale
 
 
 def write_history_csv(history: TimeHistory, quantity: str, values, path):

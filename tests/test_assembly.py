@@ -8,10 +8,12 @@ from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_norm_matrix, assemble_ta_iteration,
                              export_matrix_market, import_matrix_market,
                              tape_element_size, _coupling_full)
-from htsfem.mesh import Interface, Region, _structured_mesh, refine
+from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_a_curl, eval_h_field, eval_trace,
                            interface_chain)
+
+from util import l_bar_mesh
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -90,7 +92,7 @@ def test_ha_coupling_hand_values(bar_mesh):
     # the tangential trace +-1/L against a rising/falling hat gives +-1/2
     h = build_h_space(bar_mesh, 1)
     a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    B = _coupling_full(h, a, Interface.GAMMA_M)
+    B = _coupling_full(h, a)
     segs, _, lens, _ = interface_chain(h)
     k = 4
     n_prev, n_mid = int(segs[k][0]), int(segs[k][1])
@@ -105,7 +107,7 @@ def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
     # a constant along the closed interface pairs to zero with every
     # single-valued test field; the quadrature oracle gives the same
     h, a = bar_spaces_11
-    B = _coupling_full(h, a, Interface.GAMMA_M)
+    B = _coupling_full(h, a)
     c = 2.5
     avec = np.zeros(a.n_dofs)
     segs, _, lens, cum = interface_chain(a)
@@ -130,7 +132,7 @@ def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
 
 def test_ta_coupling_far_node_zero(tape_mesh, tape_spaces_11):
     t, a = tape_spaces_11
-    B = _coupling_full(t, a, Interface.GAMMA_W, w=tape_mesh.w)
+    B = _coupling_full(t, a)
     # a node far from the tape has no coupling support
     far = int(np.argmax(np.abs(tape_mesh.nodes[:, 1])))
     assert B[a.dof("node", far)].nnz == 0
@@ -141,7 +143,7 @@ def test_ta_single_segment_hand_value(tape_mesh):
     # entry = w * (1/L) * L/2 = w/2 per adjacent segment
     t = build_t_space(tape_mesh, 1)
     a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
-    B = _coupling_full(t, a, Interface.GAMMA_W, w=tape_mesh.w)
+    B = _coupling_full(t, a)
     segs, _, lens, _ = interface_chain(t)
     k = 3
     n_mid = int(segs[k][1])       # interior tape node
@@ -173,6 +175,21 @@ def test_coupling_hierarchical_nesting(bar_mesh):
     # node DOFs come first in the A numbering, so the order-1 matrix is
     # the leading row block of the order-2 one
     assert np.allclose(B12[:B11.shape[0], :], B11, atol=1e-15)
+
+
+def test_coupling_rejects_mismatched_interfaces(bar_mesh, bar_spaces_11,
+                                               bar_materials_linear):
+    # an a-space coupling on the tape line cannot pair with an h-space
+    # coupling on the conductor boundary
+    h, a = bar_spaces_11
+    tape_side = type(a)("A", 1, bar_mesh, a.entries, a.essential,
+                        {**a.meta, "interface_tag": Interface.GAMMA_W})
+    with pytest.raises(AssemblyError, match="different interfaces"):
+        assemble_coupling_matrix(h, tape_side)
+    z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
+    with pytest.raises(AssemblyError, match="different interfaces"):
+        assemble_ha_iteration(bar_mesh, h, tape_side, bar_materials_linear,
+                              z, z, 0.0125)
 
 
 def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
@@ -213,7 +230,7 @@ def test_t_norm_delta_scaling(tape_mesh):
     # same continuous linear ramp on both meshes
     def ramp_vec(space, mesh):
         x = space.essential_full()
-        tape = space.meta["tapes"][0]
+        tape = space.circuits[0]
         xm = mesh.nodes[tape.minus, 0]
         for k, (kind, ent) in enumerate(space.entries):
             if kind == "node":
@@ -291,20 +308,6 @@ def test_state_size_mismatch(bar_mesh, bar_spaces_11, bar_materials_linear):
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
         assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, bad, bad, 0.0125)
-
-
-def l_bar_mesh():
-    """L-shaped conductor in air: its reentrant corner puts two GAMMA_M
-    edges on one air triangle, its outer corners on conductor ones."""
-    def region(x, y):
-        if -0.004 < x < 0.004 and -0.004 < y < -0.002:
-            return Region.OMEGA_H_SC
-        if 0.002 < x < 0.004 and -0.004 < y < 0.004:
-            return Region.OMEGA_H_SC
-        return Region.OMEGA_A_AIR
-
-    breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
-    return _structured_mesh(breaks, breaks, 0.001, region)
 
 
 def test_bubble_rows_match_field_quadrature():

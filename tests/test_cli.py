@@ -108,6 +108,25 @@ def test_cli_solve_tape(tmp_path):
     assert run["steps"] >= 10  # halved steps may add entries
 
 
+def test_cli_solve_tape_voltage(tmp_path):
+    # source.voltage = e_c per unit length drives the critical current
+    cfg = write_cfg(tmp_path, {
+        "scenario": "single_tape",
+        "geometry": {"delta": 0.0005, "air_half": 0.02},
+        "source": {"voltage": 1e-4},
+        "time": {"t_end": 0.5, "n_ramp_steps": 10},
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert not (out / "history_voltage.csv").exists()
+    lines = (out / "history_current.csv").read_text().strip().split("\n")
+    assert lines[0] == "time,current"
+    final = float(lines[-1].split(",")[1])
+    i_c = 2.5e8 * 1e-6 * 0.01
+    assert final > 0.0
+    assert final == pytest.approx(i_c, rel=1e-3)
+
+
 def test_cli_solve_bar_and_infsup(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_BAR)
     out = tmp_path / "solve"

@@ -118,7 +118,7 @@ def test_bn_profile_offset_outside_region(bar_mesh, bar_spaces_11):
 
 def test_tape_profile_constant_ramp(tape_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
-    tape = t.meta["tapes"][0]
+    tape = t.circuits[0]
     T = 2.0 / tape_mesh.w
     x = t.essential_full()
     xm = tape_mesh.nodes[tape.minus, 0]

@@ -6,6 +6,8 @@ from htsfem.mesh import (Boundary, GeometryParams, Interface, Mesh2D, MeshError,
                          build_stacked_bar_mesh, read_msh22, read_native, refine,
                          write_native)
 
+from util import l_bar_mesh
+
 
 def test_stacked_bar_interface_perimeter(bar_mesh):
     segs, _ = bar_mesh.interface(Interface.GAMMA_M)
@@ -166,3 +168,23 @@ def test_gamma_w_must_lie_in_air(tape_mesh):
     regions[tape_mesh.edge_tris[tape_mesh.edge_ids(segs[3:4])[0]][0]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="GAMMA_W segment must lie inside the air region"):
         _with_regions(tape_mesh, regions).validate()
+
+
+def reference_edges(mesh):
+    """Edge table by the straightforward construction: a 2-D unique of
+    the sorted node pairs, then a key lookup of every triangle edge."""
+    e = np.sort(np.vstack([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
+                           mesh.triangles[:, [2, 0]]]), axis=1)
+    edges = np.unique(e, axis=0)
+    key = edges[:, 0] * mesh.n_nodes + edges[:, 1]
+    order = np.argsort(key)
+    pos = np.searchsorted(key[order], e[:, 0] * mesh.n_nodes + e[:, 1])
+    return edges, order[pos].reshape(3, -1).T
+
+
+def test_edge_table_matches_reference(bar_mesh, tape_mesh):
+    for mesh in (bar_mesh, tape_mesh, refine(bar_mesh), l_bar_mesh()):
+        edges, tri_edges = reference_edges(mesh)
+        assert np.array_equal(mesh.edges, edges)
+        assert np.array_equal(mesh.tri_edges, tri_edges)
+        assert np.array_equal(mesh.edge_ids(mesh.edges[:, ::-1]), np.arange(len(edges)))

@@ -80,7 +80,7 @@ def test_cut_curl_confined_to_layer(bar_mesh):
 def test_two_conductors_cut_orthogonality():
     mesh = two_bar_mesh()
     h = build_h_space(mesh, 1)
-    assert len(h.meta["conductors"]) == 2
+    assert len(h.circuits) == 2
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     # circulation along each conductor loop via trace quadrature
@@ -202,7 +202,7 @@ def test_t_zero_current(tape_mesh):
 def test_t_linear_ramp_constant_j(tape_mesh):
     # oracle: segment-wise differentiation of the nodal interpolant
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
-    tape = t.meta["tapes"][0]
+    tape = t.circuits[0]
     T = 2.0 / tape_mesh.w
     width = 0.01
     x = t.essential_full()

@@ -130,6 +130,24 @@ def test_reciprocity_roundtrip(small_tape):
     assert np.abs(I_rec - I_imp).max() < 1e-6 * I0
 
 
+def test_build_time_voltage_matches_constant_ramp(small_tape):
+    # a build-time voltage and the same value as a drive ramp follow one
+    # convention: V = R I, so V > 0 drives a positive current
+    rho = 1e-8
+    V0 = 1e-3
+    mats = linear_mats(rho)
+    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    t = build_t_space(small_tape, 1, {0: ("voltage", V0)})
+    currents = []
+    for drives in ({}, {0: ("voltage", Ramp((0.0,), (V0,)))}):
+        tc = TimeConfig(dt=0.25, t_end=2.0, drives=drives, rel_residual_tol=1e-12)
+        hist = run_transient(small_tape, (t, a), mats, tc, "ta")
+        currents.append(circuit_post(hist, (t, a), 0)[1])
+    assert np.array_equal(currents[0], currents[1])
+    R = rho / (small_tape.w * WIDTH)
+    assert currents[0][-1] == pytest.approx(V0 / R, rel=1e-4)
+
+
 def test_requesting_imposed_quantity_is_identity(small_tape):
     I0 = 1.5
     t = build_t_space(small_tape, 1, {0: ("current", I0)})

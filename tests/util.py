@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from htsfem.mesh import Region, _structured_mesh
+
 
 def h_dofs_for_potential(h_space, potential):
     """Coefficients representing the gradient of a scalar potential
@@ -13,12 +15,12 @@ def h_dofs_for_potential(h_space, potential):
     """
     mesh = h_space.mesh
     x = np.zeros(h_space.n_dofs)
-    ground = {c.id: c.ground_node for c in h_space.meta["conductors"]}
+    ground = {c.id: c.ground_node for c in h_space.circuits}
     p = {int(n): potential(*mesh.nodes[n])
          for n in np.unique(mesh.triangles[h_space.meta["sc_tris"]])}
     ring = set()
     pg = {}
-    for c in h_space.meta["conductors"]:
+    for c in h_space.circuits:
         g = p[c.ground_node]
         for n in c.ring_nodes:
             key = ("node", int(n))
@@ -36,3 +38,17 @@ def h_dofs_for_potential(h_space, potential):
             circ -= p[b] - pg[b]
         x[k] = circ
     return x
+
+
+def l_bar_mesh():
+    """L-shaped conductor in air: its reentrant corner puts two GAMMA_M
+    edges on one air triangle, its outer corners on conductor ones."""
+    def region(x, y):
+        if -0.004 < x < 0.004 and -0.004 < y < -0.002:
+            return Region.OMEGA_H_SC
+        if 0.002 < x < 0.004 and -0.004 < y < 0.004:
+            return Region.OMEGA_H_SC
+        return Region.OMEGA_A_AIR
+
+    breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
+    return _structured_mesh(breaks, breaks, 0.001, region)
