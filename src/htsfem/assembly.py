@@ -17,6 +17,11 @@ differential-resistivity stiffness).  The t-a system is thus stored as
 the paper's form times -1, which has the same solution.  Essential
 constraints are eliminated symmetrically: constrained rows and columns
 are dropped and their contributions moved to the right-hand side.
+
+Only A_v depends on the Newton iterate.  K_nu and B (``linear_blocks``)
+are fixed for a given pair of spaces and magnetic laws, which are
+linear, so a transient run factors the free K_nu once and solves each
+iteration on the condensed field system (see ``htsfem.transient``).
 """
 
 from __future__ import annotations
@@ -317,15 +322,19 @@ def _coupling_full(v_space: DofSpace, q_space: DofSpace):
     tag = v_space.meta["interface_tag"]
     if q_space.meta["interface_tag"] != tag:
         raise AssemblyError("the field and potential spaces couple on different interfaces")
+    # the entry keeps its field space: an id is reused once its object is
+    # garbage collected, so only the same object is a hit
     cache = _space_cache(q_space)
     key = ("coupling", id(v_space))
-    if key in cache:
-        return cache[key]
+    owner, B = cache.get(key, (None, None))
+    if owner is v_space:
+        return B
     qt, vt = trace_table(q_space, tag), trace_table(v_space, tag)
     loc = np.einsum("q,saq,sbq->sab", LINE_QW, qt.values(LINE_QP), vt.values(LINE_QP)) \
         * (v_space.current_scale * qt.lens)[:, None, None]
-    cache[key] = _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
-    return cache[key]
+    B = _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
+    cache[key] = (v_space, B)
+    return B
 
 
 def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace) -> sp.csr_matrix:
@@ -392,14 +401,21 @@ def _circuit_rhs(space, dt, voltages=None):
     return v
 
 
+def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
+                  materials: Materials):
+    """The iterate-independent blocks (K_nu, B) of every coupled
+    iteration, on all DOFs; both are cached on the potential space."""
+    return (_a_stiffness(q_space, _region_nu(mesh, q_space, materials)),
+            _coupling_full(v_space, q_space))
+
+
 def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, A_v, field_rhs,
                        dt, v_essential, a_essential, voltages) -> AssembledSystem:
     """The coupled block system around the field block ``A_v``: the
     linear a-side, the interface coupling, the right-hand side
     B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)
     and the symmetric elimination."""
-    K_nu = _a_stiffness(q_space, _region_nu(mesh, q_space, materials))
-    B = _coupling_full(v_space, q_space)
+    K_nu, B = linear_blocks(mesh, v_space, q_space, materials)
     K_full = sp.bmat([[A_v, B.T], [B, -K_nu]], format="csr")
 
     s_v = B.T @ a_prev

@@ -40,9 +40,20 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-def _emit_error(kind, message):
-    print(json.dumps({"error": kind, "message": str(message)}, sort_keys=True,
-                     allow_nan=False))
+def _emit_error(kind, message, **context):
+    print(json.dumps({"error": kind, "message": str(message), **context},
+                     sort_keys=True, allow_nan=False))
+
+
+def _emit_nonconvergence(err: NonConvergenceError):
+    """The error line of a failed step: its index, the time and step size
+    of the last attempt and that attempt's residual trace, with a
+    non-finite residual written as null."""
+    residuals = err.residuals
+    if residuals is not None:
+        residuals = [float(r) if np.isfinite(r) else None for r in residuals]
+    _emit_error("nonconvergence", err, step=err.step, t=err.t, dt=err.dt,
+                residuals=residuals)
 
 
 def _build_mesh(cfg):
@@ -78,7 +89,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
         hist = run_transient(mesh, (v_space, q_space), materials, timecfg,
                              cfg["formulation"])
     except NonConvergenceError as err:
-        _emit_error("nonconvergence", err)
+        _emit_nonconvergence(err)
         return EXIT_SOLVER
 
     sol = (hist.v[-1], hist.q[-1])
@@ -115,6 +126,8 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
         "newton_iterations_max": int(np.max(hist.newton_iters)),
         "final_residual": float(hist.final_residuals[-1]),
         "metrics": metrics,
+        "sizes": hist.sizes,
+        "counters": hist.counters,
         "wall_seconds": round(_time.perf_counter() - t0, 3),
     }
     _write_summary(outdir, summary)
@@ -238,7 +251,7 @@ def main(argv=None) -> int:
         return cmd_eigenmode(cfg, outdir, mode_rank=args.mode_rank,
                              quiet=args.quiet)
     except NonConvergenceError as err:
-        _emit_error("nonconvergence", err)
+        _emit_nonconvergence(err)
         return EXIT_SOLVER
     except ValueError as err:
         _emit_error("config", err)

@@ -155,6 +155,22 @@ def test_ta_single_segment_hand_value(tape_mesh):
         -w * 0.5, rel=1e-12)
 
 
+def test_coupling_cache_misses_on_reused_id(bar_mesh):
+    # an id is reused once its space is garbage collected: an entry left
+    # by another field space under this space's id must not be returned
+    h = build_h_space(bar_mesh, 1)
+    B_ref = _coupling_full(h, build_a_space(bar_mesh, 1, Interface.GAMMA_M))
+    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    other = build_h_space(bar_mesh, 2)
+    stale = _coupling_full(other, a)
+    a._assembly_cache[("coupling", id(h))] = a._assembly_cache.pop(("coupling", id(other)))
+    B = _coupling_full(h, a)
+    assert B is not stale
+    assert B.shape == B_ref.shape
+    assert abs(B - B_ref).max() == 0.0
+    assert _coupling_full(h, a) is B          # the fresh entry is a hit
+
+
 def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
     h, a = bar_spaces_11
     B = assemble_coupling_matrix(h, a)

@@ -108,6 +108,23 @@ def test_cli_solve_tape(tmp_path):
     assert run["steps"] >= 10  # halved steps may add entries
 
 
+def test_cli_solve_tape_reports_sizes_and_counters(tmp_path):
+    from htsfem.cli import _build_mesh, _build_spaces
+    cfg = write_cfg(tmp_path, SMALL_TAPE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    resolved = load_config(SMALL_TAPE)
+    t_space, a_space = _build_spaces(resolved, _build_mesh(resolved)[0])
+    assert run["sizes"] == {"field_free_dofs": t_space.n_free,
+                            "potential_free_dofs": a_space.n_free,
+                            "interface_columns": t_space.n_free}
+    counters = run["counters"]
+    assert counters["a_factorizations"] == 1
+    assert counters["field_solves"] >= run["newton_iterations_total"]
+    assert counters["a_factor_fill"] > a_space.n_free
+
+
 def test_cli_solve_tape_voltage(tmp_path):
     # source.voltage = e_c per unit length drives the critical current
     cfg = write_cfg(tmp_path, {
@@ -158,8 +175,16 @@ def test_cli_nonconvergence_exit_3(tmp_path, capsys):
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 3
-    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1],
+                     parse_constant=_reject_constant)
     assert err["error"] == "nonconvergence"
+    # the failed step, the time and step size of its last attempt (the
+    # first step, after four halvings) and that attempt's residual trace
+    assert err["step"] == 0
+    assert err["dt"] > 0.0
+    assert err["t"] == pytest.approx(err["dt"], rel=1e-12)
+    assert isinstance(err["residuals"], list) and err["residuals"]
+    assert all(r is None or r >= 0.0 for r in err["residuals"])
 
 
 def test_cli_infsup_all_pairings(tmp_path):

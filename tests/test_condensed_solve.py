@@ -1,0 +1,130 @@
+"""The condensed Newton solve (a-block factored once, interface-condensed
+field system) against the monolithic solve of the same assembled system."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from htsfem.assembly import (assemble_ha_iteration, assemble_ta_iteration,
+                             linear_blocks, tape_current_density)
+from htsfem.linalg import InterfaceSchur, SingularSystemError, solve_sparse
+from htsfem.mesh import Interface
+from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
+                           elementwise_curl_h, essential_vector)
+from htsfem.transient import _solve_condensed
+
+PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
+# j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
+# 1 um x 10 mm tape
+CRITICAL_CURRENT = {"ha": 3e8 * 0.02 * 0.01, "ta": 2.5e8 * 1e-6 * 0.01}
+
+
+@pytest.fixture(scope="module")
+def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
+    """Per pairing: mesh, spaces, materials, assembler, the linear blocks,
+    the run's a-block factor, the critical current and a sampler of
+    power-law iterates."""
+    cases = {}
+
+    def get(form, i, j):
+        if (form, i, j) in cases:
+            return cases[form, i, j]
+        if form == "ha":
+            mesh, mats, assemble = bar_mesh, bar_materials_power, assemble_ha_iteration
+            v = build_h_space(mesh, i, {0: ("current", 0.0)})
+            q = build_a_space(mesh, j, Interface.GAMMA_M)
+        else:
+            mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
+            v = build_t_space(mesh, i, {0: ("current", 0.0)})
+            q = build_a_space(mesh, j, Interface.GAMMA_W)
+        K_nu, B = linear_blocks(mesh, v, q, mats)
+        cases[form, i, j] = SimpleNamespace(
+            mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, K_nu=K_nu, B=B,
+            schur=_factor(v, q, K_nu, B), i_c=CRITICAL_CURRENT[form],
+            sample=_iterate_sampler(form, v, mats.power.j_c))
+        return cases[form, i, j]
+    return get
+
+
+def _factor(v, q, K_nu, B, cls=InterfaceSchur):
+    return cls(K_nu[q.free][:, q.free], B[q.free][:, v.free])
+
+
+def _iterate_sampler(form, v, jc):
+    """Random field coefficients in the power-law regime.
+
+    h-a: a random direction scaled to a peak |j| in [0.01, 1.5] j_c; the
+    conductor mass keeps the field block definite.  t-a: a current
+    density constant per segment with |j| in [0.7, 1.3] j_c and random
+    sign.  The tape block is dt*D alone, and far below j_c the n = 20
+    law makes D vanish; on the kernel of B (t bubbles against a hats)
+    the system is then singular to working precision, where no two
+    solvers agree."""
+    if form == "ha":
+        def sample(rng):
+            x = rng.standard_normal(v.n_dofs)
+            return x * rng.uniform(0.01, 1.5) * jc / np.abs(elementwise_curl_h(v, x)[1]).max()
+        return sample
+    J = np.stack([tape_current_density(v, e, at_qp=True).ravel()
+                  for e in np.eye(v.n_dofs)], axis=1)
+    n_seg = J.shape[0] // 3
+
+    def sample(rng):
+        seg = rng.uniform(0.7, 1.3, n_seg) * rng.choice([-1.0, 1.0], n_seg) * jc
+        return np.linalg.lstsq(J, np.repeat(seg, 3), rcond=None)[0]
+    return sample
+
+
+def _system(case, rng, dt, drive, b_ext):
+    a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
+    v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
+    a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
+    return case.assemble(case.mesh, case.v, case.q, case.mats,
+                         (case.sample(rng), a_prev), (case.sample(rng), a_prev), dt,
+                         a_essential=a_ess, v_essential=v_ess)
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-3.0, -1.0),
+       drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
+                                            drive, b_ext):
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
+    x = sys.expand(_solve_condensed(sys, case.schur))
+    x_ref = sys.expand(solve_sparse(sys.K, sys.s))
+    nv = sys.v_space.n_dofs
+    for block in (slice(0, nv), slice(nv, None)):
+        err = np.abs(x[block] - x_ref[block]).max()
+        assert err <= 1e-10 * np.abs(x_ref[block]).max()
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
+    # a factor of another a-block solves another system exactly; the
+    # full-system residual gate must refuse it
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(7), 0.01, 0.5, 0.3)
+    stale = _factor(case.v, case.q, 2.0 * case.K_nu, case.B)
+    with pytest.raises(SingularSystemError):
+        _solve_condensed(sys, stale)
+
+
+class _DroppedLift(InterfaceSchur):
+    """Condenses without the a-side term B^T K^{-1} s_q."""
+
+    def condense(self, A, s_v, s_q):
+        return super().condense(A, s_v, s_q)[0], s_v
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
+    broken = _factor(case.v, case.q, case.K_nu, case.B, cls=_DroppedLift)
+    with pytest.raises(SingularSystemError):
+        _solve_condensed(sys, broken)

@@ -4,7 +4,7 @@ import pytest
 from htsfem.materials import Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_t_space
-from htsfem.transient import (NonConvergenceError, Ramp, TimeConfig,
+from htsfem.transient import (NonConvergenceError, Ramp, TimeConfig, TimeHistory,
                               circuit_post, ramp_then_hold, read_snapshots,
                               run_transient, write_history_csv, write_snapshots)
 
@@ -172,6 +172,9 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     with pytest.raises(NonConvergenceError) as err:
         run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
     assert err.value.step is not None
+    assert err.value.step == 0
+    assert err.value.t == 0.25 and err.value.dt == 0.25
+    assert len(err.value.residuals) == 2          # initial plus one iteration
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +258,34 @@ def test_history_exports(tmp_path, small_tape):
     assert t0 == pytest.approx(hist.times[0])
     assert np.allclose(v0, hist.v[0])
     assert np.allclose(q0, hist.q[0])
+
+
+def test_snapshot_writer_matches_fstring_formatter(tmp_path):
+    # the writer formats Python floats; the file must equal, byte for
+    # byte, one formatted with f"{x:.17g}" on the numpy scalars
+    rng = np.random.default_rng(0)
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+                     1e16, 123456789.125, 1e-5, 1e21])
+    hist = TimeHistory("ta")
+    for k in range(3):
+        hist.times.append(0.1 * (k + 1))
+        hist.dts.append(0.1)
+        hist.v.append(np.concatenate([edge, rng.standard_normal(50)
+                                      * 10.0 ** rng.integers(-300, 300, 50)]))
+        hist.q.append(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
+
+    lines = [f"# formulation {hist.formulation}", f"# steps {hist.n_steps}"]
+    for k in range(hist.n_steps):
+        lines.append(f"step {k} time {hist.times[k]:.17g} dt {hist.dts[k]:.17g} "
+                     f"nv {len(hist.v[k])} nq {len(hist.q[k])}")
+        lines.extend(f"{x:.17g}" for x in hist.v[k])
+        lines.extend(f"{x:.17g}" for x in hist.q[k])
+    path = tmp_path / "snapshots.txt"
+    write_snapshots(hist, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    back = read_snapshots(path)
+    for k, (t, dt, v, q) in enumerate(back):
+        assert np.array_equal(v, hist.v[k]) and np.array_equal(q, hist.q[k])
+        assert np.array_equal(np.signbit(v), np.signbit(hist.v[k]))
