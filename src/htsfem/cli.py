@@ -10,7 +10,7 @@ Subcommands:
 Outputs land in one directory per run: ``config.resolved.json``, data
 CSVs and a ``run.json`` summary.  Runs are deterministic: repeated
 invocations with the same configuration produce byte-identical files.
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 any solver failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .assembly import assemble_coupling_matrix, assemble_norm_matrix
 from .diagnostics import (oscillation_metric, sample_bn_profile,
                           sample_tape_current, sign_changes)
 from .infsup import build_pairing, export_eigenmode, run_infsup_sweep
-from .linalg import infsup_eigenpairs
+from .linalg import DegenerateCouplingError, SingularSystemError, infsup_eigenpairs
 from .mesh import (Interface, Scenario, build_stacked_bar_mesh, build_tape_mesh,
                    write_native)
 from .spaces import build_a_space, build_h_space, build_t_space
@@ -85,12 +85,8 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
     v_space, q_space = _build_spaces(cfg, mesh)
     materials = cfgmod.make_materials(cfg)
     timecfg = cfgmod.make_time(cfg)
-    try:
-        hist = run_transient(mesh, (v_space, q_space), materials, timecfg,
-                             cfg["formulation"])
-    except NonConvergenceError as err:
-        _emit_nonconvergence(err)
-        return EXIT_SOLVER
+    hist = run_transient(mesh, (v_space, q_space), materials, timecfg,
+                         cfg["formulation"])
 
     sol = (hist.v[-1], hist.q[-1])
     jc = cfg["material"]["j_c"]
@@ -252,6 +248,9 @@ def main(argv=None) -> int:
                              quiet=args.quiet)
     except NonConvergenceError as err:
         _emit_nonconvergence(err)
+        return EXIT_SOLVER
+    except (SingularSystemError, DegenerateCouplingError) as err:
+        _emit_error("solver", err)
         return EXIT_SOLVER
     except ValueError as err:
         _emit_error("config", err)

@@ -26,6 +26,7 @@ degree of freedom carries its build-time value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -116,11 +117,19 @@ class DofSpace:
     def dof(self, kind, entity) -> int:
         return self.index[(kind, int(entity))]
 
+    @cached_property
+    def _kind_dofs(self) -> dict:
+        """Per entity kind: (entity ids, their DOFs), in DOF order."""
+        kinds = np.array([kind for kind, _ in self.entries])
+        ents = np.array([ent for _, ent in self.entries], dtype=np.int64)
+        return {str(kind): (ents[kinds == kind], np.flatnonzero(kinds == kind))
+                for kind in np.unique(kinds)}
+
     def entity_dofs(self, kind, n_entities) -> np.ndarray:
         """DOF of each entity of ``kind`` by entity id, -1 where none."""
         out = np.full(n_entities, -1, dtype=np.int64)
-        ks = [k for k, (knd, _) in enumerate(self.entries) if knd == kind]
-        out[[self.entries[k][1] for k in ks]] = ks
+        ents, dofs = self._kind_dofs.get(kind, ([], []))
+        out[ents] = dofs
         return out
 
     def essential_full(self) -> np.ndarray:
@@ -514,28 +523,19 @@ def whitney_transform(space: DofSpace):
         return cached
     mesh = space.mesh
     sc_edges = np.unique(mesh.tri_edges[space.meta["sc_tris"]])
-    rows, cols, data = [], [], []
-    for pos, eid in enumerate(sc_edges):
-        a, b = (int(v) for v in mesh.edges[eid])
-        for node, sgn in ((a, -1.0), (b, 1.0)):
-            dof = space.index.get(("node", node))
-            if dof is not None:
-                rows.append(pos)
-                cols.append(dof)
-                data.append(sgn)
-        dof = space.index.get(("edge", int(eid)))
-        if dof is not None:
-            rows.append(pos)
-            cols.append(dof)
-            data.append(1.0)
-    epos = {int(e): k for k, e in enumerate(sc_edges)}
+    pos = np.arange(len(sc_edges))
+    ends = space.entity_dofs("node", mesh.n_nodes)[mesh.edges[sc_edges]]
+    rows = [pos, pos, pos]
+    cols = [ends[:, 0], ends[:, 1], space.entity_dofs("edge", len(mesh.edges))[sc_edges]]
+    data = [np.full(len(pos), -1.0), np.ones(len(pos)), np.ones(len(pos))]
     for c in space.circuits:
-        dof = space.dof("global", c.id)
-        for eid, cc in sorted(c.cut.edge_coeffs.items()):
-            rows.append(epos[eid])
-            cols.append(dof)
-            data.append(cc)
-    C = coo_matrix((data, (rows, cols)), shape=(len(sc_edges), space.n_dofs)).tocsr()
+        rows.append(np.searchsorted(sc_edges, np.fromiter(c.cut.edge_coeffs, np.int64)))
+        cols.append(np.full(len(c.cut.edge_coeffs), space.dof("global", c.id)))
+        data.append(np.fromiter(c.cut.edge_coeffs.values(), float))
+    rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
+    has = cols >= 0
+    C = coo_matrix((data[has], (rows[has], cols[has])),
+                   shape=(len(sc_edges), space.n_dofs)).tocsr()
     space._whitney_transform = (sc_edges, C)
     return sc_edges, C
 

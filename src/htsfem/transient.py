@@ -17,12 +17,13 @@ reluctivity block K_nu and the coupling B are the same in every
 iteration of a run.  ``run_transient`` factors K_nu once and forms the
 dense interface term B^T K_nu^{-1} B on the field columns that B
 couples (``linalg.InterfaceSchur``).  Each iteration then solves only
-the condensed field system (A_v + B^T K_nu^{-1} B) v = s_v +
-B^T K_nu^{-1} s_q with ``solve_sparse`` and recovers the a-part by one
-back-substitution.  The combined solution must have a componentwise
-backward error of at most 1e-10 on the full free system, else the
-step is halved as after a failed solve; Newton convergence is judged
-on the componentwise residual of the full system.
+the condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
+``solve_sparse`` and recovers a = K_nu^{-1} B v - z by one
+back-substitution.  The lift z = K_nu^{-1} s_q is formed once per step
+attempt, as s_q holds only essential values.  The combined solution
+must have a componentwise backward error of at most 1e-10 on the full
+free system, else the step is halved as after a failed solve; Newton
+convergence is judged on the componentwise residual of the full system.
 """
 
 from __future__ import annotations
@@ -221,15 +222,14 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     return hist
 
 
-def _solve_condensed(sys, schur: InterfaceSchur):
+def _solve_condensed(sys, schur: InterfaceSchur, lift):
     """Free-DOF solution of ``sys`` through the condensed field system
-    of the run's a-block factor.  The componentwise backward error on the
-    full free system gates it: a normwise residual is dominated by the
-    flux-potential rows and misses errors of the field block."""
+    and the step attempt's ``lift``.  The componentwise backward error on
+    the full free system gates it: a normwise residual is dominated by
+    the flux-potential rows and misses errors of the field block."""
     n = sys.n_v_free
-    s_v, s_q = sys.s[:n], sys.s[n:]
-    v = solve_sparse(*schur.condense(sys.K[:n, :n], s_v, s_q))
-    x = np.concatenate([v, schur.recover(v, s_q)])
+    v = solve_sparse(*schur.condense(sys.K[:n, :n], sys.s[:n], lift))
+    x = np.concatenate([v, schur.recover(v, lift)])
     err = backward_error(sys.K, x, sys.s)
     if not err <= 1e-10:
         raise SingularSystemError(f"condensed solve residual {err:.3e} exceeds 1e-10")
@@ -267,8 +267,10 @@ def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
     iters = 0
     inc = np.inf
     while r > time.rel_residual_tol and iters < time.max_iter:
+        if iters == 0:              # s_q holds only the essential values
+            lift = schur.lift(sys.s[sys.n_v_free:])
         counters["field_solves"] += 1
-        x_full = sys.expand(_solve_condensed(sys, schur))
+        x_full = sys.expand(_solve_condensed(sys, schur, lift))
         x_old = np.concatenate([v_it, q_it])
         # backtracking on the residual guards against power-law overshoot
         step = x_full - x_old

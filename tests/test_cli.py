@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+import htsfem.cli
+import htsfem.infsup
 from htsfem.cli import main
 from htsfem.config import ConfigError, load_config, make_geometry
+from htsfem.linalg import DegenerateCouplingError, SingularSystemError
 
 
 SMALL_BAR = {
@@ -185,6 +188,24 @@ def test_cli_nonconvergence_exit_3(tmp_path, capsys):
     assert err["t"] == pytest.approx(err["dt"], rel=1e-12)
     assert isinstance(err["residuals"], list) and err["residuals"]
     assert all(r is None or r >= 0.0 for r in err["residuals"])
+
+
+@pytest.mark.parametrize("error", [SingularSystemError, DegenerateCouplingError])
+@pytest.mark.parametrize("command", ["infsup", "eigenmode"])
+def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error):
+    def failing_pencil(B, N_V, N_Q):
+        raise error("eigenpair residual 1.000e-03 exceeds 1e-8")
+    monkeypatch.setattr(htsfem.infsup, "infsup_eigenpairs", failing_pencil)
+    monkeypatch.setattr(htsfem.cli, "infsup_eigenpairs", failing_pencil)
+    cfg = dict(SMALL_BAR)
+    cfg["sweep"] = {"n_refinements": 3}
+    path = write_cfg(tmp_path, cfg)
+    rc = main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    err = json.loads(lines[-1], parse_constant=_reject_constant)
+    assert err == {"error": "solver",
+                   "message": "eigenpair residual 1.000e-03 exceeds 1e-8"}
 
 
 def test_cli_infsup_all_pairings(tmp_path):

@@ -53,6 +53,10 @@ def _factor(v, q, K_nu, B, cls=InterfaceSchur):
     return cls(K_nu[q.free][:, q.free], B[q.free][:, v.free])
 
 
+def _lift(sys, schur):
+    return schur.lift(sys.s[sys.n_v_free:])
+
+
 def _iterate_sampler(form, v, jc):
     """Random field coefficients in the power-law regime.
 
@@ -95,7 +99,7 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
                                             drive, b_ext):
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    x = sys.expand(_solve_condensed(sys, case.schur))
+    x = sys.expand(_solve_condensed(sys, case.schur, _lift(sys, case.schur)))
     x_ref = sys.expand(solve_sparse(sys.K, sys.s))
     nv = sys.v_space.n_dofs
     for block in (slice(0, nv), slice(nv, None)):
@@ -111,7 +115,7 @@ def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
     sys = _system(case, np.random.default_rng(7), 0.01, 0.5, 0.3)
     stale = _factor(case.v, case.q, 2.0 * case.K_nu, case.B)
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, stale)
+        _solve_condensed(sys, stale, _lift(sys, stale))
 
 
 class _DroppedLift(InterfaceSchur):
@@ -127,4 +131,4 @@ def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
     sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
     broken = _factor(case.v, case.q, case.K_nu, case.B, cls=_DroppedLift)
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, broken)
+        _solve_condensed(sys, broken, _lift(sys, broken))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htsfem.linalg import (DegenerateCouplingError, SingularSystemError,
                            export_eigenvalues_csv, infsup_eigenpairs,
@@ -122,6 +124,56 @@ def test_eig_permutation_invariance():
     beta1 = infsup_eigenpairs(sp.csr_matrix(P @ B), sp.csr_matrix(N_V),
                               sp.csr_matrix(P @ N_Q @ P.T)).beta
     assert beta1 == pytest.approx(beta0, rel=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_q=st.integers(4, 24), n_v=st.integers(2, 30),
+       coupled=st.floats(0.1, 0.9), density=st.floats(0.1, 0.6))
+@settings(max_examples=60, deadline=None)
+def test_eig_interior_dofs_vs_whitened_svd(seed, n_q, n_v, coupled, density):
+    # B couples only some potential rows; N_Q is sparse and couples the
+    # other (interior) rows to them, so the pencil runs through the
+    # Schur complement S != N_Q[P,P] and the harmonic extension
+    rng = np.random.default_rng(seed)
+    rows = rng.random(n_q) < coupled
+    rows[rng.integers(n_q)] = True
+    B = sp.random(n_q, n_v, density=density, random_state=rng).toarray()
+    B[rows, rng.integers(n_v, size=n_q)[rows]] += 1.0     # every coupled row is nonzero
+    B[~rows] = 0.0
+    N_V = random_spd(rng, n_v)
+    L = sp.random(n_q, n_q, density=0.3, random_state=rng).toarray()
+    L[np.ix_(~rows, rows)] += rng.normal(size=(int((~rows).sum()), int(rows.sum())))
+    N_Q = L @ L.T + np.eye(n_q)
+    res = infsup_eigenpairs(sp.csr_matrix(B), sp.csr_matrix(N_V), sp.csr_matrix(N_Q))
+    ref = dense_infsup_oracle(B, N_V, N_Q)
+    rank = np.linalg.matrix_rank(B)
+    assert res.n_zero == n_q - rank
+    assert len(res.eigenvalues) == rank
+    assert np.abs(res.eigenvalues - ref[len(ref) - rank:]).max() < 1e-10 * ref.max()
+    Q = res.eigenvectors
+    assert np.abs(Q.T @ N_Q @ Q - np.eye(rank)).max() < 1e-8
+
+
+@pytest.mark.parametrize("pairing", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_eig_ha_pairings_vs_whitened_svd(bar_mesh, pairing):
+    from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+    from htsfem.infsup import build_pairing
+    norms = NormSpec(dt0=0.0125)
+    v_sp, q_sp = build_pairing(bar_mesh, "ha", pairing)
+    B = assemble_coupling_matrix(v_sp, q_sp)
+    N_V = assemble_norm_matrix(v_sp, norms)
+    N_Q = assemble_norm_matrix(q_sp, norms)
+    res = infsup_eigenpairs(B, N_V, N_Q)
+    ref = dense_infsup_oracle(B.toarray(), N_V.toarray(), N_Q.toarray())
+    k = len(res.eigenvalues)
+    assert np.abs(res.eigenvalues - ref[len(ref) - k:]).max() < 1e-10 * ref.max()
+    assert ref[:len(ref) - k].max(initial=0.0) <= res.zero_cutoff
+    assert res.n_zero == N_Q.shape[0] - k
+
+
+def test_eig_indefinite_potential_norm_raises():
+    I3 = sp.eye(3, format="csr")
+    with pytest.raises(SingularSystemError):
+        infsup_eigenpairs(I3, I3, sp.diags([1.0, 1.0, -1.0], format="csr"))
 
 
 def test_eig_degenerate_coupling():

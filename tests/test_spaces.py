@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from htsfem._geom import LINE_QP, LINE_QW
-from htsfem.mesh import Interface, Region, _structured_mesh
+from scipy.sparse import coo_matrix
+
+from htsfem.mesh import Interface, Region, _structured_mesh, refine
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space,
                            build_cut_function, build_h_space, build_t_space,
                            elementwise_curl_h, essential_vector, eval_h_field,
                            eval_trace, interface_chain, trace_table,
-                           whitney_edge_coefficients)
+                           whitney_edge_coefficients, whitney_transform)
+
+from util import l_bar_mesh
 
 
 def loop_circulation(space, coeffs, tag):
@@ -360,3 +364,53 @@ def test_h_trace_table_matches_tangential_field(bar_mesh):
         oracle = np.array([eval_h_field(h, x, t, bary, _expanded=expanded) @ tan
                            for t, bary, tan in sides])
         assert np.allclose(table, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()), dof
+
+
+def reference_whitney_transform(space):
+    """Whitney map by the straightforward construction: a loop over the
+    conducting edges with a DOF lookup of both end nodes and the edge,
+    then the cut coefficients of every conductor."""
+    mesh = space.mesh
+    sc_edges = np.unique(mesh.tri_edges[space.meta["sc_tris"]])
+    rows, cols, data = [], [], []
+    for pos, eid in enumerate(sc_edges):
+        a, b = (int(v) for v in mesh.edges[eid])
+        for key, sgn in ((("node", a), -1.0), (("node", b), 1.0), (("edge", int(eid)), 1.0)):
+            if key in space.index:
+                rows.append(pos)
+                cols.append(space.index[key])
+                data.append(sgn)
+    epos = {int(e): k for k, e in enumerate(sc_edges)}
+    for c in space.circuits:
+        for eid, cc in sorted(c.cut.edge_coeffs.items()):
+            rows.append(epos[eid])
+            cols.append(space.dof("global", c.id))
+            data.append(cc)
+    C = coo_matrix((data, (rows, cols)), shape=(len(sc_edges), space.n_dofs)).tocsr()
+    return sc_edges, C
+
+
+@pytest.mark.parametrize("enrichment", [1, 2])
+def test_whitney_transform_matches_reference(bar_mesh, enrichment):
+    for mesh in (bar_mesh, refine(bar_mesh), l_bar_mesh()):
+        h = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+        edges, C = whitney_transform(h)
+        ref_edges, ref = reference_whitney_transform(h)
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(C.indptr, ref.indptr)
+        assert np.array_equal(C.indices, ref.indices)
+        assert np.array_equal(C.data, ref.data)
+
+
+def test_entity_dofs_inverts_the_entry_table(bar_mesh):
+    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    sizes = {"node": bar_mesh.n_nodes, "edge": len(bar_mesh.edges),
+             "bubble": len(bar_mesh.edges), "global": 1}
+    for kind, n in sizes.items():
+        dofs = h.entity_dofs(kind, n)
+        expected = np.full(n, -1)
+        for k, (knd, ent) in enumerate(h.entries):
+            if knd == kind:
+                expected[ent] = k
+        assert np.array_equal(dofs, expected), kind
+    assert np.array_equal(h.entity_dofs("tape", 3), [-1, -1, -1])
