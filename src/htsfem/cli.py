@@ -141,20 +141,20 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
     norms = cfgmod.make_norms(cfg)
     if pairings is None:
         pairings = [tuple(cfg["pairing"])]
-    verdicts = {}
-    for pair in pairings:
-        rep = run_infsup_sweep(params, cfg["formulation"], pair, n_ref,
+    reports = run_infsup_sweep(params, cfg["formulation"], pairings, n_ref,
                                norms=norms, materials=cfgmod.linear_materials(cfg))
-        tag = f"{pair[0]}{pair[1]}"
-        rep.to_json(outdir / f"infsup_{tag}.json")
-        rep.to_csv(outdir / f"infsup_{tag}.csv")
-        verdicts[tag] = rep.verdict
+    verdicts = {}
+    for (i, j), rep in reports.items():
+        rep.to_json(outdir / f"infsup_{i}{j}.json")
+        rep.to_csv(outdir / f"infsup_{i}{j}.csv")
+        verdicts[f"{i}{j}"] = rep.verdict
         if not quiet:
-            print(f"infsup ({pair[0]},{pair[1]}): {rep.verdict} "
-                  f"slope={rep.slope:.3f}")
+            print(f"infsup ({i},{j}): {rep.verdict} slope={rep.slope:.3f}")
     summary = {
         "command": "infsup",
         "verdicts": verdicts,
+        "sizes": reports.sizes,
+        "counters": reports.counters,
         "wall_seconds": round(_time.perf_counter() - t0, 3),
     }
     _write_summary(outdir, summary)
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         _emit_nonconvergence(err)
         return EXIT_SOLVER
     except (SingularSystemError, DegenerateCouplingError) as err:
-        _emit_error("solver", err)
+        _emit_error("solver", err, **getattr(err, "context", {}))
         return EXIT_SOLVER
     except ValueError as err:
         _emit_error("config", err)

@@ -6,17 +6,25 @@ nonzero eigenvalues of the coupling pencil.  A log-log slope of beta
 against the element size, fitted on the finer half of the sequence,
 classifies the pairing: a bounded beta indicates a stable pairing,
 beta shrinking linearly with the element size an unstable one.
+
+A sweep runs all requested pairings in one pass over the meshes and
+shares, per mesh, what depends on one space only: the spaces, their
+norm matrices, the field-norm factors and one potential-norm
+condensation (see ``linalg.condense_interior``).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
-from .linalg import EigenResult, infsup_eigenpairs, solve_sparse
+from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
+                     condense_interior, factor_field_norm, infsup_eigenpairs,
+                     solve_sparse)
 from .materials import MU0, Materials
 from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
@@ -125,29 +133,127 @@ def _verdict(slope, betas):
     return "INCONCLUSIVE"
 
 
+def _field_space(mesh, formulation: str, order: int):
+    if formulation == "ha":
+        return build_h_space(mesh, enrichment=order, circuit={0: ("current", 0.0)})
+    if formulation == "ta":
+        return build_t_space(mesh, enrichment=order, constraints={0: ("current", 0.0)})
+    raise ValueError("formulation must be 'ha' or 'ta'")
+
+
+def _potential_space(mesh, formulation: str, order: int):
+    tag = Interface.GAMMA_M if formulation == "ha" else Interface.GAMMA_W
+    return build_a_space(mesh, enrichment=order, interface_tag=tag)
+
+
 def build_pairing(mesh, formulation: str, pairing):
     """Field/potential space pair for an inf-sup evaluation (test-space
     constraints: zero imposed currents, zero outer trace)."""
     i, j = pairing
-    if formulation == "ha":
-        v_space = build_h_space(mesh, enrichment=i, circuit={0: ("current", 0.0)})
-        q_space = build_a_space(mesh, enrichment=j, interface_tag=Interface.GAMMA_M)
-    elif formulation == "ta":
-        v_space = build_t_space(mesh, enrichment=i, constraints={0: ("current", 0.0)})
-        q_space = build_a_space(mesh, enrichment=j, interface_tag=Interface.GAMMA_W)
-    else:
-        raise ValueError("formulation must be 'ha' or 'ta'")
-    return v_space, q_space
+    return _field_space(mesh, formulation, i), _potential_space(mesh, formulation, j)
 
 
-def run_infsup_sweep(params: GeometryParams, formulation: str, pairing,
+class HierarchyError(RuntimeError):
+    """A lower-order potential space is not the leading part of the
+    richer one, so the two cannot share one condensation."""
+
+
+class InfSupMatrix(dict):
+    """``{pairing: InfSupReport}`` of one sweep, with its telemetry:
+    ``sizes`` (one entry per mesh level) and ``counters``."""
+
+    def __init__(self, reports):
+        super().__init__(reports)
+        self.sizes = []
+        self.counters = {"mesh_levels": 0, "field_norm_factorizations": 0,
+                         "interior_factorizations": 0}
+
+
+@contextmanager
+def _located(level, pairing=None):
+    """Tag a solver failure with the mesh level and the pairing whose
+    pencil failed (None for a step that every pairing shares)."""
+    try:
+        yield
+    except (SingularSystemError, DegenerateCouplingError) as err:
+        err.context = {"level": level,
+                       "pairing": None if pairing is None else list(pairing)}
+        raise
+
+
+def _leading_rows(q_low, q_high, P, level) -> int:
+    """How many rows of P lie in the lower-order potential space, after
+    checking that its DOFs are the leading DOFs of the richer space and
+    that both leave the same DOFs outside P."""
+    n = q_low.n_free
+    if (q_low.entries != q_high.entries[:q_low.n_dofs]
+            or not np.array_equal(q_high.free[:n], q_low.free)):
+        raise HierarchyError(
+            f"level {level}: the order-{q_low.enrichment} potential DOFs are not "
+            f"the leading DOFs of the order-{q_high.enrichment} space")
+    n_p = int(np.searchsorted(P, n))
+    if len(P) - n_p != q_high.n_free - n:
+        raise HierarchyError(
+            f"level {level}: the order-{q_low.enrichment} and "
+            f"order-{q_high.enrichment} potential spaces have different interiors")
+    return n_p
+
+
+def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
+    """One mesh level of every pairing: each distinct space is built and
+    its norm assembled once, each N_V factored once and N_Q condensed
+    once, for the richest potential order, onto the union P of the rows
+    that the level's couplings touch.  A lower potential order takes
+    the leading rows of that condensation."""
+    v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
+    q_sp = {j: _potential_space(mesh, formulation, j) for j in sorted({p[1] for p in pairings})}
+    B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
+    N_V = {i: assemble_norm_matrix(space, norms) for i, space in v_sp.items()}
+    N_Q = {j: assemble_norm_matrix(space, norms) for j, space in q_sp.items()}
+
+    top = max(q_sp)
+    P = np.unique(np.concatenate([np.flatnonzero(np.diff(b.indptr)) for b in B.values()]))
+    n_p = {j: _leading_rows(q_sp[j], q_sp[top], P, level) for j in q_sp if j != top}
+    n_p[top] = len(P)
+    with _located(level):
+        lu_v = {i: factor_field_norm(N) for i, N in N_V.items()}
+        interior = condense_interior(N_Q[top], P)
+    reports.counters["field_norm_factorizations"] += len(lu_v)
+    reports.counters["interior_factorizations"] += 1
+    reports.sizes.append({
+        "field_free_dofs": {str(i): int(s.n_free) for i, s in v_sp.items()},
+        "potential_free_dofs": {str(j): int(s.n_free) for j, s in q_sp.items()},
+        "coupled_rows": {str(j): n for j, n in n_p.items()},
+        "interior_dofs": int(len(interior.I)),
+    })
+
+    for pair in pairings:
+        i, j = pair
+        with _located(level, pair):
+            eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v[i],
+                                    interior=interior.leading(n_p[j]))
+        reports[pair].records.append(SweepRecord(
+            mesh.delta / width_ref, eig.beta, eig.b_norm, len(eig.eigenvalues)))
+        del eig         # its eigenvectors are as large as the condensation
+
+
+def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
                      n_refinements: int, norms: NormSpec | None = None,
-                     materials: Materials | None = None) -> InfSupReport:
-    """Inf-sup test on the base mesh plus ``n_refinements`` uniform
-    refinements (n_refinements + 1 meshes, coarse to fine)."""
+                     materials: Materials | None = None) -> InfSupMatrix:
+    """Inf-sup test of every pairing (i, j) in ``pairings`` on the base
+    mesh plus ``n_refinements`` uniform refinements (n_refinements + 1
+    meshes, coarse to fine), in one pass over the meshes.  Returns
+    ``{pairing: InfSupReport}``.
+
+    A solver failure carries ``context``: the mesh level and the
+    pairing, or None for a factorization that all pairings share.
+    """
     if n_refinements < 3:
         raise ValueError("n_refinements must be >= 3")
     formulation = formulation.lower()
+    pairings = list(dict.fromkeys(tuple(p) for p in pairings))
+    if not pairings:
+        raise ValueError("no pairing given")
     if norms is None:
         norms = NormSpec()
     if params.scenario is Scenario.STACKED_BAR:
@@ -157,27 +263,24 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairing,
         mesh = build_tape_mesh(params)
         width_ref = params.tape_width
 
-    report = InfSupReport(formulation, tuple(pairing))
+    reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
     if materials is not None and materials.power.n == 1.0:
         alpha, gamma, _, _ = coercivity_estimates(materials, norms, norms.dt0)
-        report.alpha_lower, report.gamma_lower = alpha, gamma
+        for rep in reports.values():
+            rep.alpha_lower, rep.gamma_lower = alpha, gamma
 
     for level in range(n_refinements + 1):
         if level > 0:
             mesh = refine(mesh)
-        v_space, q_space = build_pairing(mesh, formulation, pairing)
-        B = assemble_coupling_matrix(v_space, q_space)
-        N_V = assemble_norm_matrix(v_space, norms)
-        N_Q = assemble_norm_matrix(q_space, norms)
-        eig = infsup_eigenpairs(B, N_V, N_Q)
-        report.records.append(SweepRecord(mesh.delta / width_ref, eig.beta,
-                                          eig.b_norm, len(eig.eigenvalues)))
+        reports.counters["mesh_levels"] += 1
+        _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref)
 
-    deltas = [r.delta_rel for r in report.records]
-    betas = [r.beta for r in report.records]
-    report.slope, report.slope_band = _fit_slope(deltas, betas)
-    report.verdict = _verdict(report.slope, betas)
-    return report
+    for rep in reports.values():
+        deltas = [r.delta_rel for r in rep.records]
+        betas = [r.beta for r in rep.records]
+        rep.slope, rep.slope_band = _fit_slope(deltas, betas)
+        rep.verdict = _verdict(rep.slope, betas)
+    return reports
 
 
 def supremizer(B, N_V, q_free) -> np.ndarray:

@@ -4,6 +4,10 @@ block and the generalized eigenproblem of the numerical inf-sup test.
 ``interface_term`` is the one condensation: of the transient's a-block
 (``InterfaceSchur``) and of both sides of the inf-sup pencil, which is
 then solved on the rows that B couples by one generalized ``eigh``.
+The pencil's field-norm factor and potential-norm condensation
+(``factor_field_norm``, ``condense_interior``) can be built once and
+shared by the pairings of one mesh; a lower-order potential space of a
+hierarchical basis takes a leading block of the richer condensation.
 Each caller keeps its own SuperLU column order: minimum degree, which
 suits the a-block, made the finest h-a verdict level's potential-norm
 condensation 25 times slower than the default COLAMD.
@@ -172,7 +176,52 @@ class EigenResult:
         return float(np.sqrt(self.eigenvalues[-1]))
 
 
-def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10) -> EigenResult:
+def factor_field_norm(N_V):
+    """SuperLU factor of the field norm N_V of the inf-sup pencil."""
+    return _factor(N_V, "field norm")
+
+
+@dataclass
+class InteriorCondensation:
+    """The potential norm N_Q condensed onto the coupled rows P.
+
+    I holds the other potential DOFs, ``cols`` the positions in P whose
+    DOFs N_Q couples to I, X = N_Q[I,I]^{-1} N_Q[I,P[cols]] and S the
+    Schur complement N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P].  The
+    N_Q-harmonic extension of values y on P is -X y[cols] on I.
+    """
+
+    P: np.ndarray
+    I: np.ndarray
+    cols: np.ndarray
+    X: np.ndarray
+    S: np.ndarray
+
+    def leading(self, n):
+        """The condensation onto the first n rows of P with the same I,
+        as views.  It is that of a potential space whose DOFs are the
+        first n of P and all of I, if its norm matrix is the matching
+        block of N_Q (a hierarchical basis); the caller checks that."""
+        k = int(np.searchsorted(self.cols, n))
+        return InteriorCondensation(self.P[:n], self.I, self.cols[:k],
+                                    self.X[:, :k], self.S[:n, :n])
+
+
+def condense_interior(N_Q, P) -> InteriorCondensation:
+    """Factor N_Q[I,I] for the DOFs I outside the ascending rows P and
+    condense N_Q onto P (see ``InteriorCondensation``).  An empty I
+    goes through the same path: SuperLU factors a 0x0 block."""
+    N_Q = sp.csr_matrix(N_Q)
+    I = np.setdiff1d(np.arange(N_Q.shape[0]), P, assume_unique=True)
+    lu_i = _factor(N_Q[I][:, I], "potential norm")
+    cols, X, T = interface_term(lu_i, N_Q[I][:, P])
+    S = N_Q[P][:, P].toarray()
+    S[np.ix_(cols, cols)] -= T
+    return InteriorCondensation(P, I, cols, X, S)
+
+
+def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
+                      lu_v=None, interior=None) -> EigenResult:
     """Solve B N_V^{-1} B^T q = lambda N_Q q and drop zero eigenvalues.
 
     With P the rows that B couples and I the other potential DOFs, it
@@ -180,6 +229,12 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10) -> EigenResult:
     complement S = N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P].  Each
     eigenvector is y on P and its N_Q-harmonic extension on I, so that
     q^T N_Q q = y^T S y = 1.
+
+    ``lu_v`` (``factor_field_norm(N_V)``) and ``interior``
+    (``condense_interior(N_Q, P)``) may be passed in to share them
+    between pencils; by default both are built here.  The P of a
+    shared ``interior`` may be a superset of the rows B couples: its
+    other rows only add zero eigenvalues, which the cutoff drops.
     """
     B = sp.csr_matrix(B)
     N_Q = sp.csr_matrix(N_Q)
@@ -187,18 +242,23 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10) -> EigenResult:
     if N_V.shape != (n_v, n_v) or N_Q.shape != (n_q, n_q):
         raise ValueError("dimension mismatch")
 
-    lu_v = _factor(N_V, "field norm")
-    P, _, G = interface_term(lu_v, B.T)                  # G = B_P N_V^{-1} B_P^T
-    if len(P) == 0:
+    if lu_v is None:
+        lu_v = factor_field_norm(N_V)
+    rows, _, T = interface_term(lu_v, B.T)               # T = B_rows N_V^{-1} B_rows^T
+    if len(rows) == 0:
         raise DegenerateCouplingError("coupling matrix has no nonzero rows")
-    I = np.setdiff1d(np.arange(n_q), P, assume_unique=True)   # may be empty
-    lu_i = _factor(N_Q[I][:, I], "potential norm")
-    cols, X, T = interface_term(lu_i, N_Q[I][:, P])      # X = N_Q[I,I]^{-1} N_Q[I,P]
-    S = N_Q[P][:, P].toarray()
-    S[np.ix_(cols, cols)] -= T
+    if interior is None:
+        interior = condense_interior(N_Q, rows)
+    P, I, cols = interior.P, interior.I, interior.cols
+    at = np.searchsorted(P, rows)
+    if (len(P) + len(I) != n_q or at[-1] >= len(P)
+            or not np.array_equal(P[at], rows)):
+        raise ValueError("B couples rows outside the condensation's P")
+    G = np.zeros((len(P), len(P)))
+    G[np.ix_(at, at)] = T
 
     try:
-        lam, Y = scipy.linalg.eigh(G, S)
+        lam, Y = scipy.linalg.eigh(G, interior.S)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError("potential norm is not positive definite") from err
     lam_max = lam[-1]
@@ -213,25 +273,41 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10) -> EigenResult:
     lam_k, Y_k = lam[keep], Y[:, keep]
     Q = np.empty((n_q, len(lam_k)))
     Q[P] = Y_k
-    Q[I] = -X @ Y_k[cols]
-    del X, lu_i         # X is as large as Q; the check allocates three more such arrays
+    ext = interior.X @ Y_k[cols]
+    np.negative(ext, out=ext)
+    Q[I] = ext
+    del ext, interior   # a condensation built here is as large as Q
     _verify_pairs(B, lu_v, N_Q, Q, lam_k)
     return EigenResult(lam_k, Q, float(cutoff), n_zero)
 
 
+VERIFY_BLOCK = 32       # eigenvector columns checked at a time
+
+
 def _verify_pairs(B, lu_v, N_Q, Q, lam):
-    GQ = B @ lu_v.solve(np.asarray(B.T @ Q))
-    NQQ = np.asarray(N_Q @ Q)
-    R = GQ - NQQ * lam[None, :]
-    g_norm = np.abs(GQ).max() / max(np.abs(Q).max(), 1e-300)
+    """Residual and N_Q-orthonormality check of the eigenpairs (Q, lam),
+    one block of VERIFY_BLOCK columns at a time."""
+    k = Q.shape[1]
+    res, q_norm = np.empty(k), np.empty(k)
+    M = np.empty((k, k))
+    g_max = q_max = 0.0
+    for start in range(0, k, VERIFY_BLOCK):
+        b = slice(start, start + VERIFY_BLOCK)
+        Qb = Q[:, b]
+        GQ = B @ lu_v.solve(np.asarray(B.T @ Qb))
+        NQQ = np.asarray(N_Q @ Qb)
+        g_max = max(g_max, np.abs(GQ).max())
+        q_max = max(q_max, np.abs(Qb).max())
+        res[b] = np.linalg.norm(GQ - NQQ * lam[None, b], axis=0)
+        q_norm[b] = np.linalg.norm(Qb, axis=0)
+        M[:, b] = Q.T @ NQQ
+    g_norm = g_max / max(q_max, 1e-300)
     n_norm = np.abs(N_Q).max()
-    q_norm = np.linalg.norm(Q, axis=0)
     denom = (g_norm + lam * n_norm) * q_norm
-    worst = (np.linalg.norm(R, axis=0) / np.maximum(denom, 1e-300)).max()
+    worst = (res / np.maximum(denom, 1e-300)).max()
     if worst > 1e-8:
         raise SingularSystemError(f"eigenpair residual {worst:.3e} exceeds 1e-8")
-    M = Q.T @ NQQ
-    if np.abs(M - np.eye(M.shape[0])).max() > 1e-8:
+    if np.abs(M - np.eye(k)).max() > 1e-8:
         raise SingularSystemError("eigenvectors are not norm-orthonormal")
 
 

@@ -47,10 +47,8 @@ def ha_sweep_reports():
                      {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
                       int(Region.OMEGA_A_AIR): VACUUM})
     t0 = time.perf_counter()
-    reports = {}
-    for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        reports[pair] = run_infsup_sweep(params, "ha", pair, 4, norms=NORMS,
-                                         materials=mats)
+    reports = run_infsup_sweep(params, "ha", [(1, 1), (1, 2), (2, 1), (2, 2)], 4,
+                               norms=NORMS, materials=mats)
     return reports, time.perf_counter() - t0
 
 
@@ -92,10 +90,9 @@ def test_criterion_2_bnorm_bounded(ha_sweep_reports):
 def test_criterion_3_ta_verdict_matrix():
     params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.001,
                             air_half=0.02)
-    verdicts = {}
-    for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        rep = run_infsup_sweep(params, "ta", pair, 3, norms=NORMS)
-        verdicts[pair] = rep.verdict
+    reports = run_infsup_sweep(params, "ta", [(1, 1), (1, 2), (2, 1), (2, 2)], 3,
+                               norms=NORMS)
+    verdicts = {pair: rep.verdict for pair, rep in reports.items()}
     assert verdicts[(1, 2)] == "STABLE"
     assert verdicts[(2, 1)] == "STABLE"
     assert verdicts[(1, 1)] == "UNSTABLE"

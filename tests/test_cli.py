@@ -193,7 +193,7 @@ def test_cli_nonconvergence_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("error", [SingularSystemError, DegenerateCouplingError])
 @pytest.mark.parametrize("command", ["infsup", "eigenmode"])
 def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error):
-    def failing_pencil(B, N_V, N_Q):
+    def failing_pencil(B, N_V, N_Q, zero_tol_rel=1e-10, *, lu_v=None, interior=None):
         raise error("eigenpair residual 1.000e-03 exceeds 1e-8")
     monkeypatch.setattr(htsfem.infsup, "infsup_eigenpairs", failing_pencil)
     monkeypatch.setattr(htsfem.cli, "infsup_eigenpairs", failing_pencil)
@@ -204,8 +204,12 @@ def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error
     assert rc == 3
     lines = capsys.readouterr().out.strip().split("\n")
     err = json.loads(lines[-1], parse_constant=_reject_constant)
-    assert err == {"error": "solver",
-                   "message": "eigenpair residual 1.000e-03 exceeds 1e-8"}
+    expected = {"error": "solver",
+                "message": "eigenpair residual 1.000e-03 exceeds 1e-8"}
+    if command == "infsup":
+        # the sweep names the failed pencil: SMALL_BAR's pairing, coarsest mesh
+        expected.update(pairing=[2, 1], level=0)
+    assert err == expected
 
 
 def test_cli_infsup_all_pairings(tmp_path):
@@ -219,6 +223,17 @@ def test_cli_infsup_all_pairings(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["verdicts"] == {"11": "UNSTABLE", "12": "STABLE",
                                "21": "STABLE", "22": "UNSTABLE"}
+    # one pass over the 4 meshes: each N_V factored once per field
+    # order, N_Q condensed once per mesh
+    assert run["counters"] == {"mesh_levels": 4, "field_norm_factorizations": 8,
+                               "interior_factorizations": 4}
+    assert len(run["sizes"]) == 4
+    for level in run["sizes"]:
+        assert set(level) == {"field_free_dofs", "potential_free_dofs",
+                              "coupled_rows", "interior_dofs"}
+        assert set(level["field_free_dofs"]) == {"1", "2"}
+        assert (level["interior_dofs"] + level["coupled_rows"]["2"]
+                == level["potential_free_dofs"]["2"])
     for tag in ("11", "12", "21", "22"):
         assert (out / f"infsup_{tag}.csv").exists()
 

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import htsfem.infsup
 from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
-from htsfem.infsup import (InfSupReport, NotApplicableError, build_pairing,
+from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport,
+                           NotApplicableError, build_pairing,
                            coercivity_estimates, export_eigenmode,
-                           run_infsup_sweep, _fit_slope, _verdict)
+                           run_infsup_sweep, _fit_slope, _leading_rows,
+                           _sweep_level, _verdict)
 from htsfem.linalg import infsup_eigenpairs
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import Interface, Region
+from htsfem.mesh import Interface, Region, refine
+from htsfem.spaces import DofSpace, build_a_space
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -47,7 +51,7 @@ def test_coercivity_rejects_power_law():
 
 def test_sweep_requires_three_refinements(bar_params):
     with pytest.raises(ValueError):
-        run_infsup_sweep(bar_params, "ha", (1, 1), 2, norms=NORMS)
+        run_infsup_sweep(bar_params, "ha", [(1, 1)], 2, norms=NORMS)
 
 
 def test_verdict_rules():
@@ -136,3 +140,69 @@ def test_report_serialization(tmp_path):
     lines = (tmp_path / "rep.csv").read_text().strip().split("\n")
     assert lines[0] == "meshsize,beta,normb"
     assert len(lines) == 3
+
+
+PAIRINGS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("formulation", ["ha", "ta"])
+def test_shared_level_matches_separate_pencils(formulation, bar_mesh, tape_mesh):
+    # the shared mesh, spaces, N_V factors and N_Q condensation of one
+    # level give every pairing the record of its own separate pencil
+    base = bar_mesh if formulation == "ha" else tape_mesh
+    meshes = [base, refine(base)]
+    reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in PAIRINGS})
+    for level, mesh in enumerate(meshes):
+        _sweep_level(mesh, formulation, PAIRINGS, NORMS, level, reports, 1.0)
+    assert reports.counters == {"mesh_levels": 0, "field_norm_factorizations": 4,
+                                "interior_factorizations": 2}
+    for level, mesh in enumerate(meshes):
+        sizes = reports.sizes[level]
+        for pair in PAIRINGS:
+            v_sp, q_sp = build_pairing(mesh, formulation, pair)
+            B = assemble_coupling_matrix(v_sp, q_sp)
+            eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, NORMS),
+                                    assemble_norm_matrix(q_sp, NORMS))
+            rec = reports[pair].records[level]
+            assert rec.delta_rel == mesh.delta
+            assert rec.beta == pytest.approx(eig.beta, rel=1e-10, abs=0.0)
+            assert rec.b_norm == pytest.approx(eig.b_norm, rel=1e-10, abs=0.0)
+            assert rec.n_nonzero == len(eig.eigenvalues)
+            assert sizes["field_free_dofs"][str(pair[0])] == v_sp.n_free
+            assert sizes["potential_free_dofs"][str(pair[1])] == q_sp.n_free
+        # every order-2 potential DOF beyond the order-1 ones is coupled
+        extra = sizes["potential_free_dofs"]["2"] - sizes["potential_free_dofs"]["1"]
+        assert sizes["coupled_rows"]["2"] - sizes["coupled_rows"]["1"] == extra
+        assert sizes["interior_dofs"] == (sizes["potential_free_dofs"]["2"]
+                                          - sizes["coupled_rows"]["2"])
+
+
+def _bubbles_first(space):
+    """The same potential space with its bubble DOFs numbered first."""
+    n_nodes = len(space.meta["a_nodes"])
+    order = list(range(n_nodes, space.n_dofs)) + list(range(n_nodes))
+    new = {old: k for k, old in enumerate(order)}
+    return DofSpace("A", space.enrichment, space.mesh, [space.entries[k] for k in order],
+                    {new[k]: v for k, v in space.essential.items()}, space.meta)
+
+
+def test_leading_rows_checks_the_hierarchy(bar_mesh):
+    _, q1 = build_pairing(bar_mesh, "ha", (1, 1))
+    v2, q2 = build_pairing(bar_mesh, "ha", (2, 2))
+    P = np.flatnonzero(np.diff(assemble_coupling_matrix(v2, q2).indptr))
+    n_p = _leading_rows(q1, q2, P, 0)
+    B11 = assemble_coupling_matrix(build_pairing(bar_mesh, "ha", (1, 1))[0], q1)
+    assert np.array_equal(P[:n_p], np.flatnonzero(np.diff(B11.indptr)))
+    with pytest.raises(HierarchyError, match="level 3: .* different interiors"):
+        _leading_rows(q1, q2, P[:-1], 3)
+    with pytest.raises(HierarchyError, match="level 2: .* not the leading DOFs"):
+        _leading_rows(q1, _bubbles_first(q2), P, 2)
+
+
+def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
+    def shuffled_a_space(mesh, enrichment=1, interface_tag=None):
+        space = build_a_space(mesh, enrichment, interface_tag)
+        return _bubbles_first(space) if enrichment == 2 else space
+    monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
+    with pytest.raises(HierarchyError, match="level 0"):
+        run_infsup_sweep(bar_params, "ha", [(1, 1), (1, 2)], 3, norms=NORMS)

@@ -4,9 +4,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsfem.linalg import (DegenerateCouplingError, SingularSystemError,
-                           export_eigenvalues_csv, infsup_eigenpairs,
-                           solve_sparse)
+from htsfem.linalg import (VERIFY_BLOCK, DegenerateCouplingError,
+                           SingularSystemError, _verify_pairs,
+                           export_eigenvalues_csv, factor_field_norm,
+                           infsup_eigenpairs, solve_sparse)
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -192,3 +193,31 @@ def test_eigenvalue_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "index,lambda,sqrt_lambda"
     assert len(lines) == n + 1
+
+
+def _pairs_over_two_blocks():
+    """A random pencil with one full and one partial block of eigenpairs
+    for the check, its field-norm factor and its pairs."""
+    rng = np.random.default_rng(4)
+    n_v = VERIFY_BLOCK + 13
+    B = sp.csr_matrix(rng.normal(size=(n_v + 5, n_v)))
+    N_V = sp.csr_matrix(random_spd(rng, n_v))
+    N_Q = sp.csr_matrix(random_spd(rng, n_v + 5))
+    res = infsup_eigenpairs(B, N_V, N_Q)
+    assert len(res.eigenvalues) == n_v
+    return B, factor_field_norm(N_V), N_Q, res.eigenvectors, res.eigenvalues
+
+
+def test_verify_pairs_checks_the_last_partial_block():
+    B, lu_v, N_Q, Q, lam = _pairs_over_two_blocks()
+    _verify_pairs(B, lu_v, N_Q, Q, lam)
+    bad = lam.copy()
+    bad[-1] *= 1.0 + 1e-5
+    with pytest.raises(SingularSystemError, match="eigenpair residual"):
+        _verify_pairs(B, lu_v, N_Q, Q, bad)
+
+
+def test_verify_pairs_rejects_euclidean_normalization():
+    B, lu_v, N_Q, Q, lam = _pairs_over_two_blocks()
+    with pytest.raises(SingularSystemError, match="norm-orthonormal"):
+        _verify_pairs(B, lu_v, N_Q, Q / np.linalg.norm(Q, axis=0), lam)
