@@ -4,35 +4,42 @@ and norm matrices.
 Conventions.  The unknown vector of a coupled system concatenates the
 field-side block V (h or t coefficients) and the potential block Q (a
 coefficients).  With B the interface coupling matrix (rows Q, columns
-V), one implicit-Euler iteration of either formulation assembles to
-the one symmetric block form
+V), one implicit-Euler iteration of either formulation is the one
+symmetric block form
 
-    [[ A_v,  B^T  ],
-     [ B,   -K_nu ]]
+    [[ A_v,  B^T  ]  [v]   [s_v]
+     [ B,   -K_nu ]] [a] = [ 0 ]
 
 where K_nu is the reluctivity stiffness of the linear a-side and A_v
 the field block: M + dt*K_rho for h-a (conductor mass plus
 differential-resistivity stiffness) and dt*D for t-a (the tape's
 differential-resistivity stiffness).  The t-a system is thus stored as
-the paper's form times -1, which has the same solution.  Essential
-constraints are eliminated symmetrically: constrained rows and columns
-are dropped and their contributions moved to the right-hand side.
+the paper's form times -1, which has the same solution.  The potential
+rows carry no source: the magnetic laws are linear.
 
-Only A_v depends on the Newton iterate.  K_nu and B (``linear_blocks``)
-are fixed for a given pair of spaces and magnetic laws, which are
-linear, so a transient run factors the free K_nu once and solves each
-iteration on the condensed field system (see ``htsfem.transient``).
+Only A_v and s_v depend on the Newton iterate, so an iteration
+assembles only those.  K_nu and B (``linear_blocks``) are fixed for a
+given pair of spaces and magnetic laws and are built once.  The field
+blocks are weighted curl-curl forms G^T diag(w) G, linear in the
+weights, and are filled on a fixed sparsity pattern by one sparse
+mat-vec (``_CurlForm``).  ``AssembledSystem`` evaluates residuals,
+backward errors and the right-hand side after the symmetric
+elimination of essential values on the blocks; the monolithic matrix
+and the eliminated system are derived from the blocks on first access,
+for tests and cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
+from .linalg import componentwise_error
 from .materials import MU0, Materials, de_dj, rho_power
 from .mesh import Interface, Mesh2D, Region
 from .spaces import DofSpace, trace_table, whitney_transform
@@ -68,21 +75,48 @@ class NormSpec:
                 raise AssemblyError(f"{name} must be positive")
 
 
+@dataclass(frozen=True)
+class LinearBlocks:
+    """The iterate-independent blocks of a coupled system on all DOFs:
+    the reluctivity stiffness K_nu and the coupling B, with B^T and the
+    potential rows [B, -K_nu] of the block form stored for mat-vecs,
+    and the entrywise absolute values that scale backward errors."""
+
+    K_nu: sp.csr_matrix
+    B: sp.csr_matrix
+    B_T: sp.csr_matrix
+    abs_B_T: sp.csr_matrix
+    q_rows: sp.csr_matrix
+    abs_q_rows: sp.csr_matrix
+
+    @classmethod
+    def of(cls, K_nu, B):
+        B_T = B.T.tocsr()
+        q_rows = sp.hstack([B, -K_nu], format="csr")
+        return cls(K_nu, B, B_T, abs(B_T), q_rows, abs(q_rows))
+
+
 @dataclass
 class AssembledSystem:
-    """One linear(ized) coupled system after symmetric elimination.
+    """One linearized coupled system in block form (see the module
+    docstring): the field block ``A_v`` on all field DOFs and its block
+    ``A_free`` on the free ones, the field right-hand side ``s_v``, the
+    fixed ``blocks`` and the essential values ``x_essential`` on all
+    DOFs of both spaces.
 
-    ``K`` and ``s`` live on the free DOFs, V block first.  The
-    unreduced operator ``K_full``/``s_full`` (on all DOFs of both
-    spaces) is kept for residual evaluation and reaction extraction.
+    The system is solved on the free DOFs, V block first, after
+    symmetric elimination; ``s_free`` is its right-hand side, computed
+    on the blocks.  The monolithic operator ``K_full`` on all DOFs and
+    the eliminated ``K``/``s`` are built from the blocks on first
+    access; the solver never uses them.
     """
 
-    K: sp.csr_matrix
-    s: np.ndarray
+    A_v: sp.csr_matrix
+    A_free: sp.csr_matrix
+    s_v: np.ndarray
+    blocks: LinearBlocks
     v_space: DofSpace
     q_space: DofSpace
-    K_full: sp.csr_matrix
-    s_full: np.ndarray
     x_essential: np.ndarray
 
     @property
@@ -90,20 +124,91 @@ class AssembledSystem:
         return self.v_space.n_free
 
     def free_indices(self) -> np.ndarray:
+        return self._free
+
+    @cached_property
+    def _free(self) -> np.ndarray:
         nv = self.v_space.n_dofs
         return np.concatenate([self.v_space.free, nv + self.q_space.free])
 
     def expand(self, x_free) -> np.ndarray:
         x = self.x_essential.copy()
-        x[self.free_indices()] = x_free
+        x[self._free] = x_free
         return x
 
     def split(self, x_full):
         nv = self.v_space.n_dofs
         return x_full[:nv], x_full[nv:]
 
-    def residual_full(self, x_full) -> np.ndarray:
-        return self.K_full @ x_full - self.s_full
+    def _product(self, x, absolute=False) -> np.ndarray:
+        """K_full x, or |K_full| x, on the blocks."""
+        lb = self.blocks
+        v, a = self.split(x)
+        if absolute:
+            return np.concatenate([self._abs_A_v @ v + lb.abs_B_T @ a, lb.abs_q_rows @ x])
+        return np.concatenate([self.A_v @ v + lb.B_T @ a, lb.q_rows @ x])
+
+    @cached_property
+    def _abs_A_v(self) -> sp.csr_matrix:
+        return abs(self.A_v)
+
+    def residual(self, v, a) -> np.ndarray:
+        """K_full x - s_full at x = (v, a), on all DOFs."""
+        return self._product(np.concatenate([v, a])) - self.s_full
+
+    def backward_error(self, v, a) -> float:
+        """Componentwise backward error of the full system at (v, a)
+        over the free rows, as ``linalg.backward_error`` of K_full and
+        s_full with ``rows`` the free indices."""
+        x = np.concatenate([v, a])
+        free = self._free
+        return componentwise_error(
+            (self._product(x) - self.s_full)[free],
+            (self._product(np.abs(x), absolute=True) + np.abs(self.s_full))[free])
+
+    def free_backward_error(self, x_free) -> float:
+        """Componentwise backward error of the eliminated system K x = s
+        at the free-DOF vector ``x_free``, as ``linalg.backward_error``
+        of K and s.  With the essential values set to zero, the free
+        rows of K_full act as K."""
+        x = np.zeros(len(self.x_essential))
+        x[self._free] = x_free
+        free, s = self._free, self.s_free
+        return componentwise_error(self._product(x)[free] - s,
+                                   self._product(np.abs(x), absolute=True)[free] + np.abs(s))
+
+    @cached_property
+    def s_full(self) -> np.ndarray:
+        """Right-hand side on all DOFs; the potential rows carry none."""
+        return np.concatenate([self.s_v, np.zeros(self.q_space.n_dofs)])
+
+    @cached_property
+    def s_free(self) -> np.ndarray:
+        """Right-hand side on the free DOFs: s_full minus the essential
+        columns of K_full times the essential values."""
+        x_ess = self.x_essential.copy()
+        x_ess[self._free] = 0.0
+        return (self.s_full - self._product(x_ess))[self._free]
+
+    # -- the monolithic system, derived from the blocks -------------------
+
+    @cached_property
+    def K_full(self) -> sp.csr_matrix:
+        K_nu, B = self.blocks.K_nu, self.blocks.B
+        return sp.bmat([[self.A_v, B.T], [B, -K_nu]], format="csr")
+
+    @cached_property
+    def _eliminated(self):
+        return _eliminate(self.K_full, self.s_full, self.v_space, self.q_space,
+                          self.x_essential)
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        return self._eliminated[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._eliminated[1]
 
 
 def export_matrix_market(M, path, symmetric=True):
@@ -237,26 +342,99 @@ def _h_mass(space, coeff):
     return cache[key]
 
 
-def _h_stiffness(space, tri_weights):
-    """Weighted curl-curl of the H space on all DOFs; bubbles are
-    gradients and carry no curl."""
-    mesh = space.mesh
+class _CurlForm:
+    """The weighted curl-curl form K(w) = G^T diag(omega w) G of a field
+    space, plus an optional fixed ``base`` matrix.
+
+    G (n_qp x n_dofs) maps coefficients to the curl at the quadrature
+    points: the constant curl on each conducting triangle for H, the
+    surface current dt/ds at the Gauss points of each tape segment for
+    T.  ``omega`` holds the quadrature weights.  K(w) is linear in w, so
+    on the fixed pattern of base + G^T G its CSR data is P w plus the
+    base's data, for a sparse P (pattern entries x n_qp) built once.
+    The block on the ``free`` DOFs is a fixed selection of that data.
+    """
+
+    def __init__(self, G, omega, free, base=None):
+        G = sp.csr_matrix(G)
+        G.sum_duplicates()
+        n = G.shape[1]
+        self.G, self._Gt, self._omega = G, G.T.tocsr(), omega
+        # every pair (p, q) of entries in one row of G adds
+        # omega * G_p * G_q at (col p, col q)
+        row_len = np.diff(G.indptr)
+        row = np.repeat(np.arange(G.shape[0]), row_len)
+        width = row_len[row]
+        p = np.repeat(np.arange(G.nnz), width)
+        first = np.repeat(np.cumsum(width) - width, width)
+        q = G.indptr[row[p]] + np.arange(len(p)) - first
+        keys = G.indices[p].astype(np.int64) * n + G.indices[q]
+        base = sp.coo_matrix((n, n) if base is None else base)
+        base.sum_duplicates()
+        base_keys = base.row.astype(np.int64) * n + base.col
+        pattern = np.unique(np.concatenate([keys, base_keys]))
+        self._P = sp.csr_matrix(
+            (omega[row[p]] * G.data[p] * G.data[q], (np.searchsorted(pattern, keys), row[p])),
+            shape=(len(pattern), G.shape[0]))
+        self._base = np.zeros(len(pattern))
+        self._base[np.searchsorted(pattern, base_keys)] = base.data
+        self._indices = (pattern % n).astype(np.int32)
+        self._indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
+        self._shape = (n, n)
+        # the pattern entries in free rows and columns, renumbered
+        renum = np.full(n, -1, dtype=np.int64)
+        renum[free] = np.arange(len(free))
+        rows, cols = renum[pattern // n], renum[pattern % n]
+        self._free_pos = np.flatnonzero((rows >= 0) & (cols >= 0))
+        self._free_indices = cols[self._free_pos].astype(np.int32)
+        self._free_indptr = np.searchsorted(rows[self._free_pos],
+                                            np.arange(len(free) + 1)).astype(np.int32)
+
+    def matrix(self, w) -> sp.csr_matrix:
+        """base + K(w) on the fixed pattern."""
+        return sp.csr_matrix((self._P @ w + self._base, self._indices, self._indptr),
+                             shape=self._shape)
+
+    def free_block(self, A) -> sp.csr_matrix:
+        """The block of free rows and columns of a ``matrix`` result."""
+        n = len(self._free_indptr) - 1
+        return sp.csr_matrix((A.data[self._free_pos], self._free_indices,
+                              self._free_indptr), shape=(n, n))
+
+    def apply(self, w, u) -> np.ndarray:
+        """K(w) u without forming K(w)."""
+        return self._Gt @ (self._omega * w * (self.G @ u))
+
+
+def _curl_form(space, mass=0.0) -> _CurlForm:
+    """The space's curl-curl form (see ``_CurlForm``) with the base
+    ``mass`` times the H mass matrix, cached per mass coefficient."""
     cache = _space_cache(space)
-    if "h_stiff_geom" not in cache:
+    key = ("curl_form", float(mass))
+    if key in cache:
+        return cache[key]
+    if space.family == "H":
+        mesh = space.mesh
         tri_ids = space.meta["sc_tris"]
         sc_edges, C = whitney_transform(space)
         pos = np.full(len(mesh.edges), -1, dtype=np.int64)
         pos[sc_edges] = np.arange(len(sc_edges))
-        _, curls, areas = _whitney_local(mesh, tri_ids)
-        eids = pos[mesh.tri_edges[tri_ids]]
-        rows = np.repeat(eids, 3, axis=1)
-        cols = np.tile(eids, (1, 3))
-        cache["h_stiff_geom"] = (curls, areas, rows, cols, len(sc_edges), C)
-    curls, areas, rows, cols, n_rows, C = cache["h_stiff_geom"]
-    w = np.asarray(tri_weights, dtype=float)
-    loc = np.einsum("t,te,tf->tef", w * areas, curls, curls)
-    Kw = _scatter(rows, cols, loc.reshape(len(areas), 9), (n_rows, n_rows))
-    return (C.T @ Kw @ C).tocsr()
+        _, curls, omega = _whitney_local(mesh, tri_ids)
+        rows = np.repeat(np.arange(len(tri_ids)), 3)
+        G = _scatter(rows, pos[mesh.tri_edges[tri_ids]], curls,
+                     (len(tri_ids), len(sc_edges))) @ C
+    else:
+        tab = trace_table(space)
+        n_seg = len(tab.lens)
+        rows = np.arange(n_seg * len(LINE_QP)).reshape(n_seg, 1, len(LINE_QP))
+        dofs = np.broadcast_to(tab.dofs[:, :, None], tab.dofs.shape + (len(LINE_QP),))
+        has = dofs >= 0
+        G = _scatter(np.broadcast_to(rows, has.shape)[has], dofs[has],
+                     tab.values(LINE_QP)[has], (rows.size, space.n_dofs))
+        omega = (LINE_QW[None, :] * tab.lens[:, None]).ravel()
+    base = _h_mass(space, mass) if mass else None
+    cache[key] = _CurlForm(G, omega, space.free, base)
+    return cache[key]
 
 
 def _a_stiffness(space, nu_per_tri):
@@ -283,17 +461,6 @@ def _a_stiffness(space, nu_per_tri):
              + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, w), shape))
     cache[key] = K.tocsr()
     return cache[key]
-
-
-def _t_stiffness(space, qp_weights):
-    """1D weighted curl-curl over the tape: entries
-    int w(s) (dpsi_i/ds)(dpsi_j/ds) ds with ``qp_weights`` broadcast to
-    (n_segments, 3), the weight at the Gauss points of each segment."""
-    tab = trace_table(space)
-    w = np.broadcast_to(np.asarray(qp_weights, dtype=float), (len(tab.lens), len(LINE_QP)))
-    fv = tab.values(LINE_QP)
-    loc = np.einsum("sq,siq,sjq->sij", LINE_QW * w, fv, fv) * tab.lens[:, None, None]
-    return _masked_scatter(tab.dofs, tab.dofs, loc, (space.n_dofs,) * 2)
 
 
 def tape_element_size(mesh: Mesh2D) -> float:
@@ -347,8 +514,8 @@ def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace) -> sp.csr_mat
 def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
     """Stability-norm Gram matrix on the free DOFs (SPD)."""
     if space.family == "H":
-        tri_w = np.full(len(space.meta["sc_tris"]), norms.dt0 * norms.rho0)
-        N = _h_mass(space, norms.mu0) + _h_stiffness(space, tri_w)
+        form = _curl_form(space, norms.mu0)     # bubbles carry no curl
+        N = form.matrix(np.full(form.G.shape[0], norms.dt0 * norms.rho0))
     elif space.family == "A":
         if not space.essential:
             raise SingularNormError("potential norm needs an essential trace")
@@ -356,7 +523,9 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
         N = _a_stiffness(space, nu)
     elif space.family == "T":
         delta = tape_element_size(space.mesh) if norms.mesh_dependent else 1.0
-        N = _t_stiffness(space, delta * space.mesh.w * norms.dt0 * norms.rho0)
+        form = _curl_form(space)
+        N = form.matrix(np.full(form.G.shape[0],
+                                delta * space.mesh.w * norms.dt0 * norms.rho0))
     else:
         raise AssemblyError(f"unknown family {space.family}")
     return N[space.free][:, space.free].tocsr()
@@ -402,33 +571,34 @@ def _circuit_rhs(space, dt, voltages=None):
 
 
 def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
-                  materials: Materials):
-    """The iterate-independent blocks (K_nu, B) of every coupled
-    iteration, on all DOFs; both are cached on the potential space."""
-    return (_a_stiffness(q_space, _region_nu(mesh, q_space, materials)),
-            _coupling_full(v_space, q_space))
+                  materials: Materials) -> LinearBlocks:
+    """The iterate-independent blocks of every coupled iteration, on
+    all DOFs, cached on the potential space."""
+    K_nu = _a_stiffness(q_space, _region_nu(mesh, q_space, materials))
+    B = _coupling_full(v_space, q_space)
+    cache = _space_cache(q_space)
+    blocks = cache.get("linear_blocks")
+    if blocks is None or blocks.K_nu is not K_nu or blocks.B is not B:
+        blocks = LinearBlocks.of(K_nu, B)
+        cache["linear_blocks"] = blocks
+    return blocks
 
 
-def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, A_v, field_rhs,
+def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, form, w, field_rhs,
                        dt, v_essential, a_essential, voltages) -> AssembledSystem:
-    """The coupled block system around the field block ``A_v``: the
-    linear a-side, the interface coupling, the right-hand side
-    B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)
-    and the symmetric elimination."""
-    K_nu, B = linear_blocks(mesh, v_space, q_space, materials)
-    K_full = sp.bmat([[A_v, B.T], [B, -K_nu]], format="csr")
-
-    s_v = B.T @ a_prev
+    """The coupled block system around the field block ``form.matrix(w)``,
+    with the field right-hand side B^T a_prev + sum(field_rhs) + circuit
+    terms (summed in that order)."""
+    blocks = linear_blocks(mesh, v_space, q_space, materials)
+    A_v = form.matrix(w)
+    s_v = blocks.B_T @ a_prev
     for term in field_rhs:
         s_v = s_v + term
     s_v = s_v + _circuit_rhs(v_space, dt, voltages)
-    s_full = np.concatenate([s_v, np.zeros(q_space.n_dofs)])   # linear magnetic laws
-
     x_ess = np.concatenate([
         v_essential if v_essential is not None else v_space.essential_full(),
         a_essential if a_essential is not None else q_space.essential_full()])
-    K, s = _eliminate(K_full, s_full, v_space, q_space, x_ess)
-    return AssembledSystem(K, s, v_space, q_space, K_full, s_full, x_ess)
+    return AssembledSystem(A_v, form.free_block(A_v), s_v, blocks, v_space, q_space, x_ess)
 
 
 def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
@@ -440,10 +610,11 @@ def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     ``state_prev`` and ``iterate`` are (h_full, a_full) coefficient
     pairs at the previous time step and previous Newton iterate.  The
     essential-value vectors hold the constrained values at the new
-    time; they default to the build-time values.
+    time; they default to the build-time values.  The field block is
+    M + dt K(de/dj) and the field right-hand side
+    B^T a_prev + M h_prev - dt K(rho - de/dj) h_it + circuit terms,
+    with K(w) the curl-curl form weighted by w per conducting triangle.
     """
-    from .spaces import elementwise_curl_h
-
     h_prev, a_prev = state_prev
     h_it, _ = iterate
     if len(h_prev) != h_space.n_dofs or len(a_prev) != a_space.n_dofs:
@@ -451,17 +622,17 @@ def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     if np.any(~np.isfinite(h_it)):
         raise AssemblyError("non-finite Newton iterate")
 
-    _, j = elementwise_curl_h(h_space, h_it)
+    form = _curl_form(h_space, MU0)
+    j = form.G @ h_it
     dedj = de_dj(j, materials.power)
     rho = rho_power(j, materials.power)
     if np.any(~np.isfinite(dedj)):
         raise AssemblyError("non-finite material evaluation")
 
-    M = _h_mass(h_space, MU0)
-    K_rho = _h_stiffness(h_space, dt * dedj)
-    field_rhs = (M @ h_prev, -(_h_stiffness(h_space, dt * (rho - dedj)) @ h_it))
-    return _coupled_iteration(mesh, h_space, a_space, materials, a_prev, M + K_rho,
-                              field_rhs, dt, v_essential, a_essential, voltages)
+    field_rhs = (_h_mass(h_space, MU0) @ h_prev, -form.apply(dt * (rho - dedj), h_it))
+    return _coupled_iteration(mesh, h_space, a_space, materials, a_prev, form,
+                              dt * dedj, field_rhs, dt, v_essential, a_essential,
+                              voltages)
 
 
 def assemble_ta_iteration(mesh: Mesh2D, t_space: DofSpace, a_space: DofSpace,
@@ -469,18 +640,23 @@ def assemble_ta_iteration(mesh: Mesh2D, t_space: DofSpace, a_space: DofSpace,
                           a_essential=None, v_essential=None,
                           voltages=None) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler t-a system, stored as
-    the paper's form times -1 (see the module docstring)."""
+    the paper's form times -1 (see the module docstring).  The field
+    block is dt w D(de/dj) and the field right-hand side
+    B^T a_prev - dt w D(rho - de/dj) t_it + circuit terms, with D(w) the
+    tape curl-curl form weighted at the Gauss points and w the tape
+    width."""
     t_prev, a_prev = state_prev
     t_it, _ = iterate
     if len(t_prev) != t_space.n_dofs or len(a_prev) != a_space.n_dofs:
         raise AssemblyError("state vectors do not match the spaces")
     w = mesh.w
 
-    j_qp = tape_current_density(t_space, t_it, at_qp=True)
+    form = _curl_form(t_space)
+    j_qp = form.G @ t_it
     dedj = de_dj(j_qp, materials.power)
     rho = rho_power(j_qp, materials.power)
 
-    D = _t_stiffness(t_space, dt * w * dedj)
-    field_rhs = (-(_t_stiffness(t_space, dt * w * (rho - dedj)) @ t_it),)
-    return _coupled_iteration(mesh, t_space, a_space, materials, a_prev, D,
-                              field_rhs, dt, v_essential, a_essential, voltages)
+    field_rhs = (-form.apply(dt * w * (rho - dedj), t_it),)
+    return _coupled_iteration(mesh, t_space, a_space, materials, a_prev, form,
+                              dt * w * dedj, field_rhs, dt, v_essential, a_essential,
+                              voltages)

@@ -76,15 +76,21 @@ def solve_sparse(K, s) -> np.ndarray:
 
 def backward_error(K, x, s, rows=None) -> float:
     """Componentwise backward error max_i |K x - s|_i / (|K| |x| + |s|)_i
-    over ``rows`` (all by default).  It does not depend on the units of
-    the blocks; a row whose scale is below 1e-14 of the largest is
-    measured against that floor."""
-    F = np.abs(K @ x - s)
+    over ``rows`` (all by default); see ``componentwise_error``."""
+    F = K @ x - s
     scale = abs(K) @ np.abs(x) + np.abs(s)
     if rows is not None:
         F, scale = F[rows], scale[rows]
+    return componentwise_error(F, scale)
+
+
+def componentwise_error(F, scale) -> float:
+    """max_i |F_i| / scale_i for a residual F and its row scales
+    (|K| |x| + |s|).  It does not depend on the units of the blocks; a
+    row whose scale is below 1e-14 of the largest is measured against
+    that floor."""
     floor = scale.max() * 1e-14 + 1e-300
-    return float((F / np.maximum(scale, floor)).max())
+    return float((np.abs(F) / np.maximum(scale, floor)).max())
 
 
 def _factor(K, what, **options):
@@ -95,17 +101,25 @@ def _factor(K, what, **options):
         raise SingularSystemError(f"{what} factorization failed: {err}") from err
 
 
+INTERFACE_BLOCK = 64    # coupled columns solved at a time
+
+
 def interface_term(lu, B):
     """The interface term of a factored SPD block K and a coupling B.
 
     Returns (cols, X, T): the columns of B with structural nonzeros,
     X = K^{-1} Bs for the matrix Bs of those columns (``lu`` is the
-    factor of K) and the symmetrized dense T = Bs^T X.
+    factor of K) and the symmetrized dense T = Bs^T X.  The columns are
+    solved INTERFACE_BLOCK at a time into X, so that beside X only one
+    block of the dense right-hand side is held.
     """
     B = sp.csc_matrix(B)
     cols = np.flatnonzero(np.diff(B.indptr))
     Bs = B[:, cols]
-    X = lu.solve(Bs.toarray())
+    X = np.empty((B.shape[0], len(cols)), order="F")
+    for start in range(0, len(cols), INTERFACE_BLOCK):
+        b = slice(start, start + INTERFACE_BLOCK)
+        X[:, b] = lu.solve(Bs[:, b].toarray())
     if not np.all(np.isfinite(X)):
         raise SingularSystemError("singular pivot in the block factorization")
     T = np.asarray(Bs.T @ X)

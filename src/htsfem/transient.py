@@ -14,16 +14,27 @@ assembly only.
 
 Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
-iteration of a run.  ``run_transient`` factors K_nu once and forms the
-dense interface term B^T K_nu^{-1} B on the field columns that B
-couples (``linalg.InterfaceSchur``).  Each iteration then solves only
-the condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
+iteration of a run; an iteration assembles only the field block A_v
+and the field right-hand side s_v (``htsfem.assembly``).
+``run_transient`` factors the free K_nu once and forms the dense
+interface term B^T K_nu^{-1} B on the field columns that B couples
+(``linalg.InterfaceSchur``).  Each iteration then solves only the
+condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
 ``solve_sparse`` and recovers a = K_nu^{-1} B v - z by one
 back-substitution.  The lift z = K_nu^{-1} s_q is formed once per step
-attempt, as s_q holds only essential values.  The combined solution
-must have a componentwise backward error of at most 1e-10 on the full
-free system, else the step is halved as after a failed solve; Newton
-convergence is judged on the componentwise residual of the full system.
+attempt, as s_q holds only essential values.
+
+Every test of a solution is made on the blocks, never on an assembled
+monolithic matrix.  The combined solution must have a componentwise
+backward error of at most 1e-10 on the free system, else the step is
+halved as after a failed solve.  Newton convergence and backtracking
+are judged on the componentwise backward error of the full system over
+the free rows: the field rows A_v v + B^T a - s_v against
+|A_v||v| + |B^T||a| + |s_v|, the potential rows B v - K_nu a against
+|B||v| + |K_nu||a|, with |K_nu| and |B| formed once.  A backtracking
+trial (v, a) + damping (dv, da) is linear in the solution and needs no
+further back-substitution.  The circuit reactions are the field rows'
+residuals at the accepted iterate.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import assemble_ha_iteration, assemble_ta_iteration, linear_blocks
-from .linalg import InterfaceSchur, SingularSystemError, backward_error, solve_sparse
+from .linalg import InterfaceSchur, SingularSystemError, solve_sparse
 from .materials import Materials
 from .spaces import essential_vector
 
@@ -99,9 +110,12 @@ class TimeHistory:
     """Accepted steps of a transient run (full coefficient vectors).
 
     ``sizes`` holds the free field and potential DOF counts and the
-    number of interface columns; ``counters`` the a-block
+    number of interface columns.  ``counters`` holds the a-block
     factorizations, the condensed field solves (failed attempts
-    included) and the fill of the a-block factor."""
+    included), the fill of the a-block factor, the rejected step
+    attempts, the step halvings and the backtracking trials (trial
+    iterates at a damping below 1).  ``drive_values`` holds the imposed
+    current or voltage of each circuit at each accepted step."""
 
     formulation: str
     times: list = field(default_factory=list)
@@ -149,14 +163,15 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     assemble = assemble_ha_iteration if formulation == "ha" else assemble_ta_iteration
 
     hist = TimeHistory(formulation)
-    K_nu, B = linear_blocks(mesh, v_space, q_space, materials)
+    blocks = linear_blocks(mesh, v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
-    schur = InterfaceSchur(K_nu[qf][:, qf], B[qf][:, vf])
+    schur = InterfaceSchur(blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
     hist.sizes = {"field_free_dofs": int(v_space.n_free),
                   "potential_free_dofs": int(q_space.n_free),
                   "interface_columns": len(schur.cols)}
     hist.counters = {"a_factorizations": 1, "field_solves": 0,
-                     "a_factor_fill": schur.fill}
+                     "a_factor_fill": schur.fill, "rejected_attempts": 0,
+                     "step_halvings": 0, "backtracking_trials": 0}
     ids = [c.id for c in v_space.circuits]
     for cid in ids:
         hist.reactions[cid] = []
@@ -188,12 +203,14 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                                       (v_prev, q_prev), dt_cur, v_ess, q_ess,
                                       voltages, time, schur, hist.counters)
             except (NonConvergenceError, SingularSystemError) as err:
+                hist.counters["rejected_attempts"] += 1
                 if halvings >= time.max_halvings:
                     trace_r = getattr(err, "residuals", None)
                     raise NonConvergenceError(
                         f"step {step_idx} failed after {halvings} halvings: {err}",
                         step=step_idx, residuals=trace_r, t=t_new, dt=dt_cur) from err
                 halvings += 1
+                hist.counters["step_halvings"] += 1
                 dt_cur *= 0.5
                 continue
             accepted = True
@@ -206,12 +223,11 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         hist.newton_iters.append(iters)
         hist.final_residuals.append(res_trace[-1])
         hist.residual_traces.append(res_trace)
-        x_full = np.concatenate([v_new, q_new])
-        r_full = sys.residual_full(x_full)
+        r_full = sys.residual(v_new, q_new)
+        imposed = {**currents, **voltages}
         for cid in ids:
             hist.reactions[cid].append(float(r_full[v_space.dof("global", cid)]))
-            mode, ramp = time.drives.get(cid, (None, None))
-            hist.drive_values[cid].append(ramp(t_new) if ramp is not None else 0.0)
+            hist.drive_values[cid].append(imposed[cid])
 
         v_prev, q_prev = v_new, q_new
         t = t_new
@@ -225,12 +241,11 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
 def _solve_condensed(sys, schur: InterfaceSchur, lift):
     """Free-DOF solution of ``sys`` through the condensed field system
     and the step attempt's ``lift``.  The componentwise backward error on
-    the full free system gates it: a normwise residual is dominated by
-    the flux-potential rows and misses errors of the field block."""
-    n = sys.n_v_free
-    v = solve_sparse(*schur.condense(sys.K[:n, :n], sys.s[:n], lift))
+    the free system gates it: a normwise residual is dominated by the
+    flux-potential rows and misses errors of the field block."""
+    v = solve_sparse(*schur.condense(sys.A_free, sys.s_free[:sys.n_v_free], lift))
     x = np.concatenate([v, schur.recover(v, lift)])
-    err = backward_error(sys.K, x, sys.s)
+    err = sys.free_backward_error(x)
     if not err <= 1e-10:
         raise SingularSystemError(f"condensed solve residual {err:.3e} exceeds 1e-10")
     return x
@@ -254,21 +269,16 @@ def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
                         voltages=voltages)
 
     sys = reassemble((v_it, q_it))
-
-    def rel_residual(system, v_full, q_full):
-        # componentwise backward error: robust to the disparate block
-        # scalings of the coupled systems (the tape block carries the
-        # thickness factor)
-        return backward_error(system.K_full, np.concatenate([v_full, q_full]),
-                              system.s_full, rows=system.free_indices())
-
-    r = rel_residual(sys, v_it, q_it)
+    # componentwise backward error: robust to the disparate block
+    # scalings of the coupled systems (the tape block carries the
+    # thickness factor)
+    r = sys.backward_error(v_it, q_it)
     trace = [r]
     iters = 0
     inc = np.inf
     while r > time.rel_residual_tol and iters < time.max_iter:
         if iters == 0:              # s_q holds only the essential values
-            lift = schur.lift(sys.s[sys.n_v_free:])
+            lift = schur.lift(sys.s_free[sys.n_v_free:])
         counters["field_solves"] += 1
         x_full = sys.expand(_solve_condensed(sys, schur, lift))
         x_old = np.concatenate([v_it, q_it])
@@ -278,8 +288,10 @@ def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
         for _ in range(4):
             x_try = x_old + damping * step
             v_try, q_try = sys.split(x_try)
+            if damping < 1.0:
+                counters["backtracking_trials"] += 1
             sys_try = reassemble((v_try, q_try))
-            r_try = rel_residual(sys_try, v_try, q_try)
+            r_try = sys_try.backward_error(v_try, q_try)
             if r_try < r or damping <= 0.125:
                 break
             damping *= 0.5

@@ -1,5 +1,8 @@
-"""The condensed Newton solve (a-block factored once, interface-condensed
-field system) against the monolithic solve of the same assembled system."""
+"""The block form of a Newton iteration against the straightforward
+monolithic path: the condensed solve (a-block factored once,
+interface-condensed field system) against the monolithic solve, the
+field-block kernels against element-by-element scatter assembly, and
+the blockwise backward errors against those of the monolithic system."""
 
 from types import SimpleNamespace
 
@@ -8,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsfem.assembly import (assemble_ha_iteration, assemble_ta_iteration,
+from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _whitney_local,
+                             assemble_ha_iteration, assemble_ta_iteration,
                              linear_blocks, tape_current_density)
-from htsfem.linalg import InterfaceSchur, SingularSystemError, solve_sparse
+from htsfem.linalg import InterfaceSchur, SingularSystemError, backward_error, solve_sparse
+from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
+from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           elementwise_curl_h, essential_vector)
+                           elementwise_curl_h, essential_vector, trace_table,
+                           whitney_transform)
 from htsfem.transient import _solve_condensed
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
@@ -40,7 +47,8 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
             v = build_t_space(mesh, i, {0: ("current", 0.0)})
             q = build_a_space(mesh, j, Interface.GAMMA_W)
-        K_nu, B = linear_blocks(mesh, v, q, mats)
+        blocks = linear_blocks(mesh, v, q, mats)
+        K_nu, B = blocks.K_nu, blocks.B
         cases[form, i, j] = SimpleNamespace(
             mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, K_nu=K_nu, B=B,
             schur=_factor(v, q, K_nu, B), i_c=CRITICAL_CURRENT[form],
@@ -132,3 +140,83 @@ def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
     broken = _factor(case.v, case.q, case.K_nu, case.B, cls=_DroppedLift)
     with pytest.raises(SingularSystemError):
         _solve_condensed(sys, broken, _lift(sys, broken))
+
+
+def _h_stiffness_scatter(space, tri_weights):
+    """Weighted curl-curl of an H space by element-by-element scatter of
+    the local blocks w * area * c c^T onto the Whitney edges, mapped to
+    the space's DOFs."""
+    mesh = space.mesh
+    tri_ids = space.meta["sc_tris"]
+    sc_edges, C = whitney_transform(space)
+    pos = np.full(len(mesh.edges), -1, dtype=np.int64)
+    pos[sc_edges] = np.arange(len(sc_edges))
+    _, curls, areas = _whitney_local(mesh, tri_ids)
+    eids = pos[mesh.tri_edges[tri_ids]]
+    loc = np.einsum("t,te,tf->tef", tri_weights * areas, curls, curls)
+    Kw = _scatter(np.repeat(eids, 3, axis=1), np.tile(eids, (1, 3)),
+                  loc.reshape(len(areas), 9), (len(sc_edges),) * 2)
+    return (C.T @ Kw @ C).tocsr()
+
+
+def _t_stiffness_scatter(space, qp_weights):
+    """Weighted tape curl-curl by scatter of the per-segment blocks."""
+    tab = trace_table(space)
+    fv = tab.values(LINE_QP)
+    loc = np.einsum("sq,siq,sjq->sij", LINE_QW * qp_weights, fv, fv) * tab.lens[:, None, None]
+    return _masked_scatter(tab.dofs, tab.dofs, loc, (space.n_dofs,) * 2)
+
+
+def _close(x, ref, rtol):
+    x, ref = (np.asarray(y.toarray() if hasattr(y, "toarray") else y) for y in (x, ref))
+    return np.abs(x - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+def test_field_block_matches_scatter_assembly(coupled, form, i, j):
+    case = coupled(form, i, j)
+    rng = np.random.default_rng(3)
+    dt = 0.01
+    v_prev, v_it = case.sample(rng), case.sample(rng)
+    a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
+    sys = case.assemble(case.mesh, case.v, case.q, case.mats, (v_prev, a_prev),
+                        (v_it, a_prev), dt)
+    if form == "ha":
+        j_it = elementwise_curl_h(case.v, v_it)[1]
+        scale, stiffness = dt, _h_stiffness_scatter
+        M = _h_mass(case.v, MU0)
+        A_ref, s_ref = M, M @ v_prev
+    else:
+        j_it = tape_current_density(case.v, v_it, at_qp=True)
+        scale, stiffness = dt * case.mesh.w, _t_stiffness_scatter
+        A_ref, s_ref = 0.0, 0.0
+    dedj = de_dj(j_it, case.mats.power)
+    rho = rho_power(j_it, case.mats.power)
+    A_ref = A_ref + stiffness(case.v, scale * dedj)
+    rhs_term = stiffness(case.v, scale * (rho - dedj)) @ v_it
+    s_ref = case.B.T @ a_prev + s_ref - rhs_term
+    assert _close(sys.A_v, A_ref, 1e-13)
+    assert _close(sys.A_free, A_ref[case.v.free][:, case.v.free], 1e-13)
+    assert _close(sys.s_v, s_ref, 1e-13)
+    # the nonlinear right-hand-side term K(w) v_it, formed without K(w)
+    w_rhs = np.ravel(scale * (rho - dedj))
+    assert _close(_curl_form(case.v).apply(w_rhs, v_it), rhs_term, 1e-13)
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-3.0, -1.0),
+       drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_dt,
+                                                drive, b_ext):
+    case = coupled(form, i, j)
+    rng = np.random.default_rng(seed)
+    sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
+    v, a = case.sample(rng), 1e-3 * rng.standard_normal(case.q.n_dofs)
+    x = np.concatenate([v, a])
+    free = sys.free_indices()
+    ref = backward_error(sys.K_full, x, sys.s_full, rows=free)
+    assert abs(sys.backward_error(v, a) - ref) <= 1e-12 * ref
+    ref = backward_error(sys.K, x[free], sys.s)
+    assert abs(sys.free_backward_error(x[free]) - ref) <= 1e-12 * ref
+    assert _close(sys.s_free, sys.s, 1e-13)

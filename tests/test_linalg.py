@@ -4,10 +4,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsfem.linalg import (VERIFY_BLOCK, DegenerateCouplingError,
+from htsfem import linalg
+from htsfem.linalg import (INTERFACE_BLOCK, VERIFY_BLOCK, DegenerateCouplingError,
                            SingularSystemError, _verify_pairs,
                            export_eigenvalues_csv, factor_field_norm,
-                           infsup_eigenpairs, solve_sparse)
+                           infsup_eigenpairs, interface_term, solve_sparse)
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -221,3 +222,25 @@ def test_verify_pairs_rejects_euclidean_normalization():
     B, lu_v, N_Q, Q, lam = _pairs_over_two_blocks()
     with pytest.raises(SingularSystemError, match="norm-orthonormal"):
         _verify_pairs(B, lu_v, N_Q, Q / np.linalg.norm(Q, axis=0), lam)
+
+
+@pytest.mark.parametrize("block", [7, INTERFACE_BLOCK])
+def test_interface_term_blocks_match_unblocked_solve(monkeypatch, block):
+    # 2 * INTERFACE_BLOCK + 13 coupled columns: full blocks and a last
+    # partial one at either width
+    rng = np.random.default_rng(11)
+    n, k = 300, 2 * INTERFACE_BLOCK + 13
+    K = sp.csr_matrix(random_spd(rng, n))
+    B = np.where(rng.random((n, k + 9)) < 0.05, rng.normal(size=(n, k + 9)), 0.0)
+    B[rng.integers(n, size=k), np.arange(k)] = 1.0       # k coupled columns ...
+    B[:, k:] = 0.0                                       # ... and 9 empty ones
+    B = sp.csc_matrix(B)
+    lu = factor_field_norm(K)
+    monkeypatch.setattr(linalg, "INTERFACE_BLOCK", block)
+    cols, X, T = interface_term(lu, B)
+    assert np.array_equal(cols, np.arange(k))
+    X_ref = lu.solve(B[:, cols].toarray())
+    T_ref = B[:, cols].T @ X_ref
+    T_ref = 0.5 * (T_ref + T_ref.T)
+    assert np.abs(X - X_ref).max() <= 1e-14 * np.abs(X_ref).max()
+    assert np.abs(T - T_ref).max() <= 1e-14 * np.abs(T_ref).max()

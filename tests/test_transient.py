@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from htsfem import transient
+from htsfem.linalg import SingularSystemError, backward_error
 from htsfem.materials import Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_t_space
@@ -289,3 +291,89 @@ def test_snapshot_writer_matches_fstring_formatter(tmp_path):
     for k, (t, dt, v, q) in enumerate(back):
         assert np.array_equal(v, hist.v[k]) and np.array_equal(q, hist.q[k])
         assert np.array_equal(np.signbit(v), np.signbit(hist.v[k]))
+
+
+def test_drive_values_record_the_imposed_values(small_tape):
+    # a ramped circuit records its ramp; an unramped one records the
+    # build-time value it is held at
+    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    ramp = ramp_then_hold(1.5, 0.15, 0.3)
+    for mode, value, drives in (("current", 1.5, {0: ("current", ramp)}),
+                                ("current", 0.7, {}),
+                                ("voltage", 1e-4, {})):
+        t = build_t_space(small_tape, 1, {0: (mode, value)})
+        tc = TimeConfig(dt=0.1, t_end=0.3, drives=drives, rel_residual_tol=1e-10)
+        hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+        expected = [ramp(tk) if drives else value for tk in hist.times]
+        assert hist.drive_values[0] == expected
+
+
+def test_counters_record_a_forced_halving(small_tape, monkeypatch):
+    calls = []
+
+    def fail_first(K, s):
+        calls.append(len(s))
+        if len(calls) == 1:
+            raise SingularSystemError("refused for the test")
+        return transient.solve_sparse.__wrapped__(K, s)
+
+    fail_first.__wrapped__ = transient.solve_sparse
+    monkeypatch.setattr(transient, "solve_sparse", fail_first)
+    t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
+    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    tc = TimeConfig(dt=0.1, t_end=0.3,
+                    drives={0: ("current", ramp_then_hold(1.0, 0.15, 0.3))},
+                    rel_residual_tol=1e-10)
+    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+    c = hist.counters
+    assert c["rejected_attempts"] == 1 and c["step_halvings"] == 1
+    assert hist.dts[0] == 0.05
+    assert c["field_solves"] == len(calls) == sum(hist.newton_iters) + 1
+    assert c["backtracking_trials"] == 0          # linear: every full step is taken
+
+
+@pytest.fixture
+def tape_power_case(tape_mesh, tape_materials_power):
+    I0 = 0.5 * JC * tape_mesh.w * WIDTH
+    t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
+    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    tc = TimeConfig(dt=0.025, t_end=0.2,
+                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
+    return tape_mesh, (t, a), tape_materials_power, tc, "ta"
+
+
+@pytest.fixture
+def bar_power_case(bar_mesh, bar_spaces_11, bar_materials_power):
+    tc = TimeConfig(dt=0.025, t_end=0.2, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
+                    drives={0: ("current", ramp_then_hold(0.0, 0.5, 1.0))})
+    return bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha"
+
+
+@pytest.mark.parametrize("case", ["bar_power_case", "tape_power_case"])
+def test_final_residuals_match_monolithic(request, monkeypatch, case):
+    # the Newton measure, evaluated on the blocks, against the backward
+    # error of the monolithic system at each accepted iterate
+    mesh, spaces, mats, tc, form = request.getfixturevalue(case)
+    name = f"assemble_{form}_iteration"
+    assemble = getattr(transient, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        sys = assemble(*args, **kwargs)
+        calls.append((args[4][0], np.concatenate(args[5]), args[6], sys))
+        return sys
+
+    monkeypatch.setattr(transient, name, recording)
+    hist = run_transient(mesh, spaces, mats, tc, form)
+    if hist.counters["rejected_attempts"] == 0:
+        # one assembly per attempt, per Newton iteration and per trial
+        assert len(calls) == (hist.n_steps + sum(hist.newton_iters)
+                              + hist.counters["backtracking_trials"])
+    v_prev = np.zeros(spaces[0].n_dofs)
+    for k in range(hist.n_steps):
+        x = np.concatenate([hist.v[k], hist.q[k]])
+        sys = [s for prev, it, dt, s in calls if dt == hist.dts[k]
+               and np.array_equal(prev, v_prev) and np.array_equal(it, x)][-1]
+        mono = backward_error(sys.K_full, x, sys.s_full, rows=sys.free_indices())
+        assert hist.final_residuals[k] == pytest.approx(mono, rel=1e-12, abs=1e-15)
+        v_prev = hist.v[k]
