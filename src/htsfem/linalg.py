@@ -101,7 +101,7 @@ def _factor(K, what, **options):
         raise SingularSystemError(f"{what} factorization failed: {err}") from err
 
 
-INTERFACE_BLOCK = 64    # coupled columns solved at a time
+INTERFACE_BLOCK = 32    # coupled columns solved at a time
 
 
 def interface_term(lu, B):
@@ -111,17 +111,18 @@ def interface_term(lu, B):
     X = K^{-1} Bs for the matrix Bs of those columns (``lu`` is the
     factor of K) and the symmetrized dense T = Bs^T X.  The columns are
     solved INTERFACE_BLOCK at a time into X, so that beside X only one
-    block of the dense right-hand side is held.
+    block of right-hand sides and its solution are held.
     """
     B = sp.csc_matrix(B)
     cols = np.flatnonzero(np.diff(B.indptr))
     Bs = B[:, cols]
-    X = np.empty((B.shape[0], len(cols)), order="F")
+    # row-major, so that the sparse product below reads X without a copy
+    X = np.empty((B.shape[0], len(cols)))
     for start in range(0, len(cols), INTERFACE_BLOCK):
         b = slice(start, start + INTERFACE_BLOCK)
         X[:, b] = lu.solve(Bs[:, b].toarray())
-    if not np.all(np.isfinite(X)):
-        raise SingularSystemError("singular pivot in the block factorization")
+        if not np.all(np.isfinite(X[:, b])):
+            raise SingularSystemError("singular pivot in the block factorization")
     T = np.asarray(Bs.T @ X)
     return cols, X, 0.5 * (T + T.T)
 
