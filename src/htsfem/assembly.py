@@ -514,7 +514,7 @@ def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace) -> sp.csr_mat
 def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
     """Stability-norm Gram matrix on the free DOFs (SPD)."""
     if space.family == "H":
-        form = _curl_form(space, norms.mu0)     # bubbles carry no curl
+        form = _curl_form(space, norms.mu0)
         N = form.matrix(np.full(form.G.shape[0], norms.dt0 * norms.rho0))
     elif space.family == "A":
         if not space.essential:
