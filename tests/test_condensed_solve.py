@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _whitney_local,
                              assemble_ha_iteration, assemble_ta_iteration,
                              linear_blocks, tape_current_density)
 from htsfem.linalg import InterfaceSchur, SingularSystemError, backward_error, solve_sparse
 from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
-from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            elementwise_curl_h, essential_vector, trace_table,
                            whitney_transform)
