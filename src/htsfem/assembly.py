@@ -547,13 +547,12 @@ def _eliminate(K_full, s_full, v_space, q_space, x_essential):
     return K, s
 
 
-def _region_nu(mesh, a_space, materials: Materials) -> np.ndarray:
-    """Per-triangle reluctivity of the a-side domain."""
-    a_tris = a_space.meta["a_tris"]
+def _region_nu(materials: Materials) -> np.ndarray:
+    """Reluctivity of each region, indexed by its Region value."""
     lut = np.full(int(max(Region)) + 1, np.nan)
     for reg in Region:
         lut[int(reg)] = materials.nu_of_region(reg)
-    return lut[mesh.tri_region[a_tris]]
+    return lut
 
 
 def _circuit_rhs(space, dt, voltages=None):
@@ -573,14 +572,17 @@ def _circuit_rhs(space, dt, voltages=None):
 def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
                   materials: Materials) -> LinearBlocks:
     """The iterate-independent blocks of every coupled iteration, on
-    all DOFs, cached on the potential space."""
-    K_nu = _a_stiffness(q_space, _region_nu(mesh, q_space, materials))
+    all DOFs, cached on the potential space.  The entry is keyed on the
+    per-region reluctivities; they are expanded to triangles only when
+    the blocks are built."""
+    nu = _region_nu(materials)
     B = _coupling_full(v_space, q_space)
     cache = _space_cache(q_space)
-    blocks = cache.get("linear_blocks")
-    if blocks is None or blocks.K_nu is not K_nu or blocks.B is not B:
+    key, blocks = cache.get("linear_blocks", (None, None))
+    if key != nu.tobytes() or blocks.B is not B:
+        K_nu = _a_stiffness(q_space, nu[mesh.tri_region[q_space.meta["a_tris"]]])
         blocks = LinearBlocks.of(K_nu, B)
-        cache["linear_blocks"] = blocks
+        cache["linear_blocks"] = (nu.tobytes(), blocks)
     return blocks
 
 

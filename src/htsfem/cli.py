@@ -110,7 +110,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
     write_history_csv(hist, name, vals, outdir / f"history_{name}.csv")
     write_history_csv(hist, "newton_iterations", hist.newton_iters,
                       outdir / "history_newton.csv")
-    write_snapshots(hist, outdir / "snapshots.txt")
+    write_snapshots(hist, outdir)
     with open(outdir / "oscillation_metrics.json", "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

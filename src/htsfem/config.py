@@ -121,6 +121,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate checks the schema against its
+# metaschema on every call, which costs 100 times the instance check
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 def _apply_defaults(schema, value):
     if schema.get("type") == "object" and isinstance(value, dict):
@@ -145,9 +149,8 @@ def load_config(source=None) -> dict:
             raw = json.loads(Path(source).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read configuration: {err}") from err
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if err is not None:
         raise ConfigError(f"invalid configuration: {err.message}") from err
     cfg = _apply_defaults(CONFIG_SCHEMA, raw)
     if cfg["scenario"] == "single_tape":

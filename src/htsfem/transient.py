@@ -40,8 +40,10 @@ residuals at the accepted iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from .assembly import assemble_ha_iteration, assemble_ta_iteration, linear_blocks
 from .linalg import InterfaceSchur, SingularSystemError, solve_sparse
@@ -335,35 +337,38 @@ def write_history_csv(history: TimeHistory, quantity: str, values, path):
         f.write("\n".join(lines) + "\n")
 
 
-def write_snapshots(history: TimeHistory, path):
-    """ASCII block dump of all coefficient vectors, one block per step,
-    written a step at a time."""
-    fmt = "{:.17g}".format
-    with open(path, "w") as f:
-        f.write(f"# formulation {history.formulation}\n# steps {history.n_steps}\n")
-        for k in range(history.n_steps):
-            head = (f"step {k} time {history.times[k]:.17g} dt {history.dts[k]:.17g} "
-                    f"nv {len(history.v[k])} nq {len(history.q[k])}")
-            f.write("\n".join([head, *map(fmt, history.v[k].tolist()),
-                               *map(fmt, history.q[k].tolist())]) + "\n")
+def write_snapshots(history: TimeHistory, outdir):
+    """The coefficient history as three NumPy ``.npy`` files in
+    ``outdir``, one row per accepted step: ``snapshots_t.npy``
+    (n_steps, 2) holds (time, dt), ``snapshots_v.npy`` (n_steps, n_v)
+    the field and ``snapshots_q.npy`` (n_steps, n_q) the potential
+    coefficients.  Every array is little-endian float64 in C order, so
+    the values are exact and ``np.load(path, allow_pickle=False)``
+    reads them.  Each file equals ``np.save`` of the stacked array; it
+    is written a row at a time, so the history is never copied whole."""
+    outdir = Path(outdir)
+    steps = [np.array([t, dt]) for t, dt in zip(history.times, history.dts)]
+    for name, rows in (("t", steps), ("v", history.v), ("q", history.q)):
+        _write_rows(outdir / f"snapshots_{name}.npy", rows)
 
 
-def read_snapshots(path):
-    """Inverse of :func:`write_snapshots`; returns a list of
-    (time, dt, v, q) tuples."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    out = []
-    k = 0
-    while k < len(lines):
-        if lines[k].startswith("#"):
-            k += 1
-            continue
-        head = lines[k].split()
-        t, dt = float(head[3]), float(head[5])
-        nv, nq = int(head[7]), int(head[9])
-        v = np.array([float(x) for x in lines[k + 1:k + 1 + nv]])
-        q = np.array([float(x) for x in lines[k + 1 + nv:k + 1 + nv + nq]])
-        out.append((t, dt, v, q))
-        k += 1 + nv + nq
-    return out
+def _write_rows(path, rows):
+    """Equal-length 1-D ``rows`` as one 2-D ``<f8`` ``.npy`` array."""
+    width = len(rows[0]) if rows else 0
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(rows), width)}
+    with open(path, "wb") as f:
+        npformat.write_array_header_1_0(f, header)
+        for row in rows:
+            row = np.ascontiguousarray(row, dtype="<f8")
+            if row.shape != (width,):
+                raise ValueError(f"snapshot row of shape {row.shape}, expected ({width},)")
+            row.tofile(f)
+
+
+def read_snapshots(outdir):
+    """Inverse of :func:`write_snapshots`: the list of (time, dt, v, q)
+    tuples of the ``.npy`` files in ``outdir``."""
+    outdir = Path(outdir)
+    t, v, q = (np.load(outdir / f"snapshots_{name}.npy", allow_pickle=False)
+               for name in "tvq")
+    return [(float(tk), float(dk), vk, qk) for (tk, dk), vk, qk in zip(t, v, q)]

@@ -360,7 +360,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     sweep_cfg = {"scenario": "stacked_bar",
                  "geometry": {"delta": 0.004, "min_elements_across": 1},
                  "sweep": {"n_refinements": 3}}
-    checked = 0
+    checked = set()
     for tag, cfg, cmd in [("solve", solve_cfg, "solve"),
                           ("sweep", sweep_cfg, "infsup")]:
         cfg_path = tmp_path / f"{tag}.json"
@@ -376,6 +376,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             if p.name == "run.json":     # wall-clock timings
                 continue
             assert filecmp.cmp(p, outs[1] / p.name, shallow=False), p.name
-            checked += 1
-    assert checked > 0
-    report(10, f"repeated runs byte-identical across {checked} artifacts")
+            checked.add((tag, p.name))
+    assert {("solve", f"snapshots_{name}.npy") for name in "tvq"} <= checked
+    assert any(tag == "sweep" for tag, _ in checked)
+    report(10, f"repeated runs byte-identical across {len(checked)} artifacts")

@@ -7,8 +7,9 @@ from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_coupling_matrix, assemble_ha_iteration,
                              assemble_norm_matrix, assemble_ta_iteration,
                              export_matrix_market, import_matrix_market,
-                             tape_element_size, _coupling_full)
-from htsfem.mesh import Interface, refine
+                             linear_blocks, tape_element_size, _coupling_full)
+from htsfem.materials import MagneticLaw, Materials
+from htsfem.mesh import Interface, Region, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_a_curl, eval_h_field, eval_trace,
                            interface_chain)
@@ -169,6 +170,24 @@ def test_coupling_cache_misses_on_reused_id(bar_mesh):
     assert B.shape == B_ref.shape
     assert abs(B - B_ref).max() == 0.0
     assert _coupling_full(h, a) is B          # the fresh entry is a hit
+
+
+def test_linear_blocks_miss_on_another_reluctivity(bar_mesh, bar_materials_power):
+    # the blocks are cached per potential space and keyed on the region
+    # reluctivities: another ferromagnet must not find the first one's K_nu
+    h = build_h_space(bar_mesh, 1)
+    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    soft = bar_materials_power
+    hard = Materials(soft.power, {**soft.magnetic,
+                                  int(Region.OMEGA_A_FERRO): MagneticLaw(10.0)})
+    first = linear_blocks(bar_mesh, h, a, soft)
+    assert linear_blocks(bar_mesh, h, a, soft) is first
+    other = linear_blocks(bar_mesh, h, a, hard)
+    assert other.K_nu is not first.K_nu
+    assert abs(other.K_nu - first.K_nu).max() > 0.0
+    fresh = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    assert abs(linear_blocks(bar_mesh, h, fresh, hard).K_nu - other.K_nu).max() == 0.0
+    assert abs(linear_blocks(bar_mesh, h, a, soft).K_nu - first.K_nu).max() == 0.0
 
 
 def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):

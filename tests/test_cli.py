@@ -1,12 +1,13 @@
 import filecmp
 import json
 
+import jsonschema
 import pytest
 
 import htsfem.cli
 import htsfem.infsup
 from htsfem.cli import main
-from htsfem.config import ConfigError, load_config, make_geometry
+from htsfem.config import CONFIG_SCHEMA, ConfigError, load_config, make_geometry
 from htsfem.linalg import DegenerateCouplingError, SingularSystemError
 
 
@@ -60,6 +61,19 @@ def test_unknown_keys_rejected():
         load_config({"material": {"jc": 1.0}})
     with pytest.raises(ConfigError):
         load_config({"seed": 0})
+
+
+def test_config_schema_checked_once_and_reports_as_validate():
+    # the validator is built at import without a metaschema check, so
+    # the schema is checked here; its errors are those of jsonschema.validate
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    for raw in ({"scenari": "stacked_bar"}, {"material": {"j_c": -1.0}},
+                {"pairing": [1, 3]}, {"time": {"n_ramp_steps": 0, "dt": "x"}}):
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(raw)
+        assert str(got.value) == f"invalid configuration: {ref.value.message}"
 
 
 def test_negative_jc_rejected():
@@ -258,6 +272,6 @@ def test_cli_determinism(tmp_path):
         outs.append(out)
     # run.json carries wall-clock timings; every data artifact must match
     files = sorted(p.name for p in outs[0].iterdir() if p.name != "run.json")
-    assert files
+    assert {"snapshots_t.npy", "snapshots_v.npy", "snapshots_q.npy"} <= set(files)
     for name in files:
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -252,9 +254,8 @@ def test_history_exports(tmp_path, small_tape):
     assert lines[0] == "time,voltage"
     assert len(lines) == hist.n_steps + 1
 
-    snaps = tmp_path / "snapshots.txt"
-    write_snapshots(hist, snaps)
-    back = read_snapshots(snaps)
+    write_snapshots(hist, tmp_path)
+    back = read_snapshots(tmp_path)
     assert len(back) == hist.n_steps
     t0, dt0, v0, q0 = back[0]
     assert t0 == pytest.approx(hist.times[0])
@@ -262,9 +263,9 @@ def test_history_exports(tmp_path, small_tape):
     assert np.allclose(q0, hist.q[0])
 
 
-def test_snapshot_writer_matches_fstring_formatter(tmp_path):
-    # the writer formats Python floats; the file must equal, byte for
-    # byte, one formatted with f"{x:.17g}" on the numpy scalars
+def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
+    # every value, sign bit included, comes back exactly; each file equals
+    # np.save of the stacked array, which the row-at-a-time writer avoids
     rng = np.random.default_rng(0)
     edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
@@ -272,25 +273,31 @@ def test_snapshot_writer_matches_fstring_formatter(tmp_path):
     hist = TimeHistory("ta")
     for k in range(3):
         hist.times.append(0.1 * (k + 1))
-        hist.dts.append(0.1)
+        hist.dts.append(-0.0 if k == 1 else 0.1)
         hist.v.append(np.concatenate([edge, rng.standard_normal(50)
                                       * 10.0 ** rng.integers(-300, 300, 50)]))
         hist.q.append(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
+    write_snapshots(hist, tmp_path)
 
-    lines = [f"# formulation {hist.formulation}", f"# steps {hist.n_steps}"]
-    for k in range(hist.n_steps):
-        lines.append(f"step {k} time {hist.times[k]:.17g} dt {hist.dts[k]:.17g} "
-                     f"nv {len(hist.v[k])} nq {len(hist.q[k])}")
-        lines.extend(f"{x:.17g}" for x in hist.v[k])
-        lines.extend(f"{x:.17g}" for x in hist.q[k])
-    path = tmp_path / "snapshots.txt"
-    write_snapshots(hist, path)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-
-    back = read_snapshots(path)
+    back = read_snapshots(tmp_path)
+    assert len(back) == hist.n_steps
     for k, (t, dt, v, q) in enumerate(back):
-        assert np.array_equal(v, hist.v[k]) and np.array_equal(q, hist.q[k])
-        assert np.array_equal(np.signbit(v), np.signbit(hist.v[k]))
+        assert isinstance(t, float) and isinstance(dt, float)
+        for got, want in ((np.array([t, dt]), [hist.times[k], hist.dts[k]]),
+                          (v, hist.v[k]), (q, hist.q[k])):
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+    stacked = {"t": np.column_stack([hist.times, hist.dts]),
+               "v": np.stack(hist.v), "q": np.stack(hist.q)}
+    for name, arr in stacked.items():
+        path = tmp_path / f"snapshots_{name}.npy"
+        ref = io.BytesIO()
+        np.save(ref, arr)
+        assert path.read_bytes() == ref.getvalue(), name
+        loaded = np.load(path, allow_pickle=False)
+        assert loaded.dtype == np.dtype("<f8") and loaded.flags.c_contiguous
+        assert loaded.shape == {"t": (3, 2), "v": (3, len(edge) + 50), "q": (3, 40)}[name]
 
 
 def test_drive_values_record_the_imposed_values(small_tape):
