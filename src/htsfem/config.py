@@ -122,7 +122,7 @@ CONFIG_SCHEMA = {
 }
 
 # built once: jsonschema.validate checks the schema against its
-# metaschema on every call, which costs 100 times the instance check
+# metaschema on every call, over 100 times the cost of the instance check
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
