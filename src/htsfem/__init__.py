@@ -11,9 +11,9 @@ from .mesh import (Boundary, GeometryParams, Interface, Mesh2D, Region,
 from .materials import MagneticLaw, PowerLaw, de_dj, nu_and_dh_db, rho_power
 from .spaces import (CutBasis, DofSpace, build_a_space, build_cut_function,
                      build_h_space, build_t_space, eval_trace)
-from .assembly import (AssembledSystem, NormSpec, assemble_coupling_matrix,
-                       assemble_ha_iteration, assemble_norm_matrix,
-                       assemble_ta_iteration)
+from .assembly import (AssembledSystem, LinearBlocks, NormSpec,
+                       assemble_coupling_matrix, assemble_ha_iteration,
+                       assemble_norm_matrix, assemble_ta_iteration, linear_blocks)
 from .linalg import EigenResult, infsup_eigenpairs, solve_sparse
 from .transient import TimeConfig, TimeHistory, circuit_post, run_transient
 from .infsup import InfSupReport, coercivity_estimates, run_infsup_sweep

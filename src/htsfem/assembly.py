@@ -18,8 +18,10 @@ the paper's form times -1, which has the same solution.  The potential
 rows carry no source: the magnetic laws are linear.
 
 Only A_v and s_v depend on the Newton iterate, so an iteration
-assembles only those.  K_nu and B (``linear_blocks``) are fixed for a
-given pair of spaces and magnetic laws and are built once.  The field
+assembles only those.  Everything else is fixed for a transient run
+and is built once, by ``linear_blocks``, into one ``LinearBlocks``
+that the iteration assemblers take: K_nu and B, the field curl form
+and the H mass.  Nothing assembled is cached on the spaces.  The field
 blocks are weighted curl-curl forms G^T diag(w) G, linear in the
 weights, and are filled on a fixed sparsity pattern by one sparse
 mat-vec (``_CurlForm``).  ``AssembledSystem`` evaluates residuals,
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
 from .linalg import componentwise_error
-from .materials import MU0, Materials, de_dj, rho_power
+from .materials import MU0, Materials, PowerLaw, de_dj, rho_power
 from .mesh import Interface, Mesh2D, Region
 from .spaces import DofSpace, trace_table, whitney_transform
 
@@ -63,25 +65,31 @@ class NormSpec:
     which emulates the fractional trace norm discretely.
     """
 
-    mu0: float = MU0
     rho0: float = 1.6e-8
     dt0: float = 1.0
     nu0: float = 1.0 / MU0
-    mesh_dependent: bool = True
 
     def __post_init__(self):
-        for name in ("mu0", "rho0", "dt0", "nu0"):
+        for name in ("rho0", "dt0", "nu0"):
             if getattr(self, name) <= 0.0:
                 raise AssemblyError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class LinearBlocks:
-    """The iterate-independent blocks of a coupled system on all DOFs:
-    the reluctivity stiffness K_nu and the coupling B, with B^T and the
-    potential rows [B, -K_nu] of the block form stored for mat-vecs,
-    and the entrywise absolute values that scale backward errors."""
+    """What every Newton iteration of a transient run shares: the field
+    and potential spaces, the conductor's power law, the field curl
+    form (for H with the mu0 H mass as its base), the H mass (None for
+    T), and on all DOFs the reluctivity stiffness K_nu and the coupling
+    B, with B^T and the potential rows [B, -K_nu] of the block form
+    stored for mat-vecs and the entrywise absolute values that scale
+    backward errors."""
 
+    v_space: DofSpace
+    q_space: DofSpace
+    power: PowerLaw
+    form: _CurlForm
+    mass: sp.csr_matrix | None
     K_nu: sp.csr_matrix
     B: sp.csr_matrix
     B_T: sp.csr_matrix
@@ -89,20 +97,14 @@ class LinearBlocks:
     q_rows: sp.csr_matrix
     abs_q_rows: sp.csr_matrix
 
-    @classmethod
-    def of(cls, K_nu, B):
-        B_T = B.T.tocsr()
-        q_rows = sp.hstack([B, -K_nu], format="csr")
-        return cls(K_nu, B, B_T, abs(B_T), q_rows, abs(q_rows))
-
 
 @dataclass
 class AssembledSystem:
     """One linearized coupled system in block form (see the module
     docstring): the field block ``A_v`` on all field DOFs and its block
     ``A_free`` on the free ones, the field right-hand side ``s_v``, the
-    fixed ``blocks`` and the essential values ``x_essential`` on all
-    DOFs of both spaces.
+    run's fixed ``blocks`` (which hold the two spaces) and the
+    essential values ``x_essential`` on all DOFs of both spaces.
 
     The system is solved on the free DOFs, V block first, after
     symmetric elimination; ``s_free`` is its right-hand side, computed
@@ -115,21 +117,19 @@ class AssembledSystem:
     A_free: sp.csr_matrix
     s_v: np.ndarray
     blocks: LinearBlocks
-    v_space: DofSpace
-    q_space: DofSpace
     x_essential: np.ndarray
 
     @property
     def n_v_free(self) -> int:
-        return self.v_space.n_free
+        return self.blocks.v_space.n_free
 
     def free_indices(self) -> np.ndarray:
         return self._free
 
     @cached_property
     def _free(self) -> np.ndarray:
-        nv = self.v_space.n_dofs
-        return np.concatenate([self.v_space.free, nv + self.q_space.free])
+        lb = self.blocks
+        return np.concatenate([lb.v_space.free, lb.v_space.n_dofs + lb.q_space.free])
 
     def expand(self, x_free) -> np.ndarray:
         x = self.x_essential.copy()
@@ -137,7 +137,7 @@ class AssembledSystem:
         return x
 
     def split(self, x_full):
-        nv = self.v_space.n_dofs
+        nv = self.blocks.v_space.n_dofs
         return x_full[:nv], x_full[nv:]
 
     def _product(self, x, absolute=False) -> np.ndarray:
@@ -180,7 +180,7 @@ class AssembledSystem:
     @cached_property
     def s_full(self) -> np.ndarray:
         """Right-hand side on all DOFs; the potential rows carry none."""
-        return np.concatenate([self.s_v, np.zeros(self.q_space.n_dofs)])
+        return np.concatenate([self.s_v, np.zeros(self.blocks.q_space.n_dofs)])
 
     @cached_property
     def s_free(self) -> np.ndarray:
@@ -199,8 +199,12 @@ class AssembledSystem:
 
     @cached_property
     def _eliminated(self):
-        return _eliminate(self.K_full, self.s_full, self.v_space, self.q_space,
-                          self.x_essential)
+        free, K_full = self._free, self.K_full
+        ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
+        s = self.s_full[free]
+        if len(ess):
+            s = s - K_full[free][:, ess] @ self.x_essential[ess]
+        return K_full[free][:, free].tocsr(), s
 
     @property
     def K(self) -> sp.csr_matrix:
@@ -306,20 +310,8 @@ def _bubble_gram(grad_b, weights):
     return np.einsum("q,tqed,tqfd->tef", TRI_QW, grad_b, grad_b) * weights[:, None, None]
 
 
-def _space_cache(space) -> dict:
-    cache = getattr(space, "_assembly_cache", None)
-    if cache is None:
-        cache = {}
-        space._assembly_cache = cache
-    return cache
-
-
 def _h_mass(space, coeff):
     """Conductor mass matrix of the H space on all DOFs (coeff * I)."""
-    cache = _space_cache(space)
-    key = ("h_mass", float(coeff))
-    if key in cache:
-        return cache[key]
     mesh = space.mesh
     tri_ids = space.meta["sc_tris"]
     sc_edges, C = whitney_transform(space)
@@ -338,8 +330,7 @@ def _h_mass(space, coeff):
         K = K + C.T @ Mwb + Mwb.T @ C
         K = K + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, coeff * areas),
                                 (space.n_dofs,) * 2)
-    cache[key] = K.tocsr()
-    return cache[key]
+    return K.tocsr()
 
 
 class _CurlForm:
@@ -406,13 +397,9 @@ class _CurlForm:
         return self._Gt @ (self._omega * w * (self.G @ u))
 
 
-def _curl_form(space, mass=0.0) -> _CurlForm:
-    """The space's curl-curl form (see ``_CurlForm``) with the base
-    ``mass`` times the H mass matrix, cached per mass coefficient."""
-    cache = _space_cache(space)
-    key = ("curl_form", float(mass))
-    if key in cache:
-        return cache[key]
+def _curl_form(space, base=None) -> _CurlForm:
+    """The space's curl-curl form (see ``_CurlForm``) with the fixed
+    ``base`` matrix."""
     if space.family == "H":
         mesh = space.mesh
         tri_ids = space.meta["sc_tris"]
@@ -432,17 +419,11 @@ def _curl_form(space, mass=0.0) -> _CurlForm:
         G = _scatter(np.broadcast_to(rows, has.shape)[has], dofs[has],
                      tab.values(LINE_QP)[has], (rows.size, space.n_dofs))
         omega = (LINE_QW[None, :] * tab.lens[:, None]).ravel()
-    base = _h_mass(space, mass) if mass else None
-    cache[key] = _CurlForm(G, omega, space.free, base)
-    return cache[key]
+    return _CurlForm(G, omega, space.free, base)
 
 
 def _a_stiffness(space, nu_per_tri):
     """Weighted curl-curl of the A space (hats plus interface bubbles)."""
-    cache = _space_cache(space)
-    key = ("a_stiff", np.asarray(nu_per_tri).tobytes())
-    if key in cache:
-        return cache[key]
     mesh = space.mesh
     tri_ids = space.meta["a_tris"]
     node_dof = space.entity_dofs("node", mesh.n_nodes)
@@ -459,8 +440,7 @@ def _a_stiffness(space, nu_per_tri):
         K = (K + _masked_scatter(dofs, hats, loc, shape)
              + _masked_scatter(hats, dofs, loc.transpose(0, 2, 1), shape)
              + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, w), shape))
-    cache[key] = K.tocsr()
-    return cache[key]
+    return K.tocsr()
 
 
 def tape_element_size(mesh: Mesh2D) -> float:
@@ -489,32 +469,22 @@ def _coupling_full(v_space: DofSpace, q_space: DofSpace):
     tag = v_space.meta["interface_tag"]
     if q_space.meta["interface_tag"] != tag:
         raise AssemblyError("the field and potential spaces couple on different interfaces")
-    # the entry keeps its field space: an id is reused once its object is
-    # garbage collected, so only the same object is a hit
-    cache = _space_cache(q_space)
-    key = ("coupling", id(v_space))
-    owner, B = cache.get(key, (None, None))
-    if owner is v_space:
-        return B
     qt, vt = trace_table(q_space, tag), trace_table(v_space, tag)
     loc = np.einsum("q,saq,sbq->sab", LINE_QW, qt.values(LINE_QP), vt.values(LINE_QP)) \
         * (v_space.current_scale * qt.lens)[:, None, None]
-    B = _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
-    cache[key] = (v_space, B)
-    return B
+    return _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))
 
 
 def assemble_coupling_matrix(v_space: DofSpace, q_space: DofSpace) -> sp.csr_matrix:
     """Coupling matrix on free DOFs (rows: potential side, columns:
     field side), as used by the inf-sup pencil."""
-    B = _coupling_full(v_space, q_space)
-    return B[q_space.free][:, v_space.free].tocsr()
+    return _coupling_full(v_space, q_space)[q_space.free][:, v_space.free].tocsr()
 
 
 def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
     """Stability-norm Gram matrix on the free DOFs (SPD)."""
     if space.family == "H":
-        form = _curl_form(space, norms.mu0)
+        form = _curl_form(space, _h_mass(space, MU0))
         N = form.matrix(np.full(form.G.shape[0], norms.dt0 * norms.rho0))
     elif space.family == "A":
         if not space.essential:
@@ -522,7 +492,7 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
         nu = np.full(len(space.meta["a_tris"]), norms.nu0)
         N = _a_stiffness(space, nu)
     elif space.family == "T":
-        delta = tape_element_size(space.mesh) if norms.mesh_dependent else 1.0
+        delta = tape_element_size(space.mesh)
         form = _curl_form(space)
         N = form.matrix(np.full(form.G.shape[0],
                                 delta * space.mesh.w * norms.dt0 * norms.rho0))
@@ -532,19 +502,6 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
 
 
 # -- coupled iteration systems ----------------------------------------------------
-
-
-def _eliminate(K_full, s_full, v_space, q_space, x_essential):
-    nv = v_space.n_dofs
-    free = np.concatenate([v_space.free, nv + q_space.free])
-    all_idx = np.arange(nv + q_space.n_dofs)
-    ess = np.setdiff1d(all_idx, free, assume_unique=True)
-    K_full = K_full.tocsr()
-    s = s_full[free]
-    if len(ess):
-        s = s - K_full[free][:, ess] @ x_essential[ess]
-    K = K_full[free][:, free].tocsr()
-    return K, s
 
 
 def _region_nu(materials: Materials) -> np.ndarray:
@@ -571,28 +528,26 @@ def _circuit_rhs(space, dt, voltages=None):
 
 def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
                   materials: Materials) -> LinearBlocks:
-    """The iterate-independent blocks of every coupled iteration, on
-    all DOFs, cached on the potential space.  The entry is keyed on the
-    per-region reluctivities; they are expanded to triangles only when
-    the blocks are built."""
-    nu = _region_nu(materials)
+    """The fixed blocks of a transient run on the field space
+    ``v_space`` and the potential space ``q_space`` (see
+    ``LinearBlocks``), built afresh on every call."""
     B = _coupling_full(v_space, q_space)
-    cache = _space_cache(q_space)
-    key, blocks = cache.get("linear_blocks", (None, None))
-    if key != nu.tobytes() or blocks.B is not B:
-        K_nu = _a_stiffness(q_space, nu[mesh.tri_region[q_space.meta["a_tris"]]])
-        blocks = LinearBlocks.of(K_nu, B)
-        cache["linear_blocks"] = (nu.tobytes(), blocks)
-    return blocks
+    nu = _region_nu(materials)[mesh.tri_region[q_space.meta["a_tris"]]]
+    K_nu = _a_stiffness(q_space, nu)
+    mass = _h_mass(v_space, MU0) if v_space.family == "H" else None
+    B_T = B.T.tocsr()
+    q_rows = sp.hstack([B, -K_nu], format="csr")
+    return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
+                        K_nu, B, B_T, abs(B_T), q_rows, abs(q_rows))
 
 
-def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, form, w, field_rhs,
-                       dt, v_essential, a_essential, voltages) -> AssembledSystem:
-    """The coupled block system around the field block ``form.matrix(w)``,
-    with the field right-hand side B^T a_prev + sum(field_rhs) + circuit
-    terms (summed in that order)."""
-    blocks = linear_blocks(mesh, v_space, q_space, materials)
-    A_v = form.matrix(w)
+def _coupled_iteration(blocks: LinearBlocks, a_prev, w, field_rhs, dt, v_essential,
+                       a_essential, voltages) -> AssembledSystem:
+    """The coupled block system around the field block
+    ``blocks.form.matrix(w)``, with the field right-hand side
+    B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)."""
+    v_space, q_space = blocks.v_space, blocks.q_space
+    A_v = blocks.form.matrix(w)
     s_v = blocks.B_T @ a_prev
     for term in field_rhs:
         s_v = s_v + term
@@ -600,14 +555,14 @@ def _coupled_iteration(mesh, v_space, q_space, materials, a_prev, form, w, field
     x_ess = np.concatenate([
         v_essential if v_essential is not None else v_space.essential_full(),
         a_essential if a_essential is not None else q_space.essential_full()])
-    return AssembledSystem(A_v, form.free_block(A_v), s_v, blocks, v_space, q_space, x_ess)
+    return AssembledSystem(A_v, blocks.form.free_block(A_v), s_v, blocks, x_ess)
 
 
-def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
-                          materials: Materials, state_prev, iterate, dt,
+def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
                           a_essential=None, v_essential=None,
                           voltages=None) -> AssembledSystem:
-    """One Newton iteration of the implicit-Euler h-a system.
+    """One Newton iteration of the implicit-Euler h-a system on the
+    run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
 
     ``state_prev`` and ``iterate`` are (h_full, a_full) coefficient
     pairs at the previous time step and previous Newton iterate.  The
@@ -619,46 +574,44 @@ def assemble_ha_iteration(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     """
     h_prev, a_prev = state_prev
     h_it, _ = iterate
-    if len(h_prev) != h_space.n_dofs or len(a_prev) != a_space.n_dofs:
+    if len(h_prev) != blocks.v_space.n_dofs or len(a_prev) != blocks.q_space.n_dofs:
         raise AssemblyError("state vectors do not match the spaces")
     if np.any(~np.isfinite(h_it)):
         raise AssemblyError("non-finite Newton iterate")
 
-    form = _curl_form(h_space, MU0)
+    form = blocks.form
     j = form.G @ h_it
-    dedj = de_dj(j, materials.power)
-    rho = rho_power(j, materials.power)
+    dedj = de_dj(j, blocks.power)
+    rho = rho_power(j, blocks.power)
     if np.any(~np.isfinite(dedj)):
         raise AssemblyError("non-finite material evaluation")
 
-    field_rhs = (_h_mass(h_space, MU0) @ h_prev, -form.apply(dt * (rho - dedj), h_it))
-    return _coupled_iteration(mesh, h_space, a_space, materials, a_prev, form,
-                              dt * dedj, field_rhs, dt, v_essential, a_essential,
-                              voltages)
+    field_rhs = (blocks.mass @ h_prev, -form.apply(dt * (rho - dedj), h_it))
+    return _coupled_iteration(blocks, a_prev, dt * dedj, field_rhs, dt, v_essential,
+                              a_essential, voltages)
 
 
-def assemble_ta_iteration(mesh: Mesh2D, t_space: DofSpace, a_space: DofSpace,
-                          materials: Materials, state_prev, iterate, dt,
+def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
                           a_essential=None, v_essential=None,
                           voltages=None) -> AssembledSystem:
-    """One Newton iteration of the implicit-Euler t-a system, stored as
-    the paper's form times -1 (see the module docstring).  The field
-    block is dt w D(de/dj) and the field right-hand side
-    B^T a_prev - dt w D(rho - de/dj) t_it + circuit terms, with D(w) the
-    tape curl-curl form weighted at the Gauss points and w the tape
+    """One Newton iteration of the implicit-Euler t-a system on the
+    run's ``blocks`` (from ``linear_blocks`` on a T and an A space),
+    stored as the paper's form times -1 (see the module docstring).
+    The field block is dt w D(de/dj) and the field right-hand side
+    B^T a_prev - dt w D(rho - de/dj) t_it + circuit terms, with D(w)
+    the tape curl-curl form weighted at the Gauss points and w the tape
     width."""
     t_prev, a_prev = state_prev
     t_it, _ = iterate
-    if len(t_prev) != t_space.n_dofs or len(a_prev) != a_space.n_dofs:
+    if len(t_prev) != blocks.v_space.n_dofs or len(a_prev) != blocks.q_space.n_dofs:
         raise AssemblyError("state vectors do not match the spaces")
-    w = mesh.w
+    w = blocks.v_space.mesh.w
 
-    form = _curl_form(t_space)
+    form = blocks.form
     j_qp = form.G @ t_it
-    dedj = de_dj(j_qp, materials.power)
-    rho = rho_power(j_qp, materials.power)
+    dedj = de_dj(j_qp, blocks.power)
+    rho = rho_power(j_qp, blocks.power)
 
     field_rhs = (-form.apply(dt * w * (rho - dedj), t_it),)
-    return _coupled_iteration(mesh, t_space, a_space, materials, a_prev, form,
-                              dt * w * dedj, field_rhs, dt, v_essential, a_essential,
-                              voltages)
+    return _coupled_iteration(blocks, a_prev, dt * w * dedj, field_rhs, dt, v_essential,
+                              a_essential, voltages)

@@ -59,8 +59,8 @@ def _emit_nonconvergence(err: NonConvergenceError):
 def _build_mesh(cfg):
     params = cfgmod.make_geometry(cfg)
     if params.scenario is Scenario.STACKED_BAR:
-        return build_stacked_bar_mesh(params), params
-    return build_tape_mesh(params), params
+        return build_stacked_bar_mesh(params)
+    return build_tape_mesh(params)
 
 
 def _build_spaces(cfg, mesh):
@@ -81,7 +81,7 @@ def _build_spaces(cfg, mesh):
 
 def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
     t0 = _time.perf_counter()
-    mesh, _ = _build_mesh(cfg)
+    mesh = _build_mesh(cfg)
     v_space, q_space = _build_spaces(cfg, mesh)
     materials = cfgmod.make_materials(cfg)
     timecfg = cfgmod.make_time(cfg)
@@ -162,7 +162,7 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
 
 
 def cmd_mesh(cfg, outdir: Path, quiet=False) -> int:
-    mesh, _ = _build_mesh(cfg)
+    mesh = _build_mesh(cfg)
     write_native(mesh, outdir / "mesh.txt")
     summary = {"command": "mesh", "nodes": mesh.n_nodes,
                "triangles": mesh.n_triangles, "delta": mesh.delta}
@@ -173,7 +173,7 @@ def cmd_mesh(cfg, outdir: Path, quiet=False) -> int:
 
 
 def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
-    mesh, _ = _build_mesh(cfg)
+    mesh = _build_mesh(cfg)
     v_space, q_space = build_pairing(mesh, cfg["formulation"], cfg["pairing"])
     norms = cfgmod.make_norms(cfg)
     B = assemble_coupling_matrix(v_space, q_space)
@@ -230,10 +230,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out or cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         cfgmod.dump_resolved(cfg, outdir / "config.resolved.json")
-    except cfgmod.ConfigError as err:
-        _emit_error("config", err)
-        return EXIT_CONFIG
-    except ValueError as err:
+    except ValueError as err:              # ConfigError is a ValueError
         _emit_error("config", err)
         return EXIT_CONFIG
 

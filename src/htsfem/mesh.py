@@ -206,6 +206,15 @@ class Mesh2D:
         m = self.interface_tags == int(tag)
         return self.interface_segments[m], self.interface_normals[m]
 
+    def interface_chains(self, tag) -> list:
+        """The ordered segments of one interface tag split into its
+        chains: maximal runs in which each segment starts where the
+        previous one ends."""
+        segs, _ = self.interface(tag)
+        if len(segs) == 0:
+            return []
+        return np.split(segs, np.flatnonzero(segs[1:, 0] != segs[:-1, 1]) + 1)
+
     def segment_lengths(self, segments) -> np.ndarray:
         segments = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
         d = self.nodes[segments[:, 1]] - self.nodes[segments[:, 0]]
@@ -231,18 +240,13 @@ class Mesh2D:
         if self.interface_segments.size and np.any(np.abs(nrm - 1.0) > 1e-12):
             raise MeshError("interface normal is not unit length")
         for tag in np.unique(self.interface_tags):
+            # GAMMA_M chains must close into loops
+            for chain in self.interface_chains(tag):
+                if tag == Interface.GAMMA_M and chain[-1, 1] != chain[0, 0]:
+                    raise MeshError("GAMMA_M polyline is not closed")
+                if len(np.unique(chain[:, 0])) != len(chain):
+                    raise MeshError("interface polyline revisits a node")
             segs, _ = self.interface(tag)
-            # traversal order must chain within each polyline component;
-            # GAMMA_M components must close into loops
-            start = 0
-            for k in range(len(segs)):
-                if k + 1 == len(segs) or segs[k + 1, 0] != segs[k, 1]:
-                    chain = segs[start:k + 1]
-                    if tag == Interface.GAMMA_M and chain[-1, 1] != chain[0, 0]:
-                        raise MeshError("GAMMA_M polyline is not closed")
-                    if len(np.unique(chain[:, 0])) != len(chain):
-                        raise MeshError("interface polyline revisits a node")
-                    start = k + 1
             if tag == Interface.GAMMA_M:
                 self._check_gamma_m(segs)
             if tag == Interface.GAMMA_W:
@@ -270,26 +274,23 @@ class Mesh2D:
 # -- structured generation ----------------------------------------------------
 
 
-def _interval_points(breaks, delta, min_cells=None):
+def _interval_points(breaks, delta):
     """Subdivide consecutive break intervals into cells of size <= delta."""
     pts = [breaks[0]]
     for a, b in zip(breaks[:-1], breaks[1:]):
         n = max(1, math.ceil((b - a) / delta - 1e-9))
-        if min_cells is not None:
-            n = max(n, min_cells.get((a, b), 1))
         pts.extend(a + (b - a) * (k + 1) / n for k in range(n))
     return np.array(pts)
 
 
-def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None,
-                     tape_span=None, min_cells_x=None, min_cells_y=None):
+def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=None):
     """Tensor grid over the given break lines, each cell split into two
     CCW triangles.  ``region_fn(xc, yc)`` assigns a Region per cell.
     The conductor boundary is discovered from cell regions and tagged
     GAMMA_M; ``tape_span=(x0, x1, y)`` tags a GAMMA_W polyline.
     """
-    xs = _interval_points(x_breaks, delta, min_cells_x)
-    ys = _interval_points(y_breaks, delta, min_cells_y)
+    xs = _interval_points(x_breaks, delta)
+    ys = _interval_points(y_breaks, delta)
     nx, ny = len(xs), len(ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])

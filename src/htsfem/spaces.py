@@ -176,14 +176,9 @@ def _conductor_components(mesh: Mesh2D):
 
 
 def _ring_loops(mesh: Mesh2D):
-    """Split the ordered GAMMA_M polyline into its closed loops."""
-    segs, _ = mesh.interface(Interface.GAMMA_M)
-    loops, start = [], 0
-    for k in range(len(segs)):
-        if segs[k, 1] == segs[start, 0]:
-            loops.append(segs[start:k + 1])
-            start = k + 1
-    if start != len(segs):
+    """The chains of the ordered GAMMA_M polyline, each a closed loop."""
+    loops = mesh.interface_chains(Interface.GAMMA_M)
+    if any(loop[-1, 1] != loop[0, 0] for loop in loops):
         raise TopologyError("GAMMA_M does not decompose into closed loops")
     return loops
 
@@ -269,19 +264,19 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
         entries += [("bubble", int(e)) for e in sorted(ring_edge_set)]
     entries += [("global", c.id) for c in conductors]
 
-    space = DofSpace("H", enrichment, mesh, entries, {}, {
+    dof = {ent: k for k, ent in enumerate(entries)}
+    essential = {}
+    for c in conductors:
+        essential[dof["node", c.ground_node]] = 0.0
+        if c.mode == "current":
+            essential[dof["global", c.id]] = c.value
+    return DofSpace("H", enrichment, mesh, entries, essential, {
         "circuits": conductors,
         "current_scale": 1.0,
         "sc_tris": sc_tris,
         "interior_edges": interior_edges,
         "interface_tag": Interface.GAMMA_M,
     })
-    essential = {}
-    for c in conductors:
-        essential[space.dof("node", c.ground_node)] = 0.0
-        if c.mode == "current":
-            essential[space.dof("global", c.id)] = c.value
-    return DofSpace("H", enrichment, mesh, entries, essential, space.meta)
 
 
 def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
@@ -315,18 +310,18 @@ def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
     from .mesh import Boundary
     gamma_e = mesh.boundary_nodes(Boundary.GAMMA_E)
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
-    space = DofSpace("A", enrichment, mesh, entries, {}, {
+    dof = {ent: k for k, ent in enumerate(entries)}
+    essential = {}
+    for n in gamma_e:
+        x, y = mesh.nodes[n]
+        essential[dof["node", int(n)]] = 0.0 if a_trace is None else float(a_trace(x, y))
+    return DofSpace("A", enrichment, mesh, entries, essential, {
         "interface_tag": Interface(int(interface_tag)),
         "a_tris": a_tris,
         "a_nodes": a_nodes,
         "bubble_edges": bubble_edges,
         "gamma_e_nodes": gamma_e,
     })
-    essential = {}
-    for n in gamma_e:
-        x, y = mesh.nodes[n]
-        essential[space.dof("node", n)] = 0.0 if a_trace is None else float(a_trace(x, y))
-    return DofSpace("A", enrichment, mesh, entries, essential, space.meta)
 
 
 def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpace:
@@ -344,15 +339,8 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
         raise SpaceError("tape mesh must store a thickness w")
     constraints = dict(constraints or {})
 
-    # split ordered segments into chains (one per tape)
-    chains, start = [], 0
-    for k in range(len(segs)):
-        if k + 1 == len(segs) or segs[k + 1, 0] != segs[k, 1]:
-            chains.append(segs[start:k + 1])
-            start = k + 1
-
     tapes, interior = [], set()
-    for tid, chain in enumerate(chains):
+    for tid, chain in enumerate(mesh.interface_chains(Interface.GAMMA_W)):
         spec = constraints.get(tid, ("current", 0.0))
         if isinstance(spec, (list, tuple)) and len(spec) == 2:
             mode, value = spec
@@ -370,16 +358,13 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
         entries += [("bubble", int(e)) for e in np.sort(mesh.edge_ids(segs))]
     entries += [("global", t.id) for t in tapes]
 
-    space = DofSpace("T", enrichment, mesh, entries, {}, {
+    dof = {ent: k for k, ent in enumerate(entries)}
+    essential = {dof["global", t.id]: t.value / mesh.w for t in tapes if t.mode == "current"}
+    return DofSpace("T", enrichment, mesh, entries, essential, {
         "circuits": tapes,
         "current_scale": mesh.w,
         "interface_tag": Interface.GAMMA_W,
     })
-    essential = {}
-    for t in tapes:
-        if t.mode == "current":
-            essential[space.dof("global", t.id)] = t.value / mesh.w
-    return DofSpace("T", enrichment, mesh, entries, essential, space.meta)
 
 
 def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndarray:

@@ -14,9 +14,11 @@ assembly only.
 
 Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
-iteration of a run; an iteration assembles only the field block A_v
+iteration of a run.  ``run_transient`` builds them once, with the
+field curl form and the H mass, as the run's ``LinearBlocks``, and
+every iteration assembles from those blocks only the field block A_v
 and the field right-hand side s_v (``htsfem.assembly``).
-``run_transient`` factors the free K_nu once and forms the dense
+``run_transient`` also factors the free K_nu once and forms the dense
 interface term B^T K_nu^{-1} B on the field columns that B couples
 (``linalg.InterfaceSchur``).  Each iteration then solves only the
 condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
@@ -201,9 +203,8 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                 trace = lambda x, y, b=bext: -b * (dx * y - dy * x)
             q_ess = essential_vector(q_space, a_trace=trace)
             try:
-                result = _newton_step(mesh, assemble, v_space, q_space, materials,
-                                      (v_prev, q_prev), dt_cur, v_ess, q_ess,
-                                      voltages, time, schur, hist.counters)
+                result = _newton_step(assemble, blocks, (v_prev, q_prev), dt_cur, v_ess,
+                                      q_ess, voltages, time, schur, hist.counters)
             except (NonConvergenceError, SingularSystemError) as err:
                 hist.counters["rejected_attempts"] += 1
                 if halvings >= time.max_halvings:
@@ -253,11 +254,11 @@ def _solve_condensed(sys, schur: InterfaceSchur, lift):
     return x
 
 
-def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
-                 v_ess, q_ess, voltages, time: TimeConfig, schur, counters):
+def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
+                 time: TimeConfig, schur, counters):
     v_prev, q_prev = prev
-    ess_idx_v = np.array(sorted(v_space.essential), dtype=np.int64)
-    ess_idx_q = np.array(sorted(q_space.essential), dtype=np.int64)
+    ess_idx_v = np.array(sorted(blocks.v_space.essential), dtype=np.int64)
+    ess_idx_q = np.array(sorted(blocks.q_space.essential), dtype=np.int64)
     v_it = v_prev.copy()
     q_it = q_prev.copy()
     if len(ess_idx_v):
@@ -266,9 +267,8 @@ def _newton_step(mesh, assemble, v_space, q_space, materials, prev, dt,
         q_it[ess_idx_q] = q_ess[ess_idx_q]
 
     def reassemble(iterate):
-        return assemble(mesh, v_space, q_space, materials, (v_prev, q_prev),
-                        iterate, dt, a_essential=q_ess, v_essential=v_ess,
-                        voltages=voltages)
+        return assemble(blocks, (v_prev, q_prev), iterate, dt, a_essential=q_ess,
+                        v_essential=v_ess, voltages=voltages)
 
     sys = reassemble((v_it, q_it))
     # componentwise backward error: robust to the disparate block

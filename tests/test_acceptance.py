@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from htsfem.assembly import NormSpec, assemble_norm_matrix, \
-    assemble_ha_iteration, tape_current_density
+    assemble_ha_iteration, linear_blocks, tape_current_density
 from htsfem.diagnostics import (oscillation_metric, sample_bn_profile,
                                 sample_tape_current, sign_changes)
 from htsfem.infsup import run_infsup_sweep
@@ -317,8 +317,8 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)
                             for k, (kind, ent) in enumerate(a.entries)])
         h_exact = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
-        sys = assemble_ha_iteration(bar_mesh, h, a, mats, (h_exact, a_exact),
-                                    (h_exact, a_exact), 0.0125,
+        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, mats),
+                                    (h_exact, a_exact), (h_exact, a_exact), 0.0125,
                                     a_essential=a_ess)
         x = sys.expand(solve_sparse(sys.K, sys.s))
         v_new, q_new = sys.split(x)

@@ -8,8 +8,7 @@ from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_norm_matrix, assemble_ta_iteration,
                              export_matrix_market, import_matrix_market,
                              linear_blocks, tape_element_size, _coupling_full)
-from htsfem.materials import MagneticLaw, Materials
-from htsfem.mesh import Interface, Region, refine
+from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_a_curl, eval_h_field, eval_trace,
                            interface_chain)
@@ -28,7 +27,7 @@ def test_ha_zero_state_zero_solution(bar_mesh, bar_spaces_11, bar_materials_line
     from htsfem.linalg import solve_sparse
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, z, z, 0.0125)
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, 0.0125)
     assert np.abs(sys.s).max() == 0.0
     x = solve_sparse(sys.K, sys.s)
     assert np.abs(x).max() == 0.0
@@ -38,7 +37,7 @@ def test_ha_symmetry(bar_mesh, bar_spaces_11, bar_materials_power):
     h, a = bar_spaces_11
     rng = np.random.default_rng(0)
     state = (rng.normal(size=h.n_dofs), rng.normal(size=a.n_dofs))
-    sys = assemble_ha_iteration(bar_mesh, h, a, bar_materials_power,
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_power),
                                 state, state, 0.0125)
     assert sym_defect(sys.K) < 1e-12
     assert sym_defect(sys.K_full) < 1e-12
@@ -48,7 +47,7 @@ def test_ta_symmetry(tape_mesh, tape_spaces_11, tape_materials_power):
     t, a = tape_spaces_11
     rng = np.random.default_rng(1)
     state = (rng.normal(size=t.n_dofs) * 1e6, rng.normal(size=a.n_dofs) * 1e-6)
-    sys = assemble_ta_iteration(tape_mesh, t, a, tape_materials_power,
+    sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
                                 state, state, 0.0125)
     assert sym_defect(sys.K) < 1e-12
 
@@ -57,7 +56,7 @@ def test_saddle_block_structure(bar_mesh, bar_spaces_11, bar_materials_linear):
     # K = [[A, B^T], [B, -C]] with A, C positive semi-definite
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, z, z, 0.0125)
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, 0.0125)
     nv = sys.n_v_free
     K = sys.K.toarray()
     A = K[:nv, :nv]
@@ -77,7 +76,7 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     for dt_fac in (1.0, 2.0):
         dt = NORMS.dt0 * dt_fac
-        sys = assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, z, z, dt)
+        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, dt)
         nv = sys.n_v_free
         A = sys.K.toarray()[:nv, :nv]
         NV = assemble_norm_matrix(h, NORMS).toarray()
@@ -156,40 +155,6 @@ def test_ta_single_segment_hand_value(tape_mesh):
         -w * 0.5, rel=1e-12)
 
 
-def test_coupling_cache_misses_on_reused_id(bar_mesh):
-    # an id is reused once its space is garbage collected: an entry left
-    # by another field space under this space's id must not be returned
-    h = build_h_space(bar_mesh, 1)
-    B_ref = _coupling_full(h, build_a_space(bar_mesh, 1, Interface.GAMMA_M))
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    other = build_h_space(bar_mesh, 2)
-    stale = _coupling_full(other, a)
-    a._assembly_cache[("coupling", id(h))] = a._assembly_cache.pop(("coupling", id(other)))
-    B = _coupling_full(h, a)
-    assert B is not stale
-    assert B.shape == B_ref.shape
-    assert abs(B - B_ref).max() == 0.0
-    assert _coupling_full(h, a) is B          # the fresh entry is a hit
-
-
-def test_linear_blocks_miss_on_another_reluctivity(bar_mesh, bar_materials_power):
-    # the blocks are cached per potential space and keyed on the region
-    # reluctivities: another ferromagnet must not find the first one's K_nu
-    h = build_h_space(bar_mesh, 1)
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    soft = bar_materials_power
-    hard = Materials(soft.power, {**soft.magnetic,
-                                  int(Region.OMEGA_A_FERRO): MagneticLaw(10.0)})
-    first = linear_blocks(bar_mesh, h, a, soft)
-    assert linear_blocks(bar_mesh, h, a, soft) is first
-    other = linear_blocks(bar_mesh, h, a, hard)
-    assert other.K_nu is not first.K_nu
-    assert abs(other.K_nu - first.K_nu).max() > 0.0
-    fresh = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    assert abs(linear_blocks(bar_mesh, h, fresh, hard).K_nu - other.K_nu).max() == 0.0
-    assert abs(linear_blocks(bar_mesh, h, a, soft).K_nu - first.K_nu).max() == 0.0
-
-
 def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
     h, a = bar_spaces_11
     B = assemble_coupling_matrix(h, a)
@@ -221,10 +186,8 @@ def test_coupling_rejects_mismatched_interfaces(bar_mesh, bar_spaces_11,
                         {**a.meta, "interface_tag": Interface.GAMMA_W})
     with pytest.raises(AssemblyError, match="different interfaces"):
         assemble_coupling_matrix(h, tape_side)
-    z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError, match="different interfaces"):
-        assemble_ha_iteration(bar_mesh, h, tape_side, bar_materials_linear,
-                              z, z, 0.0125)
+        linear_blocks(bar_mesh, h, tape_side, bar_materials_linear)
 
 
 def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
@@ -295,7 +258,7 @@ def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
-    sys = assemble_ta_iteration(tape_mesh, t, a, tape_materials_power,
+    sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
                                 state, state, 0.0125)
     K_full = sys.K_full.toarray()
     free = sys.free_indices()
@@ -342,7 +305,8 @@ def test_state_size_mismatch(bar_mesh, bar_spaces_11, bar_materials_linear):
     h, a = bar_spaces_11
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
-        assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, bad, bad, 0.0125)
+        assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear),
+                              bad, bad, 0.0125)
 
 
 def test_bubble_rows_match_field_quadrature():

@@ -132,7 +132,7 @@ def test_cli_solve_tape_reports_sizes_and_counters(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     run = json.loads((out / "run.json").read_text())
     resolved = load_config(SMALL_TAPE)
-    t_space, a_space = _build_spaces(resolved, _build_mesh(resolved)[0])
+    t_space, a_space = _build_spaces(resolved, _build_mesh(resolved))
     assert run["sizes"] == {"field_free_dofs": t_space.n_free,
                             "potential_free_dofs": a_space.n_free,
                             "interface_columns": t_space.n_free}

@@ -31,9 +31,8 @@ CRITICAL_CURRENT = {"ha": 3e8 * 0.02 * 0.01, "ta": 2.5e8 * 1e-6 * 0.01}
 
 @pytest.fixture(scope="module")
 def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
-    """Per pairing: mesh, spaces, materials, assembler, the linear blocks,
-    the run's a-block factor, the critical current and a sampler of
-    power-law iterates."""
+    """Per pairing: spaces, assembler, the run's blocks and a-block
+    factor, the critical current and a sampler of power-law iterates."""
     cases = {}
 
     def get(form, i, j):
@@ -50,8 +49,8 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
         blocks = linear_blocks(mesh, v, q, mats)
         K_nu, B = blocks.K_nu, blocks.B
         cases[form, i, j] = SimpleNamespace(
-            mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, K_nu=K_nu, B=B,
-            schur=_factor(v, q, K_nu, B), i_c=CRITICAL_CURRENT[form],
+            mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks, K_nu=K_nu,
+            B=B, schur=_factor(v, q, K_nu, B), i_c=CRITICAL_CURRENT[form],
             sample=_iterate_sampler(form, v, mats.power.j_c))
         return cases[form, i, j]
     return get
@@ -94,9 +93,8 @@ def _system(case, rng, dt, drive, b_ext):
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
     v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
-    return case.assemble(case.mesh, case.v, case.q, case.mats,
-                         (case.sample(rng), a_prev), (case.sample(rng), a_prev), dt,
-                         a_essential=a_ess, v_essential=v_ess)
+    return case.assemble(case.blocks, (case.sample(rng), a_prev), (case.sample(rng), a_prev),
+                         dt, a_essential=a_ess, v_essential=v_ess)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -109,7 +107,7 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
     x = sys.expand(_solve_condensed(sys, case.schur, _lift(sys, case.schur)))
     x_ref = sys.expand(solve_sparse(sys.K, sys.s))
-    nv = sys.v_space.n_dofs
+    nv = sys.blocks.v_space.n_dofs
     for block in (slice(0, nv), slice(nv, None)):
         err = np.abs(x[block] - x_ref[block]).max()
         assert err <= 1e-10 * np.abs(x_ref[block]).max()
@@ -179,8 +177,7 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
     dt = 0.01
     v_prev, v_it = case.sample(rng), case.sample(rng)
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    sys = case.assemble(case.mesh, case.v, case.q, case.mats, (v_prev, a_prev),
-                        (v_it, a_prev), dt)
+    sys = case.assemble(case.blocks, (v_prev, a_prev), (v_it, a_prev), dt)
     if form == "ha":
         j_it = elementwise_curl_h(case.v, v_it)[1]
         scale, stiffness = dt, _h_stiffness_scatter

@@ -79,7 +79,7 @@ def test_zero_solution_zero_profile(bar_mesh, bar_spaces_11):
 def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     # vertical uniform field in an all-vacuum linear problem: the
     # interface-normal flux matches on both sides of the interface
-    from htsfem.assembly import assemble_ha_iteration
+    from htsfem.assembly import assemble_ha_iteration, linear_blocks
     from htsfem.linalg import solve_sparse
     from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
@@ -95,8 +95,9 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
                        for k, (kind, ent) in enumerate(a.entries)])
     h_full = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
     # fixed point of one implicit step from the exact state
-    sys = assemble_ha_iteration(bar_mesh, h, a, mats, (h_full, a_full),
-                                (h_full, a_full), 0.0125, a_essential=a_exact)
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, mats),
+                                (h_full, a_full), (h_full, a_full), 0.0125,
+                                a_essential=a_exact)
     x = sys.expand(solve_sparse(sys.K, sys.s))
     v_new, q_new = sys.split(x)
     above = sample_bn_profile(bar_mesh, h, a, (v_new, q_new),

@@ -44,13 +44,13 @@ def test_solve_symmetric_indefinite_vs_dense():
 
 
 def test_solve_assembled_ha_vs_dense(bar_mesh, bar_spaces_11, bar_materials_linear):
-    from htsfem.assembly import assemble_ha_iteration
+    from htsfem.assembly import assemble_ha_iteration, linear_blocks
     from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     a_ess = essential_vector(a, a_trace=lambda x, y: -0.4 * y)
-    sys = assemble_ha_iteration(bar_mesh, h, a, bar_materials_linear, z, z,
-                                0.0125, a_essential=a_ess)
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear),
+                                z, z, 0.0125, a_essential=a_ess)
     x = solve_sparse(sys.K, sys.s)
     K = sys.K.toarray()
     x_ref = np.linalg.solve(K, sys.s)

@@ -3,8 +3,9 @@ import pytest
 
 from htsfem.mesh import (Boundary, GeometryParams, Interface, Mesh2D, MeshError,
                          Region, Scenario, UnderResolvedError,
-                         build_stacked_bar_mesh, read_msh22, read_native, refine,
-                         write_native)
+                         _structured_mesh, build_stacked_bar_mesh, read_msh22,
+                         read_native, refine, write_native)
+from htsfem.spaces import TopologyError, _ring_loops
 
 from util import l_bar_mesh
 
@@ -160,6 +161,31 @@ def test_gamma_m_must_separate_conductor(bar_mesh):
     regions[bar_mesh.edge_tris[bar_mesh.edge_ids(segs[5:6])[0]]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="does not separate conductor from exterior"):
         _with_regions(bar_mesh, regions).validate()
+
+
+def test_interface_chains_split_loops_and_reject_open_ones():
+    # two separate conductors: two closed GAMMA_M loops, in order
+    def region(x, y):
+        return Region.OMEGA_H_SC if 0.002 < abs(x) < 0.004 and abs(y) < 0.002 \
+            else Region.OMEGA_A_AIR
+
+    breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
+    mesh = _structured_mesh(breaks, breaks, 0.001, region)
+    segs, normals = mesh.interface(Interface.GAMMA_M)
+    loops = mesh.interface_chains(Interface.GAMMA_M)
+    assert len(loops) == 2
+    assert np.array_equal(np.concatenate(loops), segs)
+    assert all(loop[-1, 1] == loop[0, 0] for loop in loops)
+    assert all(np.array_equal(a, b) for a, b in zip(_ring_loops(mesh), loops))
+    assert mesh.interface_chains(Interface.GAMMA_W) == []
+    # dropping one segment leaves an open chain
+    broken = Mesh2D(mesh.nodes, mesh.triangles, mesh.tri_region, mesh.boundary_segments,
+                    mesh.boundary_tags, segs[1:], mesh.interface_tags[1:], normals[1:],
+                    mesh.delta)
+    with pytest.raises(MeshError, match="GAMMA_M polyline is not closed"):
+        broken.validate()
+    with pytest.raises(TopologyError, match="closed loops"):
+        _ring_loops(broken)
 
 
 def test_gamma_w_must_lie_in_air(tape_mesh):

@@ -5,9 +5,9 @@ import pytest
 
 from htsfem import transient
 from htsfem.linalg import SingularSystemError, backward_error
-from htsfem.materials import Materials, PowerLaw, VACUUM
+from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
-from htsfem.spaces import build_a_space, build_t_space
+from htsfem.spaces import build_a_space, build_h_space, build_t_space
 from htsfem.transient import (NonConvergenceError, Ramp, TimeConfig, TimeHistory,
                               circuit_post, ramp_then_hold, read_snapshots,
                               run_transient, write_history_csv, write_snapshots)
@@ -367,7 +367,7 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
 
     def recording(*args, **kwargs):
         sys = assemble(*args, **kwargs)
-        calls.append((args[4][0], np.concatenate(args[5]), args[6], sys))
+        calls.append((args[1][0], np.concatenate(args[2]), args[3], sys))
         return sys
 
     monkeypatch.setattr(transient, name, recording)
@@ -384,3 +384,28 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
         mono = backward_error(sys.K_full, x, sys.s_full, rows=sys.free_indices())
         assert hist.final_residuals[k] == pytest.approx(mono, rel=1e-12, abs=1e-15)
         v_prev = hist.v[k]
+
+
+def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power):
+    # one pair of spaces serves a run with mu_r 1000 and then one with
+    # mu_r 10: nothing of the first run may leak into the second, and
+    # each must equal, bitwise, its run on spaces built afresh
+    def spaces():
+        return (build_h_space(bar_mesh, 1, {0: ("current", 0.0)}),
+                build_a_space(bar_mesh, 1, Interface.GAMMA_M))
+
+    soft = bar_materials_power
+    hard = Materials(soft.power, {**soft.magnetic,
+                                  int(Region.OMEGA_A_FERRO): MagneticLaw(10.0)})
+    tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    shared = spaces()
+    runs = [run_transient(bar_mesh, shared, mats, tc, "ha") for mats in (soft, hard)]
+    for mats, hist in zip((soft, hard), runs):
+        fresh = run_transient(bar_mesh, spaces(), mats, tc, "ha")
+        assert hist.n_steps == fresh.n_steps
+        assert hist.newton_iters == fresh.newton_iters
+        assert hist.final_residuals == fresh.final_residuals
+        for k in range(fresh.n_steps):
+            assert np.array_equal(hist.v[k], fresh.v[k])
+            assert np.array_equal(hist.q[k], fresh.q[k])
+    assert not np.array_equal(runs[0].q[-1], runs[1].q[-1])
