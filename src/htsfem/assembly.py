@@ -29,6 +29,12 @@ backward errors and the right-hand side after the symmetric
 elimination of essential values on the blocks; the monolithic matrix
 and the eliminated system are derived from the blocks on first access,
 for tests and cross-checks.
+
+Field evaluation lives beside the kernels.  The Whitney and edge-bubble
+kernels take barycentric points (the quadrature points by default);
+``field_operator`` tabulates them at arbitrary points into one sparse
+map from coefficients to h or b, and ``h_curl_matrix`` is the
+per-triangle curl G of the H curl form, shared with post-processing.
 """
 
 from __future__ import annotations
@@ -244,24 +250,34 @@ def _masked_scatter(rdofs, cdofs, loc, shape):
     return _scatter(rows, cols, loc[m], shape)
 
 
-def _whitney_local(mesh, tri_ids):
-    """Whitney edge-function data on triangles: quadrature values
-    (T, 6, 3, 2) in canonical edge orientation, constant curls (T, 3),
-    areas (T,)."""
+def _whitney_local(mesh, tri_ids, pts=TRI_QP):
+    """Whitney edge-function data on triangles: values (T, Q, 3, 2) in
+    canonical edge orientation at the barycentric points ``pts``
+    ((Q, 3) on every triangle, or (T, Q, 3) per triangle), constant
+    curls (T, 3), areas (T,)."""
     areas, grads = tri_geometry(mesh, tri_ids)
     tris = mesh.triangles[tri_ids]
     T = len(tri_ids)
-    vals = np.empty((T, len(TRI_QP), 3, 2))
+    vals = np.empty((T, pts.shape[-2], 3, 2))
     curls = np.empty((T, 3))
     for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
         sgn = np.where(tris[:, i] < tris[:, j], 1.0, -1.0)
-        lam_i = TRI_QP[:, i][None, :, None]
-        lam_j = TRI_QP[:, j][None, :, None]
+        lam_i = pts[..., i, None]
+        lam_j = pts[..., j, None]
         v = lam_i * grads[:, None, j, :] - lam_j * grads[:, None, i, :]
         vals[:, :, le, :] = sgn[:, None, None] * v
         cr = 2.0 * (grads[:, i, 0] * grads[:, j, 1] - grads[:, i, 1] * grads[:, j, 0])
         curls[:, le] = sgn * cr
     return vals, curls, areas
+
+
+def _whitney_map(space):
+    """The H space's Whitney map C (see ``whitney_transform``) and the
+    row of C of each mesh edge, -1 off the conducting region."""
+    sc_edges, C = whitney_transform(space)
+    pos = np.full(len(space.mesh.edges), -1, dtype=np.int64)
+    pos[sc_edges] = np.arange(len(sc_edges))
+    return pos, C
 
 
 def _whitney_mass(mesh, tri_ids, sc_edge_pos, n_rows):
@@ -288,20 +304,23 @@ def _p1_stiffness(mesh, tri_ids, weights, node_dof, n_dofs):
     return _scatter(rows, cols, loc.reshape(len(tri_ids), 9), (n_dofs, n_dofs))
 
 
-def _edge_bubbles(space, tri_ids):
+def _edge_bubbles(space, tri_ids, pts=TRI_QP):
     """Interface edge bubbles on the triangles of ``tri_ids`` that carry
     at least one.  Returns (hit, dofs, grad_b, areas, grads): ``hit``
     selects those triangles from ``tri_ids``; ``dofs`` (T, 3) holds the
     bubble DOF of local edges (01, 12, 20), -1 where an edge has none;
-    ``grad_b`` (T, Q, 3, 2) is grad(lambda_i lambda_j) at TRI_QP;
-    ``areas`` and hat ``grads`` are as from tri_geometry."""
+    ``grad_b`` (T, Q, 3, 2) is grad(lambda_i lambda_j) at the
+    barycentric points ``pts`` (as for ``_whitney_local``); ``areas``
+    and hat ``grads`` are as from tri_geometry."""
     mesh = space.mesh
     dofs = space.entity_dofs("bubble", len(mesh.edges))[mesh.tri_edges[tri_ids]]
     hit = np.any(dofs >= 0, axis=1)
     areas, grads = tri_geometry(mesh, tri_ids[hit])
+    if pts.ndim == 3:
+        pts = pts[hit]
     i, j = [0, 1, 2], [1, 2, 0]
-    grad_b = (TRI_QP[None, :, i, None] * grads[:, None, j, :]
-              + TRI_QP[None, :, j, None] * grads[:, None, i, :])
+    grad_b = (pts[..., i, None] * grads[:, None, j, :]
+              + pts[..., j, None] * grads[:, None, i, :])
     return hit, dofs[hit], grad_b, areas, grads
 
 
@@ -314,10 +333,8 @@ def _h_mass(space, coeff):
     """Conductor mass matrix of the H space on all DOFs (coeff * I)."""
     mesh = space.mesh
     tri_ids = space.meta["sc_tris"]
-    sc_edges, C = whitney_transform(space)
-    pos = np.full(len(mesh.edges), -1, dtype=np.int64)
-    pos[sc_edges] = np.arange(len(sc_edges))
-    Mw = _whitney_mass(mesh, tri_ids, pos, len(sc_edges))
+    pos, C = _whitney_map(space)
+    Mw = _whitney_mass(mesh, tri_ids, pos, C.shape[0])
     K = C.T @ (coeff * Mw) @ C
 
     if space.enrichment == 2:
@@ -326,7 +343,7 @@ def _h_mass(space, coeff):
         # Whitney edge f x bubble e
         loc = np.einsum("q,tqfd,tqed->tfe", TRI_QW, wvals, grad_b) * areas[:, None, None]
         Mwb = _masked_scatter(pos[mesh.tri_edges[tri_ids[hit]]], dofs, coeff * loc,
-                              (len(sc_edges), space.n_dofs))
+                              (C.shape[0], space.n_dofs))
         K = K + C.T @ Mwb + Mwb.T @ C
         K = K + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, coeff * areas),
                                 (space.n_dofs,) * 2)
@@ -397,19 +414,26 @@ class _CurlForm:
         return self._Gt @ (self._omega * w * (self.G @ u))
 
 
+def h_curl_matrix(space: DofSpace) -> sp.csr_matrix:
+    """The H space's curl matrix G: the constant out-of-plane curl of
+    the field on each conducting triangle, rows in ``sc_tris`` order,
+    from a full coefficient vector.  Node potentials and bubbles are
+    gradients; their curl vanishes to rounding."""
+    mesh = space.mesh
+    tri_ids = space.meta["sc_tris"]
+    pos, C = _whitney_map(space)
+    _, curls, _ = _whitney_local(mesh, tri_ids)
+    rows = np.repeat(np.arange(len(tri_ids)), 3)
+    return _scatter(rows, pos[mesh.tri_edges[tri_ids]], curls,
+                    (len(tri_ids), C.shape[0])) @ C
+
+
 def _curl_form(space, base=None) -> _CurlForm:
     """The space's curl-curl form (see ``_CurlForm``) with the fixed
     ``base`` matrix."""
     if space.family == "H":
-        mesh = space.mesh
-        tri_ids = space.meta["sc_tris"]
-        sc_edges, C = whitney_transform(space)
-        pos = np.full(len(mesh.edges), -1, dtype=np.int64)
-        pos[sc_edges] = np.arange(len(sc_edges))
-        _, curls, omega = _whitney_local(mesh, tri_ids)
-        rows = np.repeat(np.arange(len(tri_ids)), 3)
-        G = _scatter(rows, pos[mesh.tri_edges[tri_ids]], curls,
-                     (len(tri_ids), len(sc_edges))) @ C
+        G = h_curl_matrix(space)
+        omega, _ = tri_geometry(space.mesh, space.meta["sc_tris"])
     else:
         tab = trace_table(space)
         n_seg = len(tab.lens)
@@ -441,6 +465,37 @@ def _a_stiffness(space, nu_per_tri):
              + _masked_scatter(hats, dofs, loc.transpose(0, 2, 1), shape)
              + _masked_scatter(dofs, dofs, _bubble_gram(grad_b, w), shape))
     return K.tocsr()
+
+
+def field_operator(space: DofSpace, tri_ids, barys) -> sp.csr_matrix:
+    """Sparse map F from a full coefficient vector to the field at the
+    points given by triangles ``tri_ids`` (N,) and barycentric
+    coordinates ``barys`` (N, 3): h for an H space, b = curl(a z-hat)
+    = (da/dy, -da/dx) for an A space.  Rows 2k and 2k + 1 hold the x
+    and y components at point k, so ``(F @ x).reshape(-1, 2)`` is the
+    field per point.  Every triangle must lie in the space's domain."""
+    mesh = space.mesh
+    tri_ids = np.asarray(tri_ids, dtype=np.int64)
+    pts = np.asarray(barys, dtype=float).reshape(len(tri_ids), 1, 3)
+    rows = 2 * np.arange(len(tri_ids))[:, None] + np.arange(2)
+    shape = (2 * len(tri_ids), space.n_dofs)
+    if space.family == "H":
+        pos, C = _whitney_map(space)
+        vals, _, _ = _whitney_local(mesh, tri_ids, pts)
+        F = _masked_scatter(rows, pos[mesh.tri_edges[tri_ids]], vals[:, 0].transpose(0, 2, 1),
+                            (shape[0], C.shape[0])) @ C
+        turn = np.eye(2)
+    elif space.family == "A":
+        _, grads = tri_geometry(mesh, tri_ids)
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])      # grad a @ turn = curl(a z-hat)
+        F = _masked_scatter(rows, space.entity_dofs("node", mesh.n_nodes)[mesh.triangles[tri_ids]],
+                            (grads @ turn).transpose(0, 2, 1), shape)
+    else:
+        raise AssemblyError("field evaluation applies to H and A spaces")
+    if space.enrichment == 2:
+        hit, dofs, grad_b, _, _ = _edge_bubbles(space, tri_ids, pts)
+        F = F + _masked_scatter(rows[hit], dofs, (grad_b[:, 0] @ turn).transpose(0, 2, 1), shape)
+    return F.tocsr()
 
 
 def tape_element_size(mesh: Mesh2D) -> float:

@@ -180,7 +180,10 @@ def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
     N_V = assemble_norm_matrix(v_space, norms)
     N_Q = assemble_norm_matrix(q_space, norms)
     eig = infsup_eigenpairs(B, N_V, N_Q)
-    rank = mode_rank if mode_rank >= 0 else len(eig.eigenvalues) + mode_rank
+    n = len(eig.eigenvalues)
+    if not -n <= mode_rank < n:
+        raise cfgmod.ConfigError(f"mode rank {mode_rank} outside [-{n}, {n - 1}]")
+    rank = mode_rank if mode_rank >= 0 else n + mode_rank
     export_eigenmode(mesh, v_space, q_space, B, N_V, eig, rank,
                      outdir / "eigenmode")
     summary = {"command": "eigenmode", "mode_rank": rank,
@@ -204,7 +207,7 @@ def main(argv=None) -> int:
                         choices=["solve", "infsup", "mesh", "eigenmode"])
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--pairing", help="space orders i,j or 'all'")
+    parser.add_argument("--pairing", help="space orders i,j, or 'all' for infsup")
     parser.add_argument("--refinements", type=int,
                         help="number of refinements for infsup")
     parser.add_argument("--mode-rank", type=int, default=0,
@@ -217,6 +220,8 @@ def main(argv=None) -> int:
         pairings = None
         if args.pairing:
             if args.pairing.lower() == "all":
+                if args.command != "infsup":
+                    raise cfgmod.ConfigError("--pairing all applies to infsup only")
                 pairings = [(1, 1), (1, 2), (2, 1), (2, 2)]
             else:
                 i, j = (int(p) for p in args.pairing.split(","))

@@ -2,7 +2,10 @@
 a scalar oscillation measure.
 
 Profiles are sampled element-locally, without interpolation smoothing,
-so that discretization oscillations survive into the data.
+so that discretization oscillations survive into the data.  Fields are
+evaluated by the assembly's basis kernels: one point location and one
+sparse product with ``field_operator`` per profile, and the conductor
+current density per triangle from ``h_curl_matrix``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import numpy as np
 from ._geom import tri_geometry
 from .materials import MU0
 from .mesh import Interface, Mesh2D, Region
-from .spaces import (DofSpace, eval_a_curl, eval_h_field,
-                     whitney_edge_coefficients)
-from .assembly import tape_current_density
+from .spaces import DofSpace
+from .assembly import field_operator, h_curl_matrix, tape_current_density
 
 
 class SamplingError(ValueError):
@@ -114,17 +116,10 @@ def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     pts = np.column_stack([xs, np.full_like(xs, y)])
     tri_ids, barys = locate_points(mesh, pts, region=region)
 
-    vals = np.empty(n_samples)
     if side == "ABOVE":
-        for k in range(n_samples):
-            b = eval_a_curl(a_space, a_full, int(tri_ids[k]), barys[k])[0]
-            vals[k] = b[1]
+        vals = (field_operator(a_space, tri_ids, barys) @ a_full)[1::2]
     else:
-        expanded = whitney_edge_coefficients(h_space, h_full)
-        for k in range(n_samples):
-            h = eval_h_field(h_space, h_full, int(tri_ids[k]), barys[k],
-                             _expanded=expanded)[0]
-            vals[k] = MU0 * h[1]
+        vals = MU0 * (field_operator(h_space, tri_ids, barys) @ h_full)[1::2]
     return ProfileSample(xs, vals, offset=offset,
                          metadata={"side": side, "quantity": "b_n"})
 
@@ -167,17 +162,16 @@ def sign_changes(values, tol_rel: float = 1e-9) -> int:
 def penetrated_area(mesh: Mesh2D, h_space: DofSpace, h_full, j_c: float,
                     threshold: float = 0.8) -> float:
     """Conductor area where |j| exceeds threshold * j_c."""
-    from .spaces import elementwise_curl_h
-    tris, curl = elementwise_curl_h(h_space, h_full)
-    areas, _ = tri_geometry(mesh, tris)
+    curl = h_curl_matrix(h_space) @ h_full
+    areas, _ = tri_geometry(mesh, h_space.meta["sc_tris"])
     return float(areas[np.abs(curl) > threshold * j_c].sum())
 
 
 def magnetization(mesh: Mesh2D, h_space: DofSpace, h_full) -> np.ndarray:
     """Magnetic moment per unit length of the conductor currents:
     m = 1/2 int r x (j z-hat) dA."""
-    from .spaces import elementwise_curl_h
-    tris, curl = elementwise_curl_h(h_space, h_full)
+    tris = h_space.meta["sc_tris"]
+    curl = h_curl_matrix(h_space) @ h_full
     areas, _ = tri_geometry(mesh, tris)
     cents = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
     mx = 0.5 * np.sum(cents[:, 1] * curl * areas)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
+                       field_operator, tape_current_density)
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
                      condense_interior, factor_field_norm, infsup_eigenpairs,
                      solve_sparse)
@@ -312,15 +313,12 @@ def export_eigenmode(mesh, v_space, q_space, B, N_V, eig: EigenResult,
     v_full[v_space.free] = v_free
     lines = ["x,y,value"]
     if v_space.family == "H":
-        from .spaces import eval_h_field, whitney_edge_coefficients
-        expanded = whitney_edge_coefficients(v_space, v_full)
-        center = np.full(3, 1.0 / 3.0)
-        for t in v_space.meta["sc_tris"]:
-            h = eval_h_field(v_space, v_full, int(t), center, _expanded=expanded)[0]
-            cx, cy = mesh.nodes[mesh.triangles[t]].mean(axis=0)
-            lines.append(f"{cx:.17g},{cy:.17g},{np.hypot(*h):.17g}")
+        tris = v_space.meta["sc_tris"]
+        h = field_operator(v_space, tris, np.full((len(tris), 3), 1.0 / 3.0)) @ v_full
+        cents = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
+        for (cx, cy), (hx, hy) in zip(cents, h.reshape(-1, 2)):
+            lines.append(f"{cx:.17g},{cy:.17g},{np.hypot(hx, hy):.17g}")
     else:
-        from .assembly import tape_current_density
         segs, _ = mesh.interface(Interface.GAMMA_W)
         j = tape_current_density(v_space, v_full)
         for k, seg in enumerate(segs):

@@ -21,6 +21,11 @@ Degrees of freedom are numbered nodes, then edges, then bubbles, then
 globals, so assembled matrices are reproducible.  Essential values are
 applied by symmetric elimination downstream; here each constrained
 degree of freedom carries its build-time value.
+
+This module holds the DOF bookkeeping, the interface trace table and
+the H space's Whitney map.  Fields inside the elements are evaluated
+in ``assembly``, on the basis kernels the assembly itself uses
+(``field_operator``, ``h_curl_matrix``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._geom import tri_geometry
 from .mesh import Interface, Mesh2D, Region
 
 
@@ -99,8 +103,6 @@ class DofSpace:
         self.free = np.array([k for k in range(self.n_dofs)
                               if k not in self.essential], dtype=np.int64)
         self.n_free = len(self.free)
-        self.full_to_free = np.full(self.n_dofs, -1, dtype=np.int64)
-        self.full_to_free[self.free] = np.arange(self.n_free)
 
     @property
     def circuits(self) -> list:
@@ -488,7 +490,7 @@ def eval_trace(space: DofSpace, coeffs, interface_tag, s):
     return out if np.ndim(s) else float(out[0])
 
 
-# -- field evaluation ------------------------------------------------------------
+# -- Whitney map ----------------------------------------------------------------
 
 
 def whitney_transform(space: DofSpace):
@@ -523,86 +525,3 @@ def whitney_transform(space: DofSpace):
                    shape=(len(sc_edges), space.n_dofs)).tocsr()
     space._whitney_transform = (sc_edges, C)
     return sc_edges, C
-
-
-def whitney_edge_coefficients(space: DofSpace, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Whitney edge circulations of the lowest-order part of an H field."""
-    sc_edges, C = whitney_transform(space)
-    return sc_edges, C @ np.asarray(coeffs, dtype=float)
-
-
-def elementwise_curl_h(space: DofSpace, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-plane curl of an H-space field per conducting triangle.
-
-    Returns (tri_ids, curl values).  Gradient-type contributions (node
-    potentials and bubbles) are exactly curl-free and never enter."""
-    mesh = space.mesh
-    tris = space.meta["sc_tris"]
-    sc_edges, vals = whitney_edge_coefficients(space, coeffs)
-    pos = np.full(len(mesh.edges), -1, dtype=np.int64)
-    pos[sc_edges] = np.arange(len(sc_edges))
-    areas, grads = tri_geometry(mesh, tris)
-    curl = np.zeros(len(tris))
-    locals_ = ((0, 1), (1, 2), (2, 0))
-    for le, (i, j) in enumerate(locals_):
-        eids = mesh.tri_edges[tris, le]
-        na, nb = mesh.triangles[tris, i], mesh.triangles[tris, j]
-        sgn = np.where(na < nb, 1.0, -1.0)
-        cross = 2.0 * (grads[:, i, 0] * grads[:, j, 1]
-                       - grads[:, i, 1] * grads[:, j, 0])
-        curl += vals[pos[eids]] * sgn * cross
-    return tris, curl
-
-
-def eval_h_field(space: DofSpace, coeffs, tri_id: int, bary,
-                 _expanded=None) -> np.ndarray:
-    """Vector value of an H-space field at barycentric point(s) of one
-    conducting triangle; bary has shape (..., 3).  ``_expanded`` may
-    pass a precomputed result of :func:`whitney_edge_coefficients`."""
-    mesh = space.mesh
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    areas, grads = tri_geometry(mesh, np.array([tri_id]))
-    g = grads[0]
-    tri = mesh.triangles[tri_id]
-    sc_edges, vals = _expanded if _expanded is not None else \
-        whitney_edge_coefficients(space, coeffs)
-    pos = {int(e): k for k, e in enumerate(sc_edges)}
-    out = np.zeros(bary.shape[:-1] + (2,))
-    for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        eid = int(mesh.tri_edges[tri_id, le])
-        na, nb = int(tri[i]), int(tri[j])
-        sgn = 1.0 if na < nb else -1.0
-        c = vals[pos[eid]] * sgn
-        out += c * (bary[..., i, None] * g[j] - bary[..., j, None] * g[i])
-    if space.enrichment == 2:
-        for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
-            if key in space.index:
-                c = coeffs[space.index[key]]
-                out += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
-    return out
-
-
-def eval_a_curl(space: DofSpace, coeffs, tri_id: int, bary) -> np.ndarray:
-    """Flux density b = curl(a z-hat) at barycentric point(s) of one
-    a-side triangle: (da/dy, -da/dx)."""
-    mesh = space.mesh
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    areas, grads = tri_geometry(mesh, np.array([tri_id]))
-    g = grads[0]
-    tri = mesh.triangles[tri_id]
-    grad_a = np.zeros(bary.shape[:-1] + (2,))
-    for i in range(3):
-        key = ("node", int(tri[i]))
-        if key in space.index:
-            grad_a += coeffs[space.index[key]] * np.broadcast_to(g[i], grad_a.shape)
-    if space.enrichment == 2:
-        for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
-            if key in space.index:
-                c = coeffs[space.index[key]]
-                grad_a += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
-    out = np.empty_like(grad_a)
-    out[..., 0] = grad_a[..., 1]
-    out[..., 1] = -grad_a[..., 0]
-    return out

@@ -6,14 +6,14 @@ from htsfem._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW
 from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_coupling_matrix, assemble_ha_iteration,
                              assemble_norm_matrix, assemble_ta_iteration,
-                             export_matrix_market, import_matrix_market,
-                             linear_blocks, tape_element_size, _coupling_full)
+                             export_matrix_market, field_operator, h_curl_matrix,
+                             import_matrix_market, linear_blocks, tape_element_size,
+                             _coupling_full)
 from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           eval_a_curl, eval_h_field, eval_trace,
-                           interface_chain)
+                           eval_trace, interface_chain)
 
-from util import l_bar_mesh
+from util import curl_h, eval_a_curl, eval_h_field, l_bar_mesh
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -348,3 +348,42 @@ def test_bubble_rows_match_field_quadrature():
                 (space.family, edge)
         assert two_bubbles > 0, space.family
         assert sym_defect(K) < 1e-12     # the bubble columns mirror the rows
+
+
+@pytest.mark.parametrize("enrichment", [1, 2])
+@pytest.mark.parametrize("family", ["H", "A"])
+def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichment):
+    # every triangle of the space's domain, at its vertices, its edge
+    # midpoints and two random interior points
+    rng = np.random.default_rng(5)
+    corners = np.eye(3)
+    fixed = np.concatenate([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
+    for mesh in (bar_mesh, l_bar_mesh()):
+        if family == "H":
+            space = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+            tris, reference = space.meta["sc_tris"], eval_h_field
+        else:
+            space = build_a_space(mesh, enrichment, Interface.GAMMA_M)
+            tris, reference = space.meta["a_tris"], eval_a_curl
+        barys = np.concatenate([np.broadcast_to(fixed, (len(tris),) + fixed.shape),
+                                rng.dirichlet(np.ones(3), size=(len(tris), 2))], axis=1)
+        x = rng.standard_normal(space.n_dofs)
+        F = field_operator(space, np.repeat(tris, barys.shape[1]), barys.reshape(-1, 3))
+        got = (F @ x).reshape(barys.shape[:2] + (2,))
+        ref = np.stack([reference(space, x, int(t), b) for t, b in zip(tris, barys)])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (mesh.n_triangles, family)
+    # at order 2 the L-bar puts two interface bubbles on one triangle
+    # of each domain
+    bubbles = space.entity_dofs("bubble", len(mesh.edges))[mesh.tri_edges[tris]]
+    assert (bubbles >= 0).sum(axis=1).max() == (2 if enrichment == 2 else 0)
+
+
+@pytest.mark.parametrize("enrichment", [1, 2])
+def test_h_curl_matrix_matches_reference_curl(bar_mesh, enrichment):
+    rng = np.random.default_rng(6)
+    for mesh in (bar_mesh, l_bar_mesh()):
+        h = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+        x = rng.standard_normal(h.n_dofs)
+        tris, ref = curl_h(h, x)
+        assert np.array_equal(tris, h.meta["sc_tris"])
+        assert np.abs(h_curl_matrix(h) @ x - ref).max() <= 1e-12 * np.abs(ref).max()

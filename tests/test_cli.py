@@ -113,6 +113,18 @@ def test_cli_bad_pairing_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "mesh", "eigenmode"])
+def test_cli_pairing_all_outside_infsup_exit_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SMALL_BAR)
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out), "--pairing", "all", "--quiet"])
+    assert rc == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject_constant)["error"] == "config"
+    assert not out.exists()
+
+
 def test_cli_solve_tape(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_TAPE)
     out = tmp_path / "out"
@@ -259,6 +271,22 @@ def test_cli_eigenmode(tmp_path):
                  "--pairing", "1,1", "--quiet"]) == 0
     assert (out / "eigenmode_potential.csv").exists()
     assert (out / "eigenmode_supremizer.csv").exists()
+
+
+@pytest.mark.parametrize("rank", [100000, -100000])
+def test_cli_eigenmode_rank_out_of_range_exit_2(tmp_path, capsys, rank):
+    cfg = write_cfg(tmp_path, SMALL_BAR)
+    out = tmp_path / "out"
+    rc = main(["eigenmode", "--config", cfg, "--out", str(out), "--pairing", "1,1",
+               "--mode-rank", str(rank), "--quiet"])
+    assert rc == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0], parse_constant=_reject_constant)
+    assert err["error"] == "config"
+    assert f"mode rank {rank} outside" in err["message"]
+    assert not (out / "eigenmode_potential.csv").exists()
+    assert not (out / "run.json").exists()
 
 
 def test_cli_determinism(tmp_path):

@@ -19,9 +19,10 @@ from htsfem.linalg import InterfaceSchur, SingularSystemError, backward_error, s
 from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           elementwise_curl_h, essential_vector, trace_table,
-                           whitney_transform)
+                           essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _solve_condensed
+
+from util import curl_h
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -77,7 +78,7 @@ def _iterate_sampler(form, v, jc):
     if form == "ha":
         def sample(rng):
             x = rng.standard_normal(v.n_dofs)
-            return x * rng.uniform(0.01, 1.5) * jc / np.abs(elementwise_curl_h(v, x)[1]).max()
+            return x * rng.uniform(0.01, 1.5) * jc / np.abs(curl_h(v, x)[1]).max()
         return sample
     J = np.stack([tape_current_density(v, e, at_qp=True).ravel()
                   for e in np.eye(v.n_dofs)], axis=1)
@@ -179,7 +180,7 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
     sys = case.assemble(case.blocks, (v_prev, a_prev), (v_it, a_prev), dt)
     if form == "ha":
-        j_it = elementwise_curl_h(case.v, v_it)[1]
+        j_it = curl_h(case.v, v_it)[1]
         scale, stiffness = dt, _h_stiffness_scatter
         M = _h_mass(case.v, MU0)
         A_ref, s_ref = M, M @ v_prev

@@ -4,14 +4,14 @@ import pytest
 from htsfem._geom import LINE_QP, LINE_QW
 from scipy.sparse import coo_matrix
 
+from htsfem.assembly import field_operator, h_curl_matrix
 from htsfem.mesh import Interface, Region, _structured_mesh, refine
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space,
                            build_cut_function, build_h_space, build_t_space,
-                           elementwise_curl_h, essential_vector, eval_h_field,
-                           eval_trace, interface_chain, trace_table,
-                           whitney_edge_coefficients, whitney_transform)
+                           essential_vector, eval_trace, interface_chain,
+                           trace_table, whitney_transform)
 
-from util import l_bar_mesh
+from util import eval_h_field, l_bar_mesh
 
 
 def loop_circulation(space, coeffs, tag):
@@ -73,7 +73,7 @@ def test_cut_curl_confined_to_layer(bar_mesh):
     h = build_h_space(bar_mesh, 1)
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
-    tris, curl = elementwise_curl_h(h, x)
+    tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
     layer = set(int(t) for t in cut.layer_tris)
     scale = np.abs(curl).max()
     for t, c in zip(tris, curl):
@@ -128,10 +128,11 @@ def test_gradient_part_is_curl_free(bar_mesh):
     for k, (kind, ent) in enumerate(h.entries):
         if kind in ("node", "bubble"):
             x[k] = rng.normal()
-    tris, curl = elementwise_curl_h(h, x)
+    G = h_curl_matrix(h)
+    curl = G @ x
     # relative to the curl scale of a same-magnitude generic field
     y = rng.normal(size=h.n_dofs)
-    _, curl_ref = elementwise_curl_h(h, y)
+    curl_ref = G @ y
     assert np.abs(curl).max() < 1e-12 * np.abs(curl_ref).max()
 
 
@@ -139,12 +140,13 @@ def test_bubbles_never_change_curl(bar_mesh):
     h2 = build_h_space(bar_mesh, 2)
     rng = np.random.default_rng(4)
     x = rng.normal(size=h2.n_dofs)
-    _, curl_a = elementwise_curl_h(h2, x)
+    G = h_curl_matrix(h2)
+    curl_a = G @ x
     y = x.copy()
     for k, (kind, ent) in enumerate(h2.entries):
         if kind == "bubble":
             y[k] = 0.0
-    _, curl_b = elementwise_curl_h(h2, y)
+    curl_b = G @ y
     assert np.abs(curl_a - curl_b).max() < 1e-12 * np.abs(curl_a).max()
 
 
@@ -152,11 +154,10 @@ def test_bubbles_never_change_curl(bar_mesh):
 
 
 def test_a_zero_coefficients_zero_field(bar_mesh):
-    from htsfem.spaces import eval_a_curl
     a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
     x = np.zeros(a.n_dofs)
     t0 = int(a.meta["a_tris"][0])
-    b = eval_a_curl(a, x, t0, np.array([1 / 3, 1 / 3, 1 / 3]))
+    b = field_operator(a, [t0], np.array([[1 / 3, 1 / 3, 1 / 3]])) @ x
     assert np.abs(b).max() == 0.0
 
 
@@ -360,8 +361,7 @@ def test_h_trace_table_matches_tangential_field(bar_mesh):
         x = np.zeros(h.n_dofs)
         x[dof] = 1.0
         table = np.einsum("sp,spq->sq", tab.gather(x), vals)
-        expanded = whitney_edge_coefficients(h, x)
-        oracle = np.array([eval_h_field(h, x, t, bary, _expanded=expanded) @ tan
+        oracle = np.array([eval_h_field(h, x, t, bary) @ tan
                            for t, bary, tan in sides])
         assert np.allclose(table, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max()), dof
 

@@ -1,8 +1,11 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the straightforward per-triangle field
+evaluators that the assembly's field kernels are checked against."""
 
 import numpy as np
 
+from htsfem._geom import tri_geometry
 from htsfem.mesh import Region, _structured_mesh
+from htsfem.spaces import whitney_transform
 
 
 def h_dofs_for_potential(h_space, potential):
@@ -52,3 +55,78 @@ def l_bar_mesh():
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
     return _structured_mesh(breaks, breaks, 0.001, region)
+
+
+def curl_h(space, coeffs):
+    """Out-of-plane curl of an H-space field per conducting triangle,
+    edge by edge from the Whitney circulations.  Returns (tri_ids,
+    curl values)."""
+    mesh = space.mesh
+    tris = space.meta["sc_tris"]
+    sc_edges, C = whitney_transform(space)
+    vals = C @ np.asarray(coeffs, dtype=float)
+    pos = np.full(len(mesh.edges), -1, dtype=np.int64)
+    pos[sc_edges] = np.arange(len(sc_edges))
+    areas, grads = tri_geometry(mesh, tris)
+    curl = np.zeros(len(tris))
+    locals_ = ((0, 1), (1, 2), (2, 0))
+    for le, (i, j) in enumerate(locals_):
+        eids = mesh.tri_edges[tris, le]
+        na, nb = mesh.triangles[tris, i], mesh.triangles[tris, j]
+        sgn = np.where(na < nb, 1.0, -1.0)
+        cross = 2.0 * (grads[:, i, 0] * grads[:, j, 1]
+                       - grads[:, i, 1] * grads[:, j, 0])
+        curl += vals[pos[eids]] * sgn * cross
+    return tris, curl
+
+
+def eval_h_field(space, coeffs, tri_id: int, bary) -> np.ndarray:
+    """Vector value of an H-space field at barycentric point(s) of one
+    conducting triangle; bary has shape (..., 3)."""
+    mesh = space.mesh
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    areas, grads = tri_geometry(mesh, np.array([tri_id]))
+    g = grads[0]
+    tri = mesh.triangles[tri_id]
+    sc_edges, C = whitney_transform(space)
+    vals = C @ np.asarray(coeffs, dtype=float)
+    pos = {int(e): k for k, e in enumerate(sc_edges)}
+    out = np.zeros(bary.shape[:-1] + (2,))
+    for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        eid = int(mesh.tri_edges[tri_id, le])
+        na, nb = int(tri[i]), int(tri[j])
+        sgn = 1.0 if na < nb else -1.0
+        c = vals[pos[eid]] * sgn
+        out += c * (bary[..., i, None] * g[j] - bary[..., j, None] * g[i])
+    if space.enrichment == 2:
+        for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
+            if key in space.index:
+                c = coeffs[space.index[key]]
+                out += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
+    return out
+
+
+def eval_a_curl(space, coeffs, tri_id: int, bary) -> np.ndarray:
+    """Flux density b = curl(a z-hat) at barycentric point(s) of one
+    a-side triangle: (da/dy, -da/dx)."""
+    mesh = space.mesh
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    areas, grads = tri_geometry(mesh, np.array([tri_id]))
+    g = grads[0]
+    tri = mesh.triangles[tri_id]
+    grad_a = np.zeros(bary.shape[:-1] + (2,))
+    for i in range(3):
+        key = ("node", int(tri[i]))
+        if key in space.index:
+            grad_a += coeffs[space.index[key]] * np.broadcast_to(g[i], grad_a.shape)
+    if space.enrichment == 2:
+        for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
+            if key in space.index:
+                c = coeffs[space.index[key]]
+                grad_a += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
+    out = np.empty_like(grad_a)
+    out[..., 0] = grad_a[..., 1]
+    out[..., 1] = -grad_a[..., 0]
+    return out
