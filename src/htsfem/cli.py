@@ -175,6 +175,9 @@ def cmd_mesh(cfg, outdir: Path, quiet=False) -> int:
 def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
     mesh = _build_mesh(cfg)
     v_space, q_space = build_pairing(mesh, cfg["formulation"], cfg["pairing"])
+    n = q_space.n_free          # the pencil has at most n nonzero eigenvalues
+    if not -n <= mode_rank < n:
+        raise cfgmod.ConfigError(f"mode rank {mode_rank} outside the {n} free potential DOFs")
     norms = cfgmod.make_norms(cfg)
     B = assemble_coupling_matrix(v_space, q_space)
     N_V = assemble_norm_matrix(v_space, norms)

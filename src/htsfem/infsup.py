@@ -10,7 +10,8 @@ beta shrinking linearly with the element size an unstable one.
 A sweep runs all requested pairings in one pass over the meshes and
 shares, per mesh, what depends on one space only: the spaces, their
 norm matrices, the field-norm factors and one potential-norm
-condensation (see ``linalg.condense_interior``).
+condensation (see ``linalg.condense_interior``).  No pencil holds an
+eigenvector on the whole potential space beyond its two checked ones.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ class InfSupMatrix(dict):
         super().__init__(reports)
         self.sizes = []
         self.counters = {"mesh_levels": 0, "field_norm_factorizations": 0,
-                         "interior_factorizations": 0}
+                         "interior_factorizations": 0, "pencils": 0,
+                         "full_space_pair_checks": 0}
 
 
 @contextmanager
@@ -233,9 +235,10 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
         with _located(level, pair):
             eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v[i],
                                     interior=interior.leading(n_p[j]))
+        reports.counters["pencils"] += 1
+        reports.counters["full_space_pair_checks"] += len(eig.checked)
         reports[pair].records.append(SweepRecord(
             mesh.delta / width_ref, eig.beta, eig.b_norm, len(eig.eigenvalues)))
-        del eig         # its eigenvectors are as large as the condensation
 
 
 def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
@@ -284,31 +287,25 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     return reports
 
 
-def supremizer(B, N_V, q_free) -> np.ndarray:
-    """Field-side element achieving the sup for a potential eigenvector:
-    v = N_V^{-1} B^T q on the free DOFs."""
-    return solve_sparse(N_V, np.asarray(B.T @ q_free).ravel())
-
-
 def export_eigenmode(mesh, v_space, q_space, B, N_V, eig: EigenResult,
                      mode_rank: int, out_prefix):
     """Write one eigenmode as point clouds: the potential eigenvector at
-    the a-nodes and the supremizer field sampled on elements."""
+    the a-nodes and the supremizer v = N_V^{-1} B^T q, which achieves the
+    sup for q, sampled on elements.  Only q is extended to I."""
     if not (0 <= mode_rank < len(eig.eigenvalues)):
         raise IndexError("mode rank out of range")
-    q_free = eig.eigenvectors[:, mode_rank]
+    q_free = eig.interior.extend(eig.Y[:, mode_rank])
     q_full = np.zeros(q_space.n_dofs)
     q_full[q_space.free] = q_free
 
-    lines = ["x,y,value"]
-    for k, (kind, ent) in enumerate(q_space.entries):
-        if kind == "node":
-            x, y = mesh.nodes[ent]
-            lines.append(f"{x:.17g},{y:.17g},{q_full[k]:.17g}")
+    dof = q_space.entity_dofs("node", mesh.n_nodes)
+    nodes = np.argsort(dof)[np.count_nonzero(dof < 0):]     # a-nodes in DOF order
+    lines = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(
+        mesh.nodes[nodes].tolist(), q_full[dof[nodes]].tolist())]
     with open(f"{out_prefix}_potential.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
 
-    v_free = supremizer(B, N_V, q_free)
+    v_free = solve_sparse(N_V, np.asarray(B.T @ q_free).ravel())
     v_full = np.zeros(v_space.n_dofs)
     v_full[v_space.free] = v_free
     lines = ["x,y,value"]

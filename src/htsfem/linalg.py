@@ -3,8 +3,9 @@ block and the generalized eigenproblem of the numerical inf-sup test.
 
 ``interface_term`` is the one condensation: of the transient's a-block
 (``InterfaceSchur``) and of both sides of the inf-sup pencil, which is
-then solved on the rows that B couples by one generalized ``eigh``.
-The pencil's field-norm factor and potential-norm condensation
+then solved and checked on the rows that B couples; only its two
+reported pairs are extended to the whole potential space.  The
+pencil's field-norm factor and potential-norm condensation
 (``factor_field_norm``, ``condense_interior``) can be built once and
 shared by the pairings of one mesh; a lower-order potential space of a
 hierarchical basis takes a leading block of the richer condensation.
@@ -15,7 +16,7 @@ condensation 25 times slower than the default COLAMD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -113,24 +114,22 @@ INTERFACE_BLOCK = 32    # coupled columns solved at a time
 def interface_term(lu, B):
     """The interface term of a factored SPD block K and a coupling B.
 
-    Returns (cols, X, T): the columns of B with structural nonzeros,
-    X = K^{-1} Bs for the matrix Bs of those columns (``lu`` is the
-    factor of K) and the symmetrized dense T = Bs^T X.  The columns are
-    solved INTERFACE_BLOCK at a time into X, so that beside X only one
+    Returns (cols, T): the columns Bs of B with structural nonzeros and
+    the symmetrized dense T = Bs^T K^{-1} Bs, for the factor ``lu`` of
+    K.  Bs is solved INTERFACE_BLOCK columns at a time, so that only one
     block of right-hand sides and its solution are held.
     """
     B = sp.csc_matrix(B)
     cols = np.flatnonzero(np.diff(B.indptr))
     Bs = B[:, cols]
-    # row-major, so that the sparse product below reads X without a copy
-    X = np.empty((B.shape[0], len(cols)))
+    T = np.empty((len(cols), len(cols)))
     for start in range(0, len(cols), INTERFACE_BLOCK):
         b = slice(start, start + INTERFACE_BLOCK)
-        X[:, b] = lu.solve(Bs[:, b].toarray())
-        if not np.all(np.isfinite(X[:, b])):
+        X = lu.solve(Bs[:, b].toarray())
+        if not np.all(np.isfinite(X)):
             raise SingularSystemError("singular pivot in the block factorization")
-    T = np.asarray(Bs.T @ X)
-    return cols, X, 0.5 * (T + T.T)
+        T[:, b] = Bs.T @ X
+    return cols, 0.5 * (T + T.T)
 
 
 class InterfaceSchur:
@@ -154,7 +153,7 @@ class InterfaceSchur:
             raise ValueError("dimension mismatch")
         self._lu = _factor(K, "block", permc_spec="MMD_AT_PLUS_A")
         self.fill = int(self._lu.L.nnz + self._lu.U.nnz)
-        self.cols, _, S = interface_term(self._lu, B)
+        self.cols, S = interface_term(self._lu, B)
         r, c = np.meshgrid(self.cols, self.cols, indexing="ij")
         self._S = sp.csr_matrix((S.ravel(), (r.ravel(), c.ravel())), shape=(n_v, n_v))
         self._B = B.tocsr()
@@ -173,30 +172,6 @@ class InterfaceSchur:
         return self._lu.solve(self._B @ v) - lift
 
 
-@dataclass
-class EigenResult:
-    """Nonzero spectrum of the inf-sup pencil.
-
-    eigenvalues are ascending; eigenvectors (columns) are
-    N_Q-orthonormal elements of the potential space.  ``n_zero`` counts
-    the disregarded (near-)zero eigenvalues, including potential DOFs
-    with no interface support.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    zero_cutoff: float
-    n_zero: int
-
-    @property
-    def beta(self) -> float:
-        return float(np.sqrt(self.eigenvalues[0]))
-
-    @property
-    def b_norm(self) -> float:
-        return float(np.sqrt(self.eigenvalues[-1]))
-
-
 def factor_field_norm(N_V):
     """SuperLU factor of the field norm N_V of the inf-sup pencil."""
     return _factor(N_V, "field norm")
@@ -206,26 +181,30 @@ def factor_field_norm(N_V):
 class InteriorCondensation:
     """The potential norm N_Q condensed onto the coupled rows P.
 
-    I holds the other potential DOFs, ``cols`` the positions in P whose
-    DOFs N_Q couples to I, X = N_Q[I,I]^{-1} N_Q[I,P[cols]] and S the
-    Schur complement N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P].  The
-    N_Q-harmonic extension of values y on P is -X y[cols] on I.
+    I holds the other potential DOFs, ``lu_i`` the factor of N_Q[I,I],
+    N_IP the sparse block N_Q[I,P] and S the Schur complement
+    N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P].
     """
 
     P: np.ndarray
     I: np.ndarray
-    cols: np.ndarray
-    X: np.ndarray
+    lu_i: object
+    N_IP: sp.csc_matrix
     S: np.ndarray
 
+    def extend(self, Y):
+        """The N_Q-harmonic extension of values Y on P (a vector or
+        columns): Y on P and -N_Q[I,I]^{-1} N_Q[I,P] Y on I."""
+        Q = np.empty((len(self.P) + len(self.I),) + Y.shape[1:])
+        Q[self.P] = Y
+        Q[self.I] = -self.lu_i.solve(self.N_IP @ Y)
+        return Q
+
     def leading(self, n):
-        """The condensation onto the first n rows of P with the same I,
-        as views.  It is that of a potential space whose DOFs are the
-        first n of P and all of I, if its norm matrix is the matching
-        block of N_Q (a hierarchical basis); the caller checks that."""
-        k = int(np.searchsorted(self.cols, n))
-        return InteriorCondensation(self.P[:n], self.I, self.cols[:k],
-                                    self.X[:, :k], self.S[:n, :n])
+        """The condensation onto the first n rows of P with the same I:
+        that of a potential space of those rows and I, if its norm matrix
+        is the matching block of N_Q (a hierarchical basis; see caller)."""
+        return replace(self, P=self.P[:n], N_IP=self.N_IP[:, :n], S=self.S[:n, :n])
 
 
 def condense_interior(N_Q, P) -> InteriorCondensation:
@@ -235,21 +214,53 @@ def condense_interior(N_Q, P) -> InteriorCondensation:
     N_Q = sp.csr_matrix(N_Q)
     I = np.setdiff1d(np.arange(N_Q.shape[0]), P, assume_unique=True)
     lu_i = _factor(N_Q[I][:, I], "potential norm")
-    cols, X, T = interface_term(lu_i, N_Q[I][:, P])
+    N_IP = sp.csc_matrix(N_Q[I][:, P])
+    cols, T = interface_term(lu_i, N_IP)
     S = N_Q[P][:, P].toarray()
     S[np.ix_(cols, cols)] -= T
-    return InteriorCondensation(P, I, cols, X, S)
+    return InteriorCondensation(P, I, lu_i, N_IP, S)
+
+
+@dataclass
+class EigenResult:
+    """Nonzero spectrum of the inf-sup pencil: ascending eigenvalues,
+    their S-orthonormal eigenvectors Y on the rows P of ``interior`` and
+    the indices of the pairs ``checked`` on the whole potential space.
+    ``n_zero`` counts the disregarded (near-)zero eigenvalues, including
+    potential DOFs with no interface support."""
+
+    eigenvalues: np.ndarray
+    Y: np.ndarray
+    zero_cutoff: float
+    n_zero: int
+    interior: InteriorCondensation
+    checked: np.ndarray
+
+    @property
+    def beta(self) -> float:
+        return float(np.sqrt(self.eigenvalues[0]))
+
+    @property
+    def b_norm(self) -> float:
+        return float(np.sqrt(self.eigenvalues[-1]))
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Every kept eigenvector on the whole potential space (columns)."""
+        return self.interior.extend(self.Y)
 
 
 def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
                       lu_v=None, interior=None) -> EigenResult:
     """Solve B N_V^{-1} B^T q = lambda N_Q q and drop zero eigenvalues.
 
-    With P the rows that B couples and I the other potential DOFs, it
-    solves G y = lambda S y for G = B_P N_V^{-1} B_P^T and the Schur
-    complement S = N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P].  Each
+    With P the rows that B couples and I the other potential DOFs, the
+    pencil is G y = lambda S y for G = B_P N_V^{-1} B_P^T and the Schur
+    complement S = N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P]; a full
     eigenvector is y on P and its N_Q-harmonic extension on I, so that
-    q^T N_Q q = y^T S y = 1.
+    q^T N_Q q = y^T S y = 1.  Every kept pair is checked on P (see
+    ``_check_pairs``); those of the smallest and largest eigenvalue are
+    extended and checked again against B, N_V and N_Q themselves.
 
     ``lu_v`` (``factor_field_norm(N_V)``) and ``interior``
     (``condense_interior(N_Q, P)``) may be passed in to share them
@@ -265,14 +276,14 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
 
     if lu_v is None:
         lu_v = factor_field_norm(N_V)
-    rows, _, T = interface_term(lu_v, B.T)               # T = B_rows N_V^{-1} B_rows^T
+    rows, T = interface_term(lu_v, B.T)               # T = B_rows N_V^{-1} B_rows^T
     if len(rows) == 0:
         raise DegenerateCouplingError("coupling matrix has no nonzero rows")
     if interior is None:
         interior = condense_interior(N_Q, rows)
-    P, I, cols = interior.P, interior.I, interior.cols
+    P = interior.P
     at = np.searchsorted(P, rows)
-    if (len(P) + len(I) != n_q or at[-1] >= len(P)
+    if (len(P) + len(interior.I) != n_q or at[-1] >= len(P)
             or not np.array_equal(P[at], rows)):
         raise ValueError("B couples rows outside the condensation's P")
     G = np.zeros((len(P), len(P)))
@@ -290,46 +301,34 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
 
     cutoff = zero_tol_rel * lam_max
     keep = lam > cutoff
-    n_zero = n_q - int(keep.sum())
-    lam_k, Y_k = lam[keep], Y[:, keep]
-    Q = np.empty((n_q, len(lam_k)))
-    Q[P] = Y_k
-    ext = interior.X @ Y_k[cols]
-    np.negative(ext, out=ext)
-    Q[I] = ext
-    del ext, interior   # a condensation built here is as large as Q
-    _verify_pairs(B, lu_v, N_Q, Q, lam_k)
-    return EigenResult(lam_k, Q, float(cutoff), n_zero)
+    lam, Y = lam[keep], Y[:, keep]
+    _check_pairs("condensed pencil", G @ Y, interior.S @ Y, Y, lam,
+                 np.abs(G).max(), np.abs(interior.S).max(), np.arange(len(lam)))
+    ends = np.unique([0, len(lam) - 1])
+    Q = interior.extend(Y[:, ends])
+    GQ = B @ lu_v.solve(np.asarray(B.T @ Q))
+    _check_pairs("full-space check", GQ, N_Q @ Q, Q, lam[ends],
+                 np.abs(GQ).max() / max(np.abs(Q).max(), 1e-300), np.abs(N_Q).max(), ends)
+    return EigenResult(lam, Y, float(cutoff), n_q - len(lam), interior, ends)
 
 
-VERIFY_BLOCK = 32       # eigenvector columns checked at a time
-
-
-def _verify_pairs(B, lu_v, N_Q, Q, lam):
-    """Residual and N_Q-orthonormality check of the eigenpairs (Q, lam),
-    one block of VERIFY_BLOCK columns at a time."""
-    k = Q.shape[1]
-    res, q_norm = np.empty(k), np.empty(k)
-    M = np.empty((k, k))
-    g_max = q_max = 0.0
-    for start in range(0, k, VERIFY_BLOCK):
-        b = slice(start, start + VERIFY_BLOCK)
-        Qb = Q[:, b]
-        GQ = B @ lu_v.solve(np.asarray(B.T @ Qb))
-        NQQ = np.asarray(N_Q @ Qb)
-        g_max = max(g_max, np.abs(GQ).max())
-        q_max = max(q_max, np.abs(Qb).max())
-        res[b] = np.linalg.norm(GQ - NQQ * lam[None, b], axis=0)
-        q_norm[b] = np.linalg.norm(Qb, axis=0)
-        M[:, b] = Q.T @ NQQ
-    g_norm = g_max / max(q_max, 1e-300)
-    n_norm = np.abs(N_Q).max()
-    denom = (g_norm + lam * n_norm) * q_norm
-    worst = (res / np.maximum(denom, 1e-300)).max()
-    if worst > 1e-8:
-        raise SingularSystemError(f"eigenpair residual {worst:.3e} exceeds 1e-8")
-    if np.abs(M - np.eye(k)).max() > 1e-8:
-        raise SingularSystemError("eigenvectors are not norm-orthonormal")
+def _check_pairs(check, GY, MY, Y, lam, g_norm, m_norm, index):
+    """Raise SingularSystemError unless the eigenpairs (Y, lam) of
+    G y = lambda M y, given G Y, M Y and norm estimates of G and M, have
+    scaled residuals |G y - lambda M y| / ((g_norm + lambda m_norm) |y|)
+    and Y^T M Y - I within 1e-8.  The message names the ``check`` and
+    the ``index`` of the failing pair."""
+    res = np.linalg.norm(GY - MY * lam, axis=0)
+    rel = res / np.maximum((g_norm + lam * m_norm) * np.linalg.norm(Y, axis=0), 1e-300)
+    k = int(np.argmax(rel))
+    if rel[k] > 1e-8:
+        raise SingularSystemError(
+            f"{check}: eigenpair {index[k]} residual {rel[k]:.3e} exceeds 1e-8")
+    err = np.abs(Y.T @ MY - np.eye(len(lam))).max(axis=0)
+    k = int(np.argmax(err))
+    if err[k] > 1e-8:
+        raise SingularSystemError(
+            f"{check}: eigenvector {index[k]} is not norm-orthonormal ({err[k]:.3e})")
 
 
 def export_eigenvalues_csv(result: EigenResult, path):

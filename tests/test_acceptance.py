@@ -363,7 +363,8 @@ def test_criterion_10_cli_determinism(tmp_path):
                  "sweep": {"n_refinements": 3}}
     checked = set()
     for tag, cfg, cmd in [("solve", solve_cfg, "solve"),
-                          ("sweep", sweep_cfg, "infsup")]:
+                          ("sweep", sweep_cfg, "infsup"),
+                          ("mode", sweep_cfg, "eigenmode")]:
         cfg_path = tmp_path / f"{tag}.json"
         cfg_path.write_text(json.dumps(cfg))
         outs = []
@@ -380,4 +381,6 @@ def test_criterion_10_cli_determinism(tmp_path):
             checked.add((tag, p.name))
     assert {("solve", f"snapshots_{name}.npy") for name in "tvq"} <= checked
     assert any(tag == "sweep" for tag, _ in checked)
+    assert {("mode", f"eigenmode_{name}.csv")
+            for name in ("potential", "supremizer")} <= checked
     report(10, f"repeated runs byte-identical across {len(checked)} artifacts")

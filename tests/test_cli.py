@@ -250,9 +250,11 @@ def test_cli_infsup_all_pairings(tmp_path):
     assert run["verdicts"] == {"11": "UNSTABLE", "12": "STABLE",
                                "21": "STABLE", "22": "UNSTABLE"}
     # one pass over the 4 meshes: each N_V factored once per field
-    # order, N_Q condensed once per mesh
+    # order, N_Q condensed once per mesh; 16 pencils, each with its
+    # smallest and largest pair checked on the whole potential space
     assert run["counters"] == {"mesh_levels": 4, "field_norm_factorizations": 8,
-                               "interior_factorizations": 4}
+                               "interior_factorizations": 4, "pencils": 16,
+                               "full_space_pair_checks": 32}
     assert len(run["sizes"]) == 4
     for level in run["sizes"]:
         assert set(level) == {"field_free_dofs", "potential_free_dofs",
@@ -274,7 +276,13 @@ def test_cli_eigenmode(tmp_path):
 
 
 @pytest.mark.parametrize("rank", [100000, -100000])
-def test_cli_eigenmode_rank_out_of_range_exit_2(tmp_path, capsys, rank):
+def test_cli_eigenmode_rank_out_of_range_exit_2(tmp_path, capsys, monkeypatch, rank):
+    # a rank beyond the free potential DOFs exits before any norm
+    # assembly, so the pencil never runs
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the eigenmode command went past the rank check")
+    monkeypatch.setattr(htsfem.cli, "assemble_norm_matrix", not_reached)
+    monkeypatch.setattr(htsfem.cli, "infsup_eigenpairs", not_reached)
     cfg = write_cfg(tmp_path, SMALL_BAR)
     out = tmp_path / "out"
     rc = main(["eigenmode", "--config", cfg, "--out", str(out), "--pairing", "1,1",
@@ -286,6 +294,21 @@ def test_cli_eigenmode_rank_out_of_range_exit_2(tmp_path, capsys, rank):
     assert err["error"] == "config"
     assert f"mode rank {rank} outside" in err["message"]
     assert not (out / "eigenmode_potential.csv").exists()
+    assert not (out / "run.json").exists()
+
+
+def test_cli_eigenmode_rank_beyond_the_spectrum_exit_2(tmp_path, capsys):
+    # within the free potential DOFs but beyond the nonzero eigenvalues:
+    # rejected after the solve, naming the spectrum's range
+    cfg = write_cfg(tmp_path, SMALL_BAR)
+    out = tmp_path / "out"
+    rc = main(["eigenmode", "--config", cfg, "--out", str(out), "--pairing", "1,1",
+               "--mode-rank", "1000", "--quiet"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1],
+                     parse_constant=_reject_constant)
+    assert err["error"] == "config"
+    assert err["message"].startswith("mode rank 1000 outside [-")
     assert not (out / "run.json").exists()
 
 

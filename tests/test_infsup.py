@@ -154,8 +154,10 @@ def test_shared_level_matches_separate_pencils(formulation, bar_mesh, tape_mesh)
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in PAIRINGS})
     for level, mesh in enumerate(meshes):
         _sweep_level(mesh, formulation, PAIRINGS, NORMS, level, reports, 1.0)
+    # 8 pencils, each checked on the whole potential space at its two ends
     assert reports.counters == {"mesh_levels": 0, "field_norm_factorizations": 4,
-                                "interior_factorizations": 2}
+                                "interior_factorizations": 2, "pencils": 8,
+                                "full_space_pair_checks": 16}
     for level, mesh in enumerate(meshes):
         sizes = reports.sizes[level]
         for pair in PAIRINGS:

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htsfem import linalg
-from htsfem.linalg import (INTERFACE_BLOCK, VERIFY_BLOCK, DegenerateCouplingError,
-                           SingularSystemError, _verify_pairs,
-                           export_eigenvalues_csv, factor_field_norm,
-                           infsup_eigenpairs, interface_term, solve_sparse)
+from htsfem.linalg import (INTERFACE_BLOCK, DegenerateCouplingError,
+                           InteriorCondensation, SingularSystemError,
+                           condense_interior, export_eigenvalues_csv,
+                           factor_field_norm, infsup_eigenpairs, interface_term,
+                           solve_sparse)
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -196,32 +200,85 @@ def test_eigenvalue_csv(tmp_path):
     assert len(lines) == n + 1
 
 
-def _pairs_over_two_blocks():
-    """A random pencil with one full and one partial block of eigenpairs
-    for the check, its field-norm factor and its pairs."""
+def _pencil_with_45_pairs():
+    """A random pencil with 45 kept eigenpairs: B couples 50 of the 70
+    potential DOFs and a dense N_Q couples the other 20 to them, so both
+    the Schur term of S and the extension to I are nonzero.  Returns
+    (B, N_V, N_Q, coupled rows) after checking that it passes the gate."""
     rng = np.random.default_rng(4)
-    n_v = VERIFY_BLOCK + 13
-    B = sp.csr_matrix(rng.normal(size=(n_v + 5, n_v)))
-    N_V = sp.csr_matrix(random_spd(rng, n_v))
-    N_Q = sp.csr_matrix(random_spd(rng, n_v + 5))
+    coupled = np.sort(rng.choice(70, size=50, replace=False))
+    B = np.zeros((70, 45))
+    B[coupled] = rng.normal(size=(50, 45))
+    B = sp.csr_matrix(B)
+    N_V = sp.csr_matrix(random_spd(rng, 45))
+    N_Q = sp.csr_matrix(random_spd(rng, 70))
     res = infsup_eigenpairs(B, N_V, N_Q)
-    assert len(res.eigenvalues) == n_v
-    return B, factor_field_norm(N_V), N_Q, res.eigenvectors, res.eigenvalues
+    assert len(res.eigenvalues) == 45
+    assert res.checked.tolist() == [0, 44]
+    Q = res.eigenvectors
+    assert np.abs(res.interior.extend(res.Y[:, 17]) - Q[:, 17]).max() <= 1e-14 * np.abs(Q).max()
+    assert np.abs(Q.T @ (N_Q @ Q) - np.eye(45)).max() < 1e-8
+    return B, N_V, N_Q, coupled
 
 
-def test_verify_pairs_checks_the_last_partial_block():
-    B, lu_v, N_Q, Q, lam = _pairs_over_two_blocks()
-    _verify_pairs(B, lu_v, N_Q, Q, lam)
-    bad = lam.copy()
-    bad[-1] *= 1.0 + 1e-5
-    with pytest.raises(SingularSystemError, match="eigenpair residual"):
-        _verify_pairs(B, lu_v, N_Q, Q, bad)
+def test_gate_rejects_a_perturbed_schur_complement():
+    B, N_V, N_Q, P = _pencil_with_45_pairs()
+    interior = condense_interior(N_Q, P)
+    S = interior.S.copy()
+    d = 1e-5 * np.abs(S).max()
+    S[3, 11] += d
+    S[11, 3] += d
+    with pytest.raises(SingularSystemError, match="full-space check: eigen"):
+        infsup_eigenpairs(B, N_V, N_Q, interior=replace(interior, S=S))
 
 
-def test_verify_pairs_rejects_euclidean_normalization():
-    B, lu_v, N_Q, Q, lam = _pairs_over_two_blocks()
-    with pytest.raises(SingularSystemError, match="norm-orthonormal"):
-        _verify_pairs(B, lu_v, N_Q, Q / np.linalg.norm(Q, axis=0), lam)
+def test_gate_rejects_a_dropped_schur_term():
+    B, N_V, N_Q, P = _pencil_with_45_pairs()
+    interior = condense_interior(N_Q, P)
+    S = N_Q[P][:, P].toarray()
+    with pytest.raises(SingularSystemError, match="full-space check: eigen"):
+        infsup_eigenpairs(B, N_V, N_Q, interior=replace(interior, S=S))
+
+
+def test_gate_rejects_an_extension_left_at_zero(monkeypatch):
+    B, N_V, N_Q, _ = _pencil_with_45_pairs()
+
+    def zero_on_interior(self, Y):
+        Q = np.zeros((len(self.P) + len(self.I),) + Y.shape[1:])
+        Q[self.P] = Y
+        return Q
+    monkeypatch.setattr(InteriorCondensation, "extend", zero_on_interior)
+    with pytest.raises(SingularSystemError, match="full-space check: eigen"):
+        infsup_eigenpairs(B, N_V, N_Q)
+
+
+def test_gate_rejects_an_error_in_a_middle_eigenvalue(monkeypatch):
+    # the full-space check sees only pairs 0 and 44; the condensed gate
+    # sees every kept pair
+    B, N_V, N_Q, _ = _pencil_with_45_pairs()
+    eigh = scipy.linalg.eigh
+
+    def wrong_eigenvalue(G, S):
+        lam, Y = eigh(G, S)
+        lam[25] *= 1.0 + 1e-5            # kept pair 20: 5 of the 50 vanish
+        return lam, Y
+    monkeypatch.setattr(scipy.linalg, "eigh", wrong_eigenvalue)
+    with pytest.raises(SingularSystemError,
+                       match="condensed pencil: eigenpair 20 residual"):
+        infsup_eigenpairs(B, N_V, N_Q)
+
+
+def test_gate_rejects_euclidean_normalization(monkeypatch):
+    B, N_V, N_Q, _ = _pencil_with_45_pairs()
+    eigh = scipy.linalg.eigh
+
+    def euclidean(G, S):
+        lam, Y = eigh(G, S)
+        return lam, Y / np.linalg.norm(Y, axis=0)
+    monkeypatch.setattr(scipy.linalg, "eigh", euclidean)
+    with pytest.raises(SingularSystemError,
+                       match="condensed pencil: eigenvector .* not norm-orthonormal"):
+        infsup_eigenpairs(B, N_V, N_Q)
 
 
 @pytest.mark.parametrize("block", [7, INTERFACE_BLOCK])
@@ -237,10 +294,8 @@ def test_interface_term_blocks_match_unblocked_solve(monkeypatch, block):
     B = sp.csc_matrix(B)
     lu = factor_field_norm(K)
     monkeypatch.setattr(linalg, "INTERFACE_BLOCK", block)
-    cols, X, T = interface_term(lu, B)
+    cols, T = interface_term(lu, B)
     assert np.array_equal(cols, np.arange(k))
-    X_ref = lu.solve(B[:, cols].toarray())
-    T_ref = B[:, cols].T @ X_ref
+    T_ref = B[:, cols].T @ lu.solve(B[:, cols].toarray())
     T_ref = 0.5 * (T_ref + T_ref.T)
-    assert np.abs(X - X_ref).max() <= 1e-14 * np.abs(X_ref).max()
     assert np.abs(T - T_ref).max() <= 1e-14 * np.abs(T_ref).max()
