@@ -26,9 +26,8 @@ blocks are weighted curl-curl forms G^T diag(w) G, linear in the
 weights, and are filled on a fixed sparsity pattern by one sparse
 mat-vec (``_CurlForm``).  ``AssembledSystem`` evaluates residuals,
 backward errors and the right-hand side after the symmetric
-elimination of essential values on the blocks; the monolithic matrix
-and the eliminated system are derived from the blocks on first access,
-for tests and cross-checks.
+elimination of essential values on the blocks; no monolithic matrix is
+ever assembled.
 
 Field evaluation lives beside the kernels.  The Whitney and edge-bubble
 kernels take barycentric points (the quadrature points by default);
@@ -114,9 +113,9 @@ class AssembledSystem:
 
     The system is solved on the free DOFs, V block first, after
     symmetric elimination; ``s_free`` is its right-hand side, computed
-    on the blocks.  The monolithic operator ``K_full`` on all DOFs and
-    the eliminated ``K``/``s`` are built from the blocks on first
-    access; the solver never uses them.
+    on the blocks.  K_full below names the monolithic operator
+    [[A_v, B^T], [B, -K_nu]] on all DOFs, and K its free block; neither
+    is ever assembled.
     """
 
     A_v: sp.csr_matrix
@@ -195,30 +194,6 @@ class AssembledSystem:
         x_ess = self.x_essential.copy()
         x_ess[self._free] = 0.0
         return (self.s_full - self._product(x_ess))[self._free]
-
-    # -- the monolithic system, derived from the blocks -------------------
-
-    @cached_property
-    def K_full(self) -> sp.csr_matrix:
-        K_nu, B = self.blocks.K_nu, self.blocks.B
-        return sp.bmat([[self.A_v, B.T], [B, -K_nu]], format="csr")
-
-    @cached_property
-    def _eliminated(self):
-        free, K_full = self._free, self.K_full
-        ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
-        s = self.s_full[free]
-        if len(ess):
-            s = s - K_full[free][:, ess] @ self.x_essential[ess]
-        return K_full[free][:, free].tocsr(), s
-
-    @property
-    def K(self) -> sp.csr_matrix:
-        return self._eliminated[0]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._eliminated[1]
 
 
 def export_matrix_market(M, path, symmetric=True):

@@ -79,14 +79,25 @@ def _build_spaces(cfg, mesh):
     return v, q
 
 
+def _phase(phases, name, start):
+    """Record the seconds since ``start`` as phase ``name``; returns now."""
+    now = _time.perf_counter()
+    phases[name] = round(now - start, 3)
+    return now
+
+
 def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
-    t0 = _time.perf_counter()
+    t0 = tick = _time.perf_counter()
+    phases = {}
     mesh = _build_mesh(cfg)
+    tick = _phase(phases, "mesh", tick)
     v_space, q_space = _build_spaces(cfg, mesh)
+    tick = _phase(phases, "spaces", tick)
     materials = cfgmod.make_materials(cfg)
     timecfg = cfgmod.make_time(cfg)
     hist = run_transient(mesh, (v_space, q_space), materials, timecfg,
                          cfg["formulation"])
+    tick = _phase(phases, "transient", tick)
 
     sol = (hist.v[-1], hist.q[-1])
     jc = cfg["material"]["j_c"]
@@ -114,6 +125,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
     with open(outdir / "oscillation_metrics.json", "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
+    _phase(phases, "write", tick)
 
     summary = {
         "command": "solve",
@@ -124,6 +136,7 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
         "metrics": metrics,
         "sizes": hist.sizes,
         "counters": hist.counters,
+        "phases": phases,
         "wall_seconds": round(_time.perf_counter() - t0, 3),
     }
     _write_summary(outdir, summary)
@@ -143,6 +156,8 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
         pairings = [tuple(cfg["pairing"])]
     reports = run_infsup_sweep(params, cfg["formulation"], pairings, n_ref,
                                norms=norms, materials=cfgmod.linear_materials(cfg))
+    phases = {name: round(t, 3) for name, t in reports.phases.items()}
+    tick = _time.perf_counter()
     verdicts = {}
     for (i, j), rep in reports.items():
         rep.to_json(outdir / f"infsup_{i}{j}.json")
@@ -150,11 +165,13 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
         verdicts[f"{i}{j}"] = rep.verdict
         if not quiet:
             print(f"infsup ({i},{j}): {rep.verdict} slope={rep.slope:.3f}")
+    _phase(phases, "write", tick)
     summary = {
         "command": "infsup",
         "verdicts": verdicts,
         "sizes": reports.sizes,
         "counters": reports.counters,
+        "phases": phases,
         "wall_seconds": round(_time.perf_counter() - t0, 3),
     }
     _write_summary(outdir, summary)

@@ -10,13 +10,15 @@ beta shrinking linearly with the element size an unstable one.
 A sweep runs all requested pairings in one pass over the meshes and
 shares, per mesh, what depends on one space only: the spaces, their
 norm matrices, the field-norm factors and one potential-norm
-condensation (see ``linalg.condense_interior``).  No pencil holds an
-eigenvector on the whole potential space beyond its two checked ones.
+condensation, each one bordered factorization (see
+``linalg.interface_schur``).  No pencil holds an eigenvector on the
+whole potential space beyond its two checked ones.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -25,7 +27,7 @@ import numpy as np
 from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
                        field_operator, tape_current_density)
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
-                     condense_interior, factor_field_norm, infsup_eigenpairs,
+                     condense_interior, infsup_eigenpairs, interface_schur,
                      solve_sparse)
 from .materials import MU0, Materials
 from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
@@ -162,11 +164,14 @@ class HierarchyError(RuntimeError):
 
 class InfSupMatrix(dict):
     """``{pairing: InfSupReport}`` of one sweep, with its telemetry:
-    ``sizes`` (one entry per mesh level) and ``counters``."""
+    ``sizes`` (one entry per mesh level), ``counters`` and ``phases``,
+    the seconds spent building meshes, building spaces and in the rest
+    of the sweep (assembly, factorizations and eigensolves)."""
 
     def __init__(self, reports):
         super().__init__(reports)
         self.sizes = []
+        self.phases = {"mesh": 0.0, "spaces": 0.0, "sweep": 0.0}
         self.counters = {"mesh_levels": 0, "field_norm_factorizations": 0,
                          "interior_factorizations": 0, "pencils": 0,
                          "full_space_pair_checks": 0}
@@ -204,30 +209,39 @@ def _leading_rows(q_low, q_high, P, level) -> int:
 
 def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     """One mesh level of every pairing: each distinct space is built and
-    its norm assembled once, each N_V factored once and N_Q condensed
-    once, for the richest potential order, onto the union P of the rows
-    that the level's couplings touch.  A lower potential order takes
-    the leading rows of that condensation."""
+    its norm assembled once, each N_V factored once, with the columns
+    that the level's couplings of its field order touch last, and N_Q
+    condensed once, for the richest potential order, onto the union P
+    of the rows that the level's couplings touch.  A lower potential
+    order takes the leading rows of that condensation."""
+    start = time.perf_counter()
     v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
     q_sp = {j: _potential_space(mesh, formulation, j) for j in sorted({p[1] for p in pairings})}
+    reports.phases["spaces"] += time.perf_counter() - start
     B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
     N_V = {i: assemble_norm_matrix(space, norms) for i, space in v_sp.items()}
     N_Q = {j: assemble_norm_matrix(space, norms) for j, space in q_sp.items()}
 
     top = max(q_sp)
     P = np.unique(np.concatenate([np.flatnonzero(np.diff(b.indptr)) for b in B.values()]))
+    cols = {i: np.unique(np.concatenate([np.flatnonzero(np.diff(b.tocsc().indptr))
+                                         for pair, b in B.items() if pair[0] == i]))
+            for i in v_sp}
     n_p = {j: _leading_rows(q_sp[j], q_sp[top], P, level) for j in q_sp if j != top}
     n_p[top] = len(P)
     with _located(level):
-        lu_v = {i: factor_field_norm(N) for i, N in N_V.items()}
+        lu_v = {i: interface_schur(N, cols[i]) for i, N in N_V.items()}
         interior = condense_interior(N_Q[top], P)
     reports.counters["field_norm_factorizations"] += len(lu_v)
     reports.counters["interior_factorizations"] += 1
     reports.sizes.append({
         "field_free_dofs": {str(i): int(s.n_free) for i, s in v_sp.items()},
         "potential_free_dofs": {str(j): int(s.n_free) for j, s in q_sp.items()},
+        "coupled_columns": {str(i): len(c) for i, c in cols.items()},
         "coupled_rows": {str(j): n for j, n in n_p.items()},
         "interior_dofs": int(len(interior.I)),
+        "field_norm_fill": {str(i): lu.fill for i, lu in lu_v.items()},
+        "potential_norm_fill": interior.factor.fill,
     })
 
     for pair in pairings:
@@ -260,12 +274,14 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
         raise ValueError("no pairing given")
     if norms is None:
         norms = NormSpec()
+    start = time.perf_counter()
     if params.scenario is Scenario.STACKED_BAR:
         mesh = build_stacked_bar_mesh(params)
         width_ref = params.bar_width
     else:
         mesh = build_tape_mesh(params)
         width_ref = params.tape_width
+    mesh_s = time.perf_counter() - start
 
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
     if materials is not None and materials.power.n == 1.0:
@@ -275,9 +291,13 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
 
     for level in range(n_refinements + 1):
         if level > 0:
+            tick = time.perf_counter()
             mesh = refine(mesh)
+            mesh_s += time.perf_counter() - tick
         reports.counters["mesh_levels"] += 1
         _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref)
+    reports.phases["mesh"] = mesh_s
+    reports.phases["sweep"] = time.perf_counter() - start - mesh_s - reports.phases["spaces"]
 
     for rep in reports.values():
         deltas = [r.delta_rel for r in rep.records]

@@ -18,9 +18,11 @@ iteration of a run.  ``run_transient`` builds them once, with the
 field curl form and the H mass, as the run's ``LinearBlocks``, and
 every iteration assembles from those blocks only the field block A_v
 and the field right-hand side s_v (``htsfem.assembly``).
-``run_transient`` also factors the free K_nu once and forms the dense
-interface term B^T K_nu^{-1} B on the field columns that B couples
-(``linalg.InterfaceSchur``).  Each iteration then solves only the
+``run_transient`` also factors the free K_nu once, with the rows that
+B couples eliminated last, reads the Schur complement S_K onto those
+rows from the factor and forms the dense interface term
+B^T K_nu^{-1} B = B_Γ^T S_K^{-1} B_Γ on the field columns that B
+couples (``linalg.InterfaceSchur``).  Each iteration then solves only the
 condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
 ``solve_sparse`` and recovers a = K_nu^{-1} B v - z by one
 back-substitution.  The lift z = K_nu^{-1} s_q is formed once per step
@@ -174,7 +176,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                   "potential_free_dofs": int(q_space.n_free),
                   "interface_columns": len(schur.cols)}
     hist.counters = {"a_factorizations": 1, "field_solves": 0,
-                     "a_factor_fill": schur.fill, "rejected_attempts": 0,
+                     "a_factor_fill": schur.factor.fill, "rejected_attempts": 0,
                      "step_halvings": 0, "backtracking_trials": 0}
     ids = [c.id for c in v_space.circuits]
     for cid in ids:

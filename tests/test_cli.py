@@ -152,6 +152,10 @@ def test_cli_solve_tape_reports_sizes_and_counters(tmp_path):
     assert counters["a_factorizations"] == 1
     assert counters["field_solves"] >= run["newton_iterations_total"]
     assert counters["a_factor_fill"] > a_space.n_free
+    phases = run["phases"]
+    assert set(phases) == {"mesh", "spaces", "transient", "write"}
+    assert all(t >= 0.0 for t in phases.values())
+    assert sum(phases.values()) <= run["wall_seconds"] + 0.005
 
 
 def test_cli_solve_tape_voltage(tmp_path):
@@ -258,10 +262,20 @@ def test_cli_infsup_all_pairings(tmp_path):
     assert len(run["sizes"]) == 4
     for level in run["sizes"]:
         assert set(level) == {"field_free_dofs", "potential_free_dofs",
-                              "coupled_rows", "interior_dofs"}
+                              "coupled_columns", "coupled_rows", "interior_dofs",
+                              "field_norm_fill", "potential_norm_fill"}
         assert set(level["field_free_dofs"]) == {"1", "2"}
         assert (level["interior_dofs"] + level["coupled_rows"]["2"]
                 == level["potential_free_dofs"]["2"])
+        # each bordered factor holds at least the diagonals of L and U
+        for i in ("1", "2"):
+            assert 0 < level["coupled_columns"][i] <= level["field_free_dofs"][i]
+            assert level["field_norm_fill"][i] >= 2 * level["field_free_dofs"][i]
+        assert level["potential_norm_fill"] >= 2 * level["potential_free_dofs"]["2"]
+    phases = run["phases"]
+    assert set(phases) == {"mesh", "spaces", "sweep", "write"}
+    assert all(t >= 0.0 for t in phases.values())
+    assert sum(phases.values()) <= run["wall_seconds"] + 0.005
     for tag in ("11", "12", "21", "22"):
         assert (out / f"infsup_{tag}.csv").exists()
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _solve_condensed
 
-from util import curl_h
+from util import curl_h, dense_schur, eliminated, monolithic
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -62,7 +63,7 @@ def _factor(v, q, K_nu, B, cls=InterfaceSchur):
 
 
 def _lift(sys, schur):
-    return schur.lift(sys.s[sys.n_v_free:])
+    return schur.lift(eliminated(sys)[1][sys.n_v_free:])
 
 
 def _iterate_sampler(form, v, jc):
@@ -107,11 +108,33 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
     x = sys.expand(_solve_condensed(sys, case.schur, _lift(sys, case.schur)))
-    x_ref = sys.expand(solve_sparse(sys.K, sys.s))
+    x_ref = sys.expand(solve_sparse(*eliminated(sys)))
     nv = sys.blocks.v_space.n_dofs
     for block in (slice(0, nv), slice(nv, None)):
         err = np.abs(x[block] - x_ref[block]).max()
         assert err <= 1e-10 * np.abs(x_ref[block]).max()
+
+
+@pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ha"])
+def test_interface_term_matches_dense_schur(coupled, form, i, j):
+    # S_K against the dense Schur complement of K onto the coupled rows,
+    # and the interface term against Bs^T K^{-1} Bs: minus the dense
+    # Schur complement of [[K, Bs], [Bs^T, 0]] onto the Bs columns (the
+    # t-a a-blocks, 6k DOFs, are too large for a dense oracle)
+    case = coupled(form, i, j)
+    K = case.K_nu[case.q.free][:, case.q.free]
+    B = case.B[case.q.free][:, case.v.free].tocsr()
+    gamma = np.flatnonzero(np.diff(B.indptr))
+    assert np.array_equal(case.schur.factor.rows, gamma)
+    assert _close(case.schur.factor.S, dense_schur(K, gamma), 1e-12)
+    Bs = B[:, case.schur.cols].toarray()
+    n = K.shape[0]
+    M = np.block([[K.toarray(), Bs], [Bs.T, np.zeros((Bs.shape[1],) * 2)]])
+    T_ref = -dense_schur(M, np.arange(n, n + Bs.shape[1]))
+    n_v = case.v.n_free
+    T = case.schur.condense(sp.csr_matrix((n_v, n_v)), np.zeros(n_v), np.zeros(n))[0]
+    assert _close(T[case.schur.cols][:, case.schur.cols], T_ref, 1e-12)
+    assert T.nnz <= len(case.schur.cols) ** 2
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -213,8 +236,9 @@ def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_d
     v, a = case.sample(rng), 1e-3 * rng.standard_normal(case.q.n_dofs)
     x = np.concatenate([v, a])
     free = sys.free_indices()
-    ref = backward_error(sys.K_full, x, sys.s_full, rows=free)
+    ref = backward_error(monolithic(sys), x, sys.s_full, rows=free)
     assert abs(sys.backward_error(v, a) - ref) <= 1e-12 * ref
-    ref = backward_error(sys.K, x[free], sys.s)
+    K, s = eliminated(sys)
+    ref = backward_error(K, x[free], s)
     assert abs(sys.free_backward_error(x[free]) - ref) <= 1e-12 * ref
-    assert _close(sys.s_free, sys.s, 1e-13)
+    assert _close(sys.s_free, s, 1e-13)

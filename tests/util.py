@@ -1,7 +1,9 @@
-"""Shared test helpers, and the straightforward per-triangle field
-evaluators that the assembly's field kernels are checked against."""
+"""Shared test helpers: the straightforward per-triangle field
+evaluators that the assembly's field kernels are checked against, and
+the dense and monolithic oracles of the block solvers."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from htsfem._geom import tri_geometry
 from htsfem.mesh import Region, _structured_mesh
@@ -130,3 +132,33 @@ def eval_a_curl(space, coeffs, tri_id: int, bary) -> np.ndarray:
     out[..., 0] = grad_a[..., 1]
     out[..., 1] = -grad_a[..., 0]
     return out
+
+
+def dense_schur(K, rows):
+    """Dense Schur complement K[P,P] - K[P,I] K[I,I]^{-1} K[I,P] of K
+    onto ``rows`` P (in their order), I the other rows."""
+    K = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
+    rows = np.asarray(rows, dtype=np.int64)
+    I = np.setdiff1d(np.arange(K.shape[0]), rows)
+    if len(I) == 0:
+        return K[np.ix_(rows, rows)]
+    return K[np.ix_(rows, rows)] - K[np.ix_(rows, I)] @ np.linalg.solve(
+        K[np.ix_(I, I)], K[np.ix_(I, rows)])
+
+
+def monolithic(sys):
+    """The monolithic operator [[A_v, B^T], [B, -K_nu]] of an assembled
+    coupled system on all DOFs of both spaces."""
+    K_nu, B = sys.blocks.K_nu, sys.blocks.B
+    return sp.bmat([[sys.A_v, B.T], [B, -K_nu]], format="csr")
+
+
+def eliminated(sys):
+    """The monolithic system (K, s) on the free DOFs, V block first,
+    after symmetric elimination of the essential values."""
+    free, K_full = sys.free_indices(), monolithic(sys)
+    ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
+    s = sys.s_full[free]
+    if len(ess):
+        s = s - K_full[free][:, ess] @ sys.x_essential[ess]
+    return K_full[free][:, free].tocsr(), s
