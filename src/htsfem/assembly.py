@@ -86,9 +86,13 @@ class LinearBlocks:
     and potential spaces, the conductor's power law, the field curl
     form (for H with the mu0 H mass as its base), the H mass (None for
     T), and on all DOFs the reluctivity stiffness K_nu and the coupling
-    B, with B^T and the potential rows [B, -K_nu] of the block form
-    stored for mat-vecs and the entrywise absolute values that scale
-    backward errors."""
+    B.  For mat-vecs it stores B^T on the potential DOFs ``gamma`` that
+    B couples (``B_T``; ``gamma_free`` marks the free ones), the
+    potential rows [B, -K_nu] of the block form, the entrywise absolute
+    values of both, which scale backward errors, and the block of the
+    potential rows that is free in its row and essential in its column
+    (``q_free_ess``; ``ess`` holds those columns of the concatenated
+    unknown vector)."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -97,10 +101,14 @@ class LinearBlocks:
     mass: sp.csr_matrix | None
     K_nu: sp.csr_matrix
     B: sp.csr_matrix
+    gamma: np.ndarray
+    gamma_free: np.ndarray
     B_T: sp.csr_matrix
     abs_B_T: sp.csr_matrix
     q_rows: sp.csr_matrix
     abs_q_rows: sp.csr_matrix
+    ess: np.ndarray
+    q_free_ess: sp.csr_matrix
 
 
 @dataclass
@@ -113,9 +121,12 @@ class AssembledSystem:
 
     The system is solved on the free DOFs, V block first, after
     symmetric elimination; ``s_free`` is its right-hand side, computed
-    on the blocks.  K_full below names the monolithic operator
+    on the blocks, with the field part ``s_field`` and the potential
+    part ``s_potential``.  K_full below names the monolithic operator
     [[A_v, B^T], [B, -K_nu]] on all DOFs, and K its free block; neither
-    is ever assembled.
+    is ever assembled.  The field rows read the potential only on
+    ``blocks.gamma``, so ``field_residual`` and ``field_error`` take
+    its values there.
     """
 
     A_v: sp.csr_matrix
@@ -149,17 +160,35 @@ class AssembledSystem:
         """K_full x, or |K_full| x, on the blocks."""
         lb = self.blocks
         v, a = self.split(x)
+        return np.concatenate([self._field_product(v, a[lb.gamma], absolute),
+                               (lb.abs_q_rows if absolute else lb.q_rows) @ x])
+
+    def _field_product(self, v, a_gamma, absolute=False) -> np.ndarray:
+        """The field rows of K_full x, or of |K_full| x, from v and the
+        potential on ``blocks.gamma``."""
+        lb = self.blocks
         if absolute:
-            return np.concatenate([self._abs_A_v @ v + lb.abs_B_T @ a, lb.abs_q_rows @ x])
-        return np.concatenate([self.A_v @ v + lb.B_T @ a, lb.q_rows @ x])
+            return self._abs_A_v @ v + lb.abs_B_T @ a_gamma
+        return self.A_v @ v + lb.B_T @ a_gamma
 
     @cached_property
     def _abs_A_v(self) -> sp.csr_matrix:
         return abs(self.A_v)
 
-    def residual(self, v, a) -> np.ndarray:
-        """K_full x - s_full at x = (v, a), on all DOFs."""
-        return self._product(np.concatenate([v, a])) - self.s_full
+    def field_residual(self, v, a_gamma) -> np.ndarray:
+        """The field rows of K_full x - s_full on all field DOFs, at the
+        field v and the potential ``a_gamma`` on ``blocks.gamma``."""
+        return self._field_product(v, a_gamma) - self.s_v
+
+    def field_error(self, v, a_gamma) -> float:
+        """Componentwise backward error of the free field rows at v and
+        ``a_gamma``: the field rows of ``backward_error``, which reads
+        no other potential value."""
+        free = self.blocks.v_space.free
+        return componentwise_error(
+            self.field_residual(v, a_gamma)[free],
+            (self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)
+             + np.abs(self.s_v))[free])
 
     def backward_error(self, v, a) -> float:
         """Componentwise backward error of the full system at (v, a)
@@ -191,9 +220,22 @@ class AssembledSystem:
     def s_free(self) -> np.ndarray:
         """Right-hand side on the free DOFs: s_full minus the essential
         columns of K_full times the essential values."""
+        return np.concatenate([self.s_field, self.s_potential])
+
+    @cached_property
+    def s_field(self) -> np.ndarray:
+        """The field part of ``s_free``."""
         x_ess = self.x_essential.copy()
         x_ess[self._free] = 0.0
-        return (self.s_full - self._product(x_ess))[self._free]
+        v, a = self.split(x_ess)
+        return (self.s_v - self._field_product(v, a[self.blocks.gamma]))[
+            self.blocks.v_space.free]
+
+    @cached_property
+    def s_potential(self) -> np.ndarray:
+        """The potential part of ``s_free``; it holds only essential
+        values, which are fixed within a step."""
+        return -(self.blocks.q_free_ess @ self.x_essential[self.blocks.ess])
 
 
 def export_matrix_market(M, path, symmetric=True):
@@ -565,10 +607,16 @@ def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
     nu = _region_nu(materials)[mesh.tri_region[q_space.meta["a_tris"]]]
     K_nu = _a_stiffness(q_space, nu)
     mass = _h_mass(v_space, MU0) if v_space.family == "H" else None
-    B_T = B.T.tocsr()
+    gamma = np.flatnonzero(np.diff(B.indptr))
+    B_T = B[gamma].T.tocsr()
     q_rows = sp.hstack([B, -K_nu], format="csr")
+    is_free = np.zeros(v_space.n_dofs + q_space.n_dofs, dtype=bool)
+    is_free[v_space.free] = True
+    is_free[v_space.n_dofs + q_space.free] = True
+    ess = np.flatnonzero(~is_free)
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
-                        K_nu, B, B_T, abs(B_T), q_rows, abs(q_rows))
+                        K_nu, B, gamma, is_free[v_space.n_dofs + gamma], B_T, abs(B_T),
+                        q_rows, abs(q_rows), ess, q_rows[q_space.free][:, ess].tocsr())
 
 
 def _coupled_iteration(blocks: LinearBlocks, a_prev, w, field_rhs, dt, v_essential,
@@ -578,7 +626,7 @@ def _coupled_iteration(blocks: LinearBlocks, a_prev, w, field_rhs, dt, v_essenti
     B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)."""
     v_space, q_space = blocks.v_space, blocks.q_space
     A_v = blocks.form.matrix(w)
-    s_v = blocks.B_T @ a_prev
+    s_v = blocks.B_T @ a_prev[blocks.gamma]
     for term in field_rhs:
         s_v = s_v + term
     s_v = s_v + _circuit_rhs(v_space, dt, voltages)
@@ -595,8 +643,9 @@ def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
     run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
 
     ``state_prev`` and ``iterate`` are (h_full, a_full) coefficient
-    pairs at the previous time step and previous Newton iterate.  The
-    essential-value vectors hold the constrained values at the new
+    pairs at the previous time step and previous Newton iterate; the
+    iterate's a is not read and may be None.  The essential-value
+    vectors hold the constrained values at the new
     time; they default to the build-time values.  The field block is
     M + dt K(de/dj) and the field right-hand side
     B^T a_prev + M h_prev - dt K(rho - de/dj) h_it + circuit terms,

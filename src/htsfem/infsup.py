@@ -213,21 +213,24 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     that the level's couplings of its field order touch last, and N_Q
     condensed once, for the richest potential order, onto the union P
     of the rows that the level's couplings touch.  A lower potential
-    order takes the leading rows of that condensation."""
+    order takes the leading rows of that condensation and the leading
+    block of that norm."""
     start = time.perf_counter()
     v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
     q_sp = {j: _potential_space(mesh, formulation, j) for j in sorted({p[1] for p in pairings})}
     reports.phases["spaces"] += time.perf_counter() - start
     B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
     N_V = {i: assemble_norm_matrix(space, norms) for i, space in v_sp.items()}
-    N_Q = {j: assemble_norm_matrix(space, norms) for j, space in q_sp.items()}
-
     top = max(q_sp)
+    N_Q = {top: assemble_norm_matrix(q_sp[top], norms)}
     P = np.unique(np.concatenate([np.flatnonzero(np.diff(b.indptr)) for b in B.values()]))
     cols = {i: np.unique(np.concatenate([np.flatnonzero(np.diff(b.tocsc().indptr))
                                          for pair, b in B.items() if pair[0] == i]))
             for i in v_sp}
     n_p = {j: _leading_rows(q_sp[j], q_sp[top], P, level) for j in q_sp if j != top}
+    for j in n_p:
+        n = q_sp[j].n_free
+        N_Q[j] = N_Q[top][:n, :n]
     n_p[top] = len(P)
     with _located(level):
         lu_v = {i: interface_schur(N, cols[i]) for i, N in N_V.items()}

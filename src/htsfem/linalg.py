@@ -213,9 +213,11 @@ class InterfaceSchur:
     with structural nonzeros (``cols``).  K is factored with the rows Γ
     that B couples last (``factor``, see ``interface_schur``), and the
     interface term is B_Γ^T S_K^{-1} B_Γ for the Schur complement S_K of
-    K onto Γ.  With the lift z = K^{-1} s_q, eliminating
-    a = K^{-1} B v - z leaves the condensed system
-    (A + B^T K^{-1} B) v = s_v + B^T z.
+    K onto Γ.  Eliminating a = K^{-1} (B v - s_q) leaves the
+    condensed system (A + B^T K^{-1} B) v = s_v + B_Γ^T z_Γ, where the
+    lift z_Γ = (K^{-1} s_q)_Γ and a_Γ = S_K^{-1} B_Γ v - z_Γ need only
+    S_K.  ``solves`` counts the back-substitutions through the whole
+    factor.
     """
 
     def __init__(self, K, B):
@@ -232,19 +234,36 @@ class InterfaceSchur:
         self._T = sp.csr_matrix((0.5 * (T + T.T).ravel(), (r.ravel(), c.ravel())),
                                 shape=(n_v, n_v))
         self._B = B
+        self._B_gamma = B[gamma]
+        self._B_gamma_T = self._B_gamma.T.tocsr()
+        self._off_gamma = np.ones(n_q, dtype=bool)
+        self._off_gamma[gamma] = False
+        self.solves = 0
+
+    def _solve(self, b):
+        self.solves += 1
+        return self.factor.solve(b)
 
     def lift(self, s_q):
-        """z = K^{-1} s_q, by one back-substitution."""
-        return self.factor.solve(s_q)
+        """z_Γ = (K^{-1} s_q)_Γ: S_K^{-1} s_q[Γ] if s_q vanishes off Γ,
+        else by one back-substitution."""
+        if np.any(s_q[self._off_gamma]):
+            return self._solve(s_q)[self.factor.rows]
+        return self.factor.schur_solve(s_q[self.factor.rows])
+
+    def interface_values(self, v, lift):
+        """a_Γ = S_K^{-1} B_Γ v - z_Γ for the lift z_Γ: the interface
+        values of the a that eliminates the potential rows at v."""
+        return self.factor.schur_solve(self._B_gamma @ v) - lift
 
     def condense(self, A, s_v, lift):
         """The condensed matrix A + B^T K^{-1} B and right-hand side
-        s_v + B^T z for the lift z."""
-        return sp.csr_matrix(A) + self._T, s_v + self._B.T @ lift
+        s_v + B_Γ^T z_Γ for the lift z_Γ."""
+        return sp.csr_matrix(A) + self._T, s_v + self._B_gamma_T @ lift
 
-    def recover(self, v, lift):
-        """a = K^{-1} B v - z for the lift z, by one back-substitution."""
-        return self.factor.solve(self._B @ v) - lift
+    def recover(self, v, s_q):
+        """a = K^{-1} (B v - s_q) on all rows, by one back-substitution."""
+        return self._solve(self._B @ v - s_q)
 
 
 @dataclass

@@ -286,7 +286,8 @@ def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
     """Vector-potential space on the a-side domain (ferromagnet + air).
 
     ``a_trace(x, y)`` supplies the essential trace on the outer
-    boundary; None means zero.  At order 2 one bubble is added per edge
+    boundary; None means zero.  It is called once, on the arrays of the
+    boundary nodes' coordinates.  At order 2 one bubble is added per edge
     of the coupling interface given by ``interface_tag``.
     """
     a_tris = np.concatenate([mesh.region_tris(Region.OMEGA_A_FERRO),
@@ -313,16 +314,18 @@ def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
     gamma_e = mesh.boundary_nodes(Boundary.GAMMA_E)
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
     dof = {ent: k for k, ent in enumerate(entries)}
-    essential = {}
-    for n in gamma_e:
-        x, y = mesh.nodes[n]
-        essential[dof["node", int(n)]] = 0.0 if a_trace is None else float(a_trace(x, y))
+    gamma_e_dofs = np.array([dof["node", int(n)] for n in gamma_e], dtype=np.int64)
+    values = np.zeros(len(gamma_e))
+    if a_trace is not None:
+        values[:] = a_trace(*mesh.nodes[gamma_e].T)
+    essential = dict(zip(gamma_e_dofs.tolist(), values.tolist()))
     return DofSpace("A", enrichment, mesh, entries, essential, {
         "interface_tag": Interface(int(interface_tag)),
         "a_tris": a_tris,
         "a_nodes": a_nodes,
         "bubble_edges": bubble_edges,
         "gamma_e_nodes": gamma_e,
+        "gamma_e_dofs": gamma_e_dofs,
     })
 
 
@@ -373,7 +376,8 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
     """Full-length essential-value vector for updated sources.
 
     ``currents`` maps conductor/tape ids to imposed net currents;
-    ``a_trace(x, y)`` overrides the outer-boundary trace of an A space.
+    ``a_trace(x, y)`` overrides the outer-boundary trace of an A space;
+    it is called once, on the arrays of the boundary nodes' coordinates.
     Topology (which DOFs are constrained) is fixed at build time.
     """
     x = space.essential_full()
@@ -382,9 +386,8 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
         if c.mode == "current" and c.id in currents:
             x[space.dof("global", c.id)] = currents[c.id] / space.current_scale
     if space.family == "A" and a_trace is not None:
-        for n in space.meta["gamma_e_nodes"]:
-            px, py = space.mesh.nodes[n]
-            x[space.dof("node", n)] = a_trace(px, py)
+        nodes = space.meta["gamma_e_nodes"]
+        x[space.meta["gamma_e_dofs"]] = a_trace(*space.mesh.nodes[nodes].T)
     return x
 
 

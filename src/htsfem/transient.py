@@ -18,27 +18,37 @@ iteration of a run.  ``run_transient`` builds them once, with the
 field curl form and the H mass, as the run's ``LinearBlocks``, and
 every iteration assembles from those blocks only the field block A_v
 and the field right-hand side s_v (``htsfem.assembly``).
-``run_transient`` also factors the free K_nu once, with the rows that
-B couples eliminated last, reads the Schur complement S_K onto those
-rows from the factor and forms the dense interface term
-B^T K_nu^{-1} B = B_Γ^T S_K^{-1} B_Γ on the field columns that B
-couples (``linalg.InterfaceSchur``).  Each iteration then solves only the
-condensed field system (A_v + B^T K_nu^{-1} B) v = s_v + B^T z with
-``solve_sparse`` and recovers a = K_nu^{-1} B v - z by one
-back-substitution.  The lift z = K_nu^{-1} s_q is formed once per step
-attempt, as s_q holds only essential values.
+``run_transient`` also factors the free K_nu once, with the rows Γ
+that B couples eliminated last, and reads the Schur complement S_K onto
+Γ from the factor (``linalg.InterfaceSchur``).  Newton sees the a-side
+only through S_K: its unknowns are the field DOFs v and the interface
+values a_Γ.  Each iteration solves the condensed field system
+(A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ with ``solve_sparse`` and
+takes a_Γ = S_K^{-1} B_Γ v - z_Γ.  The lift z_Γ = (K_nu^{-1} s_q)_Γ is
+formed once per step attempt, as the eliminated potential right-hand
+side s_q holds only essential values: its coupling part lies on Γ, so
+z_Γ = S_K^{-1} s_q,Γ, and only a nonzero outer trace (an external
+field) costs one back-substitution through the whole factor.
 
-Every test of a solution is made on the blocks, never on an assembled
-monolithic matrix.  The combined solution must have a componentwise
-backward error of at most 1e-10 on the free system, else the step is
-halved as after a failed solve.  Newton convergence and backtracking
-are judged on the componentwise backward error of the full system over
-the free rows: the field rows A_v v + B^T a - s_v against
-|A_v||v| + |B^T||a| + |s_v|, the potential rows B v - K_nu a against
-|B||v| + |K_nu||a|, with |K_nu| and |B| formed once.  A backtracking
-trial (v, a) + damping (dv, da) is linear in the solution and needs no
-further back-substitution.  The circuit reactions are the field rows'
-residuals at the accepted iterate.
+Newton convergence and backtracking are judged on the componentwise
+backward error of the free field rows, A_v v + B^T a - s_v against
+|A_v||v| + |B^T||a| + |s_v|, which reads a only on the rows B couples.
+The potential rows of an exact elimination are zero up to rounding.  A
+backtracking trial (v, a_Γ) + damping (dv, da_Γ) is linear in the
+unknowns and needs no back-substitution; the increment test is made on
+(v, a_Γ) too.
+
+The whole a is recovered once per accepted step, by one
+back-substitution a = K_nu^{-1} (B v - s_q) at the last field solve.
+That solve is gated: (v, a) must have a componentwise backward error
+of at most 1e-10 on the free system that was solved, else the step is
+halved as after a failed solve.  If the last iteration was damped, a
+is recovered once more at the accepted v.  The accepted iterate is not
+gated against the system reassembled at it, which would hold the
+Newton residual (up to the tolerance) to 1e-10.  The recorded final
+residual is the componentwise backward error of the whole system over
+the free rows at the accepted iterate, and the circuit reactions are
+its field rows' residuals.
 """
 
 from __future__ import annotations
@@ -115,13 +125,15 @@ class TimeConfig:
 class TimeHistory:
     """Accepted steps of a transient run (full coefficient vectors).
 
-    ``sizes`` holds the free field and potential DOF counts and the
-    number of interface columns.  ``counters`` holds the a-block
-    factorizations, the condensed field solves (failed attempts
-    included), the fill of the a-block factor, the rejected step
-    attempts, the step halvings and the backtracking trials (trial
-    iterates at a damping below 1).  ``drive_values`` holds the imposed
-    current or voltage of each circuit at each accepted step."""
+    ``sizes`` holds the free field and potential DOF counts, the
+    number of interface columns and the number of interface rows |Γ|.
+    ``counters`` holds the a-block factorizations, the back-substitutions
+    through the a-block factor (``a_solves``, lifts included), the
+    condensed field solves (failed attempts included), the fill of the
+    a-block factor, the rejected step attempts, the step halvings and
+    the backtracking trials (trial iterates at a damping below 1).
+    ``drive_values`` holds the imposed current or voltage of each
+    circuit at each accepted step."""
 
     formulation: str
     times: list = field(default_factory=list)
@@ -172,10 +184,14 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     blocks = linear_blocks(mesh, v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
     schur = InterfaceSchur(blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
+    # Newton's potential unknowns are the free rows of blocks.gamma
+    if not np.array_equal(qf[schur.factor.rows], blocks.gamma[blocks.gamma_free]):
+        raise ValueError("a potential DOF couples only to essential field DOFs")
     hist.sizes = {"field_free_dofs": int(v_space.n_free),
                   "potential_free_dofs": int(q_space.n_free),
-                  "interface_columns": len(schur.cols)}
-    hist.counters = {"a_factorizations": 1, "field_solves": 0,
+                  "interface_columns": len(schur.cols),
+                  "interface_rows": len(schur.factor.rows)}
+    hist.counters = {"a_factorizations": 1, "a_solves": 0, "field_solves": 0,
                      "a_factor_fill": schur.factor.fill, "rejected_attempts": 0,
                      "step_halvings": 0, "backtracking_trials": 0}
     ids = [c.id for c in v_space.circuits]
@@ -226,12 +242,12 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         hist.v.append(v_new)
         hist.q.append(q_new)
         hist.newton_iters.append(iters)
-        hist.final_residuals.append(res_trace[-1])
+        hist.final_residuals.append(sys.backward_error(v_new, q_new))
         hist.residual_traces.append(res_trace)
-        r_full = sys.residual(v_new, q_new)
+        r_field = sys.field_residual(v_new, q_new[blocks.gamma])
         imposed = {**currents, **voltages}
         for cid in ids:
-            hist.reactions[cid].append(float(r_full[v_space.dof("global", cid)]))
+            hist.reactions[cid].append(float(r_field[v_space.dof("global", cid)]))
             hist.drive_values[cid].append(imposed[cid])
 
         v_prev, q_prev = v_new, q_new
@@ -240,67 +256,77 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         easy_run = easy_run + 1 if iters <= 3 else 0
         if halvings == 0 and easy_run >= 2 and dt_cur < time.dt:
             dt_cur = min(2.0 * dt_cur, time.dt)
+    hist.counters["a_solves"] = schur.solves
     return hist
 
 
-def _solve_condensed(sys, schur: InterfaceSchur, lift):
-    """Free-DOF solution of ``sys`` through the condensed field system
-    and the step attempt's ``lift``.  The componentwise backward error on
-    the free system gates it: a normwise residual is dominated by the
-    flux-potential rows and misses errors of the field block."""
-    v = solve_sparse(*schur.condense(sys.A_free, sys.s_free[:sys.n_v_free], lift))
-    x = np.concatenate([v, schur.recover(v, lift)])
-    err = sys.free_backward_error(x)
+def _field_solve(sys, schur: InterfaceSchur, lift):
+    """The free field DOFs v of the solution of ``sys``, through the
+    condensed field system and the step attempt's ``lift`` on Γ, and
+    the interface values a_Γ of its potential."""
+    v = solve_sparse(*schur.condense(sys.A_free, sys.s_field, lift))
+    return v, schur.interface_values(v, lift)
+
+
+def _gated_recovery(sys, v, schur: InterfaceSchur):
+    """The free potential DOFs a = K_nu^{-1} (B v - s_q) of a field
+    solve v of ``sys``, by one back-substitution.  The componentwise
+    backward error of (v, a) on the free system of ``sys`` gates it: a
+    normwise residual is dominated by the flux-potential rows and
+    misses errors of the field block."""
+    a = schur.recover(v, sys.s_potential)
+    err = sys.free_backward_error(np.concatenate([v, a]))
     if not err <= 1e-10:
         raise SingularSystemError(f"condensed solve residual {err:.3e} exceeds 1e-10")
-    return x
+    return a
 
 
 def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
                  time: TimeConfig, schur, counters):
     v_prev, q_prev = prev
-    ess_idx_v = np.array(sorted(blocks.v_space.essential), dtype=np.int64)
-    ess_idx_q = np.array(sorted(blocks.q_space.essential), dtype=np.int64)
-    v_it = v_prev.copy()
-    q_it = q_prev.copy()
-    if len(ess_idx_v):
-        v_it[ess_idx_v] = v_ess[ess_idx_v]
-    if len(ess_idx_q):
-        q_it[ess_idx_q] = q_ess[ess_idx_q]
+    vf, qf, gamma = blocks.v_space.free, blocks.q_space.free, blocks.gamma
+    v_it = v_ess.copy()
+    v_it[vf] = v_prev[vf]
+    # the iterate's potential on gamma: the essential values, and a_Γ on
+    # the free ones, which are the rows Γ of schur.factor
+    on_free = blocks.gamma_free
+    a_it = q_ess[gamma]
 
-    def reassemble(iterate):
-        return assemble(blocks, (v_prev, q_prev), iterate, dt, a_essential=q_ess,
+    def reassemble(v):
+        return assemble(blocks, (v_prev, q_prev), (v, None), dt, a_essential=q_ess,
                         v_essential=v_ess, voltages=voltages)
 
-    sys = reassemble((v_it, q_it))
-    # componentwise backward error: robust to the disparate block
-    # scalings of the coupled systems (the tape block carries the
-    # thickness factor)
-    r = sys.backward_error(v_it, q_it)
+    sys = reassemble(v_it)
+    lift = schur.lift(sys.s_potential)      # s_q holds only essential values
+    a_it[on_free] = schur.interface_values(v_it[vf], lift)
+    # componentwise backward error of the free field rows: robust to the
+    # disparate block scalings of the coupled systems (the tape block
+    # carries the thickness factor)
+    r = sys.field_error(v_it, a_it)
     trace = [r]
     iters = 0
     inc = np.inf
+    solved = None
     while r > time.rel_residual_tol and iters < time.max_iter:
-        if iters == 0:              # s_q holds only the essential values
-            lift = schur.lift(sys.s_free[sys.n_v_free:])
         counters["field_solves"] += 1
-        x_full = sys.expand(_solve_condensed(sys, schur, lift))
-        x_old = np.concatenate([v_it, q_it])
+        v_new, a_new = v_it.copy(), a_it.copy()
+        v_new[vf], a_new[on_free] = _field_solve(sys, schur, lift)
+        solved = (sys, v_new[vf])
         # backtracking on the residual guards against power-law overshoot
-        step = x_full - x_old
+        dv, da = v_new - v_it, a_new - a_it
         damping = 1.0
         for _ in range(4):
-            x_try = x_old + damping * step
-            v_try, q_try = sys.split(x_try)
+            v_try, a_try = v_it + damping * dv, a_it + damping * da
             if damping < 1.0:
                 counters["backtracking_trials"] += 1
-            sys_try = reassemble((v_try, q_try))
-            r_try = sys_try.backward_error(v_try, q_try)
+            sys_try = reassemble(v_try)
+            r_try = sys_try.field_error(v_try, a_try)
             if r_try < r or damping <= 0.125:
                 break
             damping *= 0.5
-        inc = damping * np.linalg.norm(step) / max(np.linalg.norm(x_try), 1e-300)
-        v_it, q_it = v_try, q_try
+        inc = damping * np.hypot(np.linalg.norm(dv), np.linalg.norm(da)) / max(
+            np.hypot(np.linalg.norm(v_try), np.linalg.norm(a_try)), 1e-300)
+        v_it, a_it = v_try, a_try
         sys, r = sys_try, r_try
         iters += 1
         trace.append(r)
@@ -310,6 +336,14 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
         raise NonConvergenceError(
             f"Newton stalled at residual {r:.3e} after {iters} iterations",
             residuals=trace)
+    # the whole a, once per step: the last field solve's, which the gate
+    # checks against the system it solved, unless the step was damped
+    if solved is not None:
+        a_free = _gated_recovery(*solved, schur)
+    if solved is None or damping < 1.0:
+        a_free = schur.recover(v_it[vf], sys.s_potential)
+    q_it = q_ess.copy()
+    q_it[qf] = a_free
     return v_it, q_it, iters, trace, sys
 
 

@@ -2,6 +2,7 @@ import filecmp
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 import htsfem.cli
@@ -138,6 +139,7 @@ def test_cli_solve_tape(tmp_path):
 
 
 def test_cli_solve_tape_reports_sizes_and_counters(tmp_path):
+    from htsfem.assembly import _coupling_full
     from htsfem.cli import _build_mesh, _build_spaces
     cfg = write_cfg(tmp_path, SMALL_TAPE)
     out = tmp_path / "out"
@@ -145,11 +147,16 @@ def test_cli_solve_tape_reports_sizes_and_counters(tmp_path):
     run = json.loads((out / "run.json").read_text())
     resolved = load_config(SMALL_TAPE)
     t_space, a_space = _build_spaces(resolved, _build_mesh(resolved))
+    coupled_rows = np.count_nonzero(np.diff(_coupling_full(t_space, a_space)[a_space.free].indptr))
     assert run["sizes"] == {"field_free_dofs": t_space.n_free,
                             "potential_free_dofs": a_space.n_free,
-                            "interface_columns": t_space.n_free}
+                            "interface_columns": t_space.n_free,
+                            "interface_rows": coupled_rows}
     counters = run["counters"]
     assert counters["a_factorizations"] == 1
+    # the whole a is recovered once per accepted step, twice after a
+    # damped last iteration; an unramped outer trace needs no lift solve
+    assert 0 < counters["a_solves"] <= 2 * (run["steps"] + counters["rejected_attempts"])
     assert counters["field_solves"] >= run["newton_iterations_total"]
     assert counters["a_factor_fill"] > a_space.n_free
     phases = run["phases"]

@@ -1,8 +1,10 @@
 """The block form of a Newton iteration against the straightforward
 monolithic path: the condensed solve (a-block factored once,
-interface-condensed field system) against the monolithic solve, the
-field-block kernels against element-by-element scatter assembly, and
-the blockwise backward errors against those of the monolithic system."""
+interface-condensed field system, a recovered by one back-substitution)
+against the monolithic solve, its interface values a_Γ against the
+recovered a, the field-block kernels against element-by-element scatter
+assembly, and the blockwise backward errors against those of the
+monolithic system."""
 
 from types import SimpleNamespace
 
@@ -21,7 +23,7 @@ from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
-from htsfem.transient import _solve_condensed
+from htsfem.transient import _field_solve, _gated_recovery
 
 from util import curl_h, dense_schur, eliminated, monolithic
 
@@ -66,6 +68,13 @@ def _lift(sys, schur):
     return schur.lift(eliminated(sys)[1][sys.n_v_free:])
 
 
+def _solve_condensed(sys, schur):
+    """The free-DOF solution of ``sys`` as the transient takes it: the
+    field solve, then the gated recovery of a; also a_Γ."""
+    v, a_gamma = _field_solve(sys, schur, _lift(sys, schur))
+    return np.concatenate([v, _gated_recovery(sys, v, schur)]), a_gamma
+
+
 def _iterate_sampler(form, v, jc):
     """Random field coefficients in the power-law regime.
 
@@ -107,12 +116,48 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
                                             drive, b_ext):
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    x = sys.expand(_solve_condensed(sys, case.schur, _lift(sys, case.schur)))
+    x = sys.expand(_solve_condensed(sys, case.schur)[0])
     x_ref = sys.expand(solve_sparse(*eliminated(sys)))
     nv = sys.blocks.v_space.n_dofs
     for block in (slice(0, nv), slice(nv, None)):
         err = np.abs(x[block] - x_ref[block]).max()
         assert err <= 1e-10 * np.abs(x_ref[block]).max()
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-3.0, -1.0),
+       drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_interface_values_match_recovered_potential(coupled, form, i, j, seed, log_dt,
+                                                    drive, b_ext):
+    # a_Γ = S_K^{-1} B_Γ v - z_Γ against the back-substituted a on Γ
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
+    x_free, a_gamma = _solve_condensed(sys, case.schur)
+    assert _close(a_gamma, x_free[sys.n_v_free:][case.schur.factor.rows], 1e-12)
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-3.0, -1.0),
+       drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_field_error_matches_backward_error(coupled, form, i, j, seed, log_dt, drive,
+                                           b_ext):
+    # the Newton measure at (v, a(v)) against the backward error of the
+    # monolithic system over the free field rows; over the free potential
+    # rows, an exact elimination leaves only rounding
+    case = coupled(form, i, j)
+    rng = np.random.default_rng(seed)
+    sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
+    v, a = (x.copy() for x in sys.split(sys.x_essential))
+    v[case.v.free] = case.sample(rng)[case.v.free]
+    a[case.q.free] = case.schur.recover(v[case.v.free], sys.s_potential)
+    x, free = np.concatenate([v, a]), sys.free_indices()
+    K = monolithic(sys)
+    ref = backward_error(K, x, sys.s_full, rows=free[:sys.n_v_free])
+    assert abs(sys.field_error(v, a[sys.blocks.gamma]) - ref) <= 1e-12 * ref
+    assert backward_error(K, x, sys.s_full, rows=free[sys.n_v_free:]) <= 1e-13
+    assert sys.backward_error(v, a) <= (1.0 + 1e-12) * max(ref, 1e-13)
 
 
 @pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ha"])
@@ -132,7 +177,7 @@ def test_interface_term_matches_dense_schur(coupled, form, i, j):
     M = np.block([[K.toarray(), Bs], [Bs.T, np.zeros((Bs.shape[1],) * 2)]])
     T_ref = -dense_schur(M, np.arange(n, n + Bs.shape[1]))
     n_v = case.v.n_free
-    T = case.schur.condense(sp.csr_matrix((n_v, n_v)), np.zeros(n_v), np.zeros(n))[0]
+    T = case.schur.condense(sp.csr_matrix((n_v, n_v)), np.zeros(n_v), np.zeros(len(gamma)))[0]
     assert _close(T[case.schur.cols][:, case.schur.cols], T_ref, 1e-12)
     assert T.nnz <= len(case.schur.cols) ** 2
 
@@ -145,14 +190,14 @@ def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
     sys = _system(case, np.random.default_rng(7), 0.01, 0.5, 0.3)
     stale = _factor(case.v, case.q, 2.0 * case.K_nu, case.B)
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, stale, _lift(sys, stale))
+        _solve_condensed(sys, stale)
 
 
 class _DroppedLift(InterfaceSchur):
-    """Condenses without the a-side term B^T K^{-1} s_q."""
+    """Condenses without the a-side term B_Γ^T z_Γ."""
 
-    def condense(self, A, s_v, s_q):
-        return super().condense(A, s_v, s_q)[0], s_v
+    def condense(self, A, s_v, lift):
+        return super().condense(A, s_v, lift)[0], s_v
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -161,7 +206,7 @@ def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
     sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
     broken = _factor(case.v, case.q, case.K_nu, case.B, cls=_DroppedLift)
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, broken, _lift(sys, broken))
+        _solve_condensed(sys, broken)
 
 
 def _h_stiffness_scatter(space, tri_weights):

@@ -208,3 +208,25 @@ def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
     with pytest.raises(HierarchyError, match="level 0"):
         run_infsup_sweep(bar_params, "ha", [(1, 1), (1, 2)], 3, norms=NORMS)
+
+
+@pytest.mark.parametrize("formulation", ["ha", "ta"])
+def test_lower_potential_norm_is_the_leading_block(formulation, bar_mesh, tape_mesh,
+                                                   monkeypatch):
+    # the order-1 pencil gets the leading block of the order-2 norm; it
+    # must be the order-1 space's own norm
+    mesh = bar_mesh if formulation == "ha" else tape_mesh
+    seen = {}
+
+    def recording(B, N_V, N_Q, *args, **kwargs):
+        seen[N_Q.shape[0]] = N_Q
+        return infsup_eigenpairs(B, N_V, N_Q, *args, **kwargs)
+
+    monkeypatch.setattr(htsfem.infsup, "infsup_eigenpairs", recording)
+    pairings = [(1, 1), (1, 2)]
+    reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
+    _sweep_level(mesh, formulation, pairings, NORMS, 0, reports, 1.0)
+    for pair in pairings:
+        q_sp = build_pairing(mesh, formulation, pair)[1]
+        ref = assemble_norm_matrix(q_sp, NORMS)
+        assert abs(seen[q_sp.n_free] - ref).max() <= 1e-13 * abs(ref).max()

@@ -330,6 +330,34 @@ def test_essential_vector_updates(tape_mesh, bar_mesh):
     assert x[a.dof("node", n)] == pytest.approx(2.0 * bar_mesh.nodes[n, 1])
 
 
+@pytest.mark.parametrize("which", ["bar", "tape"])
+def test_a_trace_on_arrays_matches_per_node_loop(request, which):
+    # one call on the coordinate arrays gives, bit for bit, the values of
+    # one call per boundary node, in the space and in essential_vector
+    mesh = request.getfixturevalue(f"{which}_mesh")
+    tag = Interface.GAMMA_M if which == "bar" else Interface.GAMMA_W
+    calls = []
+
+    def trace(x, y, b=0.37, dx=0.6, dy=0.8):
+        calls.append(np.shape(x))
+        return -b * (dx * y - dy * x)
+
+    for order in (1, 2):
+        a = build_a_space(mesh, order, tag, a_trace=trace)
+        x = essential_vector(a, a_trace=trace)
+        assert len(calls) == 2
+        calls.clear()
+        nodes = a.meta["gamma_e_nodes"]
+        assert len(nodes) == len(a.essential) > 0
+        for n in nodes:
+            px, py = mesh.nodes[n]
+            ref = np.float64(trace(px, py))
+            k = a.dof("node", n)
+            assert np.float64(a.essential[k]).view(np.uint64) == ref.view(np.uint64)
+            assert x[k].view(np.uint64) == ref.view(np.uint64)
+        calls.clear()
+
+
 def test_dof_table_dump(tmp_path, bar_spaces_11):
     h, _ = bar_spaces_11
     path = tmp_path / "dofs.csv"
