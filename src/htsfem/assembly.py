@@ -1,7 +1,7 @@
 """Finite-element assembly of the coupled systems, coupling matrices
 and norm matrices.
 
-Conventions.  The unknown vector of a coupled system concatenates the
+Conventions.  The unknowns of a coupled system are two blocks: the
 field-side block V (h or t coefficients) and the potential block Q (a
 coefficients).  With B the interface coupling matrix (rows Q, columns
 V), one implicit-Euler iteration of either formulation is the one
@@ -18,16 +18,18 @@ the paper's form times -1, which has the same solution.  The potential
 rows carry no source: the magnetic laws are linear.
 
 Only A_v and s_v depend on the Newton iterate, so an iteration
-assembles only those.  Everything else is fixed for a transient run
-and is built once, by ``linear_blocks``, into one ``LinearBlocks``
-that the iteration assemblers take: K_nu and B, the field curl form
-and the H mass.  Nothing assembled is cached on the spaces.  The field
-blocks are weighted curl-curl forms G^T diag(w) G, linear in the
-weights, and are filled on a fixed sparsity pattern by one sparse
-mat-vec (``_CurlForm``).  ``AssembledSystem`` evaluates residuals,
-backward errors and the right-hand side after the symmetric
-elimination of essential values on the blocks; no monolithic matrix is
-ever assembled.
+assembles only those, from the field iterate alone.  Everything else
+is fixed for a transient run and is built once, by ``linear_blocks``,
+into one ``LinearBlocks`` that the iteration assemblers take: K_nu and
+B, the field curl form and the H mass.  Nothing assembled is cached on
+the spaces.  The field blocks are weighted curl-curl forms
+G^T diag(w) G, linear in the weights, and are filled on a fixed
+sparsity pattern by one sparse mat-vec (``_CurlForm``).  Both
+formulations assemble through one power-law iteration core.
+``AssembledSystem`` holds the field and potential vectors apart.  It
+evaluates residuals, backward errors and the right-hand side after the
+symmetric elimination of essential values on the blocks, through one
+backward-error routine; no monolithic matrix is ever assembled.
 
 Field evaluation lives beside the kernels.  The Whitney and edge-bubble
 kernels take barycentric points (the quadrature points by default);
@@ -87,12 +89,12 @@ class LinearBlocks:
     form (for H with the mu0 H mass as its base), the H mass (None for
     T), and on all DOFs the reluctivity stiffness K_nu and the coupling
     B.  For mat-vecs it stores B^T on the potential DOFs ``gamma`` that
-    B couples (``B_T``; ``gamma_free`` marks the free ones), the
-    potential rows [B, -K_nu] of the block form, the entrywise absolute
-    values of both, which scale backward errors, and the block of the
-    potential rows that is free in its row and essential in its column
-    (``q_free_ess``; ``ess`` holds those columns of the concatenated
-    unknown vector)."""
+    B couples (``B_T``; ``gamma_free`` marks the free ones), the free
+    potential rows [B, -K_nu] of the block form (``q_rows``, whose
+    columns are the field DOFs followed by the potential DOFs), the
+    entrywise absolute values of both, which scale backward errors, and
+    the columns of ``q_rows`` that are essential (``q_free_ess``;
+    ``ess`` holds their indices)."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -117,55 +119,26 @@ class AssembledSystem:
     docstring): the field block ``A_v`` on all field DOFs and its block
     ``A_free`` on the free ones, the field right-hand side ``s_v``, the
     run's fixed ``blocks`` (which hold the two spaces) and the
-    essential values ``x_essential`` on all DOFs of both spaces.
+    essential values ``v_essential`` and ``a_essential`` on all DOFs of
+    the field and the potential space.
 
-    The system is solved on the free DOFs, V block first, after
-    symmetric elimination; ``s_free`` is its right-hand side, computed
-    on the blocks, with the field part ``s_field`` and the potential
-    part ``s_potential``.  K_full below names the monolithic operator
-    [[A_v, B^T], [B, -K_nu]] on all DOFs, and K its free block; neither
-    is ever assembled.  The field rows read the potential only on
-    ``blocks.gamma``, so ``field_residual`` and ``field_error`` take
-    its values there.
+    The system is solved on the free DOFs after symmetric elimination;
+    its right-hand side is computed on the blocks, with the field part
+    ``s_field`` and the potential part ``s_potential``.  The field rows
+    read the potential only on ``blocks.gamma``, so ``field_residual``
+    and ``field_error`` take its values there.
     """
 
     A_v: sp.csr_matrix
     A_free: sp.csr_matrix
     s_v: np.ndarray
     blocks: LinearBlocks
-    x_essential: np.ndarray
-
-    @property
-    def n_v_free(self) -> int:
-        return self.blocks.v_space.n_free
-
-    def free_indices(self) -> np.ndarray:
-        return self._free
-
-    @cached_property
-    def _free(self) -> np.ndarray:
-        lb = self.blocks
-        return np.concatenate([lb.v_space.free, lb.v_space.n_dofs + lb.q_space.free])
-
-    def expand(self, x_free) -> np.ndarray:
-        x = self.x_essential.copy()
-        x[self._free] = x_free
-        return x
-
-    def split(self, x_full):
-        nv = self.blocks.v_space.n_dofs
-        return x_full[:nv], x_full[nv:]
-
-    def _product(self, x, absolute=False) -> np.ndarray:
-        """K_full x, or |K_full| x, on the blocks."""
-        lb = self.blocks
-        v, a = self.split(x)
-        return np.concatenate([self._field_product(v, a[lb.gamma], absolute),
-                               (lb.abs_q_rows if absolute else lb.q_rows) @ x])
+    v_essential: np.ndarray
+    a_essential: np.ndarray
 
     def _field_product(self, v, a_gamma, absolute=False) -> np.ndarray:
-        """The field rows of K_full x, or of |K_full| x, from v and the
-        potential on ``blocks.gamma``."""
+        """The field rows A_v v + B^T a, or |A_v| v + |B^T| a, from v and
+        the potential on ``blocks.gamma``."""
         lb = self.blocks
         if absolute:
             return self._abs_A_v @ v + lb.abs_B_T @ a_gamma
@@ -176,7 +149,7 @@ class AssembledSystem:
         return abs(self.A_v)
 
     def field_residual(self, v, a_gamma) -> np.ndarray:
-        """The field rows of K_full x - s_full on all field DOFs, at the
+        """The field rows A_v v + B^T a - s_v on all field DOFs, at the
         field v and the potential ``a_gamma`` on ``blocks.gamma``."""
         return self._field_product(v, a_gamma) - self.s_v
 
@@ -190,52 +163,47 @@ class AssembledSystem:
             (self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)
              + np.abs(self.s_v))[free])
 
-    def backward_error(self, v, a) -> float:
-        """Componentwise backward error of the full system at (v, a)
-        over the free rows, as ``linalg.backward_error`` of K_full and
-        s_full with ``rows`` the free indices."""
-        x = np.concatenate([v, a])
-        free = self._free
+    def _error(self, v, a, s_field, s_potential) -> float:
+        """Componentwise backward error of the free rows of the block form
+        at the full-length (v, a), against ``s_field`` on the free field
+        rows and ``s_potential`` on the free potential rows."""
+        lb = self.blocks
+        free, a_gamma, x = lb.v_space.free, a[lb.gamma], np.concatenate([v, a])
         return componentwise_error(
-            (self._product(x) - self.s_full)[free],
-            (self._product(np.abs(x), absolute=True) + np.abs(self.s_full))[free])
+            np.concatenate([self._field_product(v, a_gamma)[free] - s_field,
+                            lb.q_rows @ x - s_potential]),
+            np.concatenate([self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)[free]
+                            + np.abs(s_field),
+                            lb.abs_q_rows @ np.abs(x) + np.abs(s_potential)]))
 
-    def free_backward_error(self, x_free) -> float:
-        """Componentwise backward error of the eliminated system K x = s
-        at the free-DOF vector ``x_free``, as ``linalg.backward_error``
-        of K and s.  With the essential values set to zero, the free
-        rows of K_full act as K."""
-        x = np.zeros(len(self.x_essential))
-        x[self._free] = x_free
-        free, s = self._free, self.s_free
-        return componentwise_error(self._product(x)[free] - s,
-                                   self._product(np.abs(x), absolute=True)[free] + np.abs(s))
+    def backward_error(self, v, a) -> float:
+        """Componentwise backward error of the whole system at (v, a)
+        over the free rows; the potential rows carry no source."""
+        return self._error(v, a, self.s_v[self.blocks.v_space.free], 0.0)
 
-    @cached_property
-    def s_full(self) -> np.ndarray:
-        """Right-hand side on all DOFs; the potential rows carry none."""
-        return np.concatenate([self.s_v, np.zeros(self.blocks.q_space.n_dofs)])
-
-    @cached_property
-    def s_free(self) -> np.ndarray:
-        """Right-hand side on the free DOFs: s_full minus the essential
-        columns of K_full times the essential values."""
-        return np.concatenate([self.s_field, self.s_potential])
+    def free_backward_error(self, v_free, a_free) -> float:
+        """Componentwise backward error of the eliminated system at its
+        free DOFs: the block form's with zero essential values."""
+        lb = self.blocks
+        return self._error(lb.v_space.expand(v_free, np.zeros(lb.v_space.n_dofs)),
+                           lb.q_space.expand(a_free, np.zeros(lb.q_space.n_dofs)),
+                           self.s_field, self.s_potential)
 
     @cached_property
     def s_field(self) -> np.ndarray:
-        """The field part of ``s_free``."""
-        x_ess = self.x_essential.copy()
-        x_ess[self._free] = 0.0
-        v, a = self.split(x_ess)
-        return (self.s_v - self._field_product(v, a[self.blocks.gamma]))[
-            self.blocks.v_space.free]
+        """The eliminated right-hand side of the free field rows: s_v
+        minus the field rows' product with the essential values."""
+        lb = self.blocks
+        v = lb.v_space.expand(0.0, self.v_essential)
+        a = lb.q_space.expand(0.0, self.a_essential)
+        return (self.s_v - self._field_product(v, a[lb.gamma]))[lb.v_space.free]
 
     @cached_property
     def s_potential(self) -> np.ndarray:
-        """The potential part of ``s_free``; it holds only essential
-        values, which are fixed within a step."""
-        return -(self.blocks.q_free_ess @ self.x_essential[self.blocks.ess])
+        """The eliminated right-hand side of the free potential rows, read
+        from the essential columns only; it is fixed within a step."""
+        x_ess = np.concatenate([self.v_essential, self.a_essential])[self.blocks.ess]
+        return -(self.blocks.q_free_ess @ x_ess)
 
 
 def export_matrix_market(M, path, symmetric=True):
@@ -609,31 +577,45 @@ def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
     mass = _h_mass(v_space, MU0) if v_space.family == "H" else None
     gamma = np.flatnonzero(np.diff(B.indptr))
     B_T = B[gamma].T.tocsr()
-    q_rows = sp.hstack([B, -K_nu], format="csr")
+    q_rows = sp.hstack([B, -K_nu], format="csr")[q_space.free]
     is_free = np.zeros(v_space.n_dofs + q_space.n_dofs, dtype=bool)
     is_free[v_space.free] = True
     is_free[v_space.n_dofs + q_space.free] = True
     ess = np.flatnonzero(~is_free)
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
                         K_nu, B, gamma, is_free[v_space.n_dofs + gamma], B_T, abs(B_T),
-                        q_rows, abs(q_rows), ess, q_rows[q_space.free][:, ess].tocsr())
+                        q_rows, abs(q_rows), ess, q_rows[:, ess].tocsr())
 
 
-def _coupled_iteration(blocks: LinearBlocks, a_prev, w, field_rhs, dt, v_essential,
-                       a_essential, voltages) -> AssembledSystem:
-    """The coupled block system around the field block
-    ``blocks.form.matrix(w)``, with the field right-hand side
-    B^T a_prev + sum(field_rhs) + circuit terms (summed in that order)."""
+def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,
+                         v_essential, voltages) -> AssembledSystem:
+    """One Newton iteration around the field iterate ``v_it``: the field
+    block base + scale K(de/dj) and the field right-hand side
+    B^T a_prev [+ M v_prev] - scale K(rho - de/dj) v_it + circuit terms
+    (summed in that order), with K(w) the curl form ``blocks.form``,
+    base its fixed part and M the H mass, both for H only."""
+    v_prev, a_prev = state_prev
     v_space, q_space = blocks.v_space, blocks.q_space
-    A_v = blocks.form.matrix(w)
+    if len(v_prev) != v_space.n_dofs or len(a_prev) != q_space.n_dofs:
+        raise AssemblyError("state vectors do not match the spaces")
+    if np.any(~np.isfinite(v_it)):
+        raise AssemblyError("non-finite Newton iterate")
+
+    form = blocks.form
+    j = form.G @ v_it
+    dedj, rho = de_dj(j, blocks.power), rho_power(j, blocks.power)
+    if np.any(~np.isfinite(dedj)):
+        raise AssemblyError("non-finite material evaluation")
+
+    A_v = form.matrix(scale * dedj)
     s_v = blocks.B_T @ a_prev[blocks.gamma]
-    for term in field_rhs:
-        s_v = s_v + term
-    s_v = s_v + _circuit_rhs(v_space, dt, voltages)
-    x_ess = np.concatenate([
+    if blocks.mass is not None:
+        s_v = s_v + blocks.mass @ v_prev
+    s_v = s_v - form.apply(scale * (rho - dedj), v_it) + _circuit_rhs(v_space, dt, voltages)
+    return AssembledSystem(
+        A_v, form.free_block(A_v), s_v, blocks,
         v_essential if v_essential is not None else v_space.essential_full(),
-        a_essential if a_essential is not None else q_space.essential_full()])
-    return AssembledSystem(A_v, blocks.form.free_block(A_v), s_v, blocks, x_ess)
+        a_essential if a_essential is not None else q_space.essential_full())
 
 
 def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
@@ -642,32 +624,16 @@ def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
     """One Newton iteration of the implicit-Euler h-a system on the
     run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
 
-    ``state_prev`` and ``iterate`` are (h_full, a_full) coefficient
-    pairs at the previous time step and previous Newton iterate; the
-    iterate's a is not read and may be None.  The essential-value
-    vectors hold the constrained values at the new
-    time; they default to the build-time values.  The field block is
-    M + dt K(de/dj) and the field right-hand side
+    ``state_prev`` is the (h_full, a_full) coefficient pair at the
+    previous time step and ``iterate`` the h_full of the previous
+    Newton iterate.  The essential-value vectors hold the constrained
+    values at the new time; they default to the build-time values.  The
+    field block is M + dt K(de/dj) and the field right-hand side
     B^T a_prev + M h_prev - dt K(rho - de/dj) h_it + circuit terms,
     with K(w) the curl-curl form weighted by w per conducting triangle.
     """
-    h_prev, a_prev = state_prev
-    h_it, _ = iterate
-    if len(h_prev) != blocks.v_space.n_dofs or len(a_prev) != blocks.q_space.n_dofs:
-        raise AssemblyError("state vectors do not match the spaces")
-    if np.any(~np.isfinite(h_it)):
-        raise AssemblyError("non-finite Newton iterate")
-
-    form = blocks.form
-    j = form.G @ h_it
-    dedj = de_dj(j, blocks.power)
-    rho = rho_power(j, blocks.power)
-    if np.any(~np.isfinite(dedj)):
-        raise AssemblyError("non-finite material evaluation")
-
-    field_rhs = (blocks.mass @ h_prev, -form.apply(dt * (rho - dedj), h_it))
-    return _coupled_iteration(blocks, a_prev, dt * dedj, field_rhs, dt, v_essential,
-                              a_essential, voltages)
+    return _power_law_iteration(blocks, state_prev, iterate, dt, dt, a_essential,
+                                v_essential, voltages)
 
 
 def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
@@ -676,21 +642,10 @@ def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
     """One Newton iteration of the implicit-Euler t-a system on the
     run's ``blocks`` (from ``linear_blocks`` on a T and an A space),
     stored as the paper's form times -1 (see the module docstring).
+    The arguments are as for ``assemble_ha_iteration``, with t for h.
     The field block is dt w D(de/dj) and the field right-hand side
     B^T a_prev - dt w D(rho - de/dj) t_it + circuit terms, with D(w)
     the tape curl-curl form weighted at the Gauss points and w the tape
     width."""
-    t_prev, a_prev = state_prev
-    t_it, _ = iterate
-    if len(t_prev) != blocks.v_space.n_dofs or len(a_prev) != blocks.q_space.n_dofs:
-        raise AssemblyError("state vectors do not match the spaces")
-    w = blocks.v_space.mesh.w
-
-    form = blocks.form
-    j_qp = form.G @ t_it
-    dedj = de_dj(j_qp, blocks.power)
-    rho = rho_power(j_qp, blocks.power)
-
-    field_rhs = (-form.apply(dt * w * (rho - dedj), t_it),)
-    return _coupled_iteration(blocks, a_prev, dt * w * dedj, field_rhs, dt, v_essential,
-                              a_essential, voltages)
+    return _power_law_iteration(blocks, state_prev, iterate, dt, dt * blocks.v_space.mesh.w,
+                                a_essential, v_essential, voltages)

@@ -46,17 +46,22 @@ class DegenerateCouplingError(RuntimeError):
 
 
 def solve_sparse(K, s) -> np.ndarray:
-    """Direct solve of a (possibly indefinite) sparse system with a
-    pivoting LU factorization; the scaled residual is verified.
+    """Direct solve of a sparse system with a pivoting LU factorization;
+    the scaled residual is verified.
 
-    The system is symmetrically equilibrated first: the coupled blocks
-    carry physical units many orders of magnitude apart (surface
-    current potential against flux potential) and unscaled elimination
-    loses all relative accuracy in the small block.  The column order is
-    a minimum-degree order of K^T + K: every system solved here is
-    structurally symmetric.  On the condensed field systems, which carry
-    a dense interface block, COLAMD gave 1.4 times the fill and twice
-    the factorization time.
+    Every caller in the package solves an SPD system: the condensed
+    field system (``transient._field_solve``) and N_V
+    (``infsup.export_eigenmode``); only the tests' oracle solves the
+    indefinite monolithic system.  Symmetric equilibration and two
+    refinement steps stay: the monolithic blocks carry units many orders
+    of magnitude apart, where unscaled elimination loses all relative
+    accuracy in the small block; the default bar's condensed rows still
+    differ in scale by about 1.6e3; and the data files record the
+    refined solution (unrefined, the snapshots change in the last bits).
+    The column order is a minimum-degree order of K^T + K: every system
+    solved here is structurally symmetric.  On the condensed field
+    systems, which carry a dense interface block, COLAMD gave 1.4 times
+    the fill and twice the factorization time.
     """
     K = sp.csc_matrix(K, copy=True)     # the one conversion; canonical below
     K.sum_duplicates()

@@ -275,7 +275,7 @@ def _gated_recovery(sys, v, schur: InterfaceSchur):
     normwise residual is dominated by the flux-potential rows and
     misses errors of the field block."""
     a = schur.recover(v, sys.s_potential)
-    err = sys.free_backward_error(np.concatenate([v, a]))
+    err = sys.free_backward_error(v, a)
     if not err <= 1e-10:
         raise SingularSystemError(f"condensed solve residual {err:.3e} exceeds 1e-10")
     return a
@@ -293,7 +293,7 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
     a_it = q_ess[gamma]
 
     def reassemble(v):
-        return assemble(blocks, (v_prev, q_prev), (v, None), dt, a_essential=q_ess,
+        return assemble(blocks, (v_prev, q_prev), v, dt, a_essential=q_ess,
                         v_essential=v_ess, voltages=voltages)
 
     sys = reassemble(v_it)

@@ -13,7 +13,8 @@ from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_trace, interface_chain)
 
-from util import curl_h, eliminated, eval_a_curl, eval_h_field, l_bar_mesh, monolithic
+from util import (curl_h, eliminated, eval_a_curl, eval_h_field, free_indices, l_bar_mesh,
+                  monolithic, s_full)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -27,7 +28,8 @@ def test_ha_zero_state_zero_solution(bar_mesh, bar_spaces_11, bar_materials_line
     from htsfem.linalg import solve_sparse
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, 0.0125)
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
+                                0.0125)
     K, s = eliminated(sys)
     assert np.abs(s).max() == 0.0
     x = solve_sparse(K, s)
@@ -39,7 +41,7 @@ def test_ha_symmetry(bar_mesh, bar_spaces_11, bar_materials_power):
     rng = np.random.default_rng(0)
     state = (rng.normal(size=h.n_dofs), rng.normal(size=a.n_dofs))
     sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_power),
-                                state, state, 0.0125)
+                                state, state[0], 0.0125)
     assert sym_defect(eliminated(sys)[0]) < 1e-12
     assert sym_defect(monolithic(sys)) < 1e-12
 
@@ -49,7 +51,7 @@ def test_ta_symmetry(tape_mesh, tape_spaces_11, tape_materials_power):
     rng = np.random.default_rng(1)
     state = (rng.normal(size=t.n_dofs) * 1e6, rng.normal(size=a.n_dofs) * 1e-6)
     sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
-                                state, state, 0.0125)
+                                state, state[0], 0.0125)
     assert sym_defect(eliminated(sys)[0]) < 1e-12
 
 
@@ -57,8 +59,9 @@ def test_saddle_block_structure(bar_mesh, bar_spaces_11, bar_materials_linear):
     # K = [[A, B^T], [B, -C]] with A, C positive semi-definite
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, 0.0125)
-    nv = sys.n_v_free
+    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
+                                0.0125)
+    nv = h.n_free
     K = eliminated(sys)[0].toarray()
     A = K[:nv, :nv]
     C = -K[nv:, nv:]
@@ -77,8 +80,9 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     for dt_fac in (1.0, 2.0):
         dt = NORMS.dt0 * dt_fac
-        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z, dt)
-        nv = sys.n_v_free
+        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
+                                    dt)
+        nv = h.n_free
         A = eliminated(sys)[0].toarray()[:nv, :nv]
         NV = assemble_norm_matrix(h, NORMS).toarray()
         lam = scipy.linalg.eigh(A, NV, eigvals_only=True)
@@ -260,17 +264,19 @@ def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
     sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
-                                state, state, 0.0125)
+                                state, state[0], 0.0125)
     K_full = monolithic(sys).toarray()
     K, s = eliminated(sys)
-    free = sys.free_indices()
+    free = free_indices(sys)
     ess = np.setdiff1d(np.arange(K_full.shape[0]), free)
-    s_red = sys.s_full[free] - K_full[np.ix_(free, ess)] @ sys.x_essential[ess]
+    x_ess = np.concatenate([sys.v_essential, sys.a_essential])
+    s_red = s_full(sys)[free] - K_full[np.ix_(free, ess)] @ x_ess[ess]
     K_red = K_full[np.ix_(free, free)]
     assert np.allclose(K_red, K.toarray(), atol=1e-15)
     assert np.allclose(s_red, s, atol=1e-15 * max(1.0, np.abs(s).max()))
     # the solver's right-hand side, formed on the blocks
-    assert np.allclose(s_red, sys.s_free, atol=1e-15 * max(1.0, np.abs(s).max()))
+    assert np.allclose(s_red, np.concatenate([sys.s_field, sys.s_potential]),
+                       atol=1e-15 * max(1.0, np.abs(s).max()))
 
 
 def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
@@ -305,12 +311,27 @@ def test_matrix_market_roundtrip(tmp_path, bar_spaces_11):
     assert abs(back - N).max() < 1e-15 * abs(N).max()
 
 
-def test_state_size_mismatch(bar_mesh, bar_spaces_11, bar_materials_linear):
-    h, a = bar_spaces_11
+@pytest.mark.parametrize("form", ["ha", "ta"])
+def test_state_size_mismatch(request, form):
+    # both formulations check their inputs alike: a short state vector
+    # and a non-finite iterate raise
+    if form == "ha":
+        mesh, (v, a), mats = (request.getfixturevalue(name) for name in
+                              ("bar_mesh", "bar_spaces_11", "bar_materials_linear"))
+        assemble = assemble_ha_iteration
+    else:
+        mesh, (v, a), mats = (request.getfixturevalue(name) for name in
+                              ("tape_mesh", "tape_spaces_11", "tape_materials_power"))
+        assemble = assemble_ta_iteration
+    blocks = linear_blocks(mesh, v, a, mats)
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
-        assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear),
-                              bad, bad, 0.0125)
+        assemble(blocks, bad, bad[0], 0.0125)
+    state = (np.zeros(v.n_dofs), np.zeros(a.n_dofs))
+    nan = np.zeros(v.n_dofs)
+    nan[0] = np.nan
+    with pytest.raises(AssemblyError, match="non-finite Newton iterate"):
+        assemble(blocks, state, nan, 0.0125)
 
 
 def test_bubble_rows_match_field_quadrature():

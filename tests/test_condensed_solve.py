@@ -25,7 +25,7 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
 
-from util import curl_h, dense_schur, eliminated, monolithic
+from util import curl_h, dense_schur, eliminated, expand, free_indices, monolithic, s_full
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -65,7 +65,7 @@ def _factor(v, q, K_nu, B, cls=InterfaceSchur):
 
 
 def _lift(sys, schur):
-    return schur.lift(eliminated(sys)[1][sys.n_v_free:])
+    return schur.lift(eliminated(sys)[1][sys.blocks.v_space.n_free:])
 
 
 def _solve_condensed(sys, schur):
@@ -104,8 +104,8 @@ def _system(case, rng, dt, drive, b_ext):
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
     v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
-    return case.assemble(case.blocks, (case.sample(rng), a_prev), (case.sample(rng), a_prev),
-                         dt, a_essential=a_ess, v_essential=v_ess)
+    return case.assemble(case.blocks, (case.sample(rng), a_prev), case.sample(rng), dt,
+                         a_essential=a_ess, v_essential=v_ess)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -116,12 +116,10 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
                                             drive, b_ext):
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    x = sys.expand(_solve_condensed(sys, case.schur)[0])
-    x_ref = sys.expand(solve_sparse(*eliminated(sys)))
-    nv = sys.blocks.v_space.n_dofs
-    for block in (slice(0, nv), slice(nv, None)):
-        err = np.abs(x[block] - x_ref[block]).max()
-        assert err <= 1e-10 * np.abs(x_ref[block]).max()
+    x = expand(sys, _solve_condensed(sys, case.schur)[0])
+    x_ref = expand(sys, solve_sparse(*eliminated(sys)))
+    for block, ref in zip(x, x_ref):
+        assert np.abs(block - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -134,7 +132,7 @@ def test_interface_values_match_recovered_potential(coupled, form, i, j, seed, l
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
     x_free, a_gamma = _solve_condensed(sys, case.schur)
-    assert _close(a_gamma, x_free[sys.n_v_free:][case.schur.factor.rows], 1e-12)
+    assert _close(a_gamma, x_free[case.v.n_free:][case.schur.factor.rows], 1e-12)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -149,14 +147,14 @@ def test_field_error_matches_backward_error(coupled, form, i, j, seed, log_dt, d
     case = coupled(form, i, j)
     rng = np.random.default_rng(seed)
     sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
-    v, a = (x.copy() for x in sys.split(sys.x_essential))
+    v, a = sys.v_essential.copy(), sys.a_essential.copy()
     v[case.v.free] = case.sample(rng)[case.v.free]
     a[case.q.free] = case.schur.recover(v[case.v.free], sys.s_potential)
-    x, free = np.concatenate([v, a]), sys.free_indices()
-    K = monolithic(sys)
-    ref = backward_error(K, x, sys.s_full, rows=free[:sys.n_v_free])
+    x, free, nv = np.concatenate([v, a]), free_indices(sys), case.v.n_free
+    K, s = monolithic(sys), s_full(sys)
+    ref = backward_error(K, x, s, rows=free[:nv])
     assert abs(sys.field_error(v, a[sys.blocks.gamma]) - ref) <= 1e-12 * ref
-    assert backward_error(K, x, sys.s_full, rows=free[sys.n_v_free:]) <= 1e-13
+    assert backward_error(K, x, s, rows=free[nv:]) <= 1e-13
     assert sys.backward_error(v, a) <= (1.0 + 1e-12) * max(ref, 1e-13)
 
 
@@ -246,7 +244,7 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
     dt = 0.01
     v_prev, v_it = case.sample(rng), case.sample(rng)
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    sys = case.assemble(case.blocks, (v_prev, a_prev), (v_it, a_prev), dt)
+    sys = case.assemble(case.blocks, (v_prev, a_prev), v_it, dt)
     if form == "ha":
         j_it = curl_h(case.v, v_it)[1]
         scale, stiffness = dt, _h_stiffness_scatter
@@ -280,10 +278,10 @@ def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_d
     sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
     v, a = case.sample(rng), 1e-3 * rng.standard_normal(case.q.n_dofs)
     x = np.concatenate([v, a])
-    free = sys.free_indices()
-    ref = backward_error(monolithic(sys), x, sys.s_full, rows=free)
+    free = free_indices(sys)
+    ref = backward_error(monolithic(sys), x, s_full(sys), rows=free)
     assert abs(sys.backward_error(v, a) - ref) <= 1e-12 * ref
     K, s = eliminated(sys)
     ref = backward_error(K, x[free], s)
-    assert abs(sys.free_backward_error(x[free]) - ref) <= 1e-12 * ref
-    assert _close(sys.s_free, s, 1e-13)
+    assert abs(sys.free_backward_error(v[case.v.free], a[case.q.free]) - ref) <= 1e-12 * ref
+    assert _close(np.concatenate([sys.s_field, sys.s_potential]), s, 1e-13)

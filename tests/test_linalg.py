@@ -54,7 +54,7 @@ def test_solve_assembled_ha_vs_dense(bar_mesh, bar_spaces_11, bar_materials_line
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     a_ess = essential_vector(a, a_trace=lambda x, y: -0.4 * y)
     sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear),
-                                z, z, 0.0125, a_essential=a_ess)
+                                z, z[0], 0.0125, a_essential=a_ess)
     K, s = eliminated(sys)
     x = solve_sparse(K, s)
     K = K.toarray()

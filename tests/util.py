@@ -153,12 +153,33 @@ def monolithic(sys):
     return sp.bmat([[sys.A_v, B.T], [B, -K_nu]], format="csr")
 
 
+def free_indices(sys):
+    """The free DOFs of an assembled system in the concatenated vector
+    [v; a] of the monolithic operator."""
+    v_space, q_space = sys.blocks.v_space, sys.blocks.q_space
+    return np.concatenate([v_space.free, v_space.n_dofs + q_space.free])
+
+
+def s_full(sys):
+    """The monolithic right-hand side [s_v; 0] on all DOFs; the
+    potential rows carry none."""
+    return np.concatenate([sys.s_v, np.zeros(sys.blocks.q_space.n_dofs)])
+
+
+def expand(sys, x_free):
+    """The full-length (v, a) of a free-DOF solution [v; a] of the
+    eliminated system, with the system's essential values."""
+    v_space, q_space = sys.blocks.v_space, sys.blocks.q_space
+    return (v_space.expand(x_free[:v_space.n_free], sys.v_essential),
+            q_space.expand(x_free[v_space.n_free:], sys.a_essential))
+
+
 def eliminated(sys):
     """The monolithic system (K, s) on the free DOFs, V block first,
     after symmetric elimination of the essential values."""
-    free, K_full = sys.free_indices(), monolithic(sys)
+    free, K_full = free_indices(sys), monolithic(sys)
     ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
-    s = sys.s_full[free]
+    s = s_full(sys)[free]
     if len(ess):
-        s = s - K_full[free][:, ess] @ sys.x_essential[ess]
+        s = s - K_full[free][:, ess] @ np.concatenate([sys.v_essential, sys.a_essential])[ess]
     return K_full[free][:, free].tocsr(), s
