@@ -7,7 +7,9 @@ that the trailing block of the factor is the Schur complement onto
 those rows (the discrete Steklov-Poincare operator of the block); no
 column of the block's inverse is ever solved.  Its factor then solves
 in the original numbering.  It serves the transient's a-block
-(``InterfaceSchur``) and both sides of the inf-sup pencil, which is
+(``InterfaceSchur``, which borders the field block with that Schur
+complement and has ``solve_sparse`` factor the bordered system in a
+fixed order) and both sides of the inf-sup pencil, which is
 solved and checked on the rows that B couples; only its two reported
 pairs are extended to the whole potential space, through the same
 factor.  The pencil's field-norm factor and potential-norm
@@ -16,9 +18,10 @@ built once and shared by the pairings of one mesh; a lower-order
 potential space of a hierarchical basis takes a leading block of the
 richer condensation.
 
-The interior order is a minimum-degree order of the interior block
-with SuperLU's SymmetricMode.  Without SymmetricMode, threshold
-pivoting may leave the diagonal and the order degrades: on the
+The interior order, and the transient's field-block order, is a
+minimum-degree order with SuperLU's SymmetricMode.  Without
+SymmetricMode, threshold pivoting may leave the diagonal and the order
+degrades: on the
 interior block of the finest h-a verdict level's potential norm, that
 factorization and 320 column solves took 36.7 s, against 1.8 s with
 SymmetricMode and 1.5 s with COLAMD.
@@ -45,23 +48,29 @@ class DegenerateCouplingError(RuntimeError):
     """All eigenvalues of the inf-sup pencil vanish."""
 
 
-def solve_sparse(K, s) -> np.ndarray:
-    """Direct solve of a sparse system with a pivoting LU factorization;
-    the scaled residual is verified.
+def solve_sparse(K, s, in_order=False) -> np.ndarray:
+    """Direct solve of a sparse system with an LU factorization; the
+    componentwise backward error of the solution is verified.
 
-    Every caller in the package solves an SPD system: the condensed
-    field system (``transient._field_solve``) and N_V
-    (``infsup.export_eigenmode``); only the tests' oracle solves the
-    indefinite monolithic system.  Symmetric equilibration and two
-    refinement steps stay: the monolithic blocks carry units many orders
-    of magnitude apart, where unscaled elimination loses all relative
-    accuracy in the small block; the default bar's condensed rows still
-    differ in scale by about 1.6e3; and the data files record the
-    refined solution (unrefined, the snapshots change in the last bits).
-    The column order is a minimum-degree order of K^T + K: every system
-    solved here is structurally symmetric.  On the condensed field
-    systems, which carry a dense interface block, COLAMD gave 1.4 times
-    the fill and twice the factorization time.
+    By default the factorization pivots, in a minimum-degree column
+    order of K^T + K.  The package's one such caller solves N_V
+    (``infsup.export_eigenmode``); the tests' oracles solve the
+    indefinite monolithic system and the condensed field system.  With
+    ``in_order`` K is factored in its own numbering on diagonal pivots,
+    as ``interface_schur`` factors; SingularSystemError is raised if
+    SuperLU reorders or pivots off the diagonal.  The transient's
+    bordered field system (``InterfaceSchur.bordered``) is solved so: it
+    is symmetric quasi-definite, and its elimination order is chosen
+    stable by construction (see ``InterfaceSchur``).
+
+    Symmetric equilibration and two refinement steps stay: the coupled
+    blocks carry units many orders of magnitude apart, where unscaled
+    elimination loses all relative accuracy in the small block, and the
+    data files record the refined solution (unrefined, the snapshots
+    change in the last bits).  The check is componentwise,
+    max_i |K x - s|_i / (|K| |x| + |s|)_i <= 1e-10: a normwise residual
+    is dominated by the rows of the largest block and passes a solution
+    that is wrong in the small one.
     """
     K = sp.csc_matrix(K, copy=True)     # the one conversion; canonical below
     K.sum_duplicates()
@@ -79,7 +88,11 @@ def solve_sparse(K, s) -> np.ndarray:
     d = 1.0 / np.sqrt(row_max)
     # the entries of D K D for D = diag(d), in the product's rounding order
     DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
-    lu = _factor(DKD, "system", permc_spec="MMD_AT_PLUS_A")
+    if in_order:
+        lu = _factor(DKD, "system", permc_spec="NATURAL", **_SYMMETRIC)
+        _check_in_order(lu, "system")
+    else:
+        lu = _factor(DKD, "system", permc_spec="MMD_AT_PLUS_A")
     x = d * lu.solve(d * s)
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -88,12 +101,9 @@ def solve_sparse(K, s) -> np.ndarray:
     # disparate solution scales of the coupled blocks
     for _ in range(2):
         x = x + d * lu.solve(d * (s - K @ x))
-    Knorm = np.abs(K).sum(axis=1).max() if K.nnz else 0.0
-    denom = Knorm * np.abs(x).max() + np.abs(s).max()
-    if denom > 0.0:
-        res = np.abs(K @ x - s).max() / denom
-        if res > 1e-10:
-            raise SingularSystemError(f"solve residual {res:.3e} exceeds 1e-10")
+    res = backward_error(K, x, s)
+    if not res <= 1e-10:
+        raise SingularSystemError(f"solve backward error {res:.3e} exceeds 1e-10")
     return x
 
 
@@ -126,6 +136,24 @@ def _factor(K, what, factorize=splu, **options):
 
 # a factorization that keeps SuperLU's order and pivots on the diagonal
 _SYMMETRIC = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
+def _check_in_order(lu, what):
+    """Raise SingularSystemError unless the factor ``lu`` kept the
+    matrix's own order: no column reordering and no off-diagonal pivot."""
+    ident = np.arange(lu.shape[0])
+    if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
+        raise SingularSystemError(f"{what} factorization pivoted off the diagonal")
+
+
+def _min_degree_order(K) -> np.ndarray:
+    """A minimum-degree elimination order of the square K (SuperLU's
+    MMD_AT_PLUS_A with SymmetricMode), read from a throwaway incomplete
+    factorization that drops every entry it may: only its column order
+    is read, and perm_c[k] is the new position of column k."""
+    lu = _factor(K, "ordering", spilu, drop_tol=1.0, fill_factor=1.0,
+                 permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+    return np.argsort(lu.perm_c)
 
 
 @dataclass
@@ -164,11 +192,11 @@ def interface_schur(K, rows) -> SchurFactor:
     """Factor the SPD block K with ``rows`` eliminated last, and read
     its Schur complement onto ``rows`` from the factor.
 
-    The other DOFs I take a minimum-degree order of K[I,I], read from a
-    throwaway incomplete factorization that is freed before the bordered
-    one.  The bordered factorization keeps that order with ``rows``
-    appended and pivots on the diagonal, so K[order][:, order] = L U and
-    the trailing blocks give S = L_PP U_PP: no K^{-1} column is ever
+    The other DOFs I take a minimum-degree order of K[I,I]
+    (``_min_degree_order``), formed before the bordered factorization.
+    The bordered factorization keeps that order with ``rows`` appended
+    and pivots on the diagonal, so K[order][:, order] = L U and the
+    trailing blocks give S = L_PP U_PP: no K^{-1} column is ever
     solved.  The trailing block is the Schur complement only if SuperLU
     neither reorders nor pivots; otherwise SingularSystemError is raised.
     """
@@ -178,16 +206,9 @@ def interface_schur(K, rows) -> SchurFactor:
     inner = np.ones(n, dtype=bool)
     inner[rows] = False
     I = np.flatnonzero(inner)
-    # an incomplete factor that drops every entry it may: only its
-    # column order is read, and perm_c[k] is the new position of column k
-    lu = _factor(K[I][:, I], "interior", spilu, drop_tol=1.0, fill_factor=1.0,
-                 permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
-    order = np.concatenate([I[np.argsort(lu.perm_c)], rows])
-    del lu
+    order = np.concatenate([I[_min_degree_order(K[I][:, I])], rows])
     lu = _factor(K[order][:, order], "bordered", permc_spec="NATURAL", **_SYMMETRIC)
-    ident = np.arange(n)
-    if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
-        raise SingularSystemError("bordered factorization pivoted off the diagonal")
+    _check_in_order(lu, "bordered")
     m = len(I)
     L = lu.L                        # each factor copied and freed in turn
     fill = L.nnz
@@ -208,42 +229,77 @@ def _coupled_columns(B):
 
 
 class InterfaceSchur:
-    """One bordered factorization of a fixed SPD block K and the dense
-    interface term Bs^T K^{-1} Bs, for block systems
+    """One bordered factorization of a fixed SPD block K, for the block
+    systems
 
         [[A,  B^T],  [v]   [s_v]
          [B,  -K  ]] [a] = [s_q]
 
-    whose K and B stay fixed while A changes.  Bs holds the columns of B
-    with structural nonzeros (``cols``).  K is factored with the rows Γ
-    that B couples last (``factor``, see ``interface_schur``), and the
-    interface term is B_Γ^T S_K^{-1} B_Γ for the Schur complement S_K of
-    K onto Γ.  Eliminating a = K^{-1} (B v - s_q) leaves the
-    condensed system (A + B^T K^{-1} B) v = s_v + B_Γ^T z_Γ, where the
-    lift z_Γ = (K^{-1} s_q)_Γ and a_Γ = S_K^{-1} B_Γ v - z_Γ need only
-    S_K.  ``solves`` counts the back-substitutions through the whole
-    factor.
+    whose K and B stay fixed while A changes on a fixed sparsity
+    pattern.  K is factored with the rows Γ that B couples last
+    (``factor``, see ``interface_schur``).  With its Schur complement
+    S_K onto Γ and the lift z_Γ = (K^{-1} s_q)_Γ, the field DOFs v and
+    the interface values a_Γ solve the bordered system
+
+        [[A,    B_Γ^T],  [v  ]   [s_v    ]
+         [B_Γ,  -S_K ]] [a_Γ] = [S_K z_Γ]
+
+    (``bordered``), and a = K^{-1} (B v - s_q) on all rows (``recover``).
+
+    For an SPD A the bordered matrix is symmetric quasi-definite: every
+    symmetric order of it factors on diagonal pivots (Vanderbei, SIAM J.
+    Optim. 5, 1995), stably if the block eliminated first is well
+    conditioned (Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl.
+    17, 1996).  The field block is eliminated in a minimum-degree order
+    of the pattern of the ``A`` given here, and Γ after it or, with
+    ``interface_first``, before it.  Field first suits a well-conditioned
+    A, such as the h-a field block with its H mass.  Γ first eliminates
+    -S_K and leaves A + B_Γ^T S_K^{-1} B_Γ last, which suits an A that is
+    singular to working precision, such as the t-a field block below
+    j_c.  The pattern in elimination numbering and the positions of A's
+    entries in it are built here; ``size`` and ``nnz`` are its rows and
+    structural nonzeros.  ``cols`` holds the columns of B with
+    structural nonzeros; ``solves`` counts the back-substitutions
+    through the whole factor of K.
     """
 
-    def __init__(self, K, B):
+    def __init__(self, K, B, A, interface_first=False):
         B = sp.csr_matrix(B)
+        A = sp.csr_matrix(A)
         n_q, n_v = B.shape
-        if K.shape != (n_q, n_q):
+        if K.shape != (n_q, n_q) or A.shape != (n_v, n_v):
             raise ValueError("dimension mismatch")
         gamma = np.flatnonzero(np.diff(B.indptr))
         self.factor = interface_schur(K, gamma)
         self.cols = _coupled_columns(B)
-        W = B[gamma][:, self.cols].toarray()
-        T = W.T @ self.factor.schur_solve(W)
-        r, c = np.meshgrid(self.cols, self.cols, indexing="ij")
-        self._T = sp.csr_matrix((0.5 * (T + T.T).ravel(), (r.ravel(), c.ravel())),
-                                shape=(n_v, n_v))
         self._B = B
         self._B_gamma = B[gamma]
-        self._B_gamma_T = self._B_gamma.T.tocsr()
         self._off_gamma = np.ones(n_q, dtype=bool)
         self._off_gamma[gamma] = False
         self.solves = 0
+        # pos[k] is the elimination position of unknown k of [v; a_Γ]
+        m = len(gamma)
+        self.size = n_v + m
+        self._pos = np.empty(self.size, dtype=np.int64)
+        self._pos[_min_degree_order(A)] = np.arange(n_v) + (m if interface_first else 0)
+        self._pos[n_v:] = np.arange(m) + (0 if interface_first else n_v)
+        Bg = self._B_gamma.tocoo()
+        g = np.repeat(np.arange(m), m)
+        h = np.tile(np.arange(m), m)
+        rows = np.concatenate([np.repeat(np.arange(n_v), np.diff(A.indptr)), Bg.col,
+                               n_v + Bg.row, n_v + g])
+        cols = np.concatenate([A.indices, n_v + Bg.row, Bg.col, n_v + h])
+        r, c = self._pos[rows], self._pos[cols]
+        at = np.lexsort((r, c))             # column-major: the CSC order
+        where = np.empty_like(at)
+        where[at] = np.arange(len(at))
+        self.nnz = len(at)
+        self._indices = r[at].astype(np.int32)
+        self._indptr = np.searchsorted(c[at], np.arange(self.size + 1)).astype(np.int32)
+        self._data = np.zeros(self.nnz)
+        self._data[where[A.nnz:]] = np.concatenate([Bg.data, Bg.data, -self.factor.S.ravel()])
+        self._A_at = where[:A.nnz]
+        self._A_pattern = (A.indptr.copy(), A.indices.copy())
 
     def _solve(self, b):
         self.solves += 1
@@ -261,10 +317,28 @@ class InterfaceSchur:
         values of the a that eliminates the potential rows at v."""
         return self.factor.schur_solve(self._B_gamma @ v) - lift
 
-    def condense(self, A, s_v, lift):
-        """The condensed matrix A + B^T K^{-1} B and right-hand side
-        s_v + B_Γ^T z_Γ for the lift z_Γ."""
-        return sp.csr_matrix(A) + self._T, s_v + self._B_gamma_T @ lift
+    def bordered(self, A, s_v, lift):
+        """The bordered matrix (CSC) and right-hand side [s_v; S_K z_Γ]
+        for the field block A and the lift z_Γ, in elimination numbering:
+        to be factored in that order (``solve_sparse(..., in_order=True)``)
+        and read back by ``split``.  A must lie on the pattern this
+        object was built with; otherwise ValueError is raised."""
+        A = sp.csr_matrix(A)
+        if not (np.array_equal(A.indptr, self._A_pattern[0])
+                and np.array_equal(A.indices, self._A_pattern[1])):
+            raise ValueError("field block is not on the run's sparsity pattern")
+        data = self._data.copy()
+        data[self._A_at] = A.data
+        s = np.empty(self.size)
+        s[self._pos] = np.concatenate([s_v, self.factor.S @ lift])
+        return sp.csc_matrix((data, self._indices, self._indptr),
+                             shape=(self.size, self.size)), s
+
+    def split(self, x):
+        """(v, a_Γ) of a solution x of the ``bordered`` system."""
+        y = x[self._pos]
+        n_v = self.size - len(self.factor.rows)
+        return y[:n_v], y[n_v:]
 
     def recover(self, v, s_q):
         """a = K^{-1} (B v - s_q) on all rows, by one back-substitution."""

@@ -17,16 +17,27 @@ reluctivity block K_nu and the coupling B are the same in every
 iteration of a run.  ``run_transient`` builds them once, with the
 field curl form and the H mass, as the run's ``LinearBlocks``, and
 every iteration assembles from those blocks only the field block A_v
-and the field right-hand side s_v (``htsfem.assembly``).
-``run_transient`` also factors the free K_nu once, with the rows Γ
-that B couples eliminated last, and reads the Schur complement S_K onto
-Γ from the factor (``linalg.InterfaceSchur``).  Newton sees the a-side
-only through S_K: its unknowns are the field DOFs v and the interface
-values a_Γ.  Each iteration solves the condensed field system
-(A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ with ``solve_sparse`` and
-takes a_Γ = S_K^{-1} B_Γ v - z_Γ.  The lift z_Γ = (K_nu^{-1} s_q)_Γ is
-formed once per step attempt, as the eliminated potential right-hand
-side s_q holds only essential values: its coupling part lies on Γ, so
+and the field right-hand side s_v (``htsfem.assembly``), A_v on a fixed
+sparsity pattern.  ``run_transient`` also factors the free K_nu once,
+with the rows Γ that B couples eliminated last, and reads the Schur
+complement S_K onto Γ from the factor (``linalg.InterfaceSchur``).
+Newton sees the a-side only through S_K: its unknowns are the field
+DOFs v and the interface values a_Γ.  Each iteration solves the
+bordered system
+
+    [[A_v,  B_Γ^T],  [v  ]   [s_v    ]
+     [B_Γ,  -S_K ]] [a_Γ] = [S_K z_Γ]
+
+by one ``solve_sparse`` factorization in a fixed elimination order on
+diagonal pivots, so a_Γ comes out of the solve.  The matrix is
+symmetric quasi-definite, and eliminating a well-conditioned block
+first keeps the factorization stable: h-a eliminates the field block
+first (the H mass makes it definite) and Γ last; t-a eliminates Γ
+first, since its field block dt*D is singular to working precision
+below j_c, and that order leaves the condensed A_v + B_Γ^T S_K^{-1} B_Γ
+to be factored last.  The lift z_Γ = (K_nu^{-1} s_q)_Γ is formed once
+per step attempt, as the eliminated potential right-hand side s_q
+holds only essential values: its coupling part lies on Γ, so
 z_Γ = S_K^{-1} s_q,Γ, and only a nonzero outer trace (an external
 field) costs one back-substitution through the whole factor.
 
@@ -126,10 +137,11 @@ class TimeHistory:
     """Accepted steps of a transient run (full coefficient vectors).
 
     ``sizes`` holds the free field and potential DOF counts, the
-    number of interface columns and the number of interface rows |Γ|.
+    number of interface columns, the number of interface rows |Γ| and
+    the rows and structural nonzeros of the bordered (v, a_Γ) matrix.
     ``counters`` holds the a-block factorizations, the back-substitutions
     through the a-block factor (``a_solves``, lifts included), the
-    condensed field solves (failed attempts included), the fill of the
+    bordered field solves (failed attempts included), the fill of the
     a-block factor, the rejected step attempts, the step halvings and
     the backtracking trials (trial iterates at a damping below 1).
     ``drive_values`` holds the imposed current or voltage of each
@@ -183,14 +195,20 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     hist = TimeHistory(formulation)
     blocks = linear_blocks(mesh, v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
-    schur = InterfaceSchur(blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
+    # the field block's fixed pattern, with weights that only order it
+    form = blocks.form
+    schur = InterfaceSchur(blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf],
+                           form.free_block(form.matrix(np.ones(form.G.shape[0]))),
+                           interface_first=formulation == "ta")
     # Newton's potential unknowns are the free rows of blocks.gamma
     if not np.array_equal(qf[schur.factor.rows], blocks.gamma[blocks.gamma_free]):
         raise ValueError("a potential DOF couples only to essential field DOFs")
     hist.sizes = {"field_free_dofs": int(v_space.n_free),
                   "potential_free_dofs": int(q_space.n_free),
                   "interface_columns": len(schur.cols),
-                  "interface_rows": len(schur.factor.rows)}
+                  "interface_rows": len(schur.factor.rows),
+                  "field_system_rows": schur.size,
+                  "field_system_nnz": schur.nnz}
     hist.counters = {"a_factorizations": 1, "a_solves": 0, "field_solves": 0,
                      "a_factor_fill": schur.factor.fill, "rejected_attempts": 0,
                      "step_halvings": 0, "backtracking_trials": 0}
@@ -261,11 +279,12 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
 
 
 def _field_solve(sys, schur: InterfaceSchur, lift):
-    """The free field DOFs v of the solution of ``sys``, through the
-    condensed field system and the step attempt's ``lift`` on Γ, and
-    the interface values a_Γ of its potential."""
-    v = solve_sparse(*schur.condense(sys.A_free, sys.s_field, lift))
-    return v, schur.interface_values(v, lift)
+    """The free field DOFs v of the solution of ``sys`` and the interface
+    values a_Γ of its potential, from one factorization of the bordered
+    (v, a_Γ) system with the step attempt's ``lift`` on Γ, in the
+    elimination order of ``schur``."""
+    return schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift),
+                                    in_order=True))
 
 
 def _gated_recovery(sys, v, schur: InterfaceSchur):
@@ -277,7 +296,7 @@ def _gated_recovery(sys, v, schur: InterfaceSchur):
     a = schur.recover(v, sys.s_potential)
     err = sys.free_backward_error(v, a)
     if not err <= 1e-10:
-        raise SingularSystemError(f"condensed solve residual {err:.3e} exceeds 1e-10")
+        raise SingularSystemError(f"field solve residual {err:.3e} exceeds 1e-10")
     return a
 
 

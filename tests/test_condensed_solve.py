@@ -1,10 +1,11 @@
 """The block form of a Newton iteration against the straightforward
-monolithic path: the condensed solve (a-block factored once,
-interface-condensed field system, a recovered by one back-substitution)
-against the monolithic solve, its interface values a_Γ against the
-recovered a, the field-block kernels against element-by-element scatter
-assembly, and the blockwise backward errors against those of the
-monolithic system."""
+paths: the transient's solve (a-block factored once, the bordered
+(v, a_Γ) system factored in its elimination order, a recovered by one
+back-substitution) against the monolithic solve, its (v, a_Γ) against
+the condensed field system A + B_Γ^T S_K^{-1} B_Γ, its interface values
+a_Γ against the recovered a, the field-block kernels against
+element-by-element scatter assembly, and the blockwise backward errors
+against those of the monolithic system."""
 
 from types import SimpleNamespace
 
@@ -25,7 +26,8 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
 
-from util import curl_h, dense_schur, eliminated, expand, free_indices, monolithic, s_full
+from util import (condensed, curl_h, dense_schur, eliminated, expand, free_indices,
+                  interface_term, monolithic, s_full)
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -36,7 +38,8 @@ CRITICAL_CURRENT = {"ha": 3e8 * 0.02 * 0.01, "ta": 2.5e8 * 1e-6 * 0.01}
 @pytest.fixture(scope="module")
 def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
     """Per pairing: spaces, assembler, the run's blocks and a-block
-    factor, the critical current and a sampler of power-law iterates."""
+    factor, the critical current and a sampler of power-law iterates;
+    for h-a also the a-block factor in the other elimination order."""
     cases = {}
 
     def get(form, i, j):
@@ -51,17 +54,28 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             v = build_t_space(mesh, i, {0: ("current", 0.0)})
             q = build_a_space(mesh, j, Interface.GAMMA_W)
         blocks = linear_blocks(mesh, v, q, mats)
-        K_nu, B = blocks.K_nu, blocks.B
-        cases[form, i, j] = SimpleNamespace(
-            mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks, K_nu=K_nu,
-            B=B, schur=_factor(v, q, K_nu, B), i_c=CRITICAL_CURRENT[form],
+        case = SimpleNamespace(
+            form=form, mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks,
+            K_nu=blocks.K_nu, B=blocks.B, i_c=CRITICAL_CURRENT[form],
             sample=_iterate_sampler(form, v, mats.power.j_c))
-        return cases[form, i, j]
+        case.schur = _factor(case)
+        if form == "ha":
+            case.interface_first = _factor(case, interface_first=True)
+        cases[form, i, j] = case
+        return case
     return get
 
 
-def _factor(v, q, K_nu, B, cls=InterfaceSchur):
-    return cls(K_nu[q.free][:, q.free], B[q.free][:, v.free])
+def _factor(case, K_nu=None, cls=InterfaceSchur, interface_first=None):
+    """The case's a-block factor as ``run_transient`` builds it: on the
+    field block's fixed pattern, with Γ eliminated first for t-a only.
+    ``K_nu`` replaces the case's a-block and ``interface_first`` the
+    formulation's elimination order, if given."""
+    K = case.K_nu if K_nu is None else K_nu
+    first = case.form == "ta" if interface_first is None else interface_first
+    free, form = case.q.free, case.blocks.form
+    return cls(K[free][:, free], case.B[free][:, case.v.free],
+               form.free_block(form.matrix(np.ones(form.G.shape[0]))), interface_first=first)
 
 
 def _lift(sys, schur):
@@ -70,7 +84,7 @@ def _lift(sys, schur):
 
 def _solve_condensed(sys, schur):
     """The free-DOF solution of ``sys`` as the transient takes it: the
-    field solve, then the gated recovery of a; also a_Γ."""
+    bordered field solve, then the gated recovery of a; also a_Γ."""
     v, a_gamma = _field_solve(sys, schur, _lift(sys, schur))
     return np.concatenate([v, _gated_recovery(sys, v, schur)]), a_gamma
 
@@ -100,12 +114,14 @@ def _iterate_sampler(form, v, jc):
     return sample
 
 
-def _system(case, rng, dt, drive, b_ext):
+def _system(case, rng, dt, drive, b_ext, level=1.0):
+    """A random Newton system of ``case`` around sampled field iterates,
+    scaled by ``level``."""
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
     v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
-    return case.assemble(case.blocks, (case.sample(rng), a_prev), case.sample(rng), dt,
-                         a_essential=a_ess, v_essential=v_ess)
+    return case.assemble(case.blocks, (level * case.sample(rng), a_prev),
+                         level * case.sample(rng), dt, a_essential=a_ess, v_essential=v_ess)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -120,6 +136,59 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
     x_ref = expand(sys, solve_sparse(*eliminated(sys)))
     for block, ref in zip(x, x_ref):
         assert np.abs(block - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-3.0, -1.0),
+       drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
+@settings(max_examples=8, deadline=None)
+def test_bordered_solve_matches_condensed(coupled, form, i, j, seed, log_dt, drive, b_ext):
+    # (v, a_Γ) of the bordered system in the run's elimination order, and
+    # for h-a in the other one, against the condensed field system
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
+    lift = _lift(sys, case.schur)
+    v_ref = solve_sparse(*condensed(sys, case.schur, lift))
+    ref = (v_ref, case.schur.interface_values(v_ref, lift))
+    for schur in [case.schur] + ([case.interface_first] if form == "ha" else []):
+        for x, x_ref in zip(_field_solve(sys, schur, lift), ref):
+            assert _close(x, x_ref, 1e-10)
+
+
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
+    # renumbered back, the bordered matrix is [[A, B_Γ^T], [B_Γ, -S_K]]
+    # entry for entry; a nonsymmetric A on the run's pattern exposes a
+    # transposed scatter, and an A off the pattern is refused
+    case = coupled(form, i, j)
+    schur = case.schur
+    sys = _system(case, np.random.default_rng(5), 0.01, 0.5, 0.3)
+    A = sys.A_free.copy()
+    A.data = A.data * np.random.default_rng(6).uniform(0.5, 1.5, A.nnz)
+    assert abs(A - A.T).max() > 0.0
+    lift = _lift(sys, schur)
+    P, s = schur.bordered(A, sys.s_field, lift)
+    at = np.concatenate(schur.split(np.arange(schur.size))).astype(np.int64)
+    B_gamma = case.B[case.q.free][:, case.v.free].tocsr()[schur.factor.rows]
+    ref = sp.bmat([[A, B_gamma.T], [B_gamma, -schur.factor.S]])
+    assert P.shape == (schur.size,) * 2 and P.nnz == schur.nnz
+    assert np.array_equal(P[at][:, at].toarray(), ref.toarray())
+    assert np.array_equal(s[at], np.concatenate([sys.s_field, schur.factor.S @ lift]))
+    with pytest.raises(ValueError, match="pattern"):
+        schur.bordered(sp.tril(A).tocsr(), sys.s_field, lift)
+
+
+@pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ta"])
+def test_ta_field_first_order_is_refused(coupled, form, i, j):
+    # well below j_c the tape block dt*D is tiny against S_K; eliminated
+    # first, it swamps S_K in the trailing block, and the componentwise
+    # check of the solve refuses the result
+    case = coupled(form, i, j)
+    sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3, level=0.1)
+    field_first = _factor(case, interface_first=False)
+    P, s = field_first.bordered(sys.A_free, sys.s_field, _lift(sys, field_first))
+    with pytest.raises(SingularSystemError, match="backward error"):
+        solve_sparse(P, s, in_order=True)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -174,8 +243,8 @@ def test_interface_term_matches_dense_schur(coupled, form, i, j):
     n = K.shape[0]
     M = np.block([[K.toarray(), Bs], [Bs.T, np.zeros((Bs.shape[1],) * 2)]])
     T_ref = -dense_schur(M, np.arange(n, n + Bs.shape[1]))
-    n_v = case.v.n_free
-    T = case.schur.condense(sp.csr_matrix((n_v, n_v)), np.zeros(n_v), np.zeros(len(gamma)))[0]
+    sys = _system(case, np.random.default_rng(4), 0.01, 0.5, 0.3)
+    T = interface_term(sys, case.schur)
     assert _close(T[case.schur.cols][:, case.schur.cols], T_ref, 1e-12)
     assert T.nnz <= len(case.schur.cols) ** 2
 
@@ -186,23 +255,23 @@ def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
     # full-system residual gate must refuse it
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(7), 0.01, 0.5, 0.3)
-    stale = _factor(case.v, case.q, 2.0 * case.K_nu, case.B)
+    stale = _factor(case, K_nu=2.0 * case.K_nu)
     with pytest.raises(SingularSystemError):
         _solve_condensed(sys, stale)
 
 
 class _DroppedLift(InterfaceSchur):
-    """Condenses without the a-side term B_Γ^T z_Γ."""
+    """Borders without the a-side right-hand side S_K z_Γ."""
 
-    def condense(self, A, s_v, lift):
-        return super().condense(A, s_v, lift)[0], s_v
+    def bordered(self, A, s_v, lift):
+        return super().bordered(A, s_v, np.zeros_like(lift))
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
 def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
-    broken = _factor(case.v, case.q, case.K_nu, case.B, cls=_DroppedLift)
+    broken = _factor(case, cls=_DroppedLift)
     with pytest.raises(SingularSystemError):
         _solve_condensed(sys, broken)
 

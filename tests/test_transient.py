@@ -320,11 +320,11 @@ def test_drive_values_record_the_imposed_values(small_tape):
 def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     calls = []
 
-    def fail_first(K, s):
+    def fail_first(K, s, **options):
         calls.append(len(s))
         if len(calls) == 1:
             raise SingularSystemError("refused for the test")
-        return transient.solve_sparse.__wrapped__(K, s)
+        return transient.solve_sparse.__wrapped__(K, s, **options)
 
     fail_first.__wrapped__ = transient.solve_sparse
     monkeypatch.setattr(transient, "solve_sparse", fail_first)

@@ -183,3 +183,27 @@ def eliminated(sys):
     if len(ess):
         s = s - K_full[free][:, ess] @ np.concatenate([sys.v_essential, sys.a_essential])[ess]
     return K_full[free][:, free].tocsr(), s
+
+
+def interface_term(sys, schur):
+    """The interface term B_Γ^T S_K^{-1} B_Γ on the free field DOFs of
+    ``sys``, with S_K the Schur complement of ``schur``'s factor and B_Γ
+    the free coupling rows Γ that its factor eliminates last."""
+    lb = sys.blocks
+    B = lb.B[lb.q_space.free][:, lb.v_space.free].tocsr()
+    cols = np.flatnonzero(np.diff(B.tocsc().indptr))
+    W = B[schur.factor.rows][:, cols].toarray()
+    T = W.T @ schur.factor.schur_solve(W)
+    r, c = np.meshgrid(cols, cols, indexing="ij")
+    n_v = lb.v_space.n_free
+    return sp.csr_matrix((0.5 * (T + T.T).ravel(), (r.ravel(), c.ravel())), shape=(n_v, n_v))
+
+
+def condensed(sys, schur, lift):
+    """The condensed field system of ``sys``: a_Γ eliminated from the
+    bordered (v, a_Γ) system by its Schur complement, which is
+    (A + B_Γ^T S_K^{-1} B_Γ) v = s_field + B_Γ^T z_Γ for the lift z_Γ;
+    then a_Γ = S_K^{-1} B_Γ v - z_Γ (``schur.interface_values``)."""
+    lb = sys.blocks
+    B_gamma = lb.B[lb.q_space.free][:, lb.v_space.free].tocsr()[schur.factor.rows]
+    return sys.A_free + interface_term(sys, schur), sys.s_field + B_gamma.T @ lift
