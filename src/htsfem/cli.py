@@ -204,8 +204,7 @@ def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
     if not -n <= mode_rank < n:
         raise cfgmod.ConfigError(f"mode rank {mode_rank} outside [-{n}, {n - 1}]")
     rank = mode_rank if mode_rank >= 0 else n + mode_rank
-    export_eigenmode(mesh, v_space, q_space, B, N_V, eig, rank,
-                     outdir / "eigenmode")
+    export_eigenmode(mesh, v_space, q_space, B, eig, rank, outdir / "eigenmode")
     summary = {"command": "eigenmode", "mode_rank": rank,
                "lambda": float(eig.eigenvalues[rank]),
                "beta": eig.beta, "b_norm": eig.b_norm}

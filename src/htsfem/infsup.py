@@ -18,6 +18,7 @@ whole potential space beyond its two checked ones.
 from __future__ import annotations
 
 import json
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,8 +28,7 @@ import numpy as np
 from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
                        field_operator, tape_current_density)
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
-                     condense_interior, infsup_eigenpairs, interface_schur,
-                     solve_sparse)
+                     condense_interior, infsup_eigenpairs, interface_schur)
 from .materials import MU0, Materials
 from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
@@ -164,7 +164,8 @@ class HierarchyError(RuntimeError):
 
 class InfSupMatrix(dict):
     """``{pairing: InfSupReport}`` of one sweep, with its telemetry:
-    ``sizes`` (one entry per mesh level), ``counters`` and ``phases``,
+    ``sizes`` (one entry per mesh level; ``peak_rss_mb`` is the process's
+    peak resident memory after it), ``counters`` and ``phases``,
     the seconds spent building meshes, building spaces and in the rest
     of the sweep (assembly, factorizations and eigensolves)."""
 
@@ -237,7 +238,7 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
         interior = condense_interior(N_Q[top], P)
     reports.counters["field_norm_factorizations"] += len(lu_v)
     reports.counters["interior_factorizations"] += 1
-    reports.sizes.append({
+    sizes = {
         "field_free_dofs": {str(i): int(s.n_free) for i, s in v_sp.items()},
         "potential_free_dofs": {str(j): int(s.n_free) for j, s in q_sp.items()},
         "coupled_columns": {str(i): len(c) for i, c in cols.items()},
@@ -245,7 +246,7 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
         "interior_dofs": int(len(interior.I)),
         "field_norm_fill": {str(i): lu.fill for i, lu in lu_v.items()},
         "potential_norm_fill": interior.factor.fill,
-    })
+    }
 
     for pair in pairings:
         i, j = pair
@@ -256,6 +257,8 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
         reports.counters["full_space_pair_checks"] += len(eig.checked)
         reports[pair].records.append(SweepRecord(
             mesh.delta / width_ref, eig.beta, eig.b_norm, len(eig.eigenvalues)))
+    sizes["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    reports.sizes.append(sizes)
 
 
 def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
@@ -310,11 +313,12 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     return reports
 
 
-def export_eigenmode(mesh, v_space, q_space, B, N_V, eig: EigenResult,
-                     mode_rank: int, out_prefix):
+def export_eigenmode(mesh, v_space, q_space, B, eig: EigenResult, mode_rank: int,
+                     out_prefix):
     """Write one eigenmode as point clouds: the potential eigenvector at
     the a-nodes and the supremizer v = N_V^{-1} B^T q, which achieves the
-    sup for q, sampled on elements.  Only q is extended to I."""
+    sup for q, sampled on elements.  Only q is extended to I, and v is
+    solved with the pencil's own factor of N_V (``eig.field``)."""
     if not (0 <= mode_rank < len(eig.eigenvalues)):
         raise IndexError("mode rank out of range")
     q_free = eig.interior.extend(eig.Y[:, mode_rank])
@@ -328,7 +332,7 @@ def export_eigenmode(mesh, v_space, q_space, B, N_V, eig: EigenResult,
     with open(f"{out_prefix}_potential.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
 
-    v_free = solve_sparse(N_V, np.asarray(B.T @ q_free).ravel())
+    v_free = eig.field.solve(np.asarray(B.T @ q_free).ravel())
     v_full = np.zeros(v_space.n_dofs)
     v_full[v_space.free] = v_free
     lines = ["x,y,value"]

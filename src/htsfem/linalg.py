@@ -18,13 +18,17 @@ built once and shared by the pairings of one mesh; a lower-order
 potential space of a hierarchical basis takes a leading block of the
 richer condensation.
 
-The interior order, and the transient's field-block order, is a
-minimum-degree order with SuperLU's SymmetricMode.  Without
+Every LU factorization follows one convention (``_factor_in_order``):
+it keeps the numbering its caller gives the matrix and pivots on the
+diagonal, and a matrix that needs a pivot off the diagonal is refused
+with SingularSystemError.  The caller chooses the order: the interior
+of ``interface_schur``, and the transient's field block, take a
+minimum-degree order with SuperLU's SymmetricMode, read from a
+throwaway incomplete factorization (``_min_degree_order``).  Without
 SymmetricMode, threshold pivoting may leave the diagonal and the order
-degrades: on the
-interior block of the finest h-a verdict level's potential norm, that
-factorization and 320 column solves took 36.7 s, against 1.8 s with
-SymmetricMode and 1.5 s with COLAMD.
+degrades: on the interior block of the finest h-a verdict level's
+potential norm, that factorization and 320 column solves took 36.7 s,
+against 1.8 s with SymmetricMode and 1.5 s with COLAMD.
 """
 
 from __future__ import annotations
@@ -48,20 +52,17 @@ class DegenerateCouplingError(RuntimeError):
     """All eigenvalues of the inf-sup pencil vanish."""
 
 
-def solve_sparse(K, s, in_order=False) -> np.ndarray:
-    """Direct solve of a sparse system with an LU factorization; the
+def solve_sparse(K, s) -> np.ndarray:
+    """Direct solve of a sparse system by one LU factorization in K's own
+    numbering on diagonal pivots (``_factor_in_order``); the
     componentwise backward error of the solution is verified.
 
-    By default the factorization pivots, in a minimum-degree column
-    order of K^T + K.  The package's one such caller solves N_V
-    (``infsup.export_eigenmode``); the tests' oracles solve the
-    indefinite monolithic system and the condensed field system.  With
-    ``in_order`` K is factored in its own numbering on diagonal pivots,
-    as ``interface_schur`` factors; SingularSystemError is raised if
-    SuperLU reorders or pivots off the diagonal.  The transient's
-    bordered field system (``InterfaceSchur.bordered``) is solved so: it
-    is symmetric quasi-definite, and its elimination order is chosen
-    stable by construction (see ``InterfaceSchur``).
+    The caller chooses the elimination order by numbering K, and a
+    matrix that needs a pivot off the diagonal is refused with
+    SingularSystemError.  The package's caller is the transient's
+    bordered field system (``InterfaceSchur.bordered``): it is symmetric
+    quasi-definite, and its elimination order is chosen stable by
+    construction (see ``InterfaceSchur``).
 
     Symmetric equilibration and two refinement steps stay: the coupled
     blocks carry units many orders of magnitude apart, where unscaled
@@ -88,11 +89,7 @@ def solve_sparse(K, s, in_order=False) -> np.ndarray:
     d = 1.0 / np.sqrt(row_max)
     # the entries of D K D for D = diag(d), in the product's rounding order
     DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
-    if in_order:
-        lu = _factor(DKD, "system", permc_spec="NATURAL", **_SYMMETRIC)
-        _check_in_order(lu, "system")
-    else:
-        lu = _factor(DKD, "system", permc_spec="MMD_AT_PLUS_A")
+    lu = _factor_in_order(DKD, "system")
     x = d * lu.solve(d * s)
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -107,14 +104,10 @@ def solve_sparse(K, s, in_order=False) -> np.ndarray:
     return x
 
 
-def backward_error(K, x, s, rows=None) -> float:
-    """Componentwise backward error max_i |K x - s|_i / (|K| |x| + |s|)_i
-    over ``rows`` (all by default); see ``componentwise_error``."""
-    F = K @ x - s
-    scale = abs(K) @ np.abs(x) + np.abs(s)
-    if rows is not None:
-        F, scale = F[rows], scale[rows]
-    return componentwise_error(F, scale)
+def backward_error(K, x, s) -> float:
+    """Componentwise backward error max_i |K x - s|_i / (|K| |x| + |s|)_i;
+    see ``componentwise_error``."""
+    return componentwise_error(K @ x - s, abs(K) @ np.abs(x) + np.abs(s))
 
 
 def componentwise_error(F, scale) -> float:
@@ -126,24 +119,19 @@ def componentwise_error(F, scale) -> float:
     return float((np.abs(F) / np.maximum(scale, floor)).max())
 
 
-def _factor(K, what, factorize=splu, **options):
-    """SuperLU factor of K; a failure raises SingularSystemError."""
+def _factor_in_order(K, what):
+    """SuperLU factor of K in its own numbering on diagonal pivots.  A
+    failed factorization raises SingularSystemError, and so does one in
+    which SuperLU reordered a column or pivoted off the diagonal."""
     try:
-        return factorize(sp.csc_matrix(K), **options)
+        lu = splu(sp.csc_matrix(K), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as err:
         raise SingularSystemError(f"{what} factorization failed: {err}") from err
-
-
-# a factorization that keeps SuperLU's order and pivots on the diagonal
-_SYMMETRIC = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-
-
-def _check_in_order(lu, what):
-    """Raise SingularSystemError unless the factor ``lu`` kept the
-    matrix's own order: no column reordering and no off-diagonal pivot."""
     ident = np.arange(lu.shape[0])
     if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
         raise SingularSystemError(f"{what} factorization pivoted off the diagonal")
+    return lu
 
 
 def _min_degree_order(K) -> np.ndarray:
@@ -151,8 +139,12 @@ def _min_degree_order(K) -> np.ndarray:
     MMD_AT_PLUS_A with SymmetricMode), read from a throwaway incomplete
     factorization that drops every entry it may: only its column order
     is read, and perm_c[k] is the new position of column k."""
-    lu = _factor(K, "ordering", spilu, drop_tol=1.0, fill_factor=1.0,
-                 permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+    try:
+        lu = spilu(sp.csc_matrix(K), drop_tol=1.0, fill_factor=1.0,
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise SingularSystemError(f"ordering factorization failed: {err}") from err
     return np.argsort(lu.perm_c)
 
 
@@ -207,8 +199,7 @@ def interface_schur(K, rows) -> SchurFactor:
     inner[rows] = False
     I = np.flatnonzero(inner)
     order = np.concatenate([I[_min_degree_order(K[I][:, I])], rows])
-    lu = _factor(K[order][:, order], "bordered", permc_spec="NATURAL", **_SYMMETRIC)
-    _check_in_order(lu, "bordered")
+    lu = _factor_in_order(K[order][:, order], "bordered")
     m = len(I)
     L = lu.L                        # each factor copied and freed in turn
     fill = L.nnz
@@ -320,9 +311,9 @@ class InterfaceSchur:
     def bordered(self, A, s_v, lift):
         """The bordered matrix (CSC) and right-hand side [s_v; S_K z_Γ]
         for the field block A and the lift z_Γ, in elimination numbering:
-        to be factored in that order (``solve_sparse(..., in_order=True)``)
-        and read back by ``split``.  A must lie on the pattern this
-        object was built with; otherwise ValueError is raised."""
+        to be factored in that order (``solve_sparse``) and read back by
+        ``split``.  A must lie on the pattern this object was built with;
+        otherwise ValueError is raised."""
         A = sp.csr_matrix(A)
         if not (np.array_equal(A.indptr, self._A_pattern[0])
                 and np.array_equal(A.indices, self._A_pattern[1])):
@@ -396,14 +387,16 @@ class EigenResult:
     """Nonzero spectrum of the inf-sup pencil: ascending eigenvalues,
     their S-orthonormal eigenvectors Y on the rows P of ``interior`` and
     the indices of the pairs ``checked`` on the whole potential space.
-    ``n_zero`` counts the disregarded (near-)zero eigenvalues, including
-    potential DOFs with no interface support."""
+    ``field`` is the ``interface_schur`` factor of N_V that the pencil was
+    solved with.  ``n_zero`` counts the disregarded (near-)zero
+    eigenvalues, including potential DOFs with no interface support."""
 
     eigenvalues: np.ndarray
     Y: np.ndarray
     zero_cutoff: float
     n_zero: int
     interior: InteriorCondensation
+    field: SchurFactor
     checked: np.ndarray
 
     @property
@@ -485,7 +478,7 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
     GQ = B @ lu_v.solve(np.asarray(B.T @ Q))
     _check_pairs("full-space check", GQ, N_Q @ Q, Q, lam[ends],
                  np.abs(GQ).max() / max(np.abs(Q).max(), 1e-300), np.abs(N_Q).max(), ends)
-    return EigenResult(lam, Y, float(cutoff), n_q - len(lam), interior, ends)
+    return EigenResult(lam, Y, float(cutoff), n_q - len(lam), interior, lu_v, ends)
 
 
 def _check_pairs(check, GY, MY, Y, lam, g_norm, m_norm, index):

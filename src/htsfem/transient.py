@@ -28,9 +28,11 @@ bordered system
     [[A_v,  B_Γ^T],  [v  ]   [s_v    ]
      [B_Γ,  -S_K ]] [a_Γ] = [S_K z_Γ]
 
-by one ``solve_sparse`` factorization in a fixed elimination order on
-diagonal pivots, so a_Γ comes out of the solve.  The matrix is
-symmetric quasi-definite, and eliminating a well-conditioned block
+by one ``solve_sparse`` factorization, so a_Γ comes out of the solve.
+``InterfaceSchur`` numbers the matrix in an elimination order fixed
+once per run, and ``solve_sparse`` factors it in that order on
+diagonal pivots, or refuses it if a pivot leaves the diagonal.  The
+matrix is symmetric quasi-definite, and eliminating a well-conditioned block
 first keeps the factorization stable: h-a eliminates the field block
 first (the H mass makes it definite) and Γ last; t-a eliminates Γ
 first, since its field block dt*D is singular to working precision
@@ -283,8 +285,7 @@ def _field_solve(sys, schur: InterfaceSchur, lift):
     values a_Γ of its potential, from one factorization of the bordered
     (v, a_Γ) system with the step attempt's ``lift`` on Γ, in the
     elimination order of ``schur``."""
-    return schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift),
-                                    in_order=True))
+    return schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift)))
 
 
 def _gated_recovery(sys, v, schur: InterfaceSchur):

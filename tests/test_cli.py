@@ -273,10 +273,12 @@ def test_cli_infsup_all_pairings(tmp_path):
                                "interior_factorizations": 4, "pencils": 16,
                                "full_space_pair_checks": 32}
     assert len(run["sizes"]) == 4
+    peaks = [level["peak_rss_mb"] for level in run["sizes"]]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
     for level in run["sizes"]:
         assert set(level) == {"field_free_dofs", "potential_free_dofs",
                               "coupled_columns", "coupled_rows", "interior_dofs",
-                              "field_norm_fill", "potential_norm_fill"}
+                              "field_norm_fill", "potential_norm_fill", "peak_rss_mb"}
         assert set(level["field_free_dofs"]) == {"1", "2"}
         assert (level["interior_dofs"] + level["coupled_rows"]["2"]
                 == level["potential_free_dofs"]["2"])

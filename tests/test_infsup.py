@@ -13,6 +13,8 @@ from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import Interface, Region, refine
 from htsfem.spaces import DofSpace, build_a_space
 
+from util import solve_reference
+
 NORMS = NormSpec(dt0=0.0125)
 
 
@@ -77,9 +79,8 @@ def test_mode_rayleigh_quotient_and_normalization(bar_mesh):
     eig = infsup_eigenpairs(B, NV, NQ)
     assert eig.beta <= eig.b_norm
     # top mode: coupling Rayleigh quotient equals ||b||^2
-    from htsfem.linalg import solve_sparse
     q = eig.eigenvectors[:, -1]
-    Gq = B @ solve_sparse(NV, np.asarray(B.T @ q).ravel())
+    Gq = B @ solve_reference(NV, np.asarray(B.T @ q).ravel())
     quotient = float(q @ Gq) / float(q @ (NQ @ q))
     assert quotient == pytest.approx(eig.b_norm ** 2, rel=1e-8)
     assert float(q @ (NQ @ q)) == pytest.approx(1.0, abs=1e-8)
@@ -91,8 +92,7 @@ def test_unstable_smallest_mode_oscillates(tmp_path, bar_mesh):
     NV = assemble_norm_matrix(v_sp, NORMS)
     NQ = assemble_norm_matrix(q_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, NQ)
-    q_full, v_full = export_eigenmode(bar_mesh, v_sp, q_sp, B, NV, eig, 0,
-                                      tmp_path / "mode")
+    q_full, v_full = export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
     segs, _ = bar_mesh.interface(Interface.GAMMA_M)
     vals = np.array([q_full[q_sp.dof("node", int(n))] for n in segs[:, 0]])
     s = np.sign(vals[np.abs(vals) > 1e-12 * np.abs(vals).max()])
@@ -105,6 +105,25 @@ def test_unstable_smallest_mode_oscillates(tmp_path, bar_mesh):
     assert len(sup) == len(v_sp.meta["sc_tris"]) + 1
 
 
+@pytest.mark.parametrize("mesh,form,pair", [("bar_mesh", "ha", (1, 1)),
+                                            ("bar_mesh", "ha", (2, 1)),
+                                            ("tape_mesh", "ta", (1, 2))])
+def test_supremizer_matches_reference_solve(request, tmp_path, mesh, form, pair):
+    # the exported supremizer, solved with the pencil's own factor of
+    # N_V, against the pivoting reference solve of N_V v = B^T q, for
+    # the smallest and the largest mode
+    mesh = request.getfixturevalue(mesh)
+    v_sp, q_sp = build_pairing(mesh, form, pair)
+    B = assemble_coupling_matrix(v_sp, q_sp)
+    NV = assemble_norm_matrix(v_sp, NORMS)
+    eig = infsup_eigenpairs(B, NV, assemble_norm_matrix(q_sp, NORMS))
+    for rank in (0, len(eig.eigenvalues) - 1):
+        q_full, v_full = export_eigenmode(mesh, v_sp, q_sp, B, eig, rank,
+                                          tmp_path / f"mode{rank}")
+        ref = solve_reference(NV, np.asarray(B.T @ q_full[q_sp.free]).ravel())
+        assert np.abs(v_full[v_sp.free] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_mode_rank_out_of_range(bar_mesh, tmp_path):
     v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
@@ -112,8 +131,7 @@ def test_mode_rank_out_of_range(bar_mesh, tmp_path):
     NQ = assemble_norm_matrix(q_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, NQ)
     with pytest.raises(IndexError):
-        export_eigenmode(bar_mesh, v_sp, q_sp, B, NV, eig, 10 ** 6,
-                         tmp_path / "mode")
+        export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 10 ** 6, tmp_path / "mode")
 
 
 def test_hierarchical_nesting_beta(bar_mesh):

@@ -12,7 +12,7 @@ from htsfem.linalg import (DegenerateCouplingError, InteriorCondensation,
                            export_eigenvalues_csv, infsup_eigenpairs,
                            interface_schur, solve_sparse)
 
-from util import dense_schur, eliminated
+from util import dense_schur, eliminated, solve_reference
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -37,17 +37,19 @@ def test_solve_identity():
     assert np.allclose(solve_sparse(K, s), s, atol=1e-14)
 
 
-def test_solve_symmetric_indefinite_vs_dense():
+@pytest.mark.parametrize("solve", [solve_sparse, solve_reference])
+def test_solve_symmetric_indefinite_vs_dense(solve):
     rng = np.random.default_rng(0)
     A = rng.normal(size=(50, 50))
     K = A + A.T  # symmetric, generically indefinite
     s = rng.normal(size=50)
-    x = solve_sparse(sp.csr_matrix(K), s)
+    x = solve(sp.csr_matrix(K), s)
     x_ref = np.linalg.solve(K, s)
     assert np.abs(x - x_ref).max() < 1e-10 * np.abs(x_ref).max()
 
 
-def test_solve_assembled_ha_vs_dense(bar_mesh, bar_spaces_11, bar_materials_linear):
+@pytest.mark.parametrize("solve", [solve_sparse, solve_reference])
+def test_solve_assembled_ha_vs_dense(solve, bar_mesh, bar_spaces_11, bar_materials_linear):
     from htsfem.assembly import assemble_ha_iteration, linear_blocks
     from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
@@ -56,7 +58,7 @@ def test_solve_assembled_ha_vs_dense(bar_mesh, bar_spaces_11, bar_materials_line
     sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear),
                                 z, z[0], 0.0125, a_essential=a_ess)
     K, s = eliminated(sys)
-    x = solve_sparse(K, s)
+    x = solve(K, s)
     K = K.toarray()
     x_ref = np.linalg.solve(K, s)
     x_ref += np.linalg.solve(K, s - K @ x_ref)   # refine the oracle once
@@ -68,6 +70,57 @@ def test_solve_singular_raises():
     K = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         solve_sparse(K, np.ones(2))
+
+
+def test_solve_refuses_an_off_diagonal_pivot():
+    # regular, but its numbering puts a zero on the diagonal: the caller
+    # chose an order that needs a pivot, and the solve refuses it
+    K = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(solve_reference(K, np.array([1.0, 2.0])), [2.0, 1.0])
+    with pytest.raises(SingularSystemError, match="pivoted off the diagonal"):
+        solve_sparse(K, np.array([1.0, 2.0]))
+
+
+def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_mesh,
+                                                    bar_spaces_11, bar_materials_power):
+    # a transient, a pencil and an eigenmode export: every SuperLU
+    # factorization is in the caller's order on diagonal pivots, and
+    # every incomplete one only reads a minimum-degree order
+    import htsfem.linalg
+    from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+    from htsfem.infsup import build_pairing, export_eigenmode
+    from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
+    calls = {"splu": [], "spilu": []}
+
+    def recording(name):
+        factorize = getattr(htsfem.linalg, name)
+
+        def record(K, **options):
+            calls[name].append(options)
+            return factorize(K, **options)
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(htsfem.linalg, name, recording(name))
+    tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
+    assert hist.n_steps == 2
+    v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
+    B = assemble_coupling_matrix(v_sp, q_sp)
+    norms = NormSpec(dt0=0.0125)
+    eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, norms),
+                            assemble_norm_matrix(q_sp, norms))
+    n_splu = len(calls["splu"])
+    export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
+    assert len(calls["splu"]) == n_splu          # the export factors nothing
+    # the a-block, one bordered system per Newton iteration, N_V and N_Q
+    assert n_splu == 1 + hist.counters["field_solves"] + 2
+    assert calls["splu"] == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                              "options": {"SymmetricMode": True}}] * n_splu
+    # the a-block interior, the field block, N_V's interior and N_Q's interior
+    assert calls["spilu"] == [{"drop_tol": 1.0, "fill_factor": 1.0,
+                               "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                               "options": {"SymmetricMode": True}}] * 4
 
 
 def test_eig_identity():

@@ -1,11 +1,14 @@
 """Shared test helpers: the straightforward per-triangle field
-evaluators that the assembly's field kernels are checked against, and
-the dense and monolithic oracles of the block solvers."""
+evaluators that the assembly's field kernels are checked against, the
+pivoting sparse solve that serves as the reference solver, and the
+dense and monolithic oracles of the block solvers."""
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
+from htsfem.linalg import SingularSystemError, backward_error
 from htsfem.mesh import Region, _structured_mesh
 from htsfem.spaces import whitney_transform
 
@@ -132,6 +135,44 @@ def eval_a_curl(space, coeffs, tri_id: int, bary) -> np.ndarray:
     out[..., 0] = grad_a[..., 1]
     out[..., 1] = -grad_a[..., 0]
     return out
+
+
+def solve_reference(K, s) -> np.ndarray:
+    """The reference sparse solve: SuperLU with threshold pivoting in a
+    minimum-degree column order of K^T + K, with the symmetric
+    equilibration, the two refinement steps and the componentwise check
+    at 1e-10 of ``htsfem.linalg.solve_sparse``.  It needs no order from
+    its caller, so it solves the monolithic and condensed systems, and
+    any matrix that the package factors only in an order of its own."""
+    K = sp.csc_matrix(K, copy=True)
+    K.sum_duplicates()
+    K.eliminate_zeros()
+    s = np.asarray(s, dtype=float)
+    if K.shape[0] != K.shape[1] or K.shape[0] != len(s):
+        raise ValueError("dimension mismatch")
+    rows = K.indices
+    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    row_max = np.zeros(K.shape[0])
+    np.maximum.at(row_max, rows, np.abs(K.data))
+    if np.any(row_max <= 0.0):
+        bad = int(np.flatnonzero(row_max <= 0.0)[0])
+        raise SingularSystemError(f"structurally singular row at DOF {bad}", dof=bad)
+    d = 1.0 / np.sqrt(row_max)
+    DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
+    try:
+        lu = splu(DKD, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise SingularSystemError(f"system factorization failed: {err}") from err
+    x = d * lu.solve(d * s)
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise SingularSystemError(f"singular pivot near DOF {bad}", dof=bad)
+    for _ in range(2):
+        x = x + d * lu.solve(d * (s - K @ x))
+    res = backward_error(K, x, s)
+    if not res <= 1e-10:
+        raise SingularSystemError(f"solve backward error {res:.3e} exceeds 1e-10")
+    return x
 
 
 def dense_schur(K, rows):
