@@ -9,10 +9,10 @@ beta shrinking linearly with the element size an unstable one.
 
 A sweep runs all requested pairings in one pass over the meshes and
 shares, per mesh, what depends on one space only: the spaces, their
-norm matrices, the field-norm factors and one potential-norm
-condensation, each one bordered factorization (see
-``linalg.interface_schur``).  No pencil holds an eigenvector on the
-whole potential space beyond its two checked ones.
+norm matrices, the field-norm factors and one potential-norm factor,
+each one bordered factorization (see ``linalg.interface_schur``).  No
+pencil holds an eigenvector on the whole potential space beyond its two
+checked ones.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
                        field_operator, tape_current_density)
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
-                     condense_interior, infsup_eigenpairs, interface_schur)
+                     infsup_eigenpairs, interface_schur)
 from .materials import MU0, Materials
 from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
@@ -159,7 +159,7 @@ def build_pairing(mesh, formulation: str, pairing):
 
 class HierarchyError(RuntimeError):
     """A lower-order potential space is not the leading part of the
-    richer one, so the two cannot share one condensation."""
+    richer one, so the two cannot share one potential-norm factor."""
 
 
 class InfSupMatrix(dict):
@@ -212,10 +212,11 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     """One mesh level of every pairing: each distinct space is built and
     its norm assembled once, each N_V factored once, with the columns
     that the level's couplings of its field order touch last, and N_Q
-    condensed once, for the richest potential order, onto the union P
-    of the rows that the level's couplings touch.  A lower potential
-    order takes the leading rows of that condensation and the leading
-    block of that norm."""
+    factored once, for the richest potential order, with the union P
+    of the rows that the level's couplings touch last.  Every pairing
+    gets that one factor; a lower potential order takes the leading
+    block of that norm, and the pencil reads the leading rows of the
+    factor."""
     start = time.perf_counter()
     v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
     q_sp = {j: _potential_space(mesh, formulation, j) for j in sorted({p[1] for p in pairings})}
@@ -235,7 +236,7 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     n_p[top] = len(P)
     with _located(level):
         lu_v = {i: interface_schur(N, cols[i]) for i, N in N_V.items()}
-        interior = condense_interior(N_Q[top], P)
+        interior = interface_schur(N_Q[top], P)
     reports.counters["field_norm_factorizations"] += len(lu_v)
     reports.counters["interior_factorizations"] += 1
     sizes = {
@@ -243,16 +244,15 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
         "potential_free_dofs": {str(j): int(s.n_free) for j, s in q_sp.items()},
         "coupled_columns": {str(i): len(c) for i, c in cols.items()},
         "coupled_rows": {str(j): n for j, n in n_p.items()},
-        "interior_dofs": int(len(interior.I)),
+        "interior_dofs": len(interior.order) - len(interior.rows),
         "field_norm_fill": {str(i): lu.fill for i, lu in lu_v.items()},
-        "potential_norm_fill": interior.factor.fill,
+        "potential_norm_fill": interior.fill,
     }
 
     for pair in pairings:
         i, j = pair
         with _located(level, pair):
-            eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v[i],
-                                    interior=interior.leading(n_p[j]))
+            eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v[i], interior=interior)
         reports.counters["pencils"] += 1
         reports.counters["full_space_pair_checks"] += len(eig.checked)
         reports[pair].records.append(SweepRecord(

@@ -12,11 +12,10 @@ complement and has ``solve_sparse`` factor the bordered system in a
 fixed order) and both sides of the inf-sup pencil, which is
 solved and checked on the rows that B couples; only its two reported
 pairs are extended to the whole potential space, through the same
-factor.  The pencil's field-norm factor and potential-norm
-condensation (``interface_schur``, ``condense_interior``) can be
-built once and shared by the pairings of one mesh; a lower-order
-potential space of a hierarchical basis takes a leading block of the
-richer condensation.
+factor.  The pencil's two ``interface_schur`` factors, of the field
+norm and of the potential norm, can be built once and shared by the
+pairings of one mesh; a lower-order potential space of a hierarchical
+basis reads the leading rows of the richer space's factor.
 
 Every LU factorization follows one convention (``_factor_in_order``):
 it keeps the numbering its caller gives the matrix and pivots on the
@@ -33,7 +32,7 @@ against 1.8 s with SymmetricMode and 1.5 s with COLAMD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -178,6 +177,21 @@ class SchurFactor:
     def schur_solve(self, X):
         """S^{-1} X, by a Cholesky factor of S formed on first use."""
         return scipy.linalg.cho_solve(self._cho, X)
+
+    def extend(self, Y):
+        """The K-harmonic extension of values Y (a vector or columns) on
+        the leading n = len(Y) rows: Y on rows[:n] and
+        -K[I,I]^{-1} K[I,P] Y on the other DOFs I.  It is the solution of
+        K q = (0 on I, S[:, :n] Y on ``rows``), whose other rows come out
+        zero; with those rows numbered last (a hierarchical basis, see
+        ``infsup_eigenpairs``), the first |I| + n entries are the
+        extension."""
+        n = len(Y)
+        rhs = np.zeros((len(self.order),) + Y.shape[1:])
+        rhs[self.rows] = self.S[:, :n] @ Y
+        Q = self.solve(rhs)[:len(self.order) - len(self.rows) + n]
+        Q[self.rows[:n]] = Y
+        return Q
 
 
 def interface_schur(K, rows) -> SchurFactor:
@@ -337,57 +351,13 @@ class InterfaceSchur:
 
 
 @dataclass
-class InteriorCondensation:
-    """The potential norm N_Q condensed onto the coupled rows P.
-
-    ``factor`` is the ``interface_schur`` factor of N_Q with its rows
-    last; P is their leading part (all of them unless taken by
-    ``leading``), I the other potential DOFs and S the Schur complement
-    N_Q[P,P] - N_Q[P,I] N_Q[I,I]^{-1} N_Q[I,P], the leading block of
-    ``factor.S``.
-    """
-
-    P: np.ndarray
-    I: np.ndarray
-    factor: SchurFactor
-    S: np.ndarray
-
-    def extend(self, Y):
-        """The N_Q-harmonic extension of values Y on P (a vector or
-        columns): Y on P and -N_Q[I,I]^{-1} N_Q[I,P] Y on I.  It is the
-        solution of N_Q q = (0 on I, factor.S[:, :n] Y on the factor's
-        rows), whose other factor rows come out zero; with those rows
-        numbered last (see ``leading``), the first n + |I| entries are
-        the extension."""
-        rhs = np.zeros((len(self.factor.order),) + Y.shape[1:])
-        rhs[self.factor.rows] = self.factor.S[:, :len(self.P)] @ Y
-        Q = self.factor.solve(rhs)[:len(self.P) + len(self.I)]
-        Q[self.P] = Y
-        return Q
-
-    def leading(self, n):
-        """The condensation onto the first n rows of P with the same I:
-        that of a potential space of those rows and I, if its norm matrix
-        is the matching block of N_Q and the other rows of P are the last
-        DOFs (a hierarchical basis; see caller)."""
-        return replace(self, P=self.P[:n], S=self.S[:n, :n])
-
-
-def condense_interior(N_Q, P) -> InteriorCondensation:
-    """Condense N_Q onto the ascending rows P by one bordered
-    factorization (see ``InteriorCondensation``).  An empty I goes
-    through the same path: SuperLU orders a 0x0 block."""
-    factor = interface_schur(N_Q, P)
-    I = np.setdiff1d(np.arange(N_Q.shape[0]), P, assume_unique=True)
-    return InteriorCondensation(np.asarray(P), I, factor, factor.S)
-
-
-@dataclass
 class EigenResult:
     """Nonzero spectrum of the inf-sup pencil: ascending eigenvalues,
-    their S-orthonormal eigenvectors Y on the rows P of ``interior`` and
-    the indices of the pairs ``checked`` on the whole potential space.
-    ``field`` is the ``interface_schur`` factor of N_V that the pencil was
+    their S-orthonormal eigenvectors Y on the coupled rows P and the
+    indices of the pairs ``checked`` on the whole potential space.
+    ``interior`` is the ``interface_schur`` factor of N_Q (or of a richer
+    norm whose leading block is N_Q) whose leading rows are P, and
+    ``field`` the ``interface_schur`` factor of N_V that the pencil was
     solved with.  ``n_zero`` counts the disregarded (near-)zero
     eigenvalues, including potential DOFs with no interface support."""
 
@@ -395,7 +365,7 @@ class EigenResult:
     Y: np.ndarray
     zero_cutoff: float
     n_zero: int
-    interior: InteriorCondensation
+    interior: SchurFactor
     field: SchurFactor
     checked: np.ndarray
 
@@ -413,9 +383,12 @@ class EigenResult:
         return self.interior.extend(self.Y)
 
 
-def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
-                      lu_v=None, interior=None) -> EigenResult:
-    """Solve B N_V^{-1} B^T q = lambda N_Q q and drop zero eigenvalues.
+ZERO_TOL_REL = 1e-10
+
+
+def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
+    """Solve B N_V^{-1} B^T q = lambda N_Q q and drop zero eigenvalues
+    (below ZERO_TOL_REL of the largest).
 
     With P the rows that B couples and I the other potential DOFs, the
     pencil is G y = lambda S y for the Schur complement
@@ -428,10 +401,13 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
     extended and checked again against B, N_V and N_Q themselves.
 
     ``lu_v`` (``interface_schur(N_V, c)``) and ``interior``
-    (``condense_interior(N_Q, P)``) may be passed in to share them
+    (``interface_schur(N_Q, P)``) may be passed in to share them
     between pencils; by default both are built here.  Their c and P
     may be supersets of the columns and rows that B couples: the other
     rows of P only add zero eigenvalues, which the cutoff drops.
+    ``interior`` may also factor a richer norm whose leading block is
+    N_Q (a hierarchical basis): P is then its ascending rows below n_q,
+    and a factor that splits the n_q DOFs otherwise raises ValueError.
     """
     B = sp.csr_matrix(B)
     N_Q = sp.csr_matrix(N_Q)
@@ -445,12 +421,15 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
     if lu_v is None:
         lu_v = interface_schur(N_V, _coupled_columns(B))
     if interior is None:
-        interior = condense_interior(N_Q, rows)
-    P = interior.P
+        interior = interface_schur(N_Q, rows)
+    n_p = int(np.searchsorted(interior.rows, n_q))
+    if n_p + len(interior.order) - len(interior.rows) != n_q:
+        raise ValueError("the potential factor splits other DOFs than N_Q's")
+    P = interior.rows[:n_p]
+    S = interior.S[:n_p, :n_p]
     at = np.searchsorted(P, rows)
-    if (len(P) + len(interior.I) != n_q or at[-1] >= len(P)
-            or not np.array_equal(P[at], rows)):
-        raise ValueError("B couples rows outside the condensation's P")
+    if at[-1] >= n_p or not np.array_equal(P[at], rows):
+        raise ValueError("B couples rows outside the potential factor's rows")
     B_c = B[:, lu_v.rows]
     if B_c.nnz != B.nnz:
         raise ValueError("B couples columns outside the field factor's rows")
@@ -459,7 +438,7 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
     G = 0.5 * (G + G.T)
 
     try:
-        lam, Y = scipy.linalg.eigh(G, interior.S)
+        lam, Y = scipy.linalg.eigh(G, S)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError("potential norm is not positive definite") from err
     lam_max = lam[-1]
@@ -468,11 +447,11 @@ def infsup_eigenpairs(B, N_V, N_Q, zero_tol_rel: float = 1e-10, *,
     if lam[0] < -1e-12 * lam_max:
         raise SingularSystemError(f"negative eigenvalue {lam[0]:.3e} in SPSD pencil")
 
-    cutoff = zero_tol_rel * lam_max
+    cutoff = ZERO_TOL_REL * lam_max
     keep = lam > cutoff
     lam, Y = lam[keep], Y[:, keep]
-    _check_pairs("condensed pencil", G @ Y, interior.S @ Y, Y, lam,
-                 np.abs(G).max(), np.abs(interior.S).max(), np.arange(len(lam)))
+    _check_pairs("condensed pencil", G @ Y, S @ Y, Y, lam,
+                 np.abs(G).max(), np.abs(S).max(), np.arange(len(lam)))
     ends = np.unique([0, len(lam) - 1])
     Q = interior.extend(Y[:, ends])
     GQ = B @ lu_v.solve(np.asarray(B.T @ Q))

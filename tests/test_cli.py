@@ -236,7 +236,7 @@ def test_cli_nonconvergence_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("error", [SingularSystemError, DegenerateCouplingError])
 @pytest.mark.parametrize("command", ["infsup", "eigenmode"])
 def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error):
-    def failing_pencil(B, N_V, N_Q, zero_tol_rel=1e-10, *, lu_v=None, interior=None):
+    def failing_pencil(B, N_V, N_Q, *, lu_v=None, interior=None):
         raise error("eigenpair residual 1.000e-03 exceeds 1e-8")
     monkeypatch.setattr(htsfem.infsup, "infsup_eigenpairs", failing_pencil)
     monkeypatch.setattr(htsfem.cli, "infsup_eigenpairs", failing_pencil)

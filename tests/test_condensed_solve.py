@@ -178,6 +178,23 @@ def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
         schur.bordered(sp.tril(A).tocsr(), sys.s_field, lift)
 
 
+@pytest.mark.parametrize("form,i,j", PAIRINGS)
+def test_lift_fast_path_matches_full_solve(coupled, form, i, j):
+    # s_q zero off Γ: the lift S_K^{-1} s_q,Γ skips the back-substitution
+    # and equals the full solve on Γ; one entry off Γ takes the full path
+    schur = coupled(form, i, j).schur
+    factor = schur.factor
+    rng = np.random.default_rng(9)
+    s_q = np.zeros(len(factor.order))
+    s_q[factor.rows] = rng.standard_normal(len(factor.rows))
+    solves = schur.solves
+    assert _close(schur.lift(s_q), factor.solve(s_q)[factor.rows], 1e-12)
+    assert schur.solves == solves
+    s_q[rng.choice(np.setdiff1d(np.arange(len(s_q)), factor.rows))] = 1.0
+    assert _close(schur.lift(s_q), factor.solve(s_q)[factor.rows], 1e-12)
+    assert schur.solves == solves + 1
+
+
 @pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ta"])
 def test_ta_field_first_order_is_refused(coupled, form, i, j):
     # well below j_c the tape block dt*D is tiny against S_K; eliminated

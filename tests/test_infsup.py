@@ -8,7 +8,7 @@ from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport,
                            coercivity_estimates, export_eigenmode,
                            run_infsup_sweep, _fit_slope, _leading_rows,
                            _sweep_level, _verdict)
-from htsfem.linalg import infsup_eigenpairs
+from htsfem.linalg import infsup_eigenpairs, interface_schur
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import Interface, Region, refine
 from htsfem.spaces import DofSpace, build_a_space
@@ -248,3 +248,39 @@ def test_lower_potential_norm_is_the_leading_block(formulation, bar_mesh, tape_m
         q_sp = build_pairing(mesh, formulation, pair)[1]
         ref = assemble_norm_matrix(q_sp, NORMS)
         assert abs(seen[q_sp.n_free] - ref).max() <= 1e-13 * abs(ref).max()
+
+
+@pytest.mark.parametrize("formulation", ["ha", "ta"])
+def test_lower_order_pencil_reads_the_richer_factor(formulation, bar_mesh, tape_mesh):
+    # the order-1 pencil gives the same spectrum and extended end modes
+    # with the level's order-2 factor as with a factor of its own; a
+    # factor that splits the DOFs otherwise is refused
+    mesh = bar_mesh if formulation == "ha" else tape_mesh
+    v1, q1 = build_pairing(mesh, formulation, (1, 1))
+    q2 = build_pairing(mesh, formulation, (1, 2))[1]
+    B = assemble_coupling_matrix(v1, q1)
+    B2 = assemble_coupling_matrix(v1, q2)
+    N_V = assemble_norm_matrix(v1, NORMS)
+    N_Q2 = assemble_norm_matrix(q2, NORMS)
+    P = np.unique(np.concatenate([np.flatnonzero(np.diff(b.indptr)) for b in (B, B2)]))
+    n_p = _leading_rows(q1, q2, P, 0)
+    assert n_p < len(P)
+    n = q1.n_free
+    N_Q = N_Q2[:n, :n]
+    own = infsup_eigenpairs(B, N_V, N_Q)
+    shared = infsup_eigenpairs(B, N_V, N_Q, interior=interface_schur(N_Q2, P))
+    assert len(shared.Y) == n_p
+    assert np.allclose(shared.eigenvalues, own.eigenvalues, rtol=1e-10, atol=0.0)
+    ends = [0, len(own.eigenvalues) - 1]
+    for q, q_ref in zip(shared.interior.extend(shared.Y[:, ends]).T,
+                        own.interior.extend(own.Y[:, ends]).T):
+        q = q * np.sign(q @ q_ref)
+        assert np.abs(q - q_ref).max() <= 1e-10 * np.abs(q_ref).max()
+    # the extra order-2 rows numbered among the interior, and an
+    # order-1 factor without its last interior DOF
+    interior = np.setdiff1d(np.arange(n), P)
+    keep = np.delete(np.arange(n), interior[-1])
+    for factor in [interface_schur(N_Q2, P[:n_p]),
+                   interface_schur(N_Q[keep][:, keep], np.searchsorted(keep, P[:n_p]))]:
+        with pytest.raises(ValueError, match="splits other DOFs"):
+            infsup_eigenpairs(B, N_V, N_Q, interior=factor)

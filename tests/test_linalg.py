@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htsfem.linalg import (DegenerateCouplingError, InteriorCondensation,
-                           SingularSystemError, condense_interior,
+from htsfem.linalg import (DegenerateCouplingError, SchurFactor, SingularSystemError,
                            export_eigenvalues_csv, infsup_eigenpairs,
                            interface_schur, solve_sparse)
 
@@ -281,7 +280,7 @@ def _pencil_with_45_pairs():
 
 def test_gate_rejects_a_perturbed_schur_complement():
     B, N_V, N_Q, P = _pencil_with_45_pairs()
-    interior = condense_interior(N_Q, P)
+    interior = interface_schur(N_Q, P)
     S = interior.S.copy()
     d = 1e-5 * np.abs(S).max()
     S[3, 11] += d
@@ -292,7 +291,7 @@ def test_gate_rejects_a_perturbed_schur_complement():
 
 def test_gate_rejects_a_dropped_schur_term():
     B, N_V, N_Q, P = _pencil_with_45_pairs()
-    interior = condense_interior(N_Q, P)
+    interior = interface_schur(N_Q, P)
     S = N_Q[P][:, P].toarray()
     with pytest.raises(SingularSystemError, match="full-space check: eigen"):
         infsup_eigenpairs(B, N_V, N_Q, interior=replace(interior, S=S))
@@ -302,10 +301,10 @@ def test_gate_rejects_an_extension_left_at_zero(monkeypatch):
     B, N_V, N_Q, _ = _pencil_with_45_pairs()
 
     def zero_on_interior(self, Y):
-        Q = np.zeros((len(self.P) + len(self.I),) + Y.shape[1:])
-        Q[self.P] = Y
+        Q = np.zeros((len(self.order) - len(self.rows) + len(Y),) + Y.shape[1:])
+        Q[self.rows[:len(Y)]] = Y
         return Q
-    monkeypatch.setattr(InteriorCondensation, "extend", zero_on_interior)
+    monkeypatch.setattr(SchurFactor, "extend", zero_on_interior)
     with pytest.raises(SingularSystemError, match="full-space check: eigen"):
         infsup_eigenpairs(B, N_V, N_Q)
 
@@ -377,8 +376,8 @@ def test_interface_schur_vs_dense(seed, n, n_rows, density):
     # the harmonic extension of values on the ascending rows P
     P = np.sort(rows)
     I = np.setdiff1d(np.arange(n), P)
-    interior = condense_interior(K, P)
-    assert np.array_equal(interior.I, I)
+    interior = interface_schur(K, P)
+    assert np.array_equal(np.sort(interior.order[:len(I)]), I)
     assert np.abs(interior.S - dense_schur(K, P)).max() <= 1e-12 * np.abs(S_ref).max()
     Y = rng.normal(size=(len(P), 2))
     Q_ref = np.empty((n, 2))
@@ -391,16 +390,18 @@ def test_interface_schur_vs_dense(seed, n, n_rows, density):
 def test_leading_condensation_extends_in_the_smaller_space():
     # the last 5 DOFs are rows of P: without them, the first 25 DOFs
     # and the leading rows of P form a space whose norm is K's leading
-    # block, and leading() condenses and extends in that space
+    # block, and the factor of K condenses and extends in that space
+    # through its leading 8 rows
     rng = np.random.default_rng(5)
     K = random_sparse_spd(rng, 30, 0.15)
     P = np.concatenate([np.sort(rng.choice(25, size=8, replace=False)), np.arange(25, 30)])
-    low = condense_interior(K, P).leading(8)
+    factor = interface_schur(K, P)
     K_low = K[:25][:, :25]
-    assert np.abs(low.S - dense_schur(K_low, P[:8])).max() <= 1e-12 * np.abs(low.S).max()
+    S_low = factor.S[:8, :8]
+    assert np.abs(S_low - dense_schur(K_low, P[:8])).max() <= 1e-12 * np.abs(S_low).max()
     Y = rng.normal(size=8)
-    ref = condense_interior(K_low, P[:8]).extend(Y)
-    assert np.abs(low.extend(Y) - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = interface_schur(K_low, P[:8]).extend(Y)
+    assert np.abs(factor.extend(Y) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_interface_schur_refuses_a_pivoting_factorization():
