@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
@@ -204,16 +203,6 @@ class AssembledSystem:
         from the essential columns only; it is fixed within a step."""
         x_ess = np.concatenate([self.v_essential, self.a_essential])[self.blocks.ess]
         return -(self.blocks.q_free_ess @ x_ess)
-
-
-def export_matrix_market(M, path, symmetric=True):
-    """MatrixMarket coordinate export for cross-checking."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(M),
-                     symmetry="symmetric" if symmetric else "general")
-
-
-def import_matrix_market(path):
-    return sp.csr_matrix(scipy.io.mmread(str(path)))
 
 
 # -- low-level kernels ---------------------------------------------------------

@@ -10,7 +10,7 @@ current density per triangle from ``h_curl_matrix``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,10 @@ class SamplingError(ValueError):
 @dataclass
 class ProfileSample:
     """Sampled 1D profile: strictly increasing positions (m) and the
-    sampled values; ``offset`` is the sampling-line distance from the
-    interface."""
+    sampled values."""
 
     positions: np.ndarray
     values: np.ndarray
-    offset: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -43,11 +40,6 @@ class ProfileSample:
             raise SamplingError("a profile needs at least 3 samples")
         if np.any(np.diff(self.positions) <= 0.0):
             raise SamplingError("positions must be strictly increasing")
-
-    def validate_report_quality(self):
-        if len(self.positions) < 50:
-            raise SamplingError("report profiles need at least 50 samples")
-        return self
 
     def to_csv(self, path):
         lines = ["position,value"]
@@ -120,8 +112,7 @@ def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
         vals = (field_operator(a_space, tri_ids, barys) @ a_full)[1::2]
     else:
         vals = MU0 * (field_operator(h_space, tri_ids, barys) @ h_full)[1::2]
-    return ProfileSample(xs, vals, offset=offset,
-                         metadata={"side": side, "quantity": "b_n"})
+    return ProfileSample(xs, vals)
 
 
 def sample_tape_current(mesh: Mesh2D, t_space: DofSpace, t_full,
@@ -136,7 +127,7 @@ def sample_tape_current(mesh: Mesh2D, t_space: DofSpace, t_full,
     # abscissa along the tape; horizontal tapes sample by x
     s = np.concatenate([[0.0], np.cumsum(mesh.segment_lengths(segs))])
     pos = 0.5 * (s[:-1] + s[1:]) + mids[0, 0] - 0.5 * (s[1] - s[0])
-    return ProfileSample(pos, j, metadata={"quantity": "j_z/j_c" if j_c else "j_z"})
+    return ProfileSample(pos, j)
 
 
 def oscillation_metric(profile: ProfileSample) -> float:

@@ -477,11 +477,3 @@ def _check_pairs(check, GY, MY, Y, lam, g_norm, m_norm, index):
     if err[k] > 1e-8:
         raise SingularSystemError(
             f"{check}: eigenvector {index[k]} is not norm-orthonormal ({err[k]:.3e})")
-
-
-def export_eigenvalues_csv(result: EigenResult, path):
-    lines = ["index,lambda,sqrt_lambda"]
-    for k, lam in enumerate(result.eigenvalues):
-        lines.append(f"{k},{lam:.17g},{np.sqrt(lam):.17g}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

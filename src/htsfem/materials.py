@@ -130,12 +130,3 @@ def e_field(j_vector, law: PowerLaw):
     j = np.asarray(j_vector, dtype=float)
     out = rho_power(j, law) * j
     return out if out.ndim else float(out)
-
-
-def nu_and_dh_db(b_norm, law: MagneticLaw):
-    """Reluctivity and its differential (both m/H; constant for linear laws)."""
-    b = np.asarray(b_norm, dtype=float)
-    nu = np.full_like(b, law.nu)
-    if nu.ndim:
-        return nu, nu.copy()
-    return float(nu), float(nu)

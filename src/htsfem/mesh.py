@@ -525,6 +525,9 @@ def write_native(mesh: Mesh2D, path):
 
 
 def read_native(path) -> Mesh2D:
+    """Read the file :func:`write_native` writes.  Its segments are
+    stored in traversal order and orientation, so each interface normal
+    follows from its segment as :class:`Mesh2D` defines it."""
     text = Path(path).read_text().split("\n")
     it = iter(text)
 
@@ -563,133 +566,19 @@ def read_native(path) -> Mesh2D:
             break
         key, val = line.split()
         meta[key] = val
-    return _assemble_imported(nodes, tris, regions, segs, tags, meta)
 
-
-def read_msh22(path, w=None) -> Mesh2D:
-    """Import the MSH v2.2 ASCII subset: $Nodes plus $Elements of type 1
-    (2-node line) and 2 (3-node triangle) carrying physical tags that
-    follow this package's Region/Boundary/Interface numbering."""
-    text = Path(path).read_text().split("\n")
-    it = iter(text)
-    nodes = None
-    lines_, tris_, ltags, ttags = [], [], [], []
-    id_map = {}
-    for line in it:
-        s = line.strip()
-        if s == "$MeshFormat":
-            ver = next(it).split()[0]
-            if not ver.startswith("2.2"):
-                raise MeshError(f"unsupported MSH version {ver}")
-        elif s == "$Nodes":
-            n = int(next(it))
-            nodes = np.empty((n, 2))
-            for k in range(n):
-                parts = next(it).split()
-                id_map[int(parts[0])] = k
-                nodes[k] = (float(parts[1]), float(parts[2]))
-        elif s == "$Elements":
-            n = int(next(it))
-            for _ in range(n):
-                parts = [int(p) for p in next(it).split()]
-                etype, ntags = parts[1], parts[2]
-                phys = parts[3] if ntags >= 1 else 0
-                conn = parts[3 + ntags:]
-                if etype == 1:
-                    lines_.append([id_map[c] for c in conn])
-                    ltags.append(phys)
-                elif etype == 2:
-                    tris_.append([id_map[c] for c in conn])
-                    ttags.append(phys)
-    if nodes is None or not tris_:
-        raise MeshError("MSH file lacks nodes or triangles")
-    meta = {}
-    if w is not None:
-        meta["w"] = w
-    return _assemble_imported(np.asarray(nodes), np.asarray(tris_, dtype=np.int64),
-                              np.asarray(ttags, dtype=np.int64),
-                              np.asarray(lines_, dtype=np.int64).reshape(-1, 2),
-                              np.asarray(ltags, dtype=np.int64), meta)
-
-
-def _assemble_imported(nodes, tris, regions, segs, tags, meta):
-    # enforce CCW orientation
-    d1 = nodes[tris[:, 1]] - nodes[tris[:, 0]]
-    d2 = nodes[tris[:, 2]] - nodes[tris[:, 0]]
-    flip = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-
-    b_mask = np.isin(tags, [int(Boundary.GAMMA_E), int(Boundary.GAMMA_H)])
-    bsegs, btags = segs[b_mask], tags[b_mask]
-    isegs_raw, itags_raw = segs[~b_mask], tags[~b_mask]
-
-    isegs, itags, inorms = [], [], []
+    iface = ~np.isin(tags, [int(b) for b in Boundary])
+    isegs, itags = segs[iface], tags[iface]
+    d = nodes[isegs[:, 1]] - nodes[isegs[:, 0]]
+    t = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    # GAMMA_M keeps the conductor on its left; GAMMA_W's normal is z-hat x t-hat
+    side = np.where(itags == int(Interface.GAMMA_M), 1.0, -1.0)[:, None]
+    normals = side * np.column_stack([t[:, 1], -t[:, 0]])
     tape_endpoints = None
-    for tag in sorted(set(int(t) for t in itags_raw)):
-        chain = _chain_polyline(isegs_raw[itags_raw == tag], nodes)
-        if tag == int(Interface.GAMMA_M):
-            chain = _orient_gamma_m(chain, nodes, tris, regions)
-        for a, b in chain:
-            t = nodes[b] - nodes[a]
-            t = t / np.hypot(*t)
-            if tag == int(Interface.GAMMA_M):
-                inorms.append((t[1], -t[0]))    # conductor on the left
-            else:
-                inorms.append((-t[1], t[0]))    # z-hat cross t-hat
-            isegs.append((a, b))
-            itags.append(tag)
-        if tag == int(Interface.GAMMA_W):
-            tape_endpoints = {"minus": int(chain[0][0]), "plus": int(chain[-1][1])}
     if "dgw_minus" in meta:
         tape_endpoints = {"minus": int(meta["dgw_minus"]), "plus": int(meta["dgw_plus"])}
-
-    if "delta" in meta:
-        delta = float(meta["delta"])
-    else:
-        e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        d = nodes[e[:, 1]] - nodes[e[:, 0]]
-        delta = float(np.hypot(d[:, 0], d[:, 1]).max())
-    mesh = Mesh2D(nodes, tris, regions, bsegs, btags,
-                  np.asarray(isegs, dtype=np.int64).reshape(-1, 2),
-                  np.asarray(itags, dtype=np.int64),
-                  np.asarray(inorms, dtype=float).reshape(-1, 2),
-                  delta=delta, w=float(meta["w"]) if "w" in meta else None,
+    mesh = Mesh2D(nodes, tris, regions, segs[~iface], tags[~iface], isegs, itags,
+                  normals, delta=float(meta["delta"]),
+                  w=float(meta["w"]) if "w" in meta else None,
                   tape_endpoints=tape_endpoints)
     return mesh.validate()
-
-
-def _chain_polyline(segs, nodes):
-    """Order unoriented segments into a single chain (open or closed)."""
-    if len(segs) == 0:
-        return []
-    adj = {}
-    for a, b in segs:
-        adj.setdefault(int(a), []).append(int(b))
-        adj.setdefault(int(b), []).append(int(a))
-    ends = sorted(n for n, ns in adj.items() if len(ns) == 1)
-    if ends:
-        # open chain: start at the lexicographically smaller endpoint
-        coords = nodes[ends]
-        start = ends[int(np.lexsort((coords[:, 1], coords[:, 0]))[0])]
-    else:
-        start = min(adj)
-    chain, prev, node = [], None, start
-    for _ in range(len(segs)):
-        nbrs = [n for n in adj[node] if n != prev]
-        nxt = nbrs[0] if nbrs else adj[node][0]
-        chain.append((node, nxt))
-        prev, node = node, nxt
-    return chain
-
-
-def _orient_gamma_m(chain, nodes, tris, regions):
-    """Flip a closed conductor loop so the conductor lies on its left."""
-    sc = tris[regions == int(Region.OMEGA_H_SC)]
-    cx = nodes[sc].mean(axis=(0, 1))
-    area2 = 0.0
-    for a, b in chain:
-        area2 += (nodes[a][0] - cx[0]) * (nodes[b][1] - cx[1]) \
-            - (nodes[a][1] - cx[1]) * (nodes[b][0] - cx[0])
-    if area2 < 0:
-        chain = [(b, a) for a, b in reversed(chain)]
-    return chain

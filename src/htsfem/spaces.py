@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import Interface, Mesh2D, Region
+from .mesh import Boundary, Interface, Mesh2D, Region
 
 
 class TopologyError(ValueError):
@@ -58,7 +58,6 @@ class CutBasis:
     circulation along the boundary loop equals one.
     """
 
-    conductor_id: int
     layer_tris: np.ndarray
     edge_coeffs: dict
 
@@ -66,11 +65,7 @@ class CutBasis:
 @dataclass(frozen=True)
 class Conductor:
     id: int
-    tris: np.ndarray
-    ring_segments: np.ndarray      # ordered (start, end) pairs, ccw
-    ring_nodes: np.ndarray         # loop order, = ring_segments[:, 0]
-    ring_edge_ids: np.ndarray
-    ring_edge_signs: np.ndarray    # +1 if canonical edge dir follows the loop
+    ring_nodes: np.ndarray         # boundary loop nodes, ccw
     cut: CutBasis
     ground_node: int
     mode: str                      # "current" | "voltage"
@@ -80,8 +75,6 @@ class Conductor:
 @dataclass(frozen=True)
 class Tape:
     id: int
-    chain_nodes: np.ndarray        # ordered minus -> plus
-    segments: np.ndarray
     minus: int
     plus: int
     mode: str
@@ -147,15 +140,6 @@ class DofSpace:
         x[self.free] = x_free
         return x
 
-    def dump_dof_table(self, path):
-        """CSV dump: entityKind, entityId, dofIndex, essentialValue."""
-        lines = ["entityKind,entityId,dofIndex,essentialValue"]
-        for k, (kind, ent) in enumerate(self.entries):
-            ess = f"{self.essential[k]:.17g}" if k in self.essential else ""
-            lines.append(f"{kind},{ent},{k},{ess}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
 
 # -- conductor discovery and cut construction ----------------------------------
 
@@ -185,20 +169,12 @@ def _ring_loops(mesh: Mesh2D):
     return loops
 
 
-def build_cut_function(mesh: Mesh2D, conductor_id: int) -> CutBasis:
-    """Cut function of a conducting component: uniform coefficients of
-    1/B on the B oriented boundary-loop edges.  Its circulation along
-    the component boundary is one; around any other conductor it is
-    zero; its curl vanishes outside the boundary triangle layer."""
-    comps = _conductor_components(mesh)
-    if conductor_id >= len(comps):
-        raise TopologyError(f"no conductor {conductor_id}")
-    tris = comps[conductor_id]
-    return _cut_basis(mesh, conductor_id, tris, _loop_of_component(mesh, tris))
-
-
-def _cut_basis(mesh, conductor_id, tris, loop) -> CutBasis:
-    """Cut function of the component ``tris`` bounded by ``loop``."""
+def _cut_basis(mesh, tris, loop) -> CutBasis:
+    """Cut function of the component ``tris`` bounded by ``loop``:
+    uniform coefficients of 1/B on the B oriented loop edges.  Its
+    circulation along the component boundary is one; around any other
+    conductor it is zero; its curl vanishes outside the boundary
+    triangle layer."""
     # simple connectedness via Euler characteristic V - E + F = 1
     nodes = np.unique(mesh.triangles[tris])
     edges = np.unique(mesh.tri_edges[tris])
@@ -210,7 +186,7 @@ def _cut_basis(mesh, conductor_id, tris, loop) -> CutBasis:
     coeffs = {int(e): float(s) / len(loop) for e, s in zip(eids, signs)}
     layer = np.unique(mesh.edge_tris[eids].ravel())
     layer = layer[(layer >= 0) & np.isin(layer, tris)]
-    return CutBasis(conductor_id, layer, coeffs)
+    return CutBasis(layer, coeffs)
 
 
 def _loop_of_component(mesh, tris):
@@ -242,26 +218,20 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
     ring_node_set, ring_edge_set = set(), set()
     for cid, tris in enumerate(comps):
         loop = _loop_of_component(mesh, tris)
-        cut = _cut_basis(mesh, cid, tris, loop)
-        eids = mesh.edge_ids(loop)
-        signs = np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0)
         mode, value = circuit.get(cid, ("current", 0.0))
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown circuit mode {mode!r}")
         conductors.append(Conductor(
-            id=cid, tris=tris, ring_segments=loop, ring_nodes=loop[:, 0],
-            ring_edge_ids=eids, ring_edge_signs=signs, cut=cut,
+            id=cid, ring_nodes=loop[:, 0], cut=_cut_basis(mesh, tris, loop),
             ground_node=int(loop[:, 0].min()), mode=mode, value=value))
         ring_node_set.update(int(n) for n in loop[:, 0])
-        ring_edge_set.update(int(e) for e in eids)
+        ring_edge_set.update(int(e) for e in mesh.edge_ids(loop))
 
     sc_tris = np.concatenate(comps)
     sc_edges = np.unique(mesh.tri_edges[sc_tris])
-    interior_edges = np.array(sorted(set(int(e) for e in sc_edges) - ring_edge_set),
-                              dtype=np.int64)
 
     entries = [("node", n) for n in sorted(ring_node_set)]
-    entries += [("edge", int(e)) for e in interior_edges]
+    entries += [("edge", int(e)) for e in sc_edges if int(e) not in ring_edge_set]
     if enrichment == 2:
         entries += [("bubble", int(e)) for e in sorted(ring_edge_set)]
     entries += [("global", c.id) for c in conductors]
@@ -276,19 +246,19 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
         "circuits": conductors,
         "current_scale": 1.0,
         "sc_tris": sc_tris,
-        "interior_edges": interior_edges,
         "interface_tag": Interface.GAMMA_M,
     })
 
 
-def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
+def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag,
                   a_trace=None) -> DofSpace:
     """Vector-potential space on the a-side domain (ferromagnet + air).
 
-    ``a_trace(x, y)`` supplies the essential trace on the outer
-    boundary; None means zero.  It is called once, on the arrays of the
-    boundary nodes' coordinates.  At order 2 one bubble is added per edge
-    of the coupling interface given by ``interface_tag``.
+    ``interface_tag`` names the coupling interface; it is required, as
+    a mesh may carry several.  At order 2 one bubble is added per edge
+    of that interface.  ``a_trace(x, y)`` supplies the essential trace
+    on the outer boundary; None means zero.  It is called once, on the
+    arrays of the boundary nodes' coordinates.
     """
     a_tris = np.concatenate([mesh.region_tris(Region.OMEGA_A_FERRO),
                              mesh.region_tris(Region.OMEGA_A_AIR)])
@@ -296,21 +266,14 @@ def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
         raise SpaceError("mesh has no a-side region")
     a_nodes = np.unique(mesh.triangles[a_tris])
 
-    if interface_tag is None:
-        tags = np.unique(mesh.interface_tags)
-        if len(tags) != 1:
-            raise SpaceError("interface_tag required when mesh has several interfaces")
-        interface_tag = Interface(int(tags[0]))
     segs, _ = mesh.interface(interface_tag)
     if len(segs) == 0:
         raise SpaceError(f"mesh has no {interface_tag} interface")
-    bubble_edges = np.sort(mesh.edge_ids(segs)) if enrichment == 2 else \
-        np.empty(0, dtype=np.int64)
 
     entries = [("node", int(n)) for n in a_nodes]
-    entries += [("bubble", int(e)) for e in bubble_edges]
+    if enrichment == 2:
+        entries += [("bubble", int(e)) for e in np.sort(mesh.edge_ids(segs))]
 
-    from .mesh import Boundary
     gamma_e = mesh.boundary_nodes(Boundary.GAMMA_E)
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
     dof = {ent: k for k, ent in enumerate(entries)}
@@ -323,7 +286,6 @@ def build_a_space(mesh: Mesh2D, enrichment: int = 1, interface_tag=None,
         "interface_tag": Interface(int(interface_tag)),
         "a_tris": a_tris,
         "a_nodes": a_nodes,
-        "bubble_edges": bubble_edges,
         "gamma_e_nodes": gamma_e,
         "gamma_e_dofs": gamma_e_dofs,
     })
@@ -354,8 +316,7 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown tape constraint {mode!r}")
         nodes = np.concatenate([chain[:, 0], chain[-1:, 1]])
-        tapes.append(Tape(tid, nodes, chain, int(nodes[0]), int(nodes[-1]),
-                          mode, float(value)))
+        tapes.append(Tape(tid, int(nodes[0]), int(nodes[-1]), mode, float(value)))
         interior.update(int(n) for n in nodes[1:-1])
 
     entries = [("node", n) for n in sorted(interior)]

@@ -6,9 +6,8 @@ from htsfem._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW
 from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_coupling_matrix, assemble_ha_iteration,
                              assemble_norm_matrix, assemble_ta_iteration,
-                             export_matrix_market, field_operator, h_curl_matrix,
-                             import_matrix_market, linear_blocks, tape_element_size,
-                             _coupling_full)
+                             field_operator, h_curl_matrix, linear_blocks,
+                             tape_element_size, _coupling_full)
 from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_trace, interface_chain)
@@ -297,17 +296,6 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
             assert circ == pytest.approx(1.0, abs=1e-12)
         else:
             assert abs(circ) < 1e-12 * scale
-
-
-def test_matrix_market_roundtrip(tmp_path, bar_spaces_11):
-    h, _ = bar_spaces_11
-    N = assemble_norm_matrix(h, NORMS)
-    path = tmp_path / "norm.mtx"
-    export_matrix_market(N, path)
-    header = path.read_text().split("\n")[0]
-    assert header.startswith("%%MatrixMarket matrix coordinate real symmetric")
-    back = import_matrix_market(path)
-    assert abs(back - N).max() < 1e-15 * abs(N).max()
 
 
 @pytest.mark.parametrize("form", ["ha", "ta"])

@@ -75,7 +75,6 @@ def test_zero_solution_zero_profile(bar_mesh, bar_spaces_11):
     prof = sample_bn_profile(bar_mesh, h, a, sol, offset=1e-4, side="ABOVE")
     assert np.abs(prof.values).max() == 0.0
     assert len(prof.positions) >= 50
-    prof.validate_report_quality()
 
 
 def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):

@@ -220,7 +220,7 @@ def test_leading_rows_checks_the_hierarchy(bar_mesh):
 
 
 def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
-    def shuffled_a_space(mesh, enrichment=1, interface_tag=None):
+    def shuffled_a_space(mesh, enrichment, interface_tag):
         space = build_a_space(mesh, enrichment, interface_tag)
         return _bubbles_first(space) if enrichment == 2 else space
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)

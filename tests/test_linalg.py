@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htsfem.linalg import (DegenerateCouplingError, SchurFactor, SingularSystemError,
-                           export_eigenvalues_csv, infsup_eigenpairs,
-                           interface_schur, solve_sparse)
+                           infsup_eigenpairs, interface_schur, solve_sparse)
 
 from util import dense_schur, eliminated, solve_reference
 
@@ -244,17 +243,6 @@ def test_eig_degenerate_coupling():
     Z = sp.csr_matrix((n, n))
     with pytest.raises(DegenerateCouplingError):
         infsup_eigenpairs(Z, sp.eye(n, format="csr"), sp.eye(n, format="csr"))
-
-
-def test_eigenvalue_csv(tmp_path):
-    n = 4
-    I = sp.eye(n, format="csr")
-    res = infsup_eigenpairs(I, I, I)
-    path = tmp_path / "eig.csv"
-    export_eigenvalues_csv(res, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,lambda,sqrt_lambda"
-    assert len(lines) == n + 1
 
 
 def _pencil_with_45_pairs():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htsfem.materials import (MU0, MagneticLaw, PowerLaw, VACUUM, de_dj,
-                              e_field, nu_and_dh_db, rho_power)
+                              e_field, rho_power)
 
 
 def test_rho_at_critical_current():
@@ -85,9 +85,6 @@ def test_magnetic_laws():
     assert VACUUM.nu == pytest.approx(7.9577e5, rel=1e-4)
     ferro = MagneticLaw(1000.0)
     assert ferro.nu == pytest.approx(1.0 / (1000.0 * MU0), rel=1e-15)
-    nu, dh_db = nu_and_dh_db(0.7, ferro)
-    assert nu == ferro.nu
-    assert dh_db == ferro.nu
 
 
 def test_parameter_validation():

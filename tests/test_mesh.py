@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from htsfem.mesh import (Boundary, GeometryParams, Interface, Mesh2D, MeshError,
-                         Region, Scenario, UnderResolvedError,
-                         _structured_mesh, build_stacked_bar_mesh, read_msh22,
-                         read_native, refine, write_native)
+from htsfem.cli import _build_mesh, main
+from htsfem.config import load_config
+from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
+                         Scenario, UnderResolvedError, _structured_mesh,
+                         build_stacked_bar_mesh, read_native, refine, write_native)
 from htsfem.spaces import TopologyError, _ring_loops
 
 from util import l_bar_mesh
@@ -88,58 +91,49 @@ def test_interface_normals(bar_mesh):
     assert np.all(np.einsum("sd,sd->s", norms, mids - center) > 0.0)
 
 
-def test_native_roundtrip(tmp_path, bar_mesh):
-    path = tmp_path / "mesh.txt"
-    write_native(bar_mesh, path)
-    back = read_native(path)
-    assert np.array_equal(back.triangles, bar_mesh.triangles)
-    assert np.allclose(back.nodes, bar_mesh.nodes)
-    assert np.array_equal(back.tri_region, bar_mesh.tri_region)
-    assert back.delta == bar_mesh.delta
-    segs, _ = back.interface(Interface.GAMMA_M)
-    ref, _ = bar_mesh.interface(Interface.GAMMA_M)
-    assert back.segment_lengths(segs).sum() == pytest.approx(
-        bar_mesh.segment_lengths(ref).sum(), rel=1e-14)
+MESH_ARRAYS = ("nodes", "triangles", "tri_region", "boundary_segments",
+               "boundary_tags", "interface_segments", "interface_tags",
+               "interface_normals")
 
 
-def test_native_roundtrip_tape(tmp_path, tape_mesh):
-    path = tmp_path / "mesh.txt"
-    write_native(tape_mesh, path)
-    back = read_native(path)
-    assert back.w == tape_mesh.w
-    assert back.tape_endpoints == tape_mesh.tape_endpoints
+def _assert_same_mesh(back, mesh):
+    for name in MESH_ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
+        assert getattr(back, name).dtype == getattr(mesh, name).dtype, name
+    assert back.delta == mesh.delta
+    assert back.w == mesh.w
+    assert back.tape_endpoints == mesh.tape_endpoints
 
 
-def test_msh22_import(tmp_path):
-    # two triangles on the unit square, air region, tagged outer boundary
-    msh = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-6
-1 2 2 3 1 1 2 3
-2 2 2 3 1 1 3 4
-3 1 2 10 1 1 2
-4 1 2 10 1 2 3
-5 1 2 10 1 3 4
-6 1 2 10 1 4 1
-$EndElements
-"""
-    path = tmp_path / "square.msh"
-    path.write_text(msh)
-    mesh = read_msh22(path)
-    assert mesh.n_nodes == 4
-    assert mesh.n_triangles == 2
-    assert np.all(mesh.signed_areas > 0)
-    assert set(mesh.boundary_tags) == {int(Boundary.GAMMA_E)}
-    assert abs(mesh.signed_areas.sum() - 1.0) < 1e-14
+def _roundtrip_cli_mesh(tmp_path, config):
+    """The file `htsfem mesh` writes reads back exactly, and so does the
+    mesh after one refinement."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["mesh", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    mesh = _build_mesh(load_config(config))
+    back = read_native(out / "mesh.txt")
+    _assert_same_mesh(back, mesh)
+    fine = refine(back)
+    write_native(fine, tmp_path / "fine.txt")
+    _assert_same_mesh(read_native(tmp_path / "fine.txt"), fine)
+    _assert_same_mesh(fine, refine(mesh))
+    return back
+
+
+def test_native_roundtrip(tmp_path):
+    back = _roundtrip_cli_mesh(tmp_path, {"scenario": "stacked_bar",
+                                          "geometry": {"delta": 0.002}})
+    assert back.w is None and back.tape_endpoints is None
+    assert set(back.interface_tags) == {int(Interface.GAMMA_M)}
+
+
+def test_native_roundtrip_tape(tmp_path):
+    back = _roundtrip_cli_mesh(tmp_path, {"scenario": "single_tape",
+                                          "geometry": {"delta": 0.001}})
+    assert back.w is not None and back.tape_endpoints is not None
+    assert set(back.interface_tags) == {int(Interface.GAMMA_W)}
 
 
 def test_geometry_validation():

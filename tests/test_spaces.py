@@ -6,10 +6,9 @@ from scipy.sparse import coo_matrix
 
 from htsfem.assembly import field_operator, h_curl_matrix
 from htsfem.mesh import Interface, Region, _structured_mesh, refine
-from htsfem.spaces import (SpaceError, TopologyError, build_a_space,
-                           build_cut_function, build_h_space, build_t_space,
-                           essential_vector, eval_trace, interface_chain,
-                           trace_table, whitney_transform)
+from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_space,
+                           build_t_space, essential_vector, eval_trace,
+                           interface_chain, trace_table, whitney_transform)
 
 from util import eval_h_field, l_bar_mesh, solve_reference
 
@@ -69,8 +68,8 @@ def test_cut_circulation_unit(bar_mesh):
 
 
 def test_cut_curl_confined_to_layer(bar_mesh):
-    cut = build_cut_function(bar_mesh, 0)
     h = build_h_space(bar_mesh, 1)
+    cut = h.circuits[0].cut
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
@@ -117,8 +116,8 @@ def test_multiply_connected_conductor_rejected():
     mesh = _structured_mesh([-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             0.001, region)
-    with pytest.raises(TopologyError):
-        build_cut_function(mesh, 0)
+    with pytest.raises(TopologyError, match="not simply connected"):
+        build_h_space(mesh, 1)
 
 
 def test_gradient_part_is_curl_free(bar_mesh):
@@ -355,15 +354,6 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
             assert np.float64(a.essential[k]).view(np.uint64) == ref.view(np.uint64)
             assert x[k].view(np.uint64) == ref.view(np.uint64)
         calls.clear()
-
-
-def test_dof_table_dump(tmp_path, bar_spaces_11):
-    h, _ = bar_spaces_11
-    path = tmp_path / "dofs.csv"
-    h.dump_dof_table(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "entityKind,entityId,dofIndex,essentialValue"
-    assert len(lines) == h.n_dofs + 1
 
 
 def test_h_trace_table_matches_tangential_field(bar_mesh):
