@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def tri_geometry(mesh, tri_ids=None):
+def tri_geometry(mesh, tri_ids):
     """Areas and barycentric gradients for a set of triangles.
 
     Returns (areas, grads) with grads of shape (T, 3, 2) such that
     grads[t, i] is the constant gradient of the hat function of local
     node i on triangle t.
     """
-    tris = mesh.triangles if tri_ids is None else mesh.triangles[tri_ids]
+    tris = mesh.triangles[tri_ids]
     p = mesh.nodes[tris]                       # (T, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]

@@ -480,12 +480,11 @@ def tape_element_size(mesh: Mesh2D) -> float:
     return float(lens.max())
 
 
-def tape_current_density(space: DofSpace, coeffs, at_qp=False):
-    """Surface current density dt/ds per tape segment (midpoint value)
-    or at the Gauss points of each segment when ``at_qp``."""
+def tape_current_density(space: DofSpace, coeffs):
+    """Surface current density dt/ds per tape segment, at its midpoint."""
     tab = trace_table(space)
     j = np.einsum("sp,spq->sq", tab.gather(coeffs), tab.values(LINE_QP))
-    return j if at_qp else j[:, 1]          # LINE_QP[1] is the midpoint
+    return j[:, 1]                          # LINE_QP[1] is the midpoint
 
 
 # -- coupling and norms ----------------------------------------------------------
@@ -541,17 +540,16 @@ def _region_nu(materials: Materials) -> np.ndarray:
     return lut
 
 
-def _circuit_rhs(space, dt, voltages=None):
-    """Voltage source terms on the global DOFs.  ``voltages`` maps
-    circuit ids to per-unit-length voltages in the reported V = R I
-    convention and overrides the build-time values.  The weak form
-    carries -dt V times the current scale on the left-hand side; moved
-    to the right it enters with a plus sign."""
-    voltages = voltages or {}
+def _circuit_rhs(space, dt, voltages):
+    """Voltage source terms on the global DOFs.  ``voltages`` maps the
+    id of every voltage-driven circuit to its per-unit-length voltage
+    in the reported V = R I convention.  The weak form carries -dt V
+    times the current scale on the left-hand side; moved to the right
+    it enters with a plus sign."""
     v = np.zeros(space.n_dofs)
     for c in space.circuits:
         if c.mode == "voltage":
-            v[space.dof("global", c.id)] = dt * voltages.get(c.id, c.value) * space.current_scale
+            v[space.dof("global", c.id)] = dt * voltages[c.id] * space.current_scale
     return v
 
 
@@ -601,33 +599,30 @@ def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_es
     if blocks.mass is not None:
         s_v = s_v + blocks.mass @ v_prev
     s_v = s_v - form.apply(scale * (rho - dedj), v_it) + _circuit_rhs(v_space, dt, voltages)
-    return AssembledSystem(
-        A_v, form.free_block(A_v), s_v, blocks,
-        v_essential if v_essential is not None else v_space.essential_full(),
-        a_essential if a_essential is not None else q_space.essential_full())
+    return AssembledSystem(A_v, form.free_block(A_v), s_v, blocks, v_essential, a_essential)
 
 
 def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential=None, v_essential=None,
-                          voltages=None) -> AssembledSystem:
+                          a_essential, v_essential, voltages) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler h-a system on the
     run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
 
     ``state_prev`` is the (h_full, a_full) coefficient pair at the
     previous time step and ``iterate`` the h_full of the previous
     Newton iterate.  The essential-value vectors hold the constrained
-    values at the new time; they default to the build-time values.  The
-    field block is M + dt K(de/dj) and the field right-hand side
-    B^T a_prev + M h_prev - dt K(rho - de/dj) h_it + circuit terms,
-    with K(w) the curl-curl form weighted by w per conducting triangle.
+    values at the new time, on all DOFs of the potential and the field
+    space, and ``voltages`` the voltage of every voltage-driven circuit
+    (see ``_circuit_rhs``).  The field block is M + dt K(de/dj) and the
+    field right-hand side B^T a_prev + M h_prev - dt K(rho - de/dj) h_it
+    + circuit terms, with K(w) the curl-curl form weighted by w per
+    conducting triangle.
     """
     return _power_law_iteration(blocks, state_prev, iterate, dt, dt, a_essential,
                                 v_essential, voltages)
 
 
 def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential=None, v_essential=None,
-                          voltages=None) -> AssembledSystem:
+                          a_essential, v_essential, voltages) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler t-a system on the
     run's ``blocks`` (from ``linear_blocks`` on a T and an A space),
     stored as the paper's form times -1 (see the module docstring).

@@ -25,6 +25,10 @@ class SamplingError(ValueError):
     pass
 
 
+# samples below this fraction of the largest magnitude carry no sign
+SIGN_TOL_REL = 1e-9
+
+
 @dataclass
 class ProfileSample:
     """Sampled 1D profile: strictly increasing positions (m) and the
@@ -49,10 +53,11 @@ class ProfileSample:
             f.write("\n".join(lines) + "\n")
 
 
-def locate_points(mesh: Mesh2D, points, region=None):
-    """Containing triangle and barycentric coordinates per point."""
+def locate_points(mesh: Mesh2D, points, region):
+    """Containing triangle of ``region`` and barycentric coordinates
+    per point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    cand = np.arange(mesh.n_triangles) if region is None else mesh.region_tris(region)
+    cand = mesh.region_tris(region)
     areas, grads = tri_geometry(mesh, cand)
     p0 = mesh.nodes[mesh.triangles[cand][:, 0]]
     tri_ids = np.empty(len(points), dtype=np.int64)
@@ -80,8 +85,8 @@ def _bar_extent(mesh: Mesh2D):
 
 
 def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
-                      solution, offset: float = 1e-4, side: str = "ABOVE",
-                      n_samples: int = 200) -> ProfileSample:
+                      solution, offset: float, side: str,
+                      n_samples: int) -> ProfileSample:
     """Normal flux density along a horizontal line offset from the
     conductor/ferromagnet interface of the stacked-bar problem.
 
@@ -116,13 +121,11 @@ def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
 
 
 def sample_tape_current(mesh: Mesh2D, t_space: DofSpace, t_full,
-                        j_c: float | None = None) -> ProfileSample:
+                        j_c: float) -> ProfileSample:
     """Current density per tape element at segment midpoints, divided
-    by j_c when given (dimensionless profile)."""
+    by j_c (dimensionless profile)."""
     segs, _ = mesh.interface(Interface.GAMMA_W)
-    j = tape_current_density(t_space, t_full)
-    if j_c is not None:
-        j = j / j_c
+    j = tape_current_density(t_space, t_full) / j_c
     mids = 0.5 * (mesh.nodes[segs[:, 0]] + mesh.nodes[segs[:, 1]])
     # abscissa along the tape; horizontal tapes sample by x
     s = np.concatenate([[0.0], np.cumsum(mesh.segment_lengths(segs))])
@@ -140,13 +143,14 @@ def oscillation_metric(profile: ProfileSample) -> float:
     return float(np.abs(np.diff(v)).sum() / rng)
 
 
-def sign_changes(values, tol_rel: float = 1e-9) -> int:
-    """Count of strict sign alternations, ignoring near-zero samples."""
+def sign_changes(values) -> int:
+    """Count of strict sign alternations, ignoring samples below
+    SIGN_TOL_REL of the largest magnitude."""
     v = np.asarray(values, dtype=float)
     scale = np.abs(v).max()
     if scale == 0.0:
         return 0
-    s = np.sign(v[np.abs(v) > tol_rel * scale])
+    s = np.sign(v[np.abs(v) > SIGN_TOL_REL * scale])
     return int(np.sum(s[1:] != s[:-1]))
 
 

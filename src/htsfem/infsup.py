@@ -62,7 +62,7 @@ class InfSupReport:
     alpha_lower: float | None = None
     gamma_lower: float | None = None
 
-    def to_json(self, path=None):
+    def to_json(self, path):
         data = {
             "formulation": self.formulation,
             "pairing": list(self.pairing),
@@ -75,11 +75,8 @@ class InfSupReport:
             "alpha_lower": self.alpha_lower,
             "gamma_lower": self.gamma_lower,
         }
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text + "\n")
-        return data
+        with open(path, "w") as f:
+            f.write(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     def to_csv(self, path):
         lines = ["meshsize,beta,normb"]
@@ -90,9 +87,8 @@ class InfSupReport:
 
 
 def coercivity_estimates(materials: Materials, norms: NormSpec, dt: float):
-    """Lower coercivity and upper continuity constants of the diagonal
-    forms for linear laws: (alpha_lower, gamma_lower, a_upper, c_upper).
-    """
+    """Lower coercivity constants of the diagonal forms for linear
+    laws: (alpha_lower, gamma_lower)."""
     if materials.power.n != 1.0:
         raise NotApplicableError(
             "power-law differential resistivity is not bounded below; "
@@ -100,13 +96,9 @@ def coercivity_estimates(materials: Materials, norms: NormSpec, dt: float):
     rho = materials.power.rho_c
     mu_ratio = 1.0                      # conductor permeability is mu0
     rho_ratio = (dt / norms.dt0) * (rho / norms.rho0)
-    alpha_lower = min(mu_ratio, rho_ratio)
-    a_upper = max(mu_ratio, rho_ratio)
     nu_ratios = [law.nu / norms.nu0 for law in materials.magnetic.values()]
     nu_ratios = nu_ratios or [1.0 / (MU0 * norms.nu0)]
-    gamma_lower = min(nu_ratios)
-    c_upper = max(nu_ratios)
-    return alpha_lower, gamma_lower, a_upper, c_upper
+    return min(mu_ratio, rho_ratio), min(nu_ratios)
 
 
 def _fit_slope(deltas, betas):
@@ -291,7 +283,7 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
 
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
     if materials is not None and materials.power.n == 1.0:
-        alpha, gamma, _, _ = coercivity_estimates(materials, norms, norms.dt0)
+        alpha, gamma = coercivity_estimates(materials, norms, norms.dt0)
         for rep in reports.values():
             rep.alpha_lower, rep.gamma_lower = alpha, gamma
 

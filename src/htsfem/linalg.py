@@ -256,7 +256,7 @@ class InterfaceSchur:
     Optim. 5, 1995), stably if the block eliminated first is well
     conditioned (Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl.
     17, 1996).  The field block is eliminated in a minimum-degree order
-    of the pattern of the ``A`` given here, and Γ after it or, with
+    of the pattern of the ``A`` given here, and Γ after it or, if
     ``interface_first``, before it.  Field first suits a well-conditioned
     A, such as the h-a field block with its H mass.  Γ first eliminates
     -S_K and leaves A + B_Γ^T S_K^{-1} B_Γ last, which suits an A that is
@@ -268,7 +268,7 @@ class InterfaceSchur:
     through the whole factor of K.
     """
 
-    def __init__(self, K, B, A, interface_first=False):
+    def __init__(self, K, B, A, interface_first):
         B = sp.csr_matrix(B)
         A = sp.csr_matrix(A)
         n_q, n_v = B.shape
@@ -358,13 +358,10 @@ class EigenResult:
     ``interior`` is the ``interface_schur`` factor of N_Q (or of a richer
     norm whose leading block is N_Q) whose leading rows are P, and
     ``field`` the ``interface_schur`` factor of N_V that the pencil was
-    solved with.  ``n_zero`` counts the disregarded (near-)zero
-    eigenvalues, including potential DOFs with no interface support."""
+    solved with."""
 
     eigenvalues: np.ndarray
     Y: np.ndarray
-    zero_cutoff: float
-    n_zero: int
     interior: SchurFactor
     field: SchurFactor
     checked: np.ndarray
@@ -447,8 +444,7 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
     if lam[0] < -1e-12 * lam_max:
         raise SingularSystemError(f"negative eigenvalue {lam[0]:.3e} in SPSD pencil")
 
-    cutoff = ZERO_TOL_REL * lam_max
-    keep = lam > cutoff
+    keep = lam > ZERO_TOL_REL * lam_max
     lam, Y = lam[keep], Y[:, keep]
     _check_pairs("condensed pencil", G @ Y, S @ Y, Y, lam,
                  np.abs(G).max(), np.abs(S).max(), np.arange(len(lam)))
@@ -457,7 +453,7 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
     GQ = B @ lu_v.solve(np.asarray(B.T @ Q))
     _check_pairs("full-space check", GQ, N_Q @ Q, Q, lam[ends],
                  np.abs(GQ).max() / max(np.abs(Q).max(), 1e-300), np.abs(N_Q).max(), ends)
-    return EigenResult(lam, Y, float(cutoff), n_q - len(lam), interior, lu_v, ends)
+    return EigenResult(lam, Y, interior, lu_v, ends)
 
 
 def _check_pairs(check, GY, MY, Y, lam, g_norm, m_norm, index):

@@ -49,24 +49,16 @@ class SpaceError(ValueError):
 
 
 @dataclass(frozen=True)
-class CutBasis:
-    """Net-current basis function of one conducting component.
-
-    ``edge_coeffs`` expresses the function as a sum of Whitney edge
-    functions (canonical min-to-max node orientation); its support is
-    the one-triangle-thick layer along the component boundary.  The
-    circulation along the boundary loop equals one.
-    """
-
-    layer_tris: np.ndarray
-    edge_coeffs: dict
-
-
-@dataclass(frozen=True)
 class Conductor:
+    """One conducting component.  ``cut`` is its net-current basis
+    function as Whitney edge coefficients, edge id -> coefficient in
+    the canonical min-to-max node orientation; its curl vanishes off
+    the one-triangle-thick layer along the component boundary, and its
+    circulation along the boundary loop ``ring_nodes`` equals one."""
+
     id: int
     ring_nodes: np.ndarray         # boundary loop nodes, ccw
-    cut: CutBasis
+    cut: dict
     ground_node: int
     mode: str                      # "current" | "voltage"
     value: float
@@ -75,7 +67,6 @@ class Conductor:
 @dataclass(frozen=True)
 class Tape:
     id: int
-    minus: int
     plus: int
     mode: str
     value: float
@@ -134,9 +125,10 @@ class DofSpace:
             x[k] = v
         return x
 
-    def expand(self, x_free, x_essential=None) -> np.ndarray:
-        """Scatter a free-DOF vector into a full-length vector."""
-        x = self.essential_full() if x_essential is None else x_essential.copy()
+    def expand(self, x_free, x_essential) -> np.ndarray:
+        """Scatter a free-DOF vector into a copy of the full-length
+        ``x_essential``."""
+        x = x_essential.copy()
         x[self.free] = x_free
         return x
 
@@ -169,7 +161,7 @@ def _ring_loops(mesh: Mesh2D):
     return loops
 
 
-def _cut_basis(mesh, tris, loop) -> CutBasis:
+def _cut_basis(mesh, tris, loop) -> dict:
     """Cut function of the component ``tris`` bounded by ``loop``:
     uniform coefficients of 1/B on the B oriented loop edges.  Its
     circulation along the component boundary is one; around any other
@@ -183,10 +175,7 @@ def _cut_basis(mesh, tris, loop) -> CutBasis:
 
     eids = mesh.edge_ids(loop)
     signs = np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0)
-    coeffs = {int(e): float(s) / len(loop) for e, s in zip(eids, signs)}
-    layer = np.unique(mesh.edge_tris[eids].ravel())
-    layer = layer[(layer >= 0) & np.isin(layer, tris)]
-    return CutBasis(layer, coeffs)
+    return {int(e): float(s) / len(loop) for e, s in zip(eids, signs)}
 
 
 def _loop_of_component(mesh, tris):
@@ -201,7 +190,7 @@ def _loop_of_component(mesh, tris):
 # -- space builders ------------------------------------------------------------
 
 
-def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
+def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
     """Magnetic-field space on the conducting domain.
 
     ``circuit`` maps conductor component ids to ("current", I) or
@@ -212,7 +201,6 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
     comps = _conductor_components(mesh)
     if not comps:
         raise SpaceError("mesh has no conducting region")
-    circuit = dict(circuit or {})
 
     conductors = []
     ring_node_set, ring_edge_set = set(), set()
@@ -250,15 +238,13 @@ def build_h_space(mesh: Mesh2D, enrichment: int = 1, circuit=None) -> DofSpace:
     })
 
 
-def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag,
-                  a_trace=None) -> DofSpace:
+def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag) -> DofSpace:
     """Vector-potential space on the a-side domain (ferromagnet + air).
 
     ``interface_tag`` names the coupling interface; it is required, as
     a mesh may carry several.  At order 2 one bubble is added per edge
-    of that interface.  ``a_trace(x, y)`` supplies the essential trace
-    on the outer boundary; None means zero.  It is called once, on the
-    arrays of the boundary nodes' coordinates.
+    of that interface.  The outer boundary carries a zero essential
+    trace; ``essential_vector`` sets another.
     """
     a_tris = np.concatenate([mesh.region_tris(Region.OMEGA_A_FERRO),
                              mesh.region_tris(Region.OMEGA_A_AIR)])
@@ -278,20 +264,16 @@ def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag,
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
     dof = {ent: k for k, ent in enumerate(entries)}
     gamma_e_dofs = np.array([dof["node", int(n)] for n in gamma_e], dtype=np.int64)
-    values = np.zeros(len(gamma_e))
-    if a_trace is not None:
-        values[:] = a_trace(*mesh.nodes[gamma_e].T)
-    essential = dict(zip(gamma_e_dofs.tolist(), values.tolist()))
+    essential = dict.fromkeys(gamma_e_dofs.tolist(), 0.0)
     return DofSpace("A", enrichment, mesh, entries, essential, {
         "interface_tag": Interface(int(interface_tag)),
         "a_tris": a_tris,
-        "a_nodes": a_nodes,
         "gamma_e_nodes": gamma_e,
         "gamma_e_dofs": gamma_e_dofs,
     })
 
 
-def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpace:
+def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
     """Current-potential space on the tape polyline(s).
 
     ``constraints`` maps tape ids to ("current", I) or ("voltage", V);
@@ -304,7 +286,6 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
         raise SpaceError("mesh has no GAMMA_W interface")
     if mesh.w is None:
         raise SpaceError("tape mesh must store a thickness w")
-    constraints = dict(constraints or {})
 
     tapes, interior = [], set()
     for tid, chain in enumerate(mesh.interface_chains(Interface.GAMMA_W)):
@@ -316,7 +297,7 @@ def build_t_space(mesh: Mesh2D, enrichment: int = 1, constraints=None) -> DofSpa
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown tape constraint {mode!r}")
         nodes = np.concatenate([chain[:, 0], chain[-1:, 1]])
-        tapes.append(Tape(tid, int(nodes[0]), int(nodes[-1]), mode, float(value)))
+        tapes.append(Tape(tid, int(nodes[-1]), mode, float(value)))
         interior.update(int(n) for n in nodes[1:-1])
 
     entries = [("node", n) for n in sorted(interior)]
@@ -355,10 +336,9 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
 # -- interface trace machinery --------------------------------------------------
 
 
-def interface_chain(space: DofSpace, interface_tag=None):
+def interface_chain(space: DofSpace, interface_tag):
     """Ordered interface segments, lengths and cumulative arclength."""
-    tag = interface_tag if interface_tag is not None else space.meta["interface_tag"]
-    segs, normals = space.mesh.interface(tag)
+    segs, normals = space.mesh.interface(interface_tag)
     lens = space.mesh.segment_lengths(segs)
     cum = np.concatenate([[0.0], np.cumsum(lens)])
     return segs, normals, lens, cum
@@ -424,9 +404,9 @@ def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
         cut_dof = np.full(len(mesh.edges), -1, dtype=np.int64)
         cut_val = np.zeros(len(mesh.edges))
         for c in space.circuits:
-            e = np.fromiter(c.cut.edge_coeffs.keys(), dtype=np.int64)
+            e = np.fromiter(c.cut.keys(), dtype=np.int64)
             cut_dof[e] = space.dof("global", c.id)
-            cut_val[e] = list(c.cut.edge_coeffs.values())
+            cut_val[e] = list(c.cut.values())
         sgn = np.where(segs[:, 0] < segs[:, 1], 1.0, -1.0)
         slots.append((cut_dof[eids], (cut_val[eids] * sgn / lens, zero, zero)))
     dofs = np.stack([d for d, _ in slots], axis=1)
@@ -480,9 +460,9 @@ def whitney_transform(space: DofSpace):
     cols = [ends[:, 0], ends[:, 1], space.entity_dofs("edge", len(mesh.edges))[sc_edges]]
     data = [np.full(len(pos), -1.0), np.ones(len(pos)), np.ones(len(pos))]
     for c in space.circuits:
-        rows.append(np.searchsorted(sc_edges, np.fromiter(c.cut.edge_coeffs, np.int64)))
-        cols.append(np.full(len(c.cut.edge_coeffs), space.dof("global", c.id)))
-        data.append(np.fromiter(c.cut.edge_coeffs.values(), float))
+        rows.append(np.searchsorted(sc_edges, np.fromiter(c.cut, np.int64)))
+        cols.append(np.full(len(c.cut), space.dof("global", c.id)))
+        data.append(np.fromiter(c.cut.values(), float))
     rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
     has = cols >= 0
     C = coo_matrix((data[has], (rows[has], cols[has])),

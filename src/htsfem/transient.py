@@ -3,8 +3,8 @@
 Sources are piecewise-linear ramps; the default experiment ramps the
 drive over the first half of the simulation and holds it afterwards.
 A step whose Newton loop fails is retried with a halved step size (at
-most four halvings); the step size re-doubles towards the nominal one
-after two consecutive easy steps.
+most MAX_HALVINGS halvings); the step size re-doubles towards the
+nominal one after two consecutive easy steps.
 
 Voltage convention: voltages are per unit length and positive when
 driving a positive net current through a resistive state (V = R I at
@@ -77,6 +77,9 @@ from .linalg import InterfaceSchur, SingularSystemError, solve_sparse
 from .materials import Materials
 from .spaces import essential_vector
 
+# halvings of a failing step before the run gives up
+MAX_HALVINGS = 4
+
 
 class NonConvergenceError(RuntimeError):
     """A step failed; ``t`` and ``dt`` are the time and the step size of
@@ -107,7 +110,8 @@ def ramp_then_hold(peak: float, t_ramp: float, t_end: float) -> Ramp:
 
 @dataclass(frozen=True)
 class TimeConfig:
-    """Time grid, Newton controls and source ramps.
+    """Time grid, Newton controls and source ramps; a failing step is
+    halved at most MAX_HALVINGS times.
 
     ``drives`` maps conductor/tape ids to ("current"|"voltage", Ramp);
     modes must match the ones the spaces were built with.  A conductor
@@ -122,7 +126,6 @@ class TimeConfig:
     max_iter: int = 30
     rel_residual_tol: float = 1e-6
     rel_increment_tol: float = 1e-9
-    max_halvings: int = 4
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -245,7 +248,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                                       q_ess, voltages, time, schur, hist.counters)
             except (NonConvergenceError, SingularSystemError) as err:
                 hist.counters["rejected_attempts"] += 1
-                if halvings >= time.max_halvings:
+                if halvings >= MAX_HALVINGS:
                     trace_r = getattr(err, "residuals", None)
                     raise NonConvergenceError(
                         f"step {step_idx} failed after {halvings} halvings: {err}",

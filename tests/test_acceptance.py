@@ -27,7 +27,8 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
 from htsfem.transient import (NonConvergenceError, TimeConfig, ramp_then_hold,
                               run_transient)
 
-from util import eliminated, expand, h_dofs_for_potential, solve_reference
+from util import (build_time_values, eliminated, expand, h_dofs_for_potential,
+                  solve_reference)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -109,8 +110,7 @@ def test_criterion_3_ta_verdict_matrix():
     t_sp = build_t_space(mesh, 2, {0: ("current", I0)})
     a_sp = build_a_space(mesh, 1, Interface.GAMMA_W)
     tc = TimeConfig(dt=0.025, t_end=0.25,
-                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))},
-                    max_halvings=2)
+                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
     try:
         run_transient(mesh, (t_sp, a_sp), mats, tc, "ta")
         outcome = "converged"
@@ -279,7 +279,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     from htsfem._geom import LINE_QP, LINE_QW
     from htsfem.spaces import eval_trace, interface_chain
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    segs_m, _, lens_m, cum = interface_chain(h1)
+    segs_m, _, lens_m, cum = interface_chain(h1, Interface.GAMMA_M)
     scale = 1.0 / lens_m.min()
     worst_d = 0.0
     for k, (kind, _) in enumerate(h1.entries):
@@ -311,16 +311,15 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
     worst = 0.0
     for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         h = build_h_space(bar_mesh, pair[0], {0: ("current", 0.0)})
-        a = build_a_space(bar_mesh, pair[1], Interface.GAMMA_M,
-                          a_trace=lambda x, y: -b0 * x)
+        a = build_a_space(bar_mesh, pair[1], Interface.GAMMA_M)
         a_ess = essential_vector(a, a_trace=lambda x, y: -b0 * x)
         a_exact = np.array([a_ess[k] if k in a.essential else
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)
                             for k, (kind, ent) in enumerate(a.entries)])
         h_exact = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
-        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, mats),
-                                    (h_exact, a_exact), h_exact, 0.0125,
-                                    a_essential=a_ess)
+        blocks = linear_blocks(bar_mesh, h, a, mats)
+        sys = assemble_ha_iteration(blocks, (h_exact, a_exact), h_exact, 0.0125,
+                                    **{**build_time_values(blocks), "a_essential": a_ess})
         v_new, q_new = expand(sys, solve_reference(*eliminated(sys)))
         N_H = assemble_norm_matrix(h, NORMS)
         N_A = assemble_norm_matrix(a, NORMS)

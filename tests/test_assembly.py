@@ -12,8 +12,8 @@ from htsfem.mesh import Interface, refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_trace, interface_chain)
 
-from util import (curl_h, eliminated, eval_a_curl, eval_h_field, free_indices, l_bar_mesh,
-                  monolithic, s_full, solve_reference)
+from util import (build_time_values, curl_h, eliminated, eval_a_curl, eval_h_field,
+                  free_indices, l_bar_mesh, monolithic, s_full, solve_reference)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -26,8 +26,8 @@ def sym_defect(K):
 def test_ha_zero_state_zero_solution(bar_mesh, bar_spaces_11, bar_materials_linear):
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
-                                0.0125)
+    blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+    sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
     K, s = eliminated(sys)
     assert np.abs(s).max() == 0.0
     x = solve_reference(K, s)
@@ -38,8 +38,8 @@ def test_ha_symmetry(bar_mesh, bar_spaces_11, bar_materials_power):
     h, a = bar_spaces_11
     rng = np.random.default_rng(0)
     state = (rng.normal(size=h.n_dofs), rng.normal(size=a.n_dofs))
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_power),
-                                state, state[0], 0.0125)
+    blocks = linear_blocks(bar_mesh, h, a, bar_materials_power)
+    sys = assemble_ha_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     assert sym_defect(eliminated(sys)[0]) < 1e-12
     assert sym_defect(monolithic(sys)) < 1e-12
 
@@ -48,8 +48,8 @@ def test_ta_symmetry(tape_mesh, tape_spaces_11, tape_materials_power):
     t, a = tape_spaces_11
     rng = np.random.default_rng(1)
     state = (rng.normal(size=t.n_dofs) * 1e6, rng.normal(size=a.n_dofs) * 1e-6)
-    sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
-                                state, state[0], 0.0125)
+    blocks = linear_blocks(tape_mesh, t, a, tape_materials_power)
+    sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     assert sym_defect(eliminated(sys)[0]) < 1e-12
 
 
@@ -57,8 +57,8 @@ def test_saddle_block_structure(bar_mesh, bar_spaces_11, bar_materials_linear):
     # K = [[A, B^T], [B, -C]] with A, C positive semi-definite
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
-                                0.0125)
+    blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+    sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
     nv = h.n_free
     K = eliminated(sys)[0].toarray()
     A = K[:nv, :nv]
@@ -78,8 +78,8 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     for dt_fac in (1.0, 2.0):
         dt = NORMS.dt0 * dt_fac
-        sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, bar_materials_linear), z, z[0],
-                                    dt)
+        blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+        sys = assemble_ha_iteration(blocks, z, z[0], dt, **build_time_values(blocks))
         nv = h.n_free
         A = eliminated(sys)[0].toarray()[:nv, :nv]
         NV = assemble_norm_matrix(h, NORMS).toarray()
@@ -93,10 +93,10 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
 def test_ha_coupling_hand_values(bar_mesh):
     # one boundary-potential DOF against the neighbouring potential hats:
     # the tangential trace +-1/L against a rising/falling hat gives +-1/2
-    h = build_h_space(bar_mesh, 1)
+    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
     B = _coupling_full(h, a)
-    segs, _, lens, _ = interface_chain(h)
+    segs, _, lens, _ = interface_chain(h, Interface.GAMMA_M)
     k = 4
     n_prev, n_mid = int(segs[k][0]), int(segs[k][1])
     n_next = int(segs[k + 1][1])
@@ -113,7 +113,7 @@ def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
     B = _coupling_full(h, a)
     c = 2.5
     avec = np.zeros(a.n_dofs)
-    segs, _, lens, cum = interface_chain(a)
+    segs, _, lens, cum = interface_chain(a, Interface.GAMMA_M)
     for n in np.unique(segs):
         avec[a.dof("node", int(n))] = c
     row = avec @ B          # functional over h-dofs
@@ -144,10 +144,10 @@ def test_ta_coupling_far_node_zero(tape_mesh, tape_spaces_11):
 def test_ta_single_segment_hand_value(tape_mesh):
     # piecewise-constant j on one segment against the a-hat rising on it:
     # entry = w * (1/L) * L/2 = w/2 per adjacent segment
-    t = build_t_space(tape_mesh, 1)
+    t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
     a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
     B = _coupling_full(t, a)
-    segs, _, lens, _ = interface_chain(t)
+    segs, _, lens, _ = interface_chain(t, Interface.GAMMA_W)
     k = 3
     n_mid = int(segs[k][1])       # interior tape node
     col = t.dof("node", n_mid)
@@ -209,8 +209,7 @@ def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
 def test_a_norm_uniform_gradient(tape_mesh):
     # analytic value: nu0 * b0^2 * domain area for a = -b0 y
     b0 = 0.7
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W,
-                      a_trace=lambda x, y: -b0 * y)
+    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
     N = assemble_norm_matrix(a, NORMS)
     x_full = np.array([-b0 * tape_mesh.nodes[ent, 1] if kind == "node" else 0.0
                        for kind, ent in a.entries])
@@ -231,8 +230,7 @@ def test_t_norm_delta_scaling(tape_mesh):
     # same continuous linear ramp on both meshes
     def ramp_vec(space, mesh):
         x = space.essential_full()
-        tape = space.circuits[0]
-        xm = mesh.nodes[tape.minus, 0]
+        xm = mesh.nodes[mesh.tape_endpoints["minus"], 0]
         for k, (kind, ent) in enumerate(space.entries):
             if kind == "node":
                 x[k] = (mesh.nodes[ent, 0] - xm) / 0.01
@@ -261,8 +259,8 @@ def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
-    sys = assemble_ta_iteration(linear_blocks(tape_mesh, t, a, tape_materials_power),
-                                state, state[0], 0.0125)
+    blocks = linear_blocks(tape_mesh, t, a, tape_materials_power)
+    sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     K_full = monolithic(sys).toarray()
     K, s = eliminated(sys)
     free = free_indices(sys)
@@ -282,7 +280,7 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
     # contributes only through the net-current functional: the loop
     # circulation of every single-valued basis trace vanishes
     h, _ = bar_spaces_11
-    segs, _, lens, cum = interface_chain(h)
+    segs, _, lens, cum = interface_chain(h, Interface.GAMMA_M)
     scale = 1.0 / lens.min()
     for k, (kind, ent) in enumerate(h.entries):
         x = np.zeros(h.n_dofs)
@@ -313,12 +311,12 @@ def test_state_size_mismatch(request, form):
     blocks = linear_blocks(mesh, v, a, mats)
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
-        assemble(blocks, bad, bad[0], 0.0125)
+        assemble(blocks, bad, bad[0], 0.0125, **build_time_values(blocks))
     state = (np.zeros(v.n_dofs), np.zeros(a.n_dofs))
     nan = np.zeros(v.n_dofs)
     nan[0] = np.nan
     with pytest.raises(AssemblyError, match="non-finite Newton iterate"):
-        assemble(blocks, state, nan, 0.0125)
+        assemble(blocks, state, nan, 0.0125, **build_time_values(blocks))
 
 
 def test_bubble_rows_match_field_quadrature():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _whitney_local,
                              assemble_ha_iteration, assemble_ta_iteration,
-                             linear_blocks, tape_current_density)
+                             linear_blocks)
 from htsfem.linalg import InterfaceSchur, SingularSystemError, backward_error, solve_sparse
 from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
@@ -26,8 +26,8 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
 
-from util import (condensed, curl_h, dense_schur, eliminated, expand, free_indices,
-                  interface_term, monolithic, s_full, solve_reference)
+from util import (build_time_values, condensed, curl_h, dense_schur, eliminated, expand,
+                  free_indices, interface_term, monolithic, s_full, solve_reference)
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -104,14 +104,20 @@ def _iterate_sampler(form, v, jc):
             x = rng.standard_normal(v.n_dofs)
             return x * rng.uniform(0.01, 1.5) * jc / np.abs(curl_h(v, x)[1]).max()
         return sample
-    J = np.stack([tape_current_density(v, e, at_qp=True).ravel()
-                  for e in np.eye(v.n_dofs)], axis=1)
+    J = np.stack([_tape_current_at_qp(v, e).ravel() for e in np.eye(v.n_dofs)], axis=1)
     n_seg = J.shape[0] // 3
 
     def sample(rng):
         seg = rng.uniform(0.7, 1.3, n_seg) * rng.choice([-1.0, 1.0], n_seg) * jc
         return np.linalg.lstsq(J, np.repeat(seg, 3), rcond=None)[0]
     return sample
+
+
+def _tape_current_at_qp(space, coeffs):
+    """Surface current density dt/ds at the Gauss points of each tape
+    segment, (S, Q)."""
+    tab = trace_table(space)
+    return np.einsum("sp,spq->sq", tab.gather(coeffs), tab.values(LINE_QP))
 
 
 def _system(case, rng, dt, drive, b_ext, level=1.0):
@@ -121,7 +127,8 @@ def _system(case, rng, dt, drive, b_ext, level=1.0):
     v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
     return case.assemble(case.blocks, (level * case.sample(rng), a_prev),
-                         level * case.sample(rng), dt, a_essential=a_ess, v_essential=v_ess)
+                         level * case.sample(rng), dt, a_essential=a_ess, v_essential=v_ess,
+                         voltages={})
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -330,14 +337,15 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
     dt = 0.01
     v_prev, v_it = case.sample(rng), case.sample(rng)
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    sys = case.assemble(case.blocks, (v_prev, a_prev), v_it, dt)
+    sys = case.assemble(case.blocks, (v_prev, a_prev), v_it, dt,
+                        **build_time_values(case.blocks))
     if form == "ha":
         j_it = curl_h(case.v, v_it)[1]
         scale, stiffness = dt, _h_stiffness_scatter
         M = _h_mass(case.v, MU0)
         A_ref, s_ref = M, M @ v_prev
     else:
-        j_it = tape_current_density(case.v, v_it, at_qp=True)
+        j_it = _tape_current_at_qp(case.v, v_it)
         scale, stiffness = dt * case.mesh.w, _t_stiffness_scatter
         A_ref, s_ref = 0.0, 0.0
     dedj = de_dj(j_it, case.mats.power)

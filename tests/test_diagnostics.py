@@ -60,19 +60,19 @@ def test_sign_changes():
 
 
 def test_locate_points(bar_mesh):
-    pts = np.array([[0.0, -0.005], [0.015, 0.015]])
-    tri_ids, barys = locate_points(bar_mesh, pts)
-    assert bar_mesh.tri_region[tri_ids[0]] == int(Region.OMEGA_H_SC)
-    assert bar_mesh.tri_region[tri_ids[1]] == int(Region.OMEGA_A_AIR)
-    assert np.allclose(barys.sum(axis=1), 1.0, atol=1e-12)
+    for pt, region in (([0.0, -0.005], Region.OMEGA_H_SC),
+                       ([0.015, 0.015], Region.OMEGA_A_AIR)):
+        tri_ids, barys = locate_points(bar_mesh, np.array([pt]), region)
+        assert bar_mesh.tri_region[tri_ids[0]] == int(region)
+        assert np.allclose(barys.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(SamplingError):
-        locate_points(bar_mesh, np.array([[1.0, 1.0]]))
+        locate_points(bar_mesh, np.array([[1.0, 1.0]]), Region.OMEGA_A_AIR)
 
 
 def test_zero_solution_zero_profile(bar_mesh, bar_spaces_11):
     h, a = bar_spaces_11
     sol = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    prof = sample_bn_profile(bar_mesh, h, a, sol, offset=1e-4, side="ABOVE")
+    prof = sample_bn_profile(bar_mesh, h, a, sol, offset=1e-4, side="ABOVE", n_samples=200)
     assert np.abs(prof.values).max() == 0.0
     assert len(prof.positions) >= 50
 
@@ -86,7 +86,7 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     mats = Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1),
                      {int(Region.OMEGA_A_FERRO): VACUUM,
                       int(Region.OMEGA_A_AIR): VACUUM})
-    from util import h_dofs_for_potential
+    from util import build_time_values, h_dofs_for_potential
     b0 = 0.4
     # exact pair: a = -b0*x gives b = (0, b0); h = b/mu0 = grad((b0/mu0) y)
     a_exact = essential_vector(a, a_trace=lambda x, y: -b0 * x)
@@ -95,14 +95,14 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
                        for k, (kind, ent) in enumerate(a.entries)])
     h_full = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
     # fixed point of one implicit step from the exact state
-    sys = assemble_ha_iteration(linear_blocks(bar_mesh, h, a, mats),
-                                (h_full, a_full), h_full, 0.0125,
-                                a_essential=a_exact)
+    blocks = linear_blocks(bar_mesh, h, a, mats)
+    sys = assemble_ha_iteration(blocks, (h_full, a_full), h_full, 0.0125,
+                                **{**build_time_values(blocks), "a_essential": a_exact})
     v_new, q_new = expand(sys, solve_reference(*eliminated(sys)))
     above = sample_bn_profile(bar_mesh, h, a, (v_new, q_new),
-                              offset=1e-4, side="ABOVE")
+                              offset=1e-4, side="ABOVE", n_samples=200)
     below = sample_bn_profile(bar_mesh, h, a, (v_new, q_new),
-                              offset=1e-4, side="BELOW")
+                              offset=1e-4, side="BELOW", n_samples=200)
     assert np.abs(above.values - b0).max() < 1e-10 * b0
     assert np.abs(above.values - below.values).max() < 1e-10 * b0
 
@@ -111,17 +111,16 @@ def test_bn_profile_offset_outside_region(bar_mesh, bar_spaces_11):
     h, a = bar_spaces_11
     sol = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     with pytest.raises(SamplingError):
-        sample_bn_profile(bar_mesh, h, a, sol, offset=0.02, side="ABOVE")
+        sample_bn_profile(bar_mesh, h, a, sol, offset=0.02, side="ABOVE", n_samples=200)
     with pytest.raises(SamplingError):
-        sample_bn_profile(bar_mesh, h, a, sol, offset=-1e-4, side="BELOW")
+        sample_bn_profile(bar_mesh, h, a, sol, offset=-1e-4, side="BELOW", n_samples=200)
 
 
 def test_tape_profile_constant_ramp(tape_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
-    tape = t.circuits[0]
     T = 2.0 / tape_mesh.w
     x = t.essential_full()
-    xm = tape_mesh.nodes[tape.minus, 0]
+    xm = tape_mesh.nodes[tape_mesh.tape_endpoints["minus"], 0]
     for k, (kind, ent) in enumerate(t.entries):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / 0.01
@@ -140,10 +139,10 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     tc = TimeConfig(dt=0.05, t_end=0.25,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
-    prof = sample_tape_current(tape_mesh, t, hist.v[-1])
+    prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
     segs, _ = tape_mesh.interface(Interface.GAMMA_W)
     lens = tape_mesh.segment_lengths(segs)
-    net = tape_mesh.w * float(prof.values @ lens)
+    net = tape_mesh.w * jc * float(prof.values @ lens)
     assert net == pytest.approx(I0, rel=1e-8)
 
 

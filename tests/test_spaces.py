@@ -42,7 +42,7 @@ def two_bar_mesh():
 
 
 def test_h_dof_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1)
+    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     segs, _ = bar_mesh.interface(Interface.GAMMA_M)
     sc_edges = np.unique(bar_mesh.tri_edges[bar_mesh.region_tris(Region.OMEGA_H_SC)])
     n_ring = len(segs)
@@ -53,8 +53,8 @@ def test_h_dof_count(bar_mesh):
 
 
 def test_h_bubble_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1)
-    h2 = build_h_space(bar_mesh, 2)
+    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     segs, _ = bar_mesh.interface(Interface.GAMMA_M)
     assert h2.n_dofs == h1.n_dofs + len(segs)
 
@@ -68,12 +68,13 @@ def test_cut_circulation_unit(bar_mesh):
 
 
 def test_cut_curl_confined_to_layer(bar_mesh):
-    h = build_h_space(bar_mesh, 1)
+    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     cut = h.circuits[0].cut
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
-    layer = set(int(t) for t in cut.layer_tris)
+    # the layer: the conductor triangles on the cut's edges
+    layer = set(bar_mesh.edge_tris[list(cut)].ravel().tolist()) & set(tris.tolist())
     scale = np.abs(curl).max()
     for t, c in zip(tris, curl):
         if int(t) not in layer:
@@ -82,7 +83,7 @@ def test_cut_curl_confined_to_layer(bar_mesh):
 
 def test_two_conductors_cut_orthogonality():
     mesh = two_bar_mesh()
-    h = build_h_space(mesh, 1)
+    h = build_h_space(mesh, 1, {0: ("current", 0.0), 1: ("current", 0.0)})
     assert len(h.circuits) == 2
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
@@ -117,11 +118,11 @@ def test_multiply_connected_conductor_rejected():
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             0.001, region)
     with pytest.raises(TopologyError, match="not simply connected"):
-        build_h_space(mesh, 1)
+        build_h_space(mesh, 1, {0: ("current", 0.0)})
 
 
 def test_gradient_part_is_curl_free(bar_mesh):
-    h = build_h_space(bar_mesh, 2)
+    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(3)
     x = np.zeros(h.n_dofs)
     for k, (kind, ent) in enumerate(h.entries):
@@ -136,7 +137,7 @@ def test_gradient_part_is_curl_free(bar_mesh):
 
 
 def test_bubbles_never_change_curl(bar_mesh):
-    h2 = build_h_space(bar_mesh, 2)
+    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(4)
     x = rng.normal(size=h2.n_dofs)
     G = h_curl_matrix(h2)
@@ -174,12 +175,12 @@ def test_a_patch_interior(tape_mesh):
     bext = 0.4
     trace = lambda x, y: -bext * y
     for enr in (1, 2):
-        a = build_a_space(tape_mesh, enr, Interface.GAMMA_W, a_trace=trace)
+        a = build_a_space(tape_mesh, enr, Interface.GAMMA_W)
         K = _a_stiffness(a, np.full(len(a.meta["a_tris"]), 1.0 / MU0))
         ess = sorted(a.essential)
-        x_e = a.essential_full()
+        x_e = essential_vector(a, a_trace=trace)
         s = -K[a.free][:, ess] @ x_e[ess]
-        x = a.expand(solve_reference(K[a.free][:, a.free], s))
+        x = a.expand(solve_reference(K[a.free][:, a.free], s), x_e)
         exact = np.array([trace(*tape_mesh.nodes[ent]) if kind == "node" else 0.0
                           for kind, ent in a.entries])
         assert np.abs(x - exact).max() < 1e-10 * np.abs(exact).max()
@@ -205,11 +206,10 @@ def test_t_zero_current(tape_mesh):
 def test_t_linear_ramp_constant_j(tape_mesh):
     # oracle: segment-wise differentiation of the nodal interpolant
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
-    tape = t.circuits[0]
     T = 2.0 / tape_mesh.w
     width = 0.01
     x = t.essential_full()
-    xm = tape_mesh.nodes[tape.minus, 0]
+    xm = tape_mesh.nodes[tape_mesh.tape_endpoints["minus"], 0]
     for k, (kind, ent) in enumerate(t.entries):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / width
@@ -219,8 +219,8 @@ def test_t_linear_ramp_constant_j(tape_mesh):
 
 
 def test_t_bubble_count(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1)
-    t2 = build_t_space(tape_mesh, 2)
+    t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t2 = build_t_space(tape_mesh, 2, {0: ("current", 0.0)})
     segs, _ = tape_mesh.interface(Interface.GAMMA_W)
     assert t2.n_dofs - t1.n_dofs == len(segs)
 
@@ -235,9 +235,9 @@ def test_t_invalid_constraint(tape_mesh):
 
 def test_h_trace_orders(bar_mesh):
     segs, _, lens, cum = interface_chain(
-        build_h_space(bar_mesh, 1), Interface.GAMMA_M)
-    h1 = build_h_space(bar_mesh, 1)
-    h2 = build_h_space(bar_mesh, 2)
+        build_h_space(bar_mesh, 1, {0: ("current", 0.0)}), Interface.GAMMA_M)
+    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(0)
     x1 = rng.normal(size=h1.n_dofs)
     x2 = rng.normal(size=h2.n_dofs)
@@ -253,7 +253,7 @@ def test_h_trace_orders(bar_mesh):
 
 def test_a_trace_orders_and_midpoint(bar_mesh):
     a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
-    segs, _, lens, cum = interface_chain(a2)
+    segs, _, lens, cum = interface_chain(a2, Interface.GAMMA_M)
     k = 2
     na, nb = (int(v) for v in segs[k])
     x = np.zeros(a2.n_dofs)
@@ -273,7 +273,7 @@ def test_a_trace_continuity(bar_mesh):
     a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
     rng = np.random.default_rng(1)
     x = rng.normal(size=a2.n_dofs)
-    _, _, lens, cum = interface_chain(a2)
+    _, _, lens, cum = interface_chain(a2, Interface.GAMMA_M)
     scale = np.abs(x).max()
     for k in range(1, 4):
         eps = 1e-9 * lens[k]
@@ -283,12 +283,12 @@ def test_a_trace_continuity(bar_mesh):
 
 
 def test_t_trace_orders(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1)
-    t2 = build_t_space(tape_mesh, 2)
+    t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t2 = build_t_space(tape_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=t1.n_dofs)
     x2 = rng.normal(size=t2.n_dofs)
-    _, _, lens, cum = interface_chain(t1)
+    _, _, lens, cum = interface_chain(t1, Interface.GAMMA_W)
     k = 4
     s = cum[k] + lens[k] * np.array([0.25, 0.5, 0.75])
     v1 = [eval_trace(t1, x1, Interface.GAMMA_W, si) for si in s]
@@ -306,8 +306,8 @@ def test_trace_out_of_range(bar_mesh, bar_spaces_11):
 
 def test_whitney_scaling_single_potential(bar_mesh):
     # a single boundary-potential DOF gives +-1/length edge traces
-    h = build_h_space(bar_mesh, 1)
-    segs, _, lens, cum = interface_chain(h)
+    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    segs, _, lens, cum = interface_chain(h, Interface.GAMMA_M)
     k = 5
     node = int(segs[k, 0])  # start node of segment k, end node of k-1
     x = np.zeros(h.n_dofs)
@@ -331,7 +331,8 @@ def test_essential_vector_updates(tape_mesh, bar_mesh):
 @pytest.mark.parametrize("which", ["bar", "tape"])
 def test_a_trace_on_arrays_matches_per_node_loop(request, which):
     # one call on the coordinate arrays gives, bit for bit, the values of
-    # one call per boundary node, in the space and in essential_vector
+    # one call per boundary node in essential_vector; the space itself
+    # carries a zero trace
     mesh = request.getfixturevalue(f"{which}_mesh")
     tag = Interface.GAMMA_M if which == "bar" else Interface.GAMMA_W
     calls = []
@@ -341,9 +342,9 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
         return -b * (dx * y - dy * x)
 
     for order in (1, 2):
-        a = build_a_space(mesh, order, tag, a_trace=trace)
+        a = build_a_space(mesh, order, tag)
         x = essential_vector(a, a_trace=trace)
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         nodes = a.meta["gamma_e_nodes"]
         assert len(nodes) == len(a.essential) > 0
@@ -351,7 +352,7 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
             px, py = mesh.nodes[n]
             ref = np.float64(trace(px, py))
             k = a.dof("node", n)
-            assert np.float64(a.essential[k]).view(np.uint64) == ref.view(np.uint64)
+            assert a.essential[k] == 0.0
             assert x[k].view(np.uint64) == ref.view(np.uint64)
         calls.clear()
 
@@ -399,7 +400,7 @@ def reference_whitney_transform(space):
                 data.append(sgn)
     epos = {int(e): k for k, e in enumerate(sc_edges)}
     for c in space.circuits:
-        for eid, cc in sorted(c.cut.edge_coeffs.items()):
+        for eid, cc in sorted(c.cut.items()):
             rows.append(epos[eid])
             cols.append(space.dof("global", c.id))
             data.append(cc)

@@ -8,7 +8,7 @@ from htsfem.linalg import SingularSystemError, backward_error
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
-from htsfem.transient import (NonConvergenceError, Ramp, TimeConfig, TimeHistory,
+from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
                               circuit_post, ramp_then_hold, read_snapshots,
                               run_transient, write_history_csv, write_snapshots)
 
@@ -168,18 +168,20 @@ def test_requesting_imposed_quantity_is_identity(small_tape):
 
 
 def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
+    # one Newton iteration never meets the tolerance: the first step
+    # fails at every size down to MAX_HALVINGS halvings of dt
     I0 = 0.5 * JC * small_tape.w * WIDTH
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
     a = build_a_space(small_tape, 1, Interface.GAMMA_W)
     tc = TimeConfig(dt=0.25, t_end=0.5,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))},
-                    max_iter=1, max_halvings=0, rel_residual_tol=1e-14,
-                    rel_increment_tol=1e-15)
-    with pytest.raises(NonConvergenceError) as err:
+                    max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
+    with pytest.raises(NonConvergenceError, match="after 4 halvings") as err:
         run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
+    assert MAX_HALVINGS == 4
     assert err.value.step is not None
     assert err.value.step == 0
-    assert err.value.t == 0.25 and err.value.dt == 0.25
+    assert err.value.t == 0.25 / 16 and err.value.dt == 0.25 / 16
     assert len(err.value.residuals) == 2          # initial plus one iteration
 
 

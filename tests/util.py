@@ -194,6 +194,16 @@ def monolithic(sys):
     return sp.bmat([[sys.A_v, B.T], [B, -K_nu]], format="csr")
 
 
+def build_time_values(blocks):
+    """The essential values and circuit voltages that the spaces of
+    ``blocks`` were built with, as keyword arguments of the iteration
+    assemblers."""
+    v_space = blocks.v_space
+    return {"a_essential": blocks.q_space.essential_full(),
+            "v_essential": v_space.essential_full(),
+            "voltages": {c.id: c.value for c in v_space.circuits if c.mode == "voltage"}}
+
+
 def free_indices(sys):
     """The free DOFs of an assembled system in the concatenated vector
     [v; a] of the monolithic operator."""
