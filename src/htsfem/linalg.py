@@ -1,5 +1,5 @@
-"""Sparse direct solves, the interface Schur complement of an SPD
-block and the generalized eigenproblem of the numerical inf-sup test.
+"""Direct solves, the interface Schur complement of an SPD block and
+the generalized eigenproblem of the numerical inf-sup test.
 
 ``interface_schur`` is the one condensation.  It factors an SPD block
 with its interface rows eliminated last and pivots on the diagonal, so
@@ -7,9 +7,7 @@ that the trailing block of the factor is the Schur complement onto
 those rows (the discrete Steklov-Poincare operator of the block); no
 column of the block's inverse is ever solved.  Its factor then solves
 in the original numbering.  It serves the transient's a-block
-(``InterfaceSchur``, which borders the field block with that Schur
-complement and has ``solve_sparse`` factor the bordered system in a
-fixed order) and both sides of the inf-sup pencil, which is
+(``InterfaceSchur``) and both sides of the inf-sup pencil, which is
 solved and checked on the rows that B couples; only its two reported
 pairs are extended to the whole potential space, through the same
 factor.  The pencil's two ``interface_schur`` factors, of the field
@@ -33,7 +31,7 @@ against 1.8 s with SymmetricMode and 1.5 s with COLAMD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -42,9 +40,8 @@ from scipy.sparse.linalg import spilu, splu
 
 
 class SingularSystemError(RuntimeError):
-    def __init__(self, message, dof=None):
-        super().__init__(message)
-        self.dof = dof
+    """A system that is singular to working precision, or a solve that
+    fails its check."""
 
 
 class DegenerateCouplingError(RuntimeError):
@@ -52,51 +49,64 @@ class DegenerateCouplingError(RuntimeError):
 
 
 def solve_sparse(K, s) -> np.ndarray:
-    """Direct solve of a sparse system by one LU factorization in K's own
-    numbering on diagonal pivots (``_factor_in_order``); the
-    componentwise backward error of the solution is verified.
-
-    The caller chooses the elimination order by numbering K, and a
-    matrix that needs a pivot off the diagonal is refused with
-    SingularSystemError.  The package's caller is the transient's
-    bordered field system (``InterfaceSchur.bordered``): it is symmetric
-    quasi-definite, and its elimination order is chosen stable by
-    construction (see ``InterfaceSchur``).
-
-    Symmetric equilibration and two refinement steps stay: the coupled
-    blocks carry units many orders of magnitude apart, where unscaled
-    elimination loses all relative accuracy in the small block, and the
-    data files record the refined solution (unrefined, the snapshots
-    change in the last bits).  The check is componentwise,
-    max_i |K x - s|_i / (|K| |x| + |s|)_i <= 1e-10: a normwise residual
-    is dominated by the rows of the largest block and passes a solution
-    that is wrong in the small one.
-    """
+    """Solve of a sparse system (``_refined_solve``) by one LU
+    factorization in K's own numbering on diagonal pivots
+    (``_factor_in_order``): the caller chooses the elimination order,
+    as ``BorderedSchur`` does, and a matrix that needs a pivot off the
+    diagonal is refused with SingularSystemError."""
     K = sp.csc_matrix(K, copy=True)     # the one conversion; canonical below
     K.sum_duplicates()
     K.eliminate_zeros()
-    s = np.asarray(s, dtype=float)
-    if K.shape[0] != K.shape[1] or K.shape[0] != len(s):
-        raise ValueError("dimension mismatch")
     rows = K.indices
     cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
     row_max = np.zeros(K.shape[0])
     np.maximum.at(row_max, rows, np.abs(K.data))
+
+    def factor(d):
+        # the entries of D K D for D = diag(d), in the product's rounding order
+        DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
+        return _factor_in_order(DKD, "system").solve
+    return _refined_solve(K, s, row_max, factor)
+
+
+def solve_dense(K, s) -> np.ndarray:
+    """Solve of a dense SPD system (``_refined_solve``) by one LAPACK
+    Cholesky factorization; a matrix that is not positive definite to
+    working precision is refused with SingularSystemError."""
+    def factor(d):
+        cho = _cholesky(K * d[:, None] * d, "system")
+        return partial(scipy.linalg.cho_solve, cho, check_finite=False)
+    return _refined_solve(K, s, np.abs(K).max(axis=1), factor)
+
+
+def _refined_solve(K, s, row_max, factor) -> np.ndarray:
+    """x with K x = s, by ``factor(d)``, which factors D K D for
+    D = diag(d), d = row_max^(-1/2) (``row_max`` the largest magnitude
+    of each row of K), and returns its solve.  Symmetric equilibration
+    and two refinement steps stay: the coupled blocks carry units many
+    orders of magnitude apart, where unscaled elimination loses all
+    relative accuracy in the small block, and the data files record the
+    refined solution (unrefined, the snapshots change in the last bits).
+    The check is componentwise, max_i |K x - s|_i / (|K| |x| + |s|)_i
+    <= 1e-10: a normwise residual is dominated by the rows of the
+    largest block and passes a solution that is wrong in the small one.
+    """
+    s = np.asarray(s, dtype=float)
+    if K.shape[0] != K.shape[1] or K.shape[0] != len(s):
+        raise ValueError("dimension mismatch")
     if np.any(row_max <= 0.0):
         bad = int(np.flatnonzero(row_max <= 0.0)[0])
-        raise SingularSystemError(f"structurally singular row at DOF {bad}", dof=bad)
+        raise SingularSystemError(f"structurally singular row at DOF {bad}")
     d = 1.0 / np.sqrt(row_max)
-    # the entries of D K D for D = diag(d), in the product's rounding order
-    DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
-    lu = _factor_in_order(DKD, "system")
-    x = d * lu.solve(d * s)
+    solve = factor(d)
+    x = d * solve(d * s)
     if not np.all(np.isfinite(x)):
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise SingularSystemError(f"singular pivot near DOF {bad}", dof=bad)
+        raise SingularSystemError(f"singular pivot near DOF {bad}")
     # iterative refinement recovers componentwise accuracy lost to the
     # disparate solution scales of the coupled blocks
     for _ in range(2):
-        x = x + d * lu.solve(d * (s - K @ x))
+        x = x + d * solve(d * (s - K @ x))
     res = backward_error(K, x, s)
     if not res <= 1e-10:
         raise SingularSystemError(f"solve backward error {res:.3e} exceeds 1e-10")
@@ -131,6 +141,14 @@ def _factor_in_order(K, what):
     if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)):
         raise SingularSystemError(f"{what} factorization pivoted off the diagonal")
     return lu
+
+
+def _cholesky(M, what):
+    """LAPACK Cholesky factor of the dense M, or SingularSystemError."""
+    try:
+        return scipy.linalg.cho_factor(M, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError(f"{what} factorization failed: {err}") from err
 
 
 def _min_degree_order(K) -> np.ndarray:
@@ -169,10 +187,7 @@ class SchurFactor:
 
     @cached_property
     def _cho(self):
-        try:
-            return scipy.linalg.cho_factor(self.S)
-        except np.linalg.LinAlgError as err:
-            raise SingularSystemError("Schur complement is not positive definite") from err
+        return _cholesky(self.S, "Schur complement")
 
     def schur_solve(self, X):
         """S^{-1} X, by a Cholesky factor of S formed on first use."""
@@ -228,83 +243,33 @@ def interface_schur(K, rows) -> SchurFactor:
     return SchurFactor(lu, order, rows, 0.5 * (S + S.T), int(fill))
 
 
-def _coupled_columns(B):
-    """The columns of B with structural nonzeros."""
-    return np.flatnonzero(np.diff(sp.csc_matrix(B).indptr))
-
-
 class InterfaceSchur:
-    """One bordered factorization of a fixed SPD block K, for the block
-    systems
-
-        [[A,  B^T],  [v]   [s_v]
-         [B,  -K  ]] [a] = [s_q]
-
-    whose K and B stay fixed while A changes on a fixed sparsity
-    pattern.  K is factored with the rows Γ that B couples last
+    """One factorization of a fixed SPD block K, for the block systems
+    [[A, B^T], [B, -K]] [v; a] = [s_v; s_q] whose K and B stay fixed
+    while A changes.  K is factored with the rows Γ that B couples last
     (``factor``, see ``interface_schur``).  With its Schur complement
-    S_K onto Γ and the lift z_Γ = (K^{-1} s_q)_Γ, the field DOFs v and
-    the interface values a_Γ solve the bordered system
-
-        [[A,    B_Γ^T],  [v  ]   [s_v    ]
-         [B_Γ,  -S_K ]] [a_Γ] = [S_K z_Γ]
-
-    (``bordered``), and a = K^{-1} (B v - s_q) on all rows (``recover``).
-
-    For an SPD A the bordered matrix is symmetric quasi-definite: every
-    symmetric order of it factors on diagonal pivots (Vanderbei, SIAM J.
-    Optim. 5, 1995), stably if the block eliminated first is well
-    conditioned (Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl.
-    17, 1996).  The field block is eliminated in a minimum-degree order
-    of the pattern of the ``A`` given here, and Γ after it or, if
-    ``interface_first``, before it.  Field first suits a well-conditioned
-    A, such as the h-a field block with its H mass.  Γ first eliminates
-    -S_K and leaves A + B_Γ^T S_K^{-1} B_Γ last, which suits an A that is
-    singular to working precision, such as the t-a field block below
-    j_c.  The pattern in elimination numbering and the positions of A's
-    entries in it are built here; ``size`` and ``nnz`` are its rows and
-    structural nonzeros.  ``cols`` holds the columns of B with
-    structural nonzeros; ``solves`` counts the back-substitutions
-    through the whole factor of K.
+    S_K onto Γ and the lift z_Γ = (K^{-1} s_q)_Γ, v solves the dense
+    condensed (A + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ (``condensed``;
+    ``size`` and ``nnz`` are its rows and entries), a_Γ = S_K^{-1} B_Γ v
+    - z_Γ (``interface_values``) and a = K^{-1} (B v - s_q) (``recover``).
+    ``cols`` holds the columns of B with structural nonzeros; ``solves``
+    counts the back-substitutions through the factor of K.
     """
 
-    def __init__(self, K, B, A, interface_first):
+    def __init__(self, K, B):
         B = sp.csr_matrix(B)
-        A = sp.csr_matrix(A)
         n_q, n_v = B.shape
-        if K.shape != (n_q, n_q) or A.shape != (n_v, n_v):
+        if K.shape != (n_q, n_q):
             raise ValueError("dimension mismatch")
         gamma = np.flatnonzero(np.diff(B.indptr))
         self.factor = interface_schur(K, gamma)
-        self.cols = _coupled_columns(B)
+        self.cols = np.unique(B.indices)
         self._B = B
         self._B_gamma = B[gamma]
         self._off_gamma = np.ones(n_q, dtype=bool)
         self._off_gamma[gamma] = False
         self.solves = 0
-        # pos[k] is the elimination position of unknown k of [v; a_Γ]
-        m = len(gamma)
-        self.size = n_v + m
-        self._pos = np.empty(self.size, dtype=np.int64)
-        self._pos[_min_degree_order(A)] = np.arange(n_v) + (m if interface_first else 0)
-        self._pos[n_v:] = np.arange(m) + (0 if interface_first else n_v)
-        Bg = self._B_gamma.tocoo()
-        g = np.repeat(np.arange(m), m)
-        h = np.tile(np.arange(m), m)
-        rows = np.concatenate([np.repeat(np.arange(n_v), np.diff(A.indptr)), Bg.col,
-                               n_v + Bg.row, n_v + g])
-        cols = np.concatenate([A.indices, n_v + Bg.row, Bg.col, n_v + h])
-        r, c = self._pos[rows], self._pos[cols]
-        at = np.lexsort((r, c))             # column-major: the CSC order
-        where = np.empty_like(at)
-        where[at] = np.arange(len(at))
-        self.nnz = len(at)
-        self._indices = r[at].astype(np.int32)
-        self._indptr = np.searchsorted(c[at], np.arange(self.size + 1)).astype(np.int32)
-        self._data = np.zeros(self.nnz)
-        self._data[where[A.nnz:]] = np.concatenate([Bg.data, Bg.data, -self.factor.S.ravel()])
-        self._A_at = where[:A.nnz]
-        self._A_pattern = (A.indptr.copy(), A.indices.copy())
+        self.size, self.nnz = n_v, n_v * n_v
 
     def _solve(self, b):
         self.solves += 1
@@ -322,12 +287,67 @@ class InterfaceSchur:
         values of the a that eliminates the potential rows at v."""
         return self.factor.schur_solve(self._B_gamma @ v) - lift
 
+    @cached_property
+    def _interface_term(self):
+        """B_Γ^T S_K^{-1} B_Γ, dense and symmetric, formed on first use."""
+        W = self._B_gamma.toarray()
+        T = W.T @ self.factor.schur_solve(W)
+        return 0.5 * (T + T.T)
+
+    def condensed(self, A, s_v, lift):
+        """The dense A + B_Γ^T S_K^{-1} B_Γ and s_v + B_Γ^T z_Γ for the
+        sparse field block A and the lift z_Γ (``solve_dense``)."""
+        return A.toarray() + self._interface_term, s_v + self._B_gamma.T @ lift
+
+    def recover(self, v, s_q):
+        """a = K^{-1} (B v - s_q) on all rows, by one back-substitution."""
+        return self._solve(self._B @ v - s_q)
+
+
+class BorderedSchur(InterfaceSchur):
+    """``InterfaceSchur`` for a sparse A that B couples on few columns,
+    as on the h-a conductor: v and a_Γ solve the bordered system
+    [[A, B_Γ^T], [B_Γ, -S_K]] [v; a_Γ] = [s_v; S_K z_Γ] (``bordered``).
+    For an SPD A it is symmetric quasi-definite, so every symmetric
+    order factors on diagonal pivots (Vanderbei, SIAM J. Optim. 5,
+    1995), stably if the block eliminated first is well conditioned
+    (Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996):
+    here the field block, definite with the H mass, in a minimum-degree
+    order of the pattern of the ``A`` given here, then Γ.  ``size`` and
+    ``nnz`` are the rows and structural nonzeros of that pattern.
+    """
+
+    def __init__(self, K, B, A):
+        super().__init__(K, B)
+        A = sp.csr_matrix(A)
+        n_v = self._B.shape[1]
+        # pos[k] is the elimination position of unknown k of [v; a_Γ]
+        m = len(self.factor.rows)
+        self.size = n_v + m
+        self._pos = np.arange(self.size)
+        self._pos[_min_degree_order(A)] = np.arange(n_v)
+        Bg = self._B_gamma.tocoo()
+        g, h = np.divmod(np.arange(m * m), m)       # the entries of S_K, row-major
+        rows = np.concatenate([np.repeat(np.arange(n_v), np.diff(A.indptr)), Bg.col,
+                               n_v + Bg.row, n_v + g])
+        cols = np.concatenate([A.indices, n_v + Bg.row, Bg.col, n_v + h])
+        r, c = self._pos[rows], self._pos[cols]
+        at = np.lexsort((r, c))             # column-major: the CSC order
+        where = np.empty_like(at)
+        where[at] = np.arange(len(at))
+        self.nnz = len(at)
+        self._indices = r[at].astype(np.int32)
+        self._indptr = np.searchsorted(c[at], np.arange(self.size + 1)).astype(np.int32)
+        self._data = np.zeros(self.nnz)
+        self._data[where[A.nnz:]] = np.concatenate([Bg.data, Bg.data, -self.factor.S.ravel()])
+        self._A_at = where[:A.nnz]
+        self._A_pattern = (A.indptr.copy(), A.indices.copy())
+
     def bordered(self, A, s_v, lift):
         """The bordered matrix (CSC) and right-hand side [s_v; S_K z_Γ]
-        for the field block A and the lift z_Γ, in elimination numbering:
-        to be factored in that order (``solve_sparse``) and read back by
-        ``split``.  A must lie on the pattern this object was built with;
-        otherwise ValueError is raised."""
+        for the field block A and the lift z_Γ, in elimination numbering
+        (``solve_sparse``, then ``split``).  An A off the pattern this
+        object was built with raises ValueError."""
         A = sp.csr_matrix(A)
         if not (np.array_equal(A.indptr, self._A_pattern[0])
                 and np.array_equal(A.indices, self._A_pattern[1])):
@@ -344,10 +364,6 @@ class InterfaceSchur:
         y = x[self._pos]
         n_v = self.size - len(self.factor.rows)
         return y[:n_v], y[n_v:]
-
-    def recover(self, v, s_q):
-        """a = K^{-1} (B v - s_q) on all rows, by one back-substitution."""
-        return self._solve(self._B @ v - s_q)
 
 
 @dataclass
@@ -416,7 +432,7 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
     if len(rows) == 0:
         raise DegenerateCouplingError("coupling matrix has no nonzero rows")
     if lu_v is None:
-        lu_v = interface_schur(N_V, _coupled_columns(B))
+        lu_v = interface_schur(N_V, np.unique(B.indices))
     if interior is None:
         interior = interface_schur(N_Q, rows)
     n_p = int(np.searchsorted(interior.rows, n_q))

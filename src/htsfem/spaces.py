@@ -193,9 +193,9 @@ def _loop_of_component(mesh, tris):
 def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
     """Magnetic-field space on the conducting domain.
 
-    ``circuit`` maps conductor component ids to ("current", I) or
-    ("voltage", V); unlisted conductors default to zero imposed
-    current.  One boundary-potential node per component is grounded to
+    ``circuit`` maps every conductor component id to ("current", I) or
+    ("voltage", V); an unlisted conductor raises SpaceError.  One
+    boundary-potential node per component is grounded to
     remove the constant-potential redundancy of the decomposition.
     """
     comps = _conductor_components(mesh)
@@ -206,7 +206,9 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
     ring_node_set, ring_edge_set = set(), set()
     for cid, tris in enumerate(comps):
         loop = _loop_of_component(mesh, tris)
-        mode, value = circuit.get(cid, ("current", 0.0))
+        if cid not in circuit:
+            raise SpaceError(f"conductor {cid} has no circuit entry")
+        mode, value = circuit[cid]
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown circuit mode {mode!r}")
         conductors.append(Conductor(
@@ -276,10 +278,10 @@ def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag) -> DofSpace:
 def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
     """Current-potential space on the tape polyline(s).
 
-    ``constraints`` maps tape ids to ("current", I) or ("voltage", V);
-    a tape must have exactly one of the two.  The minus end is fixed to
-    zero strongly; a current constraint fixes the plus-end value to
-    I/w, a voltage constraint leaves it free.
+    ``constraints`` maps every tape id to ("current", I) or
+    ("voltage", V); an unlisted tape raises SpaceError.  The minus end
+    is fixed to zero strongly; a current constraint fixes the plus-end
+    value to I/w, a voltage constraint leaves it free.
     """
     segs, _ = mesh.interface(Interface.GAMMA_W)
     if len(segs) == 0:
@@ -289,11 +291,9 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
 
     tapes, interior = [], set()
     for tid, chain in enumerate(mesh.interface_chains(Interface.GAMMA_W)):
-        spec = constraints.get(tid, ("current", 0.0))
-        if isinstance(spec, (list, tuple)) and len(spec) == 2:
-            mode, value = spec
-        else:
-            raise SpaceError("tape constraint must be (mode, value)")
+        if tid not in constraints:
+            raise SpaceError(f"tape {tid} has no constraint")
+        mode, value = constraints[tid]
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown tape constraint {mode!r}")
         nodes = np.concatenate([chain[:, 0], chain[-1:, 1]])

@@ -15,33 +15,24 @@ assembly only.
 Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
 iteration of a run.  ``run_transient`` builds them once, with the
-field curl form and the H mass, as the run's ``LinearBlocks``, and
-every iteration assembles from those blocks only the field block A_v
-and the field right-hand side s_v (``htsfem.assembly``), A_v on a fixed
-sparsity pattern.  ``run_transient`` also factors the free K_nu once,
-with the rows Γ that B couples eliminated last, and reads the Schur
-complement S_K onto Γ from the factor (``linalg.InterfaceSchur``).
-Newton sees the a-side only through S_K: its unknowns are the field
-DOFs v and the interface values a_Γ.  Each iteration solves the
-bordered system
-
-    [[A_v,  B_Γ^T],  [v  ]   [s_v    ]
-     [B_Γ,  -S_K ]] [a_Γ] = [S_K z_Γ]
-
-by one ``solve_sparse`` factorization, so a_Γ comes out of the solve.
-``InterfaceSchur`` numbers the matrix in an elimination order fixed
-once per run, and ``solve_sparse`` factors it in that order on
-diagonal pivots, or refuses it if a pivot leaves the diagonal.  The
-matrix is symmetric quasi-definite, and eliminating a well-conditioned block
-first keeps the factorization stable: h-a eliminates the field block
-first (the H mass makes it definite) and Γ last; t-a eliminates Γ
-first, since its field block dt*D is singular to working precision
-below j_c, and that order leaves the condensed A_v + B_Γ^T S_K^{-1} B_Γ
-to be factored last.  The lift z_Γ = (K_nu^{-1} s_q)_Γ is formed once
-per step attempt, as the eliminated potential right-hand side s_q
-holds only essential values: its coupling part lies on Γ, so
-z_Γ = S_K^{-1} s_q,Γ, and only a nonzero outer trace (an external
-field) costs one back-substitution through the whole factor.
+field curl form and the H mass, as the run's ``LinearBlocks``; every
+iteration assembles from them only the field block A_v, on a fixed
+sparsity pattern, and the field right-hand side s_v
+(``htsfem.assembly``).  ``run_transient`` also factors the free K_nu
+once, with the rows Γ that B couples last, into its Schur complement
+S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
+only through S_K.  h-a solves for the field DOFs v by one
+``solve_sparse`` factorization of the bordered (v, a_Γ) system, in an
+order fixed once per run (``linalg.BorderedSchur``).  On the tape B
+couples every free field DOF, and t-a solves the dense condensed
+system (A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ by one
+``solve_dense`` Cholesky factorization.  Either takes the interface
+values a_Γ = S_K^{-1} B_Γ v - z_Γ at v.  The lift
+z_Γ = (K_nu^{-1} s_q)_Γ is formed once per step attempt: the
+eliminated potential right-hand side s_q holds only essential values,
+its coupling part lies on Γ, so z_Γ = S_K^{-1} s_q,Γ, and only a
+nonzero outer trace (an external field) costs one back-substitution
+through the whole factor.
 
 Newton convergence and backtracking are judged on the componentwise
 backward error of the free field rows, A_v v + B^T a - s_v against
@@ -73,7 +64,8 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from .assembly import assemble_ha_iteration, assemble_ta_iteration, linear_blocks
-from .linalg import InterfaceSchur, SingularSystemError, solve_sparse
+from .linalg import (BorderedSchur, InterfaceSchur, SingularSystemError, solve_dense,
+                     solve_sparse)
 from .materials import Materials
 from .spaces import essential_vector
 
@@ -143,14 +135,13 @@ class TimeHistory:
 
     ``sizes`` holds the free field and potential DOF counts, the
     number of interface columns, the number of interface rows |Γ| and
-    the rows and structural nonzeros of the bordered (v, a_Γ) matrix.
+    the rows and structural nonzeros of the field matrix each iteration
+    factors (``InterfaceSchur.size`` and ``nnz``).
     ``counters`` holds the a-block factorizations, the back-substitutions
     through the a-block factor (``a_solves``, lifts included), the
-    bordered field solves (failed attempts included), the fill of the
+    field solves (failed attempts included), the fill of the
     a-block factor, the rejected step attempts, the step halvings and
-    the backtracking trials (trial iterates at a damping below 1).
-    ``drive_values`` holds the imposed current or voltage of each
-    circuit at each accepted step."""
+    the backtracking trials (trial iterates at a damping below 1)."""
 
     formulation: str
     times: list = field(default_factory=list)
@@ -161,7 +152,6 @@ class TimeHistory:
     final_residuals: list = field(default_factory=list)
     residual_traces: list = field(default_factory=list)
     reactions: dict = field(default_factory=dict)
-    drive_values: dict = field(default_factory=dict)
     sizes: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
@@ -200,11 +190,12 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     hist = TimeHistory(formulation)
     blocks = linear_blocks(mesh, v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
-    # the field block's fixed pattern, with weights that only order it
-    form = blocks.form
-    schur = InterfaceSchur(blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf],
-                           form.free_block(form.matrix(np.ones(form.G.shape[0]))),
-                           interface_first=formulation == "ta")
+    # h-a borders the field block's fixed pattern, with weights that only
+    # order it; B couples every field DOF of a tape, and t-a condenses
+    form, free = blocks.form, (blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
+    schur = (BorderedSchur(*free, form.free_block(form.matrix(np.ones(form.G.shape[0]))))
+             if formulation == "ha" else InterfaceSchur(*free))
+    del free            # the run keeps only the factor of the free K_nu
     # Newton's potential unknowns are the free rows of blocks.gamma
     if not np.array_equal(qf[schur.factor.rows], blocks.gamma[blocks.gamma_free]):
         raise ValueError("a potential DOF couples only to essential field DOFs")
@@ -217,10 +208,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     hist.counters = {"a_factorizations": 1, "a_solves": 0, "field_solves": 0,
                      "a_factor_fill": schur.factor.fill, "rejected_attempts": 0,
                      "step_halvings": 0, "backtracking_trials": 0}
-    ids = [c.id for c in v_space.circuits]
-    for cid in ids:
-        hist.reactions[cid] = []
-        hist.drive_values[cid] = []
+    hist.reactions = {c.id: [] for c in v_space.circuits}
 
     v_prev = np.zeros(v_space.n_dofs)
     q_prev = np.zeros(q_space.n_dofs)
@@ -231,9 +219,8 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
 
     while t < time.t_end - 1e-12 * time.t_end:
         dt_cur = min(dt_cur, time.t_end - t)
-        accepted = False
         halvings = 0
-        while not accepted:
+        while True:
             t_new = t + dt_cur
             currents, voltages = _circuit_values(v_space, time.drives, t_new)
             v_ess = essential_vector(v_space, currents=currents)
@@ -246,6 +233,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
             try:
                 result = _newton_step(assemble, blocks, (v_prev, q_prev), dt_cur, v_ess,
                                       q_ess, voltages, time, schur, hist.counters)
+                break
             except (NonConvergenceError, SingularSystemError) as err:
                 hist.counters["rejected_attempts"] += 1
                 if halvings >= MAX_HALVINGS:
@@ -256,8 +244,6 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                 halvings += 1
                 hist.counters["step_halvings"] += 1
                 dt_cur *= 0.5
-                continue
-            accepted = True
 
         v_new, q_new, iters, res_trace, sys = result
         hist.times.append(t_new)
@@ -268,10 +254,8 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         hist.final_residuals.append(sys.backward_error(v_new, q_new))
         hist.residual_traces.append(res_trace)
         r_field = sys.field_residual(v_new, q_new[blocks.gamma])
-        imposed = {**currents, **voltages}
-        for cid in ids:
-            hist.reactions[cid].append(float(r_field[v_space.dof("global", cid)]))
-            hist.drive_values[cid].append(imposed[cid])
+        for cid, reactions in hist.reactions.items():
+            reactions.append(float(r_field[v_space.dof("global", cid)]))
 
         v_prev, q_prev = v_new, q_new
         t = t_new
@@ -284,15 +268,15 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
 
 
 def _field_solve(sys, schur: InterfaceSchur, lift):
-    """The free field DOFs v of the solution of ``sys``, from one
-    factorization of the bordered (v, a_Γ) system with the step
-    attempt's ``lift`` on Γ, in the elimination order of ``schur``, and
-    the interface values a_Γ = S_K^{-1} B_Γ v - z_Γ of its potential at
-    that v.  The bordered solution's own a_Γ adds the rounding of the
-    bordered elimination to that of S_K: near the conditioning of the
-    bar's blocks it strays from the back-substituted a by more than
-    1e-12 relative, the a_Γ from v about half as far."""
-    v = schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift)))[0]
+    """The free field DOFs v of ``sys`` with the step attempt's ``lift``,
+    by the bordered (h-a) or the condensed (t-a) solve of ``schur``, and
+    a_Γ = S_K^{-1} B_Γ v - z_Γ.  The bordered solve's own a_Γ strays from
+    the back-substituted a by more than 1e-12 relative on the bar, the
+    a_Γ from v about half as far."""
+    if isinstance(schur, BorderedSchur):
+        v = schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift)))[0]
+    else:
+        v = solve_dense(*schur.condensed(sys.A_free, sys.s_field, lift))
     return v, schur.interface_values(v, lift)
 
 

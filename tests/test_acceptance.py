@@ -114,8 +114,8 @@ def test_criterion_3_ta_verdict_matrix():
     try:
         run_transient(mesh, (t_sp, a_sp), mats, tc, "ta")
         outcome = "converged"
-    except NonConvergenceError:
-        outcome = "Newton did not converge"
+    except NonConvergenceError as err:
+        outcome = f"Newton did not converge ({err})"
     report(3, f"t-a verdicts {verdicts}; (2,1) transient outcome recorded: "
               f"{outcome}")
 

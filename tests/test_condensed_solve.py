@@ -1,8 +1,9 @@
 """The block form of a Newton iteration against the straightforward
-paths: the transient's solve (a-block factored once, the bordered
-(v, a_Γ) system factored in its elimination order, a recovered by one
-back-substitution) against the monolithic solve, its (v, a_Γ) against
-the condensed field system A + B_Γ^T S_K^{-1} B_Γ, its interface values
+paths: the transient's solve (a-block factored once, the h-a bordered
+(v, a_Γ) system factored in its elimination order or the t-a dense
+condensed system, a recovered by one back-substitution) against the
+monolithic solve, its (v, a_Γ) against the condensed field system
+A + B_Γ^T S_K^{-1} B_Γ of a pivoting sparse solve, its interface values
 a_Γ against the recovered a, the field-block kernels against
 element-by-element scatter assembly, and the blockwise backward errors
 against those of the monolithic system."""
@@ -19,7 +20,7 @@ from htsfem._geom import LINE_QP, LINE_QW
 from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _whitney_local,
                              assemble_ha_iteration, assemble_ta_iteration,
                              linear_blocks)
-from htsfem.linalg import InterfaceSchur, SingularSystemError, backward_error, solve_sparse
+from htsfem.linalg import BorderedSchur, InterfaceSchur, SingularSystemError, backward_error
 from htsfem.materials import MU0, de_dj, rho_power
 from htsfem.mesh import Interface
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
@@ -38,8 +39,7 @@ CRITICAL_CURRENT = {"ha": 3e8 * 0.02 * 0.01, "ta": 2.5e8 * 1e-6 * 0.01}
 @pytest.fixture(scope="module")
 def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
     """Per pairing: spaces, assembler, the run's blocks and a-block
-    factor, the critical current and a sampler of power-law iterates;
-    for h-a also the a-block factor in the other elimination order."""
+    factor, the critical current and a sampler of power-law iterates."""
     cases = {}
 
     def get(form, i, j):
@@ -59,23 +59,21 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             K_nu=blocks.K_nu, B=blocks.B, i_c=CRITICAL_CURRENT[form],
             sample=_iterate_sampler(form, v, mats.power.j_c))
         case.schur = _factor(case)
-        if form == "ha":
-            case.interface_first = _factor(case, interface_first=True)
         cases[form, i, j] = case
         return case
     return get
 
 
-def _factor(case, K_nu=None, cls=InterfaceSchur, interface_first=None):
-    """The case's a-block factor as ``run_transient`` builds it: on the
-    field block's fixed pattern, with Γ eliminated first for t-a only.
-    ``K_nu`` replaces the case's a-block and ``interface_first`` the
-    formulation's elimination order, if given."""
+def _factor(case, K_nu=None):
+    """The case's a-block factor as ``run_transient`` builds it: for h-a
+    bordered on the field block's fixed pattern, for t-a condensed.
+    ``K_nu`` replaces the case's a-block, if given."""
     K = case.K_nu if K_nu is None else K_nu
-    first = case.form == "ta" if interface_first is None else interface_first
     free, form = case.q.free, case.blocks.form
-    return cls(K[free][:, free], case.B[free][:, case.v.free],
-               form.free_block(form.matrix(np.ones(form.G.shape[0]))), interface_first=first)
+    blocks = (K[free][:, free], case.B[free][:, case.v.free])
+    if case.form == "ta":
+        return InterfaceSchur(*blocks)
+    return BorderedSchur(*blocks, form.free_block(form.matrix(np.ones(form.G.shape[0]))))
 
 
 def _lift(sys, schur):
@@ -120,15 +118,13 @@ def _tape_current_at_qp(space, coeffs):
     return np.einsum("sp,spq->sq", tab.gather(coeffs), tab.values(LINE_QP))
 
 
-def _system(case, rng, dt, drive, b_ext, level=1.0):
-    """A random Newton system of ``case`` around sampled field iterates,
-    scaled by ``level``."""
+def _system(case, rng, dt, drive, b_ext):
+    """A random Newton system of ``case`` around sampled field iterates."""
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
     v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
-    return case.assemble(case.blocks, (level * case.sample(rng), a_prev),
-                         level * case.sample(rng), dt, a_essential=a_ess, v_essential=v_ess,
-                         voltages={})
+    return case.assemble(case.blocks, (case.sample(rng), a_prev), case.sample(rng), dt,
+                         a_essential=a_ess, v_essential=v_ess, voltages={})
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -150,23 +146,24 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
        drive=st.floats(-1.0, 1.0), b_ext=st.floats(0.0, 0.5))
 @settings(max_examples=8, deadline=None)
 def test_bordered_solve_matches_condensed(coupled, form, i, j, seed, log_dt, drive, b_ext):
-    # (v, a_Γ) of the bordered system in the run's elimination order, and
-    # for h-a in the other one, against the condensed field system
+    # (v, a_Γ) of the run's field solve (h-a: the bordered system in its
+    # elimination order, t-a: the dense condensed system) against the
+    # condensed field system solved by the pivoting reference
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
     lift = _lift(sys, case.schur)
     v_ref = solve_reference(*condensed(sys, case.schur, lift))
     ref = (v_ref, case.schur.interface_values(v_ref, lift))
-    for schur in [case.schur] + ([case.interface_first] if form == "ha" else []):
-        for x, x_ref in zip(_field_solve(sys, schur, lift), ref):
-            assert _close(x, x_ref, 1e-10)
+    for x, x_ref in zip(_field_solve(sys, case.schur, lift), ref):
+        assert _close(x, x_ref, 1e-10)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
 def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
-    # renumbered back, the bordered matrix is [[A, B_Γ^T], [B_Γ, -S_K]]
+    # h-a: renumbered back, the bordered matrix is [[A, B_Γ^T], [B_Γ, -S_K]]
     # entry for entry; a nonsymmetric A on the run's pattern exposes a
-    # transposed scatter, and an A off the pattern is refused
+    # transposed scatter, and an A off the pattern is refused.  t-a: the
+    # condensed system is A + B_Γ^T S_K^{-1} B_Γ and s_v + B_Γ^T z_Γ
     case = coupled(form, i, j)
     schur = case.schur
     sys = _system(case, np.random.default_rng(5), 0.01, 0.5, 0.3)
@@ -174,6 +171,12 @@ def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
     A.data = A.data * np.random.default_rng(6).uniform(0.5, 1.5, A.nnz)
     assert abs(A - A.T).max() > 0.0
     lift = _lift(sys, schur)
+    if form == "ta":
+        M, s = schur.condensed(A, sys.s_field, lift)
+        M_ref, s_ref = condensed(sys, schur, lift)
+        assert M.shape == (schur.size,) * 2 and M.size == schur.nnz
+        assert _close(M, M_ref - sys.A_free + A, 1e-13) and _close(s, s_ref, 1e-13)
+        return
     P, s = schur.bordered(A, sys.s_field, lift)
     at = np.concatenate(schur.split(np.arange(schur.size))).astype(np.int64)
     B_gamma = case.B[case.q.free][:, case.v.free].tocsr()[schur.factor.rows]
@@ -200,19 +203,6 @@ def test_lift_fast_path_matches_full_solve(coupled, form, i, j):
     s_q[rng.choice(np.setdiff1d(np.arange(len(s_q)), factor.rows))] = 1.0
     assert _close(schur.lift(s_q), factor.solve(s_q)[factor.rows], 1e-12)
     assert schur.solves == solves + 1
-
-
-@pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ta"])
-def test_ta_field_first_order_is_refused(coupled, form, i, j):
-    # well below j_c the tape block dt*D is tiny against S_K; eliminated
-    # first, it swamps S_K in the trailing block, and the componentwise
-    # check of the solve refuses the result
-    case = coupled(form, i, j)
-    sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3, level=0.1)
-    field_first = _factor(case, interface_first=False)
-    P, s = field_first.bordered(sys.A_free, sys.s_field, _lift(sys, field_first))
-    with pytest.raises(SingularSystemError, match="backward error"):
-        solve_sparse(P, s)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -284,20 +274,17 @@ def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
         _solve_condensed(sys, stale)
 
 
-class _DroppedLift(InterfaceSchur):
-    """Borders without the a-side right-hand side S_K z_Γ."""
-
-    def bordered(self, A, s_v, lift):
-        return super().bordered(A, s_v, np.zeros_like(lift))
-
-
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
 def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
+    # a field solve without the a-side right-hand side (S_K z_Γ bordered,
+    # B_Γ^T z_Γ condensed): the gate on the recovered a must refuse it
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
-    broken = _factor(case, cls=_DroppedLift)
+    lift = _lift(sys, case.schur)
+    assert np.abs(lift).max() > 0.0
+    v, _ = _field_solve(sys, case.schur, np.zeros_like(lift))
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, broken)
+        _gated_recovery(sys, v, case.schur)
 
 
 def _h_stiffness_scatter(space, tri_weights):

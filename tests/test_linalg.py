@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from htsfem.linalg import (ZERO_TOL_REL, DegenerateCouplingError, SchurFactor,
                            SingularSystemError, infsup_eigenpairs, interface_schur,
-                           solve_sparse)
+                           solve_dense, solve_sparse)
 
 from util import build_time_values, dense_schur, eliminated, solve_reference
 
@@ -70,6 +70,22 @@ def test_solve_singular_raises():
     K = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         solve_sparse(K, np.ones(2))
+
+
+def test_dense_solve_matches_scaled_oracle_and_refuses_indefinite():
+    # rows scaled 16 orders of magnitude apart: the equilibrated Cholesky
+    # solve against the solve of the unscaled SPD core; an indefinite
+    # matrix is refused by its factorization
+    rng = np.random.default_rng(1)
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, 30)
+    K0 = random_spd(rng, 30)
+    s = rng.normal(size=30)
+    x_ref = np.linalg.solve(K0, s / scale) / scale
+    x = solve_dense(K0 * scale[:, None] * scale, s)
+    assert np.all(np.abs(x - x_ref) <= 1e-10 * np.abs(x_ref))
+    A = rng.normal(size=(30, 30))
+    with pytest.raises(SingularSystemError, match="factorization failed"):
+        solve_dense(A + A.T, s)
 
 
 def test_solve_refuses_an_off_diagonal_pivot():

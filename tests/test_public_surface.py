@@ -23,9 +23,8 @@ by position.
 Tests do not count: a name, field or setting that only its own test
 uses is library surface that no command or module uses.  Names are
 matched without types, so the checks are heuristic: a field passes
-when any attribute of the same name is read (``SingularSystemError.dof``
-passes through ``DofSpace.dof``), and a parameter passes when any
-function of the same name is called with it.
+when any attribute of the same name is read, and a parameter passes
+when any function of the same name is called with it.
 """
 
 import ast

@@ -230,6 +230,17 @@ def test_t_invalid_constraint(tape_mesh):
         build_t_space(tape_mesh, 1, {0: ("current_and_voltage", 1.0)})
 
 
+def test_h_unlisted_conductor_is_refused():
+    # every conductor needs a circuit entry; none defaults to zero current
+    with pytest.raises(ValueError, match="conductor 1 "):
+        build_h_space(two_bar_mesh(), 1, {0: ("current", 0.0)})
+
+
+def test_t_unlisted_tape_is_refused(tape_mesh):
+    with pytest.raises(ValueError, match="tape 0 "):
+        build_t_space(tape_mesh, 1, {1: ("current", 0.0)})
+
+
 # -- traces --------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
-                              circuit_post, ramp_then_hold, read_snapshots,
+                              _circuit_values, circuit_post, ramp_then_hold, read_snapshots,
                               run_transient, write_history_csv, write_snapshots)
 
 from util import free_indices, monolithic, s_full
@@ -305,8 +305,9 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
 
 
 def test_drive_values_record_the_imposed_values(small_tape):
-    # a ramped circuit records its ramp; an unramped one records the
-    # build-time value it is held at
+    # a ramped circuit imposes its ramp at the accepted times, an unramped
+    # one the build-time value it is held at; an imposed current is the
+    # accepted iterate's global DOF
     a = build_a_space(small_tape, 1, Interface.GAMMA_W)
     ramp = ramp_then_hold(1.5, 0.15, 0.3)
     for mode, value, drives in (("current", 1.5, {0: ("current", ramp)}),
@@ -316,7 +317,12 @@ def test_drive_values_record_the_imposed_values(small_tape):
         tc = TimeConfig(dt=0.1, t_end=0.3, drives=drives, rel_residual_tol=1e-10)
         hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
         expected = [ramp(tk) if drives else value for tk in hist.times]
-        assert hist.drive_values[0] == expected
+        imposed = [{**c, **v}[0] for c, v in (_circuit_values(t, drives, tk)
+                                              for tk in hist.times)]
+        assert imposed == expected
+        if mode == "current":
+            dof = t.dof("global", 0)
+            assert [v[dof] for v in hist.v] == [x / t.current_scale for x in expected]
 
 
 def test_counters_record_a_forced_halving(small_tape, monkeypatch):
@@ -326,10 +332,11 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
         calls.append(len(s))
         if len(calls) == 1:
             raise SingularSystemError("refused for the test")
-        return transient.solve_sparse.__wrapped__(K, s)
+        return transient.solve_dense.__wrapped__(K, s)
 
-    fail_first.__wrapped__ = transient.solve_sparse
-    monkeypatch.setattr(transient, "solve_sparse", fail_first)
+    # the t-a field solve factors the dense condensed system
+    fail_first.__wrapped__ = transient.solve_dense
+    monkeypatch.setattr(transient, "solve_dense", fail_first)
     t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
     a = build_a_space(small_tape, 1, Interface.GAMMA_W)
     tc = TimeConfig(dt=0.1, t_end=0.3,
