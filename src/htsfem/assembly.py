@@ -49,7 +49,7 @@ import scipy.sparse as sp
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
 from .linalg import componentwise_error
 from .materials import MU0, Materials, PowerLaw, de_dj, rho_power
-from .mesh import Interface, Mesh2D, Region
+from .mesh import Mesh2D, Region
 from .spaces import DofSpace, trace_table, whitney_transform
 
 
@@ -473,8 +473,7 @@ def field_operator(space: DofSpace, tri_ids, barys) -> sp.csr_matrix:
 
 
 def tape_element_size(mesh: Mesh2D) -> float:
-    segs, _ = mesh.interface(Interface.GAMMA_W)
-    lens = mesh.segment_lengths(segs)
+    lens = mesh.segment_lengths(mesh.interface_segments)
     if lens.max() / lens.min() > 1.01:
         raise AssemblyError("tape mesh is not uniform")
     return float(lens.max())
@@ -494,10 +493,9 @@ def _coupling_full(v_space: DofSpace, q_space: DofSpace):
     """Interface coupling on all DOFs: B[q, v] = int (trace_q)(trace_v),
     times the field space's current scale (the tape thickness for the
     surface-current pairing)."""
-    tag = v_space.meta["interface_tag"]
-    if q_space.meta["interface_tag"] != tag:
-        raise AssemblyError("the field and potential spaces couple on different interfaces")
-    qt, vt = trace_table(q_space, tag), trace_table(v_space, tag)
+    if q_space.mesh is not v_space.mesh:
+        raise AssemblyError("the field and potential spaces are built on different meshes")
+    qt, vt = trace_table(q_space), trace_table(v_space)
     loc = np.einsum("q,saq,sbq->sab", LINE_QW, qt.values(LINE_QP), vt.values(LINE_QP)) \
         * (v_space.current_scale * qt.lens)[:, None, None]
     return _masked_scatter(qt.dofs, vt.dofs, loc, (q_space.n_dofs, v_space.n_dofs))

@@ -29,7 +29,7 @@ from .diagnostics import (oscillation_metric, sample_bn_profile,
                           sample_tape_current, sign_changes)
 from .infsup import build_pairing, export_eigenmode, run_infsup_sweep
 from .linalg import DegenerateCouplingError, SingularSystemError, infsup_eigenpairs
-from .mesh import (Interface, Scenario, build_stacked_bar_mesh, build_tape_mesh,
+from .mesh import (Scenario, build_stacked_bar_mesh, build_tape_mesh,
                    write_native)
 from .spaces import build_a_space, build_h_space, build_t_space
 from .transient import NonConvergenceError, circuit_post, run_transient, \
@@ -68,15 +68,13 @@ def _build_spaces(cfg, mesh):
     if cfg["formulation"] == "ha":
         drive = cfg["source"]["current"] or 0.0
         v = build_h_space(mesh, i, {0: ("current", drive)})
-        q = build_a_space(mesh, j, Interface.GAMMA_M)
     else:
         if cfg["source"]["voltage"] is not None:
             constraint = ("voltage", cfg["source"]["voltage"])
         else:
             constraint = ("current", cfgmod.imposed_current(cfg))
         v = build_t_space(mesh, i, {0: constraint})
-        q = build_a_space(mesh, j, Interface.GAMMA_W)
-    return v, q
+    return v, build_a_space(mesh, j)
 
 
 def _phase(phases, name, start):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._geom import tri_geometry
 from .materials import MU0
-from .mesh import Interface, Mesh2D, Region
+from .mesh import Mesh2D, Region
 from .spaces import DofSpace
 from .assembly import field_operator, h_curl_matrix, tape_current_density
 
@@ -78,7 +78,7 @@ def locate_points(mesh: Mesh2D, points, region):
 
 
 def _bar_extent(mesh: Mesh2D):
-    segs, _ = mesh.interface(Interface.GAMMA_M)
+    segs = mesh.interface_segments
     xs = mesh.nodes[np.unique(segs), 0]
     ys = mesh.nodes[np.unique(segs), 1]
     return xs.min(), xs.max(), ys.max()
@@ -124,7 +124,7 @@ def sample_tape_current(mesh: Mesh2D, t_space: DofSpace, t_full,
                         j_c: float) -> ProfileSample:
     """Current density per tape element at segment midpoints, divided
     by j_c (dimensionless profile)."""
-    segs, _ = mesh.interface(Interface.GAMMA_W)
+    segs = mesh.interface_segments
     j = tape_current_density(t_space, t_full) / j_c
     mids = 0.5 * (mesh.nodes[segs[:, 0]] + mesh.nodes[segs[:, 1]])
     # abscissa along the tape; horizontal tapes sample by x

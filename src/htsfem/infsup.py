@@ -30,7 +30,7 @@ from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
                      infsup_eigenpairs, interface_schur)
 from .materials import MU0, Materials
-from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
+from .mesh import (GeometryParams, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
 from .spaces import build_a_space, build_h_space, build_t_space
 
@@ -137,16 +137,11 @@ def _field_space(mesh, formulation: str, order: int):
     raise ValueError("formulation must be 'ha' or 'ta'")
 
 
-def _potential_space(mesh, formulation: str, order: int):
-    tag = Interface.GAMMA_M if formulation == "ha" else Interface.GAMMA_W
-    return build_a_space(mesh, enrichment=order, interface_tag=tag)
-
-
 def build_pairing(mesh, formulation: str, pairing):
     """Field/potential space pair for an inf-sup evaluation (test-space
     constraints: zero imposed currents, zero outer trace)."""
     i, j = pairing
-    return _field_space(mesh, formulation, i), _potential_space(mesh, formulation, j)
+    return _field_space(mesh, formulation, i), build_a_space(mesh, enrichment=j)
 
 
 class HierarchyError(RuntimeError):
@@ -211,7 +206,7 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     factor."""
     start = time.perf_counter()
     v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
-    q_sp = {j: _potential_space(mesh, formulation, j) for j in sorted({p[1] for p in pairings})}
+    q_sp = {j: build_a_space(mesh, enrichment=j) for j in sorted({p[1] for p in pairings})}
     reports.phases["spaces"] += time.perf_counter() - start
     B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
     N_V = {i: assemble_norm_matrix(space, norms) for i, space in v_sp.items()}
@@ -335,7 +330,7 @@ def export_eigenmode(mesh, v_space, q_space, B, eig: EigenResult, mode_rank: int
         for (cx, cy), (hx, hy) in zip(cents, h.reshape(-1, 2)):
             lines.append(f"{cx:.17g},{cy:.17g},{np.hypot(hx, hy):.17g}")
     else:
-        segs, _ = mesh.interface(Interface.GAMMA_W)
+        segs = mesh.interface_segments
         j = tape_current_density(v_space, v_full)
         for k, seg in enumerate(segs):
             cx, cy = mesh.nodes[seg].mean(axis=0)

@@ -4,9 +4,14 @@ Two scenario builders are provided:
 
 * :func:`build_stacked_bar_mesh` -- a superconducting bar below a
   ferromagnetic bar, both enclosed in an air box.  The bar boundary is
-  tagged as the field-coupling interface ``GAMMA_M``.
+  the field-coupling interface ``GAMMA_M``.
 * :func:`build_tape_mesh` -- a thin conducting tape collapsed to an
   interior horizontal polyline ``GAMMA_W`` inside an air box.
+
+Each mesh carries one coupling interface, recorded once: its segments
+in traversal order and one tag.  The segment order carries the
+orientation that the spaces rely on, and :meth:`Mesh2D.validate`
+checks it.
 
 Meshes are generated from a tensor grid of mapped rectangles split into
 two triangles each, so that uniform refinement produces exactly halved
@@ -36,7 +41,6 @@ class Region(IntEnum):
 
 class Boundary(IntEnum):
     GAMMA_E = 10
-    GAMMA_H = 11
 
 
 class Interface(IntEnum):
@@ -100,31 +104,27 @@ class Mesh2D:
     boundary_segments : (B, 2) int array of node pairs on the outer
         boundary, with tags in ``boundary_tags``.
     interface_segments : (S, 2) int array of oriented node pairs forming
-        the coupling polyline(s), listed in traversal order; tags in
-        ``interface_tags`` and unit normals in ``interface_normals``.
-        For GAMMA_M the traversal is counterclockwise around the
-        conductor and the normal points out of it.  For GAMMA_W the
-        traversal runs from the minus end to the plus end and the
-        normal is z-hat cross t-hat.
+        the one coupling interface, as one or more chains listed in
+        traversal order.  GAMMA_M chains run counterclockwise around
+        each conductor, with the conductor on their left; a GAMMA_W
+        chain runs from the tape's minus end to its plus end.
+    interface_tag : the :class:`Interface` of those segments, or None
+        for a mesh without one.  A mesh couples on one interface kind.
     delta : characteristic element size (m).
     w : tape thickness (m) for tape meshes, else None.
-    tape_endpoints : dict with node ids under "minus"/"plus", or None.
     """
 
     def __init__(self, nodes, triangles, tri_region, boundary_segments,
-                 boundary_tags, interface_segments, interface_tags,
-                 interface_normals, delta, w=None, tape_endpoints=None):
+                 boundary_tags, interface_segments, interface_tag, delta, w=None):
         self.nodes = np.asarray(nodes, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.tri_region = np.asarray(tri_region, dtype=np.int64)
         self.boundary_segments = np.asarray(boundary_segments, dtype=np.int64).reshape(-1, 2)
         self.boundary_tags = np.asarray(boundary_tags, dtype=np.int64)
         self.interface_segments = np.asarray(interface_segments, dtype=np.int64).reshape(-1, 2)
-        self.interface_tags = np.asarray(interface_tags, dtype=np.int64)
-        self.interface_normals = np.asarray(interface_normals, dtype=float).reshape(-1, 2)
+        self.interface_tag = None if interface_tag is None else Interface(interface_tag)
         self.delta = float(delta)
         self.w = None if w is None else float(w)
-        self.tape_endpoints = tape_endpoints
 
     # -- derived connectivity ------------------------------------------------
 
@@ -201,16 +201,10 @@ class Mesh2D:
     def region_tris(self, region) -> np.ndarray:
         return np.flatnonzero(self.tri_region == int(region))
 
-    def interface(self, tag):
-        """(segments, normals) restricted to one interface tag, in order."""
-        m = self.interface_tags == int(tag)
-        return self.interface_segments[m], self.interface_normals[m]
-
-    def interface_chains(self, tag) -> list:
-        """The ordered segments of one interface tag split into its
-        chains: maximal runs in which each segment starts where the
-        previous one ends."""
-        segs, _ = self.interface(tag)
+    def interface_chains(self) -> list:
+        """The interface segments split into their chains: maximal runs
+        in which each segment starts where the previous one ends."""
+        segs = self.interface_segments
         if len(segs) == 0:
             return []
         return np.split(segs, np.flatnonzero(segs[1:, 0] != segs[:-1, 1]) + 1)
@@ -227,41 +221,51 @@ class Mesh2D:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Check structural invariants; raise MeshError on violation."""
+        """Check structural invariants, among them the two facts the
+        spaces rely on: GAMMA_M keeps the conductor on its left, and a
+        mesh has one interface kind.  Raise MeshError on violation."""
         if np.any(self.signed_areas <= 0.0):
             raise MeshError("triangle with non-positive signed area")
         scale = max(self.nodes.max() - self.nodes.min(), 1.0)
         quant = np.round(self.nodes / (NODE_TOL * scale)).astype(np.int64)
-        if len(np.unique(quant, axis=0)) != self.n_nodes:
+        quant = quant[np.lexsort(quant.T)]
+        if np.any(np.all(quant[1:] == quant[:-1], axis=1)):
             raise MeshError("duplicate nodes")
         if np.any(self.edge_tri_count > 2):
             raise MeshError("non-conforming mesh: edge shared by >2 triangles")
-        nrm = np.hypot(self.interface_normals[:, 0], self.interface_normals[:, 1])
-        if self.interface_segments.size and np.any(np.abs(nrm - 1.0) > 1e-12):
-            raise MeshError("interface normal is not unit length")
-        for tag in np.unique(self.interface_tags):
+        for chain in self.interface_chains():
             # GAMMA_M chains must close into loops
-            for chain in self.interface_chains(tag):
-                if tag == Interface.GAMMA_M and chain[-1, 1] != chain[0, 0]:
-                    raise MeshError("GAMMA_M polyline is not closed")
-                if len(np.unique(chain[:, 0])) != len(chain):
-                    raise MeshError("interface polyline revisits a node")
-            segs, _ = self.interface(tag)
-            if tag == Interface.GAMMA_M:
-                self._check_gamma_m(segs)
-            if tag == Interface.GAMMA_W:
-                self._check_gamma_w(segs)
+            if self.interface_tag == Interface.GAMMA_M and chain[-1, 1] != chain[0, 0]:
+                raise MeshError("GAMMA_M polyline is not closed")
+            if len(np.unique(chain[:, 0])) != len(chain):
+                raise MeshError("interface polyline revisits a node")
+        if self.interface_tag == Interface.GAMMA_M:
+            self._check_gamma_m()
+        if self.interface_tag == Interface.GAMMA_W:
+            self._check_gamma_w()
+            if len(self.region_tris(Region.OMEGA_H_SC)):
+                raise MeshError("mesh has more than one interface kind: "
+                                "GAMMA_W and a conductor boundary")
         return self
 
-    def _check_gamma_m(self, segs):
-        tris = self.edge_tris[self.edge_ids(segs)]
+    def _check_gamma_m(self):
+        segs = self.interface_segments
+        eids = self.edge_ids(segs)
+        tris = self.edge_tris[eids]
         if np.any(tris < 0):
             raise MeshError("GAMMA_M segment not shared by two triangles")
         sc = self.tri_region[tris] == int(Region.OMEGA_H_SC)
         if np.any(sc[:, 0] == sc[:, 1]):
             raise MeshError("GAMMA_M segment does not separate conductor from exterior")
+        # a counterclockwise triangle lies left of its edge a -> b exactly
+        # when it lists b right after a
+        inner = np.where(sc[:, 0], tris[:, 0], tris[:, 1])
+        local = np.argmax(self.tri_edges[inner] == eids[:, None], axis=1)
+        if np.any(self.triangles[inner, local] != segs[:, 0]):
+            raise MeshError("GAMMA_M does not keep the conductor on its left")
 
-    def _check_gamma_w(self, segs):
+    def _check_gamma_w(self):
+        segs = self.interface_segments
         tris = self.edge_tris[self.edge_ids(segs)]
         if np.any(tris < 0) or not np.all(np.isin(
                 self.tri_region[tris], [int(Region.OMEGA_A_AIR), int(Region.OMEGA_A_FERRO)])):
@@ -286,8 +290,9 @@ def _interval_points(breaks, delta):
 def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=None):
     """Tensor grid over the given break lines, each cell split into two
     CCW triangles.  ``region_fn(xc, yc)`` assigns a Region per cell.
-    The conductor boundary is discovered from cell regions and tagged
-    GAMMA_M; ``tape_span=(x0, x1, y)`` tags a GAMMA_W polyline.
+    The conductor boundary is discovered from cell regions and becomes
+    the GAMMA_M interface; ``tape_span=(x0, x1, y)`` makes a GAMMA_W
+    polyline the interface instead.
     """
     xs = _interval_points(x_breaks, delta)
     ys = _interval_points(y_breaks, delta)
@@ -325,21 +330,16 @@ def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=Non
     bsegs = np.array(bsegs, dtype=np.int64)
     btags = np.full(len(bsegs), int(Boundary.GAMMA_E), dtype=np.int64)
 
-    isegs, itags, inorms = _conductor_interface(xs, ys, cell_region, nid)
-    tape_endpoints = None
     if tape_span is not None:
-        tsegs, tnorms, tape_endpoints = _tape_interface(xs, ys, tape_span, nid)
-        isegs = np.vstack([isegs, tsegs]) if len(isegs) else tsegs
-        inorms = np.vstack([inorms, tnorms]) if len(itags) else tnorms
-        itags = np.concatenate([itags, np.full(len(tsegs), int(Interface.GAMMA_W))])
+        isegs, tag = _tape_interface(xs, ys, tape_span, nid), Interface.GAMMA_W
+    else:
+        isegs = _conductor_interface(xs, ys, cell_region, nid)
+        tag = Interface.GAMMA_M if len(isegs) else None
 
     dx = np.diff(xs).max()
     dy = np.diff(ys).max()
-    mesh = Mesh2D(nodes, tris, tri_region, bsegs, btags,
-                  isegs if len(isegs) else np.empty((0, 2), dtype=np.int64),
-                  itags if len(itags) else np.empty(0, dtype=np.int64),
-                  inorms if len(isegs) else np.empty((0, 2)),
-                  delta=max(dx, dy), w=w, tape_endpoints=tape_endpoints)
+    mesh = Mesh2D(nodes, tris, tri_region, bsegs, btags, isegs, tag,
+                  delta=max(dx, dy), w=w)
     return mesh.validate()
 
 
@@ -358,43 +358,34 @@ def _conductor_interface(xs, ys, cell_region, nid):
             if not sc[i, j]:
                 continue
             if j == 0 or not sc[i, j - 1]:      # bottom edge, walk +x
-                seg_from[nid(i, j)] = (nid(i + 1, j), (0.0, -1.0))
+                seg_from[nid(i, j)] = nid(i + 1, j)
             if j == ncy - 1 or not sc[i, j + 1]:  # top edge, walk -x
-                seg_from[nid(i + 1, j + 1)] = (nid(i, j + 1), (0.0, 1.0))
+                seg_from[nid(i + 1, j + 1)] = nid(i, j + 1)
             if i == 0 or not sc[i - 1, j]:      # left edge, walk -y
-                seg_from[nid(i, j + 1)] = (nid(i, j), (-1.0, 0.0))
+                seg_from[nid(i, j + 1)] = nid(i, j)
             if i == ncx - 1 or not sc[i + 1, j]:  # right edge, walk +y
-                seg_from[nid(i + 1, j)] = (nid(i + 1, j + 1), (1.0, 0.0))
+                seg_from[nid(i + 1, j)] = nid(i + 1, j + 1)
 
-    segs, norms = [], []
+    segs = []
     remaining = dict(seg_from)
     while remaining:
         start = min(remaining)
         node = start
         while True:
-            nxt, nrm = remaining.pop(node)
+            nxt = remaining.pop(node)
             segs.append((node, nxt))
-            norms.append(nrm)
             node = nxt
             if node == start:
                 break
-    if not segs:
-        return (np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty((0, 2)))
-    segs = np.array(segs, dtype=np.int64)
-    tags = np.full(len(segs), int(Interface.GAMMA_M), dtype=np.int64)
-    return segs, tags, np.array(norms)
+    return np.array(segs, dtype=np.int64).reshape(-1, 2)
 
 
 def _tape_interface(xs, ys, tape_span, nid):
     x0, x1, y = tape_span
     j = int(np.argmin(np.abs(ys - y)))
     cols = np.flatnonzero((xs >= x0 - 1e-12) & (xs <= x1 + 1e-12))
-    segs = np.column_stack([[nid(i, j) for i in cols[:-1]],
+    return np.column_stack([[nid(i, j) for i in cols[:-1]],
                             [nid(i, j) for i in cols[1:]]]).astype(np.int64)
-    norms = np.tile([0.0, 1.0], (len(segs), 1))
-    endpoints = {"minus": int(nid(cols[0], j)), "plus": int(nid(cols[-1], j))}
-    return segs, norms, endpoints
 
 
 def build_stacked_bar_mesh(params: GeometryParams) -> Mesh2D:
@@ -402,8 +393,8 @@ def build_stacked_bar_mesh(params: GeometryParams) -> Mesh2D:
 
     The bars are ``bar_width`` wide and ``bar_height`` tall, stacked
     at y = 0 and centered in a square air box of half-size
-    ``air_half``.  The conductor boundary is tagged GAMMA_M and the
-    outer boundary GAMMA_E.
+    ``air_half``.  The conductor boundary is the GAMMA_M interface and
+    the outer boundary is tagged GAMMA_E.
     """
     if params.scenario is not Scenario.STACKED_BAR:
         raise MeshError("params.scenario must be STACKED_BAR")
@@ -453,8 +444,8 @@ def build_tape_mesh(params: GeometryParams) -> Mesh2D:
 
 def refine(mesh: Mesh2D) -> Mesh2D:
     """Uniform refinement: each triangle into 4 via edge midpoints,
-    each tagged segment into 2.  All tags and markers are inherited and
-    the characteristic size halves exactly."""
+    each boundary and interface segment into 2, in place.  All tags are
+    inherited and the characteristic size halves exactly."""
     edges = mesh.edges
     mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     nodes = np.vstack([mesh.nodes, mids])
@@ -480,16 +471,9 @@ def refine(mesh: Mesh2D) -> Mesh2D:
         out[1::2] = np.column_stack([mid, segs[:, 1]])
         return out
 
-    bsegs = split(mesh.boundary_segments)
-    btags = np.repeat(mesh.boundary_tags, 2)
-    isegs = split(mesh.interface_segments)
-    itags = np.repeat(mesh.interface_tags, 2)
-    inorms = np.repeat(mesh.interface_normals, 2, axis=0)
-
-    out = Mesh2D(nodes, tris, tri_region, bsegs, btags, isegs, itags, inorms,
-                 delta=mesh.delta / 2.0, w=mesh.w,
-                 tape_endpoints=None if mesh.tape_endpoints is None
-                 else dict(mesh.tape_endpoints))
+    out = Mesh2D(nodes, tris, tri_region, split(mesh.boundary_segments),
+                 np.repeat(mesh.boundary_tags, 2), split(mesh.interface_segments),
+                 mesh.interface_tag, delta=mesh.delta / 2.0, w=mesh.w)
     return out.validate()
 
 
@@ -510,24 +494,23 @@ def write_native(mesh: Mesh2D, path):
     for seg, tag in zip(mesh.boundary_segments, mesh.boundary_tags):
         lines.append(f"{k} {seg[0]} {seg[1]} {tag}")
         k += 1
-    for seg, tag in zip(mesh.interface_segments, mesh.interface_tags):
-        lines.append(f"{k} {seg[0]} {seg[1]} {tag}")
+    for seg in mesh.interface_segments:
+        lines.append(f"{k} {seg[0]} {seg[1]} {int(mesh.interface_tag)}")
         k += 1
     lines += ["$EndSegments", "$Meta"]
     lines.append(f"delta {mesh.delta:.17g}")
     if mesh.w is not None:
         lines.append(f"w {mesh.w:.17g}")
-    if mesh.tape_endpoints is not None:
-        lines.append(f"dgw_minus {mesh.tape_endpoints['minus']}")
-        lines.append(f"dgw_plus {mesh.tape_endpoints['plus']}")
     lines.append("$EndMeta")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_native(path) -> Mesh2D:
-    """Read the file :func:`write_native` writes.  Its segments are
-    stored in traversal order and orientation, so each interface normal
-    follows from its segment as :class:`Mesh2D` defines it."""
+    """Read the file :func:`write_native` writes.  Each section numbers
+    its rows 0..n-1 in order.  The interface segments are stored in
+    traversal order, which carries their orientation, and all carry one
+    interface tag; other segments are outer boundary.  Meta keys other
+    than ``delta`` and ``w`` are ignored."""
     text = Path(path).read_text().split("\n")
     it = iter(text)
 
@@ -537,28 +520,19 @@ def read_native(path) -> Mesh2D:
                 return
         raise MeshError(f"section {tag} missing")
 
-    until("$Nodes")
-    n = int(next(it))
-    nodes = np.empty((n, 2))
-    for _ in range(n):
-        i, x, y = next(it).split()
-        nodes[int(i)] = (float(x), float(y))
-    until("$Triangles")
-    n = int(next(it))
-    tris = np.empty((n, 3), dtype=np.int64)
-    regions = np.empty(n, dtype=np.int64)
-    for _ in range(n):
-        i, a, b, c, r = next(it).split()
-        tris[int(i)] = (int(a), int(b), int(c))
-        regions[int(i)] = int(r)
-    until("$Segments")
-    n = int(next(it))
-    segs = np.empty((n, 2), dtype=np.int64)
-    tags = np.empty(n, dtype=np.int64)
-    for _ in range(n):
-        i, a, b, t = next(it).split()
-        segs[int(i)] = (int(a), int(b))
-        tags[int(i)] = int(t)
+    def section(tag, parse, width):
+        until(tag)
+        rows = []
+        for k in range(int(next(it))):
+            i, *vals = next(it).split()
+            if int(i) != k:
+                raise MeshError(f"section {tag}: id {i} where {k} is expected")
+            rows.append([parse(v) for v in vals])
+        return np.array(rows, dtype=parse).reshape(-1, width)
+
+    nodes = section("$Nodes", float, 2)
+    tris = section("$Triangles", int, 4)
+    segs = section("$Segments", int, 3)
     until("$Meta")
     meta = {}
     for line in it:
@@ -567,18 +541,11 @@ def read_native(path) -> Mesh2D:
         key, val = line.split()
         meta[key] = val
 
-    iface = ~np.isin(tags, [int(b) for b in Boundary])
-    isegs, itags = segs[iface], tags[iface]
-    d = nodes[isegs[:, 1]] - nodes[isegs[:, 0]]
-    t = d / np.hypot(d[:, 0], d[:, 1])[:, None]
-    # GAMMA_M keeps the conductor on its left; GAMMA_W's normal is z-hat x t-hat
-    side = np.where(itags == int(Interface.GAMMA_M), 1.0, -1.0)[:, None]
-    normals = side * np.column_stack([t[:, 1], -t[:, 0]])
-    tape_endpoints = None
-    if "dgw_minus" in meta:
-        tape_endpoints = {"minus": int(meta["dgw_minus"]), "plus": int(meta["dgw_plus"])}
-    mesh = Mesh2D(nodes, tris, regions, segs[~iface], tags[~iface], isegs, itags,
-                  normals, delta=float(meta["delta"]),
-                  w=float(meta["w"]) if "w" in meta else None,
-                  tape_endpoints=tape_endpoints)
+    iface = np.isin(segs[:, 2], [int(tag) for tag in Interface])
+    kinds = np.unique(segs[iface, 2])
+    if len(kinds) > 1:
+        raise MeshError(f"mesh has more than one interface kind: tags {kinds.tolist()}")
+    mesh = Mesh2D(nodes, tris[:, :3], tris[:, 3], segs[~iface, :2], segs[~iface, 2],
+                  segs[iface, :2], kinds[0] if len(kinds) else None,
+                  delta=float(meta["delta"]), w=float(meta["w"]) if "w" in meta else None)
     return mesh.validate()

@@ -22,10 +22,12 @@ globals, so assembled matrices are reproducible.  Essential values are
 applied by symmetric elimination downstream; here each constrained
 degree of freedom carries its build-time value.
 
-This module holds the DOF bookkeeping, the interface trace table and
-the H space's Whitney map.  Fields inside the elements are evaluated
-in ``assembly``, on the basis kernels the assembly itself uses
-(``field_operator``, ``h_curl_matrix``).
+Every space couples on the one interface of its mesh
+(``Mesh2D.interface_segments``), so no builder or trace routine takes
+an interface tag.  This module holds the DOF bookkeeping, the interface
+trace table and the H space's Whitney map.  Fields inside the elements
+are evaluated in ``assembly``, on the basis kernels the assembly itself
+uses (``field_operator``, ``h_curl_matrix``).
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _conductor_components(mesh: Mesh2D):
 
 def _ring_loops(mesh: Mesh2D):
     """The chains of the ordered GAMMA_M polyline, each a closed loop."""
-    loops = mesh.interface_chains(Interface.GAMMA_M)
+    loops = mesh.interface_chains()
     if any(loop[-1, 1] != loop[0, 0] for loop in loops):
         raise TopologyError("GAMMA_M does not decompose into closed loops")
     return loops
@@ -236,17 +238,15 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
         "circuits": conductors,
         "current_scale": 1.0,
         "sc_tris": sc_tris,
-        "interface_tag": Interface.GAMMA_M,
     })
 
 
-def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag) -> DofSpace:
+def build_a_space(mesh: Mesh2D, enrichment: int) -> DofSpace:
     """Vector-potential space on the a-side domain (ferromagnet + air).
 
-    ``interface_tag`` names the coupling interface; it is required, as
-    a mesh may carry several.  At order 2 one bubble is added per edge
-    of that interface.  The outer boundary carries a zero essential
-    trace; ``essential_vector`` sets another.
+    At order 2 one bubble is added per edge of the mesh's coupling
+    interface.  The outer boundary carries a zero essential trace;
+    ``essential_vector`` sets another.
     """
     a_tris = np.concatenate([mesh.region_tris(Region.OMEGA_A_FERRO),
                              mesh.region_tris(Region.OMEGA_A_AIR)])
@@ -254,9 +254,9 @@ def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag) -> DofSpace:
         raise SpaceError("mesh has no a-side region")
     a_nodes = np.unique(mesh.triangles[a_tris])
 
-    segs, _ = mesh.interface(interface_tag)
+    segs = mesh.interface_segments
     if len(segs) == 0:
-        raise SpaceError(f"mesh has no {interface_tag} interface")
+        raise SpaceError("mesh has no coupling interface")
 
     entries = [("node", int(n)) for n in a_nodes]
     if enrichment == 2:
@@ -268,7 +268,6 @@ def build_a_space(mesh: Mesh2D, enrichment: int, interface_tag) -> DofSpace:
     gamma_e_dofs = np.array([dof["node", int(n)] for n in gamma_e], dtype=np.int64)
     essential = dict.fromkeys(gamma_e_dofs.tolist(), 0.0)
     return DofSpace("A", enrichment, mesh, entries, essential, {
-        "interface_tag": Interface(int(interface_tag)),
         "a_tris": a_tris,
         "gamma_e_nodes": gamma_e,
         "gamma_e_dofs": gamma_e_dofs,
@@ -283,14 +282,13 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
     is fixed to zero strongly; a current constraint fixes the plus-end
     value to I/w, a voltage constraint leaves it free.
     """
-    segs, _ = mesh.interface(Interface.GAMMA_W)
-    if len(segs) == 0:
+    if mesh.interface_tag is not Interface.GAMMA_W:
         raise SpaceError("mesh has no GAMMA_W interface")
     if mesh.w is None:
         raise SpaceError("tape mesh must store a thickness w")
 
     tapes, interior = [], set()
-    for tid, chain in enumerate(mesh.interface_chains(Interface.GAMMA_W)):
+    for tid, chain in enumerate(mesh.interface_chains()):
         if tid not in constraints:
             raise SpaceError(f"tape {tid} has no constraint")
         mode, value = constraints[tid]
@@ -302,7 +300,8 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
 
     entries = [("node", n) for n in sorted(interior)]
     if enrichment == 2:
-        entries += [("bubble", int(e)) for e in np.sort(mesh.edge_ids(segs))]
+        entries += [("bubble", int(e))
+                    for e in np.sort(mesh.edge_ids(mesh.interface_segments))]
     entries += [("global", t.id) for t in tapes]
 
     dof = {ent: k for k, ent in enumerate(entries)}
@@ -310,7 +309,6 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
     return DofSpace("T", enrichment, mesh, entries, essential, {
         "circuits": tapes,
         "current_scale": mesh.w,
-        "interface_tag": Interface.GAMMA_W,
     })
 
 
@@ -336,17 +334,17 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
 # -- interface trace machinery --------------------------------------------------
 
 
-def interface_chain(space: DofSpace, interface_tag):
+def interface_chain(space: DofSpace):
     """Ordered interface segments, lengths and cumulative arclength."""
-    segs, normals = space.mesh.interface(interface_tag)
+    segs = space.mesh.interface_segments
     lens = space.mesh.segment_lengths(segs)
     cum = np.concatenate([[0.0], np.cumsum(lens)])
-    return segs, normals, lens, cum
+    return segs, lens, cum
 
 
 @dataclass(frozen=True)
 class TraceTable:
-    """Coupling trace basis of one space on one interface.
+    """Coupling trace basis of one space on its mesh's interface.
 
     Slot p of segment k carries DOF ``dofs[k, p]``; its trace at local
     coordinate u in [0, 1] along the oriented segment is
@@ -374,17 +372,15 @@ def _powers(u):
     return np.stack([np.ones_like(u), u, u * u])
 
 
-def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
-    """Tabulated trace basis on an interface, cached on the space: the
-    z-component of n x h for H spaces, the potential value for A spaces
-    and the surface-current density dt/ds for T spaces."""
-    tag = Interface(int(interface_tag if interface_tag is not None
-                        else space.meta["interface_tag"]))
-    cache = space.__dict__.setdefault("_trace_tables", {})
-    if tag in cache:
-        return cache[tag]
+def trace_table(space: DofSpace) -> TraceTable:
+    """Tabulated trace basis on the mesh's interface, cached on the
+    space: the z-component of n x h for H spaces, the potential value
+    for A spaces and the surface-current density dt/ds for T spaces."""
+    cached = getattr(space, "_trace_table", None)
+    if cached is not None:
+        return cached
     mesh = space.mesh
-    segs, _, lens, cum = interface_chain(space, tag)
+    segs, lens, cum = interface_chain(space)
     eids = mesh.edge_ids(segs)
     node = space.entity_dofs("node", mesh.n_nodes)
     zero, one, inv = np.zeros(len(segs)), np.ones(len(segs)), 1.0 / lens
@@ -412,17 +408,17 @@ def trace_table(space: DofSpace, interface_tag=None) -> TraceTable:
     dofs = np.stack([d for d, _ in slots], axis=1)
     coeffs = np.stack([np.stack(c, axis=1) for _, c in slots], axis=1)
     coeffs[dofs < 0] = 0.0
-    cache[tag] = TraceTable(dofs, coeffs, lens, cum)
-    return cache[tag]
+    space._trace_table = TraceTable(dofs, coeffs, lens, cum)
+    return space._trace_table
 
 
-def eval_trace(space: DofSpace, coeffs, interface_tag, s):
+def eval_trace(space: DofSpace, coeffs, s):
     """Interface trace at arclength s (scalar or array) along the
     oriented interface polyline; ``coeffs`` is a full-length vector."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.n_dofs,):
         raise SpaceError("coefficient vector does not match the space")
-    tab = trace_table(space, interface_tag)
+    tab = trace_table(space)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr < -1e-12) or np.any(s_arr > tab.cum[-1] + 1e-12):
         raise SpaceError("arclength outside the interface")

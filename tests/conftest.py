@@ -1,7 +1,7 @@
 import pytest
 
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import (GeometryParams, Interface, Region, Scenario,
+from htsfem.mesh import (GeometryParams, Region, Scenario,
                          build_stacked_bar_mesh, build_tape_mesh)
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
@@ -51,12 +51,12 @@ def tape_materials_power():
 @pytest.fixture(scope="session")
 def bar_spaces_11(bar_mesh):
     h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    a = build_a_space(bar_mesh, 1)
     return h, a
 
 
 @pytest.fixture(scope="session")
 def tape_spaces_11(tape_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     return t, a

@@ -20,7 +20,7 @@ from htsfem.infsup import run_infsup_sweep
 from htsfem.linalg import infsup_eigenpairs
 from htsfem.materials import (MU0, MagneticLaw, Materials, PowerLaw, VACUUM,
                               de_dj, e_field)
-from htsfem.mesh import (GeometryParams, Interface, Region, Scenario,
+from htsfem.mesh import (GeometryParams, Region, Scenario,
                          build_stacked_bar_mesh, build_tape_mesh)
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector)
@@ -108,7 +108,7 @@ def test_criterion_3_ta_verdict_matrix():
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20),
                      {int(Region.OMEGA_A_AIR): VACUUM})
     t_sp = build_t_space(mesh, 2, {0: ("current", I0)})
-    a_sp = build_a_space(mesh, 1, Interface.GAMMA_W)
+    a_sp = build_a_space(mesh, 1)
     tc = TimeConfig(dt=0.025, t_end=0.25,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
     try:
@@ -132,7 +132,7 @@ def test_criterion_4_oscillation_contrast_bar():
     metrics = {}
     for pair in [(1, 1), (2, 1)]:
         h = build_h_space(mesh, pair[0], {0: ("current", 0.0)})
-        a = build_a_space(mesh, pair[1], Interface.GAMMA_M)
+        a = build_a_space(mesh, pair[1])
         tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
                         drives={0: ("current", ramp_then_hold(0.0, 0.5, 1.0))})
         t0 = time.perf_counter()
@@ -160,7 +160,7 @@ def test_criterion_4_oscillation_contrast_tape():
     metrics, profiles = {}, {}
     for pair in [(1, 1), (1, 2)]:
         t_sp = build_t_space(mesh, pair[0], {0: ("current", I0)})
-        a_sp = build_a_space(mesh, pair[1], Interface.GAMMA_W)
+        a_sp = build_a_space(mesh, pair[1])
         tc = TimeConfig(dt=0.0125, t_end=0.5,
                         drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
         t0 = time.perf_counter()
@@ -258,12 +258,12 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     I0 = 0.3 * jc * tape_mesh.w * 0.01
     ramp = ramp_then_hold(I0, 0.15, 0.3)
     t_sp = build_t_space(tape_mesh, 1, {0: ("current", I0)})
-    a_sp = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a_sp = build_a_space(tape_mesh, 1)
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20),
                      {int(Region.OMEGA_A_AIR): VACUUM})
     tc = TimeConfig(dt=0.05, t_end=0.3, drives={0: ("current", ramp)})
     hist = run_transient(tape_mesh, (t_sp, a_sp), mats, tc, "ta")
-    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    segs = tape_mesh.interface_segments
     lens = tape_mesh.segment_lengths(segs)
     worst_c = 0.0
     for k, tk in enumerate(hist.times):
@@ -279,7 +279,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     from htsfem._geom import LINE_QP, LINE_QW
     from htsfem.spaces import eval_trace, interface_chain
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    segs_m, _, lens_m, cum = interface_chain(h1, Interface.GAMMA_M)
+    segs_m, lens_m, cum = interface_chain(h1)
     scale = 1.0 / lens_m.min()
     worst_d = 0.0
     for k, (kind, _) in enumerate(h1.entries):
@@ -288,8 +288,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
         circ = 0.0
         for ks in range(len(segs_m)):
             for u, w in zip(LINE_QP, LINE_QW):
-                circ += w * lens_m[ks] * eval_trace(h1, xx, Interface.GAMMA_M,
-                                                    cum[ks] + u * lens_m[ks])
+                circ += w * lens_m[ks] * eval_trace(h1, xx, cum[ks] + u * lens_m[ks])
         if kind == "global":
             assert circ == pytest.approx(1.0, abs=1e-12)
         else:
@@ -311,7 +310,7 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
     worst = 0.0
     for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         h = build_h_space(bar_mesh, pair[0], {0: ("current", 0.0)})
-        a = build_a_space(bar_mesh, pair[1], Interface.GAMMA_M)
+        a = build_a_space(bar_mesh, pair[1])
         a_ess = essential_vector(a, a_trace=lambda x, y: -b0 * x)
         a_exact = np.array([a_ess[k] if k in a.essential else
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)

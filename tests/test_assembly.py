@@ -8,7 +8,7 @@ from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
                              assemble_norm_matrix, assemble_ta_iteration,
                              field_operator, h_curl_matrix, linear_blocks,
                              tape_element_size, _coupling_full)
-from htsfem.mesh import Interface, refine
+from htsfem.mesh import refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_trace, interface_chain)
 
@@ -94,9 +94,9 @@ def test_ha_coupling_hand_values(bar_mesh):
     # one boundary-potential DOF against the neighbouring potential hats:
     # the tangential trace +-1/L against a rising/falling hat gives +-1/2
     h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    a = build_a_space(bar_mesh, 1)
     B = _coupling_full(h, a)
-    segs, _, lens, _ = interface_chain(h, Interface.GAMMA_M)
+    segs, lens, _ = interface_chain(h)
     k = 4
     n_prev, n_mid = int(segs[k][0]), int(segs[k][1])
     n_next = int(segs[k + 1][1])
@@ -113,7 +113,7 @@ def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
     B = _coupling_full(h, a)
     c = 2.5
     avec = np.zeros(a.n_dofs)
-    segs, _, lens, cum = interface_chain(a, Interface.GAMMA_M)
+    segs, lens, cum = interface_chain(a)
     for n in np.unique(segs):
         avec[a.dof("node", int(n))] = c
     row = avec @ B          # functional over h-dofs
@@ -125,8 +125,7 @@ def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
         quad = 0.0
         for k in range(len(segs)):
             for u, w in zip(LINE_QP, LINE_QW):
-                quad += w * lens[k] * c * eval_trace(h, x, Interface.GAMMA_M,
-                                                     cum[k] + u * lens[k])
+                quad += w * lens[k] * c * eval_trace(h, x, cum[k] + u * lens[k])
         assert row[dof] == pytest.approx(quad, abs=1e-12 * scale)
         assert abs(row[dof]) < 1e-12 * scale
     # the cut picks up the full circulation
@@ -145,9 +144,9 @@ def test_ta_single_segment_hand_value(tape_mesh):
     # piecewise-constant j on one segment against the a-hat rising on it:
     # entry = w * (1/L) * L/2 = w/2 per adjacent segment
     t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     B = _coupling_full(t, a)
-    segs, _, lens, _ = interface_chain(t, Interface.GAMMA_W)
+    segs, lens, _ = interface_chain(t)
     k = 3
     n_mid = int(segs[k][1])       # interior tape node
     col = t.dof("node", n_mid)
@@ -163,7 +162,7 @@ def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
     B = assemble_coupling_matrix(h, a)
     csc = sp.csc_matrix(B)
     nonzero_cols = int(np.sum(np.diff(csc.indptr) > 0))
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     # free V-DOFs with interface support: ring potentials minus the
     # grounded one (the cut is constrained at zero imposed current)
     assert nonzero_cols == len(segs) - 1
@@ -171,8 +170,8 @@ def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
 
 def test_coupling_hierarchical_nesting(bar_mesh):
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    a1 = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
+    a1 = build_a_space(bar_mesh, 1)
+    a2 = build_a_space(bar_mesh, 2)
     B11 = assemble_coupling_matrix(h1, a1).toarray()
     B12 = assemble_coupling_matrix(h1, a2).toarray()
     # node DOFs come first in the A numbering, so the order-1 matrix is
@@ -180,17 +179,15 @@ def test_coupling_hierarchical_nesting(bar_mesh):
     assert np.allclose(B12[:B11.shape[0], :], B11, atol=1e-15)
 
 
-def test_coupling_rejects_mismatched_interfaces(bar_mesh, bar_spaces_11,
-                                               bar_materials_linear):
-    # an a-space coupling on the tape line cannot pair with an h-space
-    # coupling on the conductor boundary
-    h, a = bar_spaces_11
-    tape_side = type(a)("A", 1, bar_mesh, a.entries, a.essential,
-                        {**a.meta, "interface_tag": Interface.GAMMA_W})
-    with pytest.raises(AssemblyError, match="different interfaces"):
-        assemble_coupling_matrix(h, tape_side)
-    with pytest.raises(AssemblyError, match="different interfaces"):
-        linear_blocks(bar_mesh, h, tape_side, bar_materials_linear)
+def test_coupling_rejects_spaces_of_two_meshes(bar_mesh, bar_spaces_11,
+                                              bar_materials_linear):
+    # the two spaces couple on one interface only if they share a mesh
+    h, _ = bar_spaces_11
+    fine_a = build_a_space(refine(bar_mesh), 1)
+    with pytest.raises(AssemblyError, match="different meshes"):
+        assemble_coupling_matrix(h, fine_a)
+    with pytest.raises(AssemblyError, match="different meshes"):
+        linear_blocks(bar_mesh, h, fine_a, bar_materials_linear)
 
 
 def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
@@ -209,7 +206,7 @@ def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
 def test_a_norm_uniform_gradient(tape_mesh):
     # analytic value: nu0 * b0^2 * domain area for a = -b0 y
     b0 = 0.7
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     N = assemble_norm_matrix(a, NORMS)
     x_full = np.array([-b0 * tape_mesh.nodes[ent, 1] if kind == "node" else 0.0
                        for kind, ent in a.entries])
@@ -230,7 +227,7 @@ def test_t_norm_delta_scaling(tape_mesh):
     # same continuous linear ramp on both meshes
     def ramp_vec(space, mesh):
         x = space.essential_full()
-        xm = mesh.nodes[mesh.tape_endpoints["minus"], 0]
+        xm = mesh.nodes[mesh.interface_segments[0, 0], 0]
         for k, (kind, ent) in enumerate(space.entries):
             if kind == "node":
                 x[k] = (mesh.nodes[ent, 0] - xm) / 0.01
@@ -247,7 +244,7 @@ def test_t_norm_delta_scaling(tape_mesh):
 
 
 def test_a_norm_needs_essential(bar_mesh):
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    a = build_a_space(bar_mesh, 1)
     free_space = type(a)("A", 1, bar_mesh, a.entries, {}, a.meta)
     with pytest.raises(SingularNormError):
         assemble_norm_matrix(free_space, NORMS)
@@ -256,7 +253,7 @@ def test_a_norm_needs_essential(bar_mesh):
 def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     # reduced system equals the manual dense reduction of the full one
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
     blocks = linear_blocks(tape_mesh, t, a, tape_materials_power)
@@ -280,7 +277,7 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
     # contributes only through the net-current functional: the loop
     # circulation of every single-valued basis trace vanishes
     h, _ = bar_spaces_11
-    segs, _, lens, cum = interface_chain(h, Interface.GAMMA_M)
+    segs, lens, cum = interface_chain(h)
     scale = 1.0 / lens.min()
     for k, (kind, ent) in enumerate(h.entries):
         x = np.zeros(h.n_dofs)
@@ -288,8 +285,7 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
         circ = 0.0
         for ks in range(len(segs)):
             for u, w in zip(LINE_QP, LINE_QW):
-                circ += w * lens[ks] * eval_trace(h, x, Interface.GAMMA_M,
-                                                  cum[ks] + u * lens[ks])
+                circ += w * lens[ks] * eval_trace(h, x, cum[ks] + u * lens[ks])
         if kind == "global":
             assert circ == pytest.approx(1.0, abs=1e-12)
         else:
@@ -327,7 +323,7 @@ def test_bubble_rows_match_field_quadrature():
     from htsfem.assembly import _a_stiffness, _h_mass
     mesh = l_bar_mesh()
     nu = np.random.default_rng(3).uniform(1.0, 2.0, mesh.n_triangles)
-    a = build_a_space(mesh, 2, Interface.GAMMA_M)
+    a = build_a_space(mesh, 2)
     h = build_h_space(mesh, 2, {0: ("current", 0.0)})
     cases = [(a, _a_stiffness(a, nu[a.meta["a_tris"]]), a.meta["a_tris"], eval_a_curl, nu),
              (h, _h_mass(h, 1.0), h.meta["sc_tris"], eval_h_field, np.ones(mesh.n_triangles))]
@@ -373,7 +369,7 @@ def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichmen
             space = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
             tris, reference = space.meta["sc_tris"], eval_h_field
         else:
-            space = build_a_space(mesh, enrichment, Interface.GAMMA_M)
+            space = build_a_space(mesh, enrichment)
             tris, reference = space.meta["a_tris"], eval_a_curl
         barys = np.concatenate([np.broadcast_to(fixed, (len(tris),) + fixed.shape),
                                 rng.dirichlet(np.ones(3), size=(len(tris), 2))], axis=1)

@@ -22,7 +22,6 @@ from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _wh
                              linear_blocks)
 from htsfem.linalg import BorderedSchur, InterfaceSchur, SingularSystemError, backward_error
 from htsfem.materials import MU0, de_dj, rho_power
-from htsfem.mesh import Interface
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
@@ -48,11 +47,10 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
         if form == "ha":
             mesh, mats, assemble = bar_mesh, bar_materials_power, assemble_ha_iteration
             v = build_h_space(mesh, i, {0: ("current", 0.0)})
-            q = build_a_space(mesh, j, Interface.GAMMA_M)
         else:
             mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
             v = build_t_space(mesh, i, {0: ("current", 0.0)})
-            q = build_a_space(mesh, j, Interface.GAMMA_W)
+        q = build_a_space(mesh, j)
         blocks = linear_blocks(mesh, v, q, mats)
         case = SimpleNamespace(
             form=form, mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks,

@@ -6,7 +6,7 @@ from htsfem.diagnostics import (ProfileSample, SamplingError, locate_points,
                                 penetrated_area, sample_bn_profile,
                                 sample_tape_current, sign_changes)
 from htsfem.materials import MU0, Materials, PowerLaw, VACUUM
-from htsfem.mesh import Interface, Region
+from htsfem.mesh import Region
 from htsfem.spaces import build_a_space, build_t_space
 from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
 
@@ -120,7 +120,7 @@ def test_tape_profile_constant_ramp(tape_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
     T = 2.0 / tape_mesh.w
     x = t.essential_full()
-    xm = tape_mesh.nodes[tape_mesh.tape_endpoints["minus"], 0]
+    xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
     for k, (kind, ent) in enumerate(t.entries):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / 0.01
@@ -135,12 +135,12 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     jc = tape_materials_power.power.j_c
     I0 = 0.4 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.05, t_end=0.25,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
     prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
-    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    segs = tape_mesh.interface_segments
     lens = tape_mesh.segment_lengths(segs)
     net = tape_mesh.w * jc * float(prof.values @ lens)
     assert net == pytest.approx(I0, rel=1e-8)
@@ -152,7 +152,7 @@ def test_stable_tape_penetration_shape(tape_mesh, tape_materials_power):
     jc = tape_materials_power.power.j_c
     I0 = 0.8 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
-    a = build_a_space(tape_mesh, 2, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.00125, t_end=0.05,
                     drives={0: ("current", ramp_then_hold(I0, 0.05, 0.05))})
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")

@@ -12,7 +12,7 @@ from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport,
                            _sweep_level, _verdict)
 from htsfem.linalg import infsup_eigenpairs, interface_schur
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import Interface, Region, refine
+from htsfem.mesh import Region, refine
 from htsfem.spaces import DofSpace, build_a_space
 
 from util import solve_reference
@@ -92,7 +92,7 @@ def test_unstable_smallest_mode_oscillates(tmp_path, bar_mesh):
     NQ = assemble_norm_matrix(q_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, NQ)
     q_full, v_full = export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     vals = np.array([q_full[q_sp.dof("node", int(n))] for n in segs[:, 0]])
     s = np.sign(vals[np.abs(vals) > 1e-12 * np.abs(vals).max()])
     changes = int(np.sum(s[1:] != s[:-1])) + int(s[0] != s[-1])
@@ -219,8 +219,8 @@ def test_leading_rows_checks_the_hierarchy(bar_mesh):
 
 
 def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
-    def shuffled_a_space(mesh, enrichment, interface_tag):
-        space = build_a_space(mesh, enrichment, interface_tag)
+    def shuffled_a_space(mesh, enrichment):
+        space = build_a_space(mesh, enrichment)
         return _bubbles_first(space) if enrichment == 2 else space
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
     with pytest.raises(HierarchyError, match="level 0"):

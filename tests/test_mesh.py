@@ -14,7 +14,7 @@ from util import l_bar_mesh
 
 
 def test_stacked_bar_interface_perimeter(bar_mesh):
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     perim = bar_mesh.segment_lengths(segs).sum()
     assert abs(perim - 0.060) < 1e-12
     # closed polyline
@@ -41,15 +41,17 @@ def test_region_areas(bar_mesh, bar_params):
 
 
 def test_tape_segments(tape_mesh):
-    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    segs = tape_mesh.interface_segments
+    assert tape_mesh.interface_tag is Interface.GAMMA_W
     assert len(segs) == 20
     assert len(np.unique(segs)) == 21
     assert tape_mesh.w == 1e-6
     lens = tape_mesh.segment_lengths(segs)
     assert lens.max() / lens.min() <= 1.01
-    # endpoint markers sit at the tape ends
-    minus = tape_mesh.nodes[tape_mesh.tape_endpoints["minus"]]
-    plus = tape_mesh.nodes[tape_mesh.tape_endpoints["plus"]]
+    # the chain runs from the minus end to the plus end
+    assert np.array_equal(segs[1:, 0], segs[:-1, 1])
+    minus = tape_mesh.nodes[segs[0, 0]]
+    plus = tape_mesh.nodes[segs[-1, 1]]
     assert minus[0] < plus[0]
     assert abs(plus[0] - minus[0] - 0.01) < 1e-12
 
@@ -60,8 +62,8 @@ def test_refine_counts_and_delta(bar_mesh):
     assert abs(fine.delta - bar_mesh.delta / 2) < 1e-15
     assert abs(fine.signed_areas.sum() - bar_mesh.signed_areas.sum()) \
         < 1e-12 * bar_mesh.signed_areas.sum()
-    segs, _ = fine.interface(Interface.GAMMA_M)
-    coarse_segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = fine.interface_segments
+    coarse_segs = bar_mesh.interface_segments
     fine_len = fine.segment_lengths(segs).sum()
     coarse_len = bar_mesh.segment_lengths(coarse_segs).sum()
     assert abs(fine_len - coarse_len) < 1e-12 * coarse_len
@@ -70,10 +72,12 @@ def test_refine_counts_and_delta(bar_mesh):
 
 def test_refine_tape_uniform_and_markers(tape_mesh):
     fine = refine(tape_mesh)
-    segs, _ = fine.interface(Interface.GAMMA_W)
+    segs = fine.interface_segments
     lens = fine.segment_lengths(segs)
     assert lens.max() / lens.min() <= 1.01
-    assert fine.tape_endpoints == tape_mesh.tape_endpoints
+    # refinement keeps the node ids, so the tape keeps its end nodes
+    coarse = tape_mesh.interface_segments
+    assert (segs[0, 0], segs[-1, 1]) == (coarse[0, 0], coarse[-1, 1])
     assert len(segs) == 40
 
 
@@ -82,27 +86,32 @@ def test_conforming_no_hanging_nodes(bar_mesh):
     assert fine.edge_tri_count.max() <= 2
 
 
-def test_interface_normals(bar_mesh):
-    segs, norms = bar_mesh.interface(Interface.GAMMA_M)
-    assert np.allclose(np.hypot(norms[:, 0], norms[:, 1]), 1.0, atol=1e-14)
-    # outward from the conductor: normal points away from the bar center
-    mids = 0.5 * (bar_mesh.nodes[segs[:, 0]] + bar_mesh.nodes[segs[:, 1]])
+def test_gamma_m_orientation(bar_mesh):
+    # counterclockwise around the bar: the right-hand normal of every
+    # segment points away from the bar center, and the enclosed area
+    # (shoelace formula) is the bar's
+    assert bar_mesh.interface_tag is Interface.GAMMA_M
+    segs = bar_mesh.interface_segments
+    p, q = bar_mesh.nodes[segs[:, 0]], bar_mesh.nodes[segs[:, 1]]
+    d = q - p
+    outward = np.column_stack([d[:, 1], -d[:, 0]])
     center = np.array([0.0, -0.005])
-    assert np.all(np.einsum("sd,sd->s", norms, mids - center) > 0.0)
+    assert np.all(np.einsum("sd,sd->s", outward, 0.5 * (p + q) - center) > 0.0)
+    area = 0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])
+    assert area == pytest.approx(0.02 * 0.01, rel=1e-12)
 
 
 MESH_ARRAYS = ("nodes", "triangles", "tri_region", "boundary_segments",
-               "boundary_tags", "interface_segments", "interface_tags",
-               "interface_normals")
+               "boundary_tags", "interface_segments")
 
 
 def _assert_same_mesh(back, mesh):
     for name in MESH_ARRAYS:
         assert np.array_equal(getattr(back, name), getattr(mesh, name)), name
         assert getattr(back, name).dtype == getattr(mesh, name).dtype, name
+    assert back.interface_tag is mesh.interface_tag
     assert back.delta == mesh.delta
     assert back.w == mesh.w
-    assert back.tape_endpoints == mesh.tape_endpoints
 
 
 def _roundtrip_cli_mesh(tmp_path, config):
@@ -125,15 +134,19 @@ def _roundtrip_cli_mesh(tmp_path, config):
 def test_native_roundtrip(tmp_path):
     back = _roundtrip_cli_mesh(tmp_path, {"scenario": "stacked_bar",
                                           "geometry": {"delta": 0.002}})
-    assert back.w is None and back.tape_endpoints is None
-    assert set(back.interface_tags) == {int(Interface.GAMMA_M)}
+    assert back.w is None and back.interface_tag is Interface.GAMMA_M
 
 
 def test_native_roundtrip_tape(tmp_path):
     back = _roundtrip_cli_mesh(tmp_path, {"scenario": "single_tape",
                                           "geometry": {"delta": 0.001}})
-    assert back.w is not None and back.tape_endpoints is not None
-    assert set(back.interface_tags) == {int(Interface.GAMMA_W)}
+    assert back.w is not None and back.interface_tag is Interface.GAMMA_W
+    # files that list the tape's end nodes in their meta section still read
+    text = (tmp_path / "out" / "mesh.txt").read_text()
+    segs = back.interface_segments
+    ends = f"dgw_minus {segs[0, 0]}\ndgw_plus {segs[-1, 1]}\n$EndMeta"
+    (tmp_path / "old.txt").write_text(text.replace("$EndMeta", ends))
+    _assert_same_mesh(read_native(tmp_path / "old.txt"), back)
 
 
 def test_geometry_validation():
@@ -143,14 +156,21 @@ def test_geometry_validation():
         GeometryParams(delta=0.015)  # not below half the bar width
 
 
+def _variant(mesh, **changes):
+    """An unvalidated copy of ``mesh`` with some constructor arguments
+    replaced."""
+    args = {name: getattr(mesh, name) for name in (
+        "nodes", "triangles", "tri_region", "boundary_segments", "boundary_tags",
+        "interface_segments", "interface_tag", "delta", "w")}
+    return Mesh2D(**{**args, **changes})
+
+
 def _with_regions(mesh, tri_region):
-    return Mesh2D(mesh.nodes, mesh.triangles, tri_region, mesh.boundary_segments,
-                  mesh.boundary_tags, mesh.interface_segments, mesh.interface_tags,
-                  mesh.interface_normals, mesh.delta, mesh.w, mesh.tape_endpoints)
+    return _variant(mesh, tri_region=tri_region)
 
 
 def test_gamma_m_must_separate_conductor(bar_mesh):
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     regions = bar_mesh.tri_region.copy()
     regions[bar_mesh.edge_tris[bar_mesh.edge_ids(segs[5:6])[0]]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="does not separate conductor from exterior"):
@@ -165,17 +185,21 @@ def test_interface_chains_split_loops_and_reject_open_ones():
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
     mesh = _structured_mesh(breaks, breaks, 0.001, region)
-    segs, normals = mesh.interface(Interface.GAMMA_M)
-    loops = mesh.interface_chains(Interface.GAMMA_M)
+    segs = mesh.interface_segments
+    loops = mesh.interface_chains()
     assert len(loops) == 2
     assert np.array_equal(np.concatenate(loops), segs)
     assert all(loop[-1, 1] == loop[0, 0] for loop in loops)
     assert all(np.array_equal(a, b) for a, b in zip(_ring_loops(mesh), loops))
-    assert mesh.interface_chains(Interface.GAMMA_W) == []
+    # a mesh without a conductor or a tape has no interface
+    air = _structured_mesh(breaks, breaks, 0.001, lambda x, y: Region.OMEGA_A_AIR)
+    assert air.interface_tag is None and air.interface_chains() == []
+    # reversing one loop puts its conductor on the right
+    flipped = np.concatenate([loops[0], loops[1][::-1, ::-1]])
+    with pytest.raises(MeshError, match="conductor on its left"):
+        _variant(mesh, interface_segments=flipped).validate()
     # dropping one segment leaves an open chain
-    broken = Mesh2D(mesh.nodes, mesh.triangles, mesh.tri_region, mesh.boundary_segments,
-                    mesh.boundary_tags, segs[1:], mesh.interface_tags[1:], normals[1:],
-                    mesh.delta)
+    broken = _variant(mesh, interface_segments=segs[1:])
     with pytest.raises(MeshError, match="GAMMA_M polyline is not closed"):
         broken.validate()
     with pytest.raises(TopologyError, match="closed loops"):
@@ -183,7 +207,7 @@ def test_interface_chains_split_loops_and_reject_open_ones():
 
 
 def test_gamma_w_must_lie_in_air(tape_mesh):
-    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    segs = tape_mesh.interface_segments
     regions = tape_mesh.tri_region.copy()
     regions[tape_mesh.edge_tris[tape_mesh.edge_ids(segs[3:4])[0]][0]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="GAMMA_W segment must lie inside the air region"):
@@ -208,3 +232,113 @@ def test_edge_table_matches_reference(bar_mesh, tape_mesh):
         assert np.array_equal(mesh.edges, edges)
         assert np.array_equal(mesh.tri_edges, tri_edges)
         assert np.array_equal(mesh.edge_ids(mesh.edges[:, ::-1]), np.arange(len(edges)))
+
+
+# -- refused meshes and files ---------------------------------------------------
+
+
+def _flipped_triangle(bar, tape):
+    tris = bar.triangles.copy()
+    tris[0] = tris[0, ::-1]
+    return bar, {"triangles": tris}
+
+
+def _duplicate_node(bar, tape):
+    # an extra node on top of node 0, used by no triangle
+    return bar, {"nodes": np.vstack([bar.nodes, bar.nodes[:1]])}
+
+
+def _edge_of_three_triangles(bar, tape):
+    return bar, {"triangles": np.vstack([bar.triangles, bar.triangles[:1]]),
+                 "tri_region": np.append(bar.tri_region, bar.tri_region[0])}
+
+
+def _loop_twice(bar, tape):
+    return bar, {"interface_segments": np.vstack([bar.interface_segments] * 2)}
+
+
+def _outer_boundary_as_gamma_m(bar, tape):
+    return bar, {"interface_segments": bar.boundary_segments}
+
+
+def _clockwise_gamma_m(bar, tape):
+    return bar, {"interface_segments": bar.interface_segments[::-1, ::-1]}
+
+
+def _non_uniform_tape(bar, tape):
+    segs = tape.interface_segments
+    nodes = tape.nodes.copy()
+    nodes[segs[5, 1], 0] += 0.2 * tape.segment_lengths(segs[5:6])[0]
+    return tape, {"nodes": nodes}
+
+
+def _conductor_beside_tape(bar, tape):
+    regions = tape.tri_region.copy()
+    regions[:2] = int(Region.OMEGA_H_SC)      # the cell in the lower-left corner
+    return tape, {"tri_region": regions}
+
+
+REFUSED = [
+    (_flipped_triangle, "triangle with non-positive signed area"),
+    (_duplicate_node, "duplicate nodes"),
+    (_edge_of_three_triangles, "edge shared by >2 triangles"),
+    (_loop_twice, "interface polyline revisits a node"),
+    (_outer_boundary_as_gamma_m, "GAMMA_M segment not shared by two triangles"),
+    (_clockwise_gamma_m, "GAMMA_M does not keep the conductor on its left"),
+    (_non_uniform_tape, r"tape mesh is not uniform \(max/min segment length > 1.01\)"),
+    (_conductor_beside_tape, "more than one interface kind: GAMMA_W and a conductor boundary"),
+]
+
+
+@pytest.mark.parametrize("change, message", REFUSED, ids=[c.__name__[1:] for c, _ in REFUSED])
+def test_validate_and_read_native_refuse(bar_mesh, tape_mesh, tmp_path, change, message):
+    mesh, changes = change(bar_mesh, tape_mesh)
+    broken = _variant(mesh, **changes)
+    with pytest.raises(MeshError, match=message):
+        broken.validate()
+    write_native(broken, tmp_path / "mesh.txt")
+    with pytest.raises(MeshError, match=message):
+        read_native(tmp_path / "mesh.txt")
+
+
+def _edited_file(mesh, tmp_path, edit):
+    """``mesh`` written to the native format, its lines passed through
+    ``edit``; returns the path of the edited file."""
+    write_native(mesh, tmp_path / "mesh.txt")
+    lines = (tmp_path / "mesh.txt").read_text().split("\n")
+    edit(lines)
+    (tmp_path / "edited.txt").write_text("\n".join(lines))
+    return tmp_path / "edited.txt"
+
+
+@pytest.mark.parametrize("section", ["$Nodes", "$Triangles", "$Segments"])
+@pytest.mark.parametrize("found", [2, 4], ids=["repeated", "skipped"])
+def test_read_native_requires_ids_in_order(bar_mesh, tmp_path, section, found):
+    def renumber(lines):
+        row = lines.index(section) + 2 + 3          # the row with id 3
+        lines[row] = " ".join([str(found)] + lines[row].split()[1:])
+
+    path = _edited_file(bar_mesh, tmp_path, renumber)
+    with pytest.raises(MeshError, match=rf"section \{section}: id {found} where 3 is expected"):
+        read_native(path)
+
+
+@pytest.mark.parametrize("section", ["$Nodes", "$Triangles", "$Segments", "$Meta"])
+def test_read_native_names_a_missing_section(bar_mesh, tmp_path, section):
+    def drop(lines):
+        lines[lines.index(section)] = "$Unknown"
+
+    path = _edited_file(bar_mesh, tmp_path, drop)
+    with pytest.raises(MeshError, match=rf"section \{section} missing"):
+        read_native(path)
+
+
+def test_read_native_refuses_two_interface_kinds(bar_mesh, tmp_path):
+    def retag(lines):
+        row = lines.index("$EndSegments") - 1       # the last GAMMA_M segment
+        fields = lines[row].split()
+        lines[row] = " ".join(fields[:-1] + [str(int(Interface.GAMMA_W))])
+
+    path = _edited_file(bar_mesh, tmp_path, retag)
+    with pytest.raises(MeshError, match=r"more than one interface kind: tags \[20, 21\]"):
+        read_native(path)

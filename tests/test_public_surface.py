@@ -201,7 +201,7 @@ def unread_meta_keys():
 
 def test_every_meta_key_is_read():
     written, _ = _meta_keys()
-    assert "interface_tag" in written
+    assert "sc_tris" in written
     assert unread_meta_keys() == []
 
 

@@ -5,7 +5,7 @@ from htsfem._geom import LINE_QP, LINE_QW
 from scipy.sparse import coo_matrix
 
 from htsfem.assembly import field_operator, h_curl_matrix
-from htsfem.mesh import Interface, Region, _structured_mesh, refine
+from htsfem.mesh import Region, _structured_mesh, refine
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_space,
                            build_t_space, essential_vector, eval_trace,
                            interface_chain, trace_table, whitney_transform)
@@ -13,15 +13,14 @@ from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_spa
 from util import eval_h_field, l_bar_mesh, solve_reference
 
 
-def loop_circulation(space, coeffs, tag):
+def loop_circulation(space, coeffs):
     """Independent oracle: quadrature of the tangential trace around
     the interface loop."""
-    segs, _, lens, cum = interface_chain(space, tag)
+    segs, lens, cum = interface_chain(space)
     total = 0.0
     for k in range(len(segs)):
         for u, w in zip(LINE_QP, LINE_QW):
-            total += w * lens[k] * eval_trace(space, coeffs, tag,
-                                              cum[k] + u * lens[k])
+            total += w * lens[k] * eval_trace(space, coeffs, cum[k] + u * lens[k])
     return total
 
 
@@ -43,7 +42,7 @@ def two_bar_mesh():
 
 def test_h_dof_count(bar_mesh):
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     sc_edges = np.unique(bar_mesh.tri_edges[bar_mesh.region_tris(Region.OMEGA_H_SC)])
     n_ring = len(segs)
     n_interior = len(sc_edges) - n_ring
@@ -55,7 +54,7 @@ def test_h_dof_count(bar_mesh):
 def test_h_bubble_count(bar_mesh):
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     assert h2.n_dofs == h1.n_dofs + len(segs)
 
 
@@ -63,7 +62,7 @@ def test_cut_circulation_unit(bar_mesh):
     h = build_h_space(bar_mesh, 1, {0: ("current", 1.0)})
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
-    circ = loop_circulation(h, x, Interface.GAMMA_M)
+    circ = loop_circulation(h, x)
     assert circ == pytest.approx(1.0, abs=1e-12)
 
 
@@ -88,7 +87,7 @@ def test_two_conductors_cut_orthogonality():
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     # circulation along each conductor loop via trace quadrature
-    segs, _, lens, cum = interface_chain(h, Interface.GAMMA_M)
+    segs, lens, cum = interface_chain(h)
     loops, start = [], 0
     for k in range(len(segs)):
         if segs[k, 1] == segs[start, 0]:
@@ -100,8 +99,7 @@ def test_two_conductors_cut_orthogonality():
         total = 0.0
         for k in range(a, b):
             for u, w in zip(LINE_QP, LINE_QW):
-                total += w * lens[k] * eval_trace(h, x, Interface.GAMMA_M,
-                                                  cum[k] + u * lens[k])
+                total += w * lens[k] * eval_trace(h, x, cum[k] + u * lens[k])
         circs.append(total)
     assert circs[0] == pytest.approx(1.0, abs=1e-12)
     assert circs[1] == pytest.approx(0.0, abs=1e-12)
@@ -154,7 +152,7 @@ def test_bubbles_never_change_curl(bar_mesh):
 
 
 def test_a_zero_coefficients_zero_field(bar_mesh):
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    a = build_a_space(bar_mesh, 1)
     x = np.zeros(a.n_dofs)
     t0 = int(a.meta["a_tris"][0])
     b = field_operator(a, [t0], np.array([[1 / 3, 1 / 3, 1 / 3]])) @ x
@@ -162,9 +160,9 @@ def test_a_zero_coefficients_zero_field(bar_mesh):
 
 
 def test_a_bubble_count(bar_mesh):
-    a1 = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
-    a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    a1 = build_a_space(bar_mesh, 1)
+    a2 = build_a_space(bar_mesh, 2)
+    segs = bar_mesh.interface_segments
     assert a2.n_dofs - a1.n_dofs == len(segs)
 
 
@@ -175,7 +173,7 @@ def test_a_patch_interior(tape_mesh):
     bext = 0.4
     trace = lambda x, y: -bext * y
     for enr in (1, 2):
-        a = build_a_space(tape_mesh, enr, Interface.GAMMA_W)
+        a = build_a_space(tape_mesh, enr)
         K = _a_stiffness(a, np.full(len(a.meta["a_tris"]), 1.0 / MU0))
         ess = sorted(a.essential)
         x_e = essential_vector(a, a_trace=trace)
@@ -209,7 +207,7 @@ def test_t_linear_ramp_constant_j(tape_mesh):
     T = 2.0 / tape_mesh.w
     width = 0.01
     x = t.essential_full()
-    xm = tape_mesh.nodes[tape_mesh.tape_endpoints["minus"], 0]
+    xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
     for k, (kind, ent) in enumerate(t.entries):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / width
@@ -221,7 +219,7 @@ def test_t_linear_ramp_constant_j(tape_mesh):
 def test_t_bubble_count(tape_mesh):
     t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
     t2 = build_t_space(tape_mesh, 2, {0: ("current", 0.0)})
-    segs, _ = tape_mesh.interface(Interface.GAMMA_W)
+    segs = tape_mesh.interface_segments
     assert t2.n_dofs - t1.n_dofs == len(segs)
 
 
@@ -245,8 +243,7 @@ def test_t_unlisted_tape_is_refused(tape_mesh):
 
 
 def test_h_trace_orders(bar_mesh):
-    segs, _, lens, cum = interface_chain(
-        build_h_space(bar_mesh, 1, {0: ("current", 0.0)}), Interface.GAMMA_M)
+    segs, lens, cum = interface_chain(build_h_space(bar_mesh, 1, {0: ("current", 0.0)}))
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(0)
@@ -254,17 +251,17 @@ def test_h_trace_orders(bar_mesh):
     x2 = rng.normal(size=h2.n_dofs)
     k = 3
     s = cum[k] + lens[k] * np.array([0.2, 0.5, 0.8])
-    v1 = [eval_trace(h1, x1, Interface.GAMMA_M, si) for si in s]
+    v1 = [eval_trace(h1, x1, si) for si in s]
     # order 1: edge-wise constant
     assert np.ptp(v1) < 1e-12 * (abs(v1[1]) + 1e-30)
-    v2 = [eval_trace(h2, x2, Interface.GAMMA_M, si) for si in s]
+    v2 = [eval_trace(h2, x2, si) for si in s]
     # order 2: edge-wise linear (midpoint equals the chord average)
     assert v2[1] == pytest.approx(0.5 * (v2[0] + v2[2]), rel=1e-9)
 
 
 def test_a_trace_orders_and_midpoint(bar_mesh):
-    a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
-    segs, _, lens, cum = interface_chain(a2, Interface.GAMMA_M)
+    a2 = build_a_space(bar_mesh, 2)
+    segs, lens, cum = interface_chain(a2)
     k = 2
     na, nb = (int(v) for v in segs[k])
     x = np.zeros(a2.n_dofs)
@@ -272,24 +269,24 @@ def test_a_trace_orders_and_midpoint(bar_mesh):
     x[a2.dof("node", nb)] = 0.7
     eid = int(bar_mesh.edge_ids(segs[k:k + 1])[0])
     x[a2.dof("bubble", eid)] = 2.0
-    mid = eval_trace(a2, x, Interface.GAMMA_M, cum[k] + 0.5 * lens[k])
+    mid = eval_trace(a2, x, cum[k] + 0.5 * lens[k])
     # nodal average plus a quarter of the bubble coefficient
     assert mid == pytest.approx(0.5 * (0.3 + 0.7) + 2.0 / 4.0, rel=1e-12)
     # bubble vanishes at the nodes
-    left = eval_trace(a2, x, Interface.GAMMA_M, cum[k])
+    left = eval_trace(a2, x, cum[k])
     assert left == pytest.approx(0.3, rel=1e-12)
 
 
 def test_a_trace_continuity(bar_mesh):
-    a2 = build_a_space(bar_mesh, 2, Interface.GAMMA_M)
+    a2 = build_a_space(bar_mesh, 2)
     rng = np.random.default_rng(1)
     x = rng.normal(size=a2.n_dofs)
-    _, _, lens, cum = interface_chain(a2, Interface.GAMMA_M)
+    _, lens, cum = interface_chain(a2)
     scale = np.abs(x).max()
     for k in range(1, 4):
         eps = 1e-9 * lens[k]
-        left = eval_trace(a2, x, Interface.GAMMA_M, cum[k] - eps)
-        right = eval_trace(a2, x, Interface.GAMMA_M, cum[k] + eps)
+        left = eval_trace(a2, x, cum[k] - eps)
+        right = eval_trace(a2, x, cum[k] + eps)
         assert abs(left - right) < 1e-6 * scale  # linear change over eps
 
 
@@ -299,12 +296,12 @@ def test_t_trace_orders(tape_mesh):
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=t1.n_dofs)
     x2 = rng.normal(size=t2.n_dofs)
-    _, _, lens, cum = interface_chain(t1, Interface.GAMMA_W)
+    _, lens, cum = interface_chain(t1)
     k = 4
     s = cum[k] + lens[k] * np.array([0.25, 0.5, 0.75])
-    v1 = [eval_trace(t1, x1, Interface.GAMMA_W, si) for si in s]
+    v1 = [eval_trace(t1, x1, si) for si in s]
     assert np.ptp(v1) < 1e-12 * (abs(v1[1]) + 1e-30)
-    v2 = [eval_trace(t2, x2, Interface.GAMMA_W, si) for si in s]
+    v2 = [eval_trace(t2, x2, si) for si in s]
     assert v2[1] == pytest.approx(0.5 * (v2[0] + v2[2]), rel=1e-9)
 
 
@@ -312,19 +309,19 @@ def test_trace_out_of_range(bar_mesh, bar_spaces_11):
     h, _ = bar_spaces_11
     x = np.zeros(h.n_dofs)
     with pytest.raises(SpaceError):
-        eval_trace(h, x, Interface.GAMMA_M, 1.0)
+        eval_trace(h, x, 1.0)
 
 
 def test_whitney_scaling_single_potential(bar_mesh):
     # a single boundary-potential DOF gives +-1/length edge traces
     h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    segs, _, lens, cum = interface_chain(h, Interface.GAMMA_M)
+    segs, lens, cum = interface_chain(h)
     k = 5
     node = int(segs[k, 0])  # start node of segment k, end node of k-1
     x = np.zeros(h.n_dofs)
     x[h.dof("node", node)] = 1.0
-    on_prev = eval_trace(h, x, Interface.GAMMA_M, cum[k] - 0.5 * lens[k - 1])
-    on_next = eval_trace(h, x, Interface.GAMMA_M, cum[k] + 0.5 * lens[k])
+    on_prev = eval_trace(h, x, cum[k] - 0.5 * lens[k - 1])
+    on_next = eval_trace(h, x, cum[k] + 0.5 * lens[k])
     assert on_prev == pytest.approx(1.0 / lens[k - 1], rel=1e-12)
     assert on_next == pytest.approx(-1.0 / lens[k], rel=1e-12)
 
@@ -333,7 +330,7 @@ def test_essential_vector_updates(tape_mesh, bar_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 1.0)})
     x = essential_vector(t, currents={0: 3.0})
     assert x[t.dof("global", 0)] == pytest.approx(3.0 / tape_mesh.w)
-    a = build_a_space(bar_mesh, 1, Interface.GAMMA_M)
+    a = build_a_space(bar_mesh, 1)
     x = essential_vector(a, a_trace=lambda px, py: 2.0 * py)
     n = int(a.meta["gamma_e_nodes"][0])
     assert x[a.dof("node", n)] == pytest.approx(2.0 * bar_mesh.nodes[n, 1])
@@ -345,7 +342,6 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
     # one call per boundary node in essential_vector; the space itself
     # carries a zero trace
     mesh = request.getfixturevalue(f"{which}_mesh")
-    tag = Interface.GAMMA_M if which == "bar" else Interface.GAMMA_W
     calls = []
 
     def trace(x, y, b=0.37, dx=0.6, dy=0.8):
@@ -353,7 +349,7 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
         return -b * (dx * y - dy * x)
 
     for order in (1, 2):
-        a = build_a_space(mesh, order, tag)
+        a = build_a_space(mesh, order)
         x = essential_vector(a, a_trace=trace)
         assert len(calls) == 1
         calls.clear()
@@ -373,7 +369,7 @@ def test_h_trace_table_matches_tangential_field(bar_mesh):
     # segment, for the unit coefficient vector of every DOF
     h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     tab = trace_table(h)
-    segs, _ = bar_mesh.interface(Interface.GAMMA_M)
+    segs = bar_mesh.interface_segments
     eids = bar_mesh.edge_ids(segs)
     sc = set(int(t) for t in h.meta["sc_tris"])
     sides = []
@@ -443,3 +439,12 @@ def test_entity_dofs_inverts_the_entry_table(bar_mesh):
                 expected[ent] = k
         assert np.array_equal(dofs, expected), kind
     assert np.array_equal(h.entity_dofs("tape", 3), [-1, -1, -1])
+
+
+def test_trace_table_is_cached_per_space(bar_spaces_11):
+    # the H and A spaces of one mesh share the interface, not the table
+    h, a = bar_spaces_11
+    assert trace_table(h) is trace_table(h)
+    assert trace_table(a) is trace_table(a)
+    assert trace_table(h) is not trace_table(a)
+    assert not np.array_equal(trace_table(h).coeffs, trace_table(a).coeffs)

@@ -6,7 +6,7 @@ import pytest
 from htsfem import transient
 from htsfem.linalg import SingularSystemError, backward_error
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import GeometryParams, Interface, Region, Scenario, build_tape_mesh
+from htsfem.mesh import GeometryParams, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
                               _circuit_values, circuit_post, ramp_then_hold, read_snapshots,
@@ -60,7 +60,7 @@ def test_linear_single_newton_iteration(bar_mesh, bar_spaces_11,
 
 def test_step_count_matches_grid(small_tape):
     t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.5,
                     drives={0: ("current", ramp_then_hold(1.0, 0.25, 0.5))},
                     rel_residual_tol=1e-10)
@@ -75,10 +75,10 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
     I0 = 0.3 * JC * small_tape.w * WIDTH
     ramp = ramp_then_hold(I0, 0.25, 0.5)
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.05, t_end=0.5, drives={0: ("current", ramp)})
     hist = run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
-    segs, _ = small_tape.interface(Interface.GAMMA_W)
+    segs = small_tape.interface_segments
     lens = small_tape.segment_lengths(segs)
     for k, tk in enumerate(hist.times):
         j = tape_current_density(t, hist.v[k])
@@ -89,7 +89,7 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
 
 def test_zero_drive_zero_voltage(small_tape):
     t = build_t_space(small_tape, 1, {0: ("current", 0.0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
                     drives={0: ("current", ramp_then_hold(0.0, 0.15, 0.3))})
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
@@ -102,7 +102,7 @@ def test_dc_voltage_matches_analytic_resistance(small_tape):
     rho = 1e-8
     I0 = 2.0
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=20.0,
                     drives={0: ("current", ramp_then_hold(I0, 1.0, 20.0))},
                     rel_residual_tol=1e-12)
@@ -119,7 +119,7 @@ def test_reciprocity_roundtrip(small_tape):
     I0 = 1.0
     mats = linear_mats(rho)
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.05, t_end=1.0,
                     drives={0: ("current", ramp_then_hold(I0, 0.5, 1.0))},
                     rel_residual_tol=1e-10)
@@ -142,7 +142,7 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
     rho = 1e-8
     V0 = 1e-3
     mats = linear_mats(rho)
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     t = build_t_space(small_tape, 1, {0: ("voltage", V0)})
     currents = []
     for drives in ({}, {0: ("voltage", Ramp((0.0,), (V0,)))}):
@@ -157,7 +157,7 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
 def test_requesting_imposed_quantity_is_identity(small_tape):
     I0 = 1.5
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(I0, 0.15, 0.3)
     tc = TimeConfig(dt=0.1, t_end=0.3, drives={0: ("current", ramp)})
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
@@ -172,7 +172,7 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     # fails at every size down to MAX_HALVINGS halvings of dt
     I0 = 0.5 * JC * small_tape.w * WIDTH
     t = build_t_space(small_tape, 1, {0: ("current", I0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=0.5,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))},
                     max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
@@ -237,7 +237,7 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
     jc = tape_materials_power.power.j_c
     I0 = 0.5 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
-    a = build_a_space(tape_mesh, 2, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.025, t_end=0.5,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
@@ -247,7 +247,7 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
 
 def test_history_exports(tmp_path, small_tape):
     t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
                     drives={0: ("current", ramp_then_hold(1.0, 0.15, 0.3))})
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
@@ -308,7 +308,7 @@ def test_drive_values_record_the_imposed_values(small_tape):
     # a ramped circuit imposes its ramp at the accepted times, an unramped
     # one the build-time value it is held at; an imposed current is the
     # accepted iterate's global DOF
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(1.5, 0.15, 0.3)
     for mode, value, drives in (("current", 1.5, {0: ("current", ramp)}),
                                 ("current", 0.7, {}),
@@ -338,7 +338,7 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     fail_first.__wrapped__ = transient.solve_dense
     monkeypatch.setattr(transient, "solve_dense", fail_first)
     t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
-    a = build_a_space(small_tape, 1, Interface.GAMMA_W)
+    a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
                     drives={0: ("current", ramp_then_hold(1.0, 0.15, 0.3))},
                     rel_residual_tol=1e-10)
@@ -354,7 +354,7 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
 def tape_power_case(tape_mesh, tape_materials_power):
     I0 = 0.5 * JC * tape_mesh.w * WIDTH
     t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
-    a = build_a_space(tape_mesh, 1, Interface.GAMMA_W)
+    a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.025, t_end=0.2,
                     drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
     return tape_mesh, (t, a), tape_materials_power, tc, "ta"
@@ -404,7 +404,7 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
     # each must equal, bitwise, its run on spaces built afresh
     def spaces():
         return (build_h_space(bar_mesh, 1, {0: ("current", 0.0)}),
-                build_a_space(bar_mesh, 1, Interface.GAMMA_M))
+                build_a_space(bar_mesh, 1))
 
     soft = bar_materials_power
     hard = Materials(soft.power, {**soft.magnetic,
