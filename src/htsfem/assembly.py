@@ -513,7 +513,7 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
         form = _curl_form(space, _h_mass(space, MU0))
         N = form.matrix(np.full(form.G.shape[0], norms.dt0 * norms.rho0))
     elif space.family == "A":
-        if not space.essential:
+        if space.n_free == space.n_dofs:
             raise SingularNormError("potential norm needs an essential trace")
         nu = np.full(len(space.meta["a_tris"]), norms.nu0)
         N = _a_stiffness(space, nu)

@@ -67,7 +67,7 @@ CONFIG_SCHEMA = {
                 "b_ext_dir": {"type": "array", "items": {"type": "number"},
                               "minItems": 2, "maxItems": 2, "default": [1.0, 0.0]},
                 "current": {"type": ["number", "null"], "default": None},
-                "current_rel": {"type": ["number", "null"], "default": 0.5},
+                "current_rel": {"type": "number", "default": 0.5},
                 "voltage": {"type": ["number", "null"], "default": None},
             },
             "default": {},
@@ -205,8 +205,7 @@ def imposed_current(cfg) -> float:
     if src["current"] is not None:
         return src["current"]
     i_c = mt["j_c"] * g["tape_thickness"] * g["tape_width"]
-    rel = src["current_rel"] if src["current_rel"] is not None else 0.5
-    return rel * i_c
+    return src["current_rel"] * i_c
 
 
 def _nominal_dt(t) -> float:

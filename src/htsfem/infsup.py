@@ -182,7 +182,9 @@ def _leading_rows(q_low, q_high, P, level) -> int:
     checking that its DOFs are the leading DOFs of the richer space and
     that both leave the same DOFs outside P."""
     n = q_low.n_free
-    if (q_low.entries != q_high.entries[:q_low.n_dofs]
+    kinds = list(q_low.kinds)
+    if (list(q_high.kinds)[:len(kinds)] != kinds
+            or not all(np.array_equal(q_low.kinds[k], q_high.kinds[k]) for k in kinds)
             or not np.array_equal(q_high.free[:n], q_low.free)):
         raise HierarchyError(
             f"level {level}: the order-{q_low.enrichment} potential DOFs are not "

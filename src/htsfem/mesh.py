@@ -102,7 +102,7 @@ class Mesh2D:
     triangles : (T, 3) int array, counterclockwise node triples.
     tri_region : (T,) int array of :class:`Region` values.
     boundary_segments : (B, 2) int array of node pairs on the outer
-        boundary, with tags in ``boundary_tags``.
+        boundary, all of it GAMMA_E.
     interface_segments : (S, 2) int array of oriented node pairs forming
         the one coupling interface, as one or more chains listed in
         traversal order.  GAMMA_M chains run counterclockwise around
@@ -115,12 +115,11 @@ class Mesh2D:
     """
 
     def __init__(self, nodes, triangles, tri_region, boundary_segments,
-                 boundary_tags, interface_segments, interface_tag, delta, w=None):
+                 interface_segments, interface_tag, delta, w=None):
         self.nodes = np.asarray(nodes, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.tri_region = np.asarray(tri_region, dtype=np.int64)
         self.boundary_segments = np.asarray(boundary_segments, dtype=np.int64).reshape(-1, 2)
-        self.boundary_tags = np.asarray(boundary_tags, dtype=np.int64)
         self.interface_segments = np.asarray(interface_segments, dtype=np.int64).reshape(-1, 2)
         self.interface_tag = None if interface_tag is None else Interface(interface_tag)
         self.delta = float(delta)
@@ -214,9 +213,8 @@ class Mesh2D:
         d = self.nodes[segments[:, 1]] - self.nodes[segments[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
 
-    def boundary_nodes(self, tag) -> np.ndarray:
-        segs = self.boundary_segments[self.boundary_tags == int(tag)]
-        return np.unique(segs)
+    def boundary_nodes(self) -> np.ndarray:
+        return np.unique(self.boundary_segments)
 
     # -- validation ----------------------------------------------------------
 
@@ -328,7 +326,6 @@ def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=Non
     for j in range(ny - 1, 0, -1):
         bsegs.append((nid(0, j), nid(0, j - 1)))
     bsegs = np.array(bsegs, dtype=np.int64)
-    btags = np.full(len(bsegs), int(Boundary.GAMMA_E), dtype=np.int64)
 
     if tape_span is not None:
         isegs, tag = _tape_interface(xs, ys, tape_span, nid), Interface.GAMMA_W
@@ -338,7 +335,7 @@ def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=Non
 
     dx = np.diff(xs).max()
     dy = np.diff(ys).max()
-    mesh = Mesh2D(nodes, tris, tri_region, bsegs, btags, isegs, tag,
+    mesh = Mesh2D(nodes, tris, tri_region, bsegs, isegs, tag,
                   delta=max(dx, dy), w=w)
     return mesh.validate()
 
@@ -472,8 +469,8 @@ def refine(mesh: Mesh2D) -> Mesh2D:
         return out
 
     out = Mesh2D(nodes, tris, tri_region, split(mesh.boundary_segments),
-                 np.repeat(mesh.boundary_tags, 2), split(mesh.interface_segments),
-                 mesh.interface_tag, delta=mesh.delta / 2.0, w=mesh.w)
+                 split(mesh.interface_segments), mesh.interface_tag,
+                 delta=mesh.delta / 2.0, w=mesh.w)
     return out.validate()
 
 
@@ -488,15 +485,10 @@ def write_native(mesh: Mesh2D, path):
     lines += ["$EndNodes", "$Triangles", str(mesh.n_triangles)]
     for i, (t, r) in enumerate(zip(mesh.triangles, mesh.tri_region)):
         lines.append(f"{i} {t[0]} {t[1]} {t[2]} {r}")
-    lines += ["$EndTriangles", "$Segments",
-              str(len(mesh.boundary_segments) + len(mesh.interface_segments))]
-    k = 0
-    for seg, tag in zip(mesh.boundary_segments, mesh.boundary_tags):
-        lines.append(f"{k} {seg[0]} {seg[1]} {tag}")
-        k += 1
-    for seg in mesh.interface_segments:
-        lines.append(f"{k} {seg[0]} {seg[1]} {int(mesh.interface_tag)}")
-        k += 1
+    segs = [(seg, int(Boundary.GAMMA_E)) for seg in mesh.boundary_segments]
+    segs += [(seg, int(mesh.interface_tag)) for seg in mesh.interface_segments]
+    lines += ["$EndTriangles", "$Segments", str(len(segs))]
+    lines += [f"{k} {a} {b} {tag}" for k, ((a, b), tag) in enumerate(segs)]
     lines += ["$EndSegments", "$Meta"]
     lines.append(f"delta {mesh.delta:.17g}")
     if mesh.w is not None:
@@ -522,13 +514,20 @@ def read_native(path) -> Mesh2D:
 
     def section(tag, parse, width):
         until(tag)
-        rows = []
-        for k in range(int(next(it))):
-            i, *vals = next(it).split()
-            if int(i) != k:
-                raise MeshError(f"section {tag}: id {i} where {k} is expected")
-            rows.append([parse(v) for v in vals])
-        return np.array(rows, dtype=parse).reshape(-1, width)
+        head = next(it, "").strip()
+        if not head.isdigit():
+            raise MeshError(f"section {tag}: row count {head!r} is not a number")
+        rows = [next(it, "").split() for _ in range(int(head))]
+        for k, row in enumerate(rows):
+            if len(row) != width + 1:
+                raise MeshError(f"section {tag}: row {k} has {len(row)} fields "
+                                f"where {width + 1} are expected")
+            if row[0] != str(k):
+                raise MeshError(f"section {tag}: id {row[0]} where {k} is expected")
+        try:
+            return np.array([row[1:] for row in rows], dtype=parse).reshape(-1, width)
+        except ValueError as err:
+            raise MeshError(f"section {tag}: {err}") from err
 
     nodes = section("$Nodes", float, 2)
     tris = section("$Triangles", int, 4)
@@ -538,14 +537,19 @@ def read_native(path) -> Mesh2D:
     for line in it:
         if line.strip() == "$EndMeta":
             break
-        key, val = line.split()
-        meta[key] = val
+        fields = line.split()
+        if len(fields) != 2:
+            raise MeshError(f"section $Meta: {line!r} is not one key and one value")
+        meta[fields[0]] = fields[1]
 
     iface = np.isin(segs[:, 2], [int(tag) for tag in Interface])
+    stray = segs[~iface & (segs[:, 2] != int(Boundary.GAMMA_E)), 2]
+    if len(stray):
+        raise MeshError(f"section $Segments: tag {stray[0]} is not GAMMA_E or an interface")
     kinds = np.unique(segs[iface, 2])
     if len(kinds) > 1:
         raise MeshError(f"mesh has more than one interface kind: tags {kinds.tolist()}")
-    mesh = Mesh2D(nodes, tris[:, :3], tris[:, 3], segs[~iface, :2], segs[~iface, 2],
+    mesh = Mesh2D(nodes, tris[:, :3], tris[:, 3], segs[~iface, :2],
                   segs[iface, :2], kinds[0] if len(kinds) else None,
                   delta=float(meta["delta"]), w=float(meta["w"]) if "w" in meta else None)
     return mesh.validate()

@@ -17,10 +17,13 @@ each with one "global" degree of freedom, and the net current of a
 unit global coefficient as ``current_scale``; circuit sources and
 reactions are handled through these alone.
 
-Degrees of freedom are numbered nodes, then edges, then bubbles, then
-globals, so assembled matrices are reproducible.  Essential values are
-applied by symmetric elimination downstream; here each constrained
-degree of freedom carries its build-time value.
+Each space holds one DOF table, per entity kind: the ascending ids of
+its nodes, then edges, then bubbles, then globals, numbered block by
+block, so assembled matrices are reproducible and an order-2 A space
+starts with its order-1 DOFs.  The builders form the blocks by array
+operations on the mesh tables.  Essential values are applied by
+symmetric elimination downstream; here the constrained DOFs and their
+build-time values are two arrays.
 
 Every space couples on the one interface of its mesh
 (``Mesh2D.interface_segments``), so no builder or trace routine takes
@@ -33,13 +36,12 @@ uses (``field_operator``, ``h_curl_matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .mesh import Boundary, Interface, Mesh2D, Region
+from .mesh import Interface, Mesh2D, Region
 
 
 class TopologyError(ValueError):
@@ -52,15 +54,17 @@ class SpaceError(ValueError):
 
 @dataclass(frozen=True)
 class Conductor:
-    """One conducting component.  ``cut`` is its net-current basis
-    function as Whitney edge coefficients, edge id -> coefficient in
-    the canonical min-to-max node orientation; its curl vanishes off
-    the one-triangle-thick layer along the component boundary, and its
-    circulation along the boundary loop ``ring_nodes`` equals one."""
+    """One conducting component.  Its net-current basis function, the
+    cut, has the Whitney coefficients ``cut_coeffs`` on the edges
+    ``cut_edges``, in the canonical min-to-max node orientation; its
+    curl vanishes off the one-triangle-thick layer along the component
+    boundary, and its circulation along the boundary loop
+    ``ring_nodes`` equals one."""
 
     id: int
     ring_nodes: np.ndarray         # boundary loop nodes, ccw
-    cut: dict
+    cut_edges: np.ndarray
+    cut_coeffs: np.ndarray
     ground_node: int
     mode: str                      # "current" | "voltage"
     value: float
@@ -75,19 +79,30 @@ class Tape:
 
 
 class DofSpace:
-    """Discrete space: DOF table, essential constraints, free indexing."""
+    """Discrete space: DOF table, essential constraints, free indexing.
 
-    def __init__(self, family, enrichment, mesh, entries, essential, meta):
+    ``kinds`` maps each entity kind to its ascending entity ids; the
+    DOFs are numbered block by block in that order.  ``essential`` maps
+    a kind to (entity ids, build-time values) of its constrained
+    entities, held as the arrays ``essential_dofs`` and
+    ``essential_values``."""
+
+    def __init__(self, family, enrichment, mesh, kinds, essential, meta):
         self.family = family
         self.enrichment = int(enrichment)
         self.mesh = mesh
-        self.entries = list(entries)
-        self.index = {ent: k for k, ent in enumerate(self.entries)}
-        self.essential = dict(essential)
+        self.kinds = {kind: np.asarray(ents, dtype=np.int64) for kind, ents in kinds.items()}
+        sizes = [len(ents) for ents in self.kinds.values()]
+        self.offsets = dict(zip(self.kinds, np.cumsum([0] + sizes).tolist()))
+        self.n_dofs = sum(sizes)
         self.meta = meta
-        self.n_dofs = len(self.entries)
-        self.free = np.array([k for k in range(self.n_dofs)
-                              if k not in self.essential], dtype=np.int64)
+        ess = [(self.dof(kind, ents), np.broadcast_to(vals, np.shape(ents)))
+               for kind, (ents, vals) in essential.items()]
+        self.essential_dofs = np.concatenate([d for d, _ in ess] + [np.empty(0, np.int64)])
+        self.essential_values = np.concatenate([v for _, v in ess] + [np.empty(0)])
+        is_free = np.ones(self.n_dofs, dtype=bool)
+        is_free[self.essential_dofs] = False
+        self.free = np.flatnonzero(is_free)
         self.n_free = len(self.free)
 
     @property
@@ -102,29 +117,27 @@ class DofSpace:
         cut, the tape thickness w for a tape's plus-end hat."""
         return self.meta.get("current_scale", 1.0)
 
-    def dof(self, kind, entity) -> int:
-        return self.index[(kind, int(entity))]
-
-    @cached_property
-    def _kind_dofs(self) -> dict:
-        """Per entity kind: (entity ids, their DOFs), in DOF order."""
-        kinds = np.array([kind for kind, _ in self.entries])
-        ents = np.array([ent for _, ent in self.entries], dtype=np.int64)
-        return {str(kind): (ents[kinds == kind], np.flatnonzero(kinds == kind))
-                for kind in np.unique(kinds)}
+    def dof(self, kind, entity):
+        """DOF of an entity of ``kind``, or the DOFs of an array of them;
+        KeyError when the space does not hold one."""
+        ents, entity = self.kinds[kind], np.asarray(entity, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(ents, entity), len(ents) - 1)
+        if entity.size and (len(ents) == 0 or np.any(ents[pos] != entity)):
+            raise KeyError((kind, entity.tolist()))
+        return self.offsets[kind] + pos
 
     def entity_dofs(self, kind, n_entities) -> np.ndarray:
         """DOF of each entity of ``kind`` by entity id, -1 where none."""
         out = np.full(n_entities, -1, dtype=np.int64)
-        ents, dofs = self._kind_dofs.get(kind, ([], []))
-        out[ents] = dofs
+        if kind in self.kinds:
+            ents = self.kinds[kind]
+            out[ents] = self.offsets[kind] + np.arange(len(ents))
         return out
 
     def essential_full(self) -> np.ndarray:
         """Full-length vector with build-time essential values."""
         x = np.zeros(self.n_dofs)
-        for k, v in self.essential.items():
-            x[k] = v
+        x[self.essential_dofs] = self.essential_values
         return x
 
     def expand(self, x_free, x_essential) -> np.ndarray:
@@ -163,28 +176,24 @@ def _ring_loops(mesh: Mesh2D):
     return loops
 
 
-def _cut_basis(mesh, tris, loop) -> dict:
-    """Cut function of the component ``tris`` bounded by ``loop``:
-    uniform coefficients of 1/B on the B oriented loop edges.  Its
-    circulation along the component boundary is one; around any other
-    conductor it is zero; its curl vanishes outside the boundary
-    triangle layer."""
+def _cut_basis(mesh, tris, loop):
+    """Cut function of the component ``tris`` bounded by ``loop``, as
+    (edge ids, coefficients): uniform coefficients of 1/B on the B
+    oriented loop edges.  Its circulation along the component boundary
+    is one; around any other conductor it is zero; its curl vanishes
+    outside the boundary triangle layer."""
     # simple connectedness via Euler characteristic V - E + F = 1
     nodes = np.unique(mesh.triangles[tris])
     edges = np.unique(mesh.tri_edges[tris])
     if len(nodes) - len(edges) + len(tris) != 1:
         raise TopologyError("conductor is not simply connected")
 
-    eids = mesh.edge_ids(loop)
-    signs = np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0)
-    return {int(e): float(s) / len(loop) for e, s in zip(eids, signs)}
+    return mesh.edge_ids(loop), np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0) / len(loop)
 
 
 def _loop_of_component(mesh, tris):
-    tri_set = set(int(t) for t in tris)
     for loop in _ring_loops(mesh):
-        t0, t1 = mesh.edge_tris[mesh.edge_ids(loop[:1])[0]]
-        if int(t0) in tri_set or int(t1) in tri_set:
+        if np.isin(mesh.edge_tris[mesh.edge_ids(loop[:1])[0]], tris).any():
             return loop
     raise TopologyError("component has no GAMMA_M boundary loop")
 
@@ -205,7 +214,6 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
         raise SpaceError("mesh has no conducting region")
 
     conductors = []
-    ring_node_set, ring_edge_set = set(), set()
     for cid, tris in enumerate(comps):
         loop = _loop_of_component(mesh, tris)
         if cid not in circuit:
@@ -213,28 +221,21 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
         mode, value = circuit[cid]
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown circuit mode {mode!r}")
-        conductors.append(Conductor(
-            id=cid, ring_nodes=loop[:, 0], cut=_cut_basis(mesh, tris, loop),
-            ground_node=int(loop[:, 0].min()), mode=mode, value=value))
-        ring_node_set.update(int(n) for n in loop[:, 0])
-        ring_edge_set.update(int(e) for e in mesh.edge_ids(loop))
+        conductors.append(Conductor(cid, loop[:, 0], *_cut_basis(mesh, tris, loop),
+                                    ground_node=int(loop[:, 0].min()), mode=mode, value=value))
 
+    ring_edges = np.unique(np.concatenate([c.cut_edges for c in conductors]))
     sc_tris = np.concatenate(comps)
-    sc_edges = np.unique(mesh.tri_edges[sc_tris])
-
-    entries = [("node", n) for n in sorted(ring_node_set)]
-    entries += [("edge", int(e)) for e in sc_edges if int(e) not in ring_edge_set]
+    kinds = {"node": np.unique(np.concatenate([c.ring_nodes for c in conductors])),
+             "edge": np.setdiff1d(mesh.tri_edges[sc_tris], ring_edges)}
     if enrichment == 2:
-        entries += [("bubble", int(e)) for e in sorted(ring_edge_set)]
-    entries += [("global", c.id) for c in conductors]
-
-    dof = {ent: k for k, ent in enumerate(entries)}
-    essential = {}
-    for c in conductors:
-        essential[dof["node", c.ground_node]] = 0.0
-        if c.mode == "current":
-            essential[dof["global", c.id]] = c.value
-    return DofSpace("H", enrichment, mesh, entries, essential, {
+        kinds["bubble"] = ring_edges
+    kinds["global"] = np.arange(len(conductors))
+    driven = [c for c in conductors if c.mode == "current"]
+    return DofSpace("H", enrichment, mesh, kinds, {
+        "node": ([c.ground_node for c in conductors], 0.0),
+        "global": ([c.id for c in driven], [c.value for c in driven]),
+    }, {
         "circuits": conductors,
         "current_scale": 1.0,
         "sc_tris": sc_tris,
@@ -252,25 +253,20 @@ def build_a_space(mesh: Mesh2D, enrichment: int) -> DofSpace:
                              mesh.region_tris(Region.OMEGA_A_AIR)])
     if len(a_tris) == 0:
         raise SpaceError("mesh has no a-side region")
-    a_nodes = np.unique(mesh.triangles[a_tris])
+    a_nodes = np.flatnonzero(np.bincount(mesh.triangles[a_tris].ravel()))
 
     segs = mesh.interface_segments
     if len(segs) == 0:
         raise SpaceError("mesh has no coupling interface")
 
-    entries = [("node", int(n)) for n in a_nodes]
+    kinds = {"node": a_nodes}
     if enrichment == 2:
-        entries += [("bubble", int(e)) for e in np.sort(mesh.edge_ids(segs))]
-
-    gamma_e = mesh.boundary_nodes(Boundary.GAMMA_E)
+        kinds["bubble"] = np.sort(mesh.edge_ids(segs))
+    gamma_e = mesh.boundary_nodes()
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
-    dof = {ent: k for k, ent in enumerate(entries)}
-    gamma_e_dofs = np.array([dof["node", int(n)] for n in gamma_e], dtype=np.int64)
-    essential = dict.fromkeys(gamma_e_dofs.tolist(), 0.0)
-    return DofSpace("A", enrichment, mesh, entries, essential, {
+    return DofSpace("A", enrichment, mesh, kinds, {"node": (gamma_e, 0.0)}, {
         "a_tris": a_tris,
         "gamma_e_nodes": gamma_e,
-        "gamma_e_dofs": gamma_e_dofs,
     })
 
 
@@ -287,26 +283,24 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
     if mesh.w is None:
         raise SpaceError("tape mesh must store a thickness w")
 
-    tapes, interior = [], set()
+    tapes, interior = [], []
     for tid, chain in enumerate(mesh.interface_chains()):
         if tid not in constraints:
             raise SpaceError(f"tape {tid} has no constraint")
         mode, value = constraints[tid]
         if mode not in ("current", "voltage"):
             raise SpaceError(f"unknown tape constraint {mode!r}")
-        nodes = np.concatenate([chain[:, 0], chain[-1:, 1]])
-        tapes.append(Tape(tid, int(nodes[-1]), mode, float(value)))
-        interior.update(int(n) for n in nodes[1:-1])
+        tapes.append(Tape(tid, int(chain[-1, 1]), mode, float(value)))
+        interior.append(chain[1:, 0])
 
-    entries = [("node", n) for n in sorted(interior)]
+    kinds = {"node": np.unique(np.concatenate(interior))}
     if enrichment == 2:
-        entries += [("bubble", int(e))
-                    for e in np.sort(mesh.edge_ids(mesh.interface_segments))]
-    entries += [("global", t.id) for t in tapes]
-
-    dof = {ent: k for k, ent in enumerate(entries)}
-    essential = {dof["global", t.id]: t.value / mesh.w for t in tapes if t.mode == "current"}
-    return DofSpace("T", enrichment, mesh, entries, essential, {
+        kinds["bubble"] = np.sort(mesh.edge_ids(mesh.interface_segments))
+    kinds["global"] = np.arange(len(tapes))
+    driven = [t for t in tapes if t.mode == "current"]
+    return DofSpace("T", enrichment, mesh, kinds, {
+        "global": ([t.id for t in driven], [t.value / mesh.w for t in driven]),
+    }, {
         "circuits": tapes,
         "current_scale": mesh.w,
     })
@@ -327,7 +321,7 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
             x[space.dof("global", c.id)] = currents[c.id] / space.current_scale
     if space.family == "A" and a_trace is not None:
         nodes = space.meta["gamma_e_nodes"]
-        x[space.meta["gamma_e_dofs"]] = a_trace(*space.mesh.nodes[nodes].T)
+        x[space.dof("node", nodes)] = a_trace(*space.mesh.nodes[nodes].T)
     return x
 
 
@@ -400,9 +394,8 @@ def trace_table(space: DofSpace) -> TraceTable:
         cut_dof = np.full(len(mesh.edges), -1, dtype=np.int64)
         cut_val = np.zeros(len(mesh.edges))
         for c in space.circuits:
-            e = np.fromiter(c.cut.keys(), dtype=np.int64)
-            cut_dof[e] = space.dof("global", c.id)
-            cut_val[e] = list(c.cut.values())
+            cut_dof[c.cut_edges] = space.dof("global", c.id)
+            cut_val[c.cut_edges] = c.cut_coeffs
         sgn = np.where(segs[:, 0] < segs[:, 1], 1.0, -1.0)
         slots.append((cut_dof[eids], (cut_val[eids] * sgn / lens, zero, zero)))
     dofs = np.stack([d for d, _ in slots], axis=1)
@@ -456,9 +449,9 @@ def whitney_transform(space: DofSpace):
     cols = [ends[:, 0], ends[:, 1], space.entity_dofs("edge", len(mesh.edges))[sc_edges]]
     data = [np.full(len(pos), -1.0), np.ones(len(pos)), np.ones(len(pos))]
     for c in space.circuits:
-        rows.append(np.searchsorted(sc_edges, np.fromiter(c.cut, np.int64)))
-        cols.append(np.full(len(c.cut), space.dof("global", c.id)))
-        data.append(np.fromiter(c.cut.values(), float))
+        rows.append(np.searchsorted(sc_edges, c.cut_edges))
+        cols.append(np.full(len(c.cut_edges), space.dof("global", c.id)))
+        data.append(c.cut_coeffs)
     rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
     has = cols >= 0
     C = coo_matrix((data[has], (rows[has], cols[has])),

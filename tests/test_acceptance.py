@@ -27,8 +27,8 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
 from htsfem.transient import (NonConvergenceError, TimeConfig, ramp_then_hold,
                               run_transient)
 
-from util import (build_time_values, eliminated, expand, h_dofs_for_potential,
-                  solve_reference)
+from util import (build_time_values, dof_entries, eliminated, expand,
+                  h_dofs_for_potential, solve_reference)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -232,7 +232,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(11)
     x = np.zeros(h2.n_dofs)
-    for k, (kind, _) in enumerate(h2.entries):
+    for k, kind, _ in dof_entries(h2):
         if kind in ("node", "bubble"):
             x[k] = rng.normal()
     G = h_curl_matrix(h2)
@@ -246,7 +246,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     z = rng.normal(size=h2.n_dofs)
     curl_full = G @ z
     z2 = z.copy()
-    for k, (kind, _) in enumerate(h2.entries):
+    for k, kind, _ in dof_entries(h2):
         if kind == "bubble":
             z2[k] = 0.0
     curl_wo = G @ z2
@@ -282,7 +282,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     segs_m, lens_m, cum = interface_chain(h1)
     scale = 1.0 / lens_m.min()
     worst_d = 0.0
-    for k, (kind, _) in enumerate(h1.entries):
+    for k, kind, _ in dof_entries(h1):
         xx = np.zeros(h1.n_dofs)
         xx[k] = 1.0
         circ = 0.0
@@ -312,9 +312,10 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
         h = build_h_space(bar_mesh, pair[0], {0: ("current", 0.0)})
         a = build_a_space(bar_mesh, pair[1])
         a_ess = essential_vector(a, a_trace=lambda x, y: -b0 * x)
-        a_exact = np.array([a_ess[k] if k in a.essential else
+        essential = set(a.essential_dofs.tolist())
+        a_exact = np.array([a_ess[k] if k in essential else
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)
-                            for k, (kind, ent) in enumerate(a.entries)])
+                            for k, kind, ent in dof_entries(a)])
         h_exact = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
         blocks = linear_blocks(bar_mesh, h, a, mats)
         sys = assemble_ha_iteration(blocks, (h_exact, a_exact), h_exact, 0.0125,

@@ -12,8 +12,9 @@ from htsfem.mesh import refine
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            eval_trace, interface_chain)
 
-from util import (build_time_values, curl_h, eliminated, eval_a_curl, eval_h_field,
-                  free_indices, l_bar_mesh, monolithic, s_full, solve_reference)
+from util import (build_time_values, curl_h, dof_entries, eliminated, eval_a_curl,
+                  eval_h_field, free_indices, l_bar_mesh, monolithic, s_full,
+                  solve_reference)
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -209,7 +210,7 @@ def test_a_norm_uniform_gradient(tape_mesh):
     a = build_a_space(tape_mesh, 1)
     N = assemble_norm_matrix(a, NORMS)
     x_full = np.array([-b0 * tape_mesh.nodes[ent, 1] if kind == "node" else 0.0
-                       for kind, ent in a.entries])
+                       for _, kind, ent in dof_entries(a)])
     # include the essential boundary in the quadratic form via the full matrix
     from htsfem.assembly import _a_stiffness
     K = _a_stiffness(a, np.full(len(a.meta["a_tris"]), NORMS.nu0))
@@ -228,7 +229,7 @@ def test_t_norm_delta_scaling(tape_mesh):
     def ramp_vec(space, mesh):
         x = space.essential_full()
         xm = mesh.nodes[mesh.interface_segments[0, 0], 0]
-        for k, (kind, ent) in enumerate(space.entries):
+        for k, kind, ent in dof_entries(space):
             if kind == "node":
                 x[k] = (mesh.nodes[ent, 0] - xm) / 0.01
         x[space.dof("global", 0)] = 1.0
@@ -245,7 +246,7 @@ def test_t_norm_delta_scaling(tape_mesh):
 
 def test_a_norm_needs_essential(bar_mesh):
     a = build_a_space(bar_mesh, 1)
-    free_space = type(a)("A", 1, bar_mesh, a.entries, {}, a.meta)
+    free_space = type(a)("A", 1, bar_mesh, a.kinds, {}, a.meta)
     with pytest.raises(SingularNormError):
         assemble_norm_matrix(free_space, NORMS)
 
@@ -279,7 +280,7 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
     h, _ = bar_spaces_11
     segs, lens, cum = interface_chain(h)
     scale = 1.0 / lens.min()
-    for k, (kind, ent) in enumerate(h.entries):
+    for k, kind, _ in dof_entries(h):
         x = np.zeros(h.n_dofs)
         x[k] = 1.0
         circ = 0.0
@@ -330,20 +331,20 @@ def test_bubble_rows_match_field_quadrature():
     for space, K, domain, field, weight in cases:
         unit = np.eye(space.n_dofs)
         domain = set(int(t) for t in domain)
+        index = {(kind, ent): k for k, kind, ent in dof_entries(space)}
         two_bubbles = 0
-        for kind, edge in space.entries:
+        for _, kind, edge in dof_entries(space):
             if kind != "bubble":
                 continue
             b = space.dof("bubble", edge)
             oracle = np.zeros(space.n_dofs)
             for t in (int(t) for t in mesh.edge_tris[edge] if t in domain):
-                local = [space.index.get(("node", int(n))) for n in mesh.triangles[t]]
+                local = [index.get(("node", int(n))) for n in mesh.triangles[t]]
                 for e in mesh.tri_edges[t]:
-                    local += [space.index.get(("edge", int(e))),
-                              space.index.get(("bubble", int(e)))]
-                two_bubbles += sum(("bubble", int(e)) in space.index
+                    local += [index.get(("edge", int(e))), index.get(("bubble", int(e)))]
+                two_bubbles += sum(("bubble", int(e)) in index
                                    for e in mesh.tri_edges[t]) == 2
-                local += [k for k, (knd, _) in enumerate(space.entries) if knd == "global"]
+                local += [k for (knd, _), k in index.items() if knd == "global"]
                 fb = field(space, unit[b], t, TRI_QP)
                 for j in set(local) - {None}:
                     fj = field(space, unit[j], t, TRI_QP)

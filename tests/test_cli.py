@@ -100,6 +100,16 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert not (out / "run.json").exists()
 
 
+def test_cli_null_current_rel_exit_2(tmp_path, capsys):
+    # source.current_rel has one default, in the schema; null is refused
+    cfg = write_cfg(tmp_path, {"source": {"current_rel": None}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "config"
+    assert not (out / "run.json").exists()
+
+
 def test_cli_too_few_refinements_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_BAR)
     rc = main(["infsup", "--config", cfg, "--out", str(tmp_path / "o"),

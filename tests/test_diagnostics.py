@@ -13,7 +13,7 @@ from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import eliminated, expand, solve_reference
+from util import dof_entries, eliminated, expand, solve_reference
 
 
 def test_metric_monotone():
@@ -90,9 +90,10 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     b0 = 0.4
     # exact pair: a = -b0*x gives b = (0, b0); h = b/mu0 = grad((b0/mu0) y)
     a_exact = essential_vector(a, a_trace=lambda x, y: -b0 * x)
-    a_full = np.array([a_exact[k] if k in a.essential else
+    essential = set(a.essential_dofs.tolist())
+    a_full = np.array([a_exact[k] if k in essential else
                        -b0 * bar_mesh.nodes[ent, 0]
-                       for k, (kind, ent) in enumerate(a.entries)])
+                       for k, kind, ent in dof_entries(a)])
     h_full = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
     # fixed point of one implicit step from the exact state
     blocks = linear_blocks(bar_mesh, h, a, mats)
@@ -121,7 +122,7 @@ def test_tape_profile_constant_ramp(tape_mesh):
     T = 2.0 / tape_mesh.w
     x = t.essential_full()
     xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
-    for k, (kind, ent) in enumerate(t.entries):
+    for k, kind, ent in dof_entries(t):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / 0.01
     jc = 2.5e8

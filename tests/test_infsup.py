@@ -15,7 +15,7 @@ from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import Region, refine
 from htsfem.spaces import DofSpace, build_a_space
 
-from util import solve_reference
+from util import dof_entries, solve_reference
 
 NORMS = NormSpec(dt0=0.0125)
 
@@ -99,7 +99,7 @@ def test_unstable_smallest_mode_oscillates(tmp_path, bar_mesh):
     assert changes >= 0.5 * len(segs)
     # exported point clouds exist with one row per entity
     pot = (tmp_path / "mode_potential.csv").read_text().strip().split("\n")
-    assert len(pot) == sum(kind == "node" for kind, _ in q_sp.entries) + 1
+    assert len(pot) == sum(kind == "node" for _, kind, _ in dof_entries(q_sp)) + 1
     sup = (tmp_path / "mode_supremizer.csv").read_text().strip().split("\n")
     assert len(sup) == len(v_sp.meta["sc_tris"]) + 1
 
@@ -198,11 +198,9 @@ def test_shared_level_matches_separate_pencils(formulation, bar_mesh, tape_mesh)
 
 def _bubbles_first(space):
     """The same potential space with its bubble DOFs numbered first."""
-    n_nodes = sum(kind == "node" for kind, _ in space.entries)
-    order = list(range(n_nodes, space.n_dofs)) + list(range(n_nodes))
-    new = {old: k for k, old in enumerate(order)}
-    return DofSpace("A", space.enrichment, space.mesh, [space.entries[k] for k in order],
-                    {new[k]: v for k, v in space.essential.items()}, space.meta)
+    kinds = {"bubble": space.kinds["bubble"], "node": space.kinds["node"]}
+    return DofSpace("A", space.enrichment, space.mesh, kinds,
+                    {"node": (space.meta["gamma_e_nodes"], 0.0)}, space.meta)
 
 
 def test_leading_rows_checks_the_hierarchy(bar_mesh):

@@ -102,7 +102,7 @@ def test_gamma_m_orientation(bar_mesh):
 
 
 MESH_ARRAYS = ("nodes", "triangles", "tri_region", "boundary_segments",
-               "boundary_tags", "interface_segments")
+               "interface_segments")
 
 
 def _assert_same_mesh(back, mesh):
@@ -160,7 +160,7 @@ def _variant(mesh, **changes):
     """An unvalidated copy of ``mesh`` with some constructor arguments
     replaced."""
     args = {name: getattr(mesh, name) for name in (
-        "nodes", "triangles", "tri_region", "boundary_segments", "boundary_tags",
+        "nodes", "triangles", "tri_region", "boundary_segments",
         "interface_segments", "interface_tag", "delta", "w")}
     return Mesh2D(**{**args, **changes})
 
@@ -341,4 +341,41 @@ def test_read_native_refuses_two_interface_kinds(bar_mesh, tmp_path):
 
     path = _edited_file(bar_mesh, tmp_path, retag)
     with pytest.raises(MeshError, match=r"more than one interface kind: tags \[20, 21\]"):
+        read_native(path)
+
+
+def test_read_native_names_the_section_of_a_malformed_file(bar_mesh, tmp_path):
+    def short_row(section, keep):
+        def edit(lines):
+            row = lines.index(section) + 2 + 3          # the row with id 3
+            lines[row] = " ".join(lines[row].split()[:keep])
+        return edit
+
+    def cut_after_two_rows(newline):
+        def edit(lines):
+            del lines[lines.index("$Nodes") + 4:]
+            lines += [""] if newline else []
+        return edit
+
+    def bare_meta_key(lines):
+        row = lines.index("$Meta") + 1
+        lines[row] = lines[row].split()[0]
+
+    cases = [(short_row("$Nodes", 2), r"section \$Nodes: row 3 has 2 fields where 3"),
+             (short_row("$Triangles", 4), r"section \$Triangles: row 3 has 4 fields where 5"),
+             (cut_after_two_rows(True), r"section \$Nodes: row 2 has 0 fields"),
+             (cut_after_two_rows(False), r"section \$Nodes: row 2 has 0 fields"),
+             (bare_meta_key, r"section \$Meta: 'delta' is not one key and one value")]
+    for edit, message in cases:
+        with pytest.raises(MeshError, match=message):
+            read_native(_edited_file(bar_mesh, tmp_path, edit))
+
+
+def test_read_native_refuses_an_unknown_segment_tag(bar_mesh, tmp_path):
+    def retag(lines):
+        row = lines.index("$Segments") + 2          # the first outer segment
+        lines[row] = " ".join(lines[row].split()[:-1] + ["99"])
+
+    path = _edited_file(bar_mesh, tmp_path, retag)
+    with pytest.raises(MeshError, match=r"section \$Segments: tag 99 is not GAMMA_E"):
         read_native(path)

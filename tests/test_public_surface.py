@@ -42,9 +42,7 @@ ALLOWED = {
 }
 
 # fields kept without a reader in the package, with the reason
-ALLOWED_FIELDS = {
-    "Conductor.ring_nodes": "the monolithic oracle of the tests reads the boundary loop",
-}
+ALLOWED_FIELDS = {}
 
 # defaulted parameters that no call passes, with the reason
 ALLOWED_PARAMETERS = {

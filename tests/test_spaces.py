@@ -10,7 +10,7 @@ from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_spa
                            build_t_space, essential_vector, eval_trace,
                            interface_chain, trace_table, whitney_transform)
 
-from util import eval_h_field, l_bar_mesh, solve_reference
+from util import dof_entries, eval_h_field, l_bar_mesh, solve_reference
 
 
 def loop_circulation(space, coeffs):
@@ -68,12 +68,11 @@ def test_cut_circulation_unit(bar_mesh):
 
 def test_cut_curl_confined_to_layer(bar_mesh):
     h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    cut = h.circuits[0].cut
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
     # the layer: the conductor triangles on the cut's edges
-    layer = set(bar_mesh.edge_tris[list(cut)].ravel().tolist()) & set(tris.tolist())
+    layer = set(bar_mesh.edge_tris[h.circuits[0].cut_edges].ravel().tolist()) & set(tris.tolist())
     scale = np.abs(curl).max()
     for t, c in zip(tris, curl):
         if int(t) not in layer:
@@ -123,7 +122,7 @@ def test_gradient_part_is_curl_free(bar_mesh):
     h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
     rng = np.random.default_rng(3)
     x = np.zeros(h.n_dofs)
-    for k, (kind, ent) in enumerate(h.entries):
+    for k, kind, _ in dof_entries(h):
         if kind in ("node", "bubble"):
             x[k] = rng.normal()
     G = h_curl_matrix(h)
@@ -141,7 +140,7 @@ def test_bubbles_never_change_curl(bar_mesh):
     G = h_curl_matrix(h2)
     curl_a = G @ x
     y = x.copy()
-    for k, (kind, ent) in enumerate(h2.entries):
+    for k, kind, _ in dof_entries(h2):
         if kind == "bubble":
             y[k] = 0.0
     curl_b = G @ y
@@ -175,12 +174,12 @@ def test_a_patch_interior(tape_mesh):
     for enr in (1, 2):
         a = build_a_space(tape_mesh, enr)
         K = _a_stiffness(a, np.full(len(a.meta["a_tris"]), 1.0 / MU0))
-        ess = sorted(a.essential)
+        ess = np.sort(a.essential_dofs)
         x_e = essential_vector(a, a_trace=trace)
         s = -K[a.free][:, ess] @ x_e[ess]
         x = a.expand(solve_reference(K[a.free][:, a.free], s), x_e)
         exact = np.array([trace(*tape_mesh.nodes[ent]) if kind == "node" else 0.0
-                          for kind, ent in a.entries])
+                          for _, kind, ent in dof_entries(a)])
         assert np.abs(x - exact).max() < 1e-10 * np.abs(exact).max()
 
 
@@ -189,8 +188,8 @@ def test_a_patch_interior(tape_mesh):
 
 def test_t_endpoint_value(tape_mesh):
     t = build_t_space(tape_mesh, 1, {0: ("current", 100.0)})
-    dof = t.dof("global", 0)
-    assert t.essential[dof] == pytest.approx(1e8, rel=1e-15)
+    assert np.array_equal(t.essential_dofs, [t.dof("global", 0)])
+    assert t.essential_values[0] == pytest.approx(1e8, rel=1e-15)
 
 
 def test_t_zero_current(tape_mesh):
@@ -208,7 +207,7 @@ def test_t_linear_ramp_constant_j(tape_mesh):
     width = 0.01
     x = t.essential_full()
     xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
-    for k, (kind, ent) in enumerate(t.entries):
+    for k, kind, ent in dof_entries(t):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / width
     from htsfem.assembly import tape_current_density
@@ -354,12 +353,13 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
         assert len(calls) == 1
         calls.clear()
         nodes = a.meta["gamma_e_nodes"]
-        assert len(nodes) == len(a.essential) > 0
+        essential = dict(zip(a.essential_dofs.tolist(), a.essential_values))
+        assert len(nodes) == len(essential) > 0
         for n in nodes:
             px, py = mesh.nodes[n]
             ref = np.float64(trace(px, py))
             k = a.dof("node", n)
-            assert a.essential[k] == 0.0
+            assert essential[k] == 0.0
             assert x[k].view(np.uint64) == ref.view(np.uint64)
         calls.clear()
 
@@ -397,17 +397,18 @@ def reference_whitney_transform(space):
     then the cut coefficients of every conductor."""
     mesh = space.mesh
     sc_edges = np.unique(mesh.tri_edges[space.meta["sc_tris"]])
+    index = {(kind, ent): k for k, kind, ent in dof_entries(space)}
     rows, cols, data = [], [], []
     for pos, eid in enumerate(sc_edges):
         a, b = (int(v) for v in mesh.edges[eid])
         for key, sgn in ((("node", a), -1.0), (("node", b), 1.0), (("edge", int(eid)), 1.0)):
-            if key in space.index:
+            if key in index:
                 rows.append(pos)
-                cols.append(space.index[key])
+                cols.append(index[key])
                 data.append(sgn)
     epos = {int(e): k for k, e in enumerate(sc_edges)}
     for c in space.circuits:
-        for eid, cc in sorted(c.cut.items()):
+        for eid, cc in sorted(zip(c.cut_edges.tolist(), c.cut_coeffs)):
             rows.append(epos[eid])
             cols.append(space.dof("global", c.id))
             data.append(cc)
@@ -434,7 +435,7 @@ def test_entity_dofs_inverts_the_entry_table(bar_mesh):
     for kind, n in sizes.items():
         dofs = h.entity_dofs(kind, n)
         expected = np.full(n, -1)
-        for k, (knd, ent) in enumerate(h.entries):
+        for k, knd, ent in dof_entries(h):
             if knd == kind:
                 expected[ent] = k
         assert np.array_equal(dofs, expected), kind
@@ -448,3 +449,83 @@ def test_trace_table_is_cached_per_space(bar_spaces_11):
     assert trace_table(a) is trace_table(a)
     assert trace_table(h) is not trace_table(a)
     assert not np.array_equal(trace_table(h).coeffs, trace_table(a).coeffs)
+
+
+def reference_dof_table(space):
+    """The per-DOF (kind, entity) list and the essential values
+    {dof: value} of ``space``, built entity by entity from the mesh
+    tables: nodes, then edges, then bubbles, then globals, each in
+    ascending entity order.  The circuits give the conductors' ground
+    nodes and the drives."""
+    mesh, segs = space.mesh, space.mesh.interface_segments
+    seg_edges = sorted(int(e) for e in mesh.edge_ids(segs))
+    if space.family == "H":
+        sc_edges = np.unique(mesh.tri_edges[mesh.region_tris(Region.OMEGA_H_SC)])
+        entries = [("node", n) for n in sorted({int(n) for n in segs[:, 0]})]
+        entries += [("edge", int(e)) for e in sc_edges if int(e) not in seg_edges]
+    elif space.family == "A":
+        a_nodes = {int(n) for t in range(mesh.n_triangles) for n in mesh.triangles[t]
+                   if mesh.tri_region[t] != Region.OMEGA_H_SC}
+        entries = [("node", n) for n in sorted(a_nodes)]
+    else:
+        interior = {int(n) for n in segs[:, 0]} & {int(n) for n in segs[:, 1]}
+        entries = [("node", n) for n in sorted(interior)]
+    if space.enrichment == 2:
+        entries += [("bubble", e) for e in seg_edges]
+    entries += [("global", c.id) for c in space.circuits]
+    index = {ent: k for k, ent in enumerate(entries)}
+    if space.family == "A":
+        outer = {int(n) for n in mesh.boundary_segments.ravel()}
+        return entries, {index["node", n]: 0.0 for n in sorted(outer)}
+    essential = {}
+    for c in space.circuits:
+        if space.family == "H":
+            assert c.ground_node == min(c.ring_nodes)
+            essential[index["node", c.ground_node]] = 0.0
+        if c.mode == "current":
+            essential[index["global", c.id]] = c.value / space.current_scale
+    return entries, essential
+
+
+def _spaces_on_reference_meshes(bar_mesh, tape_mesh):
+    two_bars = two_bar_mesh()
+    for order in (1, 2):
+        yield build_h_space(bar_mesh, order, {0: ("current", 1.5)})
+        yield build_h_space(two_bars, order, {0: ("current", 1.5), 1: ("voltage", 0.5)})
+        for mesh in (bar_mesh, tape_mesh, two_bars):
+            yield build_a_space(mesh, order)
+        yield build_t_space(tape_mesh, order, {0: ("current", 2.0)})
+        yield build_t_space(tape_mesh, order, {0: ("voltage", 2.0)})
+
+
+def test_dof_table_matches_the_per_entity_reference(bar_mesh, tape_mesh):
+    for space in _spaces_on_reference_meshes(bar_mesh, tape_mesh):
+        mesh = space.mesh
+        entries, essential = reference_dof_table(space)
+        label = (space.family, space.enrichment, mesh.n_nodes)
+        assert space.n_dofs == len(entries), label
+        assert [(kind, ent) for _, kind, ent in dof_entries(space)] == entries, label
+        for k, (kind, ent) in enumerate(entries):
+            assert space.dof(kind, ent) == k, label
+        sizes = {"node": mesh.n_nodes, "edge": len(mesh.edges),
+                 "bubble": len(mesh.edges), "global": len(space.circuits)}
+        for kind, n in sizes.items():
+            expected = np.full(n, -1)
+            for k, (knd, ent) in enumerate(entries):
+                if knd == kind:
+                    expected[ent] = k
+            assert np.array_equal(space.entity_dofs(kind, n), expected), (label, kind)
+        free = [k for k in range(len(entries)) if k not in essential]
+        assert np.array_equal(space.free, free) and space.n_free == len(free), label
+        x = np.zeros(len(entries))
+        x[list(essential)] = list(essential.values())
+        assert np.array_equal(space.essential_full(), x), label
+        # entities the space does not hold
+        held = {ent for kind, ent in entries if kind == "node"}
+        missing = next(n for n in range(mesh.n_nodes + 1) if n not in held)
+        for kind, ent in [("node", missing), ("node", mesh.n_nodes), ("tape", 0),
+                          ("bubble" if space.enrichment == 1 else "global", len(mesh.edges))]:
+            with pytest.raises(KeyError):
+                space.dof(kind, ent)
+        with pytest.raises(KeyError):
+            space.dof("node", [entries[0][1], missing])

@@ -13,6 +13,23 @@ from htsfem.mesh import Region, _structured_mesh
 from htsfem.spaces import whitney_transform
 
 
+def dof_entries(space):
+    """(dof, kind, entity) of every DOF of ``space``, in DOF order."""
+    k = 0
+    for kind, ents in space.kinds.items():
+        for ent in ents:
+            yield k, kind, int(ent)
+            k += 1
+
+
+def held_dof(space, kind, entity):
+    """The DOF of an entity, or None when the space does not hold it."""
+    try:
+        return space.dof(kind, entity)
+    except KeyError:
+        return None
+
+
 def h_dofs_for_potential(h_space, potential):
     """Coefficients representing the gradient of a scalar potential
     inside the conducting region, honouring the grounded boundary node.
@@ -31,11 +48,10 @@ def h_dofs_for_potential(h_space, potential):
     for c in h_space.circuits:
         g = p[c.ground_node]
         for n in c.ring_nodes:
-            key = ("node", int(n))
-            x[h_space.index[key]] = p[int(n)] - g
+            x[h_space.dof("node", n)] = p[int(n)] - g
             ring.add(int(n))
             pg[int(n)] = g
-    for k, (kind, ent) in enumerate(h_space.entries):
+    for k, kind, ent in dof_entries(h_space):
         if kind != "edge":
             continue
         a, b = (int(v) for v in mesh.edges[ent])
@@ -105,9 +121,9 @@ def eval_h_field(space, coeffs, tri_id: int, bary) -> np.ndarray:
         out += c * (bary[..., i, None] * g[j] - bary[..., j, None] * g[i])
     if space.enrichment == 2:
         for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
-            if key in space.index:
-                c = coeffs[space.index[key]]
+            k = held_dof(space, "bubble", mesh.tri_edges[tri_id, le])
+            if k is not None:
+                c = coeffs[k]
                 out += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
     return out
 
@@ -122,14 +138,14 @@ def eval_a_curl(space, coeffs, tri_id: int, bary) -> np.ndarray:
     tri = mesh.triangles[tri_id]
     grad_a = np.zeros(bary.shape[:-1] + (2,))
     for i in range(3):
-        key = ("node", int(tri[i]))
-        if key in space.index:
-            grad_a += coeffs[space.index[key]] * np.broadcast_to(g[i], grad_a.shape)
+        k = held_dof(space, "node", tri[i])
+        if k is not None:
+            grad_a += coeffs[k] * np.broadcast_to(g[i], grad_a.shape)
     if space.enrichment == 2:
         for le, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            key = ("bubble", int(mesh.tri_edges[tri_id, le]))
-            if key in space.index:
-                c = coeffs[space.index[key]]
+            k = held_dof(space, "bubble", mesh.tri_edges[tri_id, le])
+            if k is not None:
+                c = coeffs[k]
                 grad_a += c * (bary[..., i, None] * g[j] + bary[..., j, None] * g[i])
     out = np.empty_like(grad_a)
     out[..., 0] = grad_a[..., 1]
