@@ -9,8 +9,7 @@ the interface coupling.
 from .mesh import (Boundary, GeometryParams, Interface, Mesh2D, Region,
                    Scenario, build_stacked_bar_mesh, build_tape_mesh, refine)
 from .materials import MagneticLaw, PowerLaw, de_dj, rho_power
-from .spaces import (DofSpace, build_a_space, build_h_space, build_t_space,
-                     eval_trace)
+from .spaces import DofSpace, build_a_space, build_h_space, build_t_space
 from .assembly import (AssembledSystem, LinearBlocks, NormSpec,
                        assemble_coupling_matrix, assemble_ha_iteration,
                        assemble_norm_matrix, assemble_ta_iteration, linear_blocks)

@@ -71,9 +71,9 @@ class NormSpec:
     which emulates the fractional trace norm discretely.
     """
 
-    rho0: float = 1.6e-8
-    dt0: float = 1.0
-    nu0: float = 1.0 / MU0
+    rho0: float
+    dt0: float
+    nu0: float
 
     def __post_init__(self):
         for name in ("rho0", "dt0", "nu0"):
@@ -354,7 +354,10 @@ class _CurlForm:
         base = sp.coo_matrix((n, n) if base is None else base)
         base.sum_duplicates()
         base_keys = base.row.astype(np.int64) * n + base.col
-        pattern = np.unique(np.concatenate([keys, base_keys]))
+        # a sort and an adjacent compare: np.unique hashes integer keys,
+        # which is many times slower on these arrays of repeated keys
+        pattern = np.sort(np.concatenate([keys, base_keys]))
+        pattern = pattern[np.diff(pattern, prepend=-1) != 0]
         self._P = sp.csr_matrix(
             (omega[row[p]] * G.data[p] * G.data[q], (np.searchsorted(pattern, keys), row[p])),
             shape=(len(pattern), G.shape[0]))

@@ -4,8 +4,7 @@ a scalar oscillation measure.
 Profiles are sampled element-locally, without interpolation smoothing,
 so that discretization oscillations survive into the data.  Fields are
 evaluated by the assembly's basis kernels: one point location and one
-sparse product with ``field_operator`` per profile, and the conductor
-current density per triangle from ``h_curl_matrix``.
+sparse product with ``field_operator`` per profile.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from ._geom import tri_geometry
 from .materials import MU0
 from .mesh import Mesh2D, Region
 from .spaces import DofSpace
-from .assembly import field_operator, h_curl_matrix, tape_current_density
+from .assembly import field_operator, tape_current_density
 
 
 class SamplingError(ValueError):
@@ -153,22 +152,3 @@ def sign_changes(values) -> int:
     s = np.sign(v[np.abs(v) > SIGN_TOL_REL * scale])
     return int(np.sum(s[1:] != s[:-1]))
 
-
-def penetrated_area(mesh: Mesh2D, h_space: DofSpace, h_full, j_c: float,
-                    threshold: float = 0.8) -> float:
-    """Conductor area where |j| exceeds threshold * j_c."""
-    curl = h_curl_matrix(h_space) @ h_full
-    areas, _ = tri_geometry(mesh, h_space.meta["sc_tris"])
-    return float(areas[np.abs(curl) > threshold * j_c].sum())
-
-
-def magnetization(mesh: Mesh2D, h_space: DofSpace, h_full) -> np.ndarray:
-    """Magnetic moment per unit length of the conductor currents:
-    m = 1/2 int r x (j z-hat) dA."""
-    tris = h_space.meta["sc_tris"]
-    curl = h_curl_matrix(h_space) @ h_full
-    areas, _ = tri_geometry(mesh, tris)
-    cents = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
-    mx = 0.5 * np.sum(cents[:, 1] * curl * areas)
-    my = -0.5 * np.sum(cents[:, 0] * curl * areas)
-    return np.array([mx, my])

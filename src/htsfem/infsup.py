@@ -251,8 +251,8 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
 
 
 def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
-                     n_refinements: int, norms: NormSpec | None = None,
-                     materials: Materials | None = None) -> InfSupMatrix:
+                     n_refinements: int, norms: NormSpec,
+                     materials: Materials) -> InfSupMatrix:
     """Inf-sup test of every pairing (i, j) in ``pairings`` on the base
     mesh plus ``n_refinements`` uniform refinements (n_refinements + 1
     meshes, coarse to fine), in one pass over the meshes.  Returns
@@ -267,8 +267,6 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     pairings = list(dict.fromkeys(tuple(p) for p in pairings))
     if not pairings:
         raise ValueError("no pairing given")
-    if norms is None:
-        norms = NormSpec()
     start = time.perf_counter()
     if params.scenario is Scenario.STACKED_BAR:
         mesh = build_stacked_bar_mesh(params)
@@ -279,7 +277,7 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     mesh_s = time.perf_counter() - start
 
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
-    if materials is not None and materials.power.n == 1.0:
+    if materials.power.n == 1.0:
         alpha, gamma = coercivity_estimates(materials, norms, norms.dt0)
         for rep in reports.values():
             rep.alpha_lower, rep.gamma_lower = alpha, gamma

@@ -124,9 +124,3 @@ def de_dj(j_vector, law: PowerLaw):
     out = np.where(j >= law.j_cap, law.rho_max, out)
     return out if out.ndim else float(out)
 
-
-def e_field(j_vector, law: PowerLaw):
-    """Electric field e(j) = rho(|j|) * j (V/m), sign-preserving."""
-    j = np.asarray(j_vector, dtype=float)
-    out = rho_power(j, law) * j
-    return out if out.ndim else float(out)

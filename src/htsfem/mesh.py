@@ -496,60 +496,3 @@ def write_native(mesh: Mesh2D, path):
     lines.append("$EndMeta")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def read_native(path) -> Mesh2D:
-    """Read the file :func:`write_native` writes.  Each section numbers
-    its rows 0..n-1 in order.  The interface segments are stored in
-    traversal order, which carries their orientation, and all carry one
-    interface tag; other segments are outer boundary.  Meta keys other
-    than ``delta`` and ``w`` are ignored."""
-    text = Path(path).read_text().split("\n")
-    it = iter(text)
-
-    def until(tag):
-        for line in it:
-            if line.strip() == tag:
-                return
-        raise MeshError(f"section {tag} missing")
-
-    def section(tag, parse, width):
-        until(tag)
-        head = next(it, "").strip()
-        if not head.isdigit():
-            raise MeshError(f"section {tag}: row count {head!r} is not a number")
-        rows = [next(it, "").split() for _ in range(int(head))]
-        for k, row in enumerate(rows):
-            if len(row) != width + 1:
-                raise MeshError(f"section {tag}: row {k} has {len(row)} fields "
-                                f"where {width + 1} are expected")
-            if row[0] != str(k):
-                raise MeshError(f"section {tag}: id {row[0]} where {k} is expected")
-        try:
-            return np.array([row[1:] for row in rows], dtype=parse).reshape(-1, width)
-        except ValueError as err:
-            raise MeshError(f"section {tag}: {err}") from err
-
-    nodes = section("$Nodes", float, 2)
-    tris = section("$Triangles", int, 4)
-    segs = section("$Segments", int, 3)
-    until("$Meta")
-    meta = {}
-    for line in it:
-        if line.strip() == "$EndMeta":
-            break
-        fields = line.split()
-        if len(fields) != 2:
-            raise MeshError(f"section $Meta: {line!r} is not one key and one value")
-        meta[fields[0]] = fields[1]
-
-    iface = np.isin(segs[:, 2], [int(tag) for tag in Interface])
-    stray = segs[~iface & (segs[:, 2] != int(Boundary.GAMMA_E)), 2]
-    if len(stray):
-        raise MeshError(f"section $Segments: tag {stray[0]} is not GAMMA_E or an interface")
-    kinds = np.unique(segs[iface, 2])
-    if len(kinds) > 1:
-        raise MeshError(f"mesh has more than one interface kind: tags {kinds.tolist()}")
-    mesh = Mesh2D(nodes, tris[:, :3], tris[:, 3], segs[~iface, :2],
-                  segs[iface, :2], kinds[0] if len(kinds) else None,
-                  delta=float(meta["delta"]), w=float(meta["w"]) if "w" in meta else None)
-    return mesh.validate()

@@ -328,14 +328,6 @@ def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndar
 # -- interface trace machinery --------------------------------------------------
 
 
-def interface_chain(space: DofSpace):
-    """Ordered interface segments, lengths and cumulative arclength."""
-    segs = space.mesh.interface_segments
-    lens = space.mesh.segment_lengths(segs)
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    return segs, lens, cum
-
-
 @dataclass(frozen=True)
 class TraceTable:
     """Coupling trace basis of one space on its mesh's interface.
@@ -350,20 +342,15 @@ class TraceTable:
     dofs: np.ndarray        # (S, P)
     coeffs: np.ndarray      # (S, P, 3)
     lens: np.ndarray        # (S,)
-    cum: np.ndarray         # (S + 1,) arclength at the segment starts
 
     def values(self, u) -> np.ndarray:
         """Basis values at local coordinates u of shape (Q,): (S, P, Q)."""
-        return self.coeffs @ _powers(u)
+        u = np.asarray(u, dtype=float)
+        return self.coeffs @ np.stack([np.ones_like(u), u, u * u])
 
     def gather(self, coeffs) -> np.ndarray:
         """Slot coefficients (S, P) of a full-length vector, 0 when padded."""
         return np.where(self.dofs >= 0, np.asarray(coeffs, dtype=float)[self.dofs], 0.0)
-
-
-def _powers(u):
-    u = np.asarray(u, dtype=float)
-    return np.stack([np.ones_like(u), u, u * u])
 
 
 def trace_table(space: DofSpace) -> TraceTable:
@@ -374,7 +361,8 @@ def trace_table(space: DofSpace) -> TraceTable:
     if cached is not None:
         return cached
     mesh = space.mesh
-    segs, lens, cum = interface_chain(space)
+    segs = mesh.interface_segments
+    lens = mesh.segment_lengths(segs)
     eids = mesh.edge_ids(segs)
     node = space.entity_dofs("node", mesh.n_nodes)
     zero, one, inv = np.zeros(len(segs)), np.ones(len(segs)), 1.0 / lens
@@ -401,26 +389,8 @@ def trace_table(space: DofSpace) -> TraceTable:
     dofs = np.stack([d for d, _ in slots], axis=1)
     coeffs = np.stack([np.stack(c, axis=1) for _, c in slots], axis=1)
     coeffs[dofs < 0] = 0.0
-    space._trace_table = TraceTable(dofs, coeffs, lens, cum)
+    space._trace_table = TraceTable(dofs, coeffs, lens)
     return space._trace_table
-
-
-def eval_trace(space: DofSpace, coeffs, s):
-    """Interface trace at arclength s (scalar or array) along the
-    oriented interface polyline; ``coeffs`` is a full-length vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.n_dofs,):
-        raise SpaceError("coefficient vector does not match the space")
-    tab = trace_table(space)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr < -1e-12) or np.any(s_arr > tab.cum[-1] + 1e-12):
-        raise SpaceError("arclength outside the interface")
-    s_arr = np.clip(s_arr, 0.0, tab.cum[-1])
-    ks = np.minimum(np.searchsorted(tab.cum, s_arr, side="right") - 1, len(tab.lens) - 1)
-    u = (s_arr - tab.cum[ks]) / tab.lens[ks]
-    basis = np.einsum("npc,cn->np", tab.coeffs[ks], _powers(u))
-    out = np.sum(tab.gather(coeffs)[ks] * basis, axis=1)
-    return out if np.ndim(s) else float(out[0])
 
 
 # -- Whitney map ----------------------------------------------------------------

@@ -412,11 +412,3 @@ def _write_rows(path, rows):
                 raise ValueError(f"snapshot row of shape {row.shape}, expected ({width},)")
             row.tofile(f)
 
-
-def read_snapshots(outdir):
-    """Inverse of :func:`write_snapshots`: the list of (time, dt, v, q)
-    tuples of the ``.npy`` files in ``outdir``."""
-    outdir = Path(outdir)
-    t, v, q = (np.load(outdir / f"snapshots_{name}.npy", allow_pickle=False)
-               for name in "tvq")
-    return [(float(tk), float(dk), vk, qk) for (tk, dk), vk, qk in zip(t, v, q)]

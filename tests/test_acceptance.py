@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from htsfem.assembly import NormSpec, assemble_norm_matrix, \
+from htsfem.assembly import assemble_norm_matrix, \
     assemble_ha_iteration, h_curl_matrix, linear_blocks, tape_current_density
 from htsfem.diagnostics import (oscillation_metric, sample_bn_profile,
                                 sample_tape_current, sign_changes)
 from htsfem.infsup import run_infsup_sweep
 from htsfem.linalg import infsup_eigenpairs
-from htsfem.materials import (MU0, MagneticLaw, Materials, PowerLaw, VACUUM,
-                              de_dj, e_field)
+from htsfem.materials import MU0, MagneticLaw, Materials, PowerLaw, VACUUM, de_dj
 from htsfem.mesh import (GeometryParams, Region, Scenario,
                          build_stacked_bar_mesh, build_tape_mesh)
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
@@ -27,10 +26,9 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
 from htsfem.transient import (NonConvergenceError, TimeConfig, ramp_then_hold,
                               run_transient)
 
-from util import (build_time_values, dof_entries, eliminated, expand,
-                  h_dofs_for_potential, solve_reference)
-
-NORMS = NormSpec(dt0=0.0125)
+from util import (NORMS, build_time_values, dof_entries, e_field, eliminated,
+                  eval_trace, expand, h_dofs_for_potential, interface_chain,
+                  solve_reference)
 
 
 def report(num, text):
@@ -49,7 +47,7 @@ def ha_sweep_reports():
                       int(Region.OMEGA_A_AIR): VACUUM})
     t0 = time.perf_counter()
     reports = run_infsup_sweep(params, "ha", [(1, 1), (1, 2), (2, 1), (2, 2)], 4,
-                               norms=NORMS, materials=mats)
+                               NORMS, mats)
     return reports, time.perf_counter() - t0
 
 
@@ -91,8 +89,10 @@ def test_criterion_2_bnorm_bounded(ha_sweep_reports):
 def test_criterion_3_ta_verdict_matrix():
     params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.001,
                             air_half=0.02)
+    linear = Materials(PowerLaw(e_c=NORMS.rho0 * 2.5e8, j_c=2.5e8, n=1),
+                       {int(Region.OMEGA_A_AIR): VACUUM})
     reports = run_infsup_sweep(params, "ta", [(1, 1), (1, 2), (2, 1), (2, 2)], 3,
-                               norms=NORMS)
+                               NORMS, linear)
     verdicts = {pair: rep.verdict for pair, rep in reports.items()}
     assert verdicts[(1, 2)] == "STABLE"
     assert verdicts[(2, 1)] == "STABLE"
@@ -277,7 +277,6 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     # the net-current functional on the cut: adding it to the coupling
     # matrix therefore changes nothing
     from htsfem._geom import LINE_QP, LINE_QW
-    from htsfem.spaces import eval_trace, interface_chain
     h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
     segs_m, lens_m, cum = interface_chain(h1)
     scale = 1.0 / lens_m.min()

@@ -3,20 +3,17 @@ import pytest
 import scipy.sparse as sp
 
 from htsfem._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW
-from htsfem.assembly import (AssemblyError, NormSpec, SingularNormError,
+from htsfem.assembly import (AssemblyError, SingularNormError,
                              assemble_coupling_matrix, assemble_ha_iteration,
                              assemble_norm_matrix, assemble_ta_iteration,
                              field_operator, h_curl_matrix, linear_blocks,
                              tape_element_size, _coupling_full)
 from htsfem.mesh import refine
-from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           eval_trace, interface_chain)
+from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
-from util import (build_time_values, curl_h, dof_entries, eliminated, eval_a_curl,
-                  eval_h_field, free_indices, l_bar_mesh, monolithic, s_full,
-                  solve_reference)
-
-NORMS = NormSpec(dt0=0.0125)
+from util import (NORMS, build_time_values, curl_h, dof_entries, eliminated,
+                  eval_a_curl, eval_h_field, eval_trace, free_indices,
+                  interface_chain, l_bar_mesh, monolithic, s_full, solve_reference)
 
 
 def sym_defect(K):

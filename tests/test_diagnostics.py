@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from htsfem.diagnostics import (ProfileSample, SamplingError, locate_points,
-                                magnetization, oscillation_metric,
-                                penetrated_area, sample_bn_profile,
+                                oscillation_metric, sample_bn_profile,
                                 sample_tape_current, sign_changes)
 from htsfem.materials import MU0, Materials, PowerLaw, VACUUM
 from htsfem.mesh import Region
@@ -13,7 +12,8 @@ from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import dof_entries, eliminated, expand, solve_reference
+from util import (dof_entries, eliminated, expand, magnetization, penetrated_area,
+                  solve_reference)
 
 
 def test_metric_monotone():

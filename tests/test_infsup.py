@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import htsfem.infsup
-from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
 from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport,
                            NotApplicableError, build_pairing,
                            coercivity_estimates, export_eigenmode,
@@ -15,9 +15,7 @@ from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import Region, refine
 from htsfem.spaces import DofSpace, build_a_space
 
-from util import dof_entries, solve_reference
-
-NORMS = NormSpec(dt0=0.0125)
+from util import NORMS, dof_entries, solve_reference
 
 
 def test_coercivity_homogeneous():
@@ -50,9 +48,9 @@ def test_coercivity_rejects_power_law():
         coercivity_estimates(mats, NORMS, NORMS.dt0)
 
 
-def test_sweep_requires_three_refinements(bar_params):
+def test_sweep_requires_three_refinements(bar_params, bar_materials_linear):
     with pytest.raises(ValueError):
-        run_infsup_sweep(bar_params, "ha", [(1, 1)], 2, norms=NORMS)
+        run_infsup_sweep(bar_params, "ha", [(1, 1)], 2, NORMS, bar_materials_linear)
 
 
 def test_verdict_rules():
@@ -216,13 +214,14 @@ def test_leading_rows_checks_the_hierarchy(bar_mesh):
         _leading_rows(q1, _bubbles_first(q2), P, 2)
 
 
-def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
+def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, bar_materials_linear,
+                                                     monkeypatch):
     def shuffled_a_space(mesh, enrichment):
         space = build_a_space(mesh, enrichment)
         return _bubbles_first(space) if enrichment == 2 else space
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
     with pytest.raises(HierarchyError, match="level 0"):
-        run_infsup_sweep(bar_params, "ha", [(1, 1), (1, 2)], 3, norms=NORMS)
+        run_infsup_sweep(bar_params, "ha", [(1, 1), (1, 2)], 3, NORMS, bar_materials_linear)
 
 
 @pytest.mark.parametrize("formulation", ["ha", "ta"])

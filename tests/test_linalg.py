@@ -11,7 +11,7 @@ from htsfem.linalg import (ZERO_TOL_REL, DegenerateCouplingError, SchurFactor,
                            SingularSystemError, infsup_eigenpairs, interface_schur,
                            solve_dense, solve_sparse)
 
-from util import build_time_values, dense_schur, eliminated, solve_reference
+from util import NORMS, build_time_values, dense_schur, eliminated, solve_reference
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -103,7 +103,7 @@ def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_
     # factorization is in the caller's order on diagonal pivots, and
     # every incomplete one only reads a minimum-degree order
     import htsfem.linalg
-    from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+    from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
     from htsfem.infsup import build_pairing, export_eigenmode
     from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
     calls = {"splu": [], "spilu": []}
@@ -123,9 +123,8 @@ def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_
     assert hist.n_steps == 2
     v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
-    norms = NormSpec(dt0=0.0125)
-    eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, norms),
-                            assemble_norm_matrix(q_sp, norms))
+    eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, NORMS),
+                            assemble_norm_matrix(q_sp, NORMS))
     n_splu = len(calls["splu"])
     export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
     assert len(calls["splu"]) == n_splu          # the export factors nothing
@@ -233,13 +232,12 @@ def test_eig_interior_dofs_vs_whitened_svd(seed, n_q, n_v, coupled, density):
 
 @pytest.mark.parametrize("pairing", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_eig_ha_pairings_vs_whitened_svd(bar_mesh, pairing):
-    from htsfem.assembly import NormSpec, assemble_coupling_matrix, assemble_norm_matrix
+    from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
     from htsfem.infsup import build_pairing
-    norms = NormSpec(dt0=0.0125)
     v_sp, q_sp = build_pairing(bar_mesh, "ha", pairing)
     B = assemble_coupling_matrix(v_sp, q_sp)
-    N_V = assemble_norm_matrix(v_sp, norms)
-    N_Q = assemble_norm_matrix(q_sp, norms)
+    N_V = assemble_norm_matrix(v_sp, NORMS)
+    N_Q = assemble_norm_matrix(q_sp, NORMS)
     res = infsup_eigenpairs(B, N_V, N_Q)
     ref = dense_infsup_oracle(B.toarray(), N_V.toarray(), N_Q.toarray())
     k = len(res.eigenvalues)

@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htsfem.materials import (MU0, MagneticLaw, PowerLaw, VACUUM, de_dj,
-                              e_field, rho_power)
+from htsfem.materials import MU0, MagneticLaw, PowerLaw, VACUUM, de_dj, rho_power
+
+from util import e_field
 
 
 def test_rho_at_critical_current():

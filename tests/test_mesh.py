@@ -7,10 +7,10 @@ from htsfem.cli import _build_mesh, main
 from htsfem.config import load_config
 from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
-                         build_stacked_bar_mesh, read_native, refine, write_native)
+                         build_stacked_bar_mesh, refine, write_native)
 from htsfem.spaces import TopologyError, _ring_loops
 
-from util import l_bar_mesh
+from util import l_bar_mesh, read_mesh
 
 
 def test_stacked_bar_interface_perimeter(bar_mesh):
@@ -122,11 +122,11 @@ def _roundtrip_cli_mesh(tmp_path, config):
     out = tmp_path / "out"
     assert main(["mesh", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     mesh = _build_mesh(load_config(config))
-    back = read_native(out / "mesh.txt")
+    back = read_mesh(out / "mesh.txt")
     _assert_same_mesh(back, mesh)
     fine = refine(back)
     write_native(fine, tmp_path / "fine.txt")
-    _assert_same_mesh(read_native(tmp_path / "fine.txt"), fine)
+    _assert_same_mesh(read_mesh(tmp_path / "fine.txt"), fine)
     _assert_same_mesh(fine, refine(mesh))
     return back
 
@@ -141,12 +141,6 @@ def test_native_roundtrip_tape(tmp_path):
     back = _roundtrip_cli_mesh(tmp_path, {"scenario": "single_tape",
                                           "geometry": {"delta": 0.001}})
     assert back.w is not None and back.interface_tag is Interface.GAMMA_W
-    # files that list the tape's end nodes in their meta section still read
-    text = (tmp_path / "out" / "mesh.txt").read_text()
-    segs = back.interface_segments
-    ends = f"dgw_minus {segs[0, 0]}\ndgw_plus {segs[-1, 1]}\n$EndMeta"
-    (tmp_path / "old.txt").write_text(text.replace("$EndMeta", ends))
-    _assert_same_mesh(read_native(tmp_path / "old.txt"), back)
 
 
 def test_geometry_validation():
@@ -234,7 +228,7 @@ def test_edge_table_matches_reference(bar_mesh, tape_mesh):
         assert np.array_equal(mesh.edge_ids(mesh.edges[:, ::-1]), np.arange(len(edges)))
 
 
-# -- refused meshes and files ---------------------------------------------------
+# -- refused meshes -------------------------------------------------------------
 
 
 def _flipped_triangle(bar, tape):
@@ -291,91 +285,7 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("change, message", REFUSED, ids=[c.__name__[1:] for c, _ in REFUSED])
-def test_validate_and_read_native_refuse(bar_mesh, tape_mesh, tmp_path, change, message):
+def test_validate_and_read_native_refuse(bar_mesh, tape_mesh, change, message):
     mesh, changes = change(bar_mesh, tape_mesh)
-    broken = _variant(mesh, **changes)
     with pytest.raises(MeshError, match=message):
-        broken.validate()
-    write_native(broken, tmp_path / "mesh.txt")
-    with pytest.raises(MeshError, match=message):
-        read_native(tmp_path / "mesh.txt")
-
-
-def _edited_file(mesh, tmp_path, edit):
-    """``mesh`` written to the native format, its lines passed through
-    ``edit``; returns the path of the edited file."""
-    write_native(mesh, tmp_path / "mesh.txt")
-    lines = (tmp_path / "mesh.txt").read_text().split("\n")
-    edit(lines)
-    (tmp_path / "edited.txt").write_text("\n".join(lines))
-    return tmp_path / "edited.txt"
-
-
-@pytest.mark.parametrize("section", ["$Nodes", "$Triangles", "$Segments"])
-@pytest.mark.parametrize("found", [2, 4], ids=["repeated", "skipped"])
-def test_read_native_requires_ids_in_order(bar_mesh, tmp_path, section, found):
-    def renumber(lines):
-        row = lines.index(section) + 2 + 3          # the row with id 3
-        lines[row] = " ".join([str(found)] + lines[row].split()[1:])
-
-    path = _edited_file(bar_mesh, tmp_path, renumber)
-    with pytest.raises(MeshError, match=rf"section \{section}: id {found} where 3 is expected"):
-        read_native(path)
-
-
-@pytest.mark.parametrize("section", ["$Nodes", "$Triangles", "$Segments", "$Meta"])
-def test_read_native_names_a_missing_section(bar_mesh, tmp_path, section):
-    def drop(lines):
-        lines[lines.index(section)] = "$Unknown"
-
-    path = _edited_file(bar_mesh, tmp_path, drop)
-    with pytest.raises(MeshError, match=rf"section \{section} missing"):
-        read_native(path)
-
-
-def test_read_native_refuses_two_interface_kinds(bar_mesh, tmp_path):
-    def retag(lines):
-        row = lines.index("$EndSegments") - 1       # the last GAMMA_M segment
-        fields = lines[row].split()
-        lines[row] = " ".join(fields[:-1] + [str(int(Interface.GAMMA_W))])
-
-    path = _edited_file(bar_mesh, tmp_path, retag)
-    with pytest.raises(MeshError, match=r"more than one interface kind: tags \[20, 21\]"):
-        read_native(path)
-
-
-def test_read_native_names_the_section_of_a_malformed_file(bar_mesh, tmp_path):
-    def short_row(section, keep):
-        def edit(lines):
-            row = lines.index(section) + 2 + 3          # the row with id 3
-            lines[row] = " ".join(lines[row].split()[:keep])
-        return edit
-
-    def cut_after_two_rows(newline):
-        def edit(lines):
-            del lines[lines.index("$Nodes") + 4:]
-            lines += [""] if newline else []
-        return edit
-
-    def bare_meta_key(lines):
-        row = lines.index("$Meta") + 1
-        lines[row] = lines[row].split()[0]
-
-    cases = [(short_row("$Nodes", 2), r"section \$Nodes: row 3 has 2 fields where 3"),
-             (short_row("$Triangles", 4), r"section \$Triangles: row 3 has 4 fields where 5"),
-             (cut_after_two_rows(True), r"section \$Nodes: row 2 has 0 fields"),
-             (cut_after_two_rows(False), r"section \$Nodes: row 2 has 0 fields"),
-             (bare_meta_key, r"section \$Meta: 'delta' is not one key and one value")]
-    for edit, message in cases:
-        with pytest.raises(MeshError, match=message):
-            read_native(_edited_file(bar_mesh, tmp_path, edit))
-
-
-def test_read_native_refuses_an_unknown_segment_tag(bar_mesh, tmp_path):
-    def retag(lines):
-        row = lines.index("$Segments") + 2          # the first outer segment
-        lines[row] = " ".join(lines[row].split()[:-1] + ["99"])
-
-    path = _edited_file(bar_mesh, tmp_path, retag)
-    with pytest.raises(MeshError, match=r"section \$Segments: tag 99 is not GAMMA_E"):
-        read_native(path)
+        _variant(mesh, **changes).validate()

@@ -34,22 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "htsfem"
 
-# public names kept without a caller in the package, with the reason
-ALLOWED = {
-    "read_native": "reads the mesh file that `htsfem mesh` writes",
-    "e_field": "finite-difference oracle for the Jacobian law de_dj",
-    "eval_trace": "pointwise interface-trace oracle of the space tests",
-}
-
-# fields kept without a reader in the package, with the reason
-ALLOWED_FIELDS = {}
-
-# defaulted parameters that no call passes, with the reason
-ALLOWED_PARAMETERS = {
-    "penetrated_area.threshold": "README documents the threshold of the penetrated area",
-}
-
-
 def _trees(paths):
     return [(path, ast.parse(path.read_text())) for path in sorted(paths)]
 
@@ -109,14 +93,12 @@ def _external_references():
 
 def test_every_public_name_has_a_caller():
     refs, external = _src_references(), _external_references()
-    definitions = _public_definitions()
     uncalled = sorted(
-        name for name, path, first, last in definitions
-        if name not in external and name not in ALLOWED
+        name for name, path, first, last in _public_definitions()
+        if name not in external
         and not any(p != path or not first <= line <= last
                     for p, line in refs.get(name, [])))
     assert uncalled == []
-    assert set(ALLOWED) <= {name for name, *_ in definitions}
 
 
 # -- fields ----------------------------------------------------------------------
@@ -158,13 +140,11 @@ def _attribute_reads():
 
 def unread_fields():
     used = _attribute_reads() | _external_references()
-    return sorted(f for f in _class_fields()
-                  if f.split(".")[1] not in used and f not in ALLOWED_FIELDS)
+    return sorted(f for f in _class_fields() if f.split(".")[1] not in used)
 
 
 def test_every_field_is_read():
     assert unread_fields() == []
-    assert set(ALLOWED_FIELDS) <= _class_fields()
 
 
 # -- meta keys -------------------------------------------------------------------
@@ -249,12 +229,10 @@ def unpassed_parameters():
     calls = _calls()
     return sorted(
         f"{fn}.{param}" for fn, param, index in _defaulted_parameters()
-        if f"{fn}.{param}" not in ALLOWED_PARAMETERS
-        and not any(call is None or param in call[1]
+        if not any(call is None or param in call[1]
                     or (index is not None and call[0] > index)
                     for call in calls.get(fn, [])))
 
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
-    assert set(ALLOWED_PARAMETERS) <= {f"{fn}.{p}" for fn, p, _ in _defaulted_parameters()}

@@ -7,10 +7,11 @@ from scipy.sparse import coo_matrix
 from htsfem.assembly import field_operator, h_curl_matrix
 from htsfem.mesh import Region, _structured_mesh, refine
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_space,
-                           build_t_space, essential_vector, eval_trace,
-                           interface_chain, trace_table, whitney_transform)
+                           build_t_space, essential_vector, trace_table,
+                           whitney_transform)
 
-from util import dof_entries, eval_h_field, l_bar_mesh, solve_reference
+from util import (dof_entries, eval_h_field, eval_trace, interface_chain, l_bar_mesh,
+                  solve_reference)
 
 
 def loop_circulation(space, coeffs):

@@ -9,10 +9,10 @@ from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
-                              _circuit_values, circuit_post, ramp_then_hold, read_snapshots,
+                              _circuit_values, circuit_post, ramp_then_hold,
                               run_transient, write_history_csv, write_snapshots)
 
-from util import free_indices, monolithic, s_full
+from util import free_indices, magnetization, monolithic, penetrated_area, s_full
 
 JC = 2.5e8
 WIDTH = 0.01
@@ -194,7 +194,6 @@ def bar_power_history(bar_mesh, bar_spaces_11, bar_materials_power):
 
 def test_penetration_advances_monotonically(bar_mesh, bar_spaces_11,
                                             bar_power_history):
-    from htsfem.diagnostics import penetrated_area
     h, _ = bar_spaces_11
     hist = bar_power_history
     pen = [penetrated_area(bar_mesh, h, v, 3e8) for v in hist.v]
@@ -209,7 +208,6 @@ def test_penetration_advances_monotonically(bar_mesh, bar_spaces_11,
 
 def test_magnetization_creep_during_hold(bar_mesh, bar_spaces_11,
                                          bar_power_history):
-    from htsfem.diagnostics import magnetization
     h, _ = bar_spaces_11
     hist = bar_power_history
     mags = [np.hypot(*magnetization(bar_mesh, h, v)) for v in hist.v]
@@ -259,12 +257,12 @@ def test_history_exports(tmp_path, small_tape):
     assert len(lines) == hist.n_steps + 1
 
     write_snapshots(hist, tmp_path)
-    back = read_snapshots(tmp_path)
-    assert len(back) == hist.n_steps
-    t0, dt0, v0, q0 = back[0]
-    assert t0 == pytest.approx(hist.times[0])
-    assert np.allclose(v0, hist.v[0])
-    assert np.allclose(q0, hist.q[0])
+    t, v, q = (np.load(tmp_path / f"snapshots_{name}.npy", allow_pickle=False)
+               for name in "tvq")
+    assert len(t) == len(v) == len(q) == hist.n_steps
+    assert t[0, 0] == pytest.approx(hist.times[0])
+    assert np.allclose(v[0], hist.v[0])
+    assert np.allclose(q[0], hist.q[0])
 
 
 def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
@@ -283,15 +281,6 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
         hist.q.append(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
     write_snapshots(hist, tmp_path)
 
-    back = read_snapshots(tmp_path)
-    assert len(back) == hist.n_steps
-    for k, (t, dt, v, q) in enumerate(back):
-        assert isinstance(t, float) and isinstance(dt, float)
-        for got, want in ((np.array([t, dt]), [hist.times[k], hist.dts[k]]),
-                          (v, hist.v[k]), (q, hist.q[k])):
-            assert np.array_equal(np.asarray(got).view(np.uint64),
-                                  np.asarray(want).view(np.uint64))
-
     stacked = {"t": np.column_stack([hist.times, hist.dts]),
                "v": np.stack(hist.v), "q": np.stack(hist.q)}
     for name, arr in stacked.items():
@@ -300,6 +289,7 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
         np.save(ref, arr)
         assert path.read_bytes() == ref.getvalue(), name
         loaded = np.load(path, allow_pickle=False)
+        assert np.array_equal(loaded.view(np.uint64), arr.view(np.uint64)), name
         assert loaded.dtype == np.dtype("<f8") and loaded.flags.c_contiguous
         assert loaded.shape == {"t": (3, 2), "v": (3, len(edge) + 50), "q": (3, 40)}[name]
 

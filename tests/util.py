@@ -1,16 +1,26 @@
 """Shared test helpers: the straightforward per-triangle field
 evaluators that the assembly's field kernels are checked against, the
-pivoting sparse solve that serves as the reference solver, and the
-dense and monolithic oracles of the block solvers."""
+pointwise interface trace, the electric field of the power law, the
+conductor's penetrated area and magnetization, a plain ``mesh.txt``
+reader, the pivoting sparse solve that serves as the reference solver,
+and the dense and monolithic oracles of the block solvers."""
+
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
+from htsfem.assembly import NormSpec, h_curl_matrix
 from htsfem.linalg import SingularSystemError, backward_error
-from htsfem.mesh import Region, _structured_mesh
-from htsfem.spaces import whitney_transform
+from htsfem.materials import MU0, rho_power
+from htsfem.mesh import Boundary, Mesh2D, Region, _structured_mesh
+from htsfem.spaces import SpaceError, trace_table, whitney_transform
+
+# the stability norms at the reference resistivity and the step 0.0125 s
+# of the default configuration
+NORMS = NormSpec(rho0=1.6e-8, dt0=0.0125, nu0=1.0 / MU0)
 
 
 def dof_entries(space):
@@ -151,6 +161,78 @@ def eval_a_curl(space, coeffs, tri_id: int, bary) -> np.ndarray:
     out[..., 0] = grad_a[..., 1]
     out[..., 1] = -grad_a[..., 0]
     return out
+
+
+def interface_chain(space):
+    """Ordered interface segments, their lengths and the cumulative
+    arclength at the segment starts and the end."""
+    segs = space.mesh.interface_segments
+    lens = space.mesh.segment_lengths(segs)
+    return segs, lens, np.concatenate([[0.0], np.cumsum(lens)])
+
+
+def eval_trace(space, coeffs, s):
+    """Interface trace of a full-length coefficient vector at arclength
+    s (scalar or array) along the oriented interface polyline, from the
+    space's trace table."""
+    _, lens, cum = interface_chain(space)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_arr < -1e-12) or np.any(s_arr > cum[-1] + 1e-12):
+        raise SpaceError("arclength outside the interface")
+    s_arr = np.clip(s_arr, 0.0, cum[-1])
+    ks = np.minimum(np.searchsorted(cum, s_arr, side="right") - 1, len(lens) - 1)
+    u = (s_arr - cum[ks]) / lens[ks]
+    tab = trace_table(space)
+    basis = np.einsum("npc,cn->np", tab.coeffs[ks], np.stack([np.ones_like(u), u, u * u]))
+    out = np.sum(tab.gather(coeffs)[ks] * basis, axis=1)
+    return out if np.ndim(s) else float(out[0])
+
+
+def e_field(j_vector, law):
+    """Electric field e(j) = rho(|j|) * j (V/m), sign-preserving."""
+    j = np.asarray(j_vector, dtype=float)
+    out = rho_power(j, law) * j
+    return out if out.ndim else float(out)
+
+
+def penetrated_area(mesh, h_space, h_full, j_c):
+    """Conductor area where |j| exceeds 0.8 j_c."""
+    curl = h_curl_matrix(h_space) @ h_full
+    areas, _ = tri_geometry(mesh, h_space.meta["sc_tris"])
+    return float(areas[np.abs(curl) > 0.8 * j_c].sum())
+
+
+def magnetization(mesh, h_space, h_full):
+    """Magnetic moment per unit length of the conductor currents:
+    m = 1/2 int r x (j z-hat) dA."""
+    tris = h_space.meta["sc_tris"]
+    curl = h_curl_matrix(h_space) @ h_full
+    areas, _ = tri_geometry(mesh, tris)
+    cents = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
+    return 0.5 * np.array([np.sum(cents[:, 1] * curl * areas),
+                           -np.sum(cents[:, 0] * curl * areas)])
+
+
+def read_mesh(path):
+    """The mesh of a file that ``htsfem.mesh.write_native`` writes: each
+    section's row count, then its rows, id first; a segment whose tag is
+    not GAMMA_E is interface."""
+    lines = iter(Path(path).read_text().split("\n"))
+    rows, meta = {}, {}
+    for line in lines:
+        if line in ("$Nodes", "$Triangles", "$Segments"):
+            rows[line] = [next(lines).split()[1:] for _ in range(int(next(lines)))]
+        elif line == "$Meta":
+            while (entry := next(lines)) != "$EndMeta":
+                key, value = entry.split()
+                meta[key] = float(value)
+    nodes = np.array(rows["$Nodes"], dtype=float).reshape(-1, 2)
+    tris = np.array(rows["$Triangles"], dtype=np.int64).reshape(-1, 4)
+    segs = np.array(rows["$Segments"], dtype=np.int64).reshape(-1, 3)
+    iface = segs[:, 2] != int(Boundary.GAMMA_E)
+    tags = np.unique(segs[iface, 2])
+    return Mesh2D(nodes, tris[:, :3], tris[:, 3], segs[~iface, :2], segs[iface, :2],
+                  tags[0] if len(tags) else None, delta=meta["delta"], w=meta.get("w"))
 
 
 def solve_reference(K, s) -> np.ndarray:
