@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
-from .linalg import componentwise_error
+from .linalg import FixedPattern, componentwise_error
 from .materials import MU0, Materials, PowerLaw, de_dj, rho_power
 from .mesh import Mesh2D, Region
 from .spaces import DofSpace, trace_table, whitney_transform
@@ -88,12 +88,12 @@ class LinearBlocks:
     form (for H with the mu0 H mass as its base), the H mass (None for
     T), and on all DOFs the reluctivity stiffness K_nu and the coupling
     B.  For mat-vecs it stores B^T on the potential DOFs ``gamma`` that
-    B couples (``B_T``; ``gamma_free`` marks the free ones), the free
-    potential rows [B, -K_nu] of the block form (``q_rows``, whose
-    columns are the field DOFs followed by the potential DOFs), the
-    entrywise absolute values of both, which scale backward errors, and
-    the columns of ``q_rows`` that are essential (``q_free_ess``;
-    ``ess`` holds their indices)."""
+    B couples (``B_T``; ``gamma_free`` marks the free ones) and the free
+    potential rows [B, -K_nu] of the block form split by their columns,
+    which are the field DOFs followed by the potential DOFs: the free
+    columns (``q_free``) and the essential ones (``q_free_ess``; ``ess``
+    holds their indices).  Each comes with its entrywise absolute
+    values, which scale backward errors."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -106,20 +106,31 @@ class LinearBlocks:
     gamma_free: np.ndarray
     B_T: sp.csr_matrix
     abs_B_T: sp.csr_matrix
-    q_rows: sp.csr_matrix
-    abs_q_rows: sp.csr_matrix
+    q_free: sp.csr_matrix
+    abs_q_free: sp.csr_matrix
     ess: np.ndarray
     q_free_ess: sp.csr_matrix
+    abs_q_free_ess: sp.csr_matrix
+
+    def potential_products(self, v_free, a_free):
+        """(Q x, |Q| |x|) for x = [v_free; a_free] and Q the free columns
+        of the free potential rows: the products that the backward
+        errors of one step at that iterate share (``AssembledSystem``).
+        They equal the products of the whole rows with x set to zero on
+        the essential columns, to the bit: a zero product added to a
+        partial sum leaves it unchanged."""
+        x = np.concatenate([v_free, a_free])
+        return self.q_free @ x, self.abs_q_free @ np.abs(x)
 
 
 @dataclass
 class AssembledSystem:
     """One linearized coupled system in block form (see the module
-    docstring): the field block ``A_v`` on all field DOFs and its block
-    ``A_free`` on the free ones, the field right-hand side ``s_v``, the
-    run's fixed ``blocks`` (which hold the two spaces) and the
-    essential values ``v_essential`` and ``a_essential`` on all DOFs of
-    the field and the potential space.
+    docstring): the field block's CSR data ``A_data`` on the fixed
+    pattern of ``blocks.form`` (all field DOFs), the field right-hand
+    side ``s_v``, the run's fixed ``blocks`` (which hold the two
+    spaces) and the essential values ``v_essential`` and
+    ``a_essential`` on all DOFs of the field and the potential space.
 
     The system is solved on the free DOFs after symmetric elimination;
     its right-hand side is computed on the blocks, with the field part
@@ -128,8 +139,7 @@ class AssembledSystem:
     and ``field_error`` take its values there.
     """
 
-    A_v: sp.csr_matrix
-    A_free: sp.csr_matrix
+    A_data: np.ndarray
     s_v: np.ndarray
     blocks: LinearBlocks
     v_essential: np.ndarray
@@ -140,12 +150,12 @@ class AssembledSystem:
         the potential on ``blocks.gamma``."""
         lb = self.blocks
         if absolute:
-            return self._abs_A_v @ v + lb.abs_B_T @ a_gamma
-        return self.A_v @ v + lb.B_T @ a_gamma
+            return lb.form.product(self._abs_data, v) + lb.abs_B_T @ a_gamma
+        return lb.form.product(self.A_data, v) + lb.B_T @ a_gamma
 
     @cached_property
-    def _abs_A_v(self) -> sp.csr_matrix:
-        return abs(self.A_v)
+    def _abs_data(self) -> np.ndarray:
+        return np.abs(self.A_data)
 
     def field_residual(self, v, a_gamma) -> np.ndarray:
         """The field rows A_v v + B^T a - s_v on all field DOFs, at the
@@ -162,31 +172,39 @@ class AssembledSystem:
             (self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)
              + np.abs(self.s_v))[free])
 
-    def _error(self, v, a, s_field, s_potential) -> float:
-        """Componentwise backward error of the free rows of the block form
-        at the full-length (v, a), against ``s_field`` on the free field
-        rows and ``s_potential`` on the free potential rows."""
+    def _error(self, v, a, s_field, q_residual, q_scale) -> float:
+        """Componentwise backward error of the free rows of the block form:
+        the free field rows at the full-length (v, a) against
+        ``s_field``, and the free potential rows' residual and scale."""
         lb = self.blocks
-        free, a_gamma, x = lb.v_space.free, a[lb.gamma], np.concatenate([v, a])
+        free, a_gamma = lb.v_space.free, a[lb.gamma]
         return componentwise_error(
-            np.concatenate([self._field_product(v, a_gamma)[free] - s_field,
-                            lb.q_rows @ x - s_potential]),
+            np.concatenate([self._field_product(v, a_gamma)[free] - s_field, q_residual]),
             np.concatenate([self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)[free]
-                            + np.abs(s_field),
-                            lb.abs_q_rows @ np.abs(x) + np.abs(s_potential)]))
+                            + np.abs(s_field), q_scale]))
 
-    def backward_error(self, v, a) -> float:
-        """Componentwise backward error of the whole system at (v, a)
-        over the free rows; the potential rows carry no source."""
-        return self._error(v, a, self.s_v[self.blocks.v_space.free], 0.0)
+    def backward_error(self, v, a, q_products) -> float:
+        """Componentwise backward error of the whole system at (v, a),
+        which hold the system's essential values, over the free rows;
+        the potential rows carry no source.  ``q_products`` are
+        ``blocks.potential_products`` at the free DOFs of (v, a): the
+        potential rows [B, -K_nu] [v; a] are their first minus
+        ``s_potential``, and |[B, -K_nu]| |[v; a]| their second plus the
+        essential columns' part, which is fixed within a step."""
+        q_ax, q_abs = q_products
+        return self._error(v, a, self.s_v[self.blocks.v_space.free],
+                           q_ax - self.s_potential, q_abs + self._essential_scale)
 
-    def free_backward_error(self, v_free, a_free) -> float:
+    def free_backward_error(self, v_free, a_free, q_products) -> float:
         """Componentwise backward error of the eliminated system at its
-        free DOFs: the block form's with zero essential values."""
+        free DOFs: the block form's with zero essential values.
+        ``q_products`` are ``blocks.potential_products(v_free, a_free)``."""
         lb = self.blocks
+        q_ax, q_abs = q_products
         return self._error(lb.v_space.expand(v_free, np.zeros(lb.v_space.n_dofs)),
                            lb.q_space.expand(a_free, np.zeros(lb.q_space.n_dofs)),
-                           self.s_field, self.s_potential)
+                           self.s_field, q_ax - self.s_potential,
+                           q_abs + np.abs(self.s_potential))
 
     @cached_property
     def s_field(self) -> np.ndarray:
@@ -198,11 +216,18 @@ class AssembledSystem:
         return (self.s_v - self._field_product(v, a[lb.gamma]))[lb.v_space.free]
 
     @cached_property
+    def _x_essential(self) -> np.ndarray:
+        return np.concatenate([self.v_essential, self.a_essential])[self.blocks.ess]
+
+    @cached_property
     def s_potential(self) -> np.ndarray:
         """The eliminated right-hand side of the free potential rows, read
         from the essential columns only; it is fixed within a step."""
-        x_ess = np.concatenate([self.v_essential, self.a_essential])[self.blocks.ess]
-        return -(self.blocks.q_free_ess @ x_ess)
+        return -(self.blocks.q_free_ess @ self._x_essential)
+
+    @cached_property
+    def _essential_scale(self) -> np.ndarray:
+        return self.blocks.abs_q_free_ess @ np.abs(self._x_essential)
 
 
 # -- low-level kernels ---------------------------------------------------------
@@ -333,8 +358,11 @@ class _CurlForm:
     surface current dt/ds at the Gauss points of each tape segment for
     T.  ``omega`` holds the quadrature weights.  K(w) is linear in w, so
     on the fixed pattern of base + G^T G its CSR data is P w plus the
-    base's data, for a sparse P (pattern entries x n_qp) built once.
-    The block on the ``free`` DOFs is a fixed selection of that data.
+    base's data, for a sparse P (pattern entries x n_qp) built once
+    (``data``).  A Newton iteration works on that data alone: products
+    on the pattern (``product``) and the block on the ``free`` DOFs, a
+    fixed selection of it (``free_data``, ``free_dense``), construct no
+    matrix.
     """
 
     def __init__(self, G, omega, free, base=None):
@@ -375,20 +403,52 @@ class _CurlForm:
         self._free_indptr = np.searchsorted(rows[self._free_pos],
                                             np.arange(len(free) + 1)).astype(np.int32)
 
+    @cached_property
+    def _pattern(self) -> FixedPattern:
+        return FixedPattern(sp.csr_matrix((self._base, self._indices, self._indptr),
+                                          shape=self._shape))
+
+    @cached_property
+    def _free_flat(self) -> np.ndarray:
+        """The position of each free-block entry in the dense block, row-major."""
+        n = len(self._free_indptr) - 1
+        return np.repeat(np.arange(n), np.diff(self._free_indptr)) * n + self._free_indices
+
+    def data(self, w) -> np.ndarray:
+        """The CSR data of base + K(w) on the fixed pattern."""
+        return self._P @ w + self._base
+
     def matrix(self, w) -> sp.csr_matrix:
         """base + K(w) on the fixed pattern."""
-        return sp.csr_matrix((self._P @ w + self._base, self._indices, self._indptr),
-                             shape=self._shape)
+        return sp.csr_matrix((self.data(w), self._indices, self._indptr), shape=self._shape)
 
-    def free_block(self, A) -> sp.csr_matrix:
-        """The block of free rows and columns of a ``matrix`` result."""
+    def product(self, data, u) -> np.ndarray:
+        """M u for the matrix M with CSR data ``data`` on the pattern."""
+        return self._pattern.with_data(data) @ u
+
+    def free_data(self, data) -> np.ndarray:
+        """The CSR data of the free rows and columns of the matrix with
+        data ``data``, on the pattern of ``free_block``."""
+        return data[self._free_pos]
+
+    def free_block(self, data) -> sp.csr_matrix:
+        """The block of free rows and columns of the matrix with data
+        ``data``."""
         n = len(self._free_indptr) - 1
-        return sp.csr_matrix((A.data[self._free_pos], self._free_indices,
-                              self._free_indptr), shape=(n, n))
+        return sp.csr_matrix((self.free_data(data), self._free_indices, self._free_indptr),
+                             shape=(n, n))
 
-    def apply(self, w, u) -> np.ndarray:
-        """K(w) u without forming K(w)."""
-        return self._Gt @ (self._omega * w * (self.G @ u))
+    def free_dense(self, data) -> np.ndarray:
+        """``free_block(data)`` as a dense array, without the sparse one:
+        the pattern holds no duplicate, and ``data`` no negative zero."""
+        n = len(self._free_indptr) - 1
+        M = np.zeros(n * n)
+        M[self._free_flat] = self.free_data(data)
+        return M.reshape(n, n)
+
+    def apply(self, w, curl) -> np.ndarray:
+        """K(w) u without forming K(w), from the curl G u of u."""
+        return self._Gt @ (self._omega * w * curl)
 
 
 def h_curl_matrix(space: DofSpace) -> sp.csr_matrix:
@@ -570,9 +630,10 @@ def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
     is_free[v_space.free] = True
     is_free[v_space.n_dofs + q_space.free] = True
     ess = np.flatnonzero(~is_free)
+    q_free, q_ess = q_rows[:, np.flatnonzero(is_free)].tocsr(), q_rows[:, ess].tocsr()
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
                         K_nu, B, gamma, is_free[v_space.n_dofs + gamma], B_T, abs(B_T),
-                        q_rows, abs(q_rows), ess, q_rows[:, ess].tocsr())
+                        q_free, abs(q_free), ess, q_ess, abs(q_ess))
 
 
 def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,
@@ -595,12 +656,12 @@ def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_es
     if np.any(~np.isfinite(dedj)):
         raise AssemblyError("non-finite material evaluation")
 
-    A_v = form.matrix(scale * dedj)
+    A_data = form.data(scale * dedj)
     s_v = blocks.B_T @ a_prev[blocks.gamma]
     if blocks.mass is not None:
         s_v = s_v + blocks.mass @ v_prev
-    s_v = s_v - form.apply(scale * (rho - dedj), v_it) + _circuit_rhs(v_space, dt, voltages)
-    return AssembledSystem(A_v, form.free_block(A_v), s_v, blocks, v_essential, a_essential)
+    s_v = s_v - form.apply(scale * (rho - dedj), j) + _circuit_rhs(v_space, dt, voltages)
+    return AssembledSystem(A_data, s_v, blocks, v_essential, a_essential)
 
 
 def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,

@@ -52,28 +52,60 @@ class ProfileSample:
             f.write("\n".join(lines) + "\n")
 
 
+def _ranges(first, count):
+    """The concatenated ranges first[k], ..., first[k] + count[k] - 1."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def locate_points(mesh: Mesh2D, points, region):
     """Containing triangle of ``region`` and barycentric coordinates
-    per point."""
+    per point: the first triangle of ``mesh.region_tris(region)`` whose
+    barycentric coordinates at the point are all at least -1e-10.
+
+    The triangles are binned on a grid by their bounding boxes, widened
+    by that tolerance, and each point is tested only against the
+    triangles of its bin, in region order."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     cand = mesh.region_tris(region)
-    areas, grads = tri_geometry(mesh, cand)
-    p0 = mesh.nodes[mesh.triangles[cand][:, 0]]
-    tri_ids = np.empty(len(points), dtype=np.int64)
-    barys = np.empty((len(points), 3))
-    for k, pt in enumerate(points):
-        d = pt[None, :] - p0
-        l1 = np.einsum("td,td->t", grads[:, 1, :], d)
-        l2 = np.einsum("td,td->t", grads[:, 2, :], d)
-        l0 = 1.0 - l1 - l2
-        ok = (l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10)
-        hits = np.flatnonzero(ok)
-        if len(hits) == 0:
-            raise SamplingError(f"point {pt} lies outside the sampled region")
-        t = hits[0]
-        tri_ids[k] = cand[t]
-        barys[k] = (l0[t], l1[t], l2[t])
-    return tri_ids, barys
+    _, grads = tri_geometry(mesh, cand)
+    corners = mesh.nodes[mesh.triangles[cand]]
+    p0 = corners[:, 0]
+    # a point whose coordinates are all >= -eps lies less than 2 eps
+    # times the triangle's extent outside its bounding box
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    pad = 1e-9 * (hi - lo).max(axis=1, keepdims=True)
+    lo, hi = lo - pad, hi + pad
+    n_bins = max(1, int(np.sqrt(len(cand))))
+    origin, size = lo.min(axis=0), (hi.max(axis=0) - lo.min(axis=0)) / n_bins
+
+    def bin_of(x):
+        return np.clip(((x - origin) / size).astype(np.int64), 0, n_bins - 1)
+
+    first, span = bin_of(lo), bin_of(hi) - bin_of(lo) + 1
+    n_cells = span[:, 0] * span[:, 1]
+    tri = np.repeat(np.arange(len(cand)), n_cells)
+    k = _ranges(np.zeros_like(n_cells), n_cells)
+    cell = (first[tri, 0] + k // span[tri, 1]) * n_bins + first[tri, 1] + k % span[tri, 1]
+    order = np.lexsort((tri, cell))                 # by bin, then region order
+    binned = tri[order]
+    starts = np.searchsorted(cell[order], np.arange(n_bins * n_bins + 1))
+
+    # every pair of a point and a triangle of its bin
+    cell = bin_of(points) @ np.array([n_bins, 1])
+    count = starts[cell + 1] - starts[cell]
+    point = np.repeat(np.arange(len(points)), count)
+    c = binned[_ranges(starts[cell], count)]
+    d = points[point] - p0[c]
+    l1 = np.einsum("td,td->t", grads[c, 1, :], d)
+    l2 = np.einsum("td,td->t", grads[c, 2, :], d)
+    l0 = 1.0 - l1 - l2
+    hits = np.flatnonzero((l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10))
+    found, at = np.unique(point[hits], return_index=True)
+    if len(found) < len(points):
+        missing = np.setdiff1d(np.arange(len(points)), found)[0]
+        raise SamplingError(f"point {points[missing]} lies outside the sampled region")
+    t = hits[at]
+    return cand[c[t]], np.column_stack([l0[t], l1[t], l2[t]])
 
 
 def _bar_extent(mesh: Mesh2D):

@@ -30,6 +30,7 @@ against 1.8 s with SymmetricMode and 1.5 s with COLAMD.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -48,25 +49,105 @@ class DegenerateCouplingError(RuntimeError):
     """All eigenvalues of the inf-sup pencil vanish."""
 
 
+class FixedPattern:
+    """One sparse matrix whose pattern many data arrays share: a product
+    with, or a factorization of, the matrix of given data on that
+    pattern constructs no matrix.  ``with_data`` points the one matrix
+    at the caller's data and returns it, for use at once: the next call
+    points it elsewhere, so one thread at a time may use it."""
+
+    def __init__(self, M):
+        self._M = M
+
+    def with_data(self, data):
+        self._M.data = data
+        return self._M
+
+
+class _CscPattern(FixedPattern):
+    """The index arrays that ``solve_sparse`` reads on a canonical CSC
+    pattern, laid out once: the row and the column of every entry, the
+    entries by row for the row maxima, and the pattern of its nonzero
+    entries, which SuperLU factors."""
+
+    def __init__(self, K):
+        super().__init__(sp.csc_matrix((K.data, K.indices.copy(), K.indptr.copy()),
+                                       shape=K.shape))
+        self.rows = K.indices.astype(np.intp)
+        self.cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+        self._by_row = np.argsort(self.rows, kind="stable")
+        counts = np.bincount(self.rows, minlength=K.shape[0])
+        self._filled = counts > 0
+        self._row_start = (np.cumsum(counts) - counts)[self._filled]
+        self._nonzero = None            # (mask, FixedPattern) of the last call
+
+    def holds(self, K) -> bool:
+        M = self._M
+        return (M.shape == K.shape and np.array_equal(M.indptr, K.indptr)
+                and np.array_equal(M.indices, K.indices))
+
+    def row_max(self, abs_data) -> np.ndarray:
+        """The largest of ``abs_data`` in each row, 0 in an empty one."""
+        out = np.zeros(len(self._filled))
+        out[self._filled] = np.maximum.reduceat(abs_data[self._by_row], self._row_start)
+        return out
+
+    def nonzero(self, mask) -> FixedPattern:
+        """The pattern of the entries that ``mask`` keeps."""
+        if self._nonzero is None or not np.array_equal(self._nonzero[0], mask):
+            M = self._M
+            indptr = np.zeros(M.shape[1] + 1, dtype=M.indptr.dtype)
+            np.cumsum(np.bincount(self.cols[mask], minlength=M.shape[1]), out=indptr[1:])
+            self._nonzero = (mask.copy(), FixedPattern(sp.csc_matrix(
+                (M.data[mask], M.indices[mask], indptr), shape=M.shape)))
+        return self._nonzero[1]
+
+
+_csc_patterns: list = []    # (weak reference to a matrix, its _CscPattern)
+
+
+def _csc_pattern(K) -> _CscPattern:
+    """The ``_CscPattern`` of the canonical CSC K.  The last one laid out
+    serves again while the matrix it was laid out for lives and holds
+    the same index arrays: a transient run solves on one matrix, whose
+    data alone changes."""
+    if _csc_patterns:
+        ref, pattern = _csc_patterns[0]
+        if ref() is K and pattern.holds(K):
+            return pattern
+    pattern = _CscPattern(K)
+    _csc_patterns[:] = [(weakref.ref(K, lambda _: _csc_patterns.clear()), pattern)]
+    return pattern
+
+
 def solve_sparse(K, s) -> np.ndarray:
     """Solve of a sparse system (``_refined_solve``) by one LU
     factorization in K's own numbering on diagonal pivots
     (``_factor_in_order``): the caller chooses the elimination order,
     as ``BorderedSchur`` does, and a matrix that needs a pivot off the
-    diagonal is refused with SingularSystemError."""
-    K = sp.csc_matrix(K, copy=True)     # the one conversion; canonical below
-    K.sum_duplicates()
-    K.eliminate_zeros()
-    rows = K.indices
-    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-    row_max = np.zeros(K.shape[0])
-    np.maximum.at(row_max, rows, np.abs(K.data))
+    diagonal is refused with SingularSystemError.
+
+    A canonical CSC, such as the one ``BorderedSchur.bordered``
+    returns, is solved on its own arrays; any other K is first
+    converted to one.  Its index arrays are laid out once per pattern
+    (``_csc_pattern``): the row maxima, D K D and |K| for the backward
+    error are read through them, and the factor sees only the nonzero
+    entries.  An explicit zero adds nothing to a product, whose sums
+    are therefore those of the pruned matrix."""
+    if not (sp.issparse(K) and K.format == "csc" and K.has_canonical_format):
+        K = sp.csc_matrix(K, copy=True)
+        K.sum_duplicates()
+    pattern = _csc_pattern(K)
+    abs_data = np.abs(K.data)
+    nonzero = K.data != 0.0
+    factored = pattern.nonzero(nonzero)
 
     def factor(d):
         # the entries of D K D for D = diag(d), in the product's rounding order
-        DKD = sp.csc_matrix((K.data * d[rows] * d[cols], rows, K.indptr), shape=K.shape)
-        return _factor_in_order(DKD, "system").solve
-    return _refined_solve(K, s, row_max, factor)
+        DKD = (K.data * d[pattern.rows] * d[pattern.cols])[nonzero]
+        return _factor_in_order(factored.with_data(DKD), "system").solve
+    return _refined_solve(K, s, pattern.row_max(abs_data), factor,
+                          lambda x: pattern.with_data(abs_data) @ x)
 
 
 def solve_dense(K, s) -> np.ndarray:
@@ -76,10 +157,11 @@ def solve_dense(K, s) -> np.ndarray:
     def factor(d):
         cho = _cholesky(K * d[:, None] * d, "system")
         return partial(scipy.linalg.cho_solve, cho, check_finite=False)
-    return _refined_solve(K, s, np.abs(K).max(axis=1), factor)
+    abs_K = np.abs(K)
+    return _refined_solve(K, s, abs_K.max(axis=1), factor, abs_K.__matmul__)
 
 
-def _refined_solve(K, s, row_max, factor) -> np.ndarray:
+def _refined_solve(K, s, row_max, factor, abs_product) -> np.ndarray:
     """x with K x = s, by ``factor(d)``, which factors D K D for
     D = diag(d), d = row_max^(-1/2) (``row_max`` the largest magnitude
     of each row of K), and returns its solve.  Symmetric equilibration
@@ -88,8 +170,9 @@ def _refined_solve(K, s, row_max, factor) -> np.ndarray:
     relative accuracy in the small block, and the data files record the
     refined solution (unrefined, the snapshots change in the last bits).
     The check is componentwise, max_i |K x - s|_i / (|K| |x| + |s|)_i
-    <= 1e-10: a normwise residual is dominated by the rows of the
-    largest block and passes a solution that is wrong in the small one.
+    <= 1e-10, with ``abs_product(y)`` = |K| y: a normwise residual is
+    dominated by the rows of the largest block and passes a solution
+    that is wrong in the small one.
     """
     s = np.asarray(s, dtype=float)
     if K.shape[0] != K.shape[1] or K.shape[0] != len(s):
@@ -107,16 +190,10 @@ def _refined_solve(K, s, row_max, factor) -> np.ndarray:
     # disparate solution scales of the coupled blocks
     for _ in range(2):
         x = x + d * solve(d * (s - K @ x))
-    res = backward_error(K, x, s)
+    res = componentwise_error(K @ x - s, abs_product(np.abs(x)) + np.abs(s))
     if not res <= 1e-10:
         raise SingularSystemError(f"solve backward error {res:.3e} exceeds 1e-10")
     return x
-
-
-def backward_error(K, x, s) -> float:
-    """Componentwise backward error max_i |K x - s|_i / (|K| |x| + |s|)_i;
-    see ``componentwise_error``."""
-    return componentwise_error(K @ x - s, abs(K) @ np.abs(x) + np.abs(s))
 
 
 def componentwise_error(F, scale) -> float:
@@ -133,8 +210,8 @@ def _factor_in_order(K, what):
     failed factorization raises SingularSystemError, and so does one in
     which SuperLU reordered a column or pivoted off the diagonal."""
     try:
-        lu = splu(sp.csc_matrix(K), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = splu(K if K.format == "csc" else sp.csc_matrix(K), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as err:
         raise SingularSystemError(f"{what} factorization failed: {err}") from err
     ident = np.arange(lu.shape[0])
@@ -253,7 +330,9 @@ class InterfaceSchur:
     ``size`` and ``nnz`` are its rows and entries), a_Γ = S_K^{-1} B_Γ v
     - z_Γ (``interface_values``) and a = K^{-1} (B v - s_q) (``recover``).
     ``cols`` holds the columns of B with structural nonzeros; ``solves``
-    counts the back-substitutions through the factor of K.
+    counts the back-substitutions through the factor of K.  A lift of
+    an s_q equal bit for bit to the last one's, as on the steps of a
+    held drive, returns the last z_Γ without solving again.
     """
 
     def __init__(self, K, B):
@@ -266,10 +345,12 @@ class InterfaceSchur:
         self.cols = np.unique(B.indices)
         self._B = B
         self._B_gamma = B[gamma]
+        self._B_gamma_T = self._B_gamma.T
         self._off_gamma = np.ones(n_q, dtype=bool)
         self._off_gamma[gamma] = False
         self.solves = 0
         self.size, self.nnz = n_v, n_v * n_v
+        self._last_lift = None          # (s_q, z_Γ) of the last lift
 
     def _solve(self, b):
         self.solves += 1
@@ -277,10 +358,28 @@ class InterfaceSchur:
 
     def lift(self, s_q):
         """z_Γ = (K^{-1} s_q)_Γ: S_K^{-1} s_q[Γ] if s_q vanishes off Γ,
-        else by one back-substitution."""
+        else by one back-substitution; the last z_Γ again if s_q repeats
+        the last s_q bit for bit."""
+        s_q = np.asarray(s_q, dtype=float)
+        last = self._last_lift
+        if last is not None and np.array_equal(last[0].view(np.uint64), s_q.view(np.uint64)):
+            return last[1].copy()
         if np.any(s_q[self._off_gamma]):
-            return self._solve(s_q)[self.factor.rows]
-        return self.factor.schur_solve(s_q[self.factor.rows])
+            z = self._solve(s_q)[self.factor.rows]
+        else:
+            z = self.factor.schur_solve(s_q[self.factor.rows])
+        self._last_lift = (s_q.copy(), z.copy())
+        return z
+
+    def field_kernel(self) -> int:
+        """The dimension of the kernel of B_Γ on the field side: its
+        columns less its rank, read from one dense pivoted QR, in which
+        a diagonal entry of R below max(shape) eps times the largest
+        counts as zero."""
+        W = self._B_gamma.toarray()
+        r = np.abs(np.diag(scipy.linalg.qr(W, mode="r", pivoting=True)[0]))
+        rank = np.count_nonzero(r > max(W.shape) * np.finfo(float).eps * r.max()) if r.size else 0
+        return W.shape[1] - int(rank)
 
     def interface_values(self, v, lift):
         """a_Γ = S_K^{-1} B_Γ v - z_Γ for the lift z_Γ: the interface
@@ -296,8 +395,8 @@ class InterfaceSchur:
 
     def condensed(self, A, s_v, lift):
         """The dense A + B_Γ^T S_K^{-1} B_Γ and s_v + B_Γ^T z_Γ for the
-        sparse field block A and the lift z_Γ (``solve_dense``)."""
-        return A.toarray() + self._interface_term, s_v + self._B_gamma.T @ lift
+        dense field block A and the lift z_Γ (``solve_dense``)."""
+        return A + self._interface_term, s_v + self._B_gamma_T @ lift
 
     def recover(self, v, s_q):
         """a = K^{-1} (B v - s_q) on all rows, by one back-substitution."""
@@ -313,8 +412,13 @@ class BorderedSchur(InterfaceSchur):
     1995), stably if the block eliminated first is well conditioned
     (Gill, Saunders and Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996):
     here the field block, definite with the H mass, in a minimum-degree
-    order of the pattern of the ``A`` given here, then Γ.  ``size`` and
-    ``nnz`` are the rows and structural nonzeros of that pattern.
+    order of the pattern of the CSR ``A`` given here, then Γ.  ``size``
+    and ``nnz`` are the rows and structural nonzeros of that pattern.
+
+    The bordered matrix is laid out once, here, as one canonical CSC in
+    elimination numbering that holds B_Γ and -S_K; each ``bordered``
+    call writes A's data into it in place, so a Newton iteration
+    neither builds nor converts a matrix.
     """
 
     def __init__(self, K, B, A):
@@ -336,28 +440,27 @@ class BorderedSchur(InterfaceSchur):
         where = np.empty_like(at)
         where[at] = np.arange(len(at))
         self.nnz = len(at)
-        self._indices = r[at].astype(np.int32)
-        self._indptr = np.searchsorted(c[at], np.arange(self.size + 1)).astype(np.int32)
-        self._data = np.zeros(self.nnz)
-        self._data[where[A.nnz:]] = np.concatenate([Bg.data, Bg.data, -self.factor.S.ravel()])
+        data = np.zeros(self.nnz)
+        data[where[A.nnz:]] = np.concatenate([Bg.data, Bg.data, -self.factor.S.ravel()])
+        self._matrix = sp.csc_matrix(
+            (data, r[at].astype(np.int32),
+             np.searchsorted(c[at], np.arange(self.size + 1)).astype(np.int32)),
+            shape=(self.size, self.size))
         self._A_at = where[:A.nnz]
-        self._A_pattern = (A.indptr.copy(), A.indices.copy())
 
-    def bordered(self, A, s_v, lift):
+    def bordered(self, A_data, s_v, lift):
         """The bordered matrix (CSC) and right-hand side [s_v; S_K z_Γ]
-        for the field block A and the lift z_Γ, in elimination numbering
-        (``solve_sparse``, then ``split``).  An A off the pattern this
-        object was built with raises ValueError."""
-        A = sp.csr_matrix(A)
-        if not (np.array_equal(A.indptr, self._A_pattern[0])
-                and np.array_equal(A.indices, self._A_pattern[1])):
+        in elimination numbering (``solve_sparse``, then ``split``), for
+        the field block with CSR data ``A_data`` on the pattern of the
+        ``A`` this object was built with, and the lift z_Γ.  The matrix
+        is this object's one bordered matrix, which holds the system of
+        the last call.  Data of another length raises ValueError."""
+        if len(A_data) != len(self._A_at):
             raise ValueError("field block is not on the run's sparsity pattern")
-        data = self._data.copy()
-        data[self._A_at] = A.data
+        self._matrix.data[self._A_at] = A_data
         s = np.empty(self.size)
         s[self._pos] = np.concatenate([s_v, self.factor.S @ lift])
-        return sp.csc_matrix((data, self._indices, self._indptr),
-                             shape=(self.size, self.size)), s
+        return self._matrix, s
 
     def split(self, x):
         """(v, a_Γ) of a solution x of the ``bordered`` system."""

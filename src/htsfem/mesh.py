@@ -171,9 +171,7 @@ class Mesh2D:
 
     @cached_property
     def edge_tri_count(self):
-        counts = np.zeros(len(self.edges), dtype=np.int64)
-        np.add.at(counts, self.tri_edges.ravel(), 1)
-        return counts
+        return np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
 
     @cached_property
     def edge_tris(self):
@@ -264,8 +262,14 @@ class Mesh2D:
 
     def _check_gamma_w(self):
         segs = self.interface_segments
-        tris = self.edge_tris[self.edge_ids(segs)]
-        if np.any(tris < 0) or not np.all(np.isin(
+        # the triangles of each tape segment, read from tri_edges;
+        # edge_tris would sort every edge of the mesh to find these few
+        seg_of = np.full(len(self.edges), -1, dtype=np.int64)
+        seg_of[self.edge_ids(segs)] = np.arange(len(segs))
+        hits = seg_of[self.tri_edges]
+        tris = np.flatnonzero(np.any(hits >= 0, axis=1))
+        counts = np.bincount(hits[hits >= 0], minlength=len(segs))
+        if np.any(counts < 2) or not np.all(np.isin(
                 self.tri_region[tris], [int(Region.OMEGA_A_AIR), int(Region.OMEGA_A_FERRO)])):
             raise MeshError("GAMMA_W segment must lie inside the air region")
         lens = self.segment_lengths(segs)
@@ -287,7 +291,8 @@ def _interval_points(breaks, delta):
 
 def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=None):
     """Tensor grid over the given break lines, each cell split into two
-    CCW triangles.  ``region_fn(xc, yc)`` assigns a Region per cell.
+    CCW triangles.  ``region_fn(xc, yc)`` maps the arrays of the cell
+    centers' coordinates to the array of their Region values.
     The conductor boundary is discovered from cell regions and becomes
     the GAMMA_M interface; ``tape_span=(x0, x1, y)`` makes a GAMMA_W
     polyline the interface instead.
@@ -311,8 +316,7 @@ def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=Non
 
     xc = 0.5 * (xs[I] + xs[I + 1])
     yc = 0.5 * (ys[J] + ys[J + 1])
-    cell_region = np.array([int(region_fn(x, y)) for x, y in zip(xc, yc)],
-                           dtype=np.int64)
+    cell_region = np.asarray(region_fn(xc, yc), dtype=np.int64)
     tri_region = np.repeat(cell_region, 2)
 
     # outer boundary, counterclockwise starting at the lower-left corner
@@ -405,11 +409,10 @@ def build_stacked_bar_mesh(params: GeometryParams) -> Mesh2D:
             f"{n_across} < {params.min_elements_across} elements")
 
     def region(x, y):
-        if -hw < x < hw and -hb < y < 0.0:
-            return Region.OMEGA_H_SC
-        if -hw < x < hw and 0.0 < y < hb:
-            return Region.OMEGA_A_FERRO
-        return Region.OMEGA_A_AIR
+        inside = (-hw < x) & (x < hw)
+        return np.select([inside & (-hb < y) & (y < 0.0), inside & (0.0 < y) & (y < hb)],
+                         [int(Region.OMEGA_H_SC), int(Region.OMEGA_A_FERRO)],
+                         int(Region.OMEGA_A_AIR))
 
     return _structured_mesh([-L, -hw, hw, L], [-L, -hb, 0.0, hb, L],
                             params.delta, region)
@@ -434,7 +437,7 @@ def build_tape_mesh(params: GeometryParams) -> Mesh2D:
             f"{n_along} < {params.min_elements_across} elements")
 
     mesh = _structured_mesh([-L, -hw, hw, L], [-L, 0.0, L], params.delta,
-                            lambda x, y: Region.OMEGA_A_AIR,
+                            lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)),
                             w=params.tape_thickness, tape_span=(-hw, hw, 0.0))
     return mesh
 

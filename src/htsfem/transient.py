@@ -16,23 +16,31 @@ Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
 iteration of a run.  ``run_transient`` builds them once, with the
 field curl form and the H mass, as the run's ``LinearBlocks``; every
-iteration assembles from them only the field block A_v, on a fixed
-sparsity pattern, and the field right-hand side s_v
+iteration assembles from them only the field block A_v, as its data
+on a fixed sparsity pattern, and the field right-hand side s_v
 (``htsfem.assembly``).  ``run_transient`` also factors the free K_nu
 once, with the rows Γ that B couples last, into its Schur complement
 S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
 only through S_K.  h-a solves for the field DOFs v by one
 ``solve_sparse`` factorization of the bordered (v, a_Γ) system, in an
-order fixed once per run (``linalg.BorderedSchur``).  On the tape B
-couples every free field DOF, and t-a solves the dense condensed
-system (A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ by one
-``solve_dense`` Cholesky factorization.  Either takes the interface
-values a_Γ = S_K^{-1} B_Γ v - z_Γ at v.  The lift
-z_Γ = (K_nu^{-1} s_q)_Γ is formed once per step attempt: the
+order fixed once per run (``linalg.BorderedSchur``): the bordered CSC
+is laid out once, and each iteration writes A_v's free data into it in
+place.  On the tape B couples every free field DOF, and t-a solves the
+dense condensed system (A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ,
+its dense field block filled from the data, by one ``solve_dense``
+Cholesky factorization.  No iteration constructs a sparse matrix.
+Either takes the interface values a_Γ = S_K^{-1} B_Γ v - z_Γ at v.  The
+lift z_Γ = (K_nu^{-1} s_q)_Γ is formed once per step attempt: the
 eliminated potential right-hand side s_q holds only essential values,
 its coupling part lies on Γ, so z_Γ = S_K^{-1} s_q,Γ, and only a
 nonzero outer trace (an external field) costs one back-substitution
-through the whole factor.
+through the whole factor; a held drive repeats s_q bit for bit and
+reuses the last z_Γ.
+
+A power-law t-a run refuses, before its first step, a pairing whose
+free B_Γ has a kernel on the field side (``_refuse_field_kernel``):
+the field block vanishes at zero current, so the condensed system is
+singular on that kernel.
 
 Newton convergence and backtracking are judged on the componentwise
 backward error of the free field rows, A_v v + B^T a - s_v against
@@ -52,7 +60,10 @@ gated against the system reassembled at it, which would hold the
 Newton residual (up to the tolerance) to 1e-10.  The recorded final
 residual is the componentwise backward error of the whole system over
 the free rows at the accepted iterate, and the circuit reactions are
-its field rows' residuals.
+its field rows' residuals.  The gate and the final residual share the
+products of the potential rows at the free DOFs of the last field
+solve (``LinearBlocks.potential_products``), which an undamped last
+iteration accepts.
 """
 
 from __future__ import annotations
@@ -193,9 +204,11 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     # h-a borders the field block's fixed pattern, with weights that only
     # order it; B couples every field DOF of a tape, and t-a condenses
     form, free = blocks.form, (blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
-    schur = (BorderedSchur(*free, form.free_block(form.matrix(np.ones(form.G.shape[0]))))
+    schur = (BorderedSchur(*free, form.free_block(form.data(np.ones(form.G.shape[0]))))
              if formulation == "ha" else InterfaceSchur(*free))
     del free            # the run keeps only the factor of the free K_nu
+    if formulation == "ta" and materials.power.n > 1.0:
+        _refuse_field_kernel(schur, v_space, q_space)
     # Newton's potential unknowns are the free rows of blocks.gamma
     if not np.array_equal(qf[schur.factor.rows], blocks.gamma[blocks.gamma_free]):
         raise ValueError("a potential DOF couples only to essential field DOFs")
@@ -245,13 +258,13 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
                 hist.counters["step_halvings"] += 1
                 dt_cur *= 0.5
 
-        v_new, q_new, iters, res_trace, sys = result
+        v_new, q_new, iters, res_trace, sys, final_residual = result
         hist.times.append(t_new)
         hist.dts.append(dt_cur)
         hist.v.append(v_new)
         hist.q.append(q_new)
         hist.newton_iters.append(iters)
-        hist.final_residuals.append(sys.backward_error(v_new, q_new))
+        hist.final_residuals.append(final_residual)
         hist.residual_traces.append(res_trace)
         r_field = sys.field_residual(v_new, q_new[blocks.gamma])
         for cid, reactions in hist.reactions.items():
@@ -267,30 +280,49 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     return hist
 
 
+def _refuse_field_kernel(schur: InterfaceSchur, v_space, q_space):
+    """Refuse a t-a pairing whose free coupling B_Γ has a kernel on the
+    field side.  The power-law field block dt w D(de/dj) vanishes at
+    zero current, like (|J|/j_c)^(n-1), so the condensed field system
+    is singular there to working precision (Brezzi's coercivity on
+    ker B), whatever the step."""
+    kernel = schur.field_kernel()
+    if kernel:
+        raise SingularSystemError(
+            f"t-a pairing ({v_space.enrichment},{q_space.enrichment}): the free coupling "
+            f"B_Γ has a {kernel}-dimensional kernel on the field side, where the "
+            f"power-law field block vanishes at zero current, so the condensed field "
+            f"system is singular")
+
+
 def _field_solve(sys, schur: InterfaceSchur, lift):
     """The free field DOFs v of ``sys`` with the step attempt's ``lift``,
     by the bordered (h-a) or the condensed (t-a) solve of ``schur``, and
     a_Γ = S_K^{-1} B_Γ v - z_Γ.  The bordered solve's own a_Γ strays from
     the back-substituted a by more than 1e-12 relative on the bar, the
     a_Γ from v about half as far."""
+    form = sys.blocks.form
     if isinstance(schur, BorderedSchur):
-        v = schur.split(solve_sparse(*schur.bordered(sys.A_free, sys.s_field, lift)))[0]
+        v = schur.split(solve_sparse(*schur.bordered(form.free_data(sys.A_data), sys.s_field,
+                                                     lift)))[0]
     else:
-        v = solve_dense(*schur.condensed(sys.A_free, sys.s_field, lift))
+        v = solve_dense(*schur.condensed(form.free_dense(sys.A_data), sys.s_field, lift))
     return v, schur.interface_values(v, lift)
 
 
 def _gated_recovery(sys, v, schur: InterfaceSchur):
     """The free potential DOFs a = K_nu^{-1} (B v - s_q) of a field
-    solve v of ``sys``, by one back-substitution.  The componentwise
-    backward error of (v, a) on the free system of ``sys`` gates it: a
-    normwise residual is dominated by the flux-potential rows and
-    misses errors of the field block."""
+    solve v of ``sys``, by one back-substitution, and the potential-row
+    products at (v, a) (``LinearBlocks.potential_products``).  The
+    componentwise backward error of (v, a) on the free system of
+    ``sys`` gates it: a normwise residual is dominated by the
+    flux-potential rows and misses errors of the field block."""
     a = schur.recover(v, sys.s_potential)
-    err = sys.free_backward_error(v, a)
+    q_products = sys.blocks.potential_products(v, a)
+    err = sys.free_backward_error(v, a, q_products)
     if not err <= 1e-10:
         raise SingularSystemError(f"field solve residual {err:.3e} exceeds 1e-10")
-    return a
+    return a, q_products
 
 
 def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
@@ -349,14 +381,16 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
             f"Newton stalled at residual {r:.3e} after {iters} iterations",
             residuals=trace)
     # the whole a, once per step: the last field solve's, which the gate
-    # checks against the system it solved, unless the step was damped
+    # checks against the system it solved, unless the step was damped;
+    # the final residual shares the gate's potential-row products
     if solved is not None:
-        a_free = _gated_recovery(*solved, schur)
+        a_free, q_products = _gated_recovery(*solved, schur)
     if solved is None or damping < 1.0:
         a_free = schur.recover(v_it[vf], sys.s_potential)
+        q_products = blocks.potential_products(v_it[vf], a_free)
     q_it = q_ess.copy()
     q_it[qf] = a_free
-    return v_it, q_it, iters, trace, sys
+    return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it, q_products)
 
 
 def circuit_post(history: TimeHistory, spaces, cid: int):

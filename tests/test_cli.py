@@ -240,6 +240,20 @@ def test_cli_nonconvergence_exit_3(tmp_path, capsys):
     assert all(r is None or r >= 0.0 for r in err["residuals"])
 
 
+def test_cli_refused_ta_pairing_exit_3(tmp_path, capsys):
+    # a power-law t-a transient on a pairing whose coupling has a
+    # field-side kernel is refused before its first step
+    cfg = {"scenario": "single_tape", "geometry": {"delta": 0.001, "air_half": 0.02}}
+    path = write_cfg(tmp_path, cfg, "kernel.json")
+    rc = main(["solve", "--config", path, "--pairing", "2,1", "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1],
+                     parse_constant=_reject_constant)
+    assert err["error"] == "solver"
+    assert "t-a pairing (2,1)" in err["message"] and "dimensional kernel" in err["message"]
+
+
 @pytest.mark.parametrize("error", [SingularSystemError, DegenerateCouplingError])
 @pytest.mark.parametrize("command", ["infsup", "eigenmode"])
 def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error):

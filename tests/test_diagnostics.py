@@ -12,8 +12,8 @@ from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import (dof_entries, eliminated, expand, magnetization, penetrated_area,
-                  solve_reference)
+from util import (dof_entries, eliminated, expand, locate_points_reference, magnetization,
+                  penetrated_area, solve_reference)
 
 
 def test_metric_monotone():
@@ -67,6 +67,25 @@ def test_locate_points(bar_mesh):
         assert np.allclose(barys.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(SamplingError):
         locate_points(bar_mesh, np.array([[1.0, 1.0]]), Region.OMEGA_A_AIR)
+
+
+@pytest.mark.parametrize("region", [Region.OMEGA_H_SC, Region.OMEGA_A_FERRO,
+                                    Region.OMEGA_A_AIR])
+def test_binned_location_matches_the_full_search(bar_mesh, region):
+    # random points of the region, its nodes (shared by several
+    # triangles) and its edge midpoints: the binned search returns the
+    # full search's triangle, the first hit in region order, and the
+    # same barycentric coordinates bit for bit
+    tris = bar_mesh.triangles[bar_mesh.region_tris(region)]
+    corners = bar_mesh.nodes[tris]
+    rng = np.random.default_rng(2)
+    w = rng.dirichlet(np.ones(3), size=len(tris))
+    pts = np.concatenate([np.einsum("tk,tkd->td", w, corners)[::7], corners[::5, 0],
+                          0.5 * (corners[::5, 0] + corners[::5, 1])])
+    tri_ids, barys = locate_points(bar_mesh, pts, region)
+    ref_ids, ref_barys = locate_points_reference(bar_mesh, pts, region)
+    assert np.array_equal(tri_ids, ref_ids)
+    assert np.array_equal(barys, ref_barys)
 
 
 def test_zero_solution_zero_profile(bar_mesh, bar_spaces_11):

@@ -174,8 +174,8 @@ def test_gamma_m_must_separate_conductor(bar_mesh):
 def test_interface_chains_split_loops_and_reject_open_ones():
     # two separate conductors: two closed GAMMA_M loops, in order
     def region(x, y):
-        return Region.OMEGA_H_SC if 0.002 < abs(x) < 0.004 and abs(y) < 0.002 \
-            else Region.OMEGA_A_AIR
+        return np.where((0.002 < abs(x)) & (abs(x) < 0.004) & (abs(y) < 0.002),
+                        int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
     mesh = _structured_mesh(breaks, breaks, 0.001, region)
@@ -186,7 +186,8 @@ def test_interface_chains_split_loops_and_reject_open_ones():
     assert all(loop[-1, 1] == loop[0, 0] for loop in loops)
     assert all(np.array_equal(a, b) for a, b in zip(_ring_loops(mesh), loops))
     # a mesh without a conductor or a tape has no interface
-    air = _structured_mesh(breaks, breaks, 0.001, lambda x, y: Region.OMEGA_A_AIR)
+    air = _structured_mesh(breaks, breaks, 0.001,
+                           lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)))
     assert air.interface_tag is None and air.interface_chains() == []
     # reversing one loop puts its conductor on the right
     flipped = np.concatenate([loops[0], loops[1][::-1, ::-1]])

@@ -28,11 +28,8 @@ def loop_circulation(space, coeffs):
 def two_bar_mesh():
     """Two disjoint conducting bars in air (for multi-conductor tests)."""
     def region(x, y):
-        if -0.006 < x < -0.002 and -0.002 < y < 0.002:
-            return Region.OMEGA_H_SC
-        if 0.002 < x < 0.006 and -0.002 < y < 0.002:
-            return Region.OMEGA_H_SC
-        return Region.OMEGA_A_AIR
+        sc = (0.002 < abs(x)) & (abs(x) < 0.006) & (-0.002 < y) & (y < 0.002)
+        return np.where(sc, int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     return _structured_mesh([-0.01, -0.006, -0.002, 0.002, 0.006, 0.01],
                             [-0.01, -0.002, 0.002, 0.01], 0.001, region)
@@ -108,9 +105,9 @@ def test_two_conductors_cut_orthogonality():
 def test_multiply_connected_conductor_rejected():
     def region(x, y):
         # square annulus: conductor with an air hole
-        if max(abs(x), abs(y)) < 0.004 and max(abs(x), abs(y)) > 0.002:
-            return Region.OMEGA_H_SC
-        return Region.OMEGA_A_AIR
+        r = np.maximum(abs(x), abs(y))
+        return np.where((r < 0.004) & (r > 0.002), int(Region.OMEGA_H_SC),
+                        int(Region.OMEGA_A_AIR))
 
     mesh = _structured_mesh([-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from htsfem import transient
-from htsfem.linalg import SingularSystemError, backward_error
+from htsfem.linalg import SingularSystemError
 from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
 from htsfem.mesh import GeometryParams, Region, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
@@ -12,7 +12,8 @@ from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfi
                               _circuit_values, circuit_post, ramp_then_hold,
                               run_transient, write_history_csv, write_snapshots)
 
-from util import free_indices, magnetization, monolithic, penetrated_area, s_full
+from util import (backward_error, free_indices, magnetization, monolithic, penetrated_area,
+                  s_full)
 
 JC = 2.5e8
 WIDTH = 0.01
@@ -340,6 +341,26 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     assert c["backtracking_trials"] == 0          # linear: every full step is taken
 
 
+def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
+        tape_mesh, tape_materials_power, monkeypatch):
+    # T order 2 against A order 1: B_Γ has a 19-dimensional kernel on the
+    # free T DOFs, where the power-law field block vanishes at zero
+    # current; the run is refused without assembling an iteration, and
+    # the same pairing under a linear law, whose block stays definite, runs
+    calls = []
+    assemble = transient.assemble_ta_iteration
+    monkeypatch.setattr(transient, "assemble_ta_iteration",
+                        lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+    I0 = 0.1 * JC * tape_mesh.w * WIDTH
+    spaces = (build_t_space(tape_mesh, 2, {0: ("current", I0)}), build_a_space(tape_mesh, 1))
+    tc = TimeConfig(dt=0.025, t_end=0.05, drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
+    with pytest.raises(SingularSystemError, match=r"t-a pairing \(2,1\).* 19-dimensional kernel"):
+        run_transient(tape_mesh, spaces, tape_materials_power, tc, "ta")
+    assert calls == []
+    hist = run_transient(tape_mesh, spaces, linear_mats(1e-9), tc, "ta")
+    assert hist.n_steps == 2 and calls
+
+
 @pytest.fixture
 def tape_power_case(tape_mesh, tape_materials_power):
     I0 = 0.5 * JC * tape_mesh.w * WIDTH
@@ -386,6 +407,35 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
         mono = backward_error(monolithic(sys)[free], x, s_full(sys)[free])
         assert hist.final_residuals[k] == pytest.approx(mono, rel=1e-12, abs=1e-15)
         v_prev = hist.v[k]
+
+
+def test_newton_iterations_construct_few_sparse_matrices(bar_mesh, bar_spaces_11,
+                                                       bar_materials_power, monkeypatch):
+    # every scipy CSR and CSC construction passes through the private
+    # scipy.sparse._compressed._cs_matrix.__init__; counted from the first
+    # assembly on, a bar run builds at most 3 per Newton iteration (the
+    # run's set-up builds its fixed blocks before that)
+    from scipy.sparse import _compressed
+    built = {"n": 0, "counting": False}
+    init = _compressed._cs_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["n"] += built["counting"]
+        init(self, *args, **kwargs)
+
+    assemble = transient.assemble_ha_iteration
+
+    def first_assembly_starts_counting(*args, **kwargs):
+        built["counting"] = True
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting_init)
+    monkeypatch.setattr(transient, "assemble_ha_iteration", first_assembly_starts_counting)
+    tc = TimeConfig(dt=0.025, t_end=0.1, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
+    iters = sum(hist.newton_iters)
+    assert iters >= 4
+    assert built["n"] <= 3 * iters
 
 
 def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power):

@@ -3,7 +3,8 @@ evaluators that the assembly's field kernels are checked against, the
 pointwise interface trace, the electric field of the power law, the
 conductor's penetrated area and magnetization, a plain ``mesh.txt``
 reader, the pivoting sparse solve that serves as the reference solver,
-and the dense and monolithic oracles of the block solvers."""
+the componentwise backward error of a whole matrix, and the dense and
+monolithic oracles of the block solvers."""
 
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
 from htsfem.assembly import NormSpec, h_curl_matrix
-from htsfem.linalg import SingularSystemError, backward_error
+from htsfem.linalg import SingularSystemError, componentwise_error
 from htsfem.materials import MU0, rho_power
 from htsfem.mesh import Boundary, Mesh2D, Region, _structured_mesh
 from htsfem.spaces import SpaceError, trace_table, whitney_transform
@@ -78,11 +79,9 @@ def l_bar_mesh():
     """L-shaped conductor in air: its reentrant corner puts two GAMMA_M
     edges on one air triangle, its outer corners on conductor ones."""
     def region(x, y):
-        if -0.004 < x < 0.004 and -0.004 < y < -0.002:
-            return Region.OMEGA_H_SC
-        if 0.002 < x < 0.004 and -0.004 < y < 0.004:
-            return Region.OMEGA_H_SC
-        return Region.OMEGA_A_AIR
+        sc = (((-0.004 < x) & (x < 0.004) & (-0.004 < y) & (y < -0.002))
+              | ((0.002 < x) & (x < 0.004) & (-0.004 < y) & (y < 0.004)))
+        return np.where(sc, int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
     return _structured_mesh(breaks, breaks, 0.001, region)
@@ -213,6 +212,25 @@ def magnetization(mesh, h_space, h_full):
                            -np.sum(cents[:, 0] * curl * areas)])
 
 
+def locate_points_reference(mesh, points, region):
+    """Containing triangle and barycentric coordinates per point, by
+    testing every triangle of ``region`` for every point: the first
+    whose coordinates are all at least -1e-10, in region order."""
+    cand = mesh.region_tris(region)
+    _, grads = tri_geometry(mesh, cand)
+    p0 = mesh.nodes[mesh.triangles[cand][:, 0]]
+    tri_ids, barys = [], []
+    for pt in np.atleast_2d(points):
+        d = pt[None, :] - p0
+        l1 = np.einsum("td,td->t", grads[:, 1, :], d)
+        l2 = np.einsum("td,td->t", grads[:, 2, :], d)
+        l0 = 1.0 - l1 - l2
+        t = np.flatnonzero((l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10))[0]
+        tri_ids.append(cand[t])
+        barys.append((l0[t], l1[t], l2[t]))
+    return np.array(tri_ids), np.array(barys)
+
+
 def read_mesh(path):
     """The mesh of a file that ``htsfem.mesh.write_native`` writes: each
     section's row count, then its rows, id first; a segment whose tag is
@@ -273,6 +291,12 @@ def solve_reference(K, s) -> np.ndarray:
     return x
 
 
+def backward_error(K, x, s) -> float:
+    """Componentwise backward error max_i |K x - s|_i / (|K| |x| + |s|)_i
+    of the matrix K, formed with a fresh |K|."""
+    return componentwise_error(K @ x - s, abs(K) @ np.abs(x) + np.abs(s))
+
+
 def dense_schur(K, rows):
     """Dense Schur complement K[P,P] - K[P,I] K[I,I]^{-1} K[I,P] of K
     onto ``rows`` P (in their order), I the other rows."""
@@ -285,11 +309,24 @@ def dense_schur(K, rows):
         K[np.ix_(I, I)], K[np.ix_(I, rows)])
 
 
+def field_block(sys):
+    """The field block A_v of an assembled system on all field DOFs, as
+    a CSR matrix built from its data on the curl form's pattern."""
+    form = sys.blocks.form
+    return sp.csr_matrix((sys.A_data, form._indices, form._indptr), shape=form._shape)
+
+
+def free_field_block(sys):
+    """The block of A_v on the free field DOFs, sliced by scipy."""
+    free = sys.blocks.v_space.free
+    return field_block(sys)[free][:, free].tocsr()
+
+
 def monolithic(sys):
     """The monolithic operator [[A_v, B^T], [B, -K_nu]] of an assembled
     coupled system on all DOFs of both spaces."""
     K_nu, B = sys.blocks.K_nu, sys.blocks.B
-    return sp.bmat([[sys.A_v, B.T], [B, -K_nu]], format="csr")
+    return sp.bmat([[field_block(sys), B.T], [B, -K_nu]], format="csr")
 
 
 def build_time_values(blocks):
@@ -355,4 +392,4 @@ def condensed(sys, schur, lift):
     then a_Γ = S_K^{-1} B_Γ v - z_Γ (``schur.interface_values``)."""
     lb = sys.blocks
     B_gamma = lb.B[lb.q_space.free][:, lb.v_space.free].tocsr()[schur.factor.rows]
-    return sys.A_free + interface_term(sys, schur), sys.s_field + B_gamma.T @ lift
+    return free_field_block(sys) + interface_term(sys, schur), sys.s_field + B_gamma.T @ lift
