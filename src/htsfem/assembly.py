@@ -601,16 +601,15 @@ def _region_nu(materials: Materials) -> np.ndarray:
     return lut
 
 
-def _circuit_rhs(space, dt, voltages):
-    """Voltage source terms on the global DOFs.  ``voltages`` maps the
-    id of every voltage-driven circuit to its per-unit-length voltage
-    in the reported V = R I convention.  The weak form carries -dt V
-    times the current scale on the left-hand side; moved to the right
-    it enters with a plus sign."""
+def _circuit_rhs(space, dt, voltage):
+    """Voltage source term on the global DOF.  ``voltage`` is the
+    per-unit-length voltage of a voltage-driven circuit in the reported
+    V = R I convention, None for a current-driven one.  The weak form
+    carries -dt V times the current scale on the left-hand side; moved
+    to the right it enters with a plus sign."""
     v = np.zeros(space.n_dofs)
-    for c in space.circuits:
-        if c.mode == "voltage":
-            v[space.dof("global", c.id)] = dt * voltages[c.id] * space.current_scale
+    if voltage is not None:
+        v[space.dof("global", 0)] = dt * voltage * space.current_scale
     return v
 
 
@@ -637,7 +636,7 @@ def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
 
 
 def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,
-                         v_essential, voltages) -> AssembledSystem:
+                         v_essential, voltage) -> AssembledSystem:
     """One Newton iteration around the field iterate ``v_it``: the field
     block base + scale K(de/dj) and the field right-hand side
     B^T a_prev [+ M v_prev] - scale K(rho - de/dj) v_it + circuit terms
@@ -652,7 +651,8 @@ def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_es
 
     form = blocks.form
     j = form.G @ v_it
-    dedj, rho = de_dj(j, blocks.power), rho_power(j, blocks.power)
+    rho = rho_power(j, blocks.power)
+    dedj = de_dj(j, rho, blocks.power)
     if np.any(~np.isfinite(dedj)):
         raise AssemblyError("non-finite material evaluation")
 
@@ -660,12 +660,12 @@ def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_es
     s_v = blocks.B_T @ a_prev[blocks.gamma]
     if blocks.mass is not None:
         s_v = s_v + blocks.mass @ v_prev
-    s_v = s_v - form.apply(scale * (rho - dedj), j) + _circuit_rhs(v_space, dt, voltages)
+    s_v = s_v - form.apply(scale * (rho - dedj), j) + _circuit_rhs(v_space, dt, voltage)
     return AssembledSystem(A_data, s_v, blocks, v_essential, a_essential)
 
 
 def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential, v_essential, voltages) -> AssembledSystem:
+                          a_essential, v_essential, voltage) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler h-a system on the
     run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
 
@@ -673,18 +673,18 @@ def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
     previous time step and ``iterate`` the h_full of the previous
     Newton iterate.  The essential-value vectors hold the constrained
     values at the new time, on all DOFs of the potential and the field
-    space, and ``voltages`` the voltage of every voltage-driven circuit
-    (see ``_circuit_rhs``).  The field block is M + dt K(de/dj) and the
-    field right-hand side B^T a_prev + M h_prev - dt K(rho - de/dj) h_it
-    + circuit terms, with K(w) the curl-curl form weighted by w per
-    conducting triangle.
+    space, and ``voltage`` the voltage of a voltage-driven circuit,
+    else None (see ``_circuit_rhs``).  The field block is M + dt K(de/dj)
+    and the field right-hand side B^T a_prev + M h_prev
+    - dt K(rho - de/dj) h_it + circuit terms, with K(w) the curl-curl
+    form weighted by w per conducting triangle.
     """
     return _power_law_iteration(blocks, state_prev, iterate, dt, dt, a_essential,
-                                v_essential, voltages)
+                                v_essential, voltage)
 
 
 def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential, v_essential, voltages) -> AssembledSystem:
+                          a_essential, v_essential, voltage) -> AssembledSystem:
     """One Newton iteration of the implicit-Euler t-a system on the
     run's ``blocks`` (from ``linear_blocks`` on a T and an A space),
     stored as the paper's form times -1 (see the module docstring).
@@ -694,4 +694,4 @@ def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
     the tape curl-curl form weighted at the Gauss points and w the tape
     width."""
     return _power_law_iteration(blocks, state_prev, iterate, dt, dt * blocks.v_space.mesh.w,
-                                a_essential, v_essential, voltages)
+                                a_essential, v_essential, voltage)

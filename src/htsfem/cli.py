@@ -67,13 +67,13 @@ def _build_spaces(cfg, mesh):
     i, j = cfg["pairing"]
     if cfg["formulation"] == "ha":
         drive = cfg["source"]["current"] or 0.0
-        v = build_h_space(mesh, i, {0: ("current", drive)})
+        v = build_h_space(mesh, i, ("current", drive))
     else:
         if cfg["source"]["voltage"] is not None:
             constraint = ("voltage", cfg["source"]["voltage"])
         else:
             constraint = ("current", cfgmod.imposed_current(cfg))
-        v = build_t_space(mesh, i, {0: constraint})
+        v = build_t_space(mesh, i, constraint)
     return v, build_a_space(mesh, j)
 
 
@@ -114,8 +114,8 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
         metrics["oscillation_tape_current"] = oscillation_metric(prof)
         metrics["interior_sign_changes"] = sign_changes(prof.values[3:-3])
 
-    times, vals = circuit_post(hist, (v_space, q_space), 0)
-    name = "voltage" if v_space.circuits[0].mode == "current" else "current"
+    vals = circuit_post(hist, (v_space, q_space))
+    name = "voltage" if v_space.circuit.mode == "current" else "current"
     write_history_csv(hist, name, vals, outdir / f"history_{name}.csv")
     write_history_csv(hist, "newton_iterations", hist.newton_iters,
                       outdir / "history_newton.csv")

@@ -219,20 +219,17 @@ def make_time(cfg) -> TimeConfig:
     t, src = cfg["time"], cfg["source"]
     t_ramp = t["ramp_fraction"] * t["t_end"]
     dt = _nominal_dt(t)
-    drives = {}
     b_ext = None
     if cfg["scenario"] == "stacked_bar":
         b_ext = ramp_then_hold(src["b_ext"], t_ramp, t["t_end"])
-        drives[0] = ("current", ramp_then_hold(src.get("current") or 0.0,
-                                               t_ramp, t["t_end"]))
+        mode, peak = "current", src.get("current") or 0.0
+    elif src["voltage"] is not None:
+        mode, peak = "voltage", src["voltage"]
     else:
-        if src["voltage"] is not None:
-            drives[0] = ("voltage", ramp_then_hold(src["voltage"], t_ramp, t["t_end"]))
-        else:
-            drives[0] = ("current", ramp_then_hold(imposed_current(cfg),
-                                                   t_ramp, t["t_end"]))
+        mode, peak = "current", imposed_current(cfg)
     return TimeConfig(dt=dt, t_end=t["t_end"], b_ext=b_ext,
-                      b_ext_dir=tuple(src["b_ext_dir"]), drives=drives,
+                      b_ext_dir=tuple(src["b_ext_dir"]),
+                      drive=(mode, ramp_then_hold(peak, t_ramp, t["t_end"])),
                       max_iter=t["newton_max_iter"],
                       rel_residual_tol=t["newton_rtol"],
                       rel_increment_tol=t["newton_stol"])

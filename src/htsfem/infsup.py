@@ -131,15 +131,15 @@ def _verdict(slope, betas):
 
 def _field_space(mesh, formulation: str, order: int):
     if formulation == "ha":
-        return build_h_space(mesh, enrichment=order, circuit={0: ("current", 0.0)})
+        return build_h_space(mesh, enrichment=order, circuit=("current", 0.0))
     if formulation == "ta":
-        return build_t_space(mesh, enrichment=order, constraints={0: ("current", 0.0)})
+        return build_t_space(mesh, enrichment=order, constraint=("current", 0.0))
     raise ValueError("formulation must be 'ha' or 'ta'")
 
 
 def build_pairing(mesh, formulation: str, pairing):
     """Field/potential space pair for an inf-sup evaluation (test-space
-    constraints: zero imposed currents, zero outer trace)."""
+    constraints: zero imposed current, zero outer trace)."""
     i, j = pairing
     return _field_space(mesh, formulation, i), build_a_space(mesh, enrichment=j)
 

@@ -307,17 +307,13 @@ def interface_schur(K, rows) -> SchurFactor:
     order = np.concatenate([I[_min_degree_order(K[I][:, I])], rows])
     lu = _factor_in_order(K[order][:, order], "bordered")
     m = len(I)
-    L = lu.L                        # each factor copied and freed in turn
-    fill = L.nnz
-    L_PP = L[m:, m:].toarray()
-    del L
-    U = lu.U
-    fill += U.nnz
-    S = L_PP @ U[m:, m:].toarray()
-    del U
+    # scipy forms L and U together on the first access of either and
+    # keeps both in ``lu`` for its lifetime
+    L, U = lu.L, lu.U
+    S = L[m:, m:].toarray() @ U[m:, m:].toarray()
     if not np.all(np.isfinite(S)):
         raise SingularSystemError("singular pivot in the bordered factorization")
-    return SchurFactor(lu, order, rows, 0.5 * (S + S.T), int(fill))
+    return SchurFactor(lu, order, rows, 0.5 * (S + S.T), int(L.nnz + U.nnz))
 
 
 class InterfaceSchur:

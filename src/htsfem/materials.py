@@ -109,18 +109,15 @@ def rho_power(j_norm, law: PowerLaw):
     return rho if rho.ndim else float(rho)
 
 
-def de_dj(j_vector, law: PowerLaw):
-    """Differential resistivity de/dj (Ohm m) for out-of-plane current.
+def de_dj(j_vector, rho, law: PowerLaw):
+    """Differential resistivity de/dj (Ohm m) for out-of-plane current
+    j, from its resistivity ``rho = rho_power(j, law)``.
 
     Equals n * rho(|j|) between the floor and the cap; held at
     n * rho(j_reg) below the floor (the raw derivative tends to zero
-    there) and at rho_max above the cap, where the law is linear.
+    there) and at rho_max above the cap, where the law is linear.  A
+    linear law (n = 1) gives rho_c throughout, as rho_max = rho_c.
     """
-    j = np.abs(np.asarray(j_vector, dtype=float))
-    if law.n == 1.0:
-        out = np.full_like(j, law.rho_c)
-        return out if out.ndim else float(out)
-    out = law.n * rho_power(j, law)
-    out = np.where(j >= law.j_cap, law.rho_max, out)
+    out = np.where(np.abs(j_vector) >= law.j_cap, law.rho_max, law.n * np.asarray(rho))
     return out if out.ndim else float(out)
 

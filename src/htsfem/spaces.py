@@ -2,20 +2,21 @@
 
 Three families are built on a shared DOF bookkeeping:
 
-* ``H``: edge functions on the interior of each conducting component,
-  gradients of nodal hats on the component boundary, one net-current
-  degree of freedom per component carried by a cut function, and
-  (order 2) gradients of edge bubbles on the coupling boundary.
+* ``H``: edge functions on the interior of the conductor, gradients
+  of nodal hats on its boundary, one net-current degree of freedom
+  carried by a cut function, and (order 2) gradients of edge bubbles
+  on the coupling boundary.
 * ``A``: one out-of-plane nodal value per node of the a-side domain,
   plus (order 2) one bubble per coupling-interface edge.
 * ``T``: one nodal value per interior tape node, the plus-end value as
-  a per-tape global degree of freedom, plus (order 2) one bubble per
-  tape segment.  The minus end is fixed to zero strongly.
+  the global degree of freedom, plus (order 2) one bubble per tape
+  segment.  The minus end is fixed to zero strongly.
 
-The H and T spaces expose their conductors or tapes as ``circuits``,
-each with one "global" degree of freedom, and the net current of a
-unit global coefficient as ``current_scale``; circuit sources and
-reactions are handled through these alone.
+An H space is built on a mesh with one conductor and a T space on a
+mesh with one tape; each exposes it as ``circuit``, which owns the one
+"global" degree of freedom, and the net current of a unit global
+coefficient as ``current_scale``.  Circuit sources and reactions are
+handled through these alone.
 
 Each space holds one DOF table, per entity kind: the ascending ids of
 its nodes, then edges, then bubbles, then globals, numbered block by
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .mesh import Interface, Mesh2D, Region
 
@@ -54,14 +54,13 @@ class SpaceError(ValueError):
 
 @dataclass(frozen=True)
 class Conductor:
-    """One conducting component.  Its net-current basis function, the
+    """The conductor of an H space.  Its net-current basis function, the
     cut, has the Whitney coefficients ``cut_coeffs`` on the edges
     ``cut_edges``, in the canonical min-to-max node orientation; its
-    curl vanishes off the one-triangle-thick layer along the component
+    curl vanishes off the one-triangle-thick layer along the conductor
     boundary, and its circulation along the boundary loop
     ``ring_nodes`` equals one."""
 
-    id: int
     ring_nodes: np.ndarray         # boundary loop nodes, ccw
     cut_edges: np.ndarray
     cut_coeffs: np.ndarray
@@ -72,7 +71,8 @@ class Conductor:
 
 @dataclass(frozen=True)
 class Tape:
-    id: int
+    """The tape of a T space: its plus-end node and its constraint."""
+
     plus: int
     mode: str
     value: float
@@ -106,10 +106,10 @@ class DofSpace:
         self.n_free = len(self.free)
 
     @property
-    def circuits(self) -> list:
-        """Conductors (H) or tapes (T), each owning one "global" DOF;
-        none for A spaces."""
-        return self.meta.get("circuits", [])
+    def circuit(self):
+        """The conductor (H) or the tape (T), owning the one "global"
+        DOF; None for A spaces."""
+        return self.meta.get("circuit")
 
     @property
     def current_scale(self) -> float:
@@ -148,95 +148,65 @@ class DofSpace:
         return x
 
 
-# -- conductor discovery and cut construction ----------------------------------
-
-
-def _conductor_components(mesh: Mesh2D):
-    """Connected components of the conducting region, ordered by their
-    smallest triangle index."""
-    sc = mesh.region_tris(Region.OMEGA_H_SC)
-    if len(sc) == 0:
-        return []
-    pos = np.full(mesh.n_triangles + 1, -1, dtype=np.int64)   # slot -1: no triangle
-    pos[sc] = np.arange(len(sc))
-    pairs = pos[mesh.edge_tris]
-    pairs = pairs[np.all(pairs >= 0, axis=1)]
-    adj = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(sc),) * 2)
-    n_comp, labels = connected_components(adj, directed=False)
-    comps = [sc[labels == c] for c in range(n_comp)]
-    comps.sort(key=lambda tris: int(tris.min()))
-    return comps
-
-
-def _ring_loops(mesh: Mesh2D):
-    """The chains of the ordered GAMMA_M polyline, each a closed loop."""
-    loops = mesh.interface_chains()
-    if any(loop[-1, 1] != loop[0, 0] for loop in loops):
-        raise TopologyError("GAMMA_M does not decompose into closed loops")
-    return loops
-
-
-def _cut_basis(mesh, tris, loop):
-    """Cut function of the component ``tris`` bounded by ``loop``, as
-    (edge ids, coefficients): uniform coefficients of 1/B on the B
-    oriented loop edges.  Its circulation along the component boundary
-    is one; around any other conductor it is zero; its curl vanishes
-    outside the boundary triangle layer."""
-    # simple connectedness via Euler characteristic V - E + F = 1
-    nodes = np.unique(mesh.triangles[tris])
-    edges = np.unique(mesh.tri_edges[tris])
-    if len(nodes) - len(edges) + len(tris) != 1:
-        raise TopologyError("conductor is not simply connected")
-
-    return mesh.edge_ids(loop), np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0) / len(loop)
-
-
-def _loop_of_component(mesh, tris):
-    for loop in _ring_loops(mesh):
-        if np.isin(mesh.edge_tris[mesh.edge_ids(loop[:1])[0]], tris).any():
-            return loop
-    raise TopologyError("component has no GAMMA_M boundary loop")
-
-
 # -- space builders ------------------------------------------------------------
+
+
+def _conductor_loop(mesh: Mesh2D, tris):
+    """The one GAMMA_M loop of the conducting triangles ``tris``.  Every
+    component is bounded by one loop and every hole by one more, while
+    V - E + F counts the components less the holes; a second component
+    raises SpaceError, a hole TopologyError."""
+    if mesh.interface_tag is not Interface.GAMMA_M:
+        raise SpaceError("mesh has no GAMMA_M interface")
+    loops = mesh.interface_chains()
+    euler = (len(np.unique(mesh.triangles[tris])) - len(np.unique(mesh.tri_edges[tris]))
+             + len(tris))
+    if len(loops) + euler != 2:
+        raise SpaceError(f"mesh has {(len(loops) + euler) // 2} conductor components; "
+                         f"an H space takes one")
+    if euler != 1:
+        raise TopologyError("conductor is not simply connected")
+    if loops[0][-1, 1] != loops[0][0, 0]:
+        raise TopologyError("GAMMA_M is not a closed loop")
+    return loops[0]
+
+
+def _cut_basis(mesh, loop):
+    """Cut function of the conductor bounded by ``loop``, as (edge ids,
+    coefficients): uniform coefficients of 1/B on the B oriented loop
+    edges.  Its circulation along the conductor boundary is one; its
+    curl vanishes outside the boundary triangle layer."""
+    return mesh.edge_ids(loop), np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0) / len(loop)
 
 
 def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
     """Magnetic-field space on the conducting domain.
 
-    ``circuit`` maps every conductor component id to ("current", I) or
-    ("voltage", V); an unlisted conductor raises SpaceError.  One
-    boundary-potential node per component is grounded to
-    remove the constant-potential redundancy of the decomposition.
+    ``circuit`` is ("current", I) or ("voltage", V) of the mesh's one
+    conductor.  One boundary-potential node is grounded to remove the
+    constant-potential redundancy of the decomposition.
     """
-    comps = _conductor_components(mesh)
-    if not comps:
+    sc_tris = mesh.region_tris(Region.OMEGA_H_SC)
+    if len(sc_tris) == 0:
         raise SpaceError("mesh has no conducting region")
+    loop = _conductor_loop(mesh, sc_tris)
+    mode, value = circuit
+    if mode not in ("current", "voltage"):
+        raise SpaceError(f"unknown circuit mode {mode!r}")
+    conductor = Conductor(loop[:, 0], *_cut_basis(mesh, loop),
+                          ground_node=int(loop[:, 0].min()), mode=mode, value=value)
 
-    conductors = []
-    for cid, tris in enumerate(comps):
-        loop = _loop_of_component(mesh, tris)
-        if cid not in circuit:
-            raise SpaceError(f"conductor {cid} has no circuit entry")
-        mode, value = circuit[cid]
-        if mode not in ("current", "voltage"):
-            raise SpaceError(f"unknown circuit mode {mode!r}")
-        conductors.append(Conductor(cid, loop[:, 0], *_cut_basis(mesh, tris, loop),
-                                    ground_node=int(loop[:, 0].min()), mode=mode, value=value))
-
-    ring_edges = np.unique(np.concatenate([c.cut_edges for c in conductors]))
-    sc_tris = np.concatenate(comps)
-    kinds = {"node": np.unique(np.concatenate([c.ring_nodes for c in conductors])),
+    ring_edges = np.unique(conductor.cut_edges)
+    kinds = {"node": np.unique(conductor.ring_nodes),
              "edge": np.setdiff1d(mesh.tri_edges[sc_tris], ring_edges)}
     if enrichment == 2:
         kinds["bubble"] = ring_edges
-    kinds["global"] = np.arange(len(conductors))
-    driven = [c for c in conductors if c.mode == "current"]
-    return DofSpace("H", enrichment, mesh, kinds, {
-        "node": ([c.ground_node for c in conductors], 0.0),
-        "global": ([c.id for c in driven], [c.value for c in driven]),
-    }, {
-        "circuits": conductors,
+    kinds["global"] = [0]
+    essential = {"node": ([conductor.ground_node], 0.0)}
+    if mode == "current":
+        essential["global"] = ([0], value)
+    return DofSpace("H", enrichment, mesh, kinds, essential, {
+        "circuit": conductor,
         "current_scale": 1.0,
         "sc_tris": sc_tris,
     })
@@ -270,55 +240,49 @@ def build_a_space(mesh: Mesh2D, enrichment: int) -> DofSpace:
     })
 
 
-def build_t_space(mesh: Mesh2D, enrichment: int, constraints) -> DofSpace:
-    """Current-potential space on the tape polyline(s).
+def build_t_space(mesh: Mesh2D, enrichment: int, constraint) -> DofSpace:
+    """Current-potential space on the tape polyline.
 
-    ``constraints`` maps every tape id to ("current", I) or
-    ("voltage", V); an unlisted tape raises SpaceError.  The minus end
-    is fixed to zero strongly; a current constraint fixes the plus-end
-    value to I/w, a voltage constraint leaves it free.
+    ``constraint`` is ("current", I) or ("voltage", V) of the mesh's
+    one tape.  The minus end is fixed to zero strongly; a current
+    constraint fixes the plus-end value to I/w, a voltage constraint
+    leaves it free.
     """
     if mesh.interface_tag is not Interface.GAMMA_W:
         raise SpaceError("mesh has no GAMMA_W interface")
     if mesh.w is None:
         raise SpaceError("tape mesh must store a thickness w")
+    chains = mesh.interface_chains()
+    if len(chains) != 1:
+        raise SpaceError(f"mesh has {len(chains)} tapes; a T space takes one")
+    mode, value = constraint
+    if mode not in ("current", "voltage"):
+        raise SpaceError(f"unknown tape constraint {mode!r}")
+    tape = Tape(int(chains[0][-1, 1]), mode, float(value))
 
-    tapes, interior = [], []
-    for tid, chain in enumerate(mesh.interface_chains()):
-        if tid not in constraints:
-            raise SpaceError(f"tape {tid} has no constraint")
-        mode, value = constraints[tid]
-        if mode not in ("current", "voltage"):
-            raise SpaceError(f"unknown tape constraint {mode!r}")
-        tapes.append(Tape(tid, int(chain[-1, 1]), mode, float(value)))
-        interior.append(chain[1:, 0])
-
-    kinds = {"node": np.unique(np.concatenate(interior))}
+    kinds = {"node": np.unique(chains[0][1:, 0])}
     if enrichment == 2:
         kinds["bubble"] = np.sort(mesh.edge_ids(mesh.interface_segments))
-    kinds["global"] = np.arange(len(tapes))
-    driven = [t for t in tapes if t.mode == "current"]
-    return DofSpace("T", enrichment, mesh, kinds, {
-        "global": ([t.id for t in driven], [t.value / mesh.w for t in driven]),
-    }, {
-        "circuits": tapes,
+    kinds["global"] = [0]
+    essential = {"global": ([0], tape.value / mesh.w)} if mode == "current" else {}
+    return DofSpace("T", enrichment, mesh, kinds, essential, {
+        "circuit": tape,
         "current_scale": mesh.w,
     })
 
 
-def essential_vector(space: DofSpace, *, currents=None, a_trace=None) -> np.ndarray:
+def essential_vector(space: DofSpace, *, current=None, a_trace=None) -> np.ndarray:
     """Full-length essential-value vector for updated sources.
 
-    ``currents`` maps conductor/tape ids to imposed net currents;
-    ``a_trace(x, y)`` overrides the outer-boundary trace of an A space;
-    it is called once, on the arrays of the boundary nodes' coordinates.
-    Topology (which DOFs are constrained) is fixed at build time.
+    ``current`` is the imposed net current of a current-driven
+    conductor or tape; ``a_trace(x, y)`` overrides the outer-boundary
+    trace of an A space; it is called once, on the arrays of the
+    boundary nodes' coordinates.  Topology (which DOFs are constrained)
+    is fixed at build time.
     """
     x = space.essential_full()
-    currents = currents or {}
-    for c in space.circuits:
-        if c.mode == "current" and c.id in currents:
-            x[space.dof("global", c.id)] = currents[c.id] / space.current_scale
+    if current is not None:
+        x[space.dof("global", 0)] = current / space.current_scale
     if space.family == "A" and a_trace is not None:
         nodes = space.meta["gamma_e_nodes"]
         x[space.dof("node", nodes)] = a_trace(*space.mesh.nodes[nodes].T)
@@ -371,21 +335,17 @@ def trace_table(space: DofSpace) -> TraceTable:
         bubble = (zero, one, -one)
     else:
         if space.family == "T":
-            for t in space.circuits:
-                node[t.plus] = space.dof("global", t.id)
+            node[space.circuit.plus] = space.dof("global", 0)
         ends = ((-inv, zero, zero), (inv, zero, zero))
         bubble = (inv, -2.0 * inv, zero)
     slots = [(node[segs[:, 0]], ends[0]), (node[segs[:, 1]], ends[1])]
     if space.enrichment == 2:
         slots.append((space.entity_dofs("bubble", len(mesh.edges))[eids], bubble))
     if space.family == "H":
-        cut_dof = np.full(len(mesh.edges), -1, dtype=np.int64)
-        cut_val = np.zeros(len(mesh.edges))
-        for c in space.circuits:
-            cut_dof[c.cut_edges] = space.dof("global", c.id)
-            cut_val[c.cut_edges] = c.cut_coeffs
-        sgn = np.where(segs[:, 0] < segs[:, 1], 1.0, -1.0)
-        slots.append((cut_dof[eids], (cut_val[eids] * sgn / lens, zero, zero)))
+        # the interface is the cut's loop: a tangential trace of 1/B on
+        # each of its B segments
+        cut = np.full(len(segs), space.dof("global", 0))
+        slots.append((cut, (one / len(segs) / lens, zero, zero)))
     dofs = np.stack([d for d, _ in slots], axis=1)
     coeffs = np.stack([np.stack(c, axis=1) for _, c in slots], axis=1)
     coeffs[dofs < 0] = 0.0
@@ -415,13 +375,12 @@ def whitney_transform(space: DofSpace):
     sc_edges = np.unique(mesh.tri_edges[space.meta["sc_tris"]])
     pos = np.arange(len(sc_edges))
     ends = space.entity_dofs("node", mesh.n_nodes)[mesh.edges[sc_edges]]
-    rows = [pos, pos, pos]
-    cols = [ends[:, 0], ends[:, 1], space.entity_dofs("edge", len(mesh.edges))[sc_edges]]
-    data = [np.full(len(pos), -1.0), np.ones(len(pos)), np.ones(len(pos))]
-    for c in space.circuits:
-        rows.append(np.searchsorted(sc_edges, c.cut_edges))
-        cols.append(np.full(len(c.cut_edges), space.dof("global", c.id)))
-        data.append(c.cut_coeffs)
+    conductor = space.circuit
+    rows = [pos, pos, pos, np.searchsorted(sc_edges, conductor.cut_edges)]
+    cols = [ends[:, 0], ends[:, 1], space.entity_dofs("edge", len(mesh.edges))[sc_edges],
+            np.full(len(conductor.cut_edges), space.dof("global", 0))]
+    data = [np.full(len(pos), -1.0), np.ones(len(pos)), np.ones(len(pos)),
+            conductor.cut_coeffs]
     rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
     has = cols >= 0
     C = coo_matrix((data[has], (rows[has], cols[has])),

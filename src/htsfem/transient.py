@@ -116,16 +116,16 @@ class TimeConfig:
     """Time grid, Newton controls and source ramps; a failing step is
     halved at most MAX_HALVINGS times.
 
-    ``drives`` maps conductor/tape ids to ("current"|"voltage", Ramp);
-    modes must match the ones the spaces were built with.  A conductor
-    or tape without an entry keeps its build-time value.
+    ``drive`` is ("current"|"voltage", Ramp) of the conductor or tape,
+    in the mode its space was built with; without one it keeps its
+    build-time value.
     """
 
     dt: float
     t_end: float
     b_ext: Ramp | None = None
     b_ext_dir: tuple = (1.0, 0.0)
-    drives: dict = field(default_factory=dict)
+    drive: tuple | None = None
     max_iter: int = 30
     rel_residual_tol: float = 1e-6
     rel_increment_tol: float = 1e-9
@@ -162,7 +162,7 @@ class TimeHistory:
     newton_iters: list = field(default_factory=list)
     final_residuals: list = field(default_factory=list)
     residual_traces: list = field(default_factory=list)
-    reactions: dict = field(default_factory=dict)
+    reactions: list = field(default_factory=list)
     sizes: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
@@ -171,17 +171,16 @@ class TimeHistory:
         return len(self.times)
 
 
-def _circuit_values(v_space, drives, t):
-    """Imposed (currents, voltages) at time t by circuit id: the drive
-    ramp where one is given, else the build-time value."""
-    currents, voltages = {}, {}
-    for c in v_space.circuits:
-        mode, ramp = drives.get(c.id, (c.mode, None))
-        if mode != c.mode:
-            raise ValueError(f"drive mode for conductor {c.id} does not match the space")
-        values = currents if c.mode == "current" else voltages
-        values[c.id] = ramp(t) if ramp is not None else c.value
-    return currents, voltages
+def _circuit_values(v_space, drive, t):
+    """Imposed (current, voltage) at time t, the one the circuit is not
+    driven by being None: the drive's ramp where one is given, else the
+    build-time value."""
+    circuit = v_space.circuit
+    mode, ramp = drive or (circuit.mode, None)
+    if mode != circuit.mode:
+        raise ValueError(f"drive mode {mode!r} does not match the space's {circuit.mode!r}")
+    value = ramp(t) if ramp is not None else circuit.value
+    return (value, None) if mode == "current" else (None, value)
 
 
 def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
@@ -221,7 +220,6 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
     hist.counters = {"a_factorizations": 1, "a_solves": 0, "field_solves": 0,
                      "a_factor_fill": schur.factor.fill, "rejected_attempts": 0,
                      "step_halvings": 0, "backtracking_trials": 0}
-    hist.reactions = {c.id: [] for c in v_space.circuits}
 
     v_prev = np.zeros(v_space.n_dofs)
     q_prev = np.zeros(q_space.n_dofs)
@@ -235,8 +233,8 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         halvings = 0
         while True:
             t_new = t + dt_cur
-            currents, voltages = _circuit_values(v_space, time.drives, t_new)
-            v_ess = essential_vector(v_space, currents=currents)
+            current, voltage = _circuit_values(v_space, time.drive, t_new)
+            v_ess = essential_vector(v_space, current=current)
             trace = None
             if time.b_ext is not None:
                 bext = time.b_ext(t_new)
@@ -245,7 +243,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
             q_ess = essential_vector(q_space, a_trace=trace)
             try:
                 result = _newton_step(assemble, blocks, (v_prev, q_prev), dt_cur, v_ess,
-                                      q_ess, voltages, time, schur, hist.counters)
+                                      q_ess, voltage, time, schur, hist.counters)
                 break
             except (NonConvergenceError, SingularSystemError) as err:
                 hist.counters["rejected_attempts"] += 1
@@ -267,8 +265,7 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
         hist.final_residuals.append(final_residual)
         hist.residual_traces.append(res_trace)
         r_field = sys.field_residual(v_new, q_new[blocks.gamma])
-        for cid, reactions in hist.reactions.items():
-            reactions.append(float(r_field[v_space.dof("global", cid)]))
+        hist.reactions.append(float(r_field[v_space.dof("global", 0)]))
 
         v_prev, q_prev = v_new, q_new
         t = t_new
@@ -325,7 +322,7 @@ def _gated_recovery(sys, v, schur: InterfaceSchur):
     return a, q_products
 
 
-def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
+def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
                  time: TimeConfig, schur, counters):
     v_prev, q_prev = prev
     vf, qf, gamma = blocks.v_space.free, blocks.q_space.free, blocks.gamma
@@ -338,7 +335,7 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
 
     def reassemble(v):
         return assemble(blocks, (v_prev, q_prev), v, dt, a_essential=q_ess,
-                        v_essential=v_ess, voltages=voltages)
+                        v_essential=v_ess, voltage=voltage)
 
     sys = reassemble(v_it)
     lift = schur.lift(sys.s_potential)      # s_q holds only essential values
@@ -393,21 +390,19 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltages,
     return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it, q_products)
 
 
-def circuit_post(history: TimeHistory, spaces, cid: int):
-    """Complementary circuit quantity of conductor/tape ``cid``.
+def circuit_post(history: TimeHistory, spaces):
+    """Complementary circuit quantity of the conductor or tape.
 
     Current-driven: the per-unit-length voltage recovered from the
     constrained-row reaction.  Voltage-driven: the net current read
-    from the global degree of freedom.  Returns (times, values).
+    from the global degree of freedom.  One value per accepted step.
     """
     v_space, _ = spaces
-    times = np.array(history.times)
-    item = next(c for c in v_space.circuits if c.id == cid)
-    if item.mode == "current":
-        reac = np.array(history.reactions[cid])
-        return times, reac / (np.array(history.dts) * v_space.current_scale)
-    dof = v_space.dof("global", cid)
-    return times, np.array([v[dof] for v in history.v]) * v_space.current_scale
+    if v_space.circuit.mode == "current":
+        reac = np.array(history.reactions)
+        return reac / (np.array(history.dts) * v_space.current_scale)
+    dof = v_space.dof("global", 0)
+    return np.array([v[dof] for v in history.v]) * v_space.current_scale
 
 
 def write_history_csv(history: TimeHistory, quantity: str, values, path):

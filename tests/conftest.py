@@ -50,13 +50,13 @@ def tape_materials_power():
 
 @pytest.fixture(scope="session")
 def bar_spaces_11(bar_mesh):
-    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 1, ("current", 0.0))
     a = build_a_space(bar_mesh, 1)
     return h, a
 
 
 @pytest.fixture(scope="session")
 def tape_spaces_11(tape_mesh):
-    t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 0.0))
     a = build_a_space(tape_mesh, 1)
     return t, a

@@ -91,7 +91,7 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
 def test_ha_coupling_hand_values(bar_mesh):
     # one boundary-potential DOF against the neighbouring potential hats:
     # the tangential trace +-1/L against a rising/falling hat gives +-1/2
-    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 1, ("current", 0.0))
     a = build_a_space(bar_mesh, 1)
     B = _coupling_full(h, a)
     segs, lens, _ = interface_chain(h)
@@ -141,7 +141,7 @@ def test_ta_coupling_far_node_zero(tape_mesh, tape_spaces_11):
 def test_ta_single_segment_hand_value(tape_mesh):
     # piecewise-constant j on one segment against the a-hat rising on it:
     # entry = w * (1/L) * L/2 = w/2 per adjacent segment
-    t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 0.0))
     a = build_a_space(tape_mesh, 1)
     B = _coupling_full(t, a)
     segs, lens, _ = interface_chain(t)
@@ -167,7 +167,7 @@ def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
 
 
 def test_coupling_hierarchical_nesting(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
     a1 = build_a_space(bar_mesh, 1)
     a2 = build_a_space(bar_mesh, 2)
     B11 = assemble_coupling_matrix(h1, a1).toarray()
@@ -217,10 +217,10 @@ def test_a_norm_uniform_gradient(tape_mesh):
 
 
 def test_t_norm_delta_scaling(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
     N1 = assemble_norm_matrix(t1, NORMS)
     fine = refine(tape_mesh)
-    t2 = build_t_space(fine, 1, {0: ("current", 0.0)})
+    t2 = build_t_space(fine, 1, ("current", 0.0))
     N2 = assemble_norm_matrix(t2, NORMS)
     # same continuous linear ramp on both meshes
     def ramp_vec(space, mesh):
@@ -250,7 +250,7 @@ def test_a_norm_needs_essential(bar_mesh):
 
 def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     # reduced system equals the manual dense reduction of the full one
-    t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 2.0))
     a = build_a_space(tape_mesh, 1)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
@@ -322,7 +322,7 @@ def test_bubble_rows_match_field_quadrature():
     mesh = l_bar_mesh()
     nu = np.random.default_rng(3).uniform(1.0, 2.0, mesh.n_triangles)
     a = build_a_space(mesh, 2)
-    h = build_h_space(mesh, 2, {0: ("current", 0.0)})
+    h = build_h_space(mesh, 2, ("current", 0.0))
     cases = [(a, _a_stiffness(a, nu[a.meta["a_tris"]]), a.meta["a_tris"], eval_a_curl, nu),
              (h, _h_mass(h, 1.0), h.meta["sc_tris"], eval_h_field, np.ones(mesh.n_triangles))]
     for space, K, domain, field, weight in cases:
@@ -364,7 +364,7 @@ def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichmen
     fixed = np.concatenate([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
     for mesh in (bar_mesh, l_bar_mesh()):
         if family == "H":
-            space = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+            space = build_h_space(mesh, enrichment, ("current", 0.0))
             tris, reference = space.meta["sc_tris"], eval_h_field
         else:
             space = build_a_space(mesh, enrichment)
@@ -386,7 +386,7 @@ def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichmen
 def test_h_curl_matrix_matches_reference_curl(bar_mesh, enrichment):
     rng = np.random.default_rng(6)
     for mesh in (bar_mesh, l_bar_mesh()):
-        h = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+        h = build_h_space(mesh, enrichment, ("current", 0.0))
         x = rng.standard_normal(h.n_dofs)
         tris, ref = curl_h(h, x)
         assert np.array_equal(tris, h.meta["sc_tris"])

@@ -47,10 +47,10 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             return cases[form, i, j]
         if form == "ha":
             mesh, mats, assemble = bar_mesh, bar_materials_power, assemble_ha_iteration
-            v = build_h_space(mesh, i, {0: ("current", 0.0)})
+            v = build_h_space(mesh, i, ("current", 0.0))
         else:
             mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
-            v = build_t_space(mesh, i, {0: ("current", 0.0)})
+            v = build_t_space(mesh, i, ("current", 0.0))
         q = build_a_space(mesh, j)
         blocks = linear_blocks(mesh, v, q, mats)
         case = SimpleNamespace(
@@ -120,10 +120,10 @@ def _tape_current_at_qp(space, coeffs):
 def _system(case, rng, dt, drive, b_ext):
     """A random Newton system of ``case`` around sampled field iterates."""
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    v_ess = essential_vector(case.v, currents={0: drive * case.i_c})
+    v_ess = essential_vector(case.v, current=drive * case.i_c)
     a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
     return case.assemble(case.blocks, (case.sample(rng), a_prev), case.sample(rng), dt,
-                         a_essential=a_ess, v_essential=v_ess, voltages={})
+                         a_essential=a_ess, v_essential=v_ess, voltage=None)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -390,8 +390,8 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
         j_it = _tape_current_at_qp(case.v, v_it)
         scale, stiffness = dt * case.mesh.w, _t_stiffness_scatter
         A_ref, s_ref = 0.0, 0.0
-    dedj = de_dj(j_it, case.mats.power)
     rho = rho_power(j_it, case.mats.power)
+    dedj = de_dj(j_it, rho, case.mats.power)
     A_ref = A_ref + stiffness(case.v, scale * dedj)
     rhs_term = stiffness(case.v, scale * (rho - dedj)) @ v_it
     s_ref = case.B.T @ a_prev + s_ref - rhs_term

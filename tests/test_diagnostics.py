@@ -137,7 +137,7 @@ def test_bn_profile_offset_outside_region(bar_mesh, bar_spaces_11):
 
 
 def test_tape_profile_constant_ramp(tape_mesh):
-    t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 2.0))
     T = 2.0 / tape_mesh.w
     x = t.essential_full()
     xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
@@ -154,10 +154,10 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     # integrated sampled profile reproduces the imposed current
     jc = tape_materials_power.power.j_c
     I0 = 0.4 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
+    t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.05, t_end=0.25,
-                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
+                    drive=("current", ramp_then_hold(I0, 0.25, 0.25)))
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
     prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
     segs = tape_mesh.interface_segments
@@ -171,10 +171,10 @@ def test_stable_tape_penetration_shape(tape_mesh, tape_materials_power):
     # with a lower plateau in the middle
     jc = tape_materials_power.power.j_c
     I0 = 0.8 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
+    t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.00125, t_end=0.05,
-                    drives={0: ("current", ramp_then_hold(I0, 0.05, 0.05))})
+                    drive=("current", ramp_then_hold(I0, 0.05, 0.05)))
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
     prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
     v = prof.values

@@ -34,8 +34,8 @@ def test_rho_half_critical_frozen_value():
 
 def test_de_dj_linear():
     law = PowerLaw(e_c=1e-4, j_c=3e8, n=1)
-    assert de_dj(0.0, law) == law.e_c / law.j_c
-    assert de_dj(2 * law.j_c, law) == law.e_c / law.j_c
+    assert de_dj(0.0, rho_power(0.0, law), law) == law.e_c / law.j_c
+    assert de_dj(2 * law.j_c, rho_power(2 * law.j_c, law), law) == law.e_c / law.j_c
 
 
 def test_de_dj_finite_difference():
@@ -43,14 +43,15 @@ def test_de_dj_finite_difference():
     j = 0.7 * law.j_c
     eps = 1e-6 * law.j_c
     fd = (e_field(j + eps, law) - e_field(j - eps, law)) / (2 * eps)
-    assert abs(de_dj(j, law) - fd) / de_dj(j, law) < 1e-5
+    d = de_dj(j, rho_power(j, law), law)
+    assert abs(d - fd) / d < 1e-5
 
 
 def test_de_dj_floor_clamp():
     law = PowerLaw(e_c=1e-4, j_c=3e8, n=20, j_reg=1e-3 * 3e8)
     expect = 20.0 * (1e-4 / 3e8) * 1e-3 ** 19
-    assert de_dj(0.0, law) == pytest.approx(expect, rel=1e-12)
-    assert de_dj(0.0, law) > 0.0
+    assert de_dj(0.0, rho_power(0.0, law), law) == pytest.approx(expect, rel=1e-12)
+    assert de_dj(0.0, rho_power(0.0, law), law) > 0.0
 
 
 def test_cap_is_continuous():
@@ -77,7 +78,7 @@ def test_e_field_monotone(j1_rel, j2_rel):
 def test_de_dj_dominates_rho(j_rel, n):
     law = PowerLaw(e_c=1e-4, j_c=3e8, n=float(n))
     j = j_rel * law.j_c
-    assert de_dj(j, law) >= rho_power(j, law) * (1 - 1e-12)
+    assert de_dj(j, rho_power(j, law), law) >= rho_power(j, law) * (1 - 1e-12)
     assert rho_power(j, law) >= 0.0
 
 
@@ -103,4 +104,4 @@ def test_vectorized_evaluation():
     rho = rho_power(j, law)
     assert rho.shape == j.shape
     assert rho[2] == pytest.approx(law.e_c / law.j_c, rel=1e-14)
-    assert de_dj(j, law).shape == j.shape
+    assert de_dj(j, rho, law).shape == j.shape

@@ -8,7 +8,6 @@ from htsfem.config import load_config
 from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
                          build_stacked_bar_mesh, refine, write_native)
-from htsfem.spaces import TopologyError, _ring_loops
 
 from util import l_bar_mesh, read_mesh
 
@@ -184,7 +183,6 @@ def test_interface_chains_split_loops_and_reject_open_ones():
     assert len(loops) == 2
     assert np.array_equal(np.concatenate(loops), segs)
     assert all(loop[-1, 1] == loop[0, 0] for loop in loops)
-    assert all(np.array_equal(a, b) for a, b in zip(_ring_loops(mesh), loops))
     # a mesh without a conductor or a tape has no interface
     air = _structured_mesh(breaks, breaks, 0.001,
                            lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)))
@@ -197,8 +195,6 @@ def test_interface_chains_split_loops_and_reject_open_ones():
     broken = _variant(mesh, interface_segments=segs[1:])
     with pytest.raises(MeshError, match="GAMMA_M polyline is not closed"):
         broken.validate()
-    with pytest.raises(TopologyError, match="closed loops"):
-        _ring_loops(broken)
 
 
 def test_gamma_w_must_lie_in_air(tape_mesh):

@@ -5,7 +5,7 @@ from htsfem._geom import LINE_QP, LINE_QW
 from scipy.sparse import coo_matrix
 
 from htsfem.assembly import field_operator, h_curl_matrix
-from htsfem.mesh import Region, _structured_mesh, refine
+from htsfem.mesh import Mesh2D, Region, _structured_mesh, refine
 from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_space,
                            build_t_space, essential_vector, trace_table,
                            whitney_transform)
@@ -26,7 +26,7 @@ def loop_circulation(space, coeffs):
 
 
 def two_bar_mesh():
-    """Two disjoint conducting bars in air (for multi-conductor tests)."""
+    """Two disjoint conducting bars in air."""
     def region(x, y):
         sc = (0.002 < abs(x)) & (abs(x) < 0.006) & (-0.002 < y) & (y < 0.002)
         return np.where(sc, int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
@@ -39,7 +39,7 @@ def two_bar_mesh():
 
 
 def test_h_dof_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
     segs = bar_mesh.interface_segments
     sc_edges = np.unique(bar_mesh.tri_edges[bar_mesh.region_tris(Region.OMEGA_H_SC)])
     n_ring = len(segs)
@@ -50,14 +50,14 @@ def test_h_dof_count(bar_mesh):
 
 
 def test_h_bubble_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
     segs = bar_mesh.interface_segments
     assert h2.n_dofs == h1.n_dofs + len(segs)
 
 
 def test_cut_circulation_unit(bar_mesh):
-    h = build_h_space(bar_mesh, 1, {0: ("current", 1.0)})
+    h = build_h_space(bar_mesh, 1, ("current", 1.0))
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     circ = loop_circulation(h, x)
@@ -65,41 +65,31 @@ def test_cut_circulation_unit(bar_mesh):
 
 
 def test_cut_curl_confined_to_layer(bar_mesh):
-    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 1, ("current", 0.0))
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
     # the layer: the conductor triangles on the cut's edges
-    layer = set(bar_mesh.edge_tris[h.circuits[0].cut_edges].ravel().tolist()) & set(tris.tolist())
+    layer = set(bar_mesh.edge_tris[h.circuit.cut_edges].ravel().tolist()) & set(tris.tolist())
     scale = np.abs(curl).max()
     for t, c in zip(tris, curl):
         if int(t) not in layer:
             assert abs(c) < 1e-12 * scale
 
 
-def test_two_conductors_cut_orthogonality():
-    mesh = two_bar_mesh()
-    h = build_h_space(mesh, 1, {0: ("current", 0.0), 1: ("current", 0.0)})
-    assert len(h.circuits) == 2
-    x = np.zeros(h.n_dofs)
-    x[h.dof("global", 0)] = 1.0
-    # circulation along each conductor loop via trace quadrature
-    segs, lens, cum = interface_chain(h)
-    loops, start = [], 0
-    for k in range(len(segs)):
-        if segs[k, 1] == segs[start, 0]:
-            loops.append((start, k + 1))
-            start = k + 1
-    assert len(loops) == 2
-    circs = []
-    for a, b in loops:
-        total = 0.0
-        for k in range(a, b):
-            for u, w in zip(LINE_QP, LINE_QW):
-                total += w * lens[k] * eval_trace(h, x, cum[k] + u * lens[k])
-        circs.append(total)
-    assert circs[0] == pytest.approx(1.0, abs=1e-12)
-    assert circs[1] == pytest.approx(0.0, abs=1e-12)
+def test_second_conductor_is_refused():
+    # an H space takes the one conductor of its mesh
+    with pytest.raises(SpaceError, match="mesh has 2 conductor components"):
+        build_h_space(two_bar_mesh(), 1, ("current", 0.0))
+
+
+def test_open_conductor_loop_is_refused(bar_mesh):
+    segs = bar_mesh.interface_segments
+    open_loop = Mesh2D(bar_mesh.nodes, bar_mesh.triangles, bar_mesh.tri_region,
+                       bar_mesh.boundary_segments, segs[1:], bar_mesh.interface_tag,
+                       bar_mesh.delta)
+    with pytest.raises(TopologyError, match="not a closed loop"):
+        build_h_space(open_loop, 1, ("current", 0.0))
 
 
 def test_multiply_connected_conductor_rejected():
@@ -113,11 +103,11 @@ def test_multiply_connected_conductor_rejected():
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             0.001, region)
     with pytest.raises(TopologyError, match="not simply connected"):
-        build_h_space(mesh, 1, {0: ("current", 0.0)})
+        build_h_space(mesh, 1, ("current", 0.0))
 
 
 def test_gradient_part_is_curl_free(bar_mesh):
-    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 2, ("current", 0.0))
     rng = np.random.default_rng(3)
     x = np.zeros(h.n_dofs)
     for k, kind, _ in dof_entries(h):
@@ -132,7 +122,7 @@ def test_gradient_part_is_curl_free(bar_mesh):
 
 
 def test_bubbles_never_change_curl(bar_mesh):
-    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
     rng = np.random.default_rng(4)
     x = rng.normal(size=h2.n_dofs)
     G = h_curl_matrix(h2)
@@ -185,13 +175,13 @@ def test_a_patch_interior(tape_mesh):
 
 
 def test_t_endpoint_value(tape_mesh):
-    t = build_t_space(tape_mesh, 1, {0: ("current", 100.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 100.0))
     assert np.array_equal(t.essential_dofs, [t.dof("global", 0)])
     assert t.essential_values[0] == pytest.approx(1e8, rel=1e-15)
 
 
 def test_t_zero_current(tape_mesh):
-    t = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 0.0))
     x = t.essential_full()
     from htsfem.assembly import tape_current_density
     j = tape_current_density(t, x)
@@ -200,7 +190,7 @@ def test_t_zero_current(tape_mesh):
 
 def test_t_linear_ramp_constant_j(tape_mesh):
     # oracle: segment-wise differentiation of the nodal interpolant
-    t = build_t_space(tape_mesh, 1, {0: ("current", 2.0)})
+    t = build_t_space(tape_mesh, 1, ("current", 2.0))
     T = 2.0 / tape_mesh.w
     width = 0.01
     x = t.essential_full()
@@ -214,35 +204,35 @@ def test_t_linear_ramp_constant_j(tape_mesh):
 
 
 def test_t_bubble_count(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
-    t2 = build_t_space(tape_mesh, 2, {0: ("current", 0.0)})
+    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
+    t2 = build_t_space(tape_mesh, 2, ("current", 0.0))
     segs = tape_mesh.interface_segments
     assert t2.n_dofs - t1.n_dofs == len(segs)
 
 
 def test_t_invalid_constraint(tape_mesh):
     with pytest.raises(SpaceError):
-        build_t_space(tape_mesh, 1, {0: ("current_and_voltage", 1.0)})
+        build_t_space(tape_mesh, 1, ("current_and_voltage", 1.0))
 
 
-def test_h_unlisted_conductor_is_refused():
-    # every conductor needs a circuit entry; none defaults to zero current
-    with pytest.raises(ValueError, match="conductor 1 "):
-        build_h_space(two_bar_mesh(), 1, {0: ("current", 0.0)})
-
-
-def test_t_unlisted_tape_is_refused(tape_mesh):
-    with pytest.raises(ValueError, match="tape 0 "):
-        build_t_space(tape_mesh, 1, {1: ("current", 0.0)})
+def test_second_tape_is_refused(tape_mesh):
+    # a valid mesh whose tape line has a gap: two GAMMA_W chains
+    segs = tape_mesh.interface_segments
+    two_tapes = Mesh2D(tape_mesh.nodes, tape_mesh.triangles, tape_mesh.tri_region,
+                       tape_mesh.boundary_segments, np.delete(segs, len(segs) // 2, axis=0),
+                       tape_mesh.interface_tag, tape_mesh.delta, w=tape_mesh.w).validate()
+    assert len(two_tapes.interface_chains()) == 2
+    with pytest.raises(SpaceError, match="mesh has 2 tapes"):
+        build_t_space(two_tapes, 1, ("current", 0.0))
 
 
 # -- traces --------------------------------------------------------------------
 
 
 def test_h_trace_orders(bar_mesh):
-    segs, lens, cum = interface_chain(build_h_space(bar_mesh, 1, {0: ("current", 0.0)}))
-    h1 = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
-    h2 = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    segs, lens, cum = interface_chain(build_h_space(bar_mesh, 1, ("current", 0.0)))
+    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
     rng = np.random.default_rng(0)
     x1 = rng.normal(size=h1.n_dofs)
     x2 = rng.normal(size=h2.n_dofs)
@@ -288,8 +278,8 @@ def test_a_trace_continuity(bar_mesh):
 
 
 def test_t_trace_orders(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, {0: ("current", 0.0)})
-    t2 = build_t_space(tape_mesh, 2, {0: ("current", 0.0)})
+    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
+    t2 = build_t_space(tape_mesh, 2, ("current", 0.0))
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=t1.n_dofs)
     x2 = rng.normal(size=t2.n_dofs)
@@ -311,7 +301,7 @@ def test_trace_out_of_range(bar_mesh, bar_spaces_11):
 
 def test_whitney_scaling_single_potential(bar_mesh):
     # a single boundary-potential DOF gives +-1/length edge traces
-    h = build_h_space(bar_mesh, 1, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 1, ("current", 0.0))
     segs, lens, cum = interface_chain(h)
     k = 5
     node = int(segs[k, 0])  # start node of segment k, end node of k-1
@@ -324,8 +314,8 @@ def test_whitney_scaling_single_potential(bar_mesh):
 
 
 def test_essential_vector_updates(tape_mesh, bar_mesh):
-    t = build_t_space(tape_mesh, 1, {0: ("current", 1.0)})
-    x = essential_vector(t, currents={0: 3.0})
+    t = build_t_space(tape_mesh, 1, ("current", 1.0))
+    x = essential_vector(t, current=3.0)
     assert x[t.dof("global", 0)] == pytest.approx(3.0 / tape_mesh.w)
     a = build_a_space(bar_mesh, 1)
     x = essential_vector(a, a_trace=lambda px, py: 2.0 * py)
@@ -365,7 +355,7 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
 def test_h_trace_table_matches_tangential_field(bar_mesh):
     # oracle: t-hat . h on the conductor triangle next to each GAMMA_M
     # segment, for the unit coefficient vector of every DOF
-    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 2, ("current", 0.0))
     tab = trace_table(h)
     segs = bar_mesh.interface_segments
     eids = bar_mesh.edge_ids(segs)
@@ -405,11 +395,11 @@ def reference_whitney_transform(space):
                 cols.append(index[key])
                 data.append(sgn)
     epos = {int(e): k for k, e in enumerate(sc_edges)}
-    for c in space.circuits:
-        for eid, cc in sorted(zip(c.cut_edges.tolist(), c.cut_coeffs)):
-            rows.append(epos[eid])
-            cols.append(space.dof("global", c.id))
-            data.append(cc)
+    c = space.circuit
+    for eid, cc in sorted(zip(c.cut_edges.tolist(), c.cut_coeffs)):
+        rows.append(epos[eid])
+        cols.append(space.dof("global", 0))
+        data.append(cc)
     C = coo_matrix((data, (rows, cols)), shape=(len(sc_edges), space.n_dofs)).tocsr()
     return sc_edges, C
 
@@ -417,7 +407,7 @@ def reference_whitney_transform(space):
 @pytest.mark.parametrize("enrichment", [1, 2])
 def test_whitney_transform_matches_reference(bar_mesh, enrichment):
     for mesh in (bar_mesh, refine(bar_mesh), l_bar_mesh()):
-        h = build_h_space(mesh, enrichment, {0: ("current", 0.0)})
+        h = build_h_space(mesh, enrichment, ("current", 0.0))
         edges, C = whitney_transform(h)
         ref_edges, ref = reference_whitney_transform(h)
         assert np.array_equal(edges, ref_edges)
@@ -427,7 +417,7 @@ def test_whitney_transform_matches_reference(bar_mesh, enrichment):
 
 
 def test_entity_dofs_inverts_the_entry_table(bar_mesh):
-    h = build_h_space(bar_mesh, 2, {0: ("current", 0.0)})
+    h = build_h_space(bar_mesh, 2, ("current", 0.0))
     sizes = {"node": bar_mesh.n_nodes, "edge": len(bar_mesh.edges),
              "bubble": len(bar_mesh.edges), "global": 1}
     for kind, n in sizes.items():
@@ -453,8 +443,8 @@ def reference_dof_table(space):
     """The per-DOF (kind, entity) list and the essential values
     {dof: value} of ``space``, built entity by entity from the mesh
     tables: nodes, then edges, then bubbles, then globals, each in
-    ascending entity order.  The circuits give the conductors' ground
-    nodes and the drives."""
+    ascending entity order.  The circuit gives the conductor's ground
+    node and the drive."""
     mesh, segs = space.mesh, space.mesh.interface_segments
     seg_edges = sorted(int(e) for e in mesh.edge_ids(segs))
     if space.family == "H":
@@ -470,30 +460,30 @@ def reference_dof_table(space):
         entries = [("node", n) for n in sorted(interior)]
     if space.enrichment == 2:
         entries += [("bubble", e) for e in seg_edges]
-    entries += [("global", c.id) for c in space.circuits]
+    if space.family != "A":
+        entries.append(("global", 0))
     index = {ent: k for k, ent in enumerate(entries)}
     if space.family == "A":
         outer = {int(n) for n in mesh.boundary_segments.ravel()}
         return entries, {index["node", n]: 0.0 for n in sorted(outer)}
-    essential = {}
-    for c in space.circuits:
-        if space.family == "H":
-            assert c.ground_node == min(c.ring_nodes)
-            essential[index["node", c.ground_node]] = 0.0
-        if c.mode == "current":
-            essential[index["global", c.id]] = c.value / space.current_scale
+    essential, c = {}, space.circuit
+    if space.family == "H":
+        assert c.ground_node == min(c.ring_nodes)
+        essential[index["node", c.ground_node]] = 0.0
+    if c.mode == "current":
+        essential[index["global", 0]] = c.value / space.current_scale
     return entries, essential
 
 
 def _spaces_on_reference_meshes(bar_mesh, tape_mesh):
     two_bars = two_bar_mesh()
     for order in (1, 2):
-        yield build_h_space(bar_mesh, order, {0: ("current", 1.5)})
-        yield build_h_space(two_bars, order, {0: ("current", 1.5), 1: ("voltage", 0.5)})
+        yield build_h_space(bar_mesh, order, ("current", 1.5))
+        yield build_h_space(bar_mesh, order, ("voltage", 0.5))
         for mesh in (bar_mesh, tape_mesh, two_bars):
             yield build_a_space(mesh, order)
-        yield build_t_space(tape_mesh, order, {0: ("current", 2.0)})
-        yield build_t_space(tape_mesh, order, {0: ("voltage", 2.0)})
+        yield build_t_space(tape_mesh, order, ("current", 2.0))
+        yield build_t_space(tape_mesh, order, ("voltage", 2.0))
 
 
 def test_dof_table_matches_the_per_entity_reference(bar_mesh, tape_mesh):
@@ -506,7 +496,7 @@ def test_dof_table_matches_the_per_entity_reference(bar_mesh, tape_mesh):
         for k, (kind, ent) in enumerate(entries):
             assert space.dof(kind, ent) == k, label
         sizes = {"node": mesh.n_nodes, "edge": len(mesh.edges),
-                 "bubble": len(mesh.edges), "global": len(space.circuits)}
+                 "bubble": len(mesh.edges), "global": 1}
         for kind, n in sizes.items():
             expected = np.full(n, -1)
             for k, (knd, ent) in enumerate(entries):

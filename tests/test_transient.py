@@ -51,7 +51,7 @@ def test_time_config_validation():
 def test_linear_single_newton_iteration(bar_mesh, bar_spaces_11,
                                         bar_materials_linear):
     tc = TimeConfig(dt=0.05, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
-                    drives={0: ("current", ramp_then_hold(0.0, 0.125, 0.25))},
+                    drive=("current", ramp_then_hold(0.0, 0.125, 0.25)),
                     rel_residual_tol=1e-12)
     hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_linear, tc, "ha")
     assert hist.n_steps == 5
@@ -60,10 +60,10 @@ def test_linear_single_newton_iteration(bar_mesh, bar_spaces_11,
 
 
 def test_step_count_matches_grid(small_tape):
-    t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
+    t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.5,
-                    drives={0: ("current", ramp_then_hold(1.0, 0.25, 0.5))},
+                    drive=("current", ramp_then_hold(1.0, 0.25, 0.5)),
                     rel_residual_tol=1e-10)
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
     assert hist.n_steps == 5
@@ -75,9 +75,9 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
     from htsfem.assembly import tape_current_density
     I0 = 0.3 * JC * small_tape.w * WIDTH
     ramp = ramp_then_hold(I0, 0.25, 0.5)
-    t = build_t_space(small_tape, 1, {0: ("current", I0)})
+    t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.05, t_end=0.5, drives={0: ("current", ramp)})
+    tc = TimeConfig(dt=0.05, t_end=0.5, drive=("current", ramp))
     hist = run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
     segs = small_tape.interface_segments
     lens = small_tape.segment_lengths(segs)
@@ -89,12 +89,12 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
 
 
 def test_zero_drive_zero_voltage(small_tape):
-    t = build_t_space(small_tape, 1, {0: ("current", 0.0)})
+    t = build_t_space(small_tape, 1, ("current", 0.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drives={0: ("current", ramp_then_hold(0.0, 0.15, 0.3))})
+                    drive=("current", ramp_then_hold(0.0, 0.15, 0.3)))
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
-    times, V = circuit_post(hist, (t, a), 0)
+    V = circuit_post(hist, (t, a))
     assert np.abs(V).max() == 0.0
 
 
@@ -102,13 +102,13 @@ def test_dc_voltage_matches_analytic_resistance(small_tape):
     # per-unit-length resistance of a uniform tape: rho / (w * width)
     rho = 1e-8
     I0 = 2.0
-    t = build_t_space(small_tape, 1, {0: ("current", I0)})
+    t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=20.0,
-                    drives={0: ("current", ramp_then_hold(I0, 1.0, 20.0))},
+                    drive=("current", ramp_then_hold(I0, 1.0, 20.0)),
                     rel_residual_tol=1e-12)
     hist = run_transient(small_tape, (t, a), linear_mats(rho), tc, "ta")
-    _, V = circuit_post(hist, (t, a), 0)
+    V = circuit_post(hist, (t, a))
     R = rho / (small_tape.w * WIDTH)
     assert V[-1] == pytest.approx(R * I0, rel=1e-6)
     assert V[-1] * I0 > 0.0
@@ -119,20 +119,20 @@ def test_reciprocity_roundtrip(small_tape):
     rho = 1e-9
     I0 = 1.0
     mats = linear_mats(rho)
-    t = build_t_space(small_tape, 1, {0: ("current", I0)})
+    t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.05, t_end=1.0,
-                    drives={0: ("current", ramp_then_hold(I0, 0.5, 1.0))},
+                    drive=("current", ramp_then_hold(I0, 0.5, 1.0)),
                     rel_residual_tol=1e-10)
     h1 = run_transient(small_tape, (t, a), mats, tc, "ta")
-    times, V = circuit_post(h1, (t, a), 0)
+    V = circuit_post(h1, (t, a))
 
-    vramp = Ramp((0.0, *times), (0.0, *V))
-    t2 = build_t_space(small_tape, 1, {0: ("voltage", 0.0)})
-    tc2 = TimeConfig(dt=0.05, t_end=1.0, drives={0: ("voltage", vramp)},
+    vramp = Ramp((0.0, *h1.times), (0.0, *V))
+    t2 = build_t_space(small_tape, 1, ("voltage", 0.0))
+    tc2 = TimeConfig(dt=0.05, t_end=1.0, drive=("voltage", vramp),
                      rel_residual_tol=1e-10)
     h2 = run_transient(small_tape, (t2, a), mats, tc2, "ta")
-    _, I_rec = circuit_post(h2, (t2, a), 0)
+    I_rec = circuit_post(h2, (t2, a))
     I_imp = np.array([ramp_then_hold(I0, 0.5, 1.0)(tk) for tk in h2.times])
     assert np.abs(I_rec - I_imp).max() < 1e-6 * I0
 
@@ -144,12 +144,12 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
     V0 = 1e-3
     mats = linear_mats(rho)
     a = build_a_space(small_tape, 1)
-    t = build_t_space(small_tape, 1, {0: ("voltage", V0)})
+    t = build_t_space(small_tape, 1, ("voltage", V0))
     currents = []
-    for drives in ({}, {0: ("voltage", Ramp((0.0,), (V0,)))}):
-        tc = TimeConfig(dt=0.25, t_end=2.0, drives=drives, rel_residual_tol=1e-12)
+    for drive in (None, ("voltage", Ramp((0.0,), (V0,)))):
+        tc = TimeConfig(dt=0.25, t_end=2.0, drive=drive, rel_residual_tol=1e-12)
         hist = run_transient(small_tape, (t, a), mats, tc, "ta")
-        currents.append(circuit_post(hist, (t, a), 0)[1])
+        currents.append(circuit_post(hist, (t, a)))
     assert np.array_equal(currents[0], currents[1])
     R = rho / (small_tape.w * WIDTH)
     assert currents[0][-1] == pytest.approx(V0 / R, rel=1e-4)
@@ -157,10 +157,10 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
 
 def test_requesting_imposed_quantity_is_identity(small_tape):
     I0 = 1.5
-    t = build_t_space(small_tape, 1, {0: ("current", I0)})
+    t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(I0, 0.15, 0.3)
-    tc = TimeConfig(dt=0.1, t_end=0.3, drives={0: ("current", ramp)})
+    tc = TimeConfig(dt=0.1, t_end=0.3, drive=("current", ramp))
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
     # the imposed quantity can be read back from the coefficients
     dof = t.dof("global", 0)
@@ -172,10 +172,10 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     # one Newton iteration never meets the tolerance: the first step
     # fails at every size down to MAX_HALVINGS halvings of dt
     I0 = 0.5 * JC * small_tape.w * WIDTH
-    t = build_t_space(small_tape, 1, {0: ("current", I0)})
+    t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=0.5,
-                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))},
+                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)),
                     max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
     with pytest.raises(NonConvergenceError, match="after 4 halvings") as err:
         run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
@@ -189,7 +189,7 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
 @pytest.fixture(scope="module")
 def bar_power_history(bar_mesh, bar_spaces_11, bar_materials_power):
     tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drives={0: ("current", ramp_then_hold(0.0, 0.5, 1.0))})
+                    drive=("current", ramp_then_hold(0.0, 0.5, 1.0)))
     return run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
 
 
@@ -235,22 +235,22 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
     from htsfem.assembly import tape_current_density
     jc = tape_materials_power.power.j_c
     I0 = 0.5 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
+    t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.025, t_end=0.5,
-                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
+                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)))
     hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
     worst = max(np.abs(tape_current_density(t, v)).max() for v in hist.v)
     assert worst <= 1.25 * jc
 
 
 def test_history_exports(tmp_path, small_tape):
-    t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
+    t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drives={0: ("current", ramp_then_hold(1.0, 0.15, 0.3))})
+                    drive=("current", ramp_then_hold(1.0, 0.15, 0.3)))
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
-    _, V = circuit_post(hist, (t, a), 0)
+    V = circuit_post(hist, (t, a))
     csv = tmp_path / "voltage.csv"
     write_history_csv(hist, "voltage", V, csv)
     lines = csv.read_text().strip().split("\n")
@@ -301,19 +301,32 @@ def test_drive_values_record_the_imposed_values(small_tape):
     # accepted iterate's global DOF
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(1.5, 0.15, 0.3)
-    for mode, value, drives in (("current", 1.5, {0: ("current", ramp)}),
-                                ("current", 0.7, {}),
-                                ("voltage", 1e-4, {})):
-        t = build_t_space(small_tape, 1, {0: (mode, value)})
-        tc = TimeConfig(dt=0.1, t_end=0.3, drives=drives, rel_residual_tol=1e-10)
+    for mode, value, drive in (("current", 1.5, ("current", ramp)),
+                               ("current", 0.7, None),
+                               ("voltage", 1e-4, None)):
+        t = build_t_space(small_tape, 1, (mode, value))
+        tc = TimeConfig(dt=0.1, t_end=0.3, drive=drive, rel_residual_tol=1e-10)
         hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
-        expected = [ramp(tk) if drives else value for tk in hist.times]
-        imposed = [{**c, **v}[0] for c, v in (_circuit_values(t, drives, tk)
-                                              for tk in hist.times)]
+        expected = [ramp(tk) if drive else value for tk in hist.times]
+        values = [_circuit_values(t, drive, tk) for tk in hist.times]
+        imposed = [c if mode == "current" else v for c, v in values]
         assert imposed == expected
+        assert all((c is None) == (mode == "voltage") and (v is None) == (mode == "current")
+                   for c, v in values)
         if mode == "current":
             dof = t.dof("global", 0)
             assert [v[dof] for v in hist.v] == [x / t.current_scale for x in expected]
+
+
+def test_drive_mode_must_match_the_space(small_tape):
+    t = build_t_space(small_tape, 1, ("current", 1.0))
+    a = build_a_space(small_tape, 1)
+    drive = ("voltage", ramp_then_hold(1e-4, 0.15, 0.3))
+    with pytest.raises(ValueError, match="drive mode 'voltage' does not match"):
+        _circuit_values(t, drive, 0.1)
+    tc = TimeConfig(dt=0.1, t_end=0.3, drive=drive)
+    with pytest.raises(ValueError, match="does not match"):
+        run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
 
 
 def test_counters_record_a_forced_halving(small_tape, monkeypatch):
@@ -328,10 +341,10 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     # the t-a field solve factors the dense condensed system
     fail_first.__wrapped__ = transient.solve_dense
     monkeypatch.setattr(transient, "solve_dense", fail_first)
-    t = build_t_space(small_tape, 1, {0: ("current", 1.0)})
+    t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drives={0: ("current", ramp_then_hold(1.0, 0.15, 0.3))},
+                    drive=("current", ramp_then_hold(1.0, 0.15, 0.3)),
                     rel_residual_tol=1e-10)
     hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
     c = hist.counters
@@ -352,8 +365,8 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
     monkeypatch.setattr(transient, "assemble_ta_iteration",
                         lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
     I0 = 0.1 * JC * tape_mesh.w * WIDTH
-    spaces = (build_t_space(tape_mesh, 2, {0: ("current", I0)}), build_a_space(tape_mesh, 1))
-    tc = TimeConfig(dt=0.025, t_end=0.05, drives={0: ("current", ramp_then_hold(I0, 0.25, 0.25))})
+    spaces = (build_t_space(tape_mesh, 2, ("current", I0)), build_a_space(tape_mesh, 1))
+    tc = TimeConfig(dt=0.025, t_end=0.05, drive=("current", ramp_then_hold(I0, 0.25, 0.25)))
     with pytest.raises(SingularSystemError, match=r"t-a pairing \(2,1\).* 19-dimensional kernel"):
         run_transient(tape_mesh, spaces, tape_materials_power, tc, "ta")
     assert calls == []
@@ -364,17 +377,17 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
 @pytest.fixture
 def tape_power_case(tape_mesh, tape_materials_power):
     I0 = 0.5 * JC * tape_mesh.w * WIDTH
-    t = build_t_space(tape_mesh, 1, {0: ("current", I0)})
+    t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.025, t_end=0.2,
-                    drives={0: ("current", ramp_then_hold(I0, 0.25, 0.5))})
+                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)))
     return tape_mesh, (t, a), tape_materials_power, tc, "ta"
 
 
 @pytest.fixture
 def bar_power_case(bar_mesh, bar_spaces_11, bar_materials_power):
     tc = TimeConfig(dt=0.025, t_end=0.2, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drives={0: ("current", ramp_then_hold(0.0, 0.5, 1.0))})
+                    drive=("current", ramp_then_hold(0.0, 0.5, 1.0)))
     return bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha"
 
 
@@ -443,7 +456,7 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
     # mu_r 10: nothing of the first run may leak into the second, and
     # each must equal, bitwise, its run on spaces built afresh
     def spaces():
-        return (build_h_space(bar_mesh, 1, {0: ("current", 0.0)}),
+        return (build_h_space(bar_mesh, 1, ("current", 0.0)),
                 build_a_space(bar_mesh, 1))
 
     soft = bar_materials_power

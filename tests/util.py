@@ -51,26 +51,22 @@ def h_dofs_for_potential(h_space, potential):
     """
     mesh = h_space.mesh
     x = np.zeros(h_space.n_dofs)
-    ground = {c.id: c.ground_node for c in h_space.circuits}
+    c = h_space.circuit
     p = {int(n): potential(*mesh.nodes[n])
          for n in np.unique(mesh.triangles[h_space.meta["sc_tris"]])}
-    ring = set()
-    pg = {}
-    for c in h_space.circuits:
-        g = p[c.ground_node]
-        for n in c.ring_nodes:
-            x[h_space.dof("node", n)] = p[int(n)] - g
-            ring.add(int(n))
-            pg[int(n)] = g
+    g = p[c.ground_node]
+    ring = {int(n) for n in c.ring_nodes}
+    for n in ring:
+        x[h_space.dof("node", n)] = p[n] - g
     for k, kind, ent in dof_entries(h_space):
         if kind != "edge":
             continue
         a, b = (int(v) for v in mesh.edges[ent])
         circ = p[b] - p[a]
         if a in ring:
-            circ += p[a] - pg[a]
+            circ += p[a] - g
         if b in ring:
-            circ -= p[b] - pg[b]
+            circ -= p[b] - g
         x[k] = circ
     return x
 
@@ -336,7 +332,7 @@ def build_time_values(blocks):
     v_space = blocks.v_space
     return {"a_essential": blocks.q_space.essential_full(),
             "v_essential": v_space.essential_full(),
-            "voltages": {c.id: c.value for c in v_space.circuits if c.mode == "voltage"}}
+            "voltage": v_space.circuit.value if v_space.circuit.mode == "voltage" else None}
 
 
 def free_indices(sys):
