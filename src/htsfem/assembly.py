@@ -613,13 +613,12 @@ def _circuit_rhs(space, dt, voltage):
     return v
 
 
-def linear_blocks(mesh: Mesh2D, v_space: DofSpace, q_space: DofSpace,
-                  materials: Materials) -> LinearBlocks:
+def linear_blocks(v_space: DofSpace, q_space: DofSpace, materials: Materials) -> LinearBlocks:
     """The fixed blocks of a transient run on the field space
-    ``v_space`` and the potential space ``q_space`` (see
+    ``v_space`` and the potential space ``q_space`` of one mesh (see
     ``LinearBlocks``), built afresh on every call."""
     B = _coupling_full(v_space, q_space)
-    nu = _region_nu(materials)[mesh.tri_region[q_space.meta["a_tris"]]]
+    nu = _region_nu(materials)[q_space.mesh.tri_region[q_space.meta["a_tris"]]]
     K_nu = _a_stiffness(q_space, nu)
     mass = _h_mass(v_space, MU0) if v_space.family == "H" else None
     gamma = np.flatnonzero(np.diff(B.indptr))

@@ -65,16 +65,8 @@ def _build_mesh(cfg):
 
 def _build_spaces(cfg, mesh):
     i, j = cfg["pairing"]
-    if cfg["formulation"] == "ha":
-        drive = cfg["source"]["current"] or 0.0
-        v = build_h_space(mesh, i, ("current", drive))
-    else:
-        if cfg["source"]["voltage"] is not None:
-            constraint = ("voltage", cfg["source"]["voltage"])
-        else:
-            constraint = ("current", cfgmod.imposed_current(cfg))
-        v = build_t_space(mesh, i, constraint)
-    return v, build_a_space(mesh, j)
+    build = build_h_space if cfg["scenario"] == "stacked_bar" else build_t_space
+    return build(mesh, i, cfgmod.circuit(cfg)), build_a_space(mesh, j)
 
 
 def _phase(phases, name, start):
@@ -93,23 +85,22 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
     tick = _phase(phases, "spaces", tick)
     materials = cfgmod.make_materials(cfg)
     timecfg = cfgmod.make_time(cfg)
-    hist = run_transient(mesh, (v_space, q_space), materials, timecfg,
-                         cfg["formulation"])
+    hist = run_transient((v_space, q_space), materials, timecfg)
     tick = _phase(phases, "transient", tick)
 
     sol = (hist.v[-1], hist.q[-1])
     jc = cfg["material"]["j_c"]
     samp = cfg["sampling"]
     metrics = {}
-    if cfg["formulation"] == "ha":
+    if v_space.family == "H":
         for side in ("ABOVE", "BELOW"):
-            prof = sample_bn_profile(mesh, v_space, q_space, sol,
+            prof = sample_bn_profile(v_space, q_space, sol,
                                      offset=samp["offset"], side=side,
                                      n_samples=samp["n_samples"])
             prof.to_csv(outdir / f"profile_bn_{side.lower()}.csv")
             metrics[f"oscillation_bn_{side.lower()}"] = oscillation_metric(prof)
     else:
-        prof = sample_tape_current(mesh, v_space, hist.v[-1], j_c=jc)
+        prof = sample_tape_current(v_space, hist.v[-1], j_c=jc)
         prof.to_csv(outdir / "profile_tape_current.csv")
         metrics["oscillation_tape_current"] = oscillation_metric(prof)
         metrics["interior_sign_changes"] = sign_changes(prof.values[3:-3])
@@ -152,7 +143,7 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
     norms = cfgmod.make_norms(cfg)
     if pairings is None:
         pairings = [tuple(cfg["pairing"])]
-    reports = run_infsup_sweep(params, cfg["formulation"], pairings, n_ref,
+    reports = run_infsup_sweep(params, pairings, n_ref,
                                norms=norms, materials=cfgmod.linear_materials(cfg))
     phases = {name: round(t, 3) for name, t in reports.phases.items()}
     tick = _time.perf_counter()
@@ -188,8 +179,7 @@ def cmd_mesh(cfg, outdir: Path, quiet=False) -> int:
 
 
 def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
-    mesh = _build_mesh(cfg)
-    v_space, q_space = build_pairing(mesh, cfg["formulation"], cfg["pairing"])
+    v_space, q_space = build_pairing(_build_mesh(cfg), cfg["pairing"])
     n = q_space.n_free          # the pencil has at most n nonzero eigenvalues
     if not -n <= mode_rank < n:
         raise cfgmod.ConfigError(f"mode rank {mode_rank} outside the {n} free potential DOFs")
@@ -202,7 +192,7 @@ def cmd_eigenmode(cfg, outdir: Path, mode_rank=0, quiet=False) -> int:
     if not -n <= mode_rank < n:
         raise cfgmod.ConfigError(f"mode rank {mode_rank} outside [-{n}, {n - 1}]")
     rank = mode_rank if mode_rank >= 0 else n + mode_rank
-    export_eigenmode(mesh, v_space, q_space, B, eig, rank, outdir / "eigenmode")
+    export_eigenmode(v_space, q_space, B, eig, rank, outdir / "eigenmode")
     summary = {"command": "eigenmode", "mode_rank": rank,
                "lambda": float(eig.eigenvalues[rank]),
                "beta": eig.beta, "b_norm": eig.b_norm}

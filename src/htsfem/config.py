@@ -2,7 +2,8 @@
 
 Every default is embedded in the schema, so an empty configuration runs
 the stacked-bar magnetization case at the reference parameters.
-Unknown keys are rejected.
+Unknown keys are rejected, and so is a source key that the scenario
+does not read, unless it keeps its default.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ CONFIG_SCHEMA = {
     "properties": {
         "scenario": {"enum": ["stacked_bar", "single_tape"],
                      "default": "stacked_bar"},
-        "formulation": {"enum": ["ha", "ta"], "default": "ha"},
         "pairing": {"type": "array", "items": {"enum": [1, 2]},
                     "minItems": 2, "maxItems": 2, "default": [2, 1]},
         "geometry": {
@@ -64,8 +64,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "b_ext": {"type": "number", "minimum": 0, "default": 0.4},
-                "b_ext_dir": {"type": "array", "items": {"type": "number"},
-                              "minItems": 2, "maxItems": 2, "default": [1.0, 0.0]},
                 "current": {"type": ["number", "null"], "default": None},
                 "current_rel": {"type": "number", "default": 0.5},
                 "voltage": {"type": ["number", "null"], "default": None},
@@ -126,6 +124,10 @@ CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+# the source keys that each scenario does not read
+_UNREAD_SOURCE = {"stacked_bar": ("current_rel", "voltage"), "single_tape": ("b_ext",)}
+
+
 def _apply_defaults(schema, value):
     if schema.get("type") == "object" and isinstance(value, dict):
         out = dict(value)
@@ -154,8 +156,6 @@ def load_config(source=None) -> dict:
         raise ConfigError(f"invalid configuration: {err.message}") from err
     cfg = _apply_defaults(CONFIG_SCHEMA, raw)
     if cfg["scenario"] == "single_tape":
-        if raw.get("formulation") is None:
-            cfg["formulation"] = "ta"
         if raw.get("pairing") is None:
             cfg["pairing"] = [1, 2]
         g = cfg["geometry"]
@@ -165,10 +165,10 @@ def load_config(source=None) -> dict:
             g["delta"] = 0.00025
         if "j_c" not in raw.get("material", {}):
             cfg["material"]["j_c"] = 2.5e8
-    if cfg["formulation"] == "ta" and cfg["scenario"] != "single_tape":
-        raise ConfigError("the t-a formulation runs on the single_tape scenario")
-    if cfg["formulation"] == "ha" and cfg["scenario"] != "stacked_bar":
-        raise ConfigError("the h-a formulation runs on the stacked_bar scenario")
+    schema = CONFIG_SCHEMA["properties"]["source"]["properties"]
+    for key in _UNREAD_SOURCE[cfg["scenario"]]:
+        if cfg["source"][key] != schema[key]["default"]:
+            raise ConfigError(f"source.{key} does not apply to the {cfg['scenario']} scenario")
     return cfg
 
 
@@ -200,12 +200,18 @@ def linear_materials(cfg) -> Materials:
     return Materials(power, magnetic)
 
 
-def imposed_current(cfg) -> float:
+def circuit(cfg) -> tuple:
+    """(mode, peak) of the conductor's or the tape's drive: the bar's
+    net current, 0 unless set; the tape's voltage where set, else its
+    current, ``current`` or ``current_rel`` times the critical current."""
     src, mt, g = cfg["source"], cfg["material"], cfg["geometry"]
+    if cfg["scenario"] == "stacked_bar":
+        return "current", src["current"] or 0.0
+    if src["voltage"] is not None:
+        return "voltage", src["voltage"]
     if src["current"] is not None:
-        return src["current"]
-    i_c = mt["j_c"] * g["tape_thickness"] * g["tape_width"]
-    return src["current_rel"] * i_c
+        return "current", src["current"]
+    return "current", src["current_rel"] * (mt["j_c"] * g["tape_thickness"] * g["tape_width"])
 
 
 def _nominal_dt(t) -> float:
@@ -216,20 +222,12 @@ def _nominal_dt(t) -> float:
 
 
 def make_time(cfg) -> TimeConfig:
-    t, src = cfg["time"], cfg["source"]
+    t = cfg["time"]
     t_ramp = t["ramp_fraction"] * t["t_end"]
-    dt = _nominal_dt(t)
-    b_ext = None
-    if cfg["scenario"] == "stacked_bar":
-        b_ext = ramp_then_hold(src["b_ext"], t_ramp, t["t_end"])
-        mode, peak = "current", src.get("current") or 0.0
-    elif src["voltage"] is not None:
-        mode, peak = "voltage", src["voltage"]
-    else:
-        mode, peak = "current", imposed_current(cfg)
-    return TimeConfig(dt=dt, t_end=t["t_end"], b_ext=b_ext,
-                      b_ext_dir=tuple(src["b_ext_dir"]),
-                      drive=(mode, ramp_then_hold(peak, t_ramp, t["t_end"])),
+    b_ext = (ramp_then_hold(cfg["source"]["b_ext"], t_ramp, t["t_end"])
+             if cfg["scenario"] == "stacked_bar" else None)
+    return TimeConfig(dt=_nominal_dt(t), t_end=t["t_end"], b_ext=b_ext,
+                      drive=ramp_then_hold(circuit(cfg)[1], t_ramp, t["t_end"]),
                       max_iter=t["newton_max_iter"],
                       rel_residual_tol=t["newton_rtol"],
                       rel_increment_tol=t["newton_stol"])

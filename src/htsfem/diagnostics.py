@@ -115,9 +115,8 @@ def _bar_extent(mesh: Mesh2D):
     return xs.min(), xs.max(), ys.max()
 
 
-def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
-                      solution, offset: float, side: str,
-                      n_samples: int) -> ProfileSample:
+def sample_bn_profile(h_space: DofSpace, a_space: DofSpace, solution, offset: float,
+                      side: str, n_samples: int) -> ProfileSample:
     """Normal flux density along a horizontal line offset from the
     conductor/ferromagnet interface of the stacked-bar problem.
 
@@ -126,6 +125,7 @@ def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     outward normal at the top face (+y).
     """
     h_full, a_full = solution
+    mesh = h_space.mesh
     x0, x1, y_top = _bar_extent(mesh)
     if offset <= 0.0:
         raise SamplingError("offset must be positive")
@@ -151,10 +151,10 @@ def sample_bn_profile(mesh: Mesh2D, h_space: DofSpace, a_space: DofSpace,
     return ProfileSample(xs, vals)
 
 
-def sample_tape_current(mesh: Mesh2D, t_space: DofSpace, t_full,
-                        j_c: float) -> ProfileSample:
+def sample_tape_current(t_space: DofSpace, t_full, j_c: float) -> ProfileSample:
     """Current density per tape element at segment midpoints, divided
     by j_c (dimensionless profile)."""
+    mesh = t_space.mesh
     segs = mesh.interface_segments
     j = tape_current_density(t_space, t_full) / j_c
     mids = 0.5 * (mesh.nodes[segs[:, 0]] + mesh.nodes[segs[:, 1]])

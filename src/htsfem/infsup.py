@@ -1,6 +1,6 @@
 """Numerical inf-sup test over a mesh-refinement sequence.
 
-For a formulation and a space pairing (i, j), each mesh contributes the
+For a scenario and a space pairing (i, j), each mesh contributes the
 pair (beta, ||b||): the square roots of the smallest and largest
 nonzero eigenvalues of the coupling pencil.  A log-log slope of beta
 against the element size, fitted on the finer half of the sequence,
@@ -10,7 +10,9 @@ beta shrinking linearly with the element size an unstable one.
 A sweep runs all requested pairings in one pass over the meshes and
 shares, per mesh, what depends on one space only: the spaces, their
 norm matrices, the field-norm factors and one potential-norm factor,
-each one bordered factorization (see ``linalg.interface_schur``).  No
+each one bordered factorization (see ``linalg.interface_schur``).  The
+mesh picks the field space: H on the bar's GAMMA_M, which runs h-a, T
+on the tape's GAMMA_W, which runs t-a.  No
 pencil holds an eigenvector on the whole potential space beyond its two
 checked ones.
 """
@@ -30,7 +32,7 @@ from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
                      infsup_eigenpairs, interface_schur)
 from .materials import MU0, Materials
-from .mesh import (GeometryParams, Scenario, build_stacked_bar_mesh,
+from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
 from .spaces import build_a_space, build_h_space, build_t_space
 
@@ -129,19 +131,18 @@ def _verdict(slope, betas):
     return "INCONCLUSIVE"
 
 
-def _field_space(mesh, formulation: str, order: int):
-    if formulation == "ha":
-        return build_h_space(mesh, enrichment=order, circuit=("current", 0.0))
-    if formulation == "ta":
+def _field_space(mesh, order: int):
+    """The field space at zero current: T on a tape, H on a conductor."""
+    if mesh.interface_tag is Interface.GAMMA_W:
         return build_t_space(mesh, enrichment=order, constraint=("current", 0.0))
-    raise ValueError("formulation must be 'ha' or 'ta'")
+    return build_h_space(mesh, enrichment=order, circuit=("current", 0.0))
 
 
-def build_pairing(mesh, formulation: str, pairing):
+def build_pairing(mesh, pairing):
     """Field/potential space pair for an inf-sup evaluation (test-space
     constraints: zero imposed current, zero outer trace)."""
     i, j = pairing
-    return _field_space(mesh, formulation, i), build_a_space(mesh, enrichment=j)
+    return _field_space(mesh, i), build_a_space(mesh, enrichment=j)
 
 
 class HierarchyError(RuntimeError):
@@ -197,7 +198,7 @@ def _leading_rows(q_low, q_high, P, level) -> int:
     return n_p
 
 
-def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
+def _sweep_level(mesh, pairings, norms, level, reports, width_ref):
     """One mesh level of every pairing: each distinct space is built and
     its norm assembled once, each N_V factored once, with the columns
     that the level's couplings of its field order touch last, and N_Q
@@ -207,7 +208,7 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     block of that norm, and the pencil reads the leading rows of the
     factor."""
     start = time.perf_counter()
-    v_sp = {i: _field_space(mesh, formulation, i) for i in sorted({p[0] for p in pairings})}
+    v_sp = {i: _field_space(mesh, i) for i in sorted({p[0] for p in pairings})}
     q_sp = {j: build_a_space(mesh, enrichment=j) for j in sorted({p[1] for p in pairings})}
     reports.phases["spaces"] += time.perf_counter() - start
     B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
@@ -250,12 +251,12 @@ def _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref):
     reports.sizes.append(sizes)
 
 
-def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
-                     n_refinements: int, norms: NormSpec,
-                     materials: Materials) -> InfSupMatrix:
+def run_infsup_sweep(params: GeometryParams, pairings, n_refinements: int,
+                     norms: NormSpec, materials: Materials) -> InfSupMatrix:
     """Inf-sup test of every pairing (i, j) in ``pairings`` on the base
-    mesh plus ``n_refinements`` uniform refinements (n_refinements + 1
-    meshes, coarse to fine), in one pass over the meshes.  Returns
+    mesh of ``params`` plus ``n_refinements`` uniform refinements
+    (n_refinements + 1 meshes, coarse to fine), in one pass over the
+    meshes: h-a on the stacked bar, t-a on the tape.  Returns
     ``{pairing: InfSupReport}``.
 
     A solver failure carries ``context``: the mesh level and the
@@ -263,17 +264,14 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     """
     if n_refinements < 3:
         raise ValueError("n_refinements must be >= 3")
-    formulation = formulation.lower()
     pairings = list(dict.fromkeys(tuple(p) for p in pairings))
     if not pairings:
         raise ValueError("no pairing given")
     start = time.perf_counter()
     if params.scenario is Scenario.STACKED_BAR:
-        mesh = build_stacked_bar_mesh(params)
-        width_ref = params.bar_width
+        mesh, width_ref, formulation = build_stacked_bar_mesh(params), params.bar_width, "ha"
     else:
-        mesh = build_tape_mesh(params)
-        width_ref = params.tape_width
+        mesh, width_ref, formulation = build_tape_mesh(params), params.tape_width, "ta"
     mesh_s = time.perf_counter() - start
 
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
@@ -288,7 +286,7 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
             mesh = refine(mesh)
             mesh_s += time.perf_counter() - tick
         reports.counters["mesh_levels"] += 1
-        _sweep_level(mesh, formulation, pairings, norms, level, reports, width_ref)
+        _sweep_level(mesh, pairings, norms, level, reports, width_ref)
     reports.phases["mesh"] = mesh_s
     reports.phases["sweep"] = time.perf_counter() - start - mesh_s - reports.phases["spaces"]
 
@@ -300,14 +298,14 @@ def run_infsup_sweep(params: GeometryParams, formulation: str, pairings,
     return reports
 
 
-def export_eigenmode(mesh, v_space, q_space, B, eig: EigenResult, mode_rank: int,
-                     out_prefix):
+def export_eigenmode(v_space, q_space, B, eig: EigenResult, mode_rank: int, out_prefix):
     """Write one eigenmode as point clouds: the potential eigenvector at
     the a-nodes and the supremizer v = N_V^{-1} B^T q, which achieves the
     sup for q, sampled on elements.  Only q is extended to I, and v is
     solved with the pencil's own factor of N_V (``eig.field``)."""
     if not (0 <= mode_rank < len(eig.eigenvalues)):
         raise IndexError("mode rank out of range")
+    mesh = q_space.mesh
     q_free = eig.interior.extend(eig.Y[:, mode_rank])
     q_full = np.zeros(q_space.n_dofs)
     q_full[q_space.free] = q_free

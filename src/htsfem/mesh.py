@@ -174,20 +174,6 @@ class Mesh2D:
         return np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
 
     @cached_property
-    def edge_tris(self):
-        """(E, 2) triangle ids adjacent to each edge, -1 where absent."""
-        out = np.full((len(self.edges), 2), -1, dtype=np.int64)
-        flat = self.tri_edges.ravel()
-        tri_of = np.repeat(np.arange(self.n_triangles), 3)
-        order = np.argsort(flat, kind="stable")
-        fe, ft = flat[order], tri_of[order]
-        first = np.ones(len(fe), dtype=bool)
-        first[1:] = fe[1:] != fe[:-1]
-        out[fe[first], 0] = ft[first]
-        out[fe[~first], 1] = ft[~first]
-        return out
-
-    @cached_property
     def signed_areas(self):
         p = self.nodes
         t = self.triangles
@@ -244,10 +230,26 @@ class Mesh2D:
                                 "GAMMA_W and a conductor boundary")
         return self
 
+    def _interface_tris(self):
+        """(S, 2) ids of the triangles on each interface segment, in
+        ascending order, -1 where there are fewer than two; read from
+        ``tri_edges`` without sorting every edge of the mesh."""
+        segs = self.interface_segments
+        seg_of = np.full(len(self.edges), -1, dtype=np.int64)
+        seg_of[self.edge_ids(segs)] = np.arange(len(segs))
+        hits = seg_of[self.tri_edges]
+        tri, local = np.nonzero(hits >= 0)          # ascending triangles
+        seg = hits[tri, local]
+        second = np.ones(len(seg), dtype=np.int64)
+        second[np.unique(seg, return_index=True)[1]] = 0
+        out = np.full((len(segs), 2), -1, dtype=np.int64)
+        out[seg, second] = tri
+        return out
+
     def _check_gamma_m(self):
         segs = self.interface_segments
         eids = self.edge_ids(segs)
-        tris = self.edge_tris[eids]
+        tris = self._interface_tris()
         if np.any(tris < 0):
             raise MeshError("GAMMA_M segment not shared by two triangles")
         sc = self.tri_region[tris] == int(Region.OMEGA_H_SC)
@@ -262,14 +264,8 @@ class Mesh2D:
 
     def _check_gamma_w(self):
         segs = self.interface_segments
-        # the triangles of each tape segment, read from tri_edges;
-        # edge_tris would sort every edge of the mesh to find these few
-        seg_of = np.full(len(self.edges), -1, dtype=np.int64)
-        seg_of[self.edge_ids(segs)] = np.arange(len(segs))
-        hits = seg_of[self.tri_edges]
-        tris = np.flatnonzero(np.any(hits >= 0, axis=1))
-        counts = np.bincount(hits[hits >= 0], minlength=len(segs))
-        if np.any(counts < 2) or not np.all(np.isin(
+        tris = self._interface_tris()
+        if np.any(tris < 0) or not np.all(np.isin(
                 self.tri_region[tris], [int(Region.OMEGA_A_AIR), int(Region.OMEGA_A_FERRO)])):
             raise MeshError("GAMMA_W segment must lie inside the air region")
         lens = self.segment_lengths(segs)

@@ -16,7 +16,8 @@ An H space is built on a mesh with one conductor and a T space on a
 mesh with one tape; each exposes it as ``circuit``, which owns the one
 "global" degree of freedom, and the net current of a unit global
 coefficient as ``current_scale``.  Circuit sources and reactions are
-handled through these alone.
+handled through these alone.  The field space's family is the
+formulation, h-a for H and t-a for T, and its ``mesh`` the run's mesh.
 
 Each space holds one DOF table, per entity kind: the ascending ids of
 its nodes, then edges, then bubbles, then globals, numbered block by
@@ -114,8 +115,8 @@ class DofSpace:
     @property
     def current_scale(self) -> float:
         """Net current carried by a unit "global" coefficient: 1 for a
-        cut, the tape thickness w for a tape's plus-end hat."""
-        return self.meta.get("current_scale", 1.0)
+        cut, the tape thickness ``mesh.w`` for a tape's plus-end hat."""
+        return self.mesh.w if self.family == "T" else 1.0
 
     def dof(self, kind, entity):
         """DOF of an entity of ``kind``, or the DOFs of an array of them;
@@ -207,7 +208,6 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
         essential["global"] = ([0], value)
     return DofSpace("H", enrichment, mesh, kinds, essential, {
         "circuit": conductor,
-        "current_scale": 1.0,
         "sc_tris": sc_tris,
     })
 
@@ -265,10 +265,7 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraint) -> DofSpace:
         kinds["bubble"] = np.sort(mesh.edge_ids(mesh.interface_segments))
     kinds["global"] = [0]
     essential = {"global": ([0], tape.value / mesh.w)} if mode == "current" else {}
-    return DofSpace("T", enrichment, mesh, kinds, essential, {
-        "circuit": tape,
-        "current_scale": mesh.w,
-    })
+    return DofSpace("T", enrichment, mesh, kinds, essential, {"circuit": tape})
 
 
 def essential_vector(space: DofSpace, *, current=None, a_trace=None) -> np.ndarray:

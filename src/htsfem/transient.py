@@ -4,7 +4,9 @@ Sources are piecewise-linear ramps; the default experiment ramps the
 drive over the first half of the simulation and holds it afterwards.
 A step whose Newton loop fails is retried with a halved step size (at
 most MAX_HALVINGS halvings); the step size re-doubles towards the
-nominal one after two consecutive easy steps.
+nominal one after two consecutive easy steps.  The spaces make the
+run: an H field space runs h-a and a T field space t-a, each against
+an A space on the same mesh.
 
 Voltage convention: voltages are per unit length and positive when
 driving a positive net current through a resistive state (V = R I at
@@ -116,16 +118,16 @@ class TimeConfig:
     """Time grid, Newton controls and source ramps; a failing step is
     halved at most MAX_HALVINGS times.
 
-    ``drive`` is ("current"|"voltage", Ramp) of the conductor or tape,
-    in the mode its space was built with; without one it keeps its
-    build-time value.
+    ``drive`` is the Ramp of the conductor's or tape's current or
+    voltage, whichever its space was built to impose; without one it
+    keeps its build-time value.  ``b_ext`` ramps the uniform external
+    field b, imposed as the outer trace a = -b y.
     """
 
     dt: float
     t_end: float
     b_ext: Ramp | None = None
-    b_ext_dir: tuple = (1.0, 0.0)
-    drive: tuple | None = None
+    drive: Ramp | None = None
     max_iter: int = 30
     rel_residual_tol: float = 1e-6
     rel_increment_tol: float = 1e-9
@@ -154,7 +156,6 @@ class TimeHistory:
     a-block factor, the rejected step attempts, the step halvings and
     the backtracking trials (trial iterates at a damping below 1)."""
 
-    formulation: str
     times: list = field(default_factory=list)
     dts: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -173,40 +174,37 @@ class TimeHistory:
 
 def _circuit_values(v_space, drive, t):
     """Imposed (current, voltage) at time t, the one the circuit is not
-    driven by being None: the drive's ramp where one is given, else the
-    build-time value."""
+    driven by being None: the ``drive`` ramp's value where one is given,
+    else the build-time value."""
     circuit = v_space.circuit
-    mode, ramp = drive or (circuit.mode, None)
-    if mode != circuit.mode:
-        raise ValueError(f"drive mode {mode!r} does not match the space's {circuit.mode!r}")
-    value = ramp(t) if ramp is not None else circuit.value
-    return (value, None) if mode == "current" else (None, value)
+    value = drive(t) if drive is not None else circuit.value
+    return (value, None) if circuit.mode == "current" else (None, value)
 
 
-def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
-                  formulation: str) -> TimeHistory:
+def run_transient(spaces, materials: Materials, time: TimeConfig) -> TimeHistory:
     """Integrate the coupled system from a zero initial solution.
 
-    ``spaces`` is (h_space, a_space) for "ha" or (t_space, a_space)
-    for "ta".  Returns the accepted-step history; raises
+    ``spaces`` is (h_space, a_space), run h-a, or (t_space, a_space),
+    run t-a.  Returns the accepted-step history; raises
     NonConvergenceError when a step fails after all halvings.
     """
-    formulation = formulation.lower()
-    if formulation not in ("ha", "ta"):
-        raise ValueError("formulation must be 'ha' or 'ta'")
     v_space, q_space = spaces
-    assemble = assemble_ha_iteration if formulation == "ha" else assemble_ta_iteration
+    if v_space.family not in ("H", "T") or q_space.family != "A":
+        raise ValueError(f"a transient runs on (H or T, A) spaces, not "
+                         f"({v_space.family}, {q_space.family})")
+    ha = v_space.family == "H"
+    assemble = assemble_ha_iteration if ha else assemble_ta_iteration
 
-    hist = TimeHistory(formulation)
-    blocks = linear_blocks(mesh, v_space, q_space, materials)
+    hist = TimeHistory()
+    blocks = linear_blocks(v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
     # h-a borders the field block's fixed pattern, with weights that only
     # order it; B couples every field DOF of a tape, and t-a condenses
     form, free = blocks.form, (blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
     schur = (BorderedSchur(*free, form.free_block(form.data(np.ones(form.G.shape[0]))))
-             if formulation == "ha" else InterfaceSchur(*free))
+             if ha else InterfaceSchur(*free))
     del free            # the run keeps only the factor of the free K_nu
-    if formulation == "ta" and materials.power.n > 1.0:
+    if not ha and materials.power.n > 1.0:
         _refuse_field_kernel(schur, v_space, q_space)
     # Newton's potential unknowns are the free rows of blocks.gamma
     if not np.array_equal(qf[schur.factor.rows], blocks.gamma[blocks.gamma_free]):
@@ -235,11 +233,8 @@ def run_transient(mesh, spaces, materials: Materials, time: TimeConfig,
             t_new = t + dt_cur
             current, voltage = _circuit_values(v_space, time.drive, t_new)
             v_ess = essential_vector(v_space, current=current)
-            trace = None
-            if time.b_ext is not None:
-                bext = time.b_ext(t_new)
-                dx, dy = time.b_ext_dir
-                trace = lambda x, y, b=bext: -b * (dx * y - dy * x)
+            trace = (None if time.b_ext is None
+                     else lambda x, y, b=time.b_ext(t_new): -b * y)
             q_ess = essential_vector(q_space, a_trace=trace)
             try:
                 result = _newton_step(assemble, blocks, (v_prev, q_prev), dt_cur, v_ess,

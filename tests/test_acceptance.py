@@ -47,7 +47,7 @@ def ha_sweep_reports():
                      {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
                       int(Region.OMEGA_A_AIR): VACUUM})
     t0 = time.perf_counter()
-    reports = run_infsup_sweep(params, "ha", [(1, 1), (1, 2), (2, 1), (2, 2)], 4,
+    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 4,
                                NORMS, mats)
     return reports, time.perf_counter() - t0
 
@@ -92,7 +92,7 @@ def test_criterion_3_ta_verdict_matrix():
                             air_half=0.02)
     linear = Materials(PowerLaw(e_c=NORMS.rho0 * 2.5e8, j_c=2.5e8, n=1),
                        {int(Region.OMEGA_A_AIR): VACUUM})
-    reports = run_infsup_sweep(params, "ta", [(1, 1), (1, 2), (2, 1), (2, 2)], 3,
+    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 3,
                                NORMS, linear)
     verdicts = {pair: rep.verdict for pair, rep in reports.items()}
     assert verdicts[(1, 2)] == "STABLE"
@@ -112,9 +112,9 @@ def test_criterion_3_ta_verdict_matrix():
     t_sp = build_t_space(mesh, 2, ("current", I0))
     a_sp = build_a_space(mesh, 1)
     tc = TimeConfig(dt=0.025, t_end=0.25,
-                    drive=("current", ramp_then_hold(I0, 0.25, 0.25)))
+                    drive=ramp_then_hold(I0, 0.25, 0.25))
     try:
-        run_transient(mesh, (t_sp, a_sp), mats, tc, "ta")
+        run_transient((t_sp, a_sp), mats, tc)
         outcome = "converged"
     except NonConvergenceError as err:
         outcome = f"Newton did not converge ({err})"
@@ -138,12 +138,12 @@ def test_criterion_4_oscillation_contrast_bar():
         h = build_h_space(mesh, pair[0], ("current", 0.0))
         a = build_a_space(mesh, pair[1])
         tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                        drive=("current", ramp_then_hold(0.0, 0.5, 1.0)))
+                        drive=ramp_then_hold(0.0, 0.5, 1.0))
         t0 = time.perf_counter()
-        hist = run_transient(mesh, (h, a), mats, tc, "ha")
+        hist = run_transient((h, a), mats, tc)
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0
-        prof = sample_bn_profile(mesh, h, a, (hist.v[-1], hist.q[-1]),
+        prof = sample_bn_profile(h, a, (hist.v[-1], hist.q[-1]),
                                  offset=1e-4, side="ABOVE", n_samples=400)
         metrics[pair] = oscillation_metric(prof)
     contrast = metrics[(1, 1)] / metrics[(2, 1)]
@@ -166,12 +166,12 @@ def test_criterion_4_oscillation_contrast_tape():
         t_sp = build_t_space(mesh, pair[0], ("current", I0))
         a_sp = build_a_space(mesh, pair[1])
         tc = TimeConfig(dt=0.0125, t_end=0.5,
-                        drive=("current", ramp_then_hold(I0, 0.25, 0.5)))
+                        drive=ramp_then_hold(I0, 0.25, 0.5))
         t0 = time.perf_counter()
-        hist = run_transient(mesh, (t_sp, a_sp), mats, tc, "ta")
+        hist = run_transient((t_sp, a_sp), mats, tc)
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0
-        prof = sample_tape_current(mesh, t_sp, hist.v[-1], j_c=jc)
+        prof = sample_tape_current(t_sp, hist.v[-1], j_c=jc)
         metrics[pair] = oscillation_metric(prof)
         profiles[pair] = prof
     contrast = metrics[(1, 1)] / metrics[(1, 2)]
@@ -266,8 +266,8 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     a_sp = build_a_space(tape_mesh, 1)
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20),
                      {int(Region.OMEGA_A_AIR): VACUUM})
-    tc = TimeConfig(dt=0.05, t_end=0.3, drive=("current", ramp))
-    hist = run_transient(tape_mesh, (t_sp, a_sp), mats, tc, "ta")
+    tc = TimeConfig(dt=0.05, t_end=0.3, drive=ramp)
+    hist = run_transient((t_sp, a_sp), mats, tc)
     segs = tape_mesh.interface_segments
     lens = tape_mesh.segment_lengths(segs)
     worst_c = 0.0
@@ -321,7 +321,7 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)
                             for k, kind, ent in dof_entries(a)])
         h_exact = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
-        blocks = linear_blocks(bar_mesh, h, a, mats)
+        blocks = linear_blocks(h, a, mats)
         sys = assemble_ha_iteration(blocks, (h_exact, a_exact), h_exact, 0.0125,
                                     **{**build_time_values(blocks), "a_essential": a_ess})
         v_new, q_new = expand(sys, solve_reference(*eliminated(sys)))
@@ -342,11 +342,11 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
 # -- criterion 9: linear limit ---------------------------------------------------
 
 
-def test_criterion_9_linear_limit(bar_mesh, bar_spaces_11, bar_materials_linear):
+def test_criterion_9_linear_limit(bar_spaces_11, bar_materials_linear):
     tc = TimeConfig(dt=0.025, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
-                    drive=("current", ramp_then_hold(0.0, 0.125, 0.25)),
+                    drive=ramp_then_hold(0.0, 0.125, 0.25),
                     rel_residual_tol=1e-12)
-    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_linear, tc, "ha")
+    hist = run_transient(bar_spaces_11, bar_materials_linear, tc)
     assert all(it == 1 for it in hist.newton_iters)
     assert max(hist.final_residuals) <= 1e-12
     report(9, f"linear problem converges in exactly one iteration per step, "

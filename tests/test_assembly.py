@@ -11,7 +11,7 @@ from htsfem.assembly import (AssemblyError, SingularNormError,
 from htsfem.mesh import refine
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
-from util import (NORMS, build_time_values, curl_h, dof_entries, eliminated,
+from util import (NORMS, build_time_values, curl_h, dof_entries, edge_tris, eliminated,
                   eval_a_curl, eval_h_field, eval_trace, free_indices,
                   interface_chain, l_bar_mesh, monolithic, s_full, solve_reference)
 
@@ -21,10 +21,10 @@ def sym_defect(K):
     return abs(d).max() / abs(K).max() if d.nnz else 0.0
 
 
-def test_ha_zero_state_zero_solution(bar_mesh, bar_spaces_11, bar_materials_linear):
+def test_ha_zero_state_zero_solution(bar_spaces_11, bar_materials_linear):
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+    blocks = linear_blocks(h, a, bar_materials_linear)
     sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
     K, s = eliminated(sys)
     assert np.abs(s).max() == 0.0
@@ -32,30 +32,30 @@ def test_ha_zero_state_zero_solution(bar_mesh, bar_spaces_11, bar_materials_line
     assert np.abs(x).max() == 0.0
 
 
-def test_ha_symmetry(bar_mesh, bar_spaces_11, bar_materials_power):
+def test_ha_symmetry(bar_spaces_11, bar_materials_power):
     h, a = bar_spaces_11
     rng = np.random.default_rng(0)
     state = (rng.normal(size=h.n_dofs), rng.normal(size=a.n_dofs))
-    blocks = linear_blocks(bar_mesh, h, a, bar_materials_power)
+    blocks = linear_blocks(h, a, bar_materials_power)
     sys = assemble_ha_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     assert sym_defect(eliminated(sys)[0]) < 1e-12
     assert sym_defect(monolithic(sys)) < 1e-12
 
 
-def test_ta_symmetry(tape_mesh, tape_spaces_11, tape_materials_power):
+def test_ta_symmetry(tape_spaces_11, tape_materials_power):
     t, a = tape_spaces_11
     rng = np.random.default_rng(1)
     state = (rng.normal(size=t.n_dofs) * 1e6, rng.normal(size=a.n_dofs) * 1e-6)
-    blocks = linear_blocks(tape_mesh, t, a, tape_materials_power)
+    blocks = linear_blocks(t, a, tape_materials_power)
     sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     assert sym_defect(eliminated(sys)[0]) < 1e-12
 
 
-def test_saddle_block_structure(bar_mesh, bar_spaces_11, bar_materials_linear):
+def test_saddle_block_structure(bar_spaces_11, bar_materials_linear):
     # K = [[A, B^T], [B, -C]] with A, C positive semi-definite
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+    blocks = linear_blocks(h, a, bar_materials_linear)
     sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
     nv = h.n_free
     K = eliminated(sys)[0].toarray()
@@ -68,7 +68,7 @@ def test_saddle_block_structure(bar_mesh, bar_spaces_11, bar_materials_linear):
     assert np.linalg.eigvalsh(C).min() > -1e-10 * np.abs(C).max()
 
 
-def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linear):
+def test_coercivity_rayleigh_bounds(bar_spaces_11, bar_materials_linear):
     # generalized Rayleigh quotient of the field block against its norm
     # matrix falls inside the material-ratio bounds
     import scipy.linalg
@@ -76,7 +76,7 @@ def test_coercivity_rayleigh_bounds(bar_mesh, bar_spaces_11, bar_materials_linea
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     for dt_fac in (1.0, 2.0):
         dt = NORMS.dt0 * dt_fac
-        blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+        blocks = linear_blocks(h, a, bar_materials_linear)
         sys = assemble_ha_iteration(blocks, z, z[0], dt, **build_time_values(blocks))
         nv = h.n_free
         A = eliminated(sys)[0].toarray()[:nv, :nv]
@@ -104,7 +104,7 @@ def test_ha_coupling_hand_values(bar_mesh):
     assert abs(B[a.dof("node", n_mid), col]) < 1e-14
 
 
-def test_ha_coupling_constant_a_loop(bar_mesh, bar_spaces_11):
+def test_ha_coupling_constant_a_loop(bar_spaces_11):
     # a constant along the closed interface pairs to zero with every
     # single-valued test field; the quadrature oracle gives the same
     h, a = bar_spaces_11
@@ -185,10 +185,10 @@ def test_coupling_rejects_spaces_of_two_meshes(bar_mesh, bar_spaces_11,
     with pytest.raises(AssemblyError, match="different meshes"):
         assemble_coupling_matrix(h, fine_a)
     with pytest.raises(AssemblyError, match="different meshes"):
-        linear_blocks(bar_mesh, h, fine_a, bar_materials_linear)
+        linear_blocks(h, fine_a, bar_materials_linear)
 
 
-def test_norm_matrices_spd(bar_mesh, bar_spaces_11):
+def test_norm_matrices_spd(bar_spaces_11):
     h, a = bar_spaces_11
     for space in (h, a):
         N = assemble_norm_matrix(space, NORMS)
@@ -254,7 +254,7 @@ def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     a = build_a_space(tape_mesh, 1)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
-    blocks = linear_blocks(tape_mesh, t, a, tape_materials_power)
+    blocks = linear_blocks(t, a, tape_materials_power)
     sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
     K_full = monolithic(sys).toarray()
     K, s = eliminated(sys)
@@ -270,7 +270,7 @@ def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
                        atol=1e-15 * max(1.0, np.abs(s).max()))
 
 
-def test_gradv_coupling_vanishes_on_closed_loop(bar_mesh, bar_spaces_11):
+def test_gradv_coupling_vanishes_on_closed_loop(bar_spaces_11):
     # the electric-scalar-potential part of the interface coupling
     # contributes only through the net-current functional: the loop
     # circulation of every single-valued basis trace vanishes
@@ -295,14 +295,14 @@ def test_state_size_mismatch(request, form):
     # both formulations check their inputs alike: a short state vector
     # and a non-finite iterate raise
     if form == "ha":
-        mesh, (v, a), mats = (request.getfixturevalue(name) for name in
-                              ("bar_mesh", "bar_spaces_11", "bar_materials_linear"))
+        (v, a), mats = (request.getfixturevalue(name) for name in
+                        ("bar_spaces_11", "bar_materials_linear"))
         assemble = assemble_ha_iteration
     else:
-        mesh, (v, a), mats = (request.getfixturevalue(name) for name in
-                              ("tape_mesh", "tape_spaces_11", "tape_materials_power"))
+        (v, a), mats = (request.getfixturevalue(name) for name in
+                        ("tape_spaces_11", "tape_materials_power"))
         assemble = assemble_ta_iteration
-    blocks = linear_blocks(mesh, v, a, mats)
+    blocks = linear_blocks(v, a, mats)
     bad = (np.zeros(3), np.zeros(a.n_dofs))
     with pytest.raises(AssemblyError):
         assemble(blocks, bad, bad[0], 0.0125, **build_time_values(blocks))
@@ -325,6 +325,7 @@ def test_bubble_rows_match_field_quadrature():
     h = build_h_space(mesh, 2, ("current", 0.0))
     cases = [(a, _a_stiffness(a, nu[a.meta["a_tris"]]), a.meta["a_tris"], eval_a_curl, nu),
              (h, _h_mass(h, 1.0), h.meta["sc_tris"], eval_h_field, np.ones(mesh.n_triangles))]
+    tris_of = edge_tris(mesh)
     for space, K, domain, field, weight in cases:
         unit = np.eye(space.n_dofs)
         domain = set(int(t) for t in domain)
@@ -335,7 +336,7 @@ def test_bubble_rows_match_field_quadrature():
                 continue
             b = space.dof("bubble", edge)
             oracle = np.zeros(space.n_dofs)
-            for t in (int(t) for t in mesh.edge_tris[edge] if t in domain):
+            for t in (int(t) for t in tris_of[edge] if t in domain):
                 local = [index.get(("node", int(n))) for n in mesh.triangles[t]]
                 for e in mesh.tri_edges[t]:
                     local += [index.get(("edge", int(e))), index.get(("bubble", int(e)))]

@@ -8,7 +8,7 @@ import pytest
 import htsfem.cli
 import htsfem.infsup
 from htsfem.cli import main
-from htsfem.config import CONFIG_SCHEMA, ConfigError, load_config, make_geometry
+from htsfem.config import CONFIG_SCHEMA, ConfigError, circuit, load_config, make_geometry
 from htsfem.linalg import DegenerateCouplingError, SingularSystemError
 
 
@@ -49,7 +49,7 @@ def test_defaults_resolve():
 
 def test_tape_defaults_switch():
     cfg = load_config({"scenario": "single_tape"})
-    assert cfg["formulation"] == "ta"
+    assert "formulation" not in cfg         # the scenario decides it
     assert cfg["pairing"] == [1, 2]
     assert cfg["material"]["j_c"] == 2.5e8
     assert cfg["geometry"]["tape_thickness"] == 1e-6
@@ -62,6 +62,17 @@ def test_unknown_keys_rejected():
         load_config({"material": {"jc": 1.0}})
     with pytest.raises(ConfigError):
         load_config({"seed": 0})
+
+
+def test_circuit_reads_the_scenario():
+    # the bar's net current, 0 unless set; the tape's voltage where set,
+    # else its current, by default current_rel times the critical current
+    assert circuit(load_config({})) == ("current", 0.0)
+    assert circuit(load_config({"source": {"current": 2.0}})) == ("current", 2.0)
+    tape = {"scenario": "single_tape"}
+    assert circuit(load_config(tape)) == ("current", 0.5 * (2.5e8 * 1e-6 * 0.01))
+    assert circuit(load_config({**tape, "source": {"current": 1.5}})) == ("current", 1.5)
+    assert circuit(load_config({**tape, "source": {"voltage": 1e-4}})) == ("voltage", 1e-4)
 
 
 def test_config_schema_checked_once_and_reports_as_validate():
@@ -98,6 +109,34 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err["error"] == "config"
     assert not (out / "run.json").exists()
+
+
+def test_cli_formulation_key_exit_2(tmp_path, capsys):
+    # the spaces carry the formulation: the key is unknown
+    cfg = write_cfg(tmp_path, {"scenario": "single_tape", "formulation": "ta"})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"] == "config" and "'formulation'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario,key,value", [("stacked_bar", "voltage", 1e-4),
+                                                ("stacked_bar", "current_rel", 0.2),
+                                                ("single_tape", "b_ext", 0.2)])
+def test_cli_source_key_the_scenario_does_not_read_exit_2(tmp_path, capsys, scenario,
+                                                          key, value):
+    # refused and named, not dropped; at its default the key passes, so
+    # a resolved configuration loads again
+    cfg = write_cfg(tmp_path, {"scenario": scenario, "source": {key: value}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err == {"error": "config",
+                   "message": f"source.{key} does not apply to the {scenario} scenario"}
+    assert not out.exists()
+    resolved = load_config({"scenario": scenario})
+    assert load_config(resolved) == resolved
 
 
 def test_cli_null_current_rel_exit_2(tmp_path, capsys):

@@ -52,7 +52,7 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
             v = build_t_space(mesh, i, ("current", 0.0))
         q = build_a_space(mesh, j)
-        blocks = linear_blocks(mesh, v, q, mats)
+        blocks = linear_blocks(v, q, mats)
         case = SimpleNamespace(
             form=form, mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks,
             K_nu=blocks.K_nu, B=blocks.B, i_c=CRITICAL_CURRENT[form],

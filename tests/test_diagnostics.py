@@ -88,10 +88,10 @@ def test_binned_location_matches_the_full_search(bar_mesh, region):
     assert np.array_equal(barys, ref_barys)
 
 
-def test_zero_solution_zero_profile(bar_mesh, bar_spaces_11):
+def test_zero_solution_zero_profile(bar_spaces_11):
     h, a = bar_spaces_11
     sol = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    prof = sample_bn_profile(bar_mesh, h, a, sol, offset=1e-4, side="ABOVE", n_samples=200)
+    prof = sample_bn_profile(h, a, sol, offset=1e-4, side="ABOVE", n_samples=200)
     assert np.abs(prof.values).max() == 0.0
     assert len(prof.positions) >= 50
 
@@ -115,25 +115,25 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
                        for k, kind, ent in dof_entries(a)])
     h_full = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
     # fixed point of one implicit step from the exact state
-    blocks = linear_blocks(bar_mesh, h, a, mats)
+    blocks = linear_blocks(h, a, mats)
     sys = assemble_ha_iteration(blocks, (h_full, a_full), h_full, 0.0125,
                                 **{**build_time_values(blocks), "a_essential": a_exact})
     v_new, q_new = expand(sys, solve_reference(*eliminated(sys)))
-    above = sample_bn_profile(bar_mesh, h, a, (v_new, q_new),
+    above = sample_bn_profile(h, a, (v_new, q_new),
                               offset=1e-4, side="ABOVE", n_samples=200)
-    below = sample_bn_profile(bar_mesh, h, a, (v_new, q_new),
+    below = sample_bn_profile(h, a, (v_new, q_new),
                               offset=1e-4, side="BELOW", n_samples=200)
     assert np.abs(above.values - b0).max() < 1e-10 * b0
     assert np.abs(above.values - below.values).max() < 1e-10 * b0
 
 
-def test_bn_profile_offset_outside_region(bar_mesh, bar_spaces_11):
+def test_bn_profile_offset_outside_region(bar_spaces_11):
     h, a = bar_spaces_11
     sol = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     with pytest.raises(SamplingError):
-        sample_bn_profile(bar_mesh, h, a, sol, offset=0.02, side="ABOVE", n_samples=200)
+        sample_bn_profile(h, a, sol, offset=0.02, side="ABOVE", n_samples=200)
     with pytest.raises(SamplingError):
-        sample_bn_profile(bar_mesh, h, a, sol, offset=-1e-4, side="BELOW", n_samples=200)
+        sample_bn_profile(h, a, sol, offset=-1e-4, side="BELOW", n_samples=200)
 
 
 def test_tape_profile_constant_ramp(tape_mesh):
@@ -145,7 +145,7 @@ def test_tape_profile_constant_ramp(tape_mesh):
         if kind == "node":
             x[k] = T * (tape_mesh.nodes[ent, 0] - xm) / 0.01
     jc = 2.5e8
-    prof = sample_tape_current(tape_mesh, t, x, j_c=jc)
+    prof = sample_tape_current(t, x, j_c=jc)
     expect = 2.0 / (tape_mesh.w * 0.01 * jc)
     assert np.abs(prof.values - expect).max() < 1e-9 * expect
 
@@ -157,9 +157,9 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.05, t_end=0.25,
-                    drive=("current", ramp_then_hold(I0, 0.25, 0.25)))
-    hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
-    prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
+                    drive=ramp_then_hold(I0, 0.25, 0.25))
+    hist = run_transient((t, a), tape_materials_power, tc)
+    prof = sample_tape_current(t, hist.v[-1], j_c=jc)
     segs = tape_mesh.interface_segments
     lens = tape_mesh.segment_lengths(segs)
     net = tape_mesh.w * jc * float(prof.values @ lens)
@@ -174,9 +174,9 @@ def test_stable_tape_penetration_shape(tape_mesh, tape_materials_power):
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.00125, t_end=0.05,
-                    drive=("current", ramp_then_hold(I0, 0.05, 0.05)))
-    hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
-    prof = sample_tape_current(tape_mesh, t, hist.v[-1], j_c=jc)
+                    drive=ramp_then_hold(I0, 0.05, 0.05))
+    hist = run_transient((t, a), tape_materials_power, tc)
+    prof = sample_tape_current(t, hist.v[-1], j_c=jc)
     v = prof.values
     mid = v[len(v) // 2]
     assert 0.85 <= v[0] <= 1.25

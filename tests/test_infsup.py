@@ -50,7 +50,7 @@ def test_coercivity_rejects_power_law():
 
 def test_sweep_requires_three_refinements(bar_params, bar_materials_linear):
     with pytest.raises(ValueError):
-        run_infsup_sweep(bar_params, "ha", [(1, 1)], 2, NORMS, bar_materials_linear)
+        run_infsup_sweep(bar_params, [(1, 1)], 2, NORMS, bar_materials_linear)
 
 
 def test_verdict_rules():
@@ -69,7 +69,7 @@ def test_slope_fit_on_finest_half():
 
 
 def test_mode_rayleigh_quotient_and_normalization(bar_mesh):
-    v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
+    v_sp, q_sp = build_pairing(bar_mesh, (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
     NV = assemble_norm_matrix(v_sp, NORMS)
     NQ = assemble_norm_matrix(q_sp, NORMS)
@@ -84,12 +84,12 @@ def test_mode_rayleigh_quotient_and_normalization(bar_mesh):
 
 
 def test_unstable_smallest_mode_oscillates(tmp_path, bar_mesh):
-    v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
+    v_sp, q_sp = build_pairing(bar_mesh, (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
     NV = assemble_norm_matrix(v_sp, NORMS)
     NQ = assemble_norm_matrix(q_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, NQ)
-    q_full, v_full = export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
+    q_full, v_full = export_eigenmode(v_sp, q_sp, B, eig, 0, tmp_path / "mode")
     segs = bar_mesh.interface_segments
     vals = np.array([q_full[q_sp.dof("node", int(n))] for n in segs[:, 0]])
     s = np.sign(vals[np.abs(vals) > 1e-12 * np.abs(vals).max()])
@@ -110,32 +110,33 @@ def test_supremizer_matches_reference_solve(request, tmp_path, mesh, form, pair)
     # N_V, against the pivoting reference solve of N_V v = B^T q, for
     # the smallest and the largest mode
     mesh = request.getfixturevalue(mesh)
-    v_sp, q_sp = build_pairing(mesh, form, pair)
+    v_sp, q_sp = build_pairing(mesh, pair)
+    assert v_sp.family == {"ha": "H", "ta": "T"}[form]        # the mesh picks it
     B = assemble_coupling_matrix(v_sp, q_sp)
     NV = assemble_norm_matrix(v_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, assemble_norm_matrix(q_sp, NORMS))
     for rank in (0, len(eig.eigenvalues) - 1):
-        q_full, v_full = export_eigenmode(mesh, v_sp, q_sp, B, eig, rank,
+        q_full, v_full = export_eigenmode(v_sp, q_sp, B, eig, rank,
                                           tmp_path / f"mode{rank}")
         ref = solve_reference(NV, np.asarray(B.T @ q_full[q_sp.free]).ravel())
         assert np.abs(v_full[v_sp.free] - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_mode_rank_out_of_range(bar_mesh, tmp_path):
-    v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
+    v_sp, q_sp = build_pairing(bar_mesh, (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
     NV = assemble_norm_matrix(v_sp, NORMS)
     NQ = assemble_norm_matrix(q_sp, NORMS)
     eig = infsup_eigenpairs(B, NV, NQ)
     with pytest.raises(IndexError):
-        export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 10 ** 6, tmp_path / "mode")
+        export_eigenmode(v_sp, q_sp, B, eig, 10 ** 6, tmp_path / "mode")
 
 
 def test_hierarchical_nesting_beta(bar_mesh):
     # enlarging the field space cannot decrease the sup
     betas = {}
     for pair in [(1, 1), (2, 1)]:
-        v_sp, q_sp = build_pairing(bar_mesh, "ha", pair)
+        v_sp, q_sp = build_pairing(bar_mesh, pair)
         B = assemble_coupling_matrix(v_sp, q_sp)
         NV = assemble_norm_matrix(v_sp, NORMS)
         NQ = assemble_norm_matrix(q_sp, NORMS)
@@ -160,15 +161,20 @@ def test_report_serialization(tmp_path):
 PAIRINGS = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
-@pytest.mark.parametrize("formulation", ["ha", "ta"])
-def test_shared_level_matches_separate_pencils(formulation, bar_mesh, tape_mesh):
+# the mesh picks the field space: H on the bar (h-a), T on the tape (t-a)
+MESHES = pytest.mark.parametrize("mesh,formulation", [("bar_mesh", "ha"), ("tape_mesh", "ta")],
+                                 ids=["ha", "ta"])
+
+
+@MESHES
+def test_shared_level_matches_separate_pencils(request, mesh, formulation):
     # the shared mesh, spaces, N_V factors and N_Q condensation of one
     # level give every pairing the record of its own separate pencil
-    base = bar_mesh if formulation == "ha" else tape_mesh
+    base = request.getfixturevalue(mesh)
     meshes = [base, refine(base)]
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in PAIRINGS})
     for level, mesh in enumerate(meshes):
-        _sweep_level(mesh, formulation, PAIRINGS, NORMS, level, reports, 1.0)
+        _sweep_level(mesh, PAIRINGS, NORMS, level, reports, 1.0)
     # 8 pencils, each checked on the whole potential space at its two ends
     assert reports.counters == {"mesh_levels": 0, "field_norm_factorizations": 4,
                                 "interior_factorizations": 2, "pencils": 8,
@@ -176,7 +182,7 @@ def test_shared_level_matches_separate_pencils(formulation, bar_mesh, tape_mesh)
     for level, mesh in enumerate(meshes):
         sizes = reports.sizes[level]
         for pair in PAIRINGS:
-            v_sp, q_sp = build_pairing(mesh, formulation, pair)
+            v_sp, q_sp = build_pairing(mesh, pair)
             B = assemble_coupling_matrix(v_sp, q_sp)
             eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, NORMS),
                                     assemble_norm_matrix(q_sp, NORMS))
@@ -202,11 +208,11 @@ def _bubbles_first(space):
 
 
 def test_leading_rows_checks_the_hierarchy(bar_mesh):
-    _, q1 = build_pairing(bar_mesh, "ha", (1, 1))
-    v2, q2 = build_pairing(bar_mesh, "ha", (2, 2))
+    _, q1 = build_pairing(bar_mesh, (1, 1))
+    v2, q2 = build_pairing(bar_mesh, (2, 2))
     P = np.flatnonzero(np.diff(assemble_coupling_matrix(v2, q2).indptr))
     n_p = _leading_rows(q1, q2, P, 0)
-    B11 = assemble_coupling_matrix(build_pairing(bar_mesh, "ha", (1, 1))[0], q1)
+    B11 = assemble_coupling_matrix(build_pairing(bar_mesh, (1, 1))[0], q1)
     assert np.array_equal(P[:n_p], np.flatnonzero(np.diff(B11.indptr)))
     with pytest.raises(HierarchyError, match="level 3: .* different interiors"):
         _leading_rows(q1, q2, P[:-1], 3)
@@ -221,15 +227,14 @@ def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, bar_materials_l
         return _bubbles_first(space) if enrichment == 2 else space
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
     with pytest.raises(HierarchyError, match="level 0"):
-        run_infsup_sweep(bar_params, "ha", [(1, 1), (1, 2)], 3, NORMS, bar_materials_linear)
+        run_infsup_sweep(bar_params, [(1, 1), (1, 2)], 3, NORMS, bar_materials_linear)
 
 
-@pytest.mark.parametrize("formulation", ["ha", "ta"])
-def test_lower_potential_norm_is_the_leading_block(formulation, bar_mesh, tape_mesh,
-                                                   monkeypatch):
+@MESHES
+def test_lower_potential_norm_is_the_leading_block(request, mesh, formulation, monkeypatch):
     # the order-1 pencil gets the leading block of the order-2 norm; it
     # must be the order-1 space's own norm
-    mesh = bar_mesh if formulation == "ha" else tape_mesh
+    mesh = request.getfixturevalue(mesh)
     seen = {}
 
     def recording(B, N_V, N_Q, *args, **kwargs):
@@ -239,21 +244,21 @@ def test_lower_potential_norm_is_the_leading_block(formulation, bar_mesh, tape_m
     monkeypatch.setattr(htsfem.infsup, "infsup_eigenpairs", recording)
     pairings = [(1, 1), (1, 2)]
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
-    _sweep_level(mesh, formulation, pairings, NORMS, 0, reports, 1.0)
+    _sweep_level(mesh, pairings, NORMS, 0, reports, 1.0)
     for pair in pairings:
-        q_sp = build_pairing(mesh, formulation, pair)[1]
+        q_sp = build_pairing(mesh, pair)[1]
         ref = assemble_norm_matrix(q_sp, NORMS)
         assert abs(seen[q_sp.n_free] - ref).max() <= 1e-13 * abs(ref).max()
 
 
-@pytest.mark.parametrize("formulation", ["ha", "ta"])
-def test_lower_order_pencil_reads_the_richer_factor(formulation, bar_mesh, tape_mesh):
+@MESHES
+def test_lower_order_pencil_reads_the_richer_factor(request, mesh, formulation):
     # the order-1 pencil gives the same spectrum and extended end modes
     # with the level's order-2 factor as with a factor of its own; a
     # factor that splits the DOFs otherwise is refused
-    mesh = bar_mesh if formulation == "ha" else tape_mesh
-    v1, q1 = build_pairing(mesh, formulation, (1, 1))
-    q2 = build_pairing(mesh, formulation, (1, 2))[1]
+    mesh = request.getfixturevalue(mesh)
+    v1, q1 = build_pairing(mesh, (1, 1))
+    q2 = build_pairing(mesh, (1, 2))[1]
     B = assemble_coupling_matrix(v1, q1)
     B2 = assemble_coupling_matrix(v1, q2)
     N_V = assemble_norm_matrix(v1, NORMS)

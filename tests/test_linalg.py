@@ -48,13 +48,13 @@ def test_solve_symmetric_indefinite_vs_dense(solve):
 
 
 @pytest.mark.parametrize("solve", [solve_sparse, solve_reference])
-def test_solve_assembled_ha_vs_dense(solve, bar_mesh, bar_spaces_11, bar_materials_linear):
+def test_solve_assembled_ha_vs_dense(solve, bar_spaces_11, bar_materials_linear):
     from htsfem.assembly import assemble_ha_iteration, linear_blocks
     from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     a_ess = essential_vector(a, a_trace=lambda x, y: -0.4 * y)
-    blocks = linear_blocks(bar_mesh, h, a, bar_materials_linear)
+    blocks = linear_blocks(h, a, bar_materials_linear)
     sys = assemble_ha_iteration(blocks, z, z[0], 0.0125,
                                 **{**build_time_values(blocks), "a_essential": a_ess})
     K, s = eliminated(sys)
@@ -119,14 +119,14 @@ def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_
     for name in calls:
         monkeypatch.setattr(htsfem.linalg, name, recording(name))
     tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
-    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
+    hist = run_transient(bar_spaces_11, bar_materials_power, tc)
     assert hist.n_steps == 2
-    v_sp, q_sp = build_pairing(bar_mesh, "ha", (1, 1))
+    v_sp, q_sp = build_pairing(bar_mesh, (1, 1))
     B = assemble_coupling_matrix(v_sp, q_sp)
     eig = infsup_eigenpairs(B, assemble_norm_matrix(v_sp, NORMS),
                             assemble_norm_matrix(q_sp, NORMS))
     n_splu = len(calls["splu"])
-    export_eigenmode(bar_mesh, v_sp, q_sp, B, eig, 0, tmp_path / "mode")
+    export_eigenmode(v_sp, q_sp, B, eig, 0, tmp_path / "mode")
     assert len(calls["splu"]) == n_splu          # the export factors nothing
     # the a-block, one bordered system per Newton iteration, N_V and N_Q
     assert n_splu == 1 + hist.counters["field_solves"] + 2
@@ -234,7 +234,7 @@ def test_eig_interior_dofs_vs_whitened_svd(seed, n_q, n_v, coupled, density):
 def test_eig_ha_pairings_vs_whitened_svd(bar_mesh, pairing):
     from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
     from htsfem.infsup import build_pairing
-    v_sp, q_sp = build_pairing(bar_mesh, "ha", pairing)
+    v_sp, q_sp = build_pairing(bar_mesh, pairing)
     B = assemble_coupling_matrix(v_sp, q_sp)
     N_V = assemble_norm_matrix(v_sp, NORMS)
     N_Q = assemble_norm_matrix(q_sp, NORMS)

@@ -9,7 +9,7 @@ from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
                          build_stacked_bar_mesh, refine, write_native)
 
-from util import l_bar_mesh, read_mesh
+from util import edge_tris, l_bar_mesh, read_mesh
 
 
 def test_stacked_bar_interface_perimeter(bar_mesh):
@@ -165,7 +165,7 @@ def _with_regions(mesh, tri_region):
 def test_gamma_m_must_separate_conductor(bar_mesh):
     segs = bar_mesh.interface_segments
     regions = bar_mesh.tri_region.copy()
-    regions[bar_mesh.edge_tris[bar_mesh.edge_ids(segs[5:6])[0]]] = int(Region.OMEGA_H_SC)
+    regions[edge_tris(bar_mesh)[bar_mesh.edge_ids(segs[5:6])[0]]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="does not separate conductor from exterior"):
         _with_regions(bar_mesh, regions).validate()
 
@@ -197,10 +197,18 @@ def test_interface_chains_split_loops_and_reject_open_ones():
         broken.validate()
 
 
+@pytest.mark.parametrize("name", ["bar_mesh", "tape_mesh"])
+def test_interface_tris_match_the_edge_oracle(request, name):
+    # the interface checks read each segment's triangles from tri_edges
+    mesh = request.getfixturevalue(name)
+    segs = mesh.interface_segments
+    assert np.array_equal(mesh._interface_tris(), edge_tris(mesh)[mesh.edge_ids(segs)])
+
+
 def test_gamma_w_must_lie_in_air(tape_mesh):
     segs = tape_mesh.interface_segments
     regions = tape_mesh.tri_region.copy()
-    regions[tape_mesh.edge_tris[tape_mesh.edge_ids(segs[3:4])[0]][0]] = int(Region.OMEGA_H_SC)
+    regions[edge_tris(tape_mesh)[tape_mesh.edge_ids(segs[3:4])[0]][0]] = int(Region.OMEGA_H_SC)
     with pytest.raises(MeshError, match="GAMMA_W segment must lie inside the air region"):
         _with_regions(tape_mesh, regions).validate()
 

@@ -10,8 +10,8 @@ from htsfem.spaces import (SpaceError, TopologyError, build_a_space, build_h_spa
                            build_t_space, essential_vector, trace_table,
                            whitney_transform)
 
-from util import (dof_entries, eval_h_field, eval_trace, interface_chain, l_bar_mesh,
-                  solve_reference)
+from util import (dof_entries, edge_tris, eval_h_field, eval_trace, interface_chain,
+                  l_bar_mesh, solve_reference)
 
 
 def loop_circulation(space, coeffs):
@@ -70,7 +70,7 @@ def test_cut_curl_confined_to_layer(bar_mesh):
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
     # the layer: the conductor triangles on the cut's edges
-    layer = set(bar_mesh.edge_tris[h.circuit.cut_edges].ravel().tolist()) & set(tris.tolist())
+    layer = set(edge_tris(bar_mesh)[h.circuit.cut_edges].ravel().tolist()) & set(tris.tolist())
     scale = np.abs(curl).max()
     for t, c in zip(tris, curl):
         if int(t) not in layer:
@@ -292,7 +292,7 @@ def test_t_trace_orders(tape_mesh):
     assert v2[1] == pytest.approx(0.5 * (v2[0] + v2[2]), rel=1e-9)
 
 
-def test_trace_out_of_range(bar_mesh, bar_spaces_11):
+def test_trace_out_of_range(bar_spaces_11):
     h, _ = bar_spaces_11
     x = np.zeros(h.n_dofs)
     with pytest.raises(SpaceError):
@@ -361,8 +361,9 @@ def test_h_trace_table_matches_tangential_field(bar_mesh):
     eids = bar_mesh.edge_ids(segs)
     sc = set(int(t) for t in h.meta["sc_tris"])
     sides = []
+    seg_tris = edge_tris(bar_mesh)[eids]
     for k, (a, b) in enumerate(segs):
-        t = next(int(t) for t in bar_mesh.edge_tris[eids[k]] if t in sc)
+        t = next(int(t) for t in seg_tris[k] if t in sc)
         tri = list(bar_mesh.triangles[t])
         bary = np.zeros((len(LINE_QP), 3))
         bary[:, tri.index(a)] = 1.0 - LINE_QP

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -48,12 +49,11 @@ def test_time_config_validation():
         TimeConfig(dt=0.1, t_end=1.0, max_iter=0)
 
 
-def test_linear_single_newton_iteration(bar_mesh, bar_spaces_11,
-                                        bar_materials_linear):
+def test_linear_single_newton_iteration(bar_spaces_11, bar_materials_linear):
     tc = TimeConfig(dt=0.05, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
-                    drive=("current", ramp_then_hold(0.0, 0.125, 0.25)),
+                    drive=ramp_then_hold(0.0, 0.125, 0.25),
                     rel_residual_tol=1e-12)
-    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_linear, tc, "ha")
+    hist = run_transient(bar_spaces_11, bar_materials_linear, tc)
     assert hist.n_steps == 5
     assert all(it == 1 for it in hist.newton_iters)
     assert max(hist.final_residuals) <= 1e-12
@@ -63,9 +63,9 @@ def test_step_count_matches_grid(small_tape):
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.5,
-                    drive=("current", ramp_then_hold(1.0, 0.25, 0.5)),
+                    drive=ramp_then_hold(1.0, 0.25, 0.5),
                     rel_residual_tol=1e-10)
-    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+    hist = run_transient((t, a), linear_mats(1e-9), tc)
     assert hist.n_steps == 5
     assert np.allclose(hist.dts, 0.1)
 
@@ -77,8 +77,8 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
     ramp = ramp_then_hold(I0, 0.25, 0.5)
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.05, t_end=0.5, drive=("current", ramp))
-    hist = run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
+    tc = TimeConfig(dt=0.05, t_end=0.5, drive=ramp)
+    hist = run_transient((t, a), tape_materials_power, tc)
     segs = small_tape.interface_segments
     lens = small_tape.segment_lengths(segs)
     for k, tk in enumerate(hist.times):
@@ -92,8 +92,8 @@ def test_zero_drive_zero_voltage(small_tape):
     t = build_t_space(small_tape, 1, ("current", 0.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=("current", ramp_then_hold(0.0, 0.15, 0.3)))
-    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+                    drive=ramp_then_hold(0.0, 0.15, 0.3))
+    hist = run_transient((t, a), linear_mats(1e-9), tc)
     V = circuit_post(hist, (t, a))
     assert np.abs(V).max() == 0.0
 
@@ -105,9 +105,9 @@ def test_dc_voltage_matches_analytic_resistance(small_tape):
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=20.0,
-                    drive=("current", ramp_then_hold(I0, 1.0, 20.0)),
+                    drive=ramp_then_hold(I0, 1.0, 20.0),
                     rel_residual_tol=1e-12)
-    hist = run_transient(small_tape, (t, a), linear_mats(rho), tc, "ta")
+    hist = run_transient((t, a), linear_mats(rho), tc)
     V = circuit_post(hist, (t, a))
     R = rho / (small_tape.w * WIDTH)
     assert V[-1] == pytest.approx(R * I0, rel=1e-6)
@@ -122,16 +122,16 @@ def test_reciprocity_roundtrip(small_tape):
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.05, t_end=1.0,
-                    drive=("current", ramp_then_hold(I0, 0.5, 1.0)),
+                    drive=ramp_then_hold(I0, 0.5, 1.0),
                     rel_residual_tol=1e-10)
-    h1 = run_transient(small_tape, (t, a), mats, tc, "ta")
+    h1 = run_transient((t, a), mats, tc)
     V = circuit_post(h1, (t, a))
 
     vramp = Ramp((0.0, *h1.times), (0.0, *V))
     t2 = build_t_space(small_tape, 1, ("voltage", 0.0))
-    tc2 = TimeConfig(dt=0.05, t_end=1.0, drive=("voltage", vramp),
+    tc2 = TimeConfig(dt=0.05, t_end=1.0, drive=vramp,
                      rel_residual_tol=1e-10)
-    h2 = run_transient(small_tape, (t2, a), mats, tc2, "ta")
+    h2 = run_transient((t2, a), mats, tc2)
     I_rec = circuit_post(h2, (t2, a))
     I_imp = np.array([ramp_then_hold(I0, 0.5, 1.0)(tk) for tk in h2.times])
     assert np.abs(I_rec - I_imp).max() < 1e-6 * I0
@@ -146,9 +146,9 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
     a = build_a_space(small_tape, 1)
     t = build_t_space(small_tape, 1, ("voltage", V0))
     currents = []
-    for drive in (None, ("voltage", Ramp((0.0,), (V0,)))):
+    for drive in (None, Ramp((0.0,), (V0,))):
         tc = TimeConfig(dt=0.25, t_end=2.0, drive=drive, rel_residual_tol=1e-12)
-        hist = run_transient(small_tape, (t, a), mats, tc, "ta")
+        hist = run_transient((t, a), mats, tc)
         currents.append(circuit_post(hist, (t, a)))
     assert np.array_equal(currents[0], currents[1])
     R = rho / (small_tape.w * WIDTH)
@@ -160,8 +160,8 @@ def test_requesting_imposed_quantity_is_identity(small_tape):
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(I0, 0.15, 0.3)
-    tc = TimeConfig(dt=0.1, t_end=0.3, drive=("current", ramp))
-    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+    tc = TimeConfig(dt=0.1, t_end=0.3, drive=ramp)
+    hist = run_transient((t, a), linear_mats(1e-9), tc)
     # the imposed quantity can be read back from the coefficients
     dof = t.dof("global", 0)
     for k, tk in enumerate(hist.times):
@@ -175,10 +175,10 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.25, t_end=0.5,
-                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)),
+                    drive=ramp_then_hold(I0, 0.25, 0.5),
                     max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
     with pytest.raises(NonConvergenceError, match="after 4 halvings") as err:
-        run_transient(small_tape, (t, a), tape_materials_power, tc, "ta")
+        run_transient((t, a), tape_materials_power, tc)
     assert MAX_HALVINGS == 4
     assert err.value.step is not None
     assert err.value.step == 0
@@ -187,10 +187,10 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
 
 
 @pytest.fixture(scope="module")
-def bar_power_history(bar_mesh, bar_spaces_11, bar_materials_power):
+def bar_power_history(bar_spaces_11, bar_materials_power):
     tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drive=("current", ramp_then_hold(0.0, 0.5, 1.0)))
-    return run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
+                    drive=ramp_then_hold(0.0, 0.5, 1.0))
+    return run_transient(bar_spaces_11, bar_materials_power, tc)
 
 
 def test_penetration_advances_monotonically(bar_mesh, bar_spaces_11,
@@ -238,8 +238,8 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
     tc = TimeConfig(dt=0.025, t_end=0.5,
-                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)))
-    hist = run_transient(tape_mesh, (t, a), tape_materials_power, tc, "ta")
+                    drive=ramp_then_hold(I0, 0.25, 0.5))
+    hist = run_transient((t, a), tape_materials_power, tc)
     worst = max(np.abs(tape_current_density(t, v)).max() for v in hist.v)
     assert worst <= 1.25 * jc
 
@@ -248,8 +248,8 @@ def test_history_exports(tmp_path, small_tape):
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=("current", ramp_then_hold(1.0, 0.15, 0.3)))
-    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+                    drive=ramp_then_hold(1.0, 0.15, 0.3))
+    hist = run_transient((t, a), linear_mats(1e-9), tc)
     V = circuit_post(hist, (t, a))
     csv = tmp_path / "voltage.csv"
     write_history_csv(hist, "voltage", V, csv)
@@ -273,7 +273,7 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
     edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
                      1e16, 123456789.125, 1e-5, 1e21])
-    hist = TimeHistory("ta")
+    hist = TimeHistory()
     for k in range(3):
         hist.times.append(0.1 * (k + 1))
         hist.dts.append(-0.0 if k == 1 else 0.1)
@@ -301,12 +301,12 @@ def test_drive_values_record_the_imposed_values(small_tape):
     # accepted iterate's global DOF
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(1.5, 0.15, 0.3)
-    for mode, value, drive in (("current", 1.5, ("current", ramp)),
+    for mode, value, drive in (("current", 1.5, ramp),
                                ("current", 0.7, None),
                                ("voltage", 1e-4, None)):
         t = build_t_space(small_tape, 1, (mode, value))
         tc = TimeConfig(dt=0.1, t_end=0.3, drive=drive, rel_residual_tol=1e-10)
-        hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+        hist = run_transient((t, a), linear_mats(1e-9), tc)
         expected = [ramp(tk) if drive else value for tk in hist.times]
         values = [_circuit_values(t, drive, tk) for tk in hist.times]
         imposed = [c if mode == "current" else v for c, v in values]
@@ -318,15 +318,15 @@ def test_drive_values_record_the_imposed_values(small_tape):
             assert [v[dof] for v in hist.v] == [x / t.current_scale for x in expected]
 
 
-def test_drive_mode_must_match_the_space(small_tape):
-    t = build_t_space(small_tape, 1, ("current", 1.0))
-    a = build_a_space(small_tape, 1)
-    drive = ("voltage", ramp_then_hold(1e-4, 0.15, 0.3))
-    with pytest.raises(ValueError, match="drive mode 'voltage' does not match"):
-        _circuit_values(t, drive, 0.1)
-    tc = TimeConfig(dt=0.1, t_end=0.3, drive=drive)
-    with pytest.raises(ValueError, match="does not match"):
-        run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+def test_transient_refuses_spaces_that_name_no_formulation(bar_spaces_11,
+                                                           bar_materials_linear):
+    # the spaces name the formulation, (H, A) h-a and (T, A) t-a; any
+    # other pair is refused before a block is built
+    h, a = bar_spaces_11
+    tc = TimeConfig(dt=0.1, t_end=0.3)
+    for spaces, names in (((a, a), "(A, A)"), ((h, h), "(H, H)")):
+        with pytest.raises(ValueError, match=re.escape(f"(H or T, A) spaces, not {names}")):
+            run_transient(spaces, bar_materials_linear, tc)
 
 
 def test_counters_record_a_forced_halving(small_tape, monkeypatch):
@@ -344,9 +344,9 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
     tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=("current", ramp_then_hold(1.0, 0.15, 0.3)),
+                    drive=ramp_then_hold(1.0, 0.15, 0.3),
                     rel_residual_tol=1e-10)
-    hist = run_transient(small_tape, (t, a), linear_mats(1e-9), tc, "ta")
+    hist = run_transient((t, a), linear_mats(1e-9), tc)
     c = hist.counters
     assert c["rejected_attempts"] == 1 and c["step_halvings"] == 1
     assert hist.dts[0] == 0.05
@@ -366,12 +366,14 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
                         lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
     I0 = 0.1 * JC * tape_mesh.w * WIDTH
     spaces = (build_t_space(tape_mesh, 2, ("current", I0)), build_a_space(tape_mesh, 1))
-    tc = TimeConfig(dt=0.025, t_end=0.05, drive=("current", ramp_then_hold(I0, 0.25, 0.25)))
+    tc = TimeConfig(dt=0.025, t_end=0.05, drive=ramp_then_hold(I0, 0.25, 0.25))
     with pytest.raises(SingularSystemError, match=r"t-a pairing \(2,1\).* 19-dimensional kernel"):
-        run_transient(tape_mesh, spaces, tape_materials_power, tc, "ta")
+        run_transient(spaces, tape_materials_power, tc)
     assert calls == []
-    hist = run_transient(tape_mesh, spaces, linear_mats(1e-9), tc, "ta")
+    hist = run_transient(spaces, linear_mats(1e-9), tc)
     assert hist.n_steps == 2 and calls
+
+
 
 
 @pytest.fixture
@@ -380,23 +382,23 @@ def tape_power_case(tape_mesh, tape_materials_power):
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
     tc = TimeConfig(dt=0.025, t_end=0.2,
-                    drive=("current", ramp_then_hold(I0, 0.25, 0.5)))
-    return tape_mesh, (t, a), tape_materials_power, tc, "ta"
+                    drive=ramp_then_hold(I0, 0.25, 0.5))
+    return (t, a), tape_materials_power, tc
 
 
 @pytest.fixture
-def bar_power_case(bar_mesh, bar_spaces_11, bar_materials_power):
+def bar_power_case(bar_spaces_11, bar_materials_power):
     tc = TimeConfig(dt=0.025, t_end=0.2, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drive=("current", ramp_then_hold(0.0, 0.5, 1.0)))
-    return bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha"
+                    drive=ramp_then_hold(0.0, 0.5, 1.0))
+    return bar_spaces_11, bar_materials_power, tc
 
 
 @pytest.mark.parametrize("case", ["bar_power_case", "tape_power_case"])
 def test_final_residuals_match_monolithic(request, monkeypatch, case):
     # the Newton measure, evaluated on the blocks, against the backward
     # error of the monolithic system at each accepted iterate
-    mesh, spaces, mats, tc, form = request.getfixturevalue(case)
-    name = f"assemble_{form}_iteration"
+    spaces, mats, tc = request.getfixturevalue(case)
+    name = "assemble_ha_iteration" if spaces[0].family == "H" else "assemble_ta_iteration"
     assemble = getattr(transient, name)
     calls = []
 
@@ -406,7 +408,7 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
         return sys
 
     monkeypatch.setattr(transient, name, recording)
-    hist = run_transient(mesh, spaces, mats, tc, form)
+    hist = run_transient(spaces, mats, tc)
     if hist.counters["rejected_attempts"] == 0:
         # one assembly per attempt, per Newton iteration and per trial
         assert len(calls) == (hist.n_steps + sum(hist.newton_iters)
@@ -422,7 +424,7 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
         v_prev = hist.v[k]
 
 
-def test_newton_iterations_construct_few_sparse_matrices(bar_mesh, bar_spaces_11,
+def test_newton_iterations_construct_few_sparse_matrices(bar_spaces_11,
                                                        bar_materials_power, monkeypatch):
     # every scipy CSR and CSC construction passes through the private
     # scipy.sparse._compressed._cs_matrix.__init__; counted from the first
@@ -445,7 +447,7 @@ def test_newton_iterations_construct_few_sparse_matrices(bar_mesh, bar_spaces_11
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting_init)
     monkeypatch.setattr(transient, "assemble_ha_iteration", first_assembly_starts_counting)
     tc = TimeConfig(dt=0.025, t_end=0.1, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
-    hist = run_transient(bar_mesh, bar_spaces_11, bar_materials_power, tc, "ha")
+    hist = run_transient(bar_spaces_11, bar_materials_power, tc)
     iters = sum(hist.newton_iters)
     assert iters >= 4
     assert built["n"] <= 3 * iters
@@ -464,9 +466,9 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
                                   int(Region.OMEGA_A_FERRO): MagneticLaw(10.0)})
     tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
     shared = spaces()
-    runs = [run_transient(bar_mesh, shared, mats, tc, "ha") for mats in (soft, hard)]
+    runs = [run_transient(shared, mats, tc) for mats in (soft, hard)]
     for mats, hist in zip((soft, hard), runs):
-        fresh = run_transient(bar_mesh, spaces(), mats, tc, "ha")
+        fresh = run_transient(spaces(), mats, tc)
         assert hist.n_steps == fresh.n_steps
         assert hist.newton_iters == fresh.newton_iters
         assert hist.final_residuals == fresh.final_residuals

@@ -1,10 +1,11 @@
 """Shared test helpers: the straightforward per-triangle field
 evaluators that the assembly's field kernels are checked against, the
 pointwise interface trace, the electric field of the power law, the
-conductor's penetrated area and magnetization, a plain ``mesh.txt``
-reader, the pivoting sparse solve that serves as the reference solver,
-the componentwise backward error of a whole matrix, and the dense and
-monolithic oracles of the block solvers."""
+conductor's penetrated area and magnetization, the triangles of each
+mesh edge, a plain ``mesh.txt`` reader, the pivoting sparse solve that
+serves as the reference solver, the componentwise backward error of a
+whole matrix, and the dense and monolithic oracles of the block
+solvers."""
 
 from pathlib import Path
 
@@ -69,6 +70,16 @@ def h_dofs_for_potential(h_space, potential):
             circ -= p[b] - g
         x[k] = circ
     return x
+
+
+def edge_tris(mesh):
+    """(E, 2) ids of the triangles on each mesh edge, ascending, -1
+    where an edge has fewer than two: one pass over the triangles."""
+    out = np.full((len(mesh.edges), 2), -1, dtype=np.int64)
+    for t, eids in enumerate(mesh.tri_edges.tolist()):
+        for e in eids:
+            out[e, int(out[e, 0] >= 0)] = t
+    return out
 
 
 def l_bar_mesh():
