@@ -22,9 +22,11 @@ assembles only those, from the field iterate alone.  Everything else
 is fixed for a transient run and is built once, by ``linear_blocks``,
 into one ``LinearBlocks`` that the iteration assemblers take: K_nu and
 B, the field curl form and the H mass.  Nothing assembled is cached on
-the spaces.  The field blocks are weighted curl-curl forms
-G^T diag(w) G, linear in the weights, and are filled on a fixed
-sparsity pattern by one sparse mat-vec (``_CurlForm``).  Both
+the spaces; a space caches only two tables of its own basis, its
+interface trace (``spaces.trace_table``) and, for H, its Whitney map
+(``spaces.whitney_transform``).  The field blocks are weighted
+curl-curl forms G^T diag(w) G, linear in the weights, and are filled
+on a fixed sparsity pattern by one sparse mat-vec (``_CurlForm``).  Both
 formulations assemble through one power-law iteration core.
 ``AssembledSystem`` holds the field and potential vectors apart.  It
 evaluates residuals, backward errors and the right-hand side after the
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._geom import LINE_QP, LINE_QW, TRI_QP, TRI_QW, tri_geometry
-from .linalg import FixedPattern, componentwise_error
+from .linalg import componentwise_error
 from .materials import MU0, Materials, PowerLaw, de_dj, rho_power
 from .mesh import Mesh2D, Region
 from .spaces import DofSpace, trace_table, whitney_transform
@@ -404,9 +406,8 @@ class _CurlForm:
                                             np.arange(len(free) + 1)).astype(np.int32)
 
     @cached_property
-    def _pattern(self) -> FixedPattern:
-        return FixedPattern(sp.csr_matrix((self._base, self._indices, self._indptr),
-                                          shape=self._shape))
+    def _pattern(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self._base, self._indices, self._indptr), shape=self._shape)
 
     @cached_property
     def _free_flat(self) -> np.ndarray:
@@ -423,8 +424,12 @@ class _CurlForm:
         return sp.csr_matrix((self.data(w), self._indices, self._indptr), shape=self._shape)
 
     def product(self, data, u) -> np.ndarray:
-        """M u for the matrix M with CSR data ``data`` on the pattern."""
-        return self._pattern.with_data(data) @ u
+        """M u for the matrix M with CSR data ``data`` on the pattern.  It
+        points this form's one CSR of the pattern at ``data``, so one
+        thread at a time may use it."""
+        M = self._pattern
+        M.data = data
+        return M @ u
 
     def free_data(self, data) -> np.ndarray:
         """The CSR data of the free rows and columns of the matrix with

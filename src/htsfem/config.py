@@ -2,8 +2,8 @@
 
 Every default is embedded in the schema, so an empty configuration runs
 the stacked-bar magnetization case at the reference parameters.
-Unknown keys are rejected, and so is a source key that the scenario
-does not read, unless it keeps its default.
+Unknown keys are rejected, and so is a key that the scenario does not
+read, unless it keeps its default.
 """
 
 from __future__ import annotations
@@ -124,8 +124,13 @@ CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
-# the source keys that each scenario does not read
-_UNREAD_SOURCE = {"stacked_bar": ("current_rel", "voltage"), "single_tape": ("b_ext",)}
+# the keys, section.key, that each scenario does not read
+_UNREAD = {
+    "stacked_bar": ("geometry.tape_width", "geometry.tape_thickness", "source.current_rel",
+                    "source.voltage"),
+    "single_tape": ("geometry.bar_width", "geometry.bar_height", "material.mu_r",
+                    "sampling.offset", "sampling.n_samples", "source.b_ext"),
+}
 
 
 def _apply_defaults(schema, value):
@@ -165,10 +170,10 @@ def load_config(source=None) -> dict:
             g["delta"] = 0.00025
         if "j_c" not in raw.get("material", {}):
             cfg["material"]["j_c"] = 2.5e8
-    schema = CONFIG_SCHEMA["properties"]["source"]["properties"]
-    for key in _UNREAD_SOURCE[cfg["scenario"]]:
-        if cfg["source"][key] != schema[key]["default"]:
-            raise ConfigError(f"source.{key} does not apply to the {cfg['scenario']} scenario")
+    for dotted in _UNREAD[cfg["scenario"]]:
+        section, key = dotted.split(".")
+        if cfg[section][key] != CONFIG_SCHEMA["properties"][section]["properties"][key]["default"]:
+            raise ConfigError(f"{dotted} does not apply to the {cfg['scenario']} scenario")
     return cfg
 
 

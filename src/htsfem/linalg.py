@@ -30,7 +30,6 @@ against 1.8 s with SymmetricMode and 1.5 s with COLAMD.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -49,105 +48,35 @@ class DegenerateCouplingError(RuntimeError):
     """All eigenvalues of the inf-sup pencil vanish."""
 
 
-class FixedPattern:
-    """One sparse matrix whose pattern many data arrays share: a product
-    with, or a factorization of, the matrix of given data on that
-    pattern constructs no matrix.  ``with_data`` points the one matrix
-    at the caller's data and returns it, for use at once: the next call
-    points it elsewhere, so one thread at a time may use it."""
-
-    def __init__(self, M):
-        self._M = M
-
-    def with_data(self, data):
-        self._M.data = data
-        return self._M
-
-
-class _CscPattern(FixedPattern):
-    """The index arrays that ``solve_sparse`` reads on a canonical CSC
-    pattern, laid out once: the row and the column of every entry, the
-    entries by row for the row maxima, and the pattern of its nonzero
-    entries, which SuperLU factors."""
-
-    def __init__(self, K):
-        super().__init__(sp.csc_matrix((K.data, K.indices.copy(), K.indptr.copy()),
-                                       shape=K.shape))
-        self.rows = K.indices.astype(np.intp)
-        self.cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-        self._by_row = np.argsort(self.rows, kind="stable")
-        counts = np.bincount(self.rows, minlength=K.shape[0])
-        self._filled = counts > 0
-        self._row_start = (np.cumsum(counts) - counts)[self._filled]
-        self._nonzero = None            # (mask, FixedPattern) of the last call
-
-    def holds(self, K) -> bool:
-        M = self._M
-        return (M.shape == K.shape and np.array_equal(M.indptr, K.indptr)
-                and np.array_equal(M.indices, K.indices))
-
-    def row_max(self, abs_data) -> np.ndarray:
-        """The largest of ``abs_data`` in each row, 0 in an empty one."""
-        out = np.zeros(len(self._filled))
-        out[self._filled] = np.maximum.reduceat(abs_data[self._by_row], self._row_start)
-        return out
-
-    def nonzero(self, mask) -> FixedPattern:
-        """The pattern of the entries that ``mask`` keeps."""
-        if self._nonzero is None or not np.array_equal(self._nonzero[0], mask):
-            M = self._M
-            indptr = np.zeros(M.shape[1] + 1, dtype=M.indptr.dtype)
-            np.cumsum(np.bincount(self.cols[mask], minlength=M.shape[1]), out=indptr[1:])
-            self._nonzero = (mask.copy(), FixedPattern(sp.csc_matrix(
-                (M.data[mask], M.indices[mask], indptr), shape=M.shape)))
-        return self._nonzero[1]
-
-
-_csc_patterns: list = []    # (weak reference to a matrix, its _CscPattern)
-
-
-def _csc_pattern(K) -> _CscPattern:
-    """The ``_CscPattern`` of the canonical CSC K.  The last one laid out
-    serves again while the matrix it was laid out for lives and holds
-    the same index arrays: a transient run solves on one matrix, whose
-    data alone changes."""
-    if _csc_patterns:
-        ref, pattern = _csc_patterns[0]
-        if ref() is K and pattern.holds(K):
-            return pattern
-    pattern = _CscPattern(K)
-    _csc_patterns[:] = [(weakref.ref(K, lambda _: _csc_patterns.clear()), pattern)]
-    return pattern
-
-
 def solve_sparse(K, s) -> np.ndarray:
     """Solve of a sparse system (``_refined_solve``) by one LU
     factorization in K's own numbering on diagonal pivots
-    (``_factor_in_order``): the caller chooses the elimination order,
-    as ``BorderedSchur`` does, and a matrix that needs a pivot off the
-    diagonal is refused with SingularSystemError.
-
-    A canonical CSC, such as the one ``BorderedSchur.bordered``
-    returns, is solved on its own arrays; any other K is first
-    converted to one.  Its index arrays are laid out once per pattern
-    (``_csc_pattern``): the row maxima, D K D and |K| for the backward
-    error are read through them, and the factor sees only the nonzero
-    entries.  An explicit zero adds nothing to a product, whose sums
-    are therefore those of the pruned matrix."""
+    (``_factor_in_order``), which refuses a matrix that needs a pivot
+    off the diagonal.  A canonical CSC, such as ``BorderedSchur``'s, is
+    solved on its own arrays, its entries factored as given; any other
+    K is first converted to one.  K's data holds D K D, then |K|, during
+    the call and is restored, so one thread at a time may solve on K."""
     if not (sp.issparse(K) and K.format == "csc" and K.has_canonical_format):
         K = sp.csc_matrix(K, copy=True)
         K.sum_duplicates()
-    pattern = _csc_pattern(K)
-    abs_data = np.abs(K.data)
-    nonzero = K.data != 0.0
-    factored = pattern.nonzero(nonzero)
+    data, abs_data = K.data, np.abs(K.data)
+    row_max = np.zeros(K.shape[0])
+    np.maximum.at(row_max, K.indices, abs_data)
 
     def factor(d):
         # the entries of D K D for D = diag(d), in the product's rounding order
-        DKD = (K.data * d[pattern.rows] * d[pattern.cols])[nonzero]
-        return _factor_in_order(factored.with_data(DKD), "system").solve
-    return _refined_solve(K, s, pattern.row_max(abs_data), factor,
-                          lambda x: pattern.with_data(abs_data) @ x)
+        K.data = data * d[K.indices] * np.repeat(d, np.diff(K.indptr))
+        solve = _factor_in_order(K, "system").solve
+        K.data = data
+        return solve
+
+    def abs_product(y):
+        K.data = abs_data
+        return K @ y
+    try:
+        return _refined_solve(K, s, row_max, factor, abs_product)
+    finally:
+        K.data = data       # after |K|, the last use, or a failed factorization
 
 
 def solve_dense(K, s) -> np.ndarray:
@@ -412,9 +341,9 @@ class BorderedSchur(InterfaceSchur):
     and ``nnz`` are the rows and structural nonzeros of that pattern.
 
     The bordered matrix is laid out once, here, as one canonical CSC in
-    elimination numbering that holds B_Γ and -S_K; each ``bordered``
-    call writes A's data into it in place, so a Newton iteration
-    neither builds nor converts a matrix.
+    elimination numbering that holds B_Γ, less its exact zeros, and
+    -S_K; each ``bordered`` call writes A's data into it in place, so a
+    Newton iteration neither builds nor converts a matrix.
     """
 
     def __init__(self, K, B, A):
@@ -426,7 +355,8 @@ class BorderedSchur(InterfaceSchur):
         self.size = n_v + m
         self._pos = np.arange(self.size)
         self._pos[_min_degree_order(A)] = np.arange(n_v)
-        Bg = self._B_gamma.tocoo()
+        Bg = self._B_gamma.tocoo(copy=True)
+        Bg.eliminate_zeros()
         g, h = np.divmod(np.arange(m * m), m)       # the entries of S_K, row-major
         rows = np.concatenate([np.repeat(np.arange(n_v), np.diff(A.indptr)), Bg.col,
                                n_v + Bg.row, n_v + g])

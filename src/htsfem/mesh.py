@@ -86,7 +86,7 @@ class GeometryParams:
                      "tape_thickness", "delta"):
             if getattr(self, name) <= 0.0:
                 raise MeshError(f"{name} must be positive")
-        if self.delta >= self.bar_width / 2.0:
+        if self.scenario is Scenario.STACKED_BAR and self.delta >= self.bar_width / 2.0:
             raise MeshError("delta must be smaller than half the bar width")
 
     def with_delta(self, delta: float) -> "GeometryParams":

@@ -26,11 +26,13 @@ S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
 only through S_K.  h-a solves for the field DOFs v by one
 ``solve_sparse`` factorization of the bordered (v, a_Γ) system, in an
 order fixed once per run (``linalg.BorderedSchur``): the bordered CSC
-is laid out once, and each iteration writes A_v's free data into it in
-place.  On the tape B couples every free field DOF, and t-a solves the
-dense condensed system (A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ,
-its dense field block filled from the data, by one ``solve_dense``
-Cholesky factorization.  No iteration constructs a sparse matrix.
+is laid out once, without B_Γ's exact zeros, and each iteration writes
+A_v's free data into it in place; ``solve_sparse`` works on that CSC's
+own arrays and keeps nothing between calls.  On the tape B couples
+every free field DOF, and t-a solves the dense condensed system
+(A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ, its dense field block
+filled from the data, by one ``solve_dense`` Cholesky factorization.
+No iteration constructs a sparse matrix.
 Either takes the interface values a_Γ = S_K^{-1} B_Γ v - z_Γ at v.  The
 lift z_Γ = (K_nu^{-1} s_q)_Γ is formed once per step attempt: the
 eliminated potential right-hand side s_q holds only essential values,

@@ -121,19 +121,24 @@ def test_cli_formulation_key_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario,key,value", [("stacked_bar", "voltage", 1e-4),
-                                                ("stacked_bar", "current_rel", 0.2),
-                                                ("single_tape", "b_ext", 0.2)])
+@pytest.mark.parametrize("scenario,key,value", [
+    ("stacked_bar", "source.voltage", 1e-4), ("stacked_bar", "source.current_rel", 0.2),
+    ("stacked_bar", "geometry.tape_width", 0.02),
+    ("stacked_bar", "geometry.tape_thickness", 2e-6),
+    ("single_tape", "source.b_ext", 0.2), ("single_tape", "geometry.bar_width", 4e-4),
+    ("single_tape", "geometry.bar_height", 0.02), ("single_tape", "material.mu_r", 1.0),
+    ("single_tape", "sampling.offset", 2e-4), ("single_tape", "sampling.n_samples", 100)])
 def test_cli_source_key_the_scenario_does_not_read_exit_2(tmp_path, capsys, scenario,
                                                           key, value):
     # refused and named, not dropped; at its default the key passes, so
     # a resolved configuration loads again
-    cfg = write_cfg(tmp_path, {"scenario": scenario, "source": {key: value}})
+    section, name = key.split(".")
+    cfg = write_cfg(tmp_path, {"scenario": scenario, section: {name: value}})
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err == {"error": "config",
-                   "message": f"source.{key} does not apply to the {scenario} scenario"}
+                   "message": f"{key} does not apply to the {scenario} scenario"}
     assert not out.exists()
     resolved = load_config({"scenario": scenario})
     assert load_config(resolved) == resolved

@@ -7,7 +7,7 @@ from htsfem.cli import _build_mesh, main
 from htsfem.config import load_config
 from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
-                         build_stacked_bar_mesh, refine, write_native)
+                         build_stacked_bar_mesh, build_tape_mesh, refine, write_native)
 
 from util import edge_tris, l_bar_mesh, read_mesh
 
@@ -147,6 +147,10 @@ def test_geometry_validation():
         GeometryParams(delta=-1.0)
     with pytest.raises(ValueError):
         GeometryParams(delta=0.015)  # not below half the bar width
+    # the tape scenario has no bar: its bar width bounds no element size
+    mesh = build_tape_mesh(GeometryParams(scenario=Scenario.SINGLE_TAPE, bar_width=4e-4,
+                                          delta=2.5e-4))
+    assert mesh.interface_tag is Interface.GAMMA_W
 
 
 def _variant(mesh, **changes):
