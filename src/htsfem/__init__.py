@@ -15,7 +15,7 @@ from .assembly import (AssembledSystem, LinearBlocks, NormSpec,
                        assemble_norm_matrix, assemble_ta_iteration, linear_blocks)
 from .linalg import EigenResult, infsup_eigenpairs, solve_sparse
 from .transient import TimeConfig, TimeHistory, circuit_post, run_transient
-from .infsup import InfSupReport, coercivity_estimates, run_infsup_sweep
+from .infsup import InfSupReport, run_infsup_sweep
 from .diagnostics import (ProfileSample, oscillation_metric, sample_bn_profile,
                           sample_tape_current)
 

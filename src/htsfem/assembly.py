@@ -91,11 +91,10 @@ class LinearBlocks:
     T), and on all DOFs the reluctivity stiffness K_nu and the coupling
     B.  For mat-vecs it stores B^T on the potential DOFs ``gamma`` that
     B couples (``B_T``; ``gamma_free`` marks the free ones) and the free
-    potential rows [B, -K_nu] of the block form split by their columns,
-    which are the field DOFs followed by the potential DOFs: the free
-    columns (``q_free``) and the essential ones (``q_free_ess``; ``ess``
-    holds their indices).  Each comes with its entrywise absolute
-    values, which scale backward errors."""
+    potential rows [B, -K_nu] of the block form (``q_rows``), whose
+    columns are the field DOFs followed by the potential DOFs.  Each
+    comes with its entrywise absolute values, which scale backward
+    errors."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -108,21 +107,8 @@ class LinearBlocks:
     gamma_free: np.ndarray
     B_T: sp.csr_matrix
     abs_B_T: sp.csr_matrix
-    q_free: sp.csr_matrix
-    abs_q_free: sp.csr_matrix
-    ess: np.ndarray
-    q_free_ess: sp.csr_matrix
-    abs_q_free_ess: sp.csr_matrix
-
-    def potential_products(self, v_free, a_free):
-        """(Q x, |Q| |x|) for x = [v_free; a_free] and Q the free columns
-        of the free potential rows: the products that the backward
-        errors of one step at that iterate share (``AssembledSystem``).
-        They equal the products of the whole rows with x set to zero on
-        the essential columns, to the bit: a zero product added to a
-        partial sum leaves it unchanged."""
-        x = np.concatenate([v_free, a_free])
-        return self.q_free @ x, self.abs_q_free @ np.abs(x)
+    q_rows: sp.csr_matrix
+    abs_q_rows: sp.csr_matrix
 
 
 @dataclass
@@ -174,39 +160,40 @@ class AssembledSystem:
             (self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)
              + np.abs(self.s_v))[free])
 
-    def _error(self, v, a, s_field, q_residual, q_scale) -> float:
+    def _error(self, v, a, s_field, x, q_scale) -> float:
         """Componentwise backward error of the free rows of the block form:
         the free field rows at the full-length (v, a) against
-        ``s_field``, and the free potential rows' residual and scale."""
+        ``s_field``, and the free potential rows at x, which is [v; a]
+        less its essential values, against ``s_potential``, with
+        ``q_scale`` added to their scale."""
         lb = self.blocks
         free, a_gamma = lb.v_space.free, a[lb.gamma]
         return componentwise_error(
-            np.concatenate([self._field_product(v, a_gamma)[free] - s_field, q_residual]),
+            np.concatenate([self._field_product(v, a_gamma)[free] - s_field,
+                            lb.q_rows @ x - self.s_potential]),
             np.concatenate([self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)[free]
-                            + np.abs(s_field), q_scale]))
+                            + np.abs(s_field), lb.abs_q_rows @ np.abs(x) + q_scale]))
 
-    def backward_error(self, v, a, q_products) -> float:
+    def backward_error(self, v, a) -> float:
         """Componentwise backward error of the whole system at (v, a),
         which hold the system's essential values, over the free rows;
-        the potential rows carry no source.  ``q_products`` are
-        ``blocks.potential_products`` at the free DOFs of (v, a): the
-        potential rows [B, -K_nu] [v; a] are their first minus
-        ``s_potential``, and |[B, -K_nu]| |[v; a]| their second plus the
-        essential columns' part, which is fixed within a step."""
-        q_ax, q_abs = q_products
+        the potential rows carry no source.  Their residual and its
+        scale are each summed in two parts: at [v; a] less the essential
+        values, and at the essential values, whose residual part is
+        -``s_potential``."""
+        x_essential = np.concatenate([self.v_essential, self.a_essential])
         return self._error(v, a, self.s_v[self.blocks.v_space.free],
-                           q_ax - self.s_potential, q_abs + self._essential_scale)
+                           np.concatenate([v, a]) - x_essential,
+                           self.blocks.abs_q_rows @ np.abs(x_essential))
 
-    def free_backward_error(self, v_free, a_free, q_products) -> float:
+    def free_backward_error(self, v_free, a_free) -> float:
         """Componentwise backward error of the eliminated system at its
-        free DOFs: the block form's with zero essential values.
-        ``q_products`` are ``blocks.potential_products(v_free, a_free)``."""
+        free DOFs: the block form's with zero essential values."""
         lb = self.blocks
-        q_ax, q_abs = q_products
-        return self._error(lb.v_space.expand(v_free, np.zeros(lb.v_space.n_dofs)),
-                           lb.q_space.expand(a_free, np.zeros(lb.q_space.n_dofs)),
-                           self.s_field, q_ax - self.s_potential,
-                           q_abs + np.abs(self.s_potential))
+        v = lb.v_space.expand(v_free, np.zeros(lb.v_space.n_dofs))
+        a = lb.q_space.expand(a_free, np.zeros(lb.q_space.n_dofs))
+        return self._error(v, a, self.s_field, np.concatenate([v, a]),
+                           np.abs(self.s_potential))
 
     @cached_property
     def s_field(self) -> np.ndarray:
@@ -218,18 +205,11 @@ class AssembledSystem:
         return (self.s_v - self._field_product(v, a[lb.gamma]))[lb.v_space.free]
 
     @cached_property
-    def _x_essential(self) -> np.ndarray:
-        return np.concatenate([self.v_essential, self.a_essential])[self.blocks.ess]
-
-    @cached_property
     def s_potential(self) -> np.ndarray:
-        """The eliminated right-hand side of the free potential rows, read
-        from the essential columns only; it is fixed within a step."""
-        return -(self.blocks.q_free_ess @ self._x_essential)
-
-    @cached_property
-    def _essential_scale(self) -> np.ndarray:
-        return self.blocks.abs_q_free_ess @ np.abs(self._x_essential)
+        """The eliminated right-hand side of the free potential rows: minus
+        their product with the essential values, which is fixed within
+        a step."""
+        return -(self.blocks.q_rows @ np.concatenate([self.v_essential, self.a_essential]))
 
 
 # -- low-level kernels ---------------------------------------------------------
@@ -629,14 +609,9 @@ def linear_blocks(v_space: DofSpace, q_space: DofSpace, materials: Materials) ->
     gamma = np.flatnonzero(np.diff(B.indptr))
     B_T = B[gamma].T.tocsr()
     q_rows = sp.hstack([B, -K_nu], format="csr")[q_space.free]
-    is_free = np.zeros(v_space.n_dofs + q_space.n_dofs, dtype=bool)
-    is_free[v_space.free] = True
-    is_free[v_space.n_dofs + q_space.free] = True
-    ess = np.flatnonzero(~is_free)
-    q_free, q_ess = q_rows[:, np.flatnonzero(is_free)].tocsr(), q_rows[:, ess].tocsr()
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
-                        K_nu, B, gamma, is_free[v_space.n_dofs + gamma], B_T, abs(B_T),
-                        q_free, abs(q_free), ess, q_ess, abs(q_ess))
+                        K_nu, B, gamma, np.isin(gamma, q_space.free), B_T, abs(B_T),
+                        q_rows, abs(q_rows))
 
 
 def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,

@@ -143,8 +143,7 @@ def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
     norms = cfgmod.make_norms(cfg)
     if pairings is None:
         pairings = [tuple(cfg["pairing"])]
-    reports = run_infsup_sweep(params, pairings, n_ref,
-                               norms=norms, materials=cfgmod.linear_materials(cfg))
+    reports = run_infsup_sweep(params, pairings, n_ref, norms=norms)
     phases = {name: round(t, 3) for name, t in reports.phases.items()}
     tick = _time.perf_counter()
     verdicts = {}

@@ -55,7 +55,6 @@ CONFIG_SCHEMA = {
                 "n": {"type": "number", "minimum": 1, "default": 20},
                 "j_reg_rel": {"type": "number", "exclusiveMinimum": 0, "default": 1e-3},
                 "mu_r": {"type": "number", "minimum": 1, "default": 1000},
-                "rho_linear": {"type": "number", "exclusiveMinimum": 0, "default": 1.6e-8},
             },
             "default": {},
         },
@@ -191,15 +190,6 @@ def make_materials(cfg) -> Materials:
     mt = cfg["material"]
     power = PowerLaw(e_c=mt["e_c"], j_c=mt["j_c"], n=mt["n"],
                      j_reg=mt["j_reg_rel"] * mt["j_c"])
-    magnetic = {int(Region.OMEGA_A_AIR): VACUUM,
-                int(Region.OMEGA_A_FERRO): MagneticLaw(mt["mu_r"])}
-    return Materials(power, magnetic)
-
-
-def linear_materials(cfg) -> Materials:
-    """Linear-conductor variant (n = 1, resistivity rho_linear)."""
-    mt = cfg["material"]
-    power = PowerLaw(e_c=mt["rho_linear"] * mt["j_c"], j_c=mt["j_c"], n=1)
     magnetic = {int(Region.OMEGA_A_AIR): VACUUM,
                 int(Region.OMEGA_A_FERRO): MagneticLaw(mt["mu_r"])}
     return Materials(power, magnetic)

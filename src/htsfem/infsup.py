@@ -31,7 +31,6 @@ from .assembly import (NormSpec, assemble_coupling_matrix, assemble_norm_matrix,
                        field_operator, tape_current_density)
 from .linalg import (DegenerateCouplingError, EigenResult, SingularSystemError,
                      infsup_eigenpairs, interface_schur)
-from .materials import MU0, Materials
 from .mesh import (GeometryParams, Interface, Scenario, build_stacked_bar_mesh,
                    build_tape_mesh, refine)
 from .spaces import build_a_space, build_h_space, build_t_space
@@ -39,10 +38,6 @@ from .spaces import build_a_space, build_h_space, build_t_space
 SLOPE_FLAT = 0.3
 SLOPE_LINEAR = (0.7, 1.3)
 BOUNDED_RATIO = 0.5
-
-
-class NotApplicableError(ValueError):
-    """Coercivity bounds require linear constitutive laws."""
 
 
 @dataclass
@@ -61,8 +56,6 @@ class InfSupReport:
     slope: float = float("nan")
     slope_band: float = float("nan")   # 95% half-width
     verdict: str = "INCONCLUSIVE"
-    alpha_lower: float | None = None
-    gamma_lower: float | None = None
 
     def to_json(self, path):
         data = {
@@ -74,8 +67,6 @@ class InfSupReport:
             "slope": self.slope,
             "slope_95_band": self.slope_band if np.isfinite(self.slope_band) else None,
             "verdict": self.verdict,
-            "alpha_lower": self.alpha_lower,
-            "gamma_lower": self.gamma_lower,
         }
         with open(path, "w") as f:
             f.write(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -86,21 +77,6 @@ class InfSupReport:
             lines.append(f"{r.delta_rel:.17g},{r.beta:.17g},{r.b_norm:.17g}")
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
-
-
-def coercivity_estimates(materials: Materials, norms: NormSpec, dt: float):
-    """Lower coercivity constants of the diagonal forms for linear
-    laws: (alpha_lower, gamma_lower)."""
-    if materials.power.n != 1.0:
-        raise NotApplicableError(
-            "power-law differential resistivity is not bounded below; "
-            "coercivity constants require n = 1")
-    rho = materials.power.rho_c
-    mu_ratio = 1.0                      # conductor permeability is mu0
-    rho_ratio = (dt / norms.dt0) * (rho / norms.rho0)
-    nu_ratios = [law.nu / norms.nu0 for law in materials.magnetic.values()]
-    nu_ratios = nu_ratios or [1.0 / (MU0 * norms.nu0)]
-    return min(mu_ratio, rho_ratio), min(nu_ratios)
 
 
 def _fit_slope(deltas, betas):
@@ -252,7 +228,7 @@ def _sweep_level(mesh, pairings, norms, level, reports, width_ref):
 
 
 def run_infsup_sweep(params: GeometryParams, pairings, n_refinements: int,
-                     norms: NormSpec, materials: Materials) -> InfSupMatrix:
+                     norms: NormSpec) -> InfSupMatrix:
     """Inf-sup test of every pairing (i, j) in ``pairings`` on the base
     mesh of ``params`` plus ``n_refinements`` uniform refinements
     (n_refinements + 1 meshes, coarse to fine), in one pass over the
@@ -275,10 +251,6 @@ def run_infsup_sweep(params: GeometryParams, pairings, n_refinements: int,
     mesh_s = time.perf_counter() - start
 
     reports = InfSupMatrix({pair: InfSupReport(formulation, pair) for pair in pairings})
-    if materials.power.n == 1.0:
-        alpha, gamma = coercivity_estimates(materials, norms, norms.dt0)
-        for rep in reports.values():
-            rep.alpha_lower, rep.gamma_lower = alpha, gamma
 
     for level in range(n_refinements + 1):
         if level > 0:

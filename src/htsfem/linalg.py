@@ -54,8 +54,9 @@ def solve_sparse(K, s) -> np.ndarray:
     (``_factor_in_order``), which refuses a matrix that needs a pivot
     off the diagonal.  A canonical CSC, such as ``BorderedSchur``'s, is
     solved on its own arrays, its entries factored as given; any other
-    K is first converted to one.  K's data holds D K D, then |K|, during
-    the call and is restored, so one thread at a time may solve on K."""
+    K is first converted to one.  K's data holds D K D while it is
+    factored and |K| during the product with it, and is restored after
+    each, so one thread at a time may solve on K."""
     if not (sp.issparse(K) and K.format == "csc" and K.has_canonical_format):
         K = sp.csc_matrix(K, copy=True)
         K.sum_duplicates()
@@ -66,17 +67,18 @@ def solve_sparse(K, s) -> np.ndarray:
     def factor(d):
         # the entries of D K D for D = diag(d), in the product's rounding order
         K.data = data * d[K.indices] * np.repeat(d, np.diff(K.indptr))
-        solve = _factor_in_order(K, "system").solve
-        K.data = data
-        return solve
+        try:
+            return _factor_in_order(K, "system").solve
+        finally:
+            K.data = data
 
     def abs_product(y):
         K.data = abs_data
-        return K @ y
-    try:
-        return _refined_solve(K, s, row_max, factor, abs_product)
-    finally:
-        K.data = data       # after |K|, the last use, or a failed factorization
+        try:
+            return K @ y
+        finally:
+            K.data = data
+    return _refined_solve(K, s, row_max, factor, abs_product)
 
 
 def solve_dense(K, s) -> np.ndarray:
@@ -255,9 +257,7 @@ class InterfaceSchur:
     ``size`` and ``nnz`` are its rows and entries), a_Γ = S_K^{-1} B_Γ v
     - z_Γ (``interface_values``) and a = K^{-1} (B v - s_q) (``recover``).
     ``cols`` holds the columns of B with structural nonzeros; ``solves``
-    counts the back-substitutions through the factor of K.  A lift of
-    an s_q equal bit for bit to the last one's, as on the steps of a
-    held drive, returns the last z_Γ without solving again.
+    counts the back-substitutions through the factor of K.
     """
 
     def __init__(self, K, B):
@@ -275,7 +275,6 @@ class InterfaceSchur:
         self._off_gamma[gamma] = False
         self.solves = 0
         self.size, self.nnz = n_v, n_v * n_v
-        self._last_lift = None          # (s_q, z_Γ) of the last lift
 
     def _solve(self, b):
         self.solves += 1
@@ -283,18 +282,11 @@ class InterfaceSchur:
 
     def lift(self, s_q):
         """z_Γ = (K^{-1} s_q)_Γ: S_K^{-1} s_q[Γ] if s_q vanishes off Γ,
-        else by one back-substitution; the last z_Γ again if s_q repeats
-        the last s_q bit for bit."""
+        else by one back-substitution."""
         s_q = np.asarray(s_q, dtype=float)
-        last = self._last_lift
-        if last is not None and np.array_equal(last[0].view(np.uint64), s_q.view(np.uint64)):
-            return last[1].copy()
         if np.any(s_q[self._off_gamma]):
-            z = self._solve(s_q)[self.factor.rows]
-        else:
-            z = self.factor.schur_solve(s_q[self.factor.rows])
-        self._last_lift = (s_q.copy(), z.copy())
-        return z
+            return self._solve(s_q)[self.factor.rows]
+        return self.factor.schur_solve(s_q[self.factor.rows])
 
     def field_kernel(self) -> int:
         """The dimension of the kernel of B_Γ on the field side: its

@@ -38,8 +38,7 @@ lift z_Γ = (K_nu^{-1} s_q)_Γ is formed once per step attempt: the
 eliminated potential right-hand side s_q holds only essential values,
 its coupling part lies on Γ, so z_Γ = S_K^{-1} s_q,Γ, and only a
 nonzero outer trace (an external field) costs one back-substitution
-through the whole factor; a held drive repeats s_q bit for bit and
-reuses the last z_Γ.
+through the whole factor.
 
 A power-law t-a run refuses, before its first step, a pairing whose
 free B_Γ has a kernel on the field side (``_refuse_field_kernel``):
@@ -64,10 +63,7 @@ gated against the system reassembled at it, which would hold the
 Newton residual (up to the tolerance) to 1e-10.  The recorded final
 residual is the componentwise backward error of the whole system over
 the free rows at the accepted iterate, and the circuit reactions are
-its field rows' residuals.  The gate and the final residual share the
-products of the potential rows at the free DOFs of the last field
-solve (``LinearBlocks.potential_products``), which an undamped last
-iteration accepts.
+its field rows' residuals.
 """
 
 from __future__ import annotations
@@ -153,7 +149,8 @@ class TimeHistory:
     the rows and structural nonzeros of the field matrix each iteration
     factors (``InterfaceSchur.size`` and ``nnz``).
     ``counters`` holds the a-block factorizations, the back-substitutions
-    through the a-block factor (``a_solves``, lifts included), the
+    through the a-block factor (``a_solves``: the recoveries of a, and
+    the lifts of a step attempt under an external field), the
     field solves (failed attempts included), the fill of the
     a-block factor, the rejected step attempts, the step halvings and
     the backtracking trials (trial iterates at a damping below 1)."""
@@ -306,17 +303,15 @@ def _field_solve(sys, schur: InterfaceSchur, lift):
 
 def _gated_recovery(sys, v, schur: InterfaceSchur):
     """The free potential DOFs a = K_nu^{-1} (B v - s_q) of a field
-    solve v of ``sys``, by one back-substitution, and the potential-row
-    products at (v, a) (``LinearBlocks.potential_products``).  The
-    componentwise backward error of (v, a) on the free system of
-    ``sys`` gates it: a normwise residual is dominated by the
-    flux-potential rows and misses errors of the field block."""
+    solve v of ``sys``, by one back-substitution.  The componentwise
+    backward error of (v, a) on the free system of ``sys`` gates it: a
+    normwise residual is dominated by the flux-potential rows and
+    misses errors of the field block."""
     a = schur.recover(v, sys.s_potential)
-    q_products = sys.blocks.potential_products(v, a)
-    err = sys.free_backward_error(v, a, q_products)
+    err = sys.free_backward_error(v, a)
     if not err <= 1e-10:
         raise SingularSystemError(f"field solve residual {err:.3e} exceeds 1e-10")
-    return a, q_products
+    return a
 
 
 def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
@@ -375,16 +370,14 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
             f"Newton stalled at residual {r:.3e} after {iters} iterations",
             residuals=trace)
     # the whole a, once per step: the last field solve's, which the gate
-    # checks against the system it solved, unless the step was damped;
-    # the final residual shares the gate's potential-row products
+    # checks against the system it solved, unless the step was damped
     if solved is not None:
-        a_free, q_products = _gated_recovery(*solved, schur)
+        a_free = _gated_recovery(*solved, schur)
     if solved is None or damping < 1.0:
         a_free = schur.recover(v_it[vf], sys.s_potential)
-        q_products = blocks.potential_products(v_it[vf], a_free)
     q_it = q_ess.copy()
     q_it[qf] = a_free
-    return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it, q_products)
+    return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it)
 
 
 def circuit_post(history: TimeHistory, spaces):

@@ -43,12 +43,8 @@ def report(num, text):
 def ha_sweep_reports():
     params = GeometryParams(scenario=Scenario.STACKED_BAR, delta=0.008,
                             air_half=0.042, min_elements_across=1)
-    mats = Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
-                      int(Region.OMEGA_A_AIR): VACUUM})
     t0 = time.perf_counter()
-    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 4,
-                               NORMS, mats)
+    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 4, NORMS)
     return reports, time.perf_counter() - t0
 
 
@@ -90,10 +86,7 @@ def test_criterion_2_bnorm_bounded(ha_sweep_reports):
 def test_criterion_3_ta_verdict_matrix():
     params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.001,
                             air_half=0.02)
-    linear = Materials(PowerLaw(e_c=NORMS.rho0 * 2.5e8, j_c=2.5e8, n=1),
-                       {int(Region.OMEGA_A_AIR): VACUUM})
-    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 3,
-                               NORMS, linear)
+    reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 3, NORMS)
     verdicts = {pair: rep.verdict for pair, rep in reports.items()}
     assert verdicts[(1, 2)] == "STABLE"
     assert verdicts[(2, 1)] == "STABLE"

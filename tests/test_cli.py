@@ -7,9 +7,12 @@ import pytest
 
 import htsfem.cli
 import htsfem.infsup
+from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
 from htsfem.cli import main
-from htsfem.config import CONFIG_SCHEMA, ConfigError, circuit, load_config, make_geometry
-from htsfem.linalg import DegenerateCouplingError, SingularSystemError
+from htsfem.config import (CONFIG_SCHEMA, ConfigError, circuit, load_config, make_geometry,
+                           make_norms)
+from htsfem.infsup import build_pairing
+from htsfem.linalg import DegenerateCouplingError, SingularSystemError, infsup_eigenpairs
 
 
 SMALL_BAR = {
@@ -112,13 +115,15 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
 
 
 def test_cli_formulation_key_exit_2(tmp_path, capsys):
-    # the spaces carry the formulation: the key is unknown
-    cfg = write_cfg(tmp_path, {"scenario": "single_tape", "formulation": "ta"})
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert err["error"] == "config" and "'formulation'" in err["message"]
-    assert not out.exists()
+    # retired keys are unknown: the spaces carry the formulation, and no
+    # command reads a linear resistivity
+    for key, cfg in (("formulation", {"scenario": "single_tape", "formulation": "ta"}),
+                     ("rho_linear", {"material": {"rho_linear": 1e-8}})):
+        out = tmp_path / key
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert err["error"] == "config" and f"'{key}'" in err["message"]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario,key,value", [
@@ -248,17 +253,21 @@ def test_cli_solve_bar_and_infsup(tmp_path):
     metrics = json.loads((out / "oscillation_metrics.json").read_text())
     assert "oscillation_bn_above" in metrics
 
-    sweep_cfg = dict(SMALL_BAR)
-    sweep_cfg["sweep"] = {"n_refinements": 3, "base_delta": 0.002}
-    cfg2 = write_cfg(tmp_path, sweep_cfg, "sweep.json")
-    out2 = tmp_path / "infsup"
-    assert main(["infsup", "--config", cfg2, "--out", str(out2),
-                 "--pairing", "1,1", "--quiet"]) == 0
-    rep = json.loads((out2 / "infsup_11.json").read_text(),
-                     parse_constant=_reject_constant)
-    assert rep["slope_95_band"] is None     # two points in the fit
-    assert rep["verdict"] == "UNSTABLE"
-    assert len(rep["records"]) == 4
+    # the report holds the inf-sup result alone, on the bar and the tape
+    for name, base in (("bar", SMALL_BAR), ("tape", SMALL_TAPE)):
+        sweep_cfg = dict(base)
+        sweep_cfg["sweep"] = {"n_refinements": 3, "base_delta": 0.002}
+        cfg2 = write_cfg(tmp_path, sweep_cfg, f"sweep_{name}.json")
+        out2 = tmp_path / f"infsup_{name}"
+        assert main(["infsup", "--config", cfg2, "--out", str(out2),
+                     "--pairing", "1,1", "--quiet"]) == 0
+        rep = json.loads((out2 / "infsup_11.json").read_text(),
+                         parse_constant=_reject_constant)
+        assert set(rep) == {"formulation", "pairing", "records", "slope", "slope_95_band",
+                            "verdict"}
+        assert rep["slope_95_band"] is None     # two points in the fit
+        assert rep["verdict"] == "UNSTABLE"
+        assert len(rep["records"]) == 4
 
 
 def test_cli_nonconvergence_exit_3(tmp_path, capsys):
@@ -394,15 +403,23 @@ def test_cli_eigenmode_rank_out_of_range_exit_2(tmp_path, capsys, monkeypatch, r
 def test_cli_eigenmode_rank_beyond_the_spectrum_exit_2(tmp_path, capsys):
     # within the free potential DOFs but beyond the nonzero eigenvalues:
     # rejected after the solve, naming the spectrum's range
+    resolved = load_config(SMALL_BAR)
+    v_space, q_space = build_pairing(htsfem.cli._build_mesh(resolved), (1, 1))
+    norms = make_norms(resolved)
+    eig = infsup_eigenpairs(assemble_coupling_matrix(v_space, q_space),
+                            assemble_norm_matrix(v_space, norms),
+                            assemble_norm_matrix(q_space, norms))
+    rank = len(eig.eigenvalues)
+    assert rank < q_space.n_free
     cfg = write_cfg(tmp_path, SMALL_BAR)
     out = tmp_path / "out"
     rc = main(["eigenmode", "--config", cfg, "--out", str(out), "--pairing", "1,1",
-               "--mode-rank", "1000", "--quiet"])
+               "--mode-rank", str(rank), "--quiet"])
     assert rc == 2
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1],
                      parse_constant=_reject_constant)
     assert err["error"] == "config"
-    assert err["message"].startswith("mode rank 1000 outside [-")
+    assert err["message"].startswith(f"mode rank {rank} outside [-")
     assert not (out / "run.json").exists()
 
 

@@ -83,7 +83,7 @@ def _solve_condensed(sys, schur):
     """The free-DOF solution of ``sys`` as the transient takes it: the
     bordered field solve, then the gated recovery of a; also a_Γ."""
     v, a_gamma = _field_solve(sys, schur, _lift(sys, schur))
-    return np.concatenate([v, _gated_recovery(sys, v, schur)[0]]), a_gamma
+    return np.concatenate([v, _gated_recovery(sys, v, schur)]), a_gamma
 
 
 def _iterate_sampler(form, v, jc):
@@ -209,14 +209,6 @@ def test_lift_fast_path_matches_full_solve(coupled, form, i, j):
     z = schur.lift(s_q)
     assert _close(z, factor.solve(s_q)[factor.rows], 1e-12)
     assert schur.solves == solves + 1
-    # a held drive repeats s_q bit for bit: the last z_Γ, unsolved and
-    # not aliased; a halved step changes s_q and solves again
-    again = schur.lift(s_q.copy())
-    assert np.array_equal(again, z) and again is not z and schur.solves == solves + 1
-    again[:] = 0.0
-    assert np.array_equal(schur.lift(s_q), z)
-    assert _close(schur.lift(0.5 * s_q), 0.5 * z, 1e-12)
-    assert schur.solves == solves + 2
 
 
 @pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ha"])
@@ -298,8 +290,7 @@ def test_field_error_matches_backward_error(coupled, form, i, j, seed, log_dt, d
     ref = backward_error(K[free[:nv]], x, s[free[:nv]])
     assert abs(sys.field_error(v, a[sys.blocks.gamma]) - ref) <= 1e-12 * ref
     assert backward_error(K[free[nv:]], x, s[free[nv:]]) <= 1e-13
-    q_products = sys.blocks.potential_products(v[case.v.free], a[case.q.free])
-    assert sys.backward_error(v, a, q_products) <= (1.0 + 1e-12) * max(ref, 1e-13)
+    assert sys.backward_error(v, a) <= (1.0 + 1e-12) * max(ref, 1e-13)
 
 
 @pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ha"])
@@ -421,16 +412,14 @@ def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_d
     sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
     v, a = case.sample(rng), 1e-3 * rng.standard_normal(case.q.n_dofs)
     x = np.concatenate([v, a])
-    # the gate and the final residual share one evaluation of the
-    # potential rows; each against its straightforward backward error
+    # the gate's and the final residual's backward errors, each against
+    # its straightforward evaluation
     free = free_indices(sys)
-    v_free, a_free = v[case.v.free], a[case.q.free]
-    q_products = sys.blocks.potential_products(v_free, a_free)
     x_run = np.concatenate(expand(sys, x[free]))
     ref = backward_error(monolithic(sys)[free], x_run, s_full(sys)[free])
     v_run, a_run = x_run[:case.v.n_dofs], x_run[case.v.n_dofs:]
-    assert abs(sys.backward_error(v_run, a_run, q_products) - ref) <= 1e-12 * ref
+    assert abs(sys.backward_error(v_run, a_run) - ref) <= 1e-12 * ref
     K, s = eliminated(sys)
     ref = backward_error(K, x[free], s)
-    assert abs(sys.free_backward_error(v_free, a_free, q_products) - ref) <= 1e-12 * ref
+    assert abs(sys.free_backward_error(v[case.v.free], a[case.q.free]) - ref) <= 1e-12 * ref
     assert _close(np.concatenate([sys.s_field, sys.s_potential]), s, 1e-13)

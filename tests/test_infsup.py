@@ -5,52 +5,19 @@ import pytest
 
 import htsfem.infsup
 from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
-from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport,
-                           NotApplicableError, build_pairing,
-                           coercivity_estimates, export_eigenmode,
-                           run_infsup_sweep, _fit_slope, _leading_rows,
+from htsfem.infsup import (HierarchyError, InfSupMatrix, InfSupReport, build_pairing,
+                           export_eigenmode, run_infsup_sweep, _fit_slope, _leading_rows,
                            _sweep_level, _verdict)
 from htsfem.linalg import infsup_eigenpairs, interface_schur
-from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import Region, refine
+from htsfem.mesh import refine
 from htsfem.spaces import DofSpace, build_a_space
 
 from util import NORMS, dof_entries, solve_reference
 
 
-def test_coercivity_homogeneous():
-    mats = Materials(PowerLaw(e_c=NORMS.rho0 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_AIR): VACUUM})
-    alpha, gamma = coercivity_estimates(mats, NORMS, NORMS.dt0)
-    assert alpha == pytest.approx(1.0)
-    assert gamma == pytest.approx(1.0)
-
-
-def test_coercivity_ferromagnet_deteriorates():
-    mats = Materials(PowerLaw(e_c=NORMS.rho0 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
-                      int(Region.OMEGA_A_AIR): VACUUM})
-    _, gamma = coercivity_estimates(mats, NORMS, NORMS.dt0)
-    assert gamma == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_coercivity_time_step_ratio():
-    mats = Materials(PowerLaw(e_c=NORMS.rho0 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_AIR): VACUUM})
-    alpha, _ = coercivity_estimates(mats, NORMS, 2.0 * NORMS.dt0)
-    assert alpha == pytest.approx(1.0)
-
-
-def test_coercivity_rejects_power_law():
-    mats = Materials(PowerLaw(e_c=1e-4, j_c=3e8, n=20),
-                     {int(Region.OMEGA_A_AIR): VACUUM})
-    with pytest.raises(NotApplicableError):
-        coercivity_estimates(mats, NORMS, NORMS.dt0)
-
-
-def test_sweep_requires_three_refinements(bar_params, bar_materials_linear):
+def test_sweep_requires_three_refinements(bar_params):
     with pytest.raises(ValueError):
-        run_infsup_sweep(bar_params, [(1, 1)], 2, NORMS, bar_materials_linear)
+        run_infsup_sweep(bar_params, [(1, 1)], 2, NORMS)
 
 
 def test_verdict_rules():
@@ -220,14 +187,13 @@ def test_leading_rows_checks_the_hierarchy(bar_mesh):
         _leading_rows(q1, _bubbles_first(q2), P, 2)
 
 
-def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, bar_materials_linear,
-                                                     monkeypatch):
+def test_sweep_names_the_level_of_a_broken_hierarchy(bar_params, monkeypatch):
     def shuffled_a_space(mesh, enrichment):
         space = build_a_space(mesh, enrichment)
         return _bubbles_first(space) if enrichment == 2 else space
     monkeypatch.setattr(htsfem.infsup, "build_a_space", shuffled_a_space)
     with pytest.raises(HierarchyError, match="level 0"):
-        run_infsup_sweep(bar_params, [(1, 1), (1, 2)], 3, NORMS, bar_materials_linear)
+        run_infsup_sweep(bar_params, [(1, 1), (1, 2)], 3, NORMS)
 
 
 @MESHES

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import htsfem.linalg
 from htsfem.linalg import (ZERO_TOL_REL, DegenerateCouplingError, SchurFactor,
                            SingularSystemError, infsup_eigenpairs, interface_schur,
                            solve_dense, solve_sparse)
@@ -70,6 +71,29 @@ def test_solve_singular_raises():
     K = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         solve_sparse(K, np.ones(2))
+
+
+def test_solve_sparse_multiplies_by_K_after_the_abs_product(monkeypatch):
+    # K's data holds |K| only within the product with it: a refinement
+    # that multiplies by K after |K| sees K, and the solve passes its gate
+    refined, products = htsfem.linalg._refined_solve, []
+
+    def abs_product_first(K, s, row_max, factor, abs_product):
+        y = np.arange(1.0, K.shape[0] + 1.0)
+        before = K @ y
+        abs_product(y)
+        products.append((before, K @ y))
+        return refined(K, s, row_max, factor, abs_product)
+    monkeypatch.setattr(htsfem.linalg, "_refined_solve", abs_product_first)
+    rng = np.random.default_rng(3)
+    K0 = random_spd(rng, 20) - 25.0 * np.eye(20)        # indefinite, signs mixed
+    K, s = sp.csc_matrix(K0), rng.normal(size=20)
+    data = K.data.copy()
+    x = solve_sparse(K, s)
+    (before, after), = products
+    assert np.array_equal(after, before)
+    assert np.array_equal(K.data, data)
+    assert np.abs(K0 @ x - s).max() <= 1e-10 * np.abs(s).max()
 
 
 def test_dense_solve_matches_scaled_oracle_and_refuses_indefinite():

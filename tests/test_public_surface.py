@@ -20,6 +20,9 @@ dict counts as used when ``src/htsfem`` reads it by ``meta["key"]`` or
 call in ``src/htsfem`` or ``perfbench/*.py`` passes it, by keyword or
 by position.
 
+Every leaf key of the configuration schema counts as used when
+``src/htsfem`` reads its name as a string subscript.
+
 Tests do not count: a name, field or setting that only its own test
 uses is library surface that no command or module uses.  Names are
 matched without types, so the checks are heuristic: a field passes
@@ -30,6 +33,8 @@ when any function of the same name is called with it.
 import ast
 import re
 from pathlib import Path
+
+from htsfem.config import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "htsfem"
@@ -236,3 +241,31 @@ def unpassed_parameters():
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
+
+
+# -- configuration keys ----------------------------------------------------------
+
+
+def _schema_leaves(schema, path=()):
+    """The dotted path of every leaf key of a configuration schema."""
+    out = []
+    for key, sub in schema["properties"].items():
+        out += (_schema_leaves(sub, path + (key,)) if "properties" in sub
+                else [".".join(path + (key,))])
+    return out
+
+
+def unread_config_keys():
+    """Leaf keys of CONFIG_SCHEMA whose name src never reads as a string
+    subscript, such as ``cfg["material"]["mu_r"]``.  The schema and
+    ``config._UNREAD`` hold the keys as literals, not subscripts, so
+    they do not count."""
+    read = {node.slice.value for _, tree in _src_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+    return sorted(k for k in _schema_leaves(CONFIG_SCHEMA) if k.split(".")[-1] not in read)
+
+
+def test_every_config_key_is_read():
+    assert "material.mu_r" in _schema_leaves(CONFIG_SCHEMA)
+    assert unread_config_keys() == []
