@@ -8,7 +8,7 @@ the interface coupling.
 
 from .mesh import (Boundary, GeometryParams, Interface, Mesh2D, Region,
                    Scenario, build_stacked_bar_mesh, build_tape_mesh, refine)
-from .materials import MagneticLaw, PowerLaw, de_dj, rho_power
+from .materials import Materials, PowerLaw, de_dj, rho_power
 from .spaces import DofSpace, build_a_space, build_h_space, build_t_space
 from .assembly import (AssembledSystem, LinearBlocks, NormSpec,
                        assemble_coupling_matrix, assemble_ha_iteration,

@@ -15,16 +15,14 @@ the field block: M + dt*K_rho for h-a (conductor mass plus
 differential-resistivity stiffness) and dt*D for t-a (the tape's
 differential-resistivity stiffness).  The t-a system is thus stored as
 the paper's form times -1, which has the same solution.  The potential
-rows carry no source: the magnetic laws are linear.
+rows carry no source: the a-side is linear.
 
 Only A_v and s_v depend on the Newton iterate, so an iteration
 assembles only those, from the field iterate alone.  Everything else
 is fixed for a transient run and is built once, by ``linear_blocks``,
-into one ``LinearBlocks`` that the iteration assemblers take: K_nu and
-B, the field curl form and the H mass.  Nothing assembled is cached on
-the spaces; a space caches only two tables of its own basis, its
-interface trace (``spaces.trace_table``) and, for H, its Whitney map
-(``spaces.whitney_transform``).  The field blocks are weighted
+into one ``LinearBlocks`` that the iteration assemblers take: the free
+potential rows [B, -K_nu], the field curl form and the H mass.  Nothing
+is cached on the spaces.  The field blocks are weighted
 curl-curl forms G^T diag(w) G, linear in the weights, and are filled
 on a fixed sparsity pattern by one sparse mat-vec (``_CurlForm``).  Both
 formulations assemble through one power-law iteration core.
@@ -87,22 +85,20 @@ class NormSpec:
 class LinearBlocks:
     """What every Newton iteration of a transient run shares: the field
     and potential spaces, the conductor's power law, the field curl
-    form (for H with the mu0 H mass as its base), the H mass (None for
-    T), and on all DOFs the reluctivity stiffness K_nu and the coupling
-    B.  For mat-vecs it stores B^T on the potential DOFs ``gamma`` that
-    B couples (``B_T``; ``gamma_free`` marks the free ones) and the free
-    potential rows [B, -K_nu] of the block form (``q_rows``), whose
-    columns are the field DOFs followed by the potential DOFs.  Each
-    comes with its entrywise absolute values, which scale backward
-    errors."""
+    form (for H with the mu0 H mass as its base) and the H mass (None
+    for T).  The a-side is held once, as the free potential rows
+    [B, -K_nu] of the block form (``q_rows``), whose columns are all
+    field DOFs followed by all potential DOFs; the free a-block and the
+    free coupling are its slices.  For mat-vecs it also stores B^T on
+    the potential DOFs ``gamma`` that B couples (``B_T``; ``gamma_free``
+    marks the free ones).  Each comes with its entrywise absolute
+    values, which scale backward errors."""
 
     v_space: DofSpace
     q_space: DofSpace
     power: PowerLaw
     form: _CurlForm
     mass: sp.csr_matrix | None
-    K_nu: sp.csr_matrix
-    B: sp.csr_matrix
     gamma: np.ndarray
     gamma_free: np.ndarray
     B_T: sp.csr_matrix
@@ -578,14 +574,6 @@ def assemble_norm_matrix(space: DofSpace, norms: NormSpec) -> sp.csr_matrix:
 # -- coupled iteration systems ----------------------------------------------------
 
 
-def _region_nu(materials: Materials) -> np.ndarray:
-    """Reluctivity of each region, indexed by its Region value."""
-    lut = np.full(int(max(Region)) + 1, np.nan)
-    for reg in Region:
-        lut[int(reg)] = materials.nu_of_region(reg)
-    return lut
-
-
 def _circuit_rhs(space, dt, voltage):
     """Voltage source term on the global DOF.  ``voltage`` is the
     per-unit-length voltage of a voltage-driven circuit in the reported
@@ -601,16 +589,18 @@ def _circuit_rhs(space, dt, voltage):
 def linear_blocks(v_space: DofSpace, q_space: DofSpace, materials: Materials) -> LinearBlocks:
     """The fixed blocks of a transient run on the field space
     ``v_space`` and the potential space ``q_space`` of one mesh (see
-    ``LinearBlocks``), built afresh on every call."""
+    ``LinearBlocks``), built afresh on every call.  The reluctivity is
+    1/(mu0 mu_r) on the ferromagnet's triangles and 1/mu0 on the air's."""
     B = _coupling_full(v_space, q_space)
-    nu = _region_nu(materials)[q_space.mesh.tri_region[q_space.meta["a_tris"]]]
-    K_nu = _a_stiffness(q_space, nu)
+    region = q_space.mesh.tri_region[q_space.meta["a_tris"]]
+    K_nu = _a_stiffness(q_space, np.where(region == Region.OMEGA_A_FERRO,
+                                          1.0 / (MU0 * materials.mu_r), 1.0 / MU0))
     mass = _h_mass(v_space, MU0) if v_space.family == "H" else None
     gamma = np.flatnonzero(np.diff(B.indptr))
     B_T = B[gamma].T.tocsr()
     q_rows = sp.hstack([B, -K_nu], format="csr")[q_space.free]
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
-                        K_nu, B, gamma, np.isin(gamma, q_space.free), B_T, abs(B_T),
+                        gamma, np.isin(gamma, q_space.free), B_T, abs(B_T),
                         q_rows, abs(q_rows))
 
 

@@ -137,8 +137,6 @@ def cmd_solve(cfg, outdir: Path, quiet=False) -> int:
 def cmd_infsup(cfg, outdir: Path, pairings=None, quiet=False) -> int:
     t0 = _time.perf_counter()
     params = cfgmod.make_geometry(cfg)
-    if cfg["sweep"]["base_delta"] is not None:
-        params = params.with_delta(cfg["sweep"]["base_delta"])
     n_ref = cfg["sweep"]["n_refinements"]
     norms = cfgmod.make_norms(cfg)
     if pairings is None:
@@ -224,23 +222,28 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config)
         pairings = None
-        if args.pairing:
+        if args.pairing is not None:
             if args.pairing.lower() == "all":
                 if args.command != "infsup":
                     raise cfgmod.ConfigError("--pairing all applies to infsup only")
                 pairings = [(1, 1), (1, 2), (2, 1), (2, 2)]
             else:
-                i, j = (int(p) for p in args.pairing.split(","))
-                if {i, j} - {1, 2}:
-                    raise cfgmod.ConfigError("pairing orders must be 1 or 2")
-                cfg["pairing"] = [i, j]
+                orders = args.pairing.split(",")
+                if len(orders) != 2 or any(p.strip() not in ("1", "2") for p in orders):
+                    raise cfgmod.ConfigError(f"--pairing takes i,j with orders 1 or 2, or "
+                                             f"'all'; got {args.pairing!r}")
+                cfg["pairing"] = [int(p) for p in orders]
         if args.refinements is not None:
             cfg["sweep"]["n_refinements"] = args.refinements
         if cfg["sweep"]["n_refinements"] < 3:
             raise cfgmod.ConfigError("n_refinements must be >= 3")
         outdir = Path(args.out or cfg["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        cfgmod.dump_resolved(cfg, outdir / "config.resolved.json")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            cfgmod.dump_resolved(cfg, outdir / "config.resolved.json")
+        except OSError as err:
+            raise cfgmod.ConfigError(f"cannot write the output directory {outdir}: "
+                                     f"{err.strerror or err}") from err
     except ValueError as err:              # ConfigError is a ValueError
         _emit_error("config", err)
         return EXIT_CONFIG

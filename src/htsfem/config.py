@@ -14,8 +14,8 @@ from pathlib import Path
 
 import jsonschema
 
-from .materials import MU0, MagneticLaw, Materials, PowerLaw, VACUUM
-from .mesh import GeometryParams, Region, Scenario
+from .materials import MU0, Materials, PowerLaw
+from .mesh import GeometryParams, Scenario
 from .assembly import NormSpec
 from .transient import TimeConfig, ramp_then_hold
 
@@ -101,7 +101,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_refinements": {"type": "integer", "default": 3},
-                "base_delta": {"type": ["number", "null"], "default": None},
             },
             "default": {},
         },
@@ -190,9 +189,7 @@ def make_materials(cfg) -> Materials:
     mt = cfg["material"]
     power = PowerLaw(e_c=mt["e_c"], j_c=mt["j_c"], n=mt["n"],
                      j_reg=mt["j_reg_rel"] * mt["j_c"])
-    magnetic = {int(Region.OMEGA_A_AIR): VACUUM,
-                int(Region.OMEGA_A_FERRO): MagneticLaw(mt["mu_r"])}
-    return Materials(power, magnetic)
+    return Materials(power, mt["mu_r"])
 
 
 def circuit(cfg) -> tuple:

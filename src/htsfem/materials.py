@@ -29,21 +29,19 @@ class PowerLaw:
     e_c: threshold electric field (V/m) reached at |j| = j_c.
     j_c: critical current density (A/m^2).
     n:   creep exponent; n = 1 gives a linear conductor.
-    j_reg: regularization floor (A/m^2); defaults to 1e-3 * j_c.
+    j_reg: regularization floor (A/m^2).
     """
 
-    e_c: float = 1e-4
-    j_c: float = 3e8
-    n: float = 20.0
-    j_reg: float | None = None
+    e_c: float
+    j_c: float
+    n: float
+    j_reg: float
 
     def __post_init__(self):
         if self.e_c <= 0 or self.j_c <= 0:
             raise ValueError("e_c and j_c must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.j_reg is None:
-            object.__setattr__(self, "j_reg", 1e-3 * self.j_c)
         if self.j_reg < 0:
             raise ValueError("j_reg must be >= 0")
 
@@ -62,39 +60,18 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class MagneticLaw:
-    """Linear magnetic law b = mu0 * mu_r * h."""
+class Materials:
+    """The conductor's power law and the ferromagnet's relative
+    permeability ``mu_r``.  The a-side is linear, b = mu0 mu_r h on the
+    ferromagnet and b = mu0 h in air; a mesh without a ferromagnet (the
+    tape's) reads no ``mu_r``."""
 
-    mu_r: float = 1.0
+    power: PowerLaw
+    mu_r: float
 
     def __post_init__(self):
         if self.mu_r < 1.0:
             raise ValueError("mu_r must be >= 1")
-
-    @property
-    def mu(self) -> float:
-        return MU0 * self.mu_r
-
-    @property
-    def nu(self) -> float:
-        return 1.0 / self.mu
-
-
-VACUUM = MagneticLaw(1.0)
-
-
-@dataclass(frozen=True)
-class Materials:
-    """Material assignment: one conductor law, one magnetic law per
-    a-side region (keys are Region values).  The conducting region is
-    always at vacuum permeability."""
-
-    power: PowerLaw
-    magnetic: dict
-
-    def nu_of_region(self, region) -> float:
-        law = self.magnetic.get(int(region), VACUUM)
-        return law.nu
 
 
 def rho_power(j_norm, law: PowerLaw):

@@ -21,7 +21,7 @@ element sizes and reproducible degree-of-freedom numberings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from pathlib import Path
@@ -88,9 +88,6 @@ class GeometryParams:
                 raise MeshError(f"{name} must be positive")
         if self.scenario is Scenario.STACKED_BAR and self.delta >= self.bar_width / 2.0:
             raise MeshError("delta must be smaller than half the bar width")
-
-    def with_delta(self, delta: float) -> "GeometryParams":
-        return replace(self, delta=delta)
 
 
 class Mesh2D:

@@ -315,12 +315,9 @@ class TraceTable:
 
 
 def trace_table(space: DofSpace) -> TraceTable:
-    """Tabulated trace basis on the mesh's interface, cached on the
-    space: the z-component of n x h for H spaces, the potential value
+    """Tabulated trace basis on the mesh's interface, built afresh on
+    every call: the z-component of n x h for H spaces, the potential value
     for A spaces and the surface-current density dt/ds for T spaces."""
-    cached = getattr(space, "_trace_table", None)
-    if cached is not None:
-        return cached
     mesh = space.mesh
     segs = mesh.interface_segments
     lens = mesh.segment_lengths(segs)
@@ -346,8 +343,7 @@ def trace_table(space: DofSpace) -> TraceTable:
     dofs = np.stack([d for d, _ in slots], axis=1)
     coeffs = np.stack([np.stack(c, axis=1) for _, c in slots], axis=1)
     coeffs[dofs < 0] = 0.0
-    space._trace_table = TraceTable(dofs, coeffs, lens)
-    return space._trace_table
+    return TraceTable(dofs, coeffs, lens)
 
 
 # -- Whitney map ----------------------------------------------------------------
@@ -365,9 +361,6 @@ def whitney_transform(space: DofSpace):
     """
     if space.family != "H":
         raise SpaceError("whitney expansion applies to H spaces")
-    cached = getattr(space, "_whitney_transform", None)
-    if cached is not None:
-        return cached
     mesh = space.mesh
     sc_edges = np.unique(mesh.tri_edges[space.meta["sc_tris"]])
     pos = np.arange(len(sc_edges))
@@ -382,5 +375,4 @@ def whitney_transform(space: DofSpace):
     has = cols >= 0
     C = coo_matrix((data[has], (rows[has], cols[has])),
                    shape=(len(sc_edges), space.n_dofs)).tocsr()
-    space._whitney_transform = (sc_edges, C)
     return sc_edges, C

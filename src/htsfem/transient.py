@@ -16,12 +16,13 @@ assembly only.
 
 Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
-iteration of a run.  ``run_transient`` builds them once, with the
-field curl form and the H mass, as the run's ``LinearBlocks``; every
-iteration assembles from them only the field block A_v, as its data
-on a fixed sparsity pattern, and the field right-hand side s_v
-(``htsfem.assembly``).  ``run_transient`` also factors the free K_nu
-once, with the rows Γ that B couples last, into its Schur complement
+iteration of a run.  ``run_transient`` builds them once, as the free
+potential rows [B, -K_nu] of the run's ``LinearBlocks``, with the
+field curl form and the H mass; every iteration assembles from them
+only the field block A_v, as its data on a fixed sparsity pattern, and
+the field right-hand side s_v (``htsfem.assembly``).  ``run_transient``
+slices the free K_nu from those rows and factors it once, with the
+rows Γ that B couples last, into its Schur complement
 S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
 only through S_K.  h-a solves for the field DOFs v by one
 ``solve_sparse`` factorization of the bordered (v, a_Γ) system, in an
@@ -197,12 +198,16 @@ def run_transient(spaces, materials: Materials, time: TimeConfig) -> TimeHistory
     hist = TimeHistory()
     blocks = linear_blocks(v_space, q_space, materials)
     qf, vf = q_space.free, v_space.free
-    # h-a borders the field block's fixed pattern, with weights that only
+    # the free a-block and coupling, sliced from the free potential rows
+    # [B, -K_nu], the a-block negated in place (one copy, not two); h-a
+    # borders the field block's fixed pattern, with weights that only
     # order it; B couples every field DOF of a tape, and t-a condenses
-    form, free = blocks.form, (blocks.K_nu[qf][:, qf], blocks.B[qf][:, vf])
+    form, q_rows = blocks.form, blocks.q_rows
+    free = (q_rows[:, v_space.n_dofs + qf], q_rows[:, vf])
+    np.negative(free[0].data, out=free[0].data)
     schur = (BorderedSchur(*free, form.free_block(form.data(np.ones(form.G.shape[0]))))
              if ha else InterfaceSchur(*free))
-    del free            # the run keeps only the factor of the free K_nu
+    del free            # of the free a-block, the run keeps only the factor
     if not ha and materials.power.n > 1.0:
         _refuse_field_kernel(schur, v_space, q_space)
     # Newton's potential unknowns are the free rows of blocks.gamma

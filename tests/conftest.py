@@ -1,7 +1,7 @@
 import pytest
 
-from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import (GeometryParams, Region, Scenario,
+from htsfem.config import load_config, make_materials
+from htsfem.mesh import (GeometryParams, Scenario,
                          build_stacked_bar_mesh, build_tape_mesh)
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
@@ -30,22 +30,17 @@ def tape_mesh(tape_params):
 @pytest.fixture(scope="session")
 def bar_materials_linear():
     # linear conductor at the reference resistivity, mu_r = 1000 above
-    return Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
-                      int(Region.OMEGA_A_AIR): VACUUM})
+    return make_materials(load_config({"material": {"e_c": 1.6e-8 * 3e8, "n": 1}}))
 
 
 @pytest.fixture(scope="session")
 def bar_materials_power():
-    return Materials(PowerLaw(e_c=1e-4, j_c=3e8, n=20),
-                     {int(Region.OMEGA_A_FERRO): MagneticLaw(1000.0),
-                      int(Region.OMEGA_A_AIR): VACUUM})
+    return make_materials(load_config({}))
 
 
 @pytest.fixture(scope="session")
 def tape_materials_power():
-    return Materials(PowerLaw(e_c=1e-4, j_c=2.5e8, n=20),
-                     {int(Region.OMEGA_A_AIR): VACUUM})
+    return make_materials(load_config({"scenario": "single_tape"}))
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,8 @@ def test_cli_formulation_key_exit_2(tmp_path, capsys):
     # retired keys are unknown: the spaces carry the formulation, and no
     # command reads a linear resistivity
     for key, cfg in (("formulation", {"scenario": "single_tape", "formulation": "ta"}),
-                     ("rho_linear", {"material": {"rho_linear": 1e-8}})):
+                     ("rho_linear", {"material": {"rho_linear": 1e-8}}),
+                     ("base_delta", {"sweep": {"base_delta": 0.002}})):
         out = tmp_path / key
         assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
@@ -171,6 +172,37 @@ def test_cli_bad_pairing_exit_2(tmp_path):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                "--pairing", "3,1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("pairing", ["1,2,3", "1", "x,1", "1,", "", "3,1"])
+def test_cli_malformed_pairing_exit_2(tmp_path, capsys, pairing):
+    # one line that names the option and the value given
+    out = tmp_path / "o"
+    rc = main(["mesh", "--config", write_cfg(tmp_path, SMALL_BAR), "--out", str(out),
+               "--pairing", pairing, "--quiet"])
+    assert rc == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "--pairing" in err["message"] and repr(pairing) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, under):
+    # an existing file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    rc = main(["mesh", "--config", write_cfg(tmp_path, SMALL_BAR), "--out", str(out),
+               "--quiet"])
+    assert rc == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert blocker.read_text() == "x"
 
 
 @pytest.mark.parametrize("command", ["solve", "mesh", "eigenmode"])
@@ -256,7 +288,8 @@ def test_cli_solve_bar_and_infsup(tmp_path):
     # the report holds the inf-sup result alone, on the bar and the tape
     for name, base in (("bar", SMALL_BAR), ("tape", SMALL_TAPE)):
         sweep_cfg = dict(base)
-        sweep_cfg["sweep"] = {"n_refinements": 3, "base_delta": 0.002}
+        sweep_cfg["geometry"] = {**base["geometry"], "delta": 0.002}
+        sweep_cfg["sweep"] = {"n_refinements": 3}
         cfg2 = write_cfg(tmp_path, sweep_cfg, f"sweep_{name}.json")
         out2 = tmp_path / f"infsup_{name}"
         assert main(["infsup", "--config", cfg2, "--out", str(out2),

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htsfem._geom import LINE_QP, LINE_QW
-from htsfem.assembly import (_curl_form, _h_mass, _masked_scatter, _scatter, _whitney_local,
-                             assemble_ha_iteration, assemble_ta_iteration,
+from htsfem.assembly import (_coupling_full, _curl_form, _h_mass, _masked_scatter, _scatter,
+                             _whitney_local, assemble_ha_iteration, assemble_ta_iteration,
                              linear_blocks)
 from htsfem.linalg import BorderedSchur, InterfaceSchur, SingularSystemError, solve_sparse
 from htsfem.materials import MU0, de_dj, rho_power
@@ -26,8 +26,8 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector, trace_table, whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
 
-from util import (backward_error, build_time_values, condensed, curl_h, dense_schur, eliminated,
-                  expand, field_block, free_field_block, free_indices, interface_term,
+from util import (a_stiffness, backward_error, build_time_values, condensed, curl_h, dense_schur,
+                  eliminated, expand, field_block, free_field_block, free_indices, interface_term,
                   monolithic, s_full, solve_reference)
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
@@ -39,7 +39,9 @@ CRITICAL_CURRENT = {"ha": 3e8 * 0.02 * 0.01, "ta": 2.5e8 * 1e-6 * 0.01}
 @pytest.fixture(scope="module")
 def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
     """Per pairing: spaces, assembler, the run's blocks and a-block
-    factor, the critical current and a sampler of power-law iterates."""
+    factor, the critical current and a sampler of power-law iterates.
+    The a-block K_nu and the coupling B are assembled apart from the
+    run's blocks, on all DOFs."""
     cases = {}
 
     def get(form, i, j):
@@ -55,7 +57,7 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
         blocks = linear_blocks(v, q, mats)
         case = SimpleNamespace(
             form=form, mesh=mesh, v=v, q=q, mats=mats, assemble=assemble, blocks=blocks,
-            K_nu=blocks.K_nu, B=blocks.B, i_c=CRITICAL_CURRENT[form],
+            K_nu=a_stiffness(q, mats), B=_coupling_full(v, q), i_c=CRITICAL_CURRENT[form],
             sample=_iterate_sampler(form, v, mats.power.j_c))
         case.schur = _factor(case)
         cases[form, i, j] = case
@@ -75,14 +77,14 @@ def _factor(case, K_nu=None):
     return BorderedSchur(*blocks, form.free_block(form.data(np.ones(form.G.shape[0]))))
 
 
-def _lift(sys, schur):
-    return schur.lift(eliminated(sys)[1][sys.blocks.v_space.n_free:])
+def _lift(case, sys, schur):
+    return schur.lift(eliminated(sys, case.mats)[1][sys.blocks.v_space.n_free:])
 
 
-def _solve_condensed(sys, schur):
+def _solve_condensed(case, sys, schur):
     """The free-DOF solution of ``sys`` as the transient takes it: the
     bordered field solve, then the gated recovery of a; also a_Γ."""
-    v, a_gamma = _field_solve(sys, schur, _lift(sys, schur))
+    v, a_gamma = _field_solve(sys, schur, _lift(case, sys, schur))
     return np.concatenate([v, _gated_recovery(sys, v, schur)]), a_gamma
 
 
@@ -134,8 +136,8 @@ def test_condensed_solve_matches_monolithic(coupled, form, i, j, seed, log_dt,
                                             drive, b_ext):
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    x = expand(sys, _solve_condensed(sys, case.schur)[0])
-    x_ref = expand(sys, solve_reference(*eliminated(sys)))
+    x = expand(sys, _solve_condensed(case, sys, case.schur)[0])
+    x_ref = expand(sys, solve_reference(*eliminated(sys, case.mats)))
     for block, ref in zip(x, x_ref):
         assert np.abs(block - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -150,7 +152,7 @@ def test_bordered_solve_matches_condensed(coupled, form, i, j, seed, log_dt, dri
     # condensed field system solved by the pivoting reference
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    lift = _lift(sys, case.schur)
+    lift = _lift(case, sys, case.schur)
     v_ref = solve_reference(*condensed(sys, case.schur, lift))
     ref = (v_ref, case.schur.interface_values(v_ref, lift))
     for x, x_ref in zip(_field_solve(sys, case.schur, lift), ref):
@@ -169,7 +171,7 @@ def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
     A = free_field_block(sys)
     A.data = A.data * np.random.default_rng(6).uniform(0.5, 1.5, A.nnz)
     assert abs(A - A.T).max() > 0.0
-    lift = _lift(sys, schur)
+    lift = _lift(case, sys, schur)
     if form == "ta":
         M, s = schur.condensed(A.toarray(), sys.s_field, lift)
         M_ref, s_ref = condensed(sys, schur, lift)
@@ -224,7 +226,7 @@ def test_bordered_matrix_filled_in_place_matches_a_fresh_one(coupled, form, i, j
     B_gamma.eliminate_zeros()
     for _ in range(3):
         sys = _system(case, rng, 10.0 ** rng.uniform(-3.0, -1.0), rng.uniform(-1.0, 1.0), 0.3)
-        lift = _lift(sys, schur)
+        lift = _lift(case, sys, schur)
         P, s = schur.bordered(case.blocks.form.free_data(sys.A_data), sys.s_field, lift)
         ref = sp.bmat([[free_field_block(sys), B_gamma.T], [B_gamma, -schur.factor.S]],
                       format="csr")[inv][:, inv].tocsc()
@@ -266,7 +268,7 @@ def test_interface_values_match_recovered_potential(coupled, form, i, j, seed, l
     # a_Γ = S_K^{-1} B_Γ v - z_Γ against the back-substituted a on Γ
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(seed), 10.0 ** log_dt, drive, b_ext)
-    x_free, a_gamma = _solve_condensed(sys, case.schur)
+    x_free, a_gamma = _solve_condensed(case, sys, case.schur)
     assert _close(a_gamma, x_free[case.v.n_free:][case.schur.factor.rows], 1e-12)
 
 
@@ -286,7 +288,7 @@ def test_field_error_matches_backward_error(coupled, form, i, j, seed, log_dt, d
     v[case.v.free] = case.sample(rng)[case.v.free]
     a[case.q.free] = case.schur.recover(v[case.v.free], sys.s_potential)
     x, free, nv = np.concatenate([v, a]), free_indices(sys), case.v.n_free
-    K, s = monolithic(sys), s_full(sys)
+    K, s = monolithic(sys, case.mats), s_full(sys)
     ref = backward_error(K[free[:nv]], x, s[free[:nv]])
     assert abs(sys.field_error(v, a[sys.blocks.gamma]) - ref) <= 1e-12 * ref
     assert backward_error(K[free[nv:]], x, s[free[nv:]]) <= 1e-13
@@ -323,7 +325,7 @@ def test_condensed_gate_rejects_stale_a_factor(coupled, form, i, j):
     sys = _system(case, np.random.default_rng(7), 0.01, 0.5, 0.3)
     stale = _factor(case, K_nu=2.0 * case.K_nu)
     with pytest.raises(SingularSystemError):
-        _solve_condensed(sys, stale)
+        _solve_condensed(case, sys, stale)
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -332,7 +334,7 @@ def test_condensed_gate_rejects_inconsistent_rhs(coupled, form, i, j):
     # B_Γ^T z_Γ condensed): the gate on the recovered a must refuse it
     case = coupled(form, i, j)
     sys = _system(case, np.random.default_rng(8), 0.01, 0.5, 0.3)
-    lift = _lift(sys, case.schur)
+    lift = _lift(case, sys, case.schur)
     assert np.abs(lift).max() > 0.0
     v, _ = _field_solve(sys, case.schur, np.zeros_like(lift))
     with pytest.raises(SingularSystemError):
@@ -416,10 +418,10 @@ def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_d
     # its straightforward evaluation
     free = free_indices(sys)
     x_run = np.concatenate(expand(sys, x[free]))
-    ref = backward_error(monolithic(sys)[free], x_run, s_full(sys)[free])
+    ref = backward_error(monolithic(sys, case.mats)[free], x_run, s_full(sys)[free])
     v_run, a_run = x_run[:case.v.n_dofs], x_run[case.v.n_dofs:]
     assert abs(sys.backward_error(v_run, a_run) - ref) <= 1e-12 * ref
-    K, s = eliminated(sys)
+    K, s = eliminated(sys, case.mats)
     ref = backward_error(K, x[free], s)
     assert abs(sys.free_backward_error(v[case.v.free], a[case.q.free]) - ref) <= 1e-12 * ref
     assert _close(np.concatenate([sys.s_field, sys.s_potential]), s, 1e-13)

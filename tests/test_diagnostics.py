@@ -4,7 +4,7 @@ import pytest
 from htsfem.diagnostics import (ProfileSample, SamplingError, locate_points,
                                 oscillation_metric, sample_bn_profile,
                                 sample_tape_current, sign_changes)
-from htsfem.materials import MU0, Materials, PowerLaw, VACUUM
+from htsfem.materials import MU0, Materials, PowerLaw
 from htsfem.mesh import Region
 from htsfem.spaces import build_a_space, build_t_space
 from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
@@ -102,9 +102,7 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     from htsfem.assembly import assemble_ha_iteration, linear_blocks
     from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
-    mats = Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1),
-                     {int(Region.OMEGA_A_FERRO): VACUUM,
-                      int(Region.OMEGA_A_AIR): VACUUM})
+    mats = Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1, j_reg=1e-3 * 3e8), 1.0)
     from util import build_time_values, h_dofs_for_potential
     b0 = 0.4
     # exact pair: a = -b0*x gives b = (0, b0); h = b/mu0 = grad((b0/mu0) y)
@@ -118,7 +116,7 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     blocks = linear_blocks(h, a, mats)
     sys = assemble_ha_iteration(blocks, (h_full, a_full), h_full, 0.0125,
                                 **{**build_time_values(blocks), "a_essential": a_exact})
-    v_new, q_new = expand(sys, solve_reference(*eliminated(sys)))
+    v_new, q_new = expand(sys, solve_reference(*eliminated(sys, mats)))
     above = sample_bn_profile(h, a, (v_new, q_new),
                               offset=1e-4, side="ABOVE", n_samples=200)
     below = sample_bn_profile(h, a, (v_new, q_new),

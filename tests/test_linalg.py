@@ -58,7 +58,7 @@ def test_solve_assembled_ha_vs_dense(solve, bar_spaces_11, bar_materials_linear)
     blocks = linear_blocks(h, a, bar_materials_linear)
     sys = assemble_ha_iteration(blocks, z, z[0], 0.0125,
                                 **{**build_time_values(blocks), "a_essential": a_ess})
-    K, s = eliminated(sys)
+    K, s = eliminated(sys, bar_materials_linear)
     x = solve(K, s)
     K = K.toarray()
     x_ref = np.linalg.solve(K, s)

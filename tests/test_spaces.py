@@ -431,13 +431,22 @@ def test_entity_dofs_inverts_the_entry_table(bar_mesh):
     assert np.array_equal(h.entity_dofs("tape", 3), [-1, -1, -1])
 
 
-def test_trace_table_is_cached_per_space(bar_spaces_11):
-    # the H and A spaces of one mesh share the interface, not the table
+def test_basis_tables_are_built_afresh(bar_spaces_11):
+    # the H and A spaces of one mesh share the interface, not the table;
+    # each call builds its tables anew and leaves the space as it was
     h, a = bar_spaces_11
-    assert trace_table(h) is trace_table(h)
-    assert trace_table(a) is trace_table(a)
-    assert trace_table(h) is not trace_table(a)
+    before = {id(s): dict(vars(s)) for s in (h, a)}
+    for s in (h, a):
+        first, again = trace_table(s), trace_table(s)
+        assert first is not again
+        for x, y in zip((first.dofs, first.coeffs, first.lens),
+                        (again.dofs, again.coeffs, again.lens)):
+            assert np.array_equal(x, y)
     assert not np.array_equal(trace_table(h).coeffs, trace_table(a).coeffs)
+    (edges, C), (edges2, C2) = whitney_transform(h), whitney_transform(h)
+    assert C is not C2 and np.array_equal(edges, edges2) and (C != C2).nnz == 0
+    for s in (h, a):
+        assert vars(s).keys() == before[id(s)].keys()
 
 
 def reference_dof_table(space):

@@ -6,8 +6,8 @@ import pytest
 
 from htsfem import transient
 from htsfem.linalg import SingularSystemError
-from htsfem.materials import MagneticLaw, Materials, PowerLaw, VACUUM
-from htsfem.mesh import GeometryParams, Region, Scenario, build_tape_mesh
+from htsfem.materials import Materials, PowerLaw
+from htsfem.mesh import GeometryParams, Scenario, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
                               _circuit_values, circuit_post, ramp_then_hold,
@@ -28,8 +28,7 @@ def small_tape():
 
 
 def linear_mats(rho):
-    return Materials(PowerLaw(e_c=rho * JC, j_c=JC, n=1),
-                     {int(Region.OMEGA_A_AIR): VACUUM})
+    return Materials(PowerLaw(e_c=rho * JC, j_c=JC, n=1, j_reg=1e-3 * JC), 1.0)
 
 
 def test_ramp_profile():
@@ -419,7 +418,7 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
         sys = [s for prev, it, dt, s in calls if dt == hist.dts[k]
                and np.array_equal(prev, v_prev) and np.array_equal(it, hist.v[k])][-1]
         free = free_indices(sys)
-        mono = backward_error(monolithic(sys)[free], x, s_full(sys)[free])
+        mono = backward_error(monolithic(sys, mats)[free], x, s_full(sys)[free])
         assert hist.final_residuals[k] == pytest.approx(mono, rel=1e-12, abs=1e-15)
         v_prev = hist.v[k]
 
@@ -462,8 +461,7 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
                 build_a_space(bar_mesh, 1))
 
     soft = bar_materials_power
-    hard = Materials(soft.power, {**soft.magnetic,
-                                  int(Region.OMEGA_A_FERRO): MagneticLaw(10.0)})
+    hard = Materials(soft.power, 10.0)
     tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
     shared = spaces()
     runs = [run_transient(shared, mats, tc) for mats in (soft, hard)]

@@ -5,7 +5,8 @@ conductor's penetrated area and magnetization, the triangles of each
 mesh edge, a plain ``mesh.txt`` reader, the pivoting sparse solve that
 serves as the reference solver, the componentwise backward error of a
 whole matrix, and the dense and monolithic oracles of the block
-solvers."""
+solvers, with the a-block and the coupling assembled apart from the
+run's blocks."""
 
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
-from htsfem.assembly import NormSpec, h_curl_matrix
+from htsfem.assembly import NormSpec, _a_stiffness, _coupling_full, h_curl_matrix
 from htsfem.linalg import SingularSystemError, componentwise_error
 from htsfem.materials import MU0, rho_power
 from htsfem.mesh import Boundary, Mesh2D, Region, _structured_mesh
@@ -329,10 +330,25 @@ def free_field_block(sys):
     return field_block(sys)[free][:, free].tocsr()
 
 
-def monolithic(sys):
+def a_stiffness(q_space, materials):
+    """The reluctivity stiffness K_nu on all DOFs of ``q_space``, from a
+    per-region table: 1/(mu0 mu_r) on the ferromagnet, 1/mu0 in air."""
+    nu_of = {int(Region.OMEGA_A_AIR): 1.0 / MU0,
+             int(Region.OMEGA_A_FERRO): 1.0 / (MU0 * materials.mu_r)}
+    regions = q_space.mesh.tri_region[q_space.meta["a_tris"]]
+    return _a_stiffness(q_space, np.array([nu_of[int(r)] for r in regions]))
+
+
+def coupling(sys):
+    """The coupling B on all DOFs of the two spaces of ``sys``."""
+    return _coupling_full(sys.blocks.v_space, sys.blocks.q_space)
+
+
+def monolithic(sys, materials):
     """The monolithic operator [[A_v, B^T], [B, -K_nu]] of an assembled
-    coupled system on all DOFs of both spaces."""
-    K_nu, B = sys.blocks.K_nu, sys.blocks.B
+    coupled system on all DOFs of both spaces, with the a-side of
+    ``materials``."""
+    K_nu, B = a_stiffness(sys.blocks.q_space, materials), coupling(sys)
     return sp.bmat([[field_block(sys), B.T], [B, -K_nu]], format="csr")
 
 
@@ -367,10 +383,10 @@ def expand(sys, x_free):
             q_space.expand(x_free[v_space.n_free:], sys.a_essential))
 
 
-def eliminated(sys):
+def eliminated(sys, materials):
     """The monolithic system (K, s) on the free DOFs, V block first,
     after symmetric elimination of the essential values."""
-    free, K_full = free_indices(sys), monolithic(sys)
+    free, K_full = free_indices(sys), monolithic(sys, materials)
     ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
     s = s_full(sys)[free]
     if len(ess):
@@ -383,7 +399,7 @@ def interface_term(sys, schur):
     ``sys``, with S_K the Schur complement of ``schur``'s factor and B_Γ
     the free coupling rows Γ that its factor eliminates last."""
     lb = sys.blocks
-    B = lb.B[lb.q_space.free][:, lb.v_space.free].tocsr()
+    B = coupling(sys)[lb.q_space.free][:, lb.v_space.free].tocsr()
     cols = np.flatnonzero(np.diff(B.tocsc().indptr))
     W = B[schur.factor.rows][:, cols].toarray()
     T = W.T @ schur.factor.schur_solve(W)
@@ -398,5 +414,5 @@ def condensed(sys, schur, lift):
     (A + B_Γ^T S_K^{-1} B_Γ) v = s_field + B_Γ^T z_Γ for the lift z_Γ;
     then a_Γ = S_K^{-1} B_Γ v - z_Γ (``schur.interface_values``)."""
     lb = sys.blocks
-    B_gamma = lb.B[lb.q_space.free][:, lb.v_space.free].tocsr()[schur.factor.rows]
+    B_gamma = coupling(sys)[lb.q_space.free][:, lb.v_space.free].tocsr()[schur.factor.rows]
     return free_field_block(sys) + interface_term(sys, schur), sys.s_field + B_gamma.T @ lift
