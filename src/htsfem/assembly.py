@@ -92,7 +92,7 @@ class LinearBlocks:
     free coupling are its slices.  For mat-vecs it also stores B^T on
     the potential DOFs ``gamma`` that B couples (``B_T``; ``gamma_free``
     marks the free ones).  Each comes with its entrywise absolute
-    values, which scale backward errors."""
+    values on its own index arrays, which scale backward errors."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -212,9 +212,12 @@ class AssembledSystem:
 
 
 def _scatter(rows, cols, vals, shape):
-    return sp.coo_matrix((np.asarray(vals, dtype=float).ravel(),
-                          (np.asarray(rows).ravel(), np.asarray(cols).ravel())),
-                         shape=shape).tocsr()
+    """The canonical CSR of the summed entries; it stores no exact zero."""
+    M = sp.coo_matrix((np.asarray(vals, dtype=float).ravel(),
+                       (np.asarray(rows).ravel(), np.asarray(cols).ravel())),
+                      shape=shape).tocsr()
+    M.eliminate_zeros()
+    return M
 
 
 def _masked_scatter(rdofs, cdofs, loc, shape):
@@ -599,9 +602,10 @@ def linear_blocks(v_space: DofSpace, q_space: DofSpace, materials: Materials) ->
     gamma = np.flatnonzero(np.diff(B.indptr))
     B_T = B[gamma].T.tocsr()
     q_rows = sp.hstack([B, -K_nu], format="csr")[q_space.free]
+    abs_B_T, abs_q_rows = (sp.csr_matrix((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
+                           for M in (B_T, q_rows))
     return LinearBlocks(v_space, q_space, materials.power, _curl_form(v_space, mass), mass,
-                        gamma, np.isin(gamma, q_space.free), B_T, abs(B_T),
-                        q_rows, abs(q_rows))
+                        gamma, np.isin(gamma, q_space.free), B_T, abs_B_T, q_rows, abs_q_rows)
 
 
 def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,

@@ -333,9 +333,9 @@ class BorderedSchur(InterfaceSchur):
     and ``nnz`` are the rows and structural nonzeros of that pattern.
 
     The bordered matrix is laid out once, here, as one canonical CSC in
-    elimination numbering that holds B_Γ, less its exact zeros, and
-    -S_K; each ``bordered`` call writes A's data into it in place, so a
-    Newton iteration neither builds nor converts a matrix.
+    elimination numbering that holds B_Γ and -S_K; each ``bordered``
+    call writes A's data into it in place, so a Newton iteration neither
+    builds nor converts a matrix.
     """
 
     def __init__(self, K, B, A):
@@ -347,8 +347,7 @@ class BorderedSchur(InterfaceSchur):
         self.size = n_v + m
         self._pos = np.arange(self.size)
         self._pos[_min_degree_order(A)] = np.arange(n_v)
-        Bg = self._B_gamma.tocoo(copy=True)
-        Bg.eliminate_zeros()
+        Bg = self._B_gamma.tocoo()
         g, h = np.divmod(np.arange(m * m), m)       # the entries of S_K, row-major
         rows = np.concatenate([np.repeat(np.arange(n_v), np.diff(A.indptr)), Bg.col,
                                n_v + Bg.row, n_v + g])

@@ -72,14 +72,14 @@ class GeometryParams:
     it to 1 to reach deliberately coarse meshes.
     """
 
-    scenario: Scenario = Scenario.STACKED_BAR
-    bar_width: float = 0.02
-    bar_height: float = 0.01
-    air_half: float = 0.04
-    tape_width: float = 0.01
-    tape_thickness: float = 1e-6
-    delta: float = 0.002
-    min_elements_across: int = 4
+    scenario: Scenario
+    bar_width: float
+    bar_height: float
+    air_half: float
+    tape_width: float
+    tape_thickness: float
+    delta: float
+    min_elements_across: int
 
     def __post_init__(self):
         for name in ("bar_width", "bar_height", "air_half", "tape_width",

@@ -27,9 +27,9 @@ S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
 only through S_K.  h-a solves for the field DOFs v by one
 ``solve_sparse`` factorization of the bordered (v, a_Γ) system, in an
 order fixed once per run (``linalg.BorderedSchur``): the bordered CSC
-is laid out once, without B_Γ's exact zeros, and each iteration writes
-A_v's free data into it in place; ``solve_sparse`` works on that CSC's
-own arrays and keeps nothing between calls.  On the tape B couples
+is laid out once, and each iteration writes A_v's free data into it in
+place; ``solve_sparse`` works on that CSC's own arrays and keeps
+nothing between calls.  On the tape B couples
 every free field DOF, and t-a solves the dense condensed system
 (A_v + B_Γ^T S_K^{-1} B_Γ) v = s_v + B_Γ^T z_Γ, its dense field block
 filled from the data, by one ``solve_dense`` Cholesky factorization.
@@ -118,18 +118,18 @@ class TimeConfig:
     halved at most MAX_HALVINGS times.
 
     ``drive`` is the Ramp of the conductor's or tape's current or
-    voltage, whichever its space was built to impose; without one it
-    keeps its build-time value.  ``b_ext`` ramps the uniform external
-    field b, imposed as the outer trace a = -b y.
+    voltage, whichever its space was built to impose.  ``b_ext`` ramps
+    the uniform external field b, imposed as the outer trace a = -b y;
+    without one the outer trace is zero.
     """
 
     dt: float
     t_end: float
-    b_ext: Ramp | None = None
-    drive: Ramp | None = None
-    max_iter: int = 30
-    rel_residual_tol: float = 1e-6
-    rel_increment_tol: float = 1e-9
+    b_ext: Ramp | None
+    drive: Ramp
+    max_iter: int
+    rel_residual_tol: float
+    rel_increment_tol: float
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -173,12 +173,10 @@ class TimeHistory:
 
 
 def _circuit_values(v_space, drive, t):
-    """Imposed (current, voltage) at time t, the one the circuit is not
-    driven by being None: the ``drive`` ramp's value where one is given,
-    else the build-time value."""
-    circuit = v_space.circuit
-    value = drive(t) if drive is not None else circuit.value
-    return (value, None) if circuit.mode == "current" else (None, value)
+    """Imposed (current, voltage) at time t, the ``drive`` ramp's value,
+    the one the circuit is not driven by being None."""
+    value = drive(t)
+    return (value, None) if v_space.circuit.mode == "current" else (None, value)
 
 
 def run_transient(spaces, materials: Materials, time: TimeConfig) -> TimeHistory:

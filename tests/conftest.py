@@ -1,14 +1,13 @@
 import pytest
 
-from htsfem.config import load_config, make_materials
-from htsfem.mesh import (GeometryParams, Scenario,
-                         build_stacked_bar_mesh, build_tape_mesh)
+from htsfem.config import load_config, make_geometry, make_materials
+from htsfem.mesh import build_stacked_bar_mesh, build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
 
 @pytest.fixture(scope="session")
 def bar_params():
-    return GeometryParams(scenario=Scenario.STACKED_BAR, delta=0.002)
+    return make_geometry(load_config({"geometry": {"delta": 0.002}}))
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +17,8 @@ def bar_mesh(bar_params):
 
 @pytest.fixture(scope="session")
 def tape_params():
-    return GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.0005,
-                          air_half=0.02)
+    return make_geometry(load_config({"scenario": "single_tape",
+                                      "geometry": {"delta": 0.0005}}))
 
 
 @pytest.fixture(scope="session")

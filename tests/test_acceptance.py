@@ -14,21 +14,20 @@ import scipy.sparse as sp
 
 from htsfem.assembly import assemble_norm_matrix, \
     assemble_ha_iteration, h_curl_matrix, linear_blocks, tape_current_density
+from htsfem.config import load_config, make_geometry
 from htsfem.diagnostics import (oscillation_metric, sample_bn_profile,
                                 sample_tape_current, sign_changes)
 from htsfem.infsup import run_infsup_sweep
 from htsfem.linalg import SingularSystemError, infsup_eigenpairs
 from htsfem.materials import MU0, Materials, PowerLaw, de_dj, rho_power
-from htsfem.mesh import (GeometryParams, Scenario,
-                         build_stacked_bar_mesh, build_tape_mesh)
+from htsfem.mesh import build_stacked_bar_mesh, build_tape_mesh
 from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector)
-from htsfem.transient import (NonConvergenceError, TimeConfig, ramp_then_hold,
-                              run_transient)
+from htsfem.transient import NonConvergenceError, ramp_then_hold, run_transient
 
 from util import (NORMS, build_time_values, dof_entries, e_field, eliminated,
                   eval_trace, expand, h_dofs_for_potential, interface_chain,
-                  solve_reference)
+                  solve_reference, time_config)
 
 
 def report(num, text):
@@ -40,8 +39,8 @@ def report(num, text):
 
 @pytest.fixture(scope="module")
 def ha_sweep_reports():
-    params = GeometryParams(scenario=Scenario.STACKED_BAR, delta=0.008,
-                            air_half=0.042, min_elements_across=1)
+    params = make_geometry(load_config({"geometry": {"delta": 0.008, "air_half": 0.042,
+                                                     "min_elements_across": 1}}))
     t0 = time.perf_counter()
     reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 4, NORMS)
     return reports, time.perf_counter() - t0
@@ -83,8 +82,7 @@ def test_criterion_2_bnorm_bounded(ha_sweep_reports):
 
 
 def test_criterion_3_ta_verdict_matrix():
-    params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.001,
-                            air_half=0.02)
+    params = make_geometry(load_config({"scenario": "single_tape", "geometry": {"delta": 0.001}}))
     reports = run_infsup_sweep(params, [(1, 1), (1, 2), (2, 1), (2, 2)], 3, NORMS)
     verdicts = {pair: rep.verdict for pair, rep in reports.items()}
     assert verdicts[(1, 2)] == "STABLE"
@@ -95,15 +93,15 @@ def test_criterion_3_ta_verdict_matrix():
     # the (2,1) pairing passes the inf-sup test; its power-law transient
     # may still be refused or fail to converge -- the outcome is
     # recorded, not asserted
-    mesh = build_tape_mesh(GeometryParams(scenario=Scenario.SINGLE_TAPE,
-                                          delta=0.0005, air_half=0.02))
+    mesh = build_tape_mesh(make_geometry(load_config({"scenario": "single_tape",
+                                                      "geometry": {"delta": 0.0005}})))
     jc = 2.5e8
     I0 = 0.1 * jc * mesh.w * 0.01
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
     t_sp = build_t_space(mesh, 2, ("current", I0))
     a_sp = build_a_space(mesh, 1)
-    tc = TimeConfig(dt=0.025, t_end=0.25,
-                    drive=ramp_then_hold(I0, 0.25, 0.25))
+    tc = time_config(dt=0.025, t_end=0.25, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.25, 0.25))
     try:
         run_transient((t_sp, a_sp), mats, tc)
         outcome = "converged"
@@ -119,15 +117,15 @@ def test_criterion_3_ta_verdict_matrix():
 
 
 def test_criterion_4_oscillation_contrast_bar():
-    params = GeometryParams(scenario=Scenario.STACKED_BAR, delta=0.0005)
+    params = make_geometry(load_config({"geometry": {"delta": 0.0005}}))
     mesh = build_stacked_bar_mesh(params)
     mats = Materials(PowerLaw(e_c=1e-4, j_c=3e8, n=20, j_reg=1e-3 * 3e8), 1000.0)
     metrics = {}
     for pair in [(1, 1), (2, 1)]:
         h = build_h_space(mesh, pair[0], ("current", 0.0))
         a = build_a_space(mesh, pair[1])
-        tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                        drive=ramp_then_hold(0.0, 0.5, 1.0))
+        tc = time_config(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
+                         drive=ramp_then_hold(0.0, 0.5, 1.0))
         t0 = time.perf_counter()
         hist = run_transient((h, a), mats, tc)
         elapsed = time.perf_counter() - t0
@@ -143,8 +141,8 @@ def test_criterion_4_oscillation_contrast_bar():
 
 
 def test_criterion_4_oscillation_contrast_tape():
-    params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.0003125,
-                            air_half=0.02)
+    params = make_geometry(load_config({"scenario": "single_tape",
+                                        "geometry": {"delta": 0.0003125}}))
     mesh = build_tape_mesh(params)
     jc = 2.5e8
     I0 = 0.1 * jc * mesh.w * 0.01
@@ -153,8 +151,8 @@ def test_criterion_4_oscillation_contrast_tape():
     for pair in [(1, 1), (1, 2)]:
         t_sp = build_t_space(mesh, pair[0], ("current", I0))
         a_sp = build_a_space(mesh, pair[1])
-        tc = TimeConfig(dt=0.0125, t_end=0.5,
-                        drive=ramp_then_hold(I0, 0.25, 0.5))
+        tc = time_config(dt=0.0125, t_end=0.5, b_ext=None,
+                         drive=ramp_then_hold(I0, 0.25, 0.5))
         t0 = time.perf_counter()
         hist = run_transient((t_sp, a_sp), mats, tc)
         elapsed = time.perf_counter() - t0
@@ -253,7 +251,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     t_sp = build_t_space(tape_mesh, 1, ("current", I0))
     a_sp = build_a_space(tape_mesh, 1)
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
-    tc = TimeConfig(dt=0.05, t_end=0.3, drive=ramp)
+    tc = time_config(dt=0.05, t_end=0.3, b_ext=None, drive=ramp)
     hist = run_transient((t_sp, a_sp), mats, tc)
     segs = tape_mesh.interface_segments
     lens = tape_mesh.segment_lengths(segs)
@@ -328,9 +326,9 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
 
 
 def test_criterion_9_linear_limit(bar_spaces_11, bar_materials_linear):
-    tc = TimeConfig(dt=0.025, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
-                    drive=ramp_then_hold(0.0, 0.125, 0.25),
-                    rel_residual_tol=1e-12)
+    tc = time_config(dt=0.025, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
+                     drive=ramp_then_hold(0.0, 0.125, 0.25),
+                     rel_residual_tol=1e-12)
     hist = run_transient(bar_spaces_11, bar_materials_linear, tc)
     assert all(it == 1 for it in hist.newton_iters)
     assert max(hist.final_residuals) <= 1e-12

@@ -8,6 +8,7 @@ from htsfem.assembly import (AssemblyError, SingularNormError,
                              assemble_norm_matrix, assemble_ta_iteration,
                              field_operator, h_curl_matrix, linear_blocks,
                              tape_element_size, _coupling_full)
+from htsfem.infsup import build_pairing
 from htsfem.mesh import refine
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
@@ -186,6 +187,65 @@ def test_coupling_rejects_spaces_of_two_meshes(bar_mesh, bar_spaces_11,
         assemble_coupling_matrix(h, fine_a)
     with pytest.raises(AssemblyError, match="different meshes"):
         linear_blocks(h, fine_a, bar_materials_linear)
+
+
+def _stores_no_zero(M, canonical=True):
+    """M is a CSR without exact zeros, and canonical; without
+    ``canonical``, without duplicates but perhaps with unsorted rows."""
+    once = M.copy()
+    once.sum_duplicates()
+    return (M.format == "csr" and np.all(M.data != 0.0) and once.nnz == M.nnz
+            and (M.has_canonical_format or not canonical))
+
+
+@pytest.mark.parametrize("scenario", ["bar", "tape"])
+def test_assembled_matrices_store_no_exact_zero(request, scenario):
+    # one pattern rule, decided where matrices are built: every coupling,
+    # potential norm, free potential rows and field map stores no exact
+    # zero, such as the P1 coupling across a right triangle's diagonal
+    # edge.  An H field map is the product of a scattered map with the
+    # Whitney map, whose rows scipy leaves unsorted; their order is the
+    # summation order of every sampled h, and is kept
+    mesh = request.getfixturevalue(f"{scenario}_mesh")
+    mats = request.getfixturevalue(f"{scenario}_materials_power")
+    for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        v, q = build_pairing(mesh, pair)
+        assert _stores_no_zero(assemble_coupling_matrix(v, q)), pair
+        assert _stores_no_zero(linear_blocks(v, q, mats).q_rows), pair
+    rng = np.random.default_rng(3)
+    for j in (1, 2):
+        a = build_a_space(mesh, j)
+        assert _stores_no_zero(assemble_norm_matrix(a, NORMS)), j
+        spaces = [a] + ([build_h_space(mesh, j, ("current", 0.0))] if scenario == "bar" else [])
+        for space in spaces:
+            tris = space.meta["a_tris" if space.family == "A" else "sc_tris"]
+            barys = np.concatenate([np.eye(3), rng.dirichlet(np.ones(3), size=2)])
+            F = field_operator(space, np.repeat(tris, len(barys)), np.tile(barys, (len(tris), 1)))
+            assert _stores_no_zero(F, space.family == "A"), (space.family, j)
+
+
+@pytest.mark.parametrize("scenario", ["bar", "tape"])
+def test_order1_potential_norm_is_the_leading_block_of_order2(request, scenario):
+    # an inf-sup level hands every pairing the richest potential norm's
+    # factor, which holds the order-1 norm as its leading block: the
+    # same CSR arrays, bit for bit
+    mesh = request.getfixturevalue(f"{scenario}_mesh")
+    N1 = assemble_norm_matrix(build_a_space(mesh, 1), NORMS)
+    N2 = assemble_norm_matrix(build_a_space(mesh, 2), NORMS)
+    lead = N2[:N1.shape[0], :N1.shape[0]]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(N1, name), getattr(lead, name)), name
+
+
+def test_absolute_rows_share_the_signed_patterns(bar_spaces_11, bar_materials_power):
+    # |B^T| and |[B, -K_nu]| hold their own data on the index arrays of
+    # the signed matrices
+    blocks = linear_blocks(*bar_spaces_11, bar_materials_power)
+    for M, abs_M in ((blocks.B_T, blocks.abs_B_T), (blocks.q_rows, blocks.abs_q_rows)):
+        assert np.shares_memory(abs_M.indices, M.indices)
+        assert np.shares_memory(abs_M.indptr, M.indptr)
+        assert np.array_equal(abs_M.data, np.abs(M.data))
+        assert not np.shares_memory(abs_M.data, M.data)
 
 
 def test_norm_matrices_spd(bar_spaces_11):

@@ -184,9 +184,8 @@ def test_bordered_matrix_holds_the_blocks(coupled, form, i, j):
     B_gamma = case.B[case.q.free][:, case.v.free].tocsr()[schur.factor.rows]
     ref = sp.bmat([[A, B_gamma.T], [B_gamma, -schur.factor.S]])
     assert P.shape == (schur.size,) * 2 and P.nnz == schur.nnz
-    # the layout holds no explicit zero: A's pattern, B_Γ less its exact
-    # zeros and its transpose, and the dense S_K
-    B_gamma.eliminate_zeros()
+    # the layout holds no explicit zero: A's pattern, B_Γ and its
+    # transpose, and the dense S_K
     assert np.all(A.data != 0.0) and np.all(P.data != 0.0)
     assert P.nnz == A.nnz + 2 * B_gamma.nnz + len(schur.factor.rows) ** 2
     assert np.array_equal(P[at][:, at].toarray(), ref.toarray())
@@ -216,14 +215,13 @@ def test_lift_fast_path_matches_full_solve(coupled, form, i, j):
 @pytest.mark.parametrize("form,i,j", [p for p in PAIRINGS if p[0] == "ha"])
 def test_bordered_matrix_filled_in_place_matches_a_fresh_one(coupled, form, i, j):
     # the one bordered CSC, refilled for successive power-law iterates,
-    # against the bordered CSC built from scratch for each, with B_Γ less
-    # its exact zeros: equal arrays; and solve_sparse on it equals, bit
-    # for bit, its solve of a copy and of the CSR that it converts first
+    # against the bordered CSC built from scratch for each: equal arrays;
+    # and solve_sparse on it equals, bit for bit, its solve of a copy and
+    # of the CSR that it converts first
     case = coupled(form, i, j)
     schur, rng = case.schur, np.random.default_rng(11)
     inv = np.argsort(np.concatenate(schur.split(np.arange(schur.size))))
     B_gamma = case.B[case.q.free][:, case.v.free].tocsr()[schur.factor.rows]
-    B_gamma.eliminate_zeros()
     for _ in range(3):
         sys = _system(case, rng, 10.0 ** rng.uniform(-3.0, -1.0), rng.uniform(-1.0, 1.0), 0.3)
         lift = _lift(case, sys, schur)

@@ -7,13 +7,13 @@ from htsfem.diagnostics import (ProfileSample, SamplingError, locate_points,
 from htsfem.materials import MU0, Materials, PowerLaw
 from htsfem.mesh import Region
 from htsfem.spaces import build_a_space, build_t_space
-from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
+from htsfem.transient import ramp_then_hold, run_transient
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from util import (dof_entries, eliminated, expand, locate_points_reference, magnetization,
-                  penetrated_area, solve_reference)
+                  penetrated_area, solve_reference, time_config)
 
 
 def test_metric_monotone():
@@ -154,8 +154,8 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     I0 = 0.4 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
-    tc = TimeConfig(dt=0.05, t_end=0.25,
-                    drive=ramp_then_hold(I0, 0.25, 0.25))
+    tc = time_config(dt=0.05, t_end=0.25, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.25, 0.25))
     hist = run_transient((t, a), tape_materials_power, tc)
     prof = sample_tape_current(t, hist.v[-1], j_c=jc)
     segs = tape_mesh.interface_segments
@@ -171,8 +171,8 @@ def test_stable_tape_penetration_shape(tape_mesh, tape_materials_power):
     I0 = 0.8 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
-    tc = TimeConfig(dt=0.00125, t_end=0.05,
-                    drive=ramp_then_hold(I0, 0.05, 0.05))
+    tc = time_config(dt=0.00125, t_end=0.05, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.05, 0.05))
     hist = run_transient((t, a), tape_materials_power, tc)
     prof = sample_tape_current(t, hist.v[-1], j_c=jc)
     v = prof.values

@@ -12,7 +12,8 @@ from htsfem.linalg import (ZERO_TOL_REL, DegenerateCouplingError, SchurFactor,
                            SingularSystemError, infsup_eigenpairs, interface_schur,
                            solve_dense, solve_sparse)
 
-from util import NORMS, build_time_values, dense_schur, eliminated, solve_reference
+from util import (NORMS, build_time_values, dense_schur, eliminated, solve_reference,
+                  time_config)
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -129,7 +130,7 @@ def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_
     import htsfem.linalg
     from htsfem.assembly import assemble_coupling_matrix, assemble_norm_matrix
     from htsfem.infsup import build_pairing, export_eigenmode
-    from htsfem.transient import TimeConfig, ramp_then_hold, run_transient
+    from htsfem.transient import ramp_then_hold, run_transient
     calls = {"splu": [], "spilu": []}
 
     def recording(name):
@@ -142,7 +143,8 @@ def test_every_factorization_keeps_the_callers_order(monkeypatch, tmp_path, bar_
 
     for name in calls:
         monkeypatch.setattr(htsfem.linalg, name, recording(name))
-    tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    tc = time_config(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1),
+                     drive=ramp_then_hold(0.0, 0.05, 0.1))
     hist = run_transient(bar_spaces_11, bar_materials_power, tc)
     assert hist.n_steps == 2
     v_sp, q_sp = build_pairing(bar_mesh, (1, 1))

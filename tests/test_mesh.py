@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from htsfem.cli import _build_mesh, main
-from htsfem.config import load_config
-from htsfem.mesh import (GeometryParams, Interface, Mesh2D, MeshError, Region,
+from htsfem.config import load_config, make_geometry
+from htsfem.mesh import (Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
                          build_stacked_bar_mesh, build_tape_mesh, refine, write_native)
 
@@ -21,7 +22,7 @@ def test_stacked_bar_interface_perimeter(bar_mesh):
 
 
 def test_under_resolved_bar_rejected():
-    params = GeometryParams(scenario=Scenario.STACKED_BAR, delta=0.005)
+    params = make_geometry(load_config({"geometry": {"delta": 0.005}}))
     with pytest.raises(UnderResolvedError):
         build_stacked_bar_mesh(params)
 
@@ -142,14 +143,14 @@ def test_native_roundtrip_tape(tmp_path):
     assert back.w is not None and back.interface_tag is Interface.GAMMA_W
 
 
-def test_geometry_validation():
+def test_geometry_validation(bar_params):
     with pytest.raises(ValueError):
-        GeometryParams(delta=-1.0)
+        replace(bar_params, delta=-1.0)
     with pytest.raises(ValueError):
-        GeometryParams(delta=0.015)  # not below half the bar width
+        replace(bar_params, delta=0.015)  # not below half the bar width
     # the tape scenario has no bar: its bar width bounds no element size
-    mesh = build_tape_mesh(GeometryParams(scenario=Scenario.SINGLE_TAPE, bar_width=4e-4,
-                                          delta=2.5e-4))
+    mesh = build_tape_mesh(replace(bar_params, scenario=Scenario.SINGLE_TAPE, bar_width=4e-4,
+                                   delta=2.5e-4))
     assert mesh.interface_tag is Interface.GAMMA_W
 
 

@@ -18,7 +18,10 @@ perfbench or README as above.  A key written into a space's ``meta``
 dict counts as used when ``src/htsfem`` reads it by ``meta["key"]`` or
 ``meta.get("key")``.  A parameter with a default counts as used when a
 call in ``src/htsfem`` or ``perfbench/*.py`` passes it, by keyword or
-by position.
+by position.  A dataclass field with a default counts as used when a
+construction of its class in ``src/htsfem`` leaves it out: a default
+that every construction overrides is a second copy of a value, such as
+one of the configuration schema's defaults.
 
 Every leaf key of the configuration schema counts as used when
 ``src/htsfem`` reads its name as a string subscript.
@@ -212,12 +215,12 @@ def _defaulted_parameters():
     return out
 
 
-def _calls():
+def _calls(trees):
     """Function name -> [(positional count, keywords)] of every call in
-    src and perfbench; None for a call with a starred argument or
-    ``**``, which may pass everything."""
+    ``trees``; None for a call with a starred argument or ``**``, which
+    may pass everything."""
     calls = {}
-    for _, tree in _src_trees() + _trees((ROOT / "perfbench").glob("*.py")):
+    for _, tree in trees:
         for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
@@ -231,7 +234,7 @@ def _calls():
 
 
 def unpassed_parameters():
-    calls = _calls()
+    calls = _calls(_src_trees() + _trees((ROOT / "perfbench").glob("*.py")))
     return sorted(
         f"{fn}.{param}" for fn, param, index in _defaulted_parameters()
         if not any(call is None or param in call[1]
@@ -241,6 +244,39 @@ def unpassed_parameters():
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
+
+
+# -- dataclass defaults ----------------------------------------------------------
+
+
+def _dataclass_defaults():
+    """(class, field, positional index) of every field with a default
+    of a src dataclass; the index counts the fields before it."""
+    out = []
+    for _, tree in _src_trees():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                continue
+            fields = [s for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            out += [(cls.name, f.target.id, k) for k, f in enumerate(fields)
+                    if f.value is not None]
+    return out
+
+
+def overridden_defaults():
+    """"Class.field" of every dataclass default that no construction in
+    src relies on: each passes the field, or there is none."""
+    calls = _calls(_src_trees())
+    return sorted(
+        f"{cls}.{name}" for cls, name, index in _dataclass_defaults()
+        if not any(call is None or (name not in call[1] and call[0] <= index)
+                   for call in calls.get(cls, [])))
+
+
+def test_every_dataclass_default_is_relied_on():
+    assert ("TimeHistory", "times", 0) in _dataclass_defaults()
+    assert overridden_defaults() == []
 
 
 # -- configuration keys ----------------------------------------------------------

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from htsfem import transient
+from htsfem.config import load_config, make_geometry
 from htsfem.linalg import SingularSystemError
 from htsfem.materials import Materials, PowerLaw
-from htsfem.mesh import GeometryParams, Scenario, build_tape_mesh
+from htsfem.mesh import build_tape_mesh
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
-from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeConfig, TimeHistory,
+from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeHistory,
                               _circuit_values, circuit_post, ramp_then_hold,
                               run_transient, write_history_csv, write_snapshots)
 
 from util import (backward_error, free_indices, magnetization, monolithic, penetrated_area,
-                  s_full)
+                  s_full, time_config)
 
 JC = 2.5e8
 WIDTH = 0.01
@@ -22,9 +23,8 @@ WIDTH = 0.01
 
 @pytest.fixture(scope="module")
 def small_tape():
-    params = GeometryParams(scenario=Scenario.SINGLE_TAPE, delta=0.001,
-                            air_half=0.02)
-    return build_tape_mesh(params)
+    return build_tape_mesh(make_geometry(load_config({"scenario": "single_tape",
+                                                      "geometry": {"delta": 0.001}})))
 
 
 def linear_mats(rho):
@@ -40,18 +40,19 @@ def test_ramp_profile():
 
 
 def test_time_config_validation():
+    hold = ramp_then_hold(0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        TimeConfig(dt=-1.0, t_end=1.0)
+        time_config(dt=-1.0, t_end=1.0, b_ext=None, drive=hold)
     with pytest.raises(ValueError):
-        TimeConfig(dt=0.1, t_end=1.0, rel_residual_tol=2.0)
+        time_config(dt=0.1, t_end=1.0, b_ext=None, drive=hold, rel_residual_tol=2.0)
     with pytest.raises(ValueError):
-        TimeConfig(dt=0.1, t_end=1.0, max_iter=0)
+        time_config(dt=0.1, t_end=1.0, b_ext=None, drive=hold, max_iter=0)
 
 
 def test_linear_single_newton_iteration(bar_spaces_11, bar_materials_linear):
-    tc = TimeConfig(dt=0.05, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
-                    drive=ramp_then_hold(0.0, 0.125, 0.25),
-                    rel_residual_tol=1e-12)
+    tc = time_config(dt=0.05, t_end=0.25, b_ext=ramp_then_hold(0.4, 0.125, 0.25),
+                     drive=ramp_then_hold(0.0, 0.125, 0.25),
+                     rel_residual_tol=1e-12)
     hist = run_transient(bar_spaces_11, bar_materials_linear, tc)
     assert hist.n_steps == 5
     assert all(it == 1 for it in hist.newton_iters)
@@ -61,9 +62,9 @@ def test_linear_single_newton_iteration(bar_spaces_11, bar_materials_linear):
 def test_step_count_matches_grid(small_tape):
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.1, t_end=0.5,
-                    drive=ramp_then_hold(1.0, 0.25, 0.5),
-                    rel_residual_tol=1e-10)
+    tc = time_config(dt=0.1, t_end=0.5, b_ext=None,
+                     drive=ramp_then_hold(1.0, 0.25, 0.5),
+                     rel_residual_tol=1e-10)
     hist = run_transient((t, a), linear_mats(1e-9), tc)
     assert hist.n_steps == 5
     assert np.allclose(hist.dts, 0.1)
@@ -76,7 +77,7 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
     ramp = ramp_then_hold(I0, 0.25, 0.5)
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.05, t_end=0.5, drive=ramp)
+    tc = time_config(dt=0.05, t_end=0.5, b_ext=None, drive=ramp)
     hist = run_transient((t, a), tape_materials_power, tc)
     segs = small_tape.interface_segments
     lens = small_tape.segment_lengths(segs)
@@ -90,8 +91,8 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
 def test_zero_drive_zero_voltage(small_tape):
     t = build_t_space(small_tape, 1, ("current", 0.0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=ramp_then_hold(0.0, 0.15, 0.3))
+    tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
+                     drive=ramp_then_hold(0.0, 0.15, 0.3))
     hist = run_transient((t, a), linear_mats(1e-9), tc)
     V = circuit_post(hist, (t, a))
     assert np.abs(V).max() == 0.0
@@ -103,9 +104,9 @@ def test_dc_voltage_matches_analytic_resistance(small_tape):
     I0 = 2.0
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.25, t_end=20.0,
-                    drive=ramp_then_hold(I0, 1.0, 20.0),
-                    rel_residual_tol=1e-12)
+    tc = time_config(dt=0.25, t_end=20.0, b_ext=None,
+                     drive=ramp_then_hold(I0, 1.0, 20.0),
+                     rel_residual_tol=1e-12)
     hist = run_transient((t, a), linear_mats(rho), tc)
     V = circuit_post(hist, (t, a))
     R = rho / (small_tape.w * WIDTH)
@@ -120,16 +121,16 @@ def test_reciprocity_roundtrip(small_tape):
     mats = linear_mats(rho)
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.05, t_end=1.0,
-                    drive=ramp_then_hold(I0, 0.5, 1.0),
-                    rel_residual_tol=1e-10)
+    tc = time_config(dt=0.05, t_end=1.0, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.5, 1.0),
+                     rel_residual_tol=1e-10)
     h1 = run_transient((t, a), mats, tc)
     V = circuit_post(h1, (t, a))
 
     vramp = Ramp((0.0, *h1.times), (0.0, *V))
     t2 = build_t_space(small_tape, 1, ("voltage", 0.0))
-    tc2 = TimeConfig(dt=0.05, t_end=1.0, drive=vramp,
-                     rel_residual_tol=1e-10)
+    tc2 = time_config(dt=0.05, t_end=1.0, b_ext=None, drive=vramp,
+                      rel_residual_tol=1e-10)
     h2 = run_transient((t2, a), mats, tc2)
     I_rec = circuit_post(h2, (t2, a))
     I_imp = np.array([ramp_then_hold(I0, 0.5, 1.0)(tk) for tk in h2.times])
@@ -137,21 +138,17 @@ def test_reciprocity_roundtrip(small_tape):
 
 
 def test_build_time_voltage_matches_constant_ramp(small_tape):
-    # a build-time voltage and the same value as a drive ramp follow one
-    # convention: V = R I, so V > 0 drives a positive current
+    # a space built for a voltage V0 and driven by V0 held constant
+    # follows one convention: V = R I, so V > 0 drives a positive current
     rho = 1e-8
     V0 = 1e-3
-    mats = linear_mats(rho)
     a = build_a_space(small_tape, 1)
     t = build_t_space(small_tape, 1, ("voltage", V0))
-    currents = []
-    for drive in (None, Ramp((0.0,), (V0,))):
-        tc = TimeConfig(dt=0.25, t_end=2.0, drive=drive, rel_residual_tol=1e-12)
-        hist = run_transient((t, a), mats, tc)
-        currents.append(circuit_post(hist, (t, a)))
-    assert np.array_equal(currents[0], currents[1])
+    tc = time_config(dt=0.25, t_end=2.0, b_ext=None, drive=Ramp((0.0,), (V0,)),
+                     rel_residual_tol=1e-12)
+    current = circuit_post(run_transient((t, a), linear_mats(rho), tc), (t, a))
     R = rho / (small_tape.w * WIDTH)
-    assert currents[0][-1] == pytest.approx(V0 / R, rel=1e-4)
+    assert current[-1] == pytest.approx(V0 / R, rel=1e-4)
 
 
 def test_requesting_imposed_quantity_is_identity(small_tape):
@@ -159,7 +156,7 @@ def test_requesting_imposed_quantity_is_identity(small_tape):
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(I0, 0.15, 0.3)
-    tc = TimeConfig(dt=0.1, t_end=0.3, drive=ramp)
+    tc = time_config(dt=0.1, t_end=0.3, b_ext=None, drive=ramp)
     hist = run_transient((t, a), linear_mats(1e-9), tc)
     # the imposed quantity can be read back from the coefficients
     dof = t.dof("global", 0)
@@ -173,9 +170,9 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     I0 = 0.5 * JC * small_tape.w * WIDTH
     t = build_t_space(small_tape, 1, ("current", I0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.25, t_end=0.5,
-                    drive=ramp_then_hold(I0, 0.25, 0.5),
-                    max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
+    tc = time_config(dt=0.25, t_end=0.5, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.25, 0.5),
+                     max_iter=1, rel_residual_tol=1e-14, rel_increment_tol=1e-15)
     with pytest.raises(NonConvergenceError, match="after 4 halvings") as err:
         run_transient((t, a), tape_materials_power, tc)
     assert MAX_HALVINGS == 4
@@ -187,8 +184,8 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
 
 @pytest.fixture(scope="module")
 def bar_power_history(bar_spaces_11, bar_materials_power):
-    tc = TimeConfig(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drive=ramp_then_hold(0.0, 0.5, 1.0))
+    tc = time_config(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
+                     drive=ramp_then_hold(0.0, 0.5, 1.0))
     return run_transient(bar_spaces_11, bar_materials_power, tc)
 
 
@@ -236,8 +233,8 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
     I0 = 0.5 * jc * tape_mesh.w * 0.01
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 2)
-    tc = TimeConfig(dt=0.025, t_end=0.5,
-                    drive=ramp_then_hold(I0, 0.25, 0.5))
+    tc = time_config(dt=0.025, t_end=0.5, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.25, 0.5))
     hist = run_transient((t, a), tape_materials_power, tc)
     worst = max(np.abs(tape_current_density(t, v)).max() for v in hist.v)
     assert worst <= 1.25 * jc
@@ -246,8 +243,8 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
 def test_history_exports(tmp_path, small_tape):
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=ramp_then_hold(1.0, 0.15, 0.3))
+    tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
+                     drive=ramp_then_hold(1.0, 0.15, 0.3))
     hist = run_transient((t, a), linear_mats(1e-9), tc)
     V = circuit_post(hist, (t, a))
     csv = tmp_path / "voltage.csv"
@@ -295,18 +292,17 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
 
 
 def test_drive_values_record_the_imposed_values(small_tape):
-    # a ramped circuit imposes its ramp at the accepted times, an unramped
-    # one the build-time value it is held at; an imposed current is the
+    # a circuit imposes its drive ramp at the accepted times, a ramp or
+    # one held at the build-time value; an imposed current is the
     # accepted iterate's global DOF
     a = build_a_space(small_tape, 1)
-    ramp = ramp_then_hold(1.5, 0.15, 0.3)
-    for mode, value, drive in (("current", 1.5, ramp),
-                               ("current", 0.7, None),
-                               ("voltage", 1e-4, None)):
+    for mode, value, drive in (("current", 1.5, ramp_then_hold(1.5, 0.15, 0.3)),
+                               ("current", 0.7, Ramp((0.0,), (0.7,))),
+                               ("voltage", 1e-4, Ramp((0.0,), (1e-4,)))):
         t = build_t_space(small_tape, 1, (mode, value))
-        tc = TimeConfig(dt=0.1, t_end=0.3, drive=drive, rel_residual_tol=1e-10)
+        tc = time_config(dt=0.1, t_end=0.3, b_ext=None, drive=drive, rel_residual_tol=1e-10)
         hist = run_transient((t, a), linear_mats(1e-9), tc)
-        expected = [ramp(tk) if drive else value for tk in hist.times]
+        expected = [drive(tk) for tk in hist.times]
         values = [_circuit_values(t, drive, tk) for tk in hist.times]
         imposed = [c if mode == "current" else v for c, v in values]
         assert imposed == expected
@@ -322,7 +318,7 @@ def test_transient_refuses_spaces_that_name_no_formulation(bar_spaces_11,
     # the spaces name the formulation, (H, A) h-a and (T, A) t-a; any
     # other pair is refused before a block is built
     h, a = bar_spaces_11
-    tc = TimeConfig(dt=0.1, t_end=0.3)
+    tc = time_config(dt=0.1, t_end=0.3, b_ext=None, drive=ramp_then_hold(0.0, 0.15, 0.3))
     for spaces, names in (((a, a), "(A, A)"), ((h, h), "(H, H)")):
         with pytest.raises(ValueError, match=re.escape(f"(H or T, A) spaces, not {names}")):
             run_transient(spaces, bar_materials_linear, tc)
@@ -342,9 +338,9 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     monkeypatch.setattr(transient, "solve_dense", fail_first)
     t = build_t_space(small_tape, 1, ("current", 1.0))
     a = build_a_space(small_tape, 1)
-    tc = TimeConfig(dt=0.1, t_end=0.3,
-                    drive=ramp_then_hold(1.0, 0.15, 0.3),
-                    rel_residual_tol=1e-10)
+    tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
+                     drive=ramp_then_hold(1.0, 0.15, 0.3),
+                     rel_residual_tol=1e-10)
     hist = run_transient((t, a), linear_mats(1e-9), tc)
     c = hist.counters
     assert c["rejected_attempts"] == 1 and c["step_halvings"] == 1
@@ -365,7 +361,7 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
                         lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
     I0 = 0.1 * JC * tape_mesh.w * WIDTH
     spaces = (build_t_space(tape_mesh, 2, ("current", I0)), build_a_space(tape_mesh, 1))
-    tc = TimeConfig(dt=0.025, t_end=0.05, drive=ramp_then_hold(I0, 0.25, 0.25))
+    tc = time_config(dt=0.025, t_end=0.05, b_ext=None, drive=ramp_then_hold(I0, 0.25, 0.25))
     with pytest.raises(SingularSystemError, match=r"t-a pairing \(2,1\).* 19-dimensional kernel"):
         run_transient(spaces, tape_materials_power, tc)
     assert calls == []
@@ -380,15 +376,15 @@ def tape_power_case(tape_mesh, tape_materials_power):
     I0 = 0.5 * JC * tape_mesh.w * WIDTH
     t = build_t_space(tape_mesh, 1, ("current", I0))
     a = build_a_space(tape_mesh, 1)
-    tc = TimeConfig(dt=0.025, t_end=0.2,
-                    drive=ramp_then_hold(I0, 0.25, 0.5))
+    tc = time_config(dt=0.025, t_end=0.2, b_ext=None,
+                     drive=ramp_then_hold(I0, 0.25, 0.5))
     return (t, a), tape_materials_power, tc
 
 
 @pytest.fixture
 def bar_power_case(bar_spaces_11, bar_materials_power):
-    tc = TimeConfig(dt=0.025, t_end=0.2, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
-                    drive=ramp_then_hold(0.0, 0.5, 1.0))
+    tc = time_config(dt=0.025, t_end=0.2, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
+                     drive=ramp_then_hold(0.0, 0.5, 1.0))
     return bar_spaces_11, bar_materials_power, tc
 
 
@@ -445,7 +441,8 @@ def test_newton_iterations_construct_few_sparse_matrices(bar_spaces_11,
 
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting_init)
     monkeypatch.setattr(transient, "assemble_ha_iteration", first_assembly_starts_counting)
-    tc = TimeConfig(dt=0.025, t_end=0.1, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    tc = time_config(dt=0.025, t_end=0.1, b_ext=ramp_then_hold(0.4, 0.05, 0.1),
+                     drive=ramp_then_hold(0.0, 0.05, 0.1))
     hist = run_transient(bar_spaces_11, bar_materials_power, tc)
     iters = sum(hist.newton_iters)
     assert iters >= 4
@@ -462,7 +459,8 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
 
     soft = bar_materials_power
     hard = Materials(soft.power, 10.0)
-    tc = TimeConfig(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1))
+    tc = time_config(dt=0.025, t_end=0.05, b_ext=ramp_then_hold(0.4, 0.05, 0.1),
+                     drive=ramp_then_hold(0.0, 0.05, 0.1))
     shared = spaces()
     runs = [run_transient(shared, mats, tc) for mats in (soft, hard)]
     for mats, hist in zip((soft, hard), runs):

@@ -1,4 +1,5 @@
-"""Shared test helpers: the straightforward per-triangle field
+"""Shared test helpers: the time configuration with the schema's
+Newton controls, the straightforward per-triangle field
 evaluators that the assembly's field kernels are checked against, the
 pointwise interface trace, the electric field of the power law, the
 conductor's penetrated area and magnetization, the triangles of each
@@ -8,6 +9,7 @@ whole matrix, and the dense and monolithic oracles of the block
 solvers, with the a-block and the coupling assembled apart from the
 run's blocks."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
 from htsfem.assembly import NormSpec, _a_stiffness, _coupling_full, h_curl_matrix
+from htsfem.config import load_config, make_time
 from htsfem.linalg import SingularSystemError, componentwise_error
 from htsfem.materials import MU0, rho_power
 from htsfem.mesh import Boundary, Mesh2D, Region, _structured_mesh
@@ -24,6 +27,14 @@ from htsfem.spaces import SpaceError, trace_table, whitney_transform
 # the stability norms at the reference resistivity and the step 0.0125 s
 # of the default configuration
 NORMS = NormSpec(rho0=1.6e-8, dt0=0.0125, nu0=1.0 / MU0)
+
+
+def time_config(*, dt, t_end, b_ext, drive, **newton):
+    """The TimeConfig on the step ``dt`` to ``t_end`` with the ramps
+    ``b_ext`` and ``drive``, and the configuration schema's Newton
+    controls where ``newton`` sets none."""
+    return replace(make_time(load_config({})), dt=dt, t_end=t_end, b_ext=b_ext, drive=drive,
+                   **newton)
 
 
 def dof_entries(space):
