@@ -15,7 +15,8 @@ checks it.
 
 Meshes are generated from a tensor grid of mapped rectangles split into
 two triangles each, so that uniform refinement produces exactly halved
-element sizes and reproducible degree-of-freedom numberings.
+element sizes and reproducible degree-of-freedom numberings.  The bar's
+grid is uniform; the tape's air cells grow away from its line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 NODE_TOL = 1e-12
+# growth ratio of the tape mesh's air cells away from the tape's line
+AIR_GRADING = 1.2
 
 
 class Region(IntEnum):
@@ -107,7 +110,8 @@ class Mesh2D:
         chain runs from the tape's minus end to its plus end.
     interface_tag : the :class:`Interface` of those segments, or None
         for a mesh without one.  A mesh couples on one interface kind.
-    delta : characteristic element size (m).
+    delta : characteristic element size (m): the largest cell of a
+        uniform grid, the segment length of a tape mesh.
     w : tape thickness (m) for tape meshes, else None.
     """
 
@@ -273,25 +277,38 @@ class Mesh2D:
 # -- structured generation ----------------------------------------------------
 
 
-def _interval_points(breaks, delta):
-    """Subdivide consecutive break intervals into cells of size <= delta."""
+def _interval_points(breaks, delta, ratio):
+    """Subdivide consecutive break intervals into cells of size <= delta.
+    With ``ratio`` > 1 the first and the last interval are graded
+    instead: their cells grow by ``ratio`` from delta at the inner break
+    toward the outer one, all scaled by one factor <= 1 to fit."""
     pts = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n = max(1, math.ceil((b - a) / delta - 1e-9))
-        pts.extend(a + (b - a) * (k + 1) / n for k in range(n))
+    for k, (a, b) in enumerate(zip(breaks[:-1], breaks[1:])):
+        if ratio > 1.0 and k in (0, len(breaks) - 2):
+            n = max(1, math.ceil(math.log1p((b - a) / delta * (ratio - 1.0))
+                                 / math.log(ratio) - 1e-9))
+            c = np.cumsum(ratio ** np.arange(n))
+            c = c[:-1] / c[-1]              # interior points, as fractions from the inner break
+            pts.extend(b - (b - a) * c[::-1] if k == 0 else a + (b - a) * c)
+            pts.append(b)
+        else:
+            n = max(1, math.ceil((b - a) / delta - 1e-9))
+            pts.extend(a + (b - a) * (j + 1) / n for j in range(n))
     return np.array(pts)
 
 
-def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=None):
-    """Tensor grid over the given break lines, each cell split into two
-    CCW triangles.  ``region_fn(xc, yc)`` maps the arrays of the cell
+def _structured_mesh(x_breaks, y_breaks, delta, ratio, region_fn, w=None, tape_span=None):
+    """Tensor grid over the given break lines (see :func:`_interval_points`
+    for ``delta`` and ``ratio``), each cell split into two CCW
+    triangles.  ``region_fn(xc, yc)`` maps the arrays of the cell
     centers' coordinates to the array of their Region values.
     The conductor boundary is discovered from cell regions and becomes
     the GAMMA_M interface; ``tape_span=(x0, x1, y)`` makes a GAMMA_W
-    polyline the interface instead.
+    polyline the interface instead.  The mesh's ``delta`` is the largest
+    cell of a uniform grid, and ``delta`` itself on a graded one.
     """
-    xs = _interval_points(x_breaks, delta)
-    ys = _interval_points(y_breaks, delta)
+    xs = _interval_points(x_breaks, delta, ratio)
+    ys = _interval_points(y_breaks, delta, ratio)
     nx, ny = len(xs), len(ys)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
@@ -330,10 +347,8 @@ def _structured_mesh(x_breaks, y_breaks, delta, region_fn, w=None, tape_span=Non
         isegs = _conductor_interface(xs, ys, cell_region, nid)
         tag = Interface.GAMMA_M if len(isegs) else None
 
-    dx = np.diff(xs).max()
-    dy = np.diff(ys).max()
-    mesh = Mesh2D(nodes, tris, tri_region, bsegs, isegs, tag,
-                  delta=max(dx, dy), w=w)
+    h = max(np.diff(xs).max(), np.diff(ys).max()) if ratio == 1.0 else delta
+    mesh = Mesh2D(nodes, tris, tri_region, bsegs, isegs, tag, delta=h, w=w)
     return mesh.validate()
 
 
@@ -407,8 +422,10 @@ def build_stacked_bar_mesh(params: GeometryParams) -> Mesh2D:
                          [int(Region.OMEGA_H_SC), int(Region.OMEGA_A_FERRO)],
                          int(Region.OMEGA_A_AIR))
 
+    # uniform (ratio 1): grading the bar's air waits on a re-recorded
+    # h-a benchmark reference, whose beta values it moves
     return _structured_mesh([-L, -hw, hw, L], [-L, -hb, 0.0, hb, L],
-                            params.delta, region)
+                            params.delta, 1.0, region)
 
 
 def build_tape_mesh(params: GeometryParams) -> Mesh2D:
@@ -416,7 +433,12 @@ def build_tape_mesh(params: GeometryParams) -> Mesh2D:
 
     The tape spans ``tape_width`` horizontally at y = 0; its thickness
     ``tape_thickness`` is stored on the mesh, not represented
-    geometrically.  The tape 1D mesh is uniform by construction.
+    geometrically.  The tape 1D mesh is uniform by construction, with
+    the largest segment length h <= ``delta`` that divides the width,
+    and h is the mesh's ``delta``.  The air is graded, since it enters
+    the coupling only through the harmonic extension onto GAMMA_W,
+    which decays away from it: left, right, below and above the tape,
+    the cells grow by ``AIR_GRADING`` from h at its line to the box edge.
     """
     if params.scenario is not Scenario.SINGLE_TAPE:
         raise MeshError("params.scenario must be SINGLE_TAPE")
@@ -429,10 +451,10 @@ def build_tape_mesh(params: GeometryParams) -> Mesh2D:
             f"delta={params.delta} resolves the tape width with "
             f"{n_along} < {params.min_elements_across} elements")
 
-    mesh = _structured_mesh([-L, -hw, hw, L], [-L, 0.0, L], params.delta,
+    h = params.tape_width / math.ceil(params.tape_width / params.delta - 1e-9)
+    return _structured_mesh([-L, -hw, hw, L], [-L, 0.0, L], h, AIR_GRADING,
                             lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)),
                             w=params.tape_thickness, tape_span=(-hw, hw, 0.0))
-    return mesh
 
 
 def refine(mesh: Mesh2D) -> Mesh2D:

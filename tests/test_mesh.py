@@ -6,7 +6,7 @@ import pytest
 
 from htsfem.cli import _build_mesh, main
 from htsfem.config import load_config, make_geometry
-from htsfem.mesh import (Interface, Mesh2D, MeshError, Region,
+from htsfem.mesh import (AIR_GRADING, Interface, Mesh2D, MeshError, Region,
                          Scenario, UnderResolvedError, _structured_mesh,
                          build_stacked_bar_mesh, build_tape_mesh, refine, write_native)
 
@@ -54,6 +54,65 @@ def test_tape_segments(tape_mesh):
     plus = tape_mesh.nodes[segs[-1, 1]]
     assert minus[0] < plus[0]
     assert abs(plus[0] - minus[0] - 0.01) < 1e-12
+
+
+def _grid_lines(mesh):
+    """The x and y lines of a tensor-grid mesh."""
+    xs, ys = np.unique(mesh.nodes[:, 0]), np.unique(mesh.nodes[:, 1])
+    assert len(xs) * len(ys) == mesh.n_nodes
+    return xs, ys
+
+
+def _assert_graded(lines, h):
+    """Cells between ``lines``, listed from an inner break outward, start
+    at most h and grow by at most AIR_GRADING."""
+    cells = np.abs(np.diff(lines))
+    assert cells[0] <= h * (1 + 1e-9)
+    growth = cells[1:] / cells[:-1]
+    assert np.all(growth >= 1.0) and np.all(growth <= AIR_GRADING * (1 + 1e-9))
+
+
+# 0.25 mm is the default; 0.3 mm does not divide the 10 mm tape
+@pytest.mark.parametrize("delta", [0.00025, 0.0003])
+def test_tape_air_is_graded_from_the_segment_length(delta):
+    params = make_geometry(load_config({"scenario": "single_tape",
+                                        "geometry": {"delta": delta}}))
+    mesh = build_tape_mesh(params)
+    hw, L = params.tape_width / 2.0, params.air_half
+    h = params.tape_width / np.ceil(params.tape_width / delta)
+    # the tape interval is uniform at the segment length, the mesh's delta
+    assert mesh.delta == pytest.approx(h, rel=1e-12) and mesh.delta <= delta
+    assert mesh.segment_lengths(mesh.interface_segments) == pytest.approx(h, rel=1e-9)
+    xs, ys = _grid_lines(mesh)
+    tape = xs[(xs >= -hw - 1e-15) & (xs <= hw + 1e-15)]
+    assert tape[0] == -hw and np.diff(tape) == pytest.approx(h, rel=1e-9)
+    # the air grows away from the tape's line and hits the box edges exactly
+    for side in (xs[xs >= hw - 1e-15], xs[xs <= -hw + 1e-15][::-1],
+                 ys[ys >= 0.0], ys[ys <= 0.0][::-1]):
+        _assert_graded(side, h)
+    assert (xs[0], xs[-1], ys[0], ys[-1]) == (-L, L, -L, L)
+    assert np.diff(ys).max() > 10 * h
+    # refinement halves every cell and keeps the segment length as delta
+    fine = refine(mesh).validate()
+    fxs, fys = _grid_lines(fine)
+    for coarse, lines in ((xs, fxs), (ys, fys)):
+        assert np.array_equal(lines[::2], coarse)
+        assert np.diff(lines).reshape(-1, 2) == pytest.approx(
+            np.repeat(np.diff(coarse)[:, None] / 2, 2, axis=1), rel=1e-9)
+    assert fine.delta == mesh.delta / 2
+    assert fine.segment_lengths(fine.interface_segments) == pytest.approx(h / 2, rel=1e-9)
+
+
+def test_bar_grid_lines_are_uniform_on_every_interval(bar_mesh, bar_params):
+    hw, hb, L = bar_params.bar_width / 2, bar_params.bar_height, bar_params.air_half
+    xs, ys = _grid_lines(bar_mesh)
+    cells = []
+    for lines, breaks in ((xs, [-L, -hw, hw, L]), (ys, [-L, -hb, 0.0, hb, L])):
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            d = np.diff(lines[(lines >= a - 1e-15) & (lines <= b + 1e-15)])
+            assert d.max() / d.min() <= 1 + 1e-9
+            cells.append(d.max())
+    assert bar_mesh.delta == max(cells) == pytest.approx(bar_params.delta, rel=1e-12)
 
 
 def test_refine_counts_and_delta(bar_mesh):
@@ -182,14 +241,14 @@ def test_interface_chains_split_loops_and_reject_open_ones():
                         int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
-    mesh = _structured_mesh(breaks, breaks, 0.001, region)
+    mesh = _structured_mesh(breaks, breaks, 0.001, 1.0, region)
     segs = mesh.interface_segments
     loops = mesh.interface_chains()
     assert len(loops) == 2
     assert np.array_equal(np.concatenate(loops), segs)
     assert all(loop[-1, 1] == loop[0, 0] for loop in loops)
     # a mesh without a conductor or a tape has no interface
-    air = _structured_mesh(breaks, breaks, 0.001,
+    air = _structured_mesh(breaks, breaks, 0.001, 1.0,
                            lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)))
     assert air.interface_tag is None and air.interface_chains() == []
     # reversing one loop puts its conductor on the right

@@ -32,7 +32,7 @@ def two_bar_mesh():
         return np.where(sc, int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     return _structured_mesh([-0.01, -0.006, -0.002, 0.002, 0.006, 0.01],
-                            [-0.01, -0.002, 0.002, 0.01], 0.001, region)
+                            [-0.01, -0.002, 0.002, 0.01], 0.001, 1.0, region)
 
 
 # -- H space --------------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_multiply_connected_conductor_rejected():
 
     mesh = _structured_mesh([-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
-                            0.001, region)
+                            0.001, 1.0, region)
     with pytest.raises(TopologyError, match="not simply connected"):
         build_h_space(mesh, 1, ("current", 0.0))
 

@@ -7,7 +7,8 @@ mesh edge, a plain ``mesh.txt`` reader, the pivoting sparse solve that
 serves as the reference solver, the componentwise backward error of a
 whole matrix, and the dense and monolithic oracles of the block
 solvers, with the a-block and the coupling assembled apart from the
-run's blocks."""
+run's blocks, and the uniform tape mesh that the graded one is checked
+against."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -103,7 +104,16 @@ def l_bar_mesh():
         return np.where(sc, int(Region.OMEGA_H_SC), int(Region.OMEGA_A_AIR))
 
     breaks = [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01]
-    return _structured_mesh(breaks, breaks, 0.001, region)
+    return _structured_mesh(breaks, breaks, 0.001, 1.0, region)
+
+
+def uniform_tape_mesh(params):
+    """The tape mesh of ``params`` on one uniform grid of cell size
+    ``delta``, air included: the oracle of the graded tape mesh."""
+    hw, L = params.tape_width / 2.0, params.air_half
+    return _structured_mesh([-L, -hw, hw, L], [-L, 0.0, L], params.delta, 1.0,
+                            lambda x, y: np.full(len(x), int(Region.OMEGA_A_AIR)),
+                            w=params.tape_thickness, tape_span=(-hw, hw, 0.0))
 
 
 def curl_h(space, coeffs):
