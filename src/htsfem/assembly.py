@@ -18,11 +18,14 @@ the paper's form times -1, which has the same solution.  The potential
 rows carry no source: the a-side is linear.
 
 Only A_v and s_v depend on the Newton iterate, so an iteration
-assembles only those, from the field iterate alone.  Everything else
-is fixed for a transient run and is built once, by ``linear_blocks``,
-into one ``LinearBlocks`` that the iteration assemblers take: the free
-potential rows [B, -K_nu], the field curl form and the H mass.  Nothing
-is cached on the spaces.  The field blocks are weighted
+assembles only those, from the field iterate alone.  What is fixed for
+a transient run is built once, by ``linear_blocks``, into one
+``LinearBlocks``: the free potential rows [B, -K_nu], the field curl
+form and the H mass.  What is fixed for a step attempt is formed once,
+by ``begin_step``, into one ``Step`` that the iteration assemblers
+take: the essential values, the old-state source, the circuit term and
+the eliminated potential right-hand side.  Nothing is cached on the
+spaces.  The field blocks are weighted
 curl-curl forms G^T diag(w) G, linear in the weights, and are filled
 on a fixed sparsity pattern by one sparse mat-vec (``_CurlForm``).  Both
 formulations assemble through one power-law iteration core.
@@ -92,7 +95,8 @@ class LinearBlocks:
     free coupling are its slices.  For mat-vecs it also stores B^T on
     the potential DOFs ``gamma`` that B couples (``B_T``; ``gamma_free``
     marks the free ones).  Each comes with its entrywise absolute
-    values on its own index arrays, which scale backward errors."""
+    values on its own index arrays, which scale backward errors.  What
+    a step fixes besides is held by ``Step``."""
 
     v_space: DofSpace
     q_space: DofSpace
@@ -107,32 +111,48 @@ class LinearBlocks:
     abs_q_rows: sp.csr_matrix
 
 
+@dataclass(frozen=True)
+class Step:
+    """What every Newton iteration of one step attempt shares (from
+    ``begin_step``): the run's ``blocks``, ``dt``, the essential values
+    on all DOFs of each space at the new time, the old-state source
+    s_prev = B^T a_prev [+ M v_prev], the circuit term, and the
+    eliminated potential right-hand side s_potential = -q_rows [v_ess;
+    a_ess] with its scale q_scale = |q_rows| |[v_ess; a_ess]|."""
+
+    blocks: LinearBlocks
+    dt: float
+    v_essential: np.ndarray
+    a_essential: np.ndarray
+    s_prev: np.ndarray
+    s_circuit: np.ndarray
+    s_potential: np.ndarray
+    q_scale: np.ndarray
+
+
 @dataclass
 class AssembledSystem:
     """One linearized coupled system in block form (see the module
     docstring): the field block's CSR data ``A_data`` on the fixed
-    pattern of ``blocks.form`` (all field DOFs), the field right-hand
-    side ``s_v``, the run's fixed ``blocks`` (which hold the two
-    spaces) and the essential values ``v_essential`` and
-    ``a_essential`` on all DOFs of the field and the potential space.
+    pattern of ``step.blocks.form`` (all field DOFs) and the field
+    right-hand side ``s_v`` of one Newton iterate of the step attempt
+    ``step``, which holds the run's blocks and the essential values.
 
     The system is solved on the free DOFs after symmetric elimination;
     its right-hand side is computed on the blocks, with the field part
-    ``s_field`` and the potential part ``s_potential``.  The field rows
-    read the potential only on ``blocks.gamma``, so ``field_residual``
-    and ``field_error`` take its values there.
+    ``s_field`` and the potential part ``step.s_potential``.  The field
+    rows read the potential only on ``blocks.gamma``, so
+    ``field_residual`` and ``field_error`` take its values there.
     """
 
     A_data: np.ndarray
     s_v: np.ndarray
-    blocks: LinearBlocks
-    v_essential: np.ndarray
-    a_essential: np.ndarray
+    step: Step
 
     def _field_product(self, v, a_gamma, absolute=False) -> np.ndarray:
         """The field rows A_v v + B^T a, or |A_v| v + |B^T| a, from v and
         the potential on ``blocks.gamma``."""
-        lb = self.blocks
+        lb = self.step.blocks
         if absolute:
             return lb.form.product(self._abs_data, v) + lb.abs_B_T @ a_gamma
         return lb.form.product(self.A_data, v) + lb.B_T @ a_gamma
@@ -150,7 +170,7 @@ class AssembledSystem:
         """Componentwise backward error of the free field rows at v and
         ``a_gamma``: the field rows of ``backward_error``, which reads
         no other potential value."""
-        free = self.blocks.v_space.free
+        free = self.step.blocks.v_space.free
         return componentwise_error(
             self.field_residual(v, a_gamma)[free],
             (self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)
@@ -162,11 +182,11 @@ class AssembledSystem:
         ``s_field``, and the free potential rows at x, which is [v; a]
         less its essential values, against ``s_potential``, with
         ``q_scale`` added to their scale."""
-        lb = self.blocks
+        lb = self.step.blocks
         free, a_gamma = lb.v_space.free, a[lb.gamma]
         return componentwise_error(
             np.concatenate([self._field_product(v, a_gamma)[free] - s_field,
-                            lb.q_rows @ x - self.s_potential]),
+                            lb.q_rows @ x - self.step.s_potential]),
             np.concatenate([self._field_product(np.abs(v), np.abs(a_gamma), absolute=True)[free]
                             + np.abs(s_field), lb.abs_q_rows @ np.abs(x) + q_scale]))
 
@@ -176,36 +196,29 @@ class AssembledSystem:
         the potential rows carry no source.  Their residual and its
         scale are each summed in two parts: at [v; a] less the essential
         values, and at the essential values, whose residual part is
-        -``s_potential``."""
-        x_essential = np.concatenate([self.v_essential, self.a_essential])
-        return self._error(v, a, self.s_v[self.blocks.v_space.free],
-                           np.concatenate([v, a]) - x_essential,
-                           self.blocks.abs_q_rows @ np.abs(x_essential))
+        -``s_potential`` and whose scale is ``q_scale``."""
+        step = self.step
+        x_essential = np.concatenate([step.v_essential, step.a_essential])
+        return self._error(v, a, self.s_v[step.blocks.v_space.free],
+                           np.concatenate([v, a]) - x_essential, step.q_scale)
 
     def free_backward_error(self, v_free, a_free) -> float:
         """Componentwise backward error of the eliminated system at its
         free DOFs: the block form's with zero essential values."""
-        lb = self.blocks
+        lb = self.step.blocks
         v = lb.v_space.expand(v_free, np.zeros(lb.v_space.n_dofs))
         a = lb.q_space.expand(a_free, np.zeros(lb.q_space.n_dofs))
         return self._error(v, a, self.s_field, np.concatenate([v, a]),
-                           np.abs(self.s_potential))
+                           np.abs(self.step.s_potential))
 
     @cached_property
     def s_field(self) -> np.ndarray:
         """The eliminated right-hand side of the free field rows: s_v
         minus the field rows' product with the essential values."""
-        lb = self.blocks
-        v = lb.v_space.expand(0.0, self.v_essential)
-        a = lb.q_space.expand(0.0, self.a_essential)
+        lb = self.step.blocks
+        v = lb.v_space.expand(0.0, self.step.v_essential)
+        a = lb.q_space.expand(0.0, self.step.a_essential)
         return (self.s_v - self._field_product(v, a[lb.gamma]))[lb.v_space.free]
-
-    @cached_property
-    def s_potential(self) -> np.ndarray:
-        """The eliminated right-hand side of the free potential rows: minus
-        their product with the essential values, which is fixed within
-        a step."""
-        return -(self.blocks.q_rows @ np.concatenate([self.v_essential, self.a_essential]))
 
 
 # -- low-level kernels ---------------------------------------------------------
@@ -608,63 +621,61 @@ def linear_blocks(v_space: DofSpace, q_space: DofSpace, materials: Materials) ->
                         gamma, np.isin(gamma, q_space.free), B_T, abs_B_T, q_rows, abs_q_rows)
 
 
-def _power_law_iteration(blocks: LinearBlocks, state_prev, v_it, dt, scale, a_essential,
-                         v_essential, voltage) -> AssembledSystem:
-    """One Newton iteration around the field iterate ``v_it``: the field
-    block base + scale K(de/dj) and the field right-hand side
-    B^T a_prev [+ M v_prev] - scale K(rho - de/dj) v_it + circuit terms
-    (summed in that order), with K(w) the curl form ``blocks.form``,
-    base its fixed part and M the H mass, both for H only."""
+def begin_step(blocks: LinearBlocks, state_prev, dt, v_essential, a_essential,
+               voltage) -> Step:
+    """The ``Step`` of one step attempt on the run's ``blocks``, from the
+    (v_full, a_full) pair ``state_prev`` at the previous time step, the
+    essential values at the new time on all DOFs of the field and the
+    potential space, and the ``voltage`` of a voltage-driven circuit,
+    else None (see ``_circuit_rhs``)."""
     v_prev, a_prev = state_prev
-    v_space, q_space = blocks.v_space, blocks.q_space
-    if len(v_prev) != v_space.n_dofs or len(a_prev) != q_space.n_dofs:
+    if len(v_prev) != blocks.v_space.n_dofs or len(a_prev) != blocks.q_space.n_dofs:
         raise AssemblyError("state vectors do not match the spaces")
+    s_prev = blocks.B_T @ a_prev[blocks.gamma]
+    if blocks.mass is not None:
+        s_prev = s_prev + blocks.mass @ v_prev
+    x_essential = np.concatenate([v_essential, a_essential])
+    return Step(blocks, dt, v_essential, a_essential, s_prev,
+                _circuit_rhs(blocks.v_space, dt, voltage), -(blocks.q_rows @ x_essential),
+                blocks.abs_q_rows @ np.abs(x_essential))
+
+
+def _power_law_iteration(step: Step, v_it, scale) -> AssembledSystem:
+    """One Newton iteration of ``step`` around the field iterate
+    ``v_it``: the field block base + scale K(de/dj) and the field
+    right-hand side s_prev - scale K(rho - de/dj) v_it + s_circuit
+    (summed in that order), with K(w) the curl form of the step's
+    blocks and base its fixed part, for H only."""
     if np.any(~np.isfinite(v_it)):
         raise AssemblyError("non-finite Newton iterate")
 
-    form = blocks.form
+    form, power = step.blocks.form, step.blocks.power
     j = form.G @ v_it
-    rho = rho_power(j, blocks.power)
-    dedj = de_dj(j, rho, blocks.power)
+    rho = rho_power(j, power)
+    dedj = de_dj(j, rho, power)
     if np.any(~np.isfinite(dedj)):
         raise AssemblyError("non-finite material evaluation")
 
-    A_data = form.data(scale * dedj)
-    s_v = blocks.B_T @ a_prev[blocks.gamma]
-    if blocks.mass is not None:
-        s_v = s_v + blocks.mass @ v_prev
-    s_v = s_v - form.apply(scale * (rho - dedj), j) + _circuit_rhs(v_space, dt, voltage)
-    return AssembledSystem(A_data, s_v, blocks, v_essential, a_essential)
+    s_v = step.s_prev - form.apply(scale * (rho - dedj), j) + step.s_circuit
+    return AssembledSystem(form.data(scale * dedj), s_v, step)
 
 
-def assemble_ha_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential, v_essential, voltage) -> AssembledSystem:
-    """One Newton iteration of the implicit-Euler h-a system on the
-    run's ``blocks`` (from ``linear_blocks`` on an H and an A space).
-
-    ``state_prev`` is the (h_full, a_full) coefficient pair at the
-    previous time step and ``iterate`` the h_full of the previous
-    Newton iterate.  The essential-value vectors hold the constrained
-    values at the new time, on all DOFs of the potential and the field
-    space, and ``voltage`` the voltage of a voltage-driven circuit,
-    else None (see ``_circuit_rhs``).  The field block is M + dt K(de/dj)
-    and the field right-hand side B^T a_prev + M h_prev
-    - dt K(rho - de/dj) h_it + circuit terms, with K(w) the curl-curl
-    form weighted by w per conducting triangle.
-    """
-    return _power_law_iteration(blocks, state_prev, iterate, dt, dt, a_essential,
-                                v_essential, voltage)
+def assemble_ha_iteration(step: Step, iterate) -> AssembledSystem:
+    """One Newton iteration of the implicit-Euler h-a system in the step
+    attempt ``step`` (from ``begin_step`` on the blocks of an H and an
+    A space) around ``iterate``, the h_full of the previous Newton
+    iterate.  The field block is M + dt K(de/dj) and the field
+    right-hand side B^T a_prev + M h_prev - dt K(rho - de/dj) h_it +
+    circuit terms, with K(w) the curl-curl form weighted by w per
+    conducting triangle."""
+    return _power_law_iteration(step, iterate, step.dt)
 
 
-def assemble_ta_iteration(blocks: LinearBlocks, state_prev, iterate, dt,
-                          a_essential, v_essential, voltage) -> AssembledSystem:
-    """One Newton iteration of the implicit-Euler t-a system on the
-    run's ``blocks`` (from ``linear_blocks`` on a T and an A space),
-    stored as the paper's form times -1 (see the module docstring).
-    The arguments are as for ``assemble_ha_iteration``, with t for h.
-    The field block is dt w D(de/dj) and the field right-hand side
-    B^T a_prev - dt w D(rho - de/dj) t_it + circuit terms, with D(w)
-    the tape curl-curl form weighted at the Gauss points and w the tape
-    width."""
-    return _power_law_iteration(blocks, state_prev, iterate, dt, dt * blocks.v_space.mesh.w,
-                                a_essential, v_essential, voltage)
+def assemble_ta_iteration(step: Step, iterate) -> AssembledSystem:
+    """As ``assemble_ha_iteration``, with t for h, for the t-a system
+    (on the blocks of a T and an A space), stored as the paper's form
+    times -1 (see the module docstring).  The field block is
+    dt w D(de/dj) and the field right-hand side B^T a_prev
+    - dt w D(rho - de/dj) t_it + circuit terms, with D(w) the tape
+    curl-curl form weighted at the Gauss points and w the tape width."""
+    return _power_law_iteration(step, iterate, step.dt * step.blocks.v_space.mesh.w)

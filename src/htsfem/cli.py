@@ -66,7 +66,7 @@ def _build_mesh(cfg):
 def _build_spaces(cfg, mesh):
     i, j = cfg["pairing"]
     build = build_h_space if cfg["scenario"] == "stacked_bar" else build_t_space
-    return build(mesh, i, cfgmod.circuit(cfg)), build_a_space(mesh, j)
+    return build(mesh, i, cfgmod.circuit(cfg)[0]), build_a_space(mesh, j)
 
 
 def _phase(phases, name, start):

@@ -108,10 +108,9 @@ def _verdict(slope, betas):
 
 
 def _field_space(mesh, order: int):
-    """The field space at zero current: T on a tape, H on a conductor."""
-    if mesh.interface_tag is Interface.GAMMA_W:
-        return build_t_space(mesh, enrichment=order, constraint=("current", 0.0))
-    return build_h_space(mesh, enrichment=order, circuit=("current", 0.0))
+    """The current-driven field space: T on a tape, H on a conductor."""
+    build = build_t_space if mesh.interface_tag is Interface.GAMMA_W else build_h_space
+    return build(mesh, enrichment=order, mode="current")
 
 
 def build_pairing(mesh, pairing):

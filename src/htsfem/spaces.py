@@ -23,9 +23,9 @@ Each space holds one DOF table, per entity kind: the ascending ids of
 its nodes, then edges, then bubbles, then globals, numbered block by
 block, so assembled matrices are reproducible and an order-2 A space
 starts with its order-1 DOFs.  The builders form the blocks by array
-operations on the mesh tables.  Essential values are applied by
-symmetric elimination downstream; here the constrained DOFs and their
-build-time values are two arrays.
+operations on the mesh tables.  A space holds its constrained DOFs
+but no values for them: ``essential_vector`` forms those per step, and
+they are applied by symmetric elimination downstream.
 
 Every space couples on the one interface of its mesh
 (``Mesh2D.interface_segments``), so no builder or trace routine takes
@@ -66,17 +66,15 @@ class Conductor:
     cut_edges: np.ndarray
     cut_coeffs: np.ndarray
     ground_node: int
-    mode: str                      # "current" | "voltage"
-    value: float
+    mode: str                      # "current" | "voltage"; the value is the run's
 
 
 @dataclass(frozen=True)
 class Tape:
-    """The tape of a T space: its plus-end node and its constraint."""
+    """The tape of a T space: its plus-end node and its drive mode."""
 
     plus: int
     mode: str
-    value: float
 
 
 class DofSpace:
@@ -84,9 +82,8 @@ class DofSpace:
 
     ``kinds`` maps each entity kind to its ascending entity ids; the
     DOFs are numbered block by block in that order.  ``essential`` maps
-    a kind to (entity ids, build-time values) of its constrained
-    entities, held as the arrays ``essential_dofs`` and
-    ``essential_values``."""
+    a kind to the ids of its constrained entities, held as the array
+    ``essential_dofs``; ``essential_vector`` sets their values."""
 
     def __init__(self, family, enrichment, mesh, kinds, essential, meta):
         self.family = family
@@ -97,10 +94,8 @@ class DofSpace:
         self.offsets = dict(zip(self.kinds, np.cumsum([0] + sizes).tolist()))
         self.n_dofs = sum(sizes)
         self.meta = meta
-        ess = [(self.dof(kind, ents), np.broadcast_to(vals, np.shape(ents)))
-               for kind, (ents, vals) in essential.items()]
-        self.essential_dofs = np.concatenate([d for d, _ in ess] + [np.empty(0, np.int64)])
-        self.essential_values = np.concatenate([v for _, v in ess] + [np.empty(0)])
+        dofs = [self.dof(kind, ents) for kind, ents in essential.items()]
+        self.essential_dofs = np.concatenate(dofs + [np.empty(0, np.int64)])
         is_free = np.ones(self.n_dofs, dtype=bool)
         is_free[self.essential_dofs] = False
         self.free = np.flatnonzero(is_free)
@@ -134,12 +129,6 @@ class DofSpace:
             ents = self.kinds[kind]
             out[ents] = self.offsets[kind] + np.arange(len(ents))
         return out
-
-    def essential_full(self) -> np.ndarray:
-        """Full-length vector with build-time essential values."""
-        x = np.zeros(self.n_dofs)
-        x[self.essential_dofs] = self.essential_values
-        return x
 
     def expand(self, x_free, x_essential) -> np.ndarray:
         """Scatter a free-DOF vector into a copy of the full-length
@@ -180,22 +169,21 @@ def _cut_basis(mesh, loop):
     return mesh.edge_ids(loop), np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0) / len(loop)
 
 
-def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
+def build_h_space(mesh: Mesh2D, enrichment: int, mode) -> DofSpace:
     """Magnetic-field space on the conducting domain.
 
-    ``circuit`` is ("current", I) or ("voltage", V) of the mesh's one
-    conductor.  One boundary-potential node is grounded to remove the
+    ``mode`` ("current" or "voltage") drives the mesh's one conductor.
+    One boundary-potential node is grounded to remove the
     constant-potential redundancy of the decomposition.
     """
     sc_tris = mesh.region_tris(Region.OMEGA_H_SC)
     if len(sc_tris) == 0:
         raise SpaceError("mesh has no conducting region")
     loop = _conductor_loop(mesh, sc_tris)
-    mode, value = circuit
     if mode not in ("current", "voltage"):
         raise SpaceError(f"unknown circuit mode {mode!r}")
     conductor = Conductor(loop[:, 0], *_cut_basis(mesh, loop),
-                          ground_node=int(loop[:, 0].min()), mode=mode, value=value)
+                          ground_node=int(loop[:, 0].min()), mode=mode)
 
     ring_edges = np.unique(conductor.cut_edges)
     kinds = {"node": np.unique(conductor.ring_nodes),
@@ -203,9 +191,9 @@ def build_h_space(mesh: Mesh2D, enrichment: int, circuit) -> DofSpace:
     if enrichment == 2:
         kinds["bubble"] = ring_edges
     kinds["global"] = [0]
-    essential = {"node": ([conductor.ground_node], 0.0)}
+    essential = {"node": [conductor.ground_node]}
     if mode == "current":
-        essential["global"] = ([0], value)
+        essential["global"] = [0]
     return DofSpace("H", enrichment, mesh, kinds, essential, {
         "circuit": conductor,
         "sc_tris": sc_tris,
@@ -216,8 +204,8 @@ def build_a_space(mesh: Mesh2D, enrichment: int) -> DofSpace:
     """Vector-potential space on the a-side domain (ferromagnet + air).
 
     At order 2 one bubble is added per edge of the mesh's coupling
-    interface.  The outer boundary carries a zero essential trace;
-    ``essential_vector`` sets another.
+    interface.  The outer boundary carries the essential trace that
+    ``essential_vector`` sets, zero by default.
     """
     a_tris = np.concatenate([mesh.region_tris(Region.OMEGA_A_FERRO),
                              mesh.region_tris(Region.OMEGA_A_AIR)])
@@ -234,19 +222,19 @@ def build_a_space(mesh: Mesh2D, enrichment: int) -> DofSpace:
         kinds["bubble"] = np.sort(mesh.edge_ids(segs))
     gamma_e = mesh.boundary_nodes()
     gamma_e = gamma_e[np.isin(gamma_e, a_nodes)]
-    return DofSpace("A", enrichment, mesh, kinds, {"node": (gamma_e, 0.0)}, {
+    return DofSpace("A", enrichment, mesh, kinds, {"node": gamma_e}, {
         "a_tris": a_tris,
         "gamma_e_nodes": gamma_e,
     })
 
 
-def build_t_space(mesh: Mesh2D, enrichment: int, constraint) -> DofSpace:
+def build_t_space(mesh: Mesh2D, enrichment: int, mode) -> DofSpace:
     """Current-potential space on the tape polyline.
 
-    ``constraint`` is ("current", I) or ("voltage", V) of the mesh's
-    one tape.  The minus end is fixed to zero strongly; a current
-    constraint fixes the plus-end value to I/w, a voltage constraint
-    leaves it free.
+    ``mode`` is "current" or "voltage", the drive of the mesh's one
+    tape.  The minus end is fixed to zero strongly; a current drive
+    constrains the plus-end value (to I/w, by ``essential_vector``), a
+    voltage drive leaves it free.
     """
     if mesh.interface_tag is not Interface.GAMMA_W:
         raise SpaceError("mesh has no GAMMA_W interface")
@@ -255,29 +243,28 @@ def build_t_space(mesh: Mesh2D, enrichment: int, constraint) -> DofSpace:
     chains = mesh.interface_chains()
     if len(chains) != 1:
         raise SpaceError(f"mesh has {len(chains)} tapes; a T space takes one")
-    mode, value = constraint
     if mode not in ("current", "voltage"):
         raise SpaceError(f"unknown tape constraint {mode!r}")
-    tape = Tape(int(chains[0][-1, 1]), mode, float(value))
 
     kinds = {"node": np.unique(chains[0][1:, 0])}
     if enrichment == 2:
         kinds["bubble"] = np.sort(mesh.edge_ids(mesh.interface_segments))
     kinds["global"] = [0]
-    essential = {"global": ([0], tape.value / mesh.w)} if mode == "current" else {}
-    return DofSpace("T", enrichment, mesh, kinds, essential, {"circuit": tape})
+    essential = {"global": [0]} if mode == "current" else {}
+    return DofSpace("T", enrichment, mesh, kinds, essential,
+                    {"circuit": Tape(int(chains[0][-1, 1]), mode)})
 
 
 def essential_vector(space: DofSpace, *, current=None, a_trace=None) -> np.ndarray:
-    """Full-length essential-value vector for updated sources.
+    """Full-length essential-value vector of the given sources, else zero.
 
     ``current`` is the imposed net current of a current-driven
-    conductor or tape; ``a_trace(x, y)`` overrides the outer-boundary
-    trace of an A space; it is called once, on the arrays of the
-    boundary nodes' coordinates.  Topology (which DOFs are constrained)
-    is fixed at build time.
+    conductor or tape; ``a_trace(x, y)`` is the outer-boundary trace of
+    an A space; it is called once, on the arrays of the boundary nodes'
+    coordinates.  Topology (which DOFs are constrained) is fixed at
+    build time.
     """
-    x = space.essential_full()
+    x = np.zeros(space.n_dofs)
     if current is not None:
         x[space.dof("global", 0)] = current / space.current_scale
     if space.family == "A" and a_trace is not None:

@@ -10,17 +10,21 @@ an A space on the same mesh.
 
 Voltage convention: voltages are per unit length and positive when
 driving a positive net current through a resistive state (V = R I at
-DC).  It holds alike for the value a space was built with, a drive
-ramp and the reported voltage; the sign of the weak form is applied in
-assembly only.
+DC).  It holds alike for a drive ramp and the reported voltage; the
+sign of the weak form is applied in assembly only.  A space holds the
+drive's mode only; its value at each step is the ramp's.
 
 Solving a Newton iteration.  The a-side is linear, so the free
 reluctivity block K_nu and the coupling B are the same in every
 iteration of a run.  ``run_transient`` builds them once, as the free
 potential rows [B, -K_nu] of the run's ``LinearBlocks``, with the
-field curl form and the H mass; every iteration assembles from them
-only the field block A_v, as its data on a fixed sparsity pattern, and
-the field right-hand side s_v (``htsfem.assembly``).  ``run_transient``
+field curl form and the H mass.  Each step attempt forms once what
+its time and drive fix (``htsfem.assembly.begin_step``): the essential
+values, the old-state source B^T a_prev [+ M v_prev], the circuit term
+and the eliminated potential right-hand side s_q.  Every iteration
+assembles from the blocks and that ``Step`` only the field block A_v,
+as its data on a fixed sparsity pattern, and the field right-hand side
+s_v (``htsfem.assembly``).  ``run_transient``
 slices the free K_nu from those rows and factors it once, with the
 rows Γ that B couples last, into its Schur complement
 S_K onto Γ (``linalg.InterfaceSchur``), and Newton sees the a-side
@@ -75,7 +79,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npformat
 
-from .assembly import assemble_ha_iteration, assemble_ta_iteration, linear_blocks
+from .assembly import assemble_ha_iteration, assemble_ta_iteration, begin_step, linear_blocks
 from .linalg import (BorderedSchur, InterfaceSchur, SingularSystemError, solve_dense,
                      solve_sparse)
 from .materials import Materials
@@ -234,13 +238,13 @@ def run_transient(spaces, materials: Materials, time: TimeConfig) -> TimeHistory
         while True:
             t_new = t + dt_cur
             current, voltage = _circuit_values(v_space, time.drive, t_new)
-            v_ess = essential_vector(v_space, current=current)
             trace = (None if time.b_ext is None
                      else lambda x, y, b=time.b_ext(t_new): -b * y)
-            q_ess = essential_vector(q_space, a_trace=trace)
+            step = begin_step(blocks, (v_prev, q_prev), dt_cur,
+                              essential_vector(v_space, current=current),
+                              essential_vector(q_space, a_trace=trace), voltage)
             try:
-                result = _newton_step(assemble, blocks, (v_prev, q_prev), dt_cur, v_ess,
-                                      q_ess, voltage, time, schur, hist.counters)
+                result = _newton_step(assemble, step, v_prev, time, schur, hist.counters)
                 break
             except (NonConvergenceError, SingularSystemError) as err:
                 hist.counters["rejected_attempts"] += 1
@@ -295,7 +299,7 @@ def _field_solve(sys, schur: InterfaceSchur, lift):
     a_Γ = S_K^{-1} B_Γ v - z_Γ.  The bordered solve's own a_Γ strays from
     the back-substituted a by more than 1e-12 relative on the bar, the
     a_Γ from v about half as far."""
-    form = sys.blocks.form
+    form = sys.step.blocks.form
     if isinstance(schur, BorderedSchur):
         v = schur.split(solve_sparse(*schur.bordered(form.free_data(sys.A_data), sys.s_field,
                                                      lift)))[0]
@@ -310,30 +314,24 @@ def _gated_recovery(sys, v, schur: InterfaceSchur):
     backward error of (v, a) on the free system of ``sys`` gates it: a
     normwise residual is dominated by the flux-potential rows and
     misses errors of the field block."""
-    a = schur.recover(v, sys.s_potential)
+    a = schur.recover(v, sys.step.s_potential)
     err = sys.free_backward_error(v, a)
     if not err <= 1e-10:
         raise SingularSystemError(f"field solve residual {err:.3e} exceeds 1e-10")
     return a
 
 
-def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
-                 time: TimeConfig, schur, counters):
-    v_prev, q_prev = prev
+def _newton_step(assemble, step, v_prev, time: TimeConfig, schur, counters):
+    blocks = step.blocks
     vf, qf, gamma = blocks.v_space.free, blocks.q_space.free, blocks.gamma
-    v_it = v_ess.copy()
+    v_it = step.v_essential.copy()
     v_it[vf] = v_prev[vf]
     # the iterate's potential on gamma: the essential values, and a_Γ on
     # the free ones, which are the rows Γ of schur.factor
     on_free = blocks.gamma_free
-    a_it = q_ess[gamma]
-
-    def reassemble(v):
-        return assemble(blocks, (v_prev, q_prev), v, dt, a_essential=q_ess,
-                        v_essential=v_ess, voltage=voltage)
-
-    sys = reassemble(v_it)
-    lift = schur.lift(sys.s_potential)      # s_q holds only essential values
+    a_it = step.a_essential[gamma]
+    sys = assemble(step, v_it)
+    lift = schur.lift(step.s_potential)     # s_q holds only essential values
     a_it[on_free] = schur.interface_values(v_it[vf], lift)
     # componentwise backward error of the free field rows: robust to the
     # disparate block scalings of the coupled systems (the tape block
@@ -355,7 +353,7 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
             v_try, a_try = v_it + damping * dv, a_it + damping * da
             if damping < 1.0:
                 counters["backtracking_trials"] += 1
-            sys_try = reassemble(v_try)
+            sys_try = assemble(step, v_try)
             r_try = sys_try.field_error(v_try, a_try)
             if r_try < r or damping <= 0.125:
                 break
@@ -377,8 +375,8 @@ def _newton_step(assemble, blocks, prev, dt, v_ess, q_ess, voltage,
     if solved is not None:
         a_free = _gated_recovery(*solved, schur)
     if solved is None or damping < 1.0:
-        a_free = schur.recover(v_it[vf], sys.s_potential)
-    q_it = q_ess.copy()
+        a_free = schur.recover(v_it[vf], step.s_potential)
+    q_it = step.a_essential.copy()
     q_it[qf] = a_free
     return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it)
 

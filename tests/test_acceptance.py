@@ -25,9 +25,9 @@ from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
                            essential_vector)
 from htsfem.transient import NonConvergenceError, ramp_then_hold, run_transient
 
-from util import (NORMS, build_time_values, dof_entries, e_field, eliminated,
-                  eval_trace, expand, h_dofs_for_potential, interface_chain,
-                  solve_reference, time_config)
+from util import (NORMS, dof_entries, e_field, eliminated, eval_trace, expand,
+                  h_dofs_for_potential, interface_chain, make_step, solve_reference,
+                  time_config)
 
 
 def report(num, text):
@@ -98,7 +98,7 @@ def test_criterion_3_ta_verdict_matrix():
     jc = 2.5e8
     I0 = 0.1 * jc * mesh.w * 0.01
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
-    t_sp = build_t_space(mesh, 2, ("current", I0))
+    t_sp = build_t_space(mesh, 2, "current")
     a_sp = build_a_space(mesh, 1)
     tc = time_config(dt=0.025, t_end=0.25, b_ext=None,
                      drive=ramp_then_hold(I0, 0.25, 0.25))
@@ -122,7 +122,7 @@ def test_criterion_4_oscillation_contrast_bar():
     mats = Materials(PowerLaw(e_c=1e-4, j_c=3e8, n=20, j_reg=1e-3 * 3e8), 1000.0)
     metrics = {}
     for pair in [(1, 1), (2, 1)]:
-        h = build_h_space(mesh, pair[0], ("current", 0.0))
+        h = build_h_space(mesh, pair[0], "current")
         a = build_a_space(mesh, pair[1])
         tc = time_config(dt=0.025, t_end=1.0, b_ext=ramp_then_hold(0.4, 0.5, 1.0),
                          drive=ramp_then_hold(0.0, 0.5, 1.0))
@@ -149,7 +149,7 @@ def test_criterion_4_oscillation_contrast_tape():
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
     metrics, profiles = {}, {}
     for pair in [(1, 1), (1, 2)]:
-        t_sp = build_t_space(mesh, pair[0], ("current", I0))
+        t_sp = build_t_space(mesh, pair[0], "current")
         a_sp = build_a_space(mesh, pair[1])
         tc = time_config(dt=0.0125, t_end=0.5, b_ext=None,
                          drive=ramp_then_hold(I0, 0.25, 0.5))
@@ -220,7 +220,7 @@ def test_criterion_6_jacobian_finite_differences():
 
 def test_criterion_7_exactness(bar_mesh, tape_mesh):
     # (a) the gradient part of the field space is element-wise curl-free
-    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h2 = build_h_space(bar_mesh, 2, "current")
     rng = np.random.default_rng(11)
     x = np.zeros(h2.n_dofs)
     for k, kind, _ in dof_entries(h2):
@@ -248,7 +248,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     jc = 2.5e8
     I0 = 0.3 * jc * tape_mesh.w * 0.01
     ramp = ramp_then_hold(I0, 0.15, 0.3)
-    t_sp = build_t_space(tape_mesh, 1, ("current", I0))
+    t_sp = build_t_space(tape_mesh, 1, "current")
     a_sp = build_a_space(tape_mesh, 1)
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
     tc = time_config(dt=0.05, t_end=0.3, b_ext=None, drive=ramp)
@@ -267,7 +267,7 @@ def test_criterion_7_exactness(bar_mesh, tape_mesh):
     # the net-current functional on the cut: adding it to the coupling
     # matrix therefore changes nothing
     from htsfem._geom import LINE_QP, LINE_QW
-    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h1 = build_h_space(bar_mesh, 1, "current")
     segs_m, lens_m, cum = interface_chain(h1)
     scale = 1.0 / lens_m.min()
     worst_d = 0.0
@@ -296,17 +296,18 @@ def test_criterion_8_patch_test_all_pairings(bar_mesh):
     b0 = 0.4
     worst = 0.0
     for pair in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        h = build_h_space(bar_mesh, pair[0], ("current", 0.0))
+        h = build_h_space(bar_mesh, pair[0], "current")
         a = build_a_space(bar_mesh, pair[1])
-        a_ess = essential_vector(a, a_trace=lambda x, y: -b0 * x)
+        trace = lambda x, y: -b0 * x
+        a_ess = essential_vector(a, a_trace=trace)
         essential = set(a.essential_dofs.tolist())
         a_exact = np.array([a_ess[k] if k in essential else
                             (-b0 * bar_mesh.nodes[ent, 0] if kind == "node" else 0.0)
                             for k, kind, ent in dof_entries(a)])
         h_exact = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
         blocks = linear_blocks(h, a, mats)
-        sys = assemble_ha_iteration(blocks, (h_exact, a_exact), h_exact, 0.0125,
-                                    **{**build_time_values(blocks), "a_essential": a_ess})
+        sys = assemble_ha_iteration(make_step(blocks, (h_exact, a_exact), 0.0125,
+                                              a_trace=trace), h_exact)
         v_new, q_new = expand(sys, solve_reference(*eliminated(sys, mats)))
         N_H = assemble_norm_matrix(h, NORMS)
         N_A = assemble_norm_matrix(a, NORMS)

@@ -12,9 +12,10 @@ from htsfem.infsup import build_pairing
 from htsfem.mesh import refine
 from htsfem.spaces import build_a_space, build_h_space, build_t_space
 
-from util import (NORMS, build_time_values, curl_h, dof_entries, edge_tris, eliminated,
+from util import (NORMS, curl_h, dof_entries, edge_tris, eliminated,
                   eval_a_curl, eval_h_field, eval_trace, free_indices,
-                  interface_chain, l_bar_mesh, monolithic, s_full, solve_reference)
+                  interface_chain, l_bar_mesh, make_step, monolithic, s_full,
+                  solve_reference)
 
 
 def sym_defect(K):
@@ -26,7 +27,7 @@ def test_ha_zero_state_zero_solution(bar_spaces_11, bar_materials_linear):
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     blocks = linear_blocks(h, a, bar_materials_linear)
-    sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
+    sys = assemble_ha_iteration(make_step(blocks, z, 0.0125), z[0])
     K, s = eliminated(sys, bar_materials_linear)
     assert np.abs(s).max() == 0.0
     x = solve_reference(K, s)
@@ -38,7 +39,7 @@ def test_ha_symmetry(bar_spaces_11, bar_materials_power):
     rng = np.random.default_rng(0)
     state = (rng.normal(size=h.n_dofs), rng.normal(size=a.n_dofs))
     blocks = linear_blocks(h, a, bar_materials_power)
-    sys = assemble_ha_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
+    sys = assemble_ha_iteration(make_step(blocks, state, 0.0125), state[0])
     assert sym_defect(eliminated(sys, bar_materials_power)[0]) < 1e-12
     assert sym_defect(monolithic(sys, bar_materials_power)) < 1e-12
 
@@ -48,7 +49,7 @@ def test_ta_symmetry(tape_spaces_11, tape_materials_power):
     rng = np.random.default_rng(1)
     state = (rng.normal(size=t.n_dofs) * 1e6, rng.normal(size=a.n_dofs) * 1e-6)
     blocks = linear_blocks(t, a, tape_materials_power)
-    sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
+    sys = assemble_ta_iteration(make_step(blocks, state, 0.0125), state[0])
     assert sym_defect(eliminated(sys, tape_materials_power)[0]) < 1e-12
 
 
@@ -57,7 +58,7 @@ def test_saddle_block_structure(bar_spaces_11, bar_materials_linear):
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
     blocks = linear_blocks(h, a, bar_materials_linear)
-    sys = assemble_ha_iteration(blocks, z, z[0], 0.0125, **build_time_values(blocks))
+    sys = assemble_ha_iteration(make_step(blocks, z, 0.0125), z[0])
     nv = h.n_free
     K = eliminated(sys, bar_materials_linear)[0].toarray()
     A = K[:nv, :nv]
@@ -78,7 +79,7 @@ def test_coercivity_rayleigh_bounds(bar_spaces_11, bar_materials_linear):
     for dt_fac in (1.0, 2.0):
         dt = NORMS.dt0 * dt_fac
         blocks = linear_blocks(h, a, bar_materials_linear)
-        sys = assemble_ha_iteration(blocks, z, z[0], dt, **build_time_values(blocks))
+        sys = assemble_ha_iteration(make_step(blocks, z, dt), z[0])
         nv = h.n_free
         A = eliminated(sys, bar_materials_linear)[0].toarray()[:nv, :nv]
         NV = assemble_norm_matrix(h, NORMS).toarray()
@@ -92,7 +93,7 @@ def test_coercivity_rayleigh_bounds(bar_spaces_11, bar_materials_linear):
 def test_ha_coupling_hand_values(bar_mesh):
     # one boundary-potential DOF against the neighbouring potential hats:
     # the tangential trace +-1/L against a rising/falling hat gives +-1/2
-    h = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h = build_h_space(bar_mesh, 1, "current")
     a = build_a_space(bar_mesh, 1)
     B = _coupling_full(h, a)
     segs, lens, _ = interface_chain(h)
@@ -142,7 +143,7 @@ def test_ta_coupling_far_node_zero(tape_mesh, tape_spaces_11):
 def test_ta_single_segment_hand_value(tape_mesh):
     # piecewise-constant j on one segment against the a-hat rising on it:
     # entry = w * (1/L) * L/2 = w/2 per adjacent segment
-    t = build_t_space(tape_mesh, 1, ("current", 0.0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 1)
     B = _coupling_full(t, a)
     segs, lens, _ = interface_chain(t)
@@ -168,7 +169,7 @@ def test_coupling_nonzero_columns(bar_mesh, bar_spaces_11):
 
 
 def test_coupling_hierarchical_nesting(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h1 = build_h_space(bar_mesh, 1, "current")
     a1 = build_a_space(bar_mesh, 1)
     a2 = build_a_space(bar_mesh, 2)
     B11 = assemble_coupling_matrix(h1, a1).toarray()
@@ -216,7 +217,7 @@ def test_assembled_matrices_store_no_exact_zero(request, scenario):
     for j in (1, 2):
         a = build_a_space(mesh, j)
         assert _stores_no_zero(assemble_norm_matrix(a, NORMS)), j
-        spaces = [a] + ([build_h_space(mesh, j, ("current", 0.0))] if scenario == "bar" else [])
+        spaces = [a] + ([build_h_space(mesh, j, "current")] if scenario == "bar" else [])
         for space in spaces:
             tris = space.meta["a_tris" if space.family == "A" else "sc_tris"]
             barys = np.concatenate([np.eye(3), rng.dirichlet(np.ones(3), size=2)])
@@ -277,14 +278,14 @@ def test_a_norm_uniform_gradient(tape_mesh):
 
 
 def test_t_norm_delta_scaling(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
+    t1 = build_t_space(tape_mesh, 1, "current")
     N1 = assemble_norm_matrix(t1, NORMS)
     fine = refine(tape_mesh)
-    t2 = build_t_space(fine, 1, ("current", 0.0))
+    t2 = build_t_space(fine, 1, "current")
     N2 = assemble_norm_matrix(t2, NORMS)
     # same continuous linear ramp on both meshes
     def ramp_vec(space, mesh):
-        x = space.essential_full()
+        x = np.zeros(space.n_dofs)
         xm = mesh.nodes[mesh.interface_segments[0, 0], 0]
         for k, kind, ent in dof_entries(space):
             if kind == "node":
@@ -310,23 +311,23 @@ def test_a_norm_needs_essential(bar_mesh):
 
 def test_elimination_against_dense_oracle(tape_mesh, tape_materials_power):
     # reduced system equals the manual dense reduction of the full one
-    t = build_t_space(tape_mesh, 1, ("current", 2.0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 1)
     rng = np.random.default_rng(7)
     state = (rng.normal(size=t.n_dofs), rng.normal(size=a.n_dofs) * 1e-6)
     blocks = linear_blocks(t, a, tape_materials_power)
-    sys = assemble_ta_iteration(blocks, state, state[0], 0.0125, **build_time_values(blocks))
+    sys = assemble_ta_iteration(make_step(blocks, state, 0.0125, current=2.0), state[0])
     K_full = monolithic(sys, tape_materials_power).toarray()
     K, s = eliminated(sys, tape_materials_power)
     free = free_indices(sys)
     ess = np.setdiff1d(np.arange(K_full.shape[0]), free)
-    x_ess = np.concatenate([sys.v_essential, sys.a_essential])
+    x_ess = np.concatenate([sys.step.v_essential, sys.step.a_essential])
     s_red = s_full(sys)[free] - K_full[np.ix_(free, ess)] @ x_ess[ess]
     K_red = K_full[np.ix_(free, free)]
     assert np.allclose(K_red, K.toarray(), atol=1e-15)
     assert np.allclose(s_red, s, atol=1e-15 * max(1.0, np.abs(s).max()))
     # the solver's right-hand side, formed on the blocks
-    assert np.allclose(s_red, np.concatenate([sys.s_field, sys.s_potential]),
+    assert np.allclose(s_red, np.concatenate([sys.s_field, sys.step.s_potential]),
                        atol=1e-15 * max(1.0, np.abs(s).max()))
 
 
@@ -353,7 +354,8 @@ def test_gradv_coupling_vanishes_on_closed_loop(bar_spaces_11):
 @pytest.mark.parametrize("form", ["ha", "ta"])
 def test_state_size_mismatch(request, form):
     # both formulations check their inputs alike: a short state vector
-    # and a non-finite iterate raise
+    # raises when its step attempt begins, a non-finite iterate when it
+    # is assembled
     if form == "ha":
         (v, a), mats = (request.getfixturevalue(name) for name in
                         ("bar_spaces_11", "bar_materials_linear"))
@@ -364,13 +366,13 @@ def test_state_size_mismatch(request, form):
         assemble = assemble_ta_iteration
     blocks = linear_blocks(v, a, mats)
     bad = (np.zeros(3), np.zeros(a.n_dofs))
-    with pytest.raises(AssemblyError):
-        assemble(blocks, bad, bad[0], 0.0125, **build_time_values(blocks))
+    with pytest.raises(AssemblyError, match="state vectors do not match"):
+        make_step(blocks, bad, 0.0125)
     state = (np.zeros(v.n_dofs), np.zeros(a.n_dofs))
     nan = np.zeros(v.n_dofs)
     nan[0] = np.nan
     with pytest.raises(AssemblyError, match="non-finite Newton iterate"):
-        assemble(blocks, state, nan, 0.0125, **build_time_values(blocks))
+        assemble(make_step(blocks, state, 0.0125), nan)
 
 
 def test_bubble_rows_match_field_quadrature():
@@ -382,7 +384,7 @@ def test_bubble_rows_match_field_quadrature():
     mesh = l_bar_mesh()
     nu = np.random.default_rng(3).uniform(1.0, 2.0, mesh.n_triangles)
     a = build_a_space(mesh, 2)
-    h = build_h_space(mesh, 2, ("current", 0.0))
+    h = build_h_space(mesh, 2, "current")
     cases = [(a, _a_stiffness(a, nu[a.meta["a_tris"]]), a.meta["a_tris"], eval_a_curl, nu),
              (h, _h_mass(h, 1.0), h.meta["sc_tris"], eval_h_field, np.ones(mesh.n_triangles))]
     tris_of = edge_tris(mesh)
@@ -425,7 +427,7 @@ def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichmen
     fixed = np.concatenate([corners, 0.5 * (corners + np.roll(corners, -1, axis=0))])
     for mesh in (bar_mesh, l_bar_mesh()):
         if family == "H":
-            space = build_h_space(mesh, enrichment, ("current", 0.0))
+            space = build_h_space(mesh, enrichment, "current")
             tris, reference = space.meta["sc_tris"], eval_h_field
         else:
             space = build_a_space(mesh, enrichment)
@@ -447,7 +449,7 @@ def test_field_operator_matches_reference_evaluators(bar_mesh, family, enrichmen
 def test_h_curl_matrix_matches_reference_curl(bar_mesh, enrichment):
     rng = np.random.default_rng(6)
     for mesh in (bar_mesh, l_bar_mesh()):
-        h = build_h_space(mesh, enrichment, ("current", 0.0))
+        h = build_h_space(mesh, enrichment, "current")
         x = rng.standard_normal(h.n_dofs)
         tris, ref = curl_h(h, x)
         assert np.array_equal(tris, h.meta["sc_tris"])

@@ -22,13 +22,13 @@ from htsfem.assembly import (_coupling_full, _curl_form, _h_mass, _masked_scatte
                              linear_blocks)
 from htsfem.linalg import BorderedSchur, InterfaceSchur, SingularSystemError, solve_sparse
 from htsfem.materials import MU0, de_dj, rho_power
-from htsfem.spaces import (build_a_space, build_h_space, build_t_space,
-                           essential_vector, trace_table, whitney_transform)
+from htsfem.spaces import (build_a_space, build_h_space, build_t_space, trace_table,
+                           whitney_transform)
 from htsfem.transient import _field_solve, _gated_recovery
 
-from util import (a_stiffness, backward_error, build_time_values, condensed, curl_h, dense_schur,
-                  eliminated, expand, field_block, free_field_block, free_indices, interface_term,
-                  monolithic, s_full, solve_reference)
+from util import (a_stiffness, backward_error, condensed, curl_h, dense_schur, eliminated,
+                  expand, field_block, free_field_block, free_indices, interface_term,
+                  make_step, monolithic, s_full, solve_reference)
 
 PAIRINGS = [(form, i, j) for form in ("ha", "ta") for i in (1, 2) for j in (1, 2)]
 # j_c times the conductor cross-section: the 20 mm x 10 mm bar, the
@@ -49,10 +49,10 @@ def coupled(bar_mesh, tape_mesh, bar_materials_power, tape_materials_power):
             return cases[form, i, j]
         if form == "ha":
             mesh, mats, assemble = bar_mesh, bar_materials_power, assemble_ha_iteration
-            v = build_h_space(mesh, i, ("current", 0.0))
+            v = build_h_space(mesh, i, "current")
         else:
             mesh, mats, assemble = tape_mesh, tape_materials_power, assemble_ta_iteration
-            v = build_t_space(mesh, i, ("current", 0.0))
+            v = build_t_space(mesh, i, "current")
         q = build_a_space(mesh, j)
         blocks = linear_blocks(v, q, mats)
         case = SimpleNamespace(
@@ -78,7 +78,7 @@ def _factor(case, K_nu=None):
 
 
 def _lift(case, sys, schur):
-    return schur.lift(eliminated(sys, case.mats)[1][sys.blocks.v_space.n_free:])
+    return schur.lift(eliminated(sys, case.mats)[1][sys.step.blocks.v_space.n_free:])
 
 
 def _solve_condensed(case, sys, schur):
@@ -122,10 +122,9 @@ def _tape_current_at_qp(space, coeffs):
 def _system(case, rng, dt, drive, b_ext):
     """A random Newton system of ``case`` around sampled field iterates."""
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    v_ess = essential_vector(case.v, current=drive * case.i_c)
-    a_ess = essential_vector(case.q, a_trace=lambda x, y: -b_ext * y)
-    return case.assemble(case.blocks, (case.sample(rng), a_prev), case.sample(rng), dt,
-                         a_essential=a_ess, v_essential=v_ess, voltage=None)
+    step = make_step(case.blocks, (case.sample(rng), a_prev), dt, current=drive * case.i_c,
+                     a_trace=lambda x, y: -b_ext * y)
+    return case.assemble(step, case.sample(rng))
 
 
 @pytest.mark.parametrize("form,i,j", PAIRINGS)
@@ -282,13 +281,13 @@ def test_field_error_matches_backward_error(coupled, form, i, j, seed, log_dt, d
     case = coupled(form, i, j)
     rng = np.random.default_rng(seed)
     sys = _system(case, rng, 10.0 ** log_dt, drive, b_ext)
-    v, a = sys.v_essential.copy(), sys.a_essential.copy()
+    v, a = sys.step.v_essential.copy(), sys.step.a_essential.copy()
     v[case.v.free] = case.sample(rng)[case.v.free]
-    a[case.q.free] = case.schur.recover(v[case.v.free], sys.s_potential)
+    a[case.q.free] = case.schur.recover(v[case.v.free], sys.step.s_potential)
     x, free, nv = np.concatenate([v, a]), free_indices(sys), case.v.n_free
     K, s = monolithic(sys, case.mats), s_full(sys)
     ref = backward_error(K[free[:nv]], x, s[free[:nv]])
-    assert abs(sys.field_error(v, a[sys.blocks.gamma]) - ref) <= 1e-12 * ref
+    assert abs(sys.field_error(v, a[sys.step.blocks.gamma]) - ref) <= 1e-12 * ref
     assert backward_error(K[free[nv:]], x, s[free[nv:]]) <= 1e-13
     assert sys.backward_error(v, a) <= (1.0 + 1e-12) * max(ref, 1e-13)
 
@@ -376,8 +375,7 @@ def test_field_block_matches_scatter_assembly(coupled, form, i, j):
     dt = 0.01
     v_prev, v_it = case.sample(rng), case.sample(rng)
     a_prev = 1e-3 * rng.standard_normal(case.q.n_dofs)
-    sys = case.assemble(case.blocks, (v_prev, a_prev), v_it, dt,
-                        **build_time_values(case.blocks))
+    sys = case.assemble(make_step(case.blocks, (v_prev, a_prev), dt), v_it)
     if form == "ha":
         j_it = curl_h(case.v, v_it)[1]
         scale, stiffness = dt, _h_stiffness_scatter
@@ -422,4 +420,4 @@ def test_block_backward_errors_match_monolithic(coupled, form, i, j, seed, log_d
     K, s = eliminated(sys, case.mats)
     ref = backward_error(K, x[free], s)
     assert abs(sys.free_backward_error(v[case.v.free], a[case.q.free]) - ref) <= 1e-12 * ref
-    assert _close(np.concatenate([sys.s_field, sys.s_potential]), s, 1e-13)
+    assert _close(np.concatenate([sys.s_field, sys.step.s_potential]), s, 1e-13)

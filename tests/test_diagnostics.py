@@ -6,7 +6,7 @@ from htsfem.diagnostics import (ProfileSample, SamplingError, locate_points,
                                 sample_tape_current, sign_changes)
 from htsfem.materials import MU0, Materials, PowerLaw
 from htsfem.mesh import Region
-from htsfem.spaces import build_a_space, build_t_space
+from htsfem.spaces import build_a_space, build_t_space, essential_vector
 from htsfem.transient import ramp_then_hold, run_transient
 
 from hypothesis import given, settings
@@ -100,13 +100,13 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     # vertical uniform field in an all-vacuum linear problem: the
     # interface-normal flux matches on both sides of the interface
     from htsfem.assembly import assemble_ha_iteration, linear_blocks
-    from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
     mats = Materials(PowerLaw(e_c=1.6e-8 * 3e8, j_c=3e8, n=1, j_reg=1e-3 * 3e8), 1.0)
-    from util import build_time_values, h_dofs_for_potential
+    from util import h_dofs_for_potential, make_step
     b0 = 0.4
     # exact pair: a = -b0*x gives b = (0, b0); h = b/mu0 = grad((b0/mu0) y)
-    a_exact = essential_vector(a, a_trace=lambda x, y: -b0 * x)
+    trace = lambda x, y: -b0 * x
+    a_exact = essential_vector(a, a_trace=trace)
     essential = set(a.essential_dofs.tolist())
     a_full = np.array([a_exact[k] if k in essential else
                        -b0 * bar_mesh.nodes[ent, 0]
@@ -114,8 +114,8 @@ def test_uniform_field_patch_both_sides(bar_mesh, bar_spaces_11):
     h_full = h_dofs_for_potential(h, lambda x, y: (b0 / MU0) * y)
     # fixed point of one implicit step from the exact state
     blocks = linear_blocks(h, a, mats)
-    sys = assemble_ha_iteration(blocks, (h_full, a_full), h_full, 0.0125,
-                                **{**build_time_values(blocks), "a_essential": a_exact})
+    sys = assemble_ha_iteration(make_step(blocks, (h_full, a_full), 0.0125, a_trace=trace),
+                                h_full)
     v_new, q_new = expand(sys, solve_reference(*eliminated(sys, mats)))
     above = sample_bn_profile(h, a, (v_new, q_new),
                               offset=1e-4, side="ABOVE", n_samples=200)
@@ -135,9 +135,9 @@ def test_bn_profile_offset_outside_region(bar_spaces_11):
 
 
 def test_tape_profile_constant_ramp(tape_mesh):
-    t = build_t_space(tape_mesh, 1, ("current", 2.0))
+    t = build_t_space(tape_mesh, 1, "current")
     T = 2.0 / tape_mesh.w
-    x = t.essential_full()
+    x = essential_vector(t, current=2.0)
     xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
     for k, kind, ent in dof_entries(t):
         if kind == "node":
@@ -152,7 +152,7 @@ def test_tape_profile_conservation(tape_mesh, tape_materials_power):
     # integrated sampled profile reproduces the imposed current
     jc = tape_materials_power.power.j_c
     I0 = 0.4 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, ("current", I0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 1)
     tc = time_config(dt=0.05, t_end=0.25, b_ext=None,
                      drive=ramp_then_hold(I0, 0.25, 0.25))
@@ -169,7 +169,7 @@ def test_stable_tape_penetration_shape(tape_mesh, tape_materials_power):
     # with a lower plateau in the middle
     jc = tape_materials_power.power.j_c
     I0 = 0.8 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, ("current", I0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 2)
     tc = time_config(dt=0.00125, t_end=0.05, b_ext=None,
                      drive=ramp_then_hold(I0, 0.05, 0.05))

@@ -21,7 +21,7 @@ def _tape_current(mesh, pair):
     jc = 2.5e8
     I0 = 0.1 * jc * mesh.w * 0.01
     mats = Materials(PowerLaw(e_c=1e-4, j_c=jc, n=20, j_reg=1e-3 * jc), 1.0)
-    t_sp = build_t_space(mesh, pair[0], ("current", I0))
+    t_sp = build_t_space(mesh, pair[0], "current")
     a_sp = build_a_space(mesh, pair[1])
     tc = time_config(dt=0.0125, t_end=0.5, b_ext=None, drive=ramp_then_hold(I0, 0.25, 0.5))
     prof = sample_tape_current(t_sp, run_transient((t_sp, a_sp), mats, tc).v[-1], j_c=jc)

@@ -171,7 +171,7 @@ def _bubbles_first(space):
     """The same potential space with its bubble DOFs numbered first."""
     kinds = {"bubble": space.kinds["bubble"], "node": space.kinds["node"]}
     return DofSpace("A", space.enrichment, space.mesh, kinds,
-                    {"node": (space.meta["gamma_e_nodes"], 0.0)}, space.meta)
+                    {"node": space.meta["gamma_e_nodes"]}, space.meta)
 
 
 def test_leading_rows_checks_the_hierarchy(bar_mesh):

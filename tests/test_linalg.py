@@ -12,8 +12,7 @@ from htsfem.linalg import (ZERO_TOL_REL, DegenerateCouplingError, SchurFactor,
                            SingularSystemError, infsup_eigenpairs, interface_schur,
                            solve_dense, solve_sparse)
 
-from util import (NORMS, build_time_values, dense_schur, eliminated, solve_reference,
-                  time_config)
+from util import NORMS, dense_schur, eliminated, make_step, solve_reference, time_config
 
 
 def dense_infsup_oracle(B, N_V, N_Q):
@@ -52,13 +51,11 @@ def test_solve_symmetric_indefinite_vs_dense(solve):
 @pytest.mark.parametrize("solve", [solve_sparse, solve_reference])
 def test_solve_assembled_ha_vs_dense(solve, bar_spaces_11, bar_materials_linear):
     from htsfem.assembly import assemble_ha_iteration, linear_blocks
-    from htsfem.spaces import essential_vector
     h, a = bar_spaces_11
     z = (np.zeros(h.n_dofs), np.zeros(a.n_dofs))
-    a_ess = essential_vector(a, a_trace=lambda x, y: -0.4 * y)
     blocks = linear_blocks(h, a, bar_materials_linear)
-    sys = assemble_ha_iteration(blocks, z, z[0], 0.0125,
-                                **{**build_time_values(blocks), "a_essential": a_ess})
+    sys = assemble_ha_iteration(make_step(blocks, z, 0.0125, a_trace=lambda x, y: -0.4 * y),
+                                z[0])
     K, s = eliminated(sys, bar_materials_linear)
     x = solve(K, s)
     K = K.toarray()

@@ -39,7 +39,7 @@ def two_bar_mesh():
 
 
 def test_h_dof_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h1 = build_h_space(bar_mesh, 1, "current")
     segs = bar_mesh.interface_segments
     sc_edges = np.unique(bar_mesh.tri_edges[bar_mesh.region_tris(Region.OMEGA_H_SC)])
     n_ring = len(segs)
@@ -50,14 +50,14 @@ def test_h_dof_count(bar_mesh):
 
 
 def test_h_bubble_count(bar_mesh):
-    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
-    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h1 = build_h_space(bar_mesh, 1, "current")
+    h2 = build_h_space(bar_mesh, 2, "current")
     segs = bar_mesh.interface_segments
     assert h2.n_dofs == h1.n_dofs + len(segs)
 
 
 def test_cut_circulation_unit(bar_mesh):
-    h = build_h_space(bar_mesh, 1, ("current", 1.0))
+    h = build_h_space(bar_mesh, 1, "current")
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     circ = loop_circulation(h, x)
@@ -65,7 +65,7 @@ def test_cut_circulation_unit(bar_mesh):
 
 
 def test_cut_curl_confined_to_layer(bar_mesh):
-    h = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h = build_h_space(bar_mesh, 1, "current")
     x = np.zeros(h.n_dofs)
     x[h.dof("global", 0)] = 1.0
     tris, curl = h.meta["sc_tris"], h_curl_matrix(h) @ x
@@ -80,7 +80,7 @@ def test_cut_curl_confined_to_layer(bar_mesh):
 def test_second_conductor_is_refused():
     # an H space takes the one conductor of its mesh
     with pytest.raises(SpaceError, match="mesh has 2 conductor components"):
-        build_h_space(two_bar_mesh(), 1, ("current", 0.0))
+        build_h_space(two_bar_mesh(), 1, "current")
 
 
 def test_open_conductor_loop_is_refused(bar_mesh):
@@ -89,7 +89,7 @@ def test_open_conductor_loop_is_refused(bar_mesh):
                        bar_mesh.boundary_segments, segs[1:], bar_mesh.interface_tag,
                        bar_mesh.delta)
     with pytest.raises(TopologyError, match="not a closed loop"):
-        build_h_space(open_loop, 1, ("current", 0.0))
+        build_h_space(open_loop, 1, "current")
 
 
 def test_multiply_connected_conductor_rejected():
@@ -103,11 +103,11 @@ def test_multiply_connected_conductor_rejected():
                             [-0.01, -0.004, -0.002, 0.002, 0.004, 0.01],
                             0.001, 1.0, region)
     with pytest.raises(TopologyError, match="not simply connected"):
-        build_h_space(mesh, 1, ("current", 0.0))
+        build_h_space(mesh, 1, "current")
 
 
 def test_gradient_part_is_curl_free(bar_mesh):
-    h = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h = build_h_space(bar_mesh, 2, "current")
     rng = np.random.default_rng(3)
     x = np.zeros(h.n_dofs)
     for k, kind, _ in dof_entries(h):
@@ -122,7 +122,7 @@ def test_gradient_part_is_curl_free(bar_mesh):
 
 
 def test_bubbles_never_change_curl(bar_mesh):
-    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h2 = build_h_space(bar_mesh, 2, "current")
     rng = np.random.default_rng(4)
     x = rng.normal(size=h2.n_dofs)
     G = h_curl_matrix(h2)
@@ -175,14 +175,15 @@ def test_a_patch_interior(tape_mesh):
 
 
 def test_t_endpoint_value(tape_mesh):
-    t = build_t_space(tape_mesh, 1, ("current", 100.0))
+    t = build_t_space(tape_mesh, 1, "current")
     assert np.array_equal(t.essential_dofs, [t.dof("global", 0)])
-    assert t.essential_values[0] == pytest.approx(1e8, rel=1e-15)
+    x = essential_vector(t, current=100.0)
+    assert x[t.dof("global", 0)] == pytest.approx(1e8, rel=1e-15)
 
 
 def test_t_zero_current(tape_mesh):
-    t = build_t_space(tape_mesh, 1, ("current", 0.0))
-    x = t.essential_full()
+    t = build_t_space(tape_mesh, 1, "current")
+    x = essential_vector(t, current=0.0)
     from htsfem.assembly import tape_current_density
     j = tape_current_density(t, x)
     assert np.abs(j).max() == 0.0
@@ -190,10 +191,10 @@ def test_t_zero_current(tape_mesh):
 
 def test_t_linear_ramp_constant_j(tape_mesh):
     # oracle: segment-wise differentiation of the nodal interpolant
-    t = build_t_space(tape_mesh, 1, ("current", 2.0))
+    t = build_t_space(tape_mesh, 1, "current")
     T = 2.0 / tape_mesh.w
     width = 0.01
-    x = t.essential_full()
+    x = essential_vector(t, current=2.0)
     xm = tape_mesh.nodes[tape_mesh.interface_segments[0, 0], 0]
     for k, kind, ent in dof_entries(t):
         if kind == "node":
@@ -204,15 +205,15 @@ def test_t_linear_ramp_constant_j(tape_mesh):
 
 
 def test_t_bubble_count(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
-    t2 = build_t_space(tape_mesh, 2, ("current", 0.0))
+    t1 = build_t_space(tape_mesh, 1, "current")
+    t2 = build_t_space(tape_mesh, 2, "current")
     segs = tape_mesh.interface_segments
     assert t2.n_dofs - t1.n_dofs == len(segs)
 
 
 def test_t_invalid_constraint(tape_mesh):
     with pytest.raises(SpaceError):
-        build_t_space(tape_mesh, 1, ("current_and_voltage", 1.0))
+        build_t_space(tape_mesh, 1, "current_and_voltage")
 
 
 def test_second_tape_is_refused(tape_mesh):
@@ -223,16 +224,16 @@ def test_second_tape_is_refused(tape_mesh):
                        tape_mesh.interface_tag, tape_mesh.delta, w=tape_mesh.w).validate()
     assert len(two_tapes.interface_chains()) == 2
     with pytest.raises(SpaceError, match="mesh has 2 tapes"):
-        build_t_space(two_tapes, 1, ("current", 0.0))
+        build_t_space(two_tapes, 1, "current")
 
 
 # -- traces --------------------------------------------------------------------
 
 
 def test_h_trace_orders(bar_mesh):
-    segs, lens, cum = interface_chain(build_h_space(bar_mesh, 1, ("current", 0.0)))
-    h1 = build_h_space(bar_mesh, 1, ("current", 0.0))
-    h2 = build_h_space(bar_mesh, 2, ("current", 0.0))
+    segs, lens, cum = interface_chain(build_h_space(bar_mesh, 1, "current"))
+    h1 = build_h_space(bar_mesh, 1, "current")
+    h2 = build_h_space(bar_mesh, 2, "current")
     rng = np.random.default_rng(0)
     x1 = rng.normal(size=h1.n_dofs)
     x2 = rng.normal(size=h2.n_dofs)
@@ -278,8 +279,8 @@ def test_a_trace_continuity(bar_mesh):
 
 
 def test_t_trace_orders(tape_mesh):
-    t1 = build_t_space(tape_mesh, 1, ("current", 0.0))
-    t2 = build_t_space(tape_mesh, 2, ("current", 0.0))
+    t1 = build_t_space(tape_mesh, 1, "current")
+    t2 = build_t_space(tape_mesh, 2, "current")
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=t1.n_dofs)
     x2 = rng.normal(size=t2.n_dofs)
@@ -301,7 +302,7 @@ def test_trace_out_of_range(bar_spaces_11):
 
 def test_whitney_scaling_single_potential(bar_mesh):
     # a single boundary-potential DOF gives +-1/length edge traces
-    h = build_h_space(bar_mesh, 1, ("current", 0.0))
+    h = build_h_space(bar_mesh, 1, "current")
     segs, lens, cum = interface_chain(h)
     k = 5
     node = int(segs[k, 0])  # start node of segment k, end node of k-1
@@ -314,7 +315,7 @@ def test_whitney_scaling_single_potential(bar_mesh):
 
 
 def test_essential_vector_updates(tape_mesh, bar_mesh):
-    t = build_t_space(tape_mesh, 1, ("current", 1.0))
+    t = build_t_space(tape_mesh, 1, "current")
     x = essential_vector(t, current=3.0)
     assert x[t.dof("global", 0)] == pytest.approx(3.0 / tape_mesh.w)
     a = build_a_space(bar_mesh, 1)
@@ -341,7 +342,7 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
         assert len(calls) == 1
         calls.clear()
         nodes = a.meta["gamma_e_nodes"]
-        essential = dict(zip(a.essential_dofs.tolist(), a.essential_values))
+        essential = dict(zip(a.essential_dofs.tolist(), essential_vector(a)[a.essential_dofs]))
         assert len(nodes) == len(essential) > 0
         for n in nodes:
             px, py = mesh.nodes[n]
@@ -355,7 +356,7 @@ def test_a_trace_on_arrays_matches_per_node_loop(request, which):
 def test_h_trace_table_matches_tangential_field(bar_mesh):
     # oracle: t-hat . h on the conductor triangle next to each GAMMA_M
     # segment, for the unit coefficient vector of every DOF
-    h = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h = build_h_space(bar_mesh, 2, "current")
     tab = trace_table(h)
     segs = bar_mesh.interface_segments
     eids = bar_mesh.edge_ids(segs)
@@ -408,7 +409,7 @@ def reference_whitney_transform(space):
 @pytest.mark.parametrize("enrichment", [1, 2])
 def test_whitney_transform_matches_reference(bar_mesh, enrichment):
     for mesh in (bar_mesh, refine(bar_mesh), l_bar_mesh()):
-        h = build_h_space(mesh, enrichment, ("current", 0.0))
+        h = build_h_space(mesh, enrichment, "current")
         edges, C = whitney_transform(h)
         ref_edges, ref = reference_whitney_transform(h)
         assert np.array_equal(edges, ref_edges)
@@ -418,7 +419,7 @@ def test_whitney_transform_matches_reference(bar_mesh, enrichment):
 
 
 def test_entity_dofs_inverts_the_entry_table(bar_mesh):
-    h = build_h_space(bar_mesh, 2, ("current", 0.0))
+    h = build_h_space(bar_mesh, 2, "current")
     sizes = {"node": bar_mesh.n_nodes, "edge": len(bar_mesh.edges),
              "bubble": len(bar_mesh.edges), "global": 1}
     for kind, n in sizes.items():
@@ -449,12 +450,12 @@ def test_basis_tables_are_built_afresh(bar_spaces_11):
         assert vars(s).keys() == before[id(s)].keys()
 
 
-def reference_dof_table(space):
+def reference_dof_table(space, current):
     """The per-DOF (kind, entity) list and the essential values
-    {dof: value} of ``space``, built entity by entity from the mesh
-    tables: nodes, then edges, then bubbles, then globals, each in
-    ascending entity order.  The circuit gives the conductor's ground
-    node and the drive."""
+    {dof: value} of ``space`` under the imposed ``current``, built entity
+    by entity from the mesh tables: nodes, then edges, then bubbles,
+    then globals, each in ascending entity order.  The circuit gives
+    the conductor's ground node and the drive's mode."""
     mesh, segs = space.mesh, space.mesh.interface_segments
     seg_edges = sorted(int(e) for e in mesh.edge_ids(segs))
     if space.family == "H":
@@ -481,25 +482,26 @@ def reference_dof_table(space):
         assert c.ground_node == min(c.ring_nodes)
         essential[index["node", c.ground_node]] = 0.0
     if c.mode == "current":
-        essential[index["global", 0]] = c.value / space.current_scale
+        essential[index["global", 0]] = current / space.current_scale
     return entries, essential
 
 
 def _spaces_on_reference_meshes(bar_mesh, tape_mesh):
+    """(space, imposed current or None) on the reference meshes."""
     two_bars = two_bar_mesh()
     for order in (1, 2):
-        yield build_h_space(bar_mesh, order, ("current", 1.5))
-        yield build_h_space(bar_mesh, order, ("voltage", 0.5))
+        yield build_h_space(bar_mesh, order, "current"), 1.5
+        yield build_h_space(bar_mesh, order, "voltage"), None
         for mesh in (bar_mesh, tape_mesh, two_bars):
-            yield build_a_space(mesh, order)
-        yield build_t_space(tape_mesh, order, ("current", 2.0))
-        yield build_t_space(tape_mesh, order, ("voltage", 2.0))
+            yield build_a_space(mesh, order), None
+        yield build_t_space(tape_mesh, order, "current"), 2.0
+        yield build_t_space(tape_mesh, order, "voltage"), None
 
 
 def test_dof_table_matches_the_per_entity_reference(bar_mesh, tape_mesh):
-    for space in _spaces_on_reference_meshes(bar_mesh, tape_mesh):
+    for space, current in _spaces_on_reference_meshes(bar_mesh, tape_mesh):
         mesh = space.mesh
-        entries, essential = reference_dof_table(space)
+        entries, essential = reference_dof_table(space, current)
         label = (space.family, space.enrichment, mesh.n_nodes)
         assert space.n_dofs == len(entries), label
         assert [(kind, ent) for _, kind, ent in dof_entries(space)] == entries, label
@@ -517,7 +519,7 @@ def test_dof_table_matches_the_per_entity_reference(bar_mesh, tape_mesh):
         assert np.array_equal(space.free, free) and space.n_free == len(free), label
         x = np.zeros(len(entries))
         x[list(essential)] = list(essential.values())
-        assert np.array_equal(space.essential_full(), x), label
+        assert np.array_equal(essential_vector(space, current=current), x), label
         # entities the space does not hold
         held = {ent for kind, ent in entries if kind == "node"}
         missing = next(n for n in range(mesh.n_nodes + 1) if n not in held)

@@ -9,7 +9,7 @@ from htsfem.config import load_config, make_geometry
 from htsfem.linalg import SingularSystemError
 from htsfem.materials import Materials, PowerLaw
 from htsfem.mesh import build_tape_mesh
-from htsfem.spaces import build_a_space, build_h_space, build_t_space
+from htsfem.spaces import build_a_space, build_h_space, build_t_space, essential_vector
 from htsfem.transient import (MAX_HALVINGS, NonConvergenceError, Ramp, TimeHistory,
                               _circuit_values, circuit_post, ramp_then_hold,
                               run_transient, write_history_csv, write_snapshots)
@@ -60,7 +60,7 @@ def test_linear_single_newton_iteration(bar_spaces_11, bar_materials_linear):
 
 
 def test_step_count_matches_grid(small_tape):
-    t = build_t_space(small_tape, 1, ("current", 1.0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.1, t_end=0.5, b_ext=None,
                      drive=ramp_then_hold(1.0, 0.25, 0.5),
@@ -75,7 +75,7 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
     from htsfem.assembly import tape_current_density
     I0 = 0.3 * JC * small_tape.w * WIDTH
     ramp = ramp_then_hold(I0, 0.25, 0.5)
-    t = build_t_space(small_tape, 1, ("current", I0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.05, t_end=0.5, b_ext=None, drive=ramp)
     hist = run_transient((t, a), tape_materials_power, tc)
@@ -89,7 +89,7 @@ def test_imposed_tape_current_reproduced(small_tape, tape_materials_power):
 
 
 def test_zero_drive_zero_voltage(small_tape):
-    t = build_t_space(small_tape, 1, ("current", 0.0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
                      drive=ramp_then_hold(0.0, 0.15, 0.3))
@@ -102,7 +102,7 @@ def test_dc_voltage_matches_analytic_resistance(small_tape):
     # per-unit-length resistance of a uniform tape: rho / (w * width)
     rho = 1e-8
     I0 = 2.0
-    t = build_t_space(small_tape, 1, ("current", I0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.25, t_end=20.0, b_ext=None,
                      drive=ramp_then_hold(I0, 1.0, 20.0),
@@ -119,7 +119,7 @@ def test_reciprocity_roundtrip(small_tape):
     rho = 1e-9
     I0 = 1.0
     mats = linear_mats(rho)
-    t = build_t_space(small_tape, 1, ("current", I0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.05, t_end=1.0, b_ext=None,
                      drive=ramp_then_hold(I0, 0.5, 1.0),
@@ -128,7 +128,7 @@ def test_reciprocity_roundtrip(small_tape):
     V = circuit_post(h1, (t, a))
 
     vramp = Ramp((0.0, *h1.times), (0.0, *V))
-    t2 = build_t_space(small_tape, 1, ("voltage", 0.0))
+    t2 = build_t_space(small_tape, 1, "voltage")
     tc2 = time_config(dt=0.05, t_end=1.0, b_ext=None, drive=vramp,
                       rel_residual_tol=1e-10)
     h2 = run_transient((t2, a), mats, tc2)
@@ -137,13 +137,13 @@ def test_reciprocity_roundtrip(small_tape):
     assert np.abs(I_rec - I_imp).max() < 1e-6 * I0
 
 
-def test_build_time_voltage_matches_constant_ramp(small_tape):
-    # a space built for a voltage V0 and driven by V0 held constant
-    # follows one convention: V = R I, so V > 0 drives a positive current
+def test_constant_voltage_drive_follows_v_equals_r_i(small_tape):
+    # a voltage-driven space driven by V0 held constant follows one
+    # convention: V = R I, so V > 0 drives a positive current
     rho = 1e-8
     V0 = 1e-3
     a = build_a_space(small_tape, 1)
-    t = build_t_space(small_tape, 1, ("voltage", V0))
+    t = build_t_space(small_tape, 1, "voltage")
     tc = time_config(dt=0.25, t_end=2.0, b_ext=None, drive=Ramp((0.0,), (V0,)),
                      rel_residual_tol=1e-12)
     current = circuit_post(run_transient((t, a), linear_mats(rho), tc), (t, a))
@@ -153,7 +153,7 @@ def test_build_time_voltage_matches_constant_ramp(small_tape):
 
 def test_requesting_imposed_quantity_is_identity(small_tape):
     I0 = 1.5
-    t = build_t_space(small_tape, 1, ("current", I0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     ramp = ramp_then_hold(I0, 0.15, 0.3)
     tc = time_config(dt=0.1, t_end=0.3, b_ext=None, drive=ramp)
@@ -168,7 +168,7 @@ def test_nonconvergence_error_carries_step(small_tape, tape_materials_power):
     # one Newton iteration never meets the tolerance: the first step
     # fails at every size down to MAX_HALVINGS halvings of dt
     I0 = 0.5 * JC * small_tape.w * WIDTH
-    t = build_t_space(small_tape, 1, ("current", I0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.25, t_end=0.5, b_ext=None,
                      drive=ramp_then_hold(I0, 0.25, 0.5),
@@ -231,7 +231,7 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
     from htsfem.assembly import tape_current_density
     jc = tape_materials_power.power.j_c
     I0 = 0.5 * jc * tape_mesh.w * 0.01
-    t = build_t_space(tape_mesh, 1, ("current", I0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 2)
     tc = time_config(dt=0.025, t_end=0.5, b_ext=None,
                      drive=ramp_then_hold(I0, 0.25, 0.5))
@@ -241,7 +241,7 @@ def test_tape_overshoot_bounded(tape_mesh, tape_materials_power):
 
 
 def test_history_exports(tmp_path, small_tape):
-    t = build_t_space(small_tape, 1, ("current", 1.0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
                      drive=ramp_then_hold(1.0, 0.15, 0.3))
@@ -293,13 +293,13 @@ def test_snapshot_files_round_trip_bitwise_and_match_np_save(tmp_path):
 
 def test_drive_values_record_the_imposed_values(small_tape):
     # a circuit imposes its drive ramp at the accepted times, a ramp or
-    # one held at the build-time value; an imposed current is the
-    # accepted iterate's global DOF
+    # a held value; an imposed current is the accepted iterate's global
+    # DOF
     a = build_a_space(small_tape, 1)
-    for mode, value, drive in (("current", 1.5, ramp_then_hold(1.5, 0.15, 0.3)),
-                               ("current", 0.7, Ramp((0.0,), (0.7,))),
-                               ("voltage", 1e-4, Ramp((0.0,), (1e-4,)))):
-        t = build_t_space(small_tape, 1, (mode, value))
+    for mode, drive in (("current", ramp_then_hold(1.5, 0.15, 0.3)),
+                        ("current", Ramp((0.0,), (0.7,))),
+                        ("voltage", Ramp((0.0,), (1e-4,)))):
+        t = build_t_space(small_tape, 1, mode)
         tc = time_config(dt=0.1, t_end=0.3, b_ext=None, drive=drive, rel_residual_tol=1e-10)
         hist = run_transient((t, a), linear_mats(1e-9), tc)
         expected = [drive(tk) for tk in hist.times]
@@ -336,7 +336,7 @@ def test_counters_record_a_forced_halving(small_tape, monkeypatch):
     # the t-a field solve factors the dense condensed system
     fail_first.__wrapped__ = transient.solve_dense
     monkeypatch.setattr(transient, "solve_dense", fail_first)
-    t = build_t_space(small_tape, 1, ("current", 1.0))
+    t = build_t_space(small_tape, 1, "current")
     a = build_a_space(small_tape, 1)
     tc = time_config(dt=0.1, t_end=0.3, b_ext=None,
                      drive=ramp_then_hold(1.0, 0.15, 0.3),
@@ -360,7 +360,7 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
     monkeypatch.setattr(transient, "assemble_ta_iteration",
                         lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
     I0 = 0.1 * JC * tape_mesh.w * WIDTH
-    spaces = (build_t_space(tape_mesh, 2, ("current", I0)), build_a_space(tape_mesh, 1))
+    spaces = (build_t_space(tape_mesh, 2, "current"), build_a_space(tape_mesh, 1))
     tc = time_config(dt=0.025, t_end=0.05, b_ext=None, drive=ramp_then_hold(I0, 0.25, 0.25))
     with pytest.raises(SingularSystemError, match=r"t-a pairing \(2,1\).* 19-dimensional kernel"):
         run_transient(spaces, tape_materials_power, tc)
@@ -374,7 +374,7 @@ def test_ta_pairing_with_a_field_kernel_is_refused_before_its_first_step(
 @pytest.fixture
 def tape_power_case(tape_mesh, tape_materials_power):
     I0 = 0.5 * JC * tape_mesh.w * WIDTH
-    t = build_t_space(tape_mesh, 1, ("current", I0))
+    t = build_t_space(tape_mesh, 1, "current")
     a = build_a_space(tape_mesh, 1)
     tc = time_config(dt=0.025, t_end=0.2, b_ext=None,
                      drive=ramp_then_hold(I0, 0.25, 0.5))
@@ -394,29 +394,94 @@ def test_final_residuals_match_monolithic(request, monkeypatch, case):
     # error of the monolithic system at each accepted iterate
     spaces, mats, tc = request.getfixturevalue(case)
     name = "assemble_ha_iteration" if spaces[0].family == "H" else "assemble_ta_iteration"
-    assemble = getattr(transient, name)
-    calls = []
-
-    def recording(*args, **kwargs):
-        sys = assemble(*args, **kwargs)
-        calls.append((args[1][0], args[2].copy(), args[3], sys))
-        return sys
-
-    monkeypatch.setattr(transient, name, recording)
+    calls = _record_assemblies(monkeypatch, name)
     hist = run_transient(spaces, mats, tc)
     if hist.counters["rejected_attempts"] == 0:
         # one assembly per attempt, per Newton iteration and per trial
         assert len(calls) == (hist.n_steps + sum(hist.newton_iters)
                               + hist.counters["backtracking_trials"])
-    v_prev = np.zeros(spaces[0].n_dofs)
-    for k in range(hist.n_steps):
+    for k, (_, systems) in enumerate(_accepted_attempts(calls, hist)):
+        it, sys = systems[-1]
+        assert np.array_equal(it, hist.v[k])
         x = np.concatenate([hist.v[k], hist.q[k]])
-        sys = [s for prev, it, dt, s in calls if dt == hist.dts[k]
-               and np.array_equal(prev, v_prev) and np.array_equal(it, hist.v[k])][-1]
         free = free_indices(sys)
         mono = backward_error(monolithic(sys, mats)[free], x, s_full(sys)[free])
         assert hist.final_residuals[k] == pytest.approx(mono, rel=1e-12, abs=1e-15)
-        v_prev = hist.v[k]
+
+
+def _record_assemblies(monkeypatch, name):
+    """The (step, iterate, system) of every call of the transient's
+    assembler ``name``, in call order."""
+    assemble = getattr(transient, name)
+    calls = []
+
+    def recording(step, iterate):
+        sys = assemble(step, iterate)
+        calls.append((step, iterate.copy(), sys))
+        return sys
+
+    monkeypatch.setattr(transient, name, recording)
+    return calls
+
+
+def _accepted_attempts(calls, hist):
+    """(step, [(iterate, system), ...]) of each accepted step of
+    ``hist``, from the recorded ``calls``: the first attempt after the
+    previous step's on the step's size, since a rejected attempt is
+    followed by one on half its size."""
+    attempts = {}
+    for step, it, sys in calls:
+        attempts.setdefault(id(step), (step, []))[1].append((it, sys))
+    attempts = iter(attempts.values())
+    for dt in hist.dts:
+        yield next(a for a in attempts if a[0].dt == dt)
+
+
+@pytest.mark.parametrize("case", ["bar_power_case", "tape_power_case"])
+def test_a_step_attempt_is_formed_once(request, monkeypatch, case):
+    # every system of a step attempt shares the one Step formed when the
+    # attempt begins, a rejected attempt's too (the first field solve is
+    # refused): its old-state source and its eliminated potential
+    # right-hand side are those of the attempt's previous state and
+    # essential values, bit for bit
+    spaces, mats, tc = request.getfixturevalue(case)
+    ha = spaces[0].family == "H"
+    calls = _record_assemblies(monkeypatch,
+                               "assemble_ha_iteration" if ha else "assemble_ta_iteration")
+    solve = "solve_sparse" if ha else "solve_dense"
+    original, failed = getattr(transient, solve), []
+
+    def fail_first(*args):
+        if not failed:
+            failed.append(1)
+            raise SingularSystemError("refused for the test")
+        return original(*args)
+
+    monkeypatch.setattr(transient, solve, fail_first)
+    hist = run_transient(spaces, mats, tc)
+    assert failed and hist.counters["rejected_attempts"] >= 1
+    # each Step serves one unbroken run of assemblies, one per attempt
+    order = [id(step) for step, _, _ in calls]
+    runs = [i for k, i in enumerate(order) if k == 0 or order[k - 1] != i]
+    assert len(runs) == len(set(runs)) == hist.n_steps + hist.counters["rejected_attempts"]
+    v_space, q_space = spaces
+    v_prev, q_prev = np.zeros(v_space.n_dofs), np.zeros(q_space.n_dofs)
+    for k, (step, systems) in enumerate(_accepted_attempts(calls, hist)):
+        assert all(sys.step is step for _, sys in systems)
+        t = hist.times[k]
+        v_ess = essential_vector(v_space, current=tc.drive(t))
+        a_ess = essential_vector(q_space, a_trace=None if tc.b_ext is None else
+                                 lambda x, y, b=tc.b_ext(t): -b * y)
+        assert np.array_equal(step.v_essential, v_ess)
+        assert np.array_equal(step.a_essential, a_ess)
+        blocks = step.blocks
+        s_prev = blocks.B_T @ q_prev[blocks.gamma]
+        if ha:
+            s_prev = s_prev + blocks.mass @ v_prev
+        assert np.array_equal(step.s_prev, s_prev)
+        assert np.array_equal(step.s_potential,
+                              -(blocks.q_rows @ np.concatenate([v_ess, a_ess])))
+        v_prev, q_prev = hist.v[k], hist.q[k]
 
 
 def test_newton_iterations_construct_few_sparse_matrices(bar_spaces_11,
@@ -454,7 +519,7 @@ def test_runs_on_shared_spaces_match_fresh_spaces(bar_mesh, bar_materials_power)
     # mu_r 10: nothing of the first run may leak into the second, and
     # each must equal, bitwise, its run on spaces built afresh
     def spaces():
-        return (build_h_space(bar_mesh, 1, ("current", 0.0)),
+        return (build_h_space(bar_mesh, 1, "current"),
                 build_a_space(bar_mesh, 1))
 
     soft = bar_materials_power

@@ -5,7 +5,8 @@ pointwise interface trace, the electric field of the power law, the
 conductor's penetrated area and magnetization, the triangles of each
 mesh edge, a plain ``mesh.txt`` reader, the pivoting sparse solve that
 serves as the reference solver, the componentwise backward error of a
-whole matrix, and the dense and monolithic oracles of the block
+whole matrix, the step attempt of explicit sources that the iteration
+assemblers take, and the dense and monolithic oracles of the block
 solvers, with the a-block and the coupling assembled apart from the
 run's blocks, and the uniform tape mesh that the graded one is checked
 against."""
@@ -18,12 +19,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from htsfem._geom import tri_geometry
-from htsfem.assembly import NormSpec, _a_stiffness, _coupling_full, h_curl_matrix
+from htsfem.assembly import (NormSpec, _a_stiffness, _coupling_full, begin_step,
+                             h_curl_matrix)
 from htsfem.config import load_config, make_time
 from htsfem.linalg import SingularSystemError, componentwise_error
 from htsfem.materials import MU0, rho_power
 from htsfem.mesh import Boundary, Mesh2D, Region, _structured_mesh
-from htsfem.spaces import SpaceError, trace_table, whitney_transform
+from htsfem.spaces import SpaceError, essential_vector, trace_table, whitney_transform
 
 # the stability norms at the reference resistivity and the step 0.0125 s
 # of the default configuration
@@ -341,13 +343,13 @@ def dense_schur(K, rows):
 def field_block(sys):
     """The field block A_v of an assembled system on all field DOFs, as
     a CSR matrix built from its data on the curl form's pattern."""
-    form = sys.blocks.form
+    form = sys.step.blocks.form
     return sp.csr_matrix((sys.A_data, form._indices, form._indptr), shape=form._shape)
 
 
 def free_field_block(sys):
     """The block of A_v on the free field DOFs, sliced by scipy."""
-    free = sys.blocks.v_space.free
+    free = sys.step.blocks.v_space.free
     return field_block(sys)[free][:, free].tocsr()
 
 
@@ -362,46 +364,46 @@ def a_stiffness(q_space, materials):
 
 def coupling(sys):
     """The coupling B on all DOFs of the two spaces of ``sys``."""
-    return _coupling_full(sys.blocks.v_space, sys.blocks.q_space)
+    return _coupling_full(sys.step.blocks.v_space, sys.step.blocks.q_space)
 
 
 def monolithic(sys, materials):
     """The monolithic operator [[A_v, B^T], [B, -K_nu]] of an assembled
     coupled system on all DOFs of both spaces, with the a-side of
     ``materials``."""
-    K_nu, B = a_stiffness(sys.blocks.q_space, materials), coupling(sys)
+    K_nu, B = a_stiffness(sys.step.blocks.q_space, materials), coupling(sys)
     return sp.bmat([[field_block(sys), B.T], [B, -K_nu]], format="csr")
 
 
-def build_time_values(blocks):
-    """The essential values and circuit voltages that the spaces of
-    ``blocks`` were built with, as keyword arguments of the iteration
-    assemblers."""
-    v_space = blocks.v_space
-    return {"a_essential": blocks.q_space.essential_full(),
-            "v_essential": v_space.essential_full(),
-            "voltage": v_space.circuit.value if v_space.circuit.mode == "voltage" else None}
+def make_step(blocks, state, dt, *, current=None, voltage=None, a_trace=None):
+    """The ``Step`` of ``blocks`` from the previous (v_full, a_full)
+    ``state`` over ``dt``: the essential values of the imposed
+    ``current`` and of the outer trace ``a_trace(x, y)``, zero where
+    None (``essential_vector``), and the circuit ``voltage`` of a
+    voltage-driven space, else None."""
+    return begin_step(blocks, state, dt, essential_vector(blocks.v_space, current=current),
+                      essential_vector(blocks.q_space, a_trace=a_trace), voltage)
 
 
 def free_indices(sys):
     """The free DOFs of an assembled system in the concatenated vector
     [v; a] of the monolithic operator."""
-    v_space, q_space = sys.blocks.v_space, sys.blocks.q_space
+    v_space, q_space = sys.step.blocks.v_space, sys.step.blocks.q_space
     return np.concatenate([v_space.free, v_space.n_dofs + q_space.free])
 
 
 def s_full(sys):
     """The monolithic right-hand side [s_v; 0] on all DOFs; the
     potential rows carry none."""
-    return np.concatenate([sys.s_v, np.zeros(sys.blocks.q_space.n_dofs)])
+    return np.concatenate([sys.s_v, np.zeros(sys.step.blocks.q_space.n_dofs)])
 
 
 def expand(sys, x_free):
     """The full-length (v, a) of a free-DOF solution [v; a] of the
     eliminated system, with the system's essential values."""
-    v_space, q_space = sys.blocks.v_space, sys.blocks.q_space
-    return (v_space.expand(x_free[:v_space.n_free], sys.v_essential),
-            q_space.expand(x_free[v_space.n_free:], sys.a_essential))
+    v_space, q_space = sys.step.blocks.v_space, sys.step.blocks.q_space
+    return (v_space.expand(x_free[:v_space.n_free], sys.step.v_essential),
+            q_space.expand(x_free[v_space.n_free:], sys.step.a_essential))
 
 
 def eliminated(sys, materials):
@@ -411,7 +413,8 @@ def eliminated(sys, materials):
     ess = np.setdiff1d(np.arange(K_full.shape[0]), free, assume_unique=True)
     s = s_full(sys)[free]
     if len(ess):
-        s = s - K_full[free][:, ess] @ np.concatenate([sys.v_essential, sys.a_essential])[ess]
+        x_ess = np.concatenate([sys.step.v_essential, sys.step.a_essential])
+        s = s - K_full[free][:, ess] @ x_ess[ess]
     return K_full[free][:, free].tocsr(), s
 
 
@@ -419,7 +422,7 @@ def interface_term(sys, schur):
     """The interface term B_Γ^T S_K^{-1} B_Γ on the free field DOFs of
     ``sys``, with S_K the Schur complement of ``schur``'s factor and B_Γ
     the free coupling rows Γ that its factor eliminates last."""
-    lb = sys.blocks
+    lb = sys.step.blocks
     B = coupling(sys)[lb.q_space.free][:, lb.v_space.free].tocsr()
     cols = np.flatnonzero(np.diff(B.tocsc().indptr))
     W = B[schur.factor.rows][:, cols].toarray()
@@ -434,6 +437,6 @@ def condensed(sys, schur, lift):
     bordered (v, a_Γ) system by its Schur complement, which is
     (A + B_Γ^T S_K^{-1} B_Γ) v = s_field + B_Γ^T z_Γ for the lift z_Γ;
     then a_Γ = S_K^{-1} B_Γ v - z_Γ (``schur.interface_values``)."""
-    lb = sys.blocks
+    lb = sys.step.blocks
     B_gamma = coupling(sys)[lb.q_space.free][:, lb.v_space.free].tocsr()[schur.factor.rows]
     return free_field_block(sys) + interface_term(sys, schur), sys.s_field + B_gamma.T @ lift
