@@ -115,10 +115,11 @@ class LinearBlocks:
 class Step:
     """What every Newton iteration of one step attempt shares (from
     ``begin_step``): the run's ``blocks``, ``dt``, the essential values
-    on all DOFs of each space at the new time, the old-state source
-    s_prev = B^T a_prev [+ M v_prev], the circuit term, and the
-    eliminated potential right-hand side s_potential = -q_rows [v_ess;
-    a_ess] with its scale q_scale = |q_rows| |[v_ess; a_ess]|."""
+    on all DOFs of each space at the new time (zero on the free DOFs),
+    the old-state source s_prev = B^T a_prev [+ M v_prev], the circuit
+    term, the field rows' part B^T a_ess, and the eliminated potential
+    right-hand side s_potential = -q_rows [v_ess; a_ess] with its scale
+    q_scale = |q_rows| |[v_ess; a_ess]|."""
 
     blocks: LinearBlocks
     dt: float
@@ -126,6 +127,7 @@ class Step:
     a_essential: np.ndarray
     s_prev: np.ndarray
     s_circuit: np.ndarray
+    bt_a_essential: np.ndarray
     s_potential: np.ndarray
     q_scale: np.ndarray
 
@@ -215,10 +217,9 @@ class AssembledSystem:
     def s_field(self) -> np.ndarray:
         """The eliminated right-hand side of the free field rows: s_v
         minus the field rows' product with the essential values."""
-        lb = self.step.blocks
-        v = lb.v_space.expand(0.0, self.step.v_essential)
-        a = lb.q_space.expand(0.0, self.step.a_essential)
-        return (self.s_v - self._field_product(v, a[lb.gamma]))[lb.v_space.free]
+        step = self.step
+        return (self.s_v - (step.blocks.form.product(self.A_data, step.v_essential)
+                            + step.bt_a_essential))[step.blocks.v_space.free]
 
 
 # -- low-level kernels ---------------------------------------------------------
@@ -636,8 +637,8 @@ def begin_step(blocks: LinearBlocks, state_prev, dt, v_essential, a_essential,
         s_prev = s_prev + blocks.mass @ v_prev
     x_essential = np.concatenate([v_essential, a_essential])
     return Step(blocks, dt, v_essential, a_essential, s_prev,
-                _circuit_rhs(blocks.v_space, dt, voltage), -(blocks.q_rows @ x_essential),
-                blocks.abs_q_rows @ np.abs(x_essential))
+                _circuit_rhs(blocks.v_space, dt, voltage), blocks.B_T @ a_essential[blocks.gamma],
+                -(blocks.q_rows @ x_essential), blocks.abs_q_rows @ np.abs(x_essential))
 
 
 def _power_law_iteration(step: Step, v_it, scale) -> AssembledSystem:

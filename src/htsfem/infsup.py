@@ -7,14 +7,14 @@ against the element size, fitted on the finer half of the sequence,
 classifies the pairing: a bounded beta indicates a stable pairing,
 beta shrinking linearly with the element size an unstable one.
 
-A sweep runs all requested pairings in one pass over the meshes and
-shares, per mesh, what depends on one space only: the spaces, their
-norm matrices, the field-norm factors and one potential-norm factor,
-each one bordered factorization (see ``linalg.interface_schur``).  The
-mesh picks the field space: H on the bar's GAMMA_M, which runs h-a, T
-on the tape's GAMMA_W, which runs t-a.  No
-pencil holds an eigenvector on the whole potential space beyond its two
-checked ones.
+A sweep runs all requested pairings in one pass over the meshes.  Per
+mesh, it builds each space once and factors one norm per side of the
+pencil, of the richest order, as one bordered factorization (see
+``linalg.interface_schur``); a lower order of the hierarchical basis
+takes the leading block of that norm and of its factor.  The mesh
+picks the field space: H on the bar's GAMMA_M, which runs h-a, T on
+the tape's GAMMA_W, which runs t-a.  No pencil holds an eigenvector on
+the whole potential space beyond its two checked ones.
 """
 
 from __future__ import annotations
@@ -72,11 +72,15 @@ class InfSupReport:
             f.write(json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     def to_csv(self, path):
-        lines = ["meshsize,beta,normb"]
-        for r in self.records:
-            lines.append(f"{r.delta_rel:.17g},{r.beta:.17g},{r.b_norm:.17g}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_csv(path, "meshsize,beta,normb",
+                   [(r.delta_rel, r.beta, r.b_norm) for r in self.records])
+
+
+def _write_csv(path, header, rows):
+    """Rows of floats as CSV lines under ``header``, to 17 digits."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _fit_slope(deltas, betas):
@@ -121,8 +125,8 @@ def build_pairing(mesh, pairing):
 
 
 class HierarchyError(RuntimeError):
-    """A lower-order potential space is not the leading part of the
-    richer one, so the two cannot share one potential-norm factor."""
+    """A lower-order space is not the leading part of the richer one,
+    so the two cannot share one norm factor."""
 
 
 class InfSupMatrix(dict):
@@ -153,71 +157,65 @@ def _located(level, pairing=None):
         raise
 
 
-def _leading_rows(q_low, q_high, P, level) -> int:
-    """How many rows of P lie in the lower-order potential space, after
-    checking that its DOFs are the leading DOFs of the richer space and
-    that both leave the same DOFs outside P."""
-    n = q_low.n_free
-    kinds = list(q_low.kinds)
-    if (list(q_high.kinds)[:len(kinds)] != kinds
-            or not all(np.array_equal(q_low.kinds[k], q_high.kinds[k]) for k in kinds)
-            or not np.array_equal(q_high.free[:n], q_low.free)):
+def _leading_rows(low, high, rows, level) -> int:
+    """How many of the ascending ``rows`` of the richer space ``high``
+    lie in the lower-order space ``low``, after checking that each free
+    DOF of ``low`` is, by its (kind, entity), the same free DOF of ``high``."""
+    at = np.concatenate([high.dof(kind, ents) for kind, ents in low.kinds.items()])
+    if not np.array_equal(at[low.free], high.free[:low.n_free]):
         raise HierarchyError(
-            f"level {level}: the order-{q_low.enrichment} potential DOFs are not "
-            f"the leading DOFs of the order-{q_high.enrichment} space")
-    n_p = int(np.searchsorted(P, n))
-    if len(P) - n_p != q_high.n_free - n:
-        raise HierarchyError(
-            f"level {level}: the order-{q_low.enrichment} and "
-            f"order-{q_high.enrichment} potential spaces have different interiors")
-    return n_p
+            f"level {level}: the order-{low.enrichment} {low.family} DOFs are not "
+            f"the leading DOFs of the order-{high.enrichment} space")
+    return int(np.searchsorted(rows, low.n_free))
+
+
+def _shared_norm(spaces, rows, norms, level):
+    """One side of the pencil at one level, for its ``spaces`` {order:
+    space}: the richest space's norm, factored once with the ``rows``
+    that the level's couplings touch last, each order's norm (a lower
+    order's is the leading block) and how many of ``rows`` it holds."""
+    top = spaces[max(spaces)]
+    counts = {str(i): _leading_rows(s, top, rows, level) for i, s in spaces.items()}
+    N = assemble_norm_matrix(top, norms)
+    with _located(level):
+        factor = interface_schur(N, rows)
+    blocks = {i: N if s is top else N[:s.n_free, :s.n_free] for i, s in spaces.items()}
+    return factor, blocks, counts
 
 
 def _sweep_level(mesh, pairings, norms, level, reports, width_ref):
-    """One mesh level of every pairing: each distinct space is built and
-    its norm assembled once, each N_V factored once, with the columns
-    that the level's couplings of its field order touch last, and N_Q
-    factored once, for the richest potential order, with the union P
-    of the rows that the level's couplings touch last.  Every pairing
-    gets that one factor; a lower potential order takes the leading
-    block of that norm, and the pencil reads the leading rows of the
-    factor."""
+    """One mesh level of every pairing: each distinct space is built
+    once, and each side of the pencil factors one norm, of its richest
+    order, with the union of the columns (field side, N_V) or rows
+    (potential side, N_Q) that the level's couplings touch last
+    (``_shared_norm``).  Every pairing gets those two factors; a lower
+    order takes the leading block of the richer norm, and the pencil
+    reads the leading rows of its factor."""
     start = time.perf_counter()
     v_sp = {i: _field_space(mesh, i) for i in sorted({p[0] for p in pairings})}
     q_sp = {j: build_a_space(mesh, enrichment=j) for j in sorted({p[1] for p in pairings})}
     reports.phases["spaces"] += time.perf_counter() - start
     B = {pair: assemble_coupling_matrix(v_sp[pair[0]], q_sp[pair[1]]) for pair in pairings}
-    N_V = {i: assemble_norm_matrix(space, norms) for i, space in v_sp.items()}
-    top = max(q_sp)
-    N_Q = {top: assemble_norm_matrix(q_sp[top], norms)}
+    cols = np.unique(np.concatenate([b.indices for b in B.values()]))
     P = np.unique(np.concatenate([np.flatnonzero(np.diff(b.indptr)) for b in B.values()]))
-    cols = {i: np.unique(np.concatenate([np.flatnonzero(np.diff(b.tocsc().indptr))
-                                         for pair, b in B.items() if pair[0] == i]))
-            for i in v_sp}
-    n_p = {j: _leading_rows(q_sp[j], q_sp[top], P, level) for j in q_sp if j != top}
-    for j in n_p:
-        n = q_sp[j].n_free
-        N_Q[j] = N_Q[top][:n, :n]
-    n_p[top] = len(P)
-    with _located(level):
-        lu_v = {i: interface_schur(N, cols[i]) for i, N in N_V.items()}
-        interior = interface_schur(N_Q[top], P)
-    reports.counters["field_norm_factorizations"] += len(lu_v)
+    lu_v, N_V, n_c = _shared_norm(v_sp, cols, norms, level)
+    interior, N_Q, n_p = _shared_norm(q_sp, P, norms, level)
+    reports.counters["field_norm_factorizations"] += 1
     reports.counters["interior_factorizations"] += 1
     sizes = {
         "field_free_dofs": {str(i): int(s.n_free) for i, s in v_sp.items()},
         "potential_free_dofs": {str(j): int(s.n_free) for j, s in q_sp.items()},
-        "coupled_columns": {str(i): len(c) for i, c in cols.items()},
-        "coupled_rows": {str(j): n for j, n in n_p.items()},
+        "coupled_columns": n_c,
+        "coupled_rows": n_p,
         "interior_dofs": len(interior.order) - len(interior.rows),
-        "field_norm_fill": {str(i): lu.fill for i, lu in lu_v.items()},
+        "field_norm_fill": lu_v.fill,
         "potential_norm_fill": interior.fill,
     }
 
     for pair in pairings:
         i, j = pair
         with _located(level, pair):
-            eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v[i], interior=interior)
+            eig = infsup_eigenpairs(B[pair], N_V[i], N_Q[j], lu_v=lu_v, interior=interior)
         reports.counters["pencils"] += 1
         reports.counters["full_space_pair_checks"] += len(eig.checked)
         reports[pair].records.append(SweepRecord(
@@ -273,37 +271,27 @@ def export_eigenmode(v_space, q_space, B, eig: EigenResult, mode_rank: int, out_
     """Write one eigenmode as point clouds: the potential eigenvector at
     the a-nodes and the supremizer v = N_V^{-1} B^T q, which achieves the
     sup for q, sampled on elements.  Only q is extended to I, and v is
-    solved with the pencil's own factor of N_V (``eig.field``)."""
+    solved with the pencil's factor of N_V (``eig.field``, which may
+    factor a richer norm), as in the full-space check."""
     if not (0 <= mode_rank < len(eig.eigenvalues)):
         raise IndexError("mode rank out of range")
     mesh = q_space.mesh
     q_free = eig.interior.extend(eig.Y[:, mode_rank])
-    q_full = np.zeros(q_space.n_dofs)
-    q_full[q_space.free] = q_free
-
+    q_full = q_space.expand(q_free, np.zeros(q_space.n_dofs))
     dof = q_space.entity_dofs("node", mesh.n_nodes)
     nodes = np.argsort(dof)[np.count_nonzero(dof < 0):]     # a-nodes in DOF order
-    lines = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(
-        mesh.nodes[nodes].tolist(), q_full[dof[nodes]].tolist())]
-    with open(f"{out_prefix}_potential.csv", "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(f"{out_prefix}_potential.csv", "x,y,value",
+               np.column_stack([mesh.nodes[nodes], q_full[dof[nodes]]]).tolist())
 
-    v_free = eig.field.solve(np.asarray(B.T @ q_free).ravel())
-    v_full = np.zeros(v_space.n_dofs)
-    v_full[v_space.free] = v_free
-    lines = ["x,y,value"]
+    v_full = v_space.expand(eig.field.coupled_solve(B.T @ q_free), np.zeros(v_space.n_dofs))
     if v_space.family == "H":
         tris = v_space.meta["sc_tris"]
         h = field_operator(v_space, tris, np.full((len(tris), 3), 1.0 / 3.0)) @ v_full
-        cents = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
-        for (cx, cy), (hx, hy) in zip(cents, h.reshape(-1, 2)):
-            lines.append(f"{cx:.17g},{cy:.17g},{np.hypot(hx, hy):.17g}")
+        points = mesh.nodes[mesh.triangles[tris]].mean(axis=1)
+        values = np.hypot(*h.reshape(-1, 2).T)
     else:
-        segs = mesh.interface_segments
-        j = tape_current_density(v_space, v_full)
-        for k, seg in enumerate(segs):
-            cx, cy = mesh.nodes[seg].mean(axis=0)
-            lines.append(f"{cx:.17g},{cy:.17g},{j[k]:.17g}")
-    with open(f"{out_prefix}_supremizer.csv", "w") as f:
-        f.write("\n".join(lines) + "\n")
+        points = mesh.nodes[mesh.interface_segments].mean(axis=1)
+        values = tape_current_density(v_space, v_full)
+    _write_csv(f"{out_prefix}_supremizer.csv", "x,y,value",
+               np.column_stack([points, values]).tolist())
     return q_full, v_full

@@ -12,8 +12,8 @@ solved and checked on the rows that B couples; only its two reported
 pairs are extended to the whole potential space, through the same
 factor.  The pencil's two ``interface_schur`` factors, of the field
 norm and of the potential norm, can be built once and shared by the
-pairings of one mesh; a lower-order potential space of a hierarchical
-basis reads the leading rows of the richer space's factor.
+pairings of one mesh; on either side, a lower-order space of a
+hierarchical basis reads the leading rows of the richer space's factor.
 
 Every LU factorization follows one convention (``_factor_in_order``):
 it keeps the numbering its caller gives the matrix and pivots on the
@@ -195,11 +195,27 @@ class SchurFactor:
 
     @cached_property
     def _cho(self):
-        return _cholesky(self.S, "Schur complement")
+        return _cholesky(self.S, "Schur complement")[0]     # upper triangular
 
     def schur_solve(self, X):
-        """S^{-1} X, by a Cholesky factor of S formed on first use."""
-        return scipy.linalg.cho_solve(self._cho, X)
+        """S_n^{-1} X for S_n = S[:n, :n], n = len(X), by the leading
+        block of a Cholesky factor of S formed on first use."""
+        return scipy.linalg.cho_solve((self._cho[:len(X), :len(X)], False), X)
+
+    def leading(self, n) -> int:
+        """How many of the ascending ``rows`` lie below n, after checking
+        that the other DOFs below n are the factor's interior, so that its
+        leading rows condense K[:n, :n]; otherwise ValueError."""
+        k = int(np.searchsorted(self.rows, n))
+        if k + len(self.order) - len(self.rows) != n:
+            raise ValueError(f"the factor splits other DOFs than the leading {n}")
+        return k
+
+    def coupled_solve(self, R):
+        """K_n^{-1} R for K_n = K[:n, :n], n = len(R), and R (a vector or
+        columns) that vanishes off ``rows``: the extension of S_n^{-1} R
+        on the leading rows.  It reads S, not K."""
+        return self.extend(self.schur_solve(R[self.rows[:self.leading(len(R))]]))
 
     def extend(self, Y):
         """The K-harmonic extension of values Y (a vector or columns) on
@@ -230,11 +246,8 @@ def interface_schur(K, rows) -> SchurFactor:
     neither reorders nor pivots; otherwise SingularSystemError is raised.
     """
     K = sp.csr_matrix(K)
-    n = K.shape[0]
     rows = np.asarray(rows, dtype=np.int64)
-    inner = np.ones(n, dtype=bool)
-    inner[rows] = False
-    I = np.flatnonzero(inner)
+    I = np.delete(np.arange(K.shape[0]), rows)
     order = np.concatenate([I[_min_degree_order(K[I][:, I])], rows])
     lu = _factor_in_order(K[order][:, order], "bordered")
     m = len(I)
@@ -271,8 +284,6 @@ class InterfaceSchur:
         self._B = B
         self._B_gamma = B[gamma]
         self._B_gamma_T = self._B_gamma.T
-        self._off_gamma = np.ones(n_q, dtype=bool)
-        self._off_gamma[gamma] = False
         self.solves = 0
         self.size, self.nnz = n_v, n_v * n_v
 
@@ -284,7 +295,7 @@ class InterfaceSchur:
         """z_Γ = (K^{-1} s_q)_Γ: S_K^{-1} s_q[Γ] if s_q vanishes off Γ,
         else by one back-substitution."""
         s_q = np.asarray(s_q, dtype=float)
-        if np.any(s_q[self._off_gamma]):
+        if np.any(np.delete(s_q, self.factor.rows)):
             return self._solve(s_q)[self.factor.rows]
         return self.factor.schur_solve(s_q[self.factor.rows])
 
@@ -391,10 +402,10 @@ class EigenResult:
     """Nonzero spectrum of the inf-sup pencil: ascending eigenvalues,
     their S-orthonormal eigenvectors Y on the coupled rows P and the
     indices of the pairs ``checked`` on the whole potential space.
-    ``interior`` is the ``interface_schur`` factor of N_Q (or of a richer
-    norm whose leading block is N_Q) whose leading rows are P, and
-    ``field`` the ``interface_schur`` factor of N_V that the pencil was
-    solved with."""
+    ``interior`` and ``field`` are the ``interface_schur`` factors of
+    N_Q and of N_V that the pencil was solved with, each possibly of a
+    richer norm with N_Q or N_V as its leading block; the leading rows
+    of ``interior`` are P."""
 
     eigenvalues: np.ndarray
     Y: np.ndarray
@@ -437,10 +448,11 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
     (``interface_schur(N_Q, P)``) may be passed in to share them
     between pencils; by default both are built here.  Their c and P
     may be supersets of the columns and rows that B couples: the other
-    rows of P only add zero eigenvalues, which the cutoff drops.
-    ``interior`` may also factor a richer norm whose leading block is
-    N_Q (a hierarchical basis): P is then its ascending rows below n_q,
-    and a factor that splits the n_q DOFs otherwise raises ValueError.
+    rows of P only add zero eigenvalues, which the cutoff drops.  Either
+    may factor a richer norm whose leading block is N_V or N_Q (a
+    hierarchical basis, ``SchurFactor.leading``).  The full-space check
+    solves N_V^{-1} B^T q through S_V (``SchurFactor.coupled_solve``),
+    and checks that solve against N_V itself.
     """
     B = sp.csr_matrix(B)
     N_Q = sp.csr_matrix(N_Q)
@@ -455,18 +467,12 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
         lu_v = interface_schur(N_V, np.unique(B.indices))
     if interior is None:
         interior = interface_schur(N_Q, rows)
-    n_p = int(np.searchsorted(interior.rows, n_q))
-    if n_p + len(interior.order) - len(interior.rows) != n_q:
-        raise ValueError("the potential factor splits other DOFs than N_Q's")
-    P = interior.rows[:n_p]
-    S = interior.S[:n_p, :n_p]
-    at = np.searchsorted(P, rows)
-    if at[-1] >= n_p or not np.array_equal(P[at], rows):
-        raise ValueError("B couples rows outside the potential factor's rows")
-    B_c = B[:, lu_v.rows]
-    if B_c.nnz != B.nnz:
-        raise ValueError("B couples columns outside the field factor's rows")
-    W = B_c[P].toarray()
+    P = interior.rows[:interior.leading(n_q)]
+    S = interior.S[:len(P), :len(P)]
+    W = B[P][:, lu_v.rows[:lu_v.leading(n_v)]]
+    if W.nnz != B.nnz:
+        raise ValueError("B couples DOFs outside the factors' rows")
+    W = W.toarray()
     G = W @ lu_v.schur_solve(W.T)
     G = 0.5 * (G + G.T)
 
@@ -486,7 +492,13 @@ def infsup_eigenpairs(B, N_V, N_Q, *, lu_v=None, interior=None) -> EigenResult:
                  np.abs(G).max(), np.abs(S).max(), np.arange(len(lam)))
     ends = np.unique([0, len(lam) - 1])
     Q = interior.extend(Y[:, ends])
-    GQ = B @ lu_v.solve(np.asarray(B.T @ Q))
+    R = B.T @ Q
+    X = lu_v.coupled_solve(R)
+    err = (np.linalg.norm(N_V @ X - R, axis=0) / np.maximum(
+        np.abs(N_V).max() * np.linalg.norm(X, axis=0) + np.linalg.norm(R, axis=0), 1e-300)).max()
+    if not err <= 1e-8:
+        raise SingularSystemError(f"full-space check: field solve residual {err:.3e} exceeds 1e-8")
+    GQ = B @ X
     _check_pairs("full-space check", GQ, N_Q @ Q, Q, lam[ends],
                  np.abs(GQ).max() / max(np.abs(Q).max(), 1e-300), np.abs(N_Q).max(), ends)
     return EigenResult(lam, Y, interior, lu_v, ends)

@@ -323,9 +323,8 @@ def _gated_recovery(sys, v, schur: InterfaceSchur):
 
 def _newton_step(assemble, step, v_prev, time: TimeConfig, schur, counters):
     blocks = step.blocks
-    vf, qf, gamma = blocks.v_space.free, blocks.q_space.free, blocks.gamma
-    v_it = step.v_essential.copy()
-    v_it[vf] = v_prev[vf]
+    vf, gamma = blocks.v_space.free, blocks.gamma
+    v_it = blocks.v_space.expand(v_prev[vf], step.v_essential)
     # the iterate's potential on gamma: the essential values, and a_Γ on
     # the free ones, which are the rows Γ of schur.factor
     on_free = blocks.gamma_free
@@ -376,8 +375,7 @@ def _newton_step(assemble, step, v_prev, time: TimeConfig, schur, counters):
         a_free = _gated_recovery(*solved, schur)
     if solved is None or damping < 1.0:
         a_free = schur.recover(v_it[vf], step.s_potential)
-    q_it = step.a_essential.copy()
-    q_it[qf] = a_free
+    q_it = blocks.q_space.expand(a_free, step.a_essential)
     return v_it, q_it, iters, trace, sys, sys.backward_error(v_it, q_it)
 
 

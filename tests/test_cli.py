@@ -363,20 +363,25 @@ def test_cli_pencil_failure_exit_3(tmp_path, capsys, monkeypatch, command, error
 
 
 def test_cli_infsup_all_pairings(tmp_path):
-    cfg = dict(SMALL_BAR)
-    cfg["geometry"] = {"delta": 0.004, "min_elements_across": 1}
-    cfg["sweep"] = {"n_refinements": 3}
-    path = write_cfg(tmp_path, cfg, "all.json")
-    out = tmp_path / "out"
+    bar = dict(SMALL_BAR)
+    bar["geometry"] = {"delta": 0.004, "min_elements_across": 1}
+    tape = dict(SMALL_TAPE)
+    for name, cfg in (("bar", bar), ("tape", tape)):
+        _check_infsup_all_pairings(tmp_path / name, dict(cfg, sweep={"n_refinements": 3}))
+
+
+def _check_infsup_all_pairings(out, cfg):
+    out.mkdir()
+    path = write_cfg(out, cfg, "all.json")
     assert main(["infsup", "--config", path, "--out", str(out),
                  "--pairing", "all", "--quiet"]) == 0
     run = json.loads((out / "run.json").read_text())
     assert run["verdicts"] == {"11": "UNSTABLE", "12": "STABLE",
                                "21": "STABLE", "22": "UNSTABLE"}
-    # one pass over the 4 meshes: each N_V factored once per field
-    # order, N_Q condensed once per mesh; 16 pencils, each with its
+    # one pass over the 4 meshes: N_V factored and N_Q condensed once
+    # per mesh, for the richest order of each; 16 pencils, each with its
     # smallest and largest pair checked on the whole potential space
-    assert run["counters"] == {"mesh_levels": 4, "field_norm_factorizations": 8,
+    assert run["counters"] == {"mesh_levels": 4, "field_norm_factorizations": 4,
                                "interior_factorizations": 4, "pencils": 16,
                                "full_space_pair_checks": 32}
     assert len(run["sizes"]) == 4
@@ -389,10 +394,17 @@ def test_cli_infsup_all_pairings(tmp_path):
         assert set(level["field_free_dofs"]) == {"1", "2"}
         assert (level["interior_dofs"] + level["coupled_rows"]["2"]
                 == level["potential_free_dofs"]["2"])
-        # each bordered factor holds at least the diagonals of L and U
         for i in ("1", "2"):
             assert 0 < level["coupled_columns"][i] <= level["field_free_dofs"][i]
-            assert level["field_norm_fill"][i] >= 2 * level["field_free_dofs"][i]
+        # every extra order-2 field DOF is coupled; on the tape, B
+        # couples every t DOF, and the field factor has no interior
+        assert (level["field_free_dofs"]["2"] - level["coupled_columns"]["2"]
+                == level["field_free_dofs"]["1"] - level["coupled_columns"]["1"])
+        if cfg["scenario"] == "single_tape":
+            assert level["coupled_columns"] == level["field_free_dofs"]
+        # each bordered factor holds at least the diagonals of L and U
+        assert isinstance(level["field_norm_fill"], int)
+        assert level["field_norm_fill"] >= 2 * level["field_free_dofs"]["2"]
         assert level["potential_norm_fill"] >= 2 * level["potential_free_dofs"]["2"]
     phases = run["phases"]
     assert set(phases) == {"mesh", "spaces", "sweep", "write"}

@@ -369,8 +369,22 @@ def test_gate_rejects_a_perturbed_field_schur_complement():
     d = 1e-5 * np.abs(S).max()
     S[3, 11] += d
     S[11, 3] += d
-    with pytest.raises(SingularSystemError, match="full-space check: eigen"):
+    # the condensed pencil and the full-space eigenpairs both read the
+    # perturbed S_V; the field solve's residual against N_V refuses it
+    with pytest.raises(SingularSystemError,
+                       match=r"full-space check: field solve residual \S+ exceeds 1e-8"):
         infsup_eigenpairs(B, N_V, N_Q, lu_v=replace(lu_v, S=S))
+
+
+def test_eig_refuses_factors_that_miss_a_coupled_dof():
+    # a factor that eliminates a row or a column that B couples among
+    # its interior splits the DOFs as a leading block would, but the
+    # pencil cannot read B there
+    B, N_V, N_Q, P = _pencil_with_45_pairs()
+    for kwargs in ({"interior": interface_schur(N_Q, P[1:])},
+                   {"lu_v": interface_schur(N_V, np.arange(1, 45))}):
+        with pytest.raises(ValueError, match="B couples DOFs outside the factors' rows"):
+            infsup_eigenpairs(B, N_V, N_Q, **kwargs)
 
 
 def random_sparse_spd(rng, n, density):
@@ -426,6 +440,18 @@ def test_leading_condensation_extends_in_the_smaller_space():
     Y = rng.normal(size=8)
     ref = interface_schur(K_low, P[:8]).extend(Y)
     assert np.abs(factor.extend(Y) - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the leading-row Schur solve, and the solve of K's leading block
+    # for a right-hand side on the coupled rows
+    assert factor.leading(25) == 8
+    X = rng.normal(size=(8, 2))
+    ref = np.linalg.solve(S_low, X)
+    assert np.abs(factor.schur_solve(X) - ref).max() <= 1e-12 * np.abs(ref).max()
+    R = np.zeros((25, 2))
+    R[P[:8]] = X
+    ref = np.linalg.solve(K_low.toarray(), R)
+    assert np.abs(factor.coupled_solve(R) - ref).max() <= 1e-10 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="splits other DOFs"):
+        factor.leading(24)
 
 
 def test_interface_schur_refuses_a_pivoting_factorization():
